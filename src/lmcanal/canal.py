@@ -36,6 +36,8 @@ from .minkowski import Vec4
 DENOM_TOL = 1e-12
 #: Tubular variants require |r'| below this.
 CONST_RADIUS_TOL = 1e-9
+#: Central-difference step of the Weingarten mixed Jacobians.
+WEINGARTEN_STEP = 1e-4
 
 
 class CanalError(Exception):
@@ -261,7 +263,7 @@ def evaluate_point(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
         f, g = shape.values(t, w)
         coeff = frame_coefficients(family, r_jet, f, g)
     fr = derive_frame(curve, s)
-    point = curve.point(s)
+    point = fr.point
     for a, vec in zip(coeff, fr.vectors()):
         point = point + a * vec
     return point
@@ -586,14 +588,14 @@ class WeingartenReport:
 
 def weingarten_residuals(family: CanalFamily, curve: CurveSpec,
                          radius: RadiusSpec, shape: ShapeSpec,
-                         points, fd_step: float = 1e-4) -> WeingartenReport:
+                         points) -> WeingartenReport:
     """Mixed Jacobians of (H, K) in the parameter pairs, by central
-    differences of the closed forms over the supplied (s,t,w) points."""
+    differences (step WEINGARTEN_STEP) of the closed forms at the points."""
     if not family.variant.is_tubular or family.variant.is_null_variant:
         raise UnsupportedFamilyError(
             "Weingarten residuals are defined for tubular variants with "
             "closed forms")
-    h = fd_step
+    h = WEINGARTEN_STEP
 
     def pair_at(s, t, w) -> CurvaturePair:
         fr = derive_frame(curve, s)

@@ -106,7 +106,7 @@ class ReferenceFrame:
                 expr.eval_value(self.k3, s=s))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurveSpec:
     """A center curve: four component expressions in s plus its causal class.
 
@@ -133,7 +133,7 @@ class CurveSpec:
 
 @dataclass(frozen=True)
 class FrenetData:
-    """Frame and curvatures of a curve at one parameter value."""
+    """Frame, curvatures and curve point gamma(s) at one parameter value."""
 
     s: float
     f1: Vec4
@@ -143,6 +143,7 @@ class FrenetData:
     k1: float
     k2: float
     k3: float
+    point: Vec4 | None = None
 
     def vectors(self) -> tuple[Vec4, Vec4, Vec4, Vec4]:
         return (self.f1, self.f2, self.f3, self.f4)
@@ -264,9 +265,8 @@ def builtin_names() -> tuple[str, ...]:
 # Frame derivation
 
 def _jet_vectors(curve: CurveSpec, s: float):
-    jets = curve.jets(s)
-    d = [Vec4(*(j.derivatives()[k] for j in jets)) for k in range(5)]
-    return d  # gamma, gamma', gamma'', gamma''', gamma''''
+    jets = (j.derivatives() for j in curve.jets(s))
+    return [Vec4(*d) for d in zip(*jets)]  # gamma, gamma', ..., gamma''''
 
 
 def _orthogonal_plane_basis(a: Vec4, b: Vec4) -> tuple[Vec4, Vec4]:
@@ -338,7 +338,7 @@ def _derive_pseudo_null(curve: CurveSpec, s: float) -> FrenetData:
     da, db = _null_directions(p, q)
     f4 = _null_partner(da, db, f2)
     k3 = inner(d4, f4) / k2
-    return FrenetData(s, f1, f2, f3, f4, 1.0, k2, k3)
+    return FrenetData(s, f1, f2, f3, f4, 1.0, k2, k3, g)
 
 
 def _derive_partially_null(curve: CurveSpec, s: float) -> FrenetData:
@@ -375,7 +375,7 @@ def _derive_partially_null(curve: CurveSpec, s: float) -> FrenetData:
     da, db = _null_directions(p, q)
     f4 = _null_partner(da, db, f3)
     k2 = inner(u, f4)  # = <F2', F4> since <F1, F4> = 0
-    return FrenetData(s, f1, f2, f3, f4, k1, k2, 0.0)
+    return FrenetData(s, f1, f2, f3, f4, k1, k2, 0.0, g)
 
 
 def inner_euclid_cos(u: Vec4, v: Vec4) -> float:
@@ -412,18 +412,18 @@ def _derive_null(curve: CurveSpec, s: float) -> FrenetData:
         raise DegenerateCurveError(f"degenerate trinormal at s={s}")
     f4 = f4 / math.sqrt(q4)
     k3 = -inner(d4, f4)
-    return FrenetData(s, f1, f2, f3, f4, 1.0, k2, k3)
+    return FrenetData(s, f1, f2, f3, f4, 1.0, k2, k3, g)
 
 
 @lru_cache(maxsize=200_000)
 def _derive_frame_cached(curve: CurveSpec, s: float) -> FrenetData:
     if curve.completion_frame is not None:
         f1, f2, f3, f4 = curve.completion_frame
-        d1 = Vec4(*(j.d1 for j in curve.jets(s)))
+        g, d1 = _jet_vectors(curve, s)[:2]
         if (d1 - f1).euclid_norm() > 1e-9:
             raise ClassMismatchError(
                 "completion frame tangent differs from the curve tangent")
-        return FrenetData(s, f1, f2, f3, f4, 0.0, 0.0, 0.0)
+        return FrenetData(s, f1, f2, f3, f4, 0.0, 0.0, 0.0, g)
     if curve.curve_class is CurveClass.PSEUDO_NULL:
         return _derive_pseudo_null(curve, s)
     if curve.curve_class is CurveClass.PARTIALLY_NULL:
@@ -434,7 +434,8 @@ def _derive_frame_cached(curve: CurveSpec, s: float) -> FrenetData:
 def derive_frame(curve: CurveSpec, s: float) -> FrenetData:
     """Frenet frame and curvatures of the curve at s.
 
-    The construction is pure and cached on (curve, s).  Gauge conventions:
+    The construction is pure and cached on (curve, s), curves keyed by
+    identity; ``point`` is gamma(s) from the same jets.  Gauge conventions:
     pseudo null k2 > 0; partially null F3 from ``f3_gauge`` or the
     Euclidean-unit lexicographically-positive null direction; null
     F4 = -(F1 x F2 x F3).  Straight lines require a completion frame.

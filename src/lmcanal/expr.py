@@ -7,7 +7,7 @@ small immutable AST and evaluated in one of three modes:
   orders 1..4 (``Jet1x4``), exact to machine precision,
 * ``eval_tw``  -- second-order jet in (t, w): value and the partials
   t, w, tt, tw, ww (``Jet2x2``),
-* ``eval_value`` -- plain float evaluation with any subset of s, t, w bound.
+* ``eval_value`` -- the same walker on plain floats, any of s, t, w bound.
 
 Grammar (documented wire format; scene files embed these strings):
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 
@@ -448,9 +449,17 @@ class Jet2x2:
         )
 
 
+class _Plain:
+    """Order-0 mode of ``_eval_jet``: values are plain floats."""
+
+    constant = float
+
+
 def _ln_derivs(u: float, order: int) -> tuple:
     if u <= 0.0:
         raise DomainError(f"ln of non-positive value {u}")
+    if not order:
+        return (math.log(u),)
     d = (math.log(u), 1.0 / u, -1.0 / u ** 2, 2.0 / u ** 3, -6.0 / u ** 4)
     return d[: order + 1]
 
@@ -459,6 +468,8 @@ def _sqrt_derivs(u: float, order: int) -> tuple:
     if u <= 0.0:
         raise DomainError(f"sqrt of non-positive value {u} (jet needs u > 0)")
     r = math.sqrt(u)
+    if not order:
+        return (r,)
     d = (r, 0.5 / r, -0.25 / (u * r), 0.375 / (u * u * r),
          -0.9375 / (u ** 3 * r))
     return d[: order + 1]
@@ -473,41 +484,41 @@ def _exp_derivs(u: float, order: int) -> tuple:
 
 
 def _trig_derivs(fn: str, u: float, order: int) -> tuple:
-    s_, c_ = math.sin(u), math.cos(u)
-    sh, ch = math.sinh(u), math.cosh(u)
-    cycles = {
-        "sin": (s_, c_, -s_, -c_, s_),
-        "cos": (c_, -s_, -c_, s_, c_),
-        "sinh": (sh, ch, sh, ch, sh),
-        "cosh": (ch, sh, ch, sh, ch),
-    }
-    return cycles[fn][: order + 1]
+    """Derivative cycle of fn; computes only fn's trig or hyperbolic pair."""
+    try:
+        if fn in ("sin", "cos"):
+            a, b = math.sin(u), math.cos(u)
+            cycle = (a, b, -a, -b, a) if fn == "sin" else (b, -a, -b, a, b)
+        else:
+            a, b = math.sinh(u), math.cosh(u)
+            cycle = (a, b, a, b, a) if fn == "sinh" else (b, a, b, a, b)
+    except (OverflowError, ValueError):
+        raise DomainError(f"{fn} overflow or undefined at {u}") from None
+    return cycle[: order + 1]
+
+
+_ORDER = {_Plain: 0, Jet1x4: 4, Jet2x2: 2}
+_DERIVS = {"exp": _exp_derivs, "ln": _ln_derivs, "sqrt": _sqrt_derivs,
+           **{fn: partial(_trig_derivs, fn)
+              for fn in ("sin", "cos", "sinh", "cosh")}}
+_RECIPROCALS = {"csc": "sin", "sec": "cos", "csch": "sinh", "sech": "cosh"}
+
+
+def _value(u, jet_cls) -> float:
+    return u if jet_cls is _Plain else u.value if jet_cls is Jet1x4 else u.v
 
 
 def _apply_fn(fn: str, u, jet_cls):
-    """Apply a named function to a jet (Jet1x4 order 4, Jet2x2 order 2)."""
-    order = 4 if jet_cls is Jet1x4 else 2
-    u0 = u.value if jet_cls is Jet1x4 else u.v
-    if fn in ("sin", "cos", "sinh", "cosh"):
-        return u.compose(_trig_derivs(fn, u0, order))
-    if fn == "exp":
-        return u.compose(_exp_derivs(u0, order))
-    if fn == "ln":
-        return u.compose(_ln_derivs(u0, order))
-    if fn == "sqrt":
-        return u.compose(_sqrt_derivs(u0, order))
+    """Apply a named function to a float, a Jet1x4 or a Jet2x2."""
     if fn == "tan":
         return _apply_fn("sin", u, jet_cls) / _apply_fn("cos", u, jet_cls)
-    # Reciprocal functions: domain error at the pole comes from the division.
-    if fn == "csc":
-        return jet_cls.constant(1.0) / _apply_fn("sin", u, jet_cls)
-    if fn == "sec":
-        return jet_cls.constant(1.0) / _apply_fn("cos", u, jet_cls)
-    if fn == "csch":
-        return jet_cls.constant(1.0) / _apply_fn("sinh", u, jet_cls)
-    if fn == "sech":
-        return jet_cls.constant(1.0) / _apply_fn("cosh", u, jet_cls)
-    raise ExprError(f"unhandled function {fn!r}")
+    if fn in _RECIPROCALS:
+        # Domain error at the pole comes from the division.
+        return jet_cls.constant(1.0) / _apply_fn(_RECIPROCALS[fn], u, jet_cls)
+    if fn not in _DERIVS:
+        raise ExprError(f"unhandled function {fn!r}")
+    d = _DERIVS[fn](_value(u, jet_cls), _ORDER[jet_cls])
+    return d[0] if jet_cls is _Plain else u.compose(d)
 
 
 def _is_constant_jet(u, jet_cls) -> bool:
@@ -534,8 +545,8 @@ def _int_pow(u, n: int, jet_cls):
 
 def _pow(u, v, jet_cls):
     # Constant integer exponent: repeated multiplication, valid for any base.
-    if _is_constant_jet(v, jet_cls):
-        e = v.value if jet_cls is Jet1x4 else v.v
+    if jet_cls is _Plain or _is_constant_jet(v, jet_cls):
+        e = _value(v, jet_cls)
         if float(e).is_integer() and abs(e) <= 64:
             return _int_pow(u, int(e), jet_cls)
     # General power via exp(v * ln u); requires a positive base.
@@ -549,8 +560,7 @@ def _eval_jet(expr: Expr, scope: dict, jet_cls):
         return jet_cls.constant(CONSTANTS[expr.name])
     if isinstance(expr, Var):
         if expr.name not in scope:
-            raise VariableScopeError(
-                f"variable {expr.name!r} is not available in this evaluation")
+            raise VariableScopeError(f"variable {expr.name!r} is not bound")
         return scope[expr.name]
     if isinstance(expr, Neg):
         return -_eval_jet(expr.arg, scope, jet_cls)
@@ -574,10 +584,6 @@ def _eval_jet(expr: Expr, scope: dict, jet_cls):
 
 def eval_s(expr: Expr, s0: float) -> Jet1x4:
     """Evaluate an expression in s as a jet with derivatives of orders 1..4."""
-    extra = variables(expr) - {"s"}
-    if extra:
-        raise VariableScopeError(
-            f"expression uses {sorted(extra)} but only s is bound")
     out = _eval_jet(expr, {"s": Jet1x4.variable(s0)}, Jet1x4)
     for d in out.derivatives():
         _check_finite(d, "jet derivative")
@@ -586,10 +592,6 @@ def eval_s(expr: Expr, s0: float) -> Jet1x4:
 
 def eval_tw(expr: Expr, t0: float, w0: float) -> Jet2x2:
     """Evaluate an expression in t, w as a second-order jet of partials."""
-    extra = variables(expr) - {"t", "w"}
-    if extra:
-        raise VariableScopeError(
-            f"expression uses {sorted(extra)} but only t, w are bound")
     out = _eval_jet(expr, {"t": Jet2x2.variable_t(t0),
                            "w": Jet2x2.variable_w(w0)}, Jet2x2)
     for d in (out.v, out.dt, out.dw, out.dtt, out.dtw, out.dww):
@@ -601,18 +603,14 @@ def eval_value(expr: Expr, s: float | None = None, t: float | None = None,
                w: float | None = None) -> float:
     """Plain float evaluation with the given variables bound.
 
-    Implemented on the 1-jet machinery with zero derivative seeds, so it
-    shares the domain-error behavior of the jet evaluators.
+    Runs the jets' walker on plain floats and so returns their value term,
+    except that a variable exponent with an integer value is multiplied out.
+    Leaving a domain, dividing by zero or overflowing raises ``DomainError``.
     """
-    scope = {}
-    if s is not None:
-        scope["s"] = Jet1x4.constant(s)
-    if t is not None:
-        scope["t"] = Jet1x4.constant(t)
-    if w is not None:
-        scope["w"] = Jet1x4.constant(w)
-    extra = variables(expr) - set(scope)
-    if extra:
-        raise VariableScopeError(
-            f"expression uses unbound variables {sorted(extra)}")
-    return _check_finite(_eval_jet(expr, scope, Jet1x4).value, "value")
+    scope = {name: float(x) for name, x in (("s", s), ("t", t), ("w", w))
+             if x is not None}
+    try:
+        value = _eval_jet(expr, scope, _Plain)
+    except (ZeroDivisionError, OverflowError) as e:
+        raise DomainError(str(e)) from None
+    return _check_finite(value, "value")

@@ -81,12 +81,15 @@ def _expect(cond: bool, message: str, path: str):
         raise SceneError(message, path)
 
 
-def _parse_expr(text, path: str):
+def _parse_expr(text, path: str, allowed: tuple = expr.VARIABLES):
     _expect(isinstance(text, str), "expected an expression string", path)
     try:
-        return expr.parse(text)
-    except expr.ParseError as e:
-        raise SceneError(f"bad expression {text!r}: {e}", path) from e
+        e = expr.parse(text)
+    except expr.ParseError as err:
+        raise SceneError(f"bad expression {text!r}: {err}", path) from err
+    _expect(expr.variables(e) <= set(allowed),
+            f"expression may use only {', '.join(allowed)}", path)
+    return e
 
 
 def _parse_curve(node, path: str) -> CurveSpec:
@@ -109,7 +112,7 @@ def _parse_curve(node, path: str) -> CurveSpec:
     comps = node["components"]
     _expect(isinstance(comps, list) and len(comps) == 4,
             "components must be a list of 4 expressions", f"{path}.components")
-    components = tuple(_parse_expr(c, f"{path}.components[{i}]")
+    components = tuple(_parse_expr(c, f"{path}.components[{i}]", ("s",))
                        for i, c in enumerate(comps))
     completion = None
     if "completion_frame" in node:
@@ -178,9 +181,7 @@ def parse_scene(doc: dict, name: str = "<scene>") -> SceneSpec:
         _expect(key in doc, f"missing required field {key!r}", f"$.{key}")
     curve = _parse_curve(doc["curve"], "$.curve")
     family = _parse_family(doc["family"], curve.curve_class, "$.family")
-    radius = RadiusSpec(_parse_expr(doc["radius"], "$.radius"))
-    _expect(expr.variables(radius.expression) <= {"s"},
-            "radius may use only s", "$.radius")
+    radius = RadiusSpec(_parse_expr(doc["radius"], "$.radius", ("s",)))
 
     shape = nc = None
     if family.variant.is_null_variant:
@@ -198,12 +199,8 @@ def parse_scene(doc: dict, name: str = "<scene>") -> SceneSpec:
         node = doc["shape"]
         _expect(isinstance(node, dict) and "f" in node and "g" in node,
                 "needs 'f' and 'g'", "$.shape")
-        shape = ShapeSpec(_parse_expr(node["f"], "$.shape.f"),
-                          _parse_expr(node["g"], "$.shape.g"))
-        for key in ("f", "g"):
-            e = getattr(shape, key)
-            _expect(expr.variables(e) <= {"t", "w"},
-                    f"shape {key} may use only t, w", f"$.shape.{key}")
+        shape = ShapeSpec(_parse_expr(node["f"], "$.shape.f", ("t", "w")),
+                          _parse_expr(node["g"], "$.shape.g", ("t", "w")))
 
     grid = _parse_grid(doc["grid"], "$.grid")
     projection = doc.get("projection", "x1x3x4")

@@ -19,11 +19,18 @@ from dataclasses import dataclass, field
 from . import oracle
 from .canal import (CurvaturePair, SingularPointError, Variant,
                     relation_residual, weingarten_residuals)
+from .curves import derive_frame
 from .minkowski import inner
 from .scene import SceneSpec
 
 #: Sign relating each variant's closed-form normal to the radial direction.
 CLOSED_FORM_NORMAL_GAUGE = {Variant.C2: -1, Variant.T2: -1}
+#: Fixed sampling: seeds of the envelope and eps-only random points, the
+#: eps-only point count and the Weingarten grid's points per axis.
+ENVELOPE_SEED = 20240915
+EPSILON_SEED = 77
+EPSILON_POINTS = 60
+WEINGARTEN_GRID = 20
 
 
 def closed_form_gauge(variant: Variant) -> int:
@@ -81,18 +88,15 @@ def _random_points(grid, n, seed):
 
 
 def check_envelope(scene: SceneSpec, report: VerifyReport, tol: Tolerances,
-                   n_points: int = 200, seed: int = 20240915,
-                   step: float | None = None):
+                   n_points: int = 200):
     """Membership on the defining quadric and normality of C - gamma,
     on random in-domain points."""
     fn = scene.point_fn()
     lam = scene.family.lam
-    h = step or scene.oracle_step
+    h = scene.oracle_step
     worst_m = worst_n = 0.0
-    for (s, t, w) in _random_points(scene.grid, n_points, seed):
-        p = fn(s, t, w)
-        gamma = scene.curve.point(s)
-        d = p - gamma
+    for (s, t, w) in _random_points(scene.grid, n_points, ENVELOPE_SEED):
+        d = fn(s, t, w) - derive_frame(scene.curve, s).point
         r = scene.radius.jet(s)[0]
         worst_m = max(worst_m, abs(inner(d, d) - lam * r * r))
         d_s = (fn(s + h, t, w) - fn(s - h, t, w)) / (2.0 * h)
@@ -132,7 +136,7 @@ def check_curvatures(scene: SceneSpec, report: VerifyReport, tol: Tolerances,
             continue
         if forms.eps != fam.lam:
             eps_ok = False
-        radial = jet.point - scene.curve.point(s)
+        radial = jet.point - derive_frame(scene.curve, s).point
         flip = gauge * (1 if fam.lam * inner(forms.normal, radial) > 0 else -1)
         res = oracle.compare(closed,
                              CurvaturePair(flip * numeric.K, flip * numeric.H),
@@ -156,12 +160,11 @@ def check_curvatures(scene: SceneSpec, report: VerifyReport, tol: Tolerances,
     report.add_flag(f"causal character eps == {fam.lam}", eps_ok)
 
 
-def check_epsilon_only(scene: SceneSpec, report: VerifyReport,
-                       n_points: int = 60, seed: int = 77):
+def check_epsilon_only(scene: SceneSpec, report: VerifyReport):
     """Causal character for families without closed forms (null centers)."""
     fn = scene.point_fn()
     eps_ok = True
-    for (s, t, w) in _random_points(scene.grid, n_points, seed):
+    for (s, t, w) in _random_points(scene.grid, EPSILON_POINTS, EPSILON_SEED):
         try:
             forms = oracle.fundamental_forms(
                 oracle.numeric_jet(fn, s, t, w, scene.oracle_step))
@@ -172,10 +175,9 @@ def check_epsilon_only(scene: SceneSpec, report: VerifyReport,
     report.add_flag(f"causal character eps == {scene.family.lam}", eps_ok)
 
 
-def check_weingarten(scene: SceneSpec, report: VerifyReport, tol: Tolerances,
-                     n_grid: int = 20):
+def check_weingarten(scene: SceneSpec, report: VerifyReport, tol: Tolerances):
     """Mixed-Jacobian residuals of (H, K) for tubular variants."""
-    grid = scene.grid
+    grid, n_grid = scene.grid, WEINGARTEN_GRID
 
     def pts():
         for i in range(n_grid):

@@ -149,3 +149,26 @@ def test_null_needs_arclength():
     from lmcanal.curves import ClassMismatchError
     with pytest.raises(ClassMismatchError):
         derive_frame(curve, 0.0)
+
+
+def test_frame_point_is_curve_point():
+    # gamma(s) comes from the order-0 term of the frame's own jets and must
+    # equal the plain evaluation exactly.
+    line = CurveSpec(
+        components=tuple(expr.parse(c) for c in ("0", "s", "0", "0")),
+        curve_class=CurveClass.PSEUDO_NULL,
+        completion_frame=(Vec4(0, 1, 0, 0), Vec4(1, 0, 0, 1),
+                          Vec4(0, 0, 1, 0), Vec4(-0.5, 0, 0, 0.5)))
+    for curve in [builtin(name) for name in builtin_names()] + [line]:
+        for s in (-1.0, -0.37, 0.0, 0.5, 1.3):
+            fr = derive_frame(curve, s)
+            assert fr.point == curve.point(s), (curve.name, s)
+
+
+def test_curves_hash_by_identity():
+    # The frame cache keys on the curve object; hashing must not walk the
+    # expression trees, so equal-valued copies are distinct keys.
+    a, b = builtin("pseudo-null-example"), builtin("pseudo-null-example")
+    assert hash(a) == object.__hash__(a)
+    assert a == a and a != b
+    assert derive_frame(a, 0.25) == derive_frame(b, 0.25)

@@ -146,6 +146,11 @@ def test_jet_s_domain_error():
         ex.eval_s(ex.parse("ln(s)"), -1.0)
     with pytest.raises(ex.DomainError):
         ex.eval_s(ex.parse("csc(s)"), 0.0)
+    # hyperbolic overflow is a domain error, not a bare OverflowError
+    with pytest.raises(ex.DomainError):
+        ex.eval_s(ex.parse("sinh(s)"), 800.0)
+    with pytest.raises(ex.DomainError):
+        ex.eval_s(ex.parse("cosh(s)"), -800.0)
 
 
 def test_jet_s_rejects_other_variables():
@@ -287,8 +292,35 @@ def test_jet_tw_rejects_s():
 
 def test_eval_value():
     assert ex.eval_value(ex.parse("s+2*t-w"), s=1, t=2, w=3) == 2.0
+    # sin/cos never touch sinh/cosh, so they are defined past |u| ~ 710
+    assert ex.eval_value(ex.parse("sin(s)"), s=800.0) == math.sin(800.0)
+    assert ex.eval_s(ex.parse("cos(s)"), -800.0).value == math.cos(-800.0)
     with pytest.raises(ex.VariableScopeError):
         ex.eval_value(ex.parse("s"), t=1.0)
+
+
+def test_eval_value_is_the_jet_value():
+    # eval_value walks plain floats; its result is the value coefficient
+    # of the s-jet, bit for bit.
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(2000):
+        ast = random_ast(rng, rng.randint(0, 5))
+        s0 = rng.uniform(-2.0, 2.0)
+        try:
+            want = ex.eval_s(ast, s0).value
+        except ex.DomainError:
+            continue
+        assert ex.eval_value(ast, s=s0) == want, (ex.to_str(ast), s0)
+        checked += 1
+    assert checked >= 1500
+
+
+def test_eval_value_domain_errors():
+    for text, s0 in (("1/(s-1)", 1.0), ("csc(s)", 0.0), ("s^(-1)", 0.0),
+                     ("sech(s)", 800.0), ("ln(s)", 0.0), ("sqrt(s)", -1.0)):
+        with pytest.raises(ex.DomainError):
+            ex.eval_value(ex.parse(text), s=s0)
 
 
 def test_general_power_requires_positive_base():

@@ -54,6 +54,13 @@ def test_schema_error_paths():
     assert err.value.path == "$.shape.f"
 
     doc = minimal_doc()
+    doc["curve"] = {"class": "pseudo-null",
+                    "components": ["s", "t", "0", "0"]}  # t is not bound
+    with pytest.raises(SceneError) as err:
+        parse_scene(doc)
+    assert err.value.path == "$.curve.components[1]"
+
+    doc = minimal_doc()
     doc["version"] = 2
     with pytest.raises(SceneError) as err:
         parse_scene(doc)
