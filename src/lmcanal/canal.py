@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import expr
 from .curves import CurveClass, CurveSpec, FrenetData, derive_frame
 from .minkowski import Vec4
@@ -168,38 +170,78 @@ class CurvaturePair:
 
 
 # ---------------------------------------------------------------------------
-# Point evaluation
-
-# Fiber coefficient patterns (a2, a3, a4) per variant, as functions of the
-# shape values.  "trig" rows: (F2 coefficient, F3 coefficient, F4 coefficient).
-
-def _fiber_pseudo(variant: Variant, f: float, g: float):
-    if variant in (Variant.C1, Variant.T1):
-        return (g * math.sin(f), math.cos(f), math.sin(f) / (2.0 * g))
-    if variant in (Variant.C2, Variant.T2):
-        return (g * math.cos(f), math.sin(f), math.cos(f) / (2.0 * g))
-    if variant in (Variant.C3, Variant.T3):
-        return (g * math.sinh(f), math.cosh(f), -math.sinh(f) / (2.0 * g))
-    # C4, C5, T4 share the cosh/sinh pattern.
-    return (g * math.cosh(f), math.sinh(f), -math.cosh(f) / (2.0 * g))
+# The batched field kernel
+#
+# ``field`` evaluates a family at N parameter points in one pass.  It derives
+# the frame and the radius jet once per distinct s, the shape values and
+# their trig values once per distinct (t, w), and the null coefficients once
+# per distinct (s, t, w).  Those functions run through Python's math module,
+# so every batched value rounds exactly as a one-point evaluation does;
+# numpy only combines them with + - * / and sqrt, in the one-point operation
+# order.  The one-point entry points (evaluate_point, frame_coefficients,
+# curvature_closed) are adapters over the same functions.
 
 
-def _fiber_partial(variant: Variant, f: float, g: float):
-    if variant in (Variant.C1, Variant.T1):
-        return (math.sin(f), g * math.cos(f), math.cos(f) / (2.0 * g))
-    if variant in (Variant.C2, Variant.T2):
-        return (math.cos(f), g * math.sin(f), math.sin(f) / (2.0 * g))
-    if variant in (Variant.C3, Variant.T3):
-        return (math.cosh(f), g * math.sinh(f), -math.sinh(f) / (2.0 * g))
-    return (math.sinh(f), g * math.cosh(f), -math.cosh(f) / (2.0 * g))
+@dataclass(frozen=True)
+class Field:
+    """A family evaluated at N parameter points."""
+
+    #: (N, 4) hypersurface points C(s, t, w)
+    points: np.ndarray
+    #: (N, 4) center curve points gamma(s)
+    center: np.ndarray
+    #: (N,) radius r(s)
+    r: np.ndarray
+    #: (N,) closed-form curvatures; None for null-center families
+    K: np.ndarray | None
+    H: np.ndarray | None
+    #: (N,) True where a closed-form denominator vanishes (K, H undefined)
+    singular: np.ndarray
+
+
+def _libm(fn, x):
+    """A math-module function applied to every element of x.  numpy's own
+    sinh, cosh, exp and power differ from libm in the last ulp on some
+    platforms, and batched values must equal one-point ones."""
+    x = np.asarray(x, dtype=float)
+    return np.array([fn(v) for v in x.ravel().tolist()],
+                    dtype=float).reshape(x.shape)
+
+
+def _pow(x, p):
+    """x ** p elementwise, through libm's pow like the one-point forms."""
+    return _libm(lambda v: v ** p, x)
+
+
+def _distinct(*columns):
+    """Distinct rows of equal-length float columns, compared bit for bit,
+    and the index of each row's distinct entry."""
+    cols = [np.ascontiguousarray(c, dtype=float) for c in columns]
+    keys = [c.view(np.int64) for c in cols]
+    order = np.lexsort(keys[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ordered = key[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return [c[order[starts]] for c in cols], inverse
+
+
+def _check_radius(variant: Variant, r: float, r1: float) -> None:
+    if r <= 0:
+        raise RegimeError(f"radius must be positive, got r={r}")
+    if variant.is_tubular and abs(r1) > CONST_RADIUS_TOL:
+        raise RegimeError(
+            f"tubular variant requires a constant radius, got r'={r1}")
 
 
 def _radial_scale(variant: Variant, r: float, r1: float) -> float:
-    """r * sqrt(...) radial factor, with the variant regime checks."""
+    """r * sqrt(...) radial factor of a non-null variant, with the variant
+    regime checks."""
+    _check_radius(variant, r, r1)
     if variant.is_tubular:
-        if abs(r1) > CONST_RADIUS_TOL:
-            raise RegimeError(
-                f"tubular variant requires a constant radius, got r'={r1}")
         return r
     if variant in (Variant.C1, Variant.C2, Variant.C3):
         if r1 * r1 >= 1.0:
@@ -213,60 +255,195 @@ def _radial_scale(variant: Variant, r: float, r1: float) -> float:
     return r * math.sqrt(1.0 + r1 * r1)  # C5
 
 
+@dataclass(frozen=True)
+class _Frames:
+    """Per distinct s: curve point, frame rows F1..F4, k1, the radius jet
+    and (non-null families) the radial scale."""
+
+    gamma: np.ndarray   # (n, 4)
+    vectors: np.ndarray  # (n, 4, 4)
+    k1: np.ndarray
+    r: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    rho: np.ndarray
+
+
+def _frames(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
+            s_values) -> _Frames:
+    n = len(s_values)
+    gamma, vectors = np.empty((n, 4)), np.empty((n, 4, 4))
+    rows = np.empty((5, n))
+    for i, s in enumerate(s_values.tolist()):
+        fr = derive_frame(curve, s)
+        r, r1, r2, _ = radius.jet(s)
+        if family.variant.is_null_variant:
+            _check_radius(family.variant, r, r1)
+            rho = math.nan
+        else:
+            rho = _radial_scale(family.variant, r, r1)
+        gamma[i] = fr.point.components()
+        for k, v in enumerate(fr.vectors()):
+            vectors[i, k] = v.components()
+        rows[:, i] = (fr.k1, r, r1, r2, rho)
+    return _Frames(gamma, vectors, *rows)
+
+
+# Fiber coefficient patterns (F2, F3, F4) per variant over the trig pair
+# (a, b) = (sin f, cos f) or (sinh f, cosh f), and the trig value T of the
+# variant's closed forms.
+_CIRCULAR = (Variant.C1, Variant.C2, Variant.T1, Variant.T2)
+
+
+def _fiber_pseudo(variant: Variant, a, b, g):
+    if variant in (Variant.C1, Variant.T1):
+        return (g * a, b, a / (2.0 * g)), a
+    if variant in (Variant.C2, Variant.T2):
+        return (g * b, a, b / (2.0 * g)), b
+    if variant in (Variant.C3, Variant.T3):
+        return (g * a, b, -a / (2.0 * g)), a
+    # C4, C5, T4 share the cosh/sinh pattern.
+    return (g * b, a, -b / (2.0 * g)), b
+
+
+def _fiber_partial(variant: Variant, a, b, g):
+    if variant in (Variant.C1, Variant.T1):
+        return (a, g * b, b / (2.0 * g)), a
+    if variant in (Variant.C2, Variant.T2):
+        return (b, g * a, a / (2.0 * g)), b
+    if variant in (Variant.C3, Variant.T3):
+        return (b, g * a, -a / (2.0 * g)), b
+    return (a, g * b, -b / (2.0 * g)), a
+
+
+def _fiber(family: CanalFamily, f, g):
+    """Fiber coefficients (per unit radial scale) and the closed forms'
+    branch-signed trig value T at shape values f, g."""
+    if family.variant in _CIRCULAR:
+        a, b = _libm(math.sin, f), _libm(math.cos, f)
+    else:
+        a, b = _libm(math.sinh, f), _libm(math.cosh, f)
+    pattern = (_fiber_pseudo if family.curve_class is CurveClass.PSEUDO_NULL
+               else _fiber_partial)
+    fiber, trig = pattern(family.variant, a, b, g)
+    return fiber, float(family.branch) * trig
+
+
+def _null_coefficients(lam: int, r, r1, a1, cos_theta, sin_theta):
+    """(a1, a2, a3, a4) of a null-center family from its free data."""
+    rho_sq = lam * r * (r + 2.0 * a1 * r1)
+    if np.any(rho_sq < 0):
+        raise RegimeError(f"rho^2 = lambda*r*(r + 2*a1*r') = "
+                          f"{rho_sq[rho_sq < 0][0]} < 0")
+    rho = np.sqrt(rho_sq)
+    return (a1, rho * cos_theta, -lam * r * r1, rho * sin_theta)
+
+
+def _fiber_coefficients(family: CanalFamily, r, r1, rho, fiber):
+    """(a1, a2, a3, a4) of a non-null family: the radial scale times the
+    branch sign times the fiber, plus the a1 = -lambda r r' offset."""
+    a1 = np.zeros_like(r) if family.variant.is_tubular \
+        else -family.lam * r * r1
+    scale = float(family.branch) * rho
+    return (a1, scale * fiber[0], scale * fiber[1], scale * fiber[2])
+
+
+def _check_inputs(family: CanalFamily, curve: CurveSpec, shape, nc) -> None:
+    if curve.curve_class is not family.curve_class:
+        raise RegimeError(
+            f"family expects a {family.curve_class.value} curve, "
+            f"got {curve.curve_class.value}")
+    if family.variant.is_null_variant:
+        if nc is None:
+            raise RegimeError("null families require NullCoefficients")
+    elif shape is None:
+        raise RegimeError("non-null families require a ShapeSpec")
+
+
+def _shape_table(family: CanalFamily, shape: ShapeSpec, t, w):
+    """Fiber and closed-form inputs per distinct (t, w): (fiber, T, g)
+    over the distinct points and the index of each input point."""
+    (tu, wu), ix = _distinct(t, w)
+    f, g = np.array([shape.values(a, b) for a, b in zip(tu.tolist(),
+                                                         wu.tolist())],
+                    dtype=float).reshape(-1, 2).T
+    if np.any(g == 0.0):
+        raise RegimeError("shape function g vanishes at the evaluation point")
+    fiber, trig = _fiber(family, f, g)
+    return fiber, trig, g, ix
+
+
+def field(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
+          shape: ShapeSpec | None, nc: NullCoefficients | None,
+          s, t, w) -> Field:
+    """The family at the parameter points (s[i], t[i], w[i]): hypersurface
+    points, center points, radii and, for non-null families, the
+    closed-form K, H with the mask of closed-form singular points.
+
+    Regime violations anywhere in the batch raise ``RegimeError``; closed-
+    form poles only set ``singular``.  Each point's values are the same bits
+    whatever batch it is evaluated in.
+    """
+    _check_inputs(family, curve, shape, nc)
+    s, t, w = np.broadcast_arrays(*(np.asarray(x, dtype=float).ravel()
+                                    for x in (s, t, w)))
+    with np.errstate(all="ignore"):
+        (s_values,), s_ix = _distinct(s)
+        fr = _frames(family, curve, radius, s_values)
+        r, r1 = fr.r[s_ix], fr.r1[s_ix]
+        K = H = None
+        singular = np.zeros(len(s), dtype=bool)
+        if family.variant.is_null_variant:
+            (su, tu, wu), ix = _distinct(s, t, w)
+            a1, theta = np.array(
+                [nc.values(*p) for p in zip(su.tolist(), tu.tolist(),
+                                            wu.tolist())],
+                dtype=float).reshape(-1, 2).T
+            coeff = _null_coefficients(family.lam, r, r1, a1[ix],
+                                       _libm(math.cos, theta)[ix],
+                                       _libm(math.sin, theta)[ix])
+        else:
+            fiber, trig, g, ix = _shape_table(family, shape, t, w)
+            coeff = _fiber_coefficients(family, r, r1, fr.rho[s_ix],
+                                        [c[ix] for c in fiber])
+            K, H, singular = _closed(family, fr.k1[s_ix], r, r1,
+                                     fr.r2[s_ix], trig[ix], g[ix])
+        center = fr.gamma[s_ix]
+        points = center.copy()
+        for k, a in enumerate(coeff):
+            points += a[:, None] * fr.vectors[s_ix, k]
+    return Field(points, center, r, K, H, singular)
+
+
 def frame_coefficients(family: CanalFamily, r_jet, f: float, g: float,
                        nc_values=None) -> tuple[float, float, float, float]:
     """Offset coefficients (a1, a2, a3, a4) of C - gamma in the frame."""
-    r, r1 = r_jet[0], r_jet[1]
-    if r <= 0:
-        raise RegimeError(f"radius must be positive, got r={r}")
-    variant = family.variant
-    if variant.is_null_variant:
+    r, r1 = (np.array([x], dtype=float) for x in r_jet[:2])
+    if family.variant.is_null_variant:
+        _check_radius(family.variant, r_jet[0], r_jet[1])
         if nc_values is None:
             raise RegimeError("null families require NullCoefficients")
         a1, theta = nc_values
-        if variant.is_tubular and abs(r1) > CONST_RADIUS_TOL:
+        coeff = _null_coefficients(family.lam, r, r1, np.array([a1]),
+                                   math.cos(theta), math.sin(theta))
+    else:
+        rho = np.array([_radial_scale(family.variant, r_jet[0], r_jet[1])])
+        if g == 0.0:
             raise RegimeError(
-                f"tubular variant requires a constant radius, got r'={r1}")
-        lam = family.lam
-        rho_sq = lam * r * (r + 2.0 * a1 * r1)
-        if rho_sq < 0:
-            raise RegimeError(
-                f"rho^2 = lambda*r*(r + 2*a1*r') = {rho_sq} < 0")
-        rho = math.sqrt(rho_sq)
-        a3 = -lam * r * r1
-        return (a1, rho * math.cos(theta), a3, rho * math.sin(theta))
-    if g == 0.0:
-        raise RegimeError("shape function g vanishes at the evaluation point")
-    rho = _radial_scale(variant, r, r1)
-    a1 = 0.0 if variant.is_tubular else -family.lam * r * r1
-    fiber = (_fiber_pseudo if family.curve_class is CurveClass.PSEUDO_NULL
-             else _fiber_partial)(variant, f, g)
-    b = float(family.branch)
-    return (a1, b * rho * fiber[0], b * rho * fiber[1], b * rho * fiber[2])
+                "shape function g vanishes at the evaluation point")
+        fiber, _ = _fiber(family, np.array([f], dtype=float),
+                          np.array([g], dtype=float))
+        coeff = _fiber_coefficients(family, r, r1, rho, fiber)
+    return tuple(float(c[0]) for c in coeff)
 
 
 def evaluate_point(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
                    shape: ShapeSpec | None, nc: NullCoefficients | None,
                    s: float, t: float, w: float) -> Vec4:
-    """The hypersurface point C(s,t,w) assembled in the frame at s."""
-    if curve.curve_class is not family.curve_class:
-        raise RegimeError(
-            f"family expects a {family.curve_class.value} curve, "
-            f"got {curve.curve_class.value}")
-    r_jet = radius.jet(s)
-    if family.variant.is_null_variant:
-        nc_values = nc.values(s, t, w) if nc is not None else None
-        coeff = frame_coefficients(family, r_jet, 0.0, 1.0, nc_values)
-    else:
-        if shape is None:
-            raise RegimeError("non-null families require a ShapeSpec")
-        f, g = shape.values(t, w)
-        coeff = frame_coefficients(family, r_jet, f, g)
-    fr = derive_frame(curve, s)
-    point = fr.point
-    for a, vec in zip(coeff, fr.vectors()):
-        point = point + a * vec
-    return point
+    """The hypersurface point C(s,t,w) assembled in the frame at s
+    (``field`` at one point)."""
+    fld = field(family, curve, radius, shape, nc, [s], [t], [w])
+    return Vec4(*fld.points[0].tolist())
 
 
 def unit_normal_closed_pseudo_c1(frame: FrenetData, r_jet, f: float, g: float,
@@ -285,83 +462,84 @@ def unit_normal_closed_pseudo_c1(frame: FrenetData, r_jet, f: float, g: float,
 
 # ---------------------------------------------------------------------------
 # Closed-form curvatures
+#
+# The forms below take broadcastable arrays; T is the branch-signed trig
+# value of the shape function f (see ``_fiber``).  ``guard`` divides and
+# marks the points whose denominator vanishes at the scale of the numerator.
 
-def _guard(num: float, den: float) -> float:
-    if abs(den) <= DENOM_TOL * max(1.0, abs(num)):
-        raise SingularPointError(
-            f"closed-form denominator {den} vanishes (numerator {num})")
-    return num / den
+def _guard_into(bad):
+    def guard(num, den):
+        tiny = np.abs(den) <= DENOM_TOL * np.fmax(1.0, np.abs(num))
+        np.logical_or(bad, tiny, out=bad)
+        return num / den
+    return guard
 
 
 def _kh_pseudo_c123(k1, r, r1, r2, T, g, hyperbolic: bool):
     """Shared core of pseudo null C1 (sin), C2 via sign flips, C3 (sinh)."""
     m = 1.0 - r1 * r1
-    sm = math.sqrt(m)
+    sm = np.sqrt(m)
     a = m - r * r2
     amm = m - 2.0 * r * r2
     c = 2.0 * m - 3.0 * r * r2
     sgn = -1.0 if hyperbolic else 1.0  # F4 fiber sign: C3 carries -sinh/2g
     num_k = (-r * m * k1 * k1 * T * T + 4.0 * r2 * a * g * g
              + sgn * 2.0 * sm * amm * k1 * g * T)
-    den_k = r * r * (r * sm * k1 * T - sgn * 2.0 * a * g) ** 2
+    den_k = r * r * _pow(r * sm * k1 * T - sgn * 2.0 * a * g, 2)
     num_h = (sgn * 2.0 * r * m * sm * k1 * g * T
              + 3.0 * r * r * m * k1 * k1 * T * T - 4.0 * a * c * g * g)
-    den_h = 3.0 * (-r ** 3 * m * k1 * k1 * T * T + 4.0 * r * a * a * g * g)
+    den_h = 3.0 * (-_pow(r, 3) * m * k1 * k1 * T * T
+                   + 4.0 * r * a * a * g * g)
     return num_k, den_k, num_h, den_h
 
 
-def _kh_pseudo(variant: Variant, k1, r, r1, r2, f, g, b):
+def _kh_pseudo(variant: Variant, k1, r, r1, r2, T, g):
     if variant is Variant.C1:
-        T = b * math.sin(f)
         return _kh_pseudo_c123(k1, r, r1, r2, T, g, hyperbolic=False)
     if variant is Variant.C2:
-        T = b * math.cos(f)
         nk, dk, nh, dh = _kh_pseudo_c123(k1, r, r1, r2, T, g, hyperbolic=False)
         return (-nk, dk, -nh, dh)
     if variant is Variant.C3:
-        T = b * math.sinh(f)
         return _kh_pseudo_c123(k1, r, r1, r2, T, g, hyperbolic=True)
     if variant is Variant.C4:
-        T = b * math.cosh(f)
         m = r1 * r1 - 1.0
-        sm = math.sqrt(m)
+        sm = np.sqrt(m)
         a = m + r * r2      # -1 + r'^2 + r r''
         amm = m + 2.0 * r * r2
         c = 2.0 * m + 3.0 * r * r2
         num_k = (-r * m * k1 * k1 * T * T - 4.0 * r2 * a * g * g
                  + 2.0 * sm * amm * k1 * g * T)
-        den_k = r * r * (r * sm * k1 * T - 2.0 * a * g) ** 2
+        den_k = r * r * _pow(r * sm * k1 * T - 2.0 * a * g, 2)
         num_h = (-2.0 * r * m * sm * k1 * g * T
                  - 3.0 * r * r * m * k1 * k1 * T * T + 4.0 * a * c * g * g)
-        den_h = 3.0 * (r ** 3 * m * k1 * k1 * T * T - 4.0 * r * a * a * g * g)
+        den_h = 3.0 * (_pow(r, 3) * m * k1 * k1 * T * T
+                       - 4.0 * r * a * a * g * g)
         return num_k, den_k, num_h, den_h
     # C5
-    T = b * math.cosh(f)
     p = 1.0 + r1 * r1
-    sp = math.sqrt(p)
+    sp = np.sqrt(p)
     a = p + r * r2
     amm = p + 2.0 * r * r2
     c = 2.0 * p + 3.0 * r * r2
     num_k = (r * p * k1 * k1 * T * T + 4.0 * r2 * a * g * g
              + 2.0 * sp * amm * k1 * g * T)
-    den_k = r * r * (r * sp * k1 * T + 2.0 * a * g) ** 2
+    den_k = r * r * _pow(r * sp * k1 * T + 2.0 * a * g, 2)
     num_h = (-2.0 * r * p * sp * k1 * g * T
              + 3.0 * r * r * p * k1 * k1 * T * T - 4.0 * a * c * g * g)
-    den_h = 3.0 * (r ** 3 * p * k1 * k1 * T * T - 4.0 * r * a * a * g * g)
+    den_h = 3.0 * (_pow(r, 3) * p * k1 * k1 * T * T
+                   - 4.0 * r * a * a * g * g)
     return num_k, den_k, num_h, den_h
 
 
-def _kh_partial(variant: Variant, k1, r, r1, r2, f, g, b):
+def _kh_partial(variant: Variant, k1, r, r1, r2, T, g):
     if variant in (Variant.C1, Variant.C2, Variant.C3):
         m = 1.0 - r1 * r1
-        sm = math.sqrt(m)
+        sm = np.sqrt(m)
         a = m - r * r2
         amm = m - 2.0 * r * r2
         c = 2.0 * m - 3.0 * r * r2
-        T = b * {Variant.C1: math.sin, Variant.C2: math.cos,
-                 Variant.C3: math.cosh}[variant](f)
         num_k = -r * m * k1 * k1 * T * T + r2 * a + sm * amm * k1 * T
-        den_k = r * r * (a - r * sm * k1 * T) ** 2
+        den_k = r * r * _pow(a - r * sm * k1 * T, 2)
         num_h = (r * m * sm * k1 * T + 3.0 * r * r * m * k1 * k1 * T * T
                  - a * c)
         den_h = 3.0 * r * (-r * r * m * k1 * k1 * T * T + a * a)
@@ -369,63 +547,73 @@ def _kh_partial(variant: Variant, k1, r, r1, r2, f, g, b):
             return (-num_k, den_k, -num_h, den_h)
         return num_k, den_k, num_h, den_h
     if variant is Variant.C4:
-        T = b * math.sinh(f)
         m = r1 * r1 - 1.0
-        sm = math.sqrt(m)
+        sm = np.sqrt(m)
         a = m + r * r2
         amm = m + 2.0 * r * r2
         c = 2.0 * m + 3.0 * r * r2
         num_k = -(r * m * k1 * k1 * T * T + r2 * a + sm * amm * k1 * T)
-        den_k = r * r * (a + r * sm * k1 * T) ** 2
+        den_k = r * r * _pow(a + r * sm * k1 * T, 2)
         num_h = (r * m * sm * k1 * T - 3.0 * r * r * m * k1 * k1 * T * T
                  + a * c)
         den_h = 3.0 * r * (r * r * m * k1 * k1 * T * T - a * a)
         return num_k, den_k, num_h, den_h
     # C5
-    T = b * math.sinh(f)
     p = 1.0 + r1 * r1
-    sp = math.sqrt(p)
+    sp = np.sqrt(p)
     a = p + r * r2
     amm = p + 2.0 * r * r2
     c = 2.0 * p + 3.0 * r * r2
     num_k = r * p * k1 * k1 * T * T + r2 * a - sp * amm * k1 * T
-    den_k = r * r * (a - r * sp * k1 * T) ** 2
+    den_k = r * r * _pow(a - r * sp * k1 * T, 2)
     num_h = r * p * sp * k1 * T + 3.0 * r * r * p * k1 * k1 * T * T - a * c
     den_h = 3.0 * r * (r * r * p * k1 * k1 * T * T - a * a)
     return num_k, den_k, num_h, den_h
 
 
-def _kh_tubular_pseudo(variant: Variant, k1, r, f, g, b):
+def _kh_tubular_pseudo(variant: Variant, k1, r, T, g, guard):
     if variant is Variant.T1:
-        T = b * math.sin(f)
-        K = _guard(k1, r * r * (2.0 * g * _guard(1.0, T) - r * k1))
-        H = _guard(1.0, -r + _guard(2.0 * r * g, -4.0 * g + 3.0 * r * k1 * T))
+        K = guard(k1, r * r * (2.0 * g * guard(1.0, T) - r * k1))
+        H = guard(1.0, -r + guard(2.0 * r * g, -4.0 * g + 3.0 * r * k1 * T))
         return K, H
     if variant is Variant.T2:
-        T = b * math.cos(f)
-        K = _guard(k1, r * r * (r * k1 - 2.0 * g * _guard(1.0, T)))
-        H = _guard(1.0, r + _guard(2.0 * r * g, 4.0 * g - 3.0 * r * k1 * T))
+        K = guard(k1, r * r * (r * k1 - 2.0 * g * guard(1.0, T)))
+        H = guard(1.0, r + guard(2.0 * r * g, 4.0 * g - 3.0 * r * k1 * T))
         return K, H
     if variant is Variant.T3:
-        T = b * math.sinh(f)
-        K = _guard(-k1, r * r * (2.0 * g * _guard(1.0, T) + r * k1))
-        H = _guard(1.0, -r + _guard(2.0 * r * g, -4.0 * g - 3.0 * r * k1 * T))
+        K = guard(-k1, r * r * (2.0 * g * guard(1.0, T) + r * k1))
+        H = guard(1.0, -r + guard(2.0 * r * g, -4.0 * g - 3.0 * r * k1 * T))
         return K, H
     # T4
-    T = b * math.cosh(f)
-    K = _guard(k1, r * r * (2.0 * g * _guard(1.0, T) + r * k1))
-    H = _guard(1.0, r + _guard(2.0 * r * g, 4.0 * g + 3.0 * r * k1 * T))
+    K = guard(k1, r * r * (2.0 * g * guard(1.0, T) + r * k1))
+    H = guard(1.0, r + guard(2.0 * r * g, 4.0 * g + 3.0 * r * k1 * T))
     return K, H
 
 
-def _kh_tubular_partial(variant: Variant, k1, r, f, b):
-    trig = {Variant.T1: math.sin, Variant.T2: math.cos,
-            Variant.T3: math.cosh, Variant.T4: math.sinh}[variant]
+def _kh_tubular_partial(variant: Variant, k1, r, T, guard):
     sign = 1.0 if variant in (Variant.T1, Variant.T3) else -1.0
-    T = b * trig(f)
-    K = sign * _guard(k1, r * r * (_guard(1.0, T) - r * k1))
-    H = sign * _guard(1.0, -r + _guard(r, -2.0 + 3.0 * r * k1 * T))
+    K = sign * guard(k1, r * r * (guard(1.0, T) - r * k1))
+    H = sign * guard(1.0, -r + guard(r, -2.0 + 3.0 * r * k1 * T))
     return K, H
+
+
+def _closed(family: CanalFamily, k1, r, r1, r2, T, g):
+    """K, H and the singular mask of a non-null family's closed form."""
+    bad = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in
+                                         (k1, r, r1, r2, T, g))), dtype=bool)
+    guard = _guard_into(bad)
+    with np.errstate(all="ignore"):
+        if family.variant.is_tubular:
+            if family.curve_class is CurveClass.PSEUDO_NULL:
+                K, H = _kh_tubular_pseudo(family.variant, k1, r, T, g, guard)
+            else:
+                K, H = _kh_tubular_partial(family.variant, k1, r, T, guard)
+        else:
+            kh = (_kh_pseudo if family.curve_class is CurveClass.PSEUDO_NULL
+                  else _kh_partial)(family.variant, k1, r, r1, r2, T, g)
+            num_k, den_k, num_h, den_h = kh
+            K, H = guard(num_k, den_k), guard(num_h, den_h)
+    return K, H, bad
 
 
 def curvature_closed(family: CanalFamily, k1: float, r_jet, f: float,
@@ -441,23 +629,16 @@ def curvature_closed(family: CanalFamily, k1: float, r_jet, f: float,
         raise UnsupportedFamilyError(
             "null-center families have no closed-form curvatures")
     r, r1, r2 = r_jet[0], r_jet[1], r_jet[2]
-    if r <= 0:
-        raise RegimeError(f"radius must be positive, got r={r}")
-    b = float(family.branch)
-    if family.variant.is_tubular:
-        if abs(r1) > CONST_RADIUS_TOL:
-            raise RegimeError(
-                f"tubular variant requires a constant radius, got r'={r1}")
-        if family.curve_class is CurveClass.PSEUDO_NULL:
-            K, H = _kh_tubular_pseudo(family.variant, k1, r, f, g, b)
-        else:
-            K, H = _kh_tubular_partial(family.variant, k1, r, f, b)
-        return CurvaturePair(K, H)
-    _radial_scale(family.variant, r, r1)  # regime check on r'^2
-    kh = (_kh_pseudo if family.curve_class is CurveClass.PSEUDO_NULL
-          else _kh_partial)(family.variant, k1, r, r1, r2, f, g, b)
-    num_k, den_k, num_h, den_h = kh
-    return CurvaturePair(_guard(num_k, den_k), _guard(num_h, den_h))
+    _radial_scale(family.variant, r, r1)  # regime checks on r and r'
+    one = [np.array([x], dtype=float) for x in (k1, r, r1, r2, f, g)]
+    with np.errstate(all="ignore"):
+        _, T = _fiber(family, one[4], one[5])
+    K, H, bad = _closed(family, *one[:4], T, one[5])
+    if bad[0]:
+        raise SingularPointError(
+            f"a closed-form denominator vanishes at k1={k1}, r={r}, f={f}, "
+            f"g={g}")
+    return CurvaturePair(float(K[0]), float(H[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -590,38 +771,54 @@ def weingarten_residuals(family: CanalFamily, curve: CurveSpec,
                          radius: RadiusSpec, shape: ShapeSpec,
                          points) -> WeingartenReport:
     """Mixed Jacobians of (H, K) in the parameter pairs, by central
-    differences (step WEINGARTEN_STEP) of the closed forms at the points."""
+    differences (step WEINGARTEN_STEP) of the closed forms at the points.
+
+    A point is singular when any of its six closed-form evaluations is.
+    The shape values are computed once for every (t, w) the differences
+    need; the closed forms are evaluated one s-slab (the points sharing
+    one s value) at a time, which bounds the temporaries.
+    """
     if not family.variant.is_tubular or family.variant.is_null_variant:
         raise UnsupportedFamilyError(
             "Weingarten residuals are defined for tubular variants with "
             "closed forms")
+    _check_inputs(family, curve, shape, None)
     h = WEINGARTEN_STEP
-
-    def pair_at(s, t, w) -> CurvaturePair:
-        fr = derive_frame(curve, s)
-        f, g = shape.values(t, w)
-        return curvature_closed(family, fr.k1, radius.jet(s), f, g)
-
+    if not isinstance(points, np.ndarray):
+        points = list(points)
+    s, t, w = np.asarray(points, dtype=float).reshape(-1, 3).T
     worst = {"st": 0.0, "sw": 0.0, "tw": 0.0}
     n_points = 0
-    n_singular = 0
-    for (s, t, w) in points:
-        try:
-            ks = [pair_at(s + h, t, w), pair_at(s - h, t, w),
-                  pair_at(s, t + h, w), pair_at(s, t - h, w),
-                  pair_at(s, t, w + h), pair_at(s, t, w - h)]
-        except SingularPointError:
-            n_singular += 1
-            continue
-        H_s = (ks[0].H - ks[1].H) / (2 * h)
-        K_s = (ks[0].K - ks[1].K) / (2 * h)
-        H_t = (ks[2].H - ks[3].H) / (2 * h)
-        K_t = (ks[2].K - ks[3].K) / (2 * h)
-        H_w = (ks[4].H - ks[5].H) / (2 * h)
-        K_w = (ks[4].K - ks[5].K) / (2 * h)
-        worst["st"] = max(worst["st"], abs(H_s * K_t - H_t * K_s))
-        worst["sw"] = max(worst["sw"], abs(H_s * K_w - H_w * K_s))
-        worst["tw"] = max(worst["tw"], abs(H_t * K_w - H_w * K_t))
-        n_points += 1
+    with np.errstate(all="ignore"):
+        # rows: the offsets s+h, s-h, t+h, t-h, w+h, w-h of each distinct
+        # (t, w) of the points
+        (tc, wc), tw_of = _distinct(t, w)
+        _, trig, g, offset_ix = _shape_table(
+            family, shape, np.concatenate([tc, tc, tc + h, tc - h, tc, tc]),
+            np.concatenate([wc, wc, wc, wc, wc + h, wc - h]))
+        offset_ix = offset_ix.reshape(6, -1)
+        rows = np.array([0, 1, 2, 2, 2, 2])[:, None]
+        (s_values,), slab_of = _distinct(s)
+        for k, sv in enumerate(s_values.tolist()):
+            sel = np.flatnonzero(slab_of == k)
+            fr = _frames(family, curve, radius,
+                         np.array([sv + h, sv - h, sv]))
+            ix = offset_ix[:, tw_of[sel]]
+            K, H, bad = _closed(family, fr.k1[rows], fr.r[rows], fr.r1[rows],
+                                fr.r2[rows], trig[ix], g[ix])
+            ok = ~bad.any(axis=0)
+            K, H = K[:, ok], H[:, ok]
+            H_s = (H[0] - H[1]) / (2 * h)
+            K_s = (K[0] - K[1]) / (2 * h)
+            H_t = (H[2] - H[3]) / (2 * h)
+            K_t = (K[2] - K[3]) / (2 * h)
+            H_w = (H[4] - H[5]) / (2 * h)
+            K_w = (K[4] - K[5]) / (2 * h)
+            for key, res in (("st", H_s * K_t - H_t * K_s),
+                             ("sw", H_s * K_w - H_w * K_s),
+                             ("tw", H_t * K_w - H_w * K_t)):
+                worst[key] = float(np.fmax.reduce(np.abs(res),
+                                                  initial=worst[key]))
+            n_points += int(ok.sum())
     return WeingartenReport(worst["st"], worst["sw"], worst["tw"],
-                            n_points, n_singular)
+                            n_points, len(s) - n_points)

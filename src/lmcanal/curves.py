@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -415,8 +414,17 @@ def _derive_null(curve: CurveSpec, s: float) -> FrenetData:
     return FrenetData(s, f1, f2, f3, f4, 1.0, k2, k3, g)
 
 
-@lru_cache(maxsize=200_000)
-def _derive_frame_cached(curve: CurveSpec, s: float) -> FrenetData:
+def derive_frame(curve: CurveSpec, s: float) -> FrenetData:
+    """Frenet frame and curvatures of the curve at s.
+
+    The construction is pure and is not cached: batched callers derive one
+    frame per distinct s of their batch.  ``point`` is gamma(s) from the
+    same jets.  Gauge conventions: pseudo null k2 > 0; partially null F3
+    from ``f3_gauge`` or the Euclidean-unit lexicographically-positive null
+    direction; null F4 = -(F1 x F2 x F3).  Straight lines require a
+    completion frame.
+    """
+    s = float(s)
     if curve.completion_frame is not None:
         f1, f2, f3, f4 = curve.completion_frame
         g, d1 = _jet_vectors(curve, s)[:2]
@@ -429,18 +437,6 @@ def _derive_frame_cached(curve: CurveSpec, s: float) -> FrenetData:
     if curve.curve_class is CurveClass.PARTIALLY_NULL:
         return _derive_partially_null(curve, s)
     return _derive_null(curve, s)
-
-
-def derive_frame(curve: CurveSpec, s: float) -> FrenetData:
-    """Frenet frame and curvatures of the curve at s.
-
-    The construction is pure and cached on (curve, s), curves keyed by
-    identity; ``point`` is gamma(s) from the same jets.  Gauge conventions:
-    pseudo null k2 > 0; partially null F3 from ``f3_gauge`` or the
-    Euclidean-unit lexicographically-positive null direction; null
-    F4 = -(F1 x F2 x F3).  Straight lines require a completion frame.
-    """
-    return _derive_frame_cached(curve, float(s))
 
 
 # ---------------------------------------------------------------------------

@@ -582,9 +582,18 @@ def _eval_jet(expr: Expr, scope: dict, jet_cls):
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def _walk(expr: Expr, scope: dict, jet_cls):
+    """``_eval_jet`` with Python's arithmetic errors (a jet term dividing by
+    an underflowed power, a power overflowing) reported as ``DomainError``."""
+    try:
+        return _eval_jet(expr, scope, jet_cls)
+    except (ZeroDivisionError, OverflowError) as e:
+        raise DomainError(str(e)) from None
+
+
 def eval_s(expr: Expr, s0: float) -> Jet1x4:
     """Evaluate an expression in s as a jet with derivatives of orders 1..4."""
-    out = _eval_jet(expr, {"s": Jet1x4.variable(s0)}, Jet1x4)
+    out = _walk(expr, {"s": Jet1x4.variable(s0)}, Jet1x4)
     for d in out.derivatives():
         _check_finite(d, "jet derivative")
     return out
@@ -592,8 +601,8 @@ def eval_s(expr: Expr, s0: float) -> Jet1x4:
 
 def eval_tw(expr: Expr, t0: float, w0: float) -> Jet2x2:
     """Evaluate an expression in t, w as a second-order jet of partials."""
-    out = _eval_jet(expr, {"t": Jet2x2.variable_t(t0),
-                           "w": Jet2x2.variable_w(w0)}, Jet2x2)
+    out = _walk(expr, {"t": Jet2x2.variable_t(t0),
+                       "w": Jet2x2.variable_w(w0)}, Jet2x2)
     for d in (out.v, out.dt, out.dw, out.dtt, out.dtw, out.dww):
         _check_finite(d, "jet partial")
     return out
@@ -609,8 +618,4 @@ def eval_value(expr: Expr, s: float | None = None, t: float | None = None,
     """
     scope = {name: float(x) for name, x in (("s", s), ("t", t), ("w", w))
              if x is not None}
-    try:
-        value = _eval_jet(expr, scope, _Plain)
-    except (ZeroDivisionError, OverflowError) as e:
-        raise DomainError(str(e)) from None
-    return _check_finite(value, "value")
+    return _check_finite(_walk(expr, scope, _Plain), "value")

@@ -18,8 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .canal import (SingularPointError, UnsupportedFamilyError,
-                    relation_residual)
+import numpy as np
+
+from .canal import CurvaturePair, UnsupportedFamilyError, relation_residual
 
 PROJECTIONS = {
     "x1x2x3": (0, 1, 2),
@@ -75,115 +76,110 @@ class GridSpec:
         a, b = (axis for axis in AXES if axis != self.fixed_axis)
         return a, b
 
-    def points3d(self):
-        """Full 3D grid iterator (s, t, w), row-major in (s, t, w)."""
-        for s in self.values_of("s"):
-            for t in self.values_of("t"):
-                for w in self.values_of("w"):
-                    yield (s, t, w)
-
 
 @dataclass
 class ProjectedMesh:
-    """Sweep output: projected vertices, grid quads and scalar channels."""
+    """Sweep output: parameters, points and closed-form channels per vertex
+    (row-major over the two swept axes) and the grid quads."""
 
-    vertices: list = field(default_factory=list)       # projected 3-tuples
-    points: list = field(default_factory=list)         # full Vec4 points
-    params: list = field(default_factory=list)         # (s, t, w) per vertex
-    k_values: list = field(default_factory=list)       # float or None
-    h_values: list = field(default_factory=list)
-    singular: list = field(default_factory=list)       # bool per vertex
+    #: (N, 3) parameters (s, t, w) per vertex
+    params: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
+    #: (N, 4) hypersurface points
+    points: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
+    #: (N,) closed-form curvatures; None for families without closed forms
+    K: np.ndarray | None = None
+    H: np.ndarray | None = None
+    #: (N,) True where a closed-form denominator vanishes
+    singular: np.ndarray = field(default_factory=lambda: np.zeros(0, bool))
     quads: list = field(default_factory=list)          # 0-based index 4-tuples
     projection: str = "x1x3x4"
     #: worst K-H relation residual over nonsingular vertices (canal variants)
     relation_worst: float = 0.0
 
     @property
+    def vertices(self) -> np.ndarray:
+        """(N, 3) points projected onto the kept coordinates."""
+        return self.points[:, list(PROJECTIONS[self.projection])]
+
+    def _channel(self, values) -> list:
+        if values is None:
+            return [None] * len(self.points)
+        return np.where(self.singular, None, values).tolist()
+
+    @property
+    def k_values(self) -> list:
+        """K per vertex: a float, or None on singular vertices and for
+        families without closed forms."""
+        return self._channel(self.K)
+
+    @property
+    def h_values(self) -> list:
+        """H per vertex, None like ``k_values``."""
+        return self._channel(self.H)
+
+    @property
     def n_singular(self) -> int:
-        return sum(self.singular)
+        return int(np.count_nonzero(self.singular))
 
 
 def sweep(scene, grid: GridSpec) -> ProjectedMesh:
     """Evaluate the scene on the fixed-axis grid and project.
 
-    ``scene`` provides ``point_fn()`` and ``closed_pair(s, t, w)`` (see
-    scene module).  Raises MeshError when every point is singular.
+    ``scene`` provides ``projection``, ``family`` and ``field(s, t, w)``
+    returning a ``canal.Field`` (see the scene module); every vertex is
+    evaluated in that one call.  Raises MeshError when every point is
+    singular.
     """
     if scene.projection not in PROJECTIONS:
         raise MeshError(f"unknown projection {scene.projection!r}")
-    keep = PROJECTIONS[scene.projection]
     axis_a, axis_b = grid.swept_axes()
-    values_a = grid.values_of(axis_a)
-    values_b = grid.values_of(axis_b)
-    fn = scene.point_fn()
-
-    mesh = ProjectedMesh(projection=scene.projection)
-    for va in values_a:
-        for vb in values_b:
-            coords = {grid.fixed_axis: grid.fixed_value, axis_a: va, axis_b: vb}
-            s, t, w = coords["s"], coords["t"], coords["w"]
-            p = fn(s, t, w)
-            comps = p.components()
-            mesh.params.append((s, t, w))
-            mesh.points.append(p)
-            mesh.vertices.append(tuple(comps[i] for i in keep))
-            try:
-                pair = scene.closed_pair(s, t, w)
-                mesh.k_values.append(pair.K)
-                mesh.h_values.append(pair.H)
-                mesh.singular.append(False)
-                try:
-                    r = scene.radius.jet(s)[0]
-                    mesh.relation_worst = max(
-                        mesh.relation_worst,
-                        abs(relation_residual(pair, r, scene.family)))
-                except UnsupportedFamilyError:
-                    pass  # tubular variants: no K-H relation to recheck
-            except SingularPointError:
-                mesh.k_values.append(None)
-                mesh.h_values.append(None)
-                mesh.singular.append(True)
-            except UnsupportedFamilyError:
-                # Null-center families: geometry only, no closed curvatures.
-                mesh.k_values.append(None)
-                mesh.h_values.append(None)
-                mesh.singular.append(False)
-    n_a, n_b = len(values_a), len(values_b)
+    n_a, n_b = grid.count_of(axis_a), grid.count_of(axis_b)
+    a, b = np.meshgrid(grid.values_of(axis_a), grid.values_of(axis_b),
+                       indexing="ij")
+    coords = {grid.fixed_axis: np.full(a.size, grid.fixed_value),
+              axis_a: a.ravel(), axis_b: b.ravel()}
+    params = np.stack([coords[axis] for axis in AXES], axis=1)
+    fld = scene.field(*params.T)
+    mesh = ProjectedMesh(params=params, points=fld.points, K=fld.K, H=fld.H,
+                         singular=fld.singular, projection=scene.projection)
     if mesh.n_singular == n_a * n_b:
         raise MeshError("every grid point is singular")
-    for i in range(n_a - 1):
-        for j in range(n_b - 1):
-            base = i * n_b + j
-            mesh.quads.append((base, base + 1, base + n_b + 1, base + n_b))
+    if fld.K is not None:
+        ok = ~fld.singular
+        try:
+            rel = relation_residual(CurvaturePair(fld.K[ok], fld.H[ok]),
+                                    fld.r[ok], scene.family)
+            mesh.relation_worst = float(np.fmax.reduce(np.abs(rel),
+                                                       initial=0.0))
+        except UnsupportedFamilyError:
+            pass  # tubular variants: no K-H relation to recheck
+    base = (np.arange(n_a - 1)[:, None] * n_b + np.arange(n_b - 1)).ravel()
+    mesh.quads = list(zip(base.tolist(), (base + 1).tolist(),
+                          (base + n_b + 1).tolist(), (base + n_b).tolist()))
     return mesh
 
 
 def export_obj(mesh: ProjectedMesh, path) -> None:
     """Wavefront OBJ: `v x y z` lines then 1-based `f i j k l` quads."""
-    if not mesh.vertices:
+    if not len(mesh.points):
         raise MeshError("cannot export an empty mesh")
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
-    for q in mesh.quads:
-        lines.append(f"f {q[0] + 1} {q[1] + 1} {q[2] + 1} {q[3] + 1}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for x, y, z in map(np.ndarray.tolist, mesh.vertices):
+            fh.write(f"v {x!r} {y!r} {z!r}\n")
+        for a, b, c, d in mesh.quads:
+            fh.write(f"f {a + 1} {b + 1} {c + 1} {d + 1}\n")
 
 
 FIELD_COLUMNS = ("s", "t", "w", "x1", "x2", "x3", "x4", "K", "H", "singular")
 
 
 def _field_records(mesh: ProjectedMesh):
-    for (s, t, w), p, k, h, sing in zip(mesh.params, mesh.points,
-                                        mesh.k_values, mesh.h_values,
-                                        mesh.singular):
-        yield {"s": float(s), "t": float(t), "w": float(w),
-               "x1": float(p.x1), "x2": float(p.x2),
-               "x3": float(p.x3), "x4": float(p.x4),
-               "K": None if k is None else float(k),
-               "H": None if h is None else float(h),
-               "singular": bool(sing)}
+    for (s, t, w), (x1, x2, x3, x4), k, h, sing in zip(
+            map(np.ndarray.tolist, mesh.params),
+            map(np.ndarray.tolist, mesh.points), mesh.k_values,
+            mesh.h_values, mesh.singular.tolist()):
+        yield {"s": s, "t": t, "w": w, "x1": x1, "x2": x2, "x3": x3,
+               "x4": x4, "K": k, "H": h, "singular": sing}
 
 
 def export_field(mesh: ProjectedMesh, path, format: str = "csv") -> None:
@@ -192,18 +188,17 @@ def export_field(mesh: ProjectedMesh, path, format: str = "csv") -> None:
     CSV columns are fixed (see FIELD_COLUMNS); K and H cells are empty on
     singular vertices and on families without closed forms.
     """
-    if not mesh.vertices:
+    if not len(mesh.points):
         raise MeshError("cannot export an empty mesh")
     if format == "csv":
-        lines = [",".join(FIELD_COLUMNS)]
-        for rec in _field_records(mesh):
-            cells = [repr(rec[c]) for c in ("s", "t", "w", "x1", "x2", "x3", "x4")]
-            cells.append("" if rec["K"] is None else repr(rec["K"]))
-            cells.append("" if rec["H"] is None else repr(rec["H"]))
-            cells.append("true" if rec["singular"] else "false")
-            lines.append(",".join(cells))
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(FIELD_COLUMNS) + "\n")
+            for rec in _field_records(mesh):
+                cells = [repr(rec[c]) for c in FIELD_COLUMNS[:7]]
+                cells.append("" if rec["K"] is None else repr(rec["K"]))
+                cells.append("" if rec["H"] is None else repr(rec["H"]))
+                cells.append("true" if rec["singular"] else "false")
+                fh.write(",".join(cells) + "\n")
     elif format == "json":
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             json.dump(list(_field_records(mesh)), fh, indent=1)

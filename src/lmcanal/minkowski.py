@@ -7,7 +7,9 @@ The ambient space is R^4 with the indefinite inner product
 i.e. signature (-,+,+,+) with the first coordinate timelike.  Everything
 here is exact-signature and hand-expanded: the ternary cross product is
 written out cofactor by cofactor so the sign pattern (-e1, e2, e3, e4)
-of the defining determinant can be audited directly.
+of the defining determinant can be audited directly.  The row-wise forms
+(``inner_rows``, ``triple_cross_rows``) take arrays of shape (N, 4) and
+round exactly as the one-vector forms do.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 
 class CausalClass(Enum):
@@ -94,6 +98,12 @@ def norm(u: Vec4) -> float:
     return math.sqrt(abs(inner(u, u)))
 
 
+def inner_rows(u, v):
+    """``inner`` of corresponding rows of two (..., 4) arrays."""
+    return (-u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+            + u[..., 2] * v[..., 2] + u[..., 3] * v[..., 3])
+
+
 def triple_cross(u: Vec4, v: Vec4, w: Vec4) -> Vec4:
     """Ternary cross product of E^4_1.
 
@@ -122,6 +132,35 @@ def triple_cross(u: Vec4, v: Vec4, w: Vec4) -> Vec4:
     # First-row entries are (-e1, +e2, +e3, +e4) and cofactor signs alternate
     # (+,-,+,-), so the coordinates come out as (-m1, -m2, +m3, -m4).
     return Vec4(sign * -m1, sign * -m2, sign * m3, sign * -m4)
+
+
+def triple_cross_rows(u, v, w):
+    """``triple_cross`` of corresponding rows of three (N, 4) arrays.
+
+    Each row triple is put in the canonical order of ``triple_cross`` (its
+    ``sorted`` of (components, argument index) pairs), so every row rounds
+    exactly as the one-vector form.
+    """
+    args = np.stack([u, v, w], axis=1)                    # (N, 3, 4)
+    index = np.broadcast_to(np.arange(3), args.shape[:2])
+    order = np.lexsort((index,) + tuple(args[:, :, k] for k in (3, 2, 1, 0)),
+                       axis=-1)
+    a_, b_, c_ = np.take_along_axis(args, order[:, :, None], axis=1) \
+        .transpose(1, 0, 2)
+    inversions = ((order[:, 0] > order[:, 1]).astype(int)
+                  + (order[:, 0] > order[:, 2]) + (order[:, 1] > order[:, 2]))
+    sign = np.where(inversions % 2 == 0, 1.0, -1.0)
+    repeated = np.all(a_ == b_, axis=1) | np.all(b_ == c_, axis=1)
+
+    def minor(drop):
+        a, b, c = (np.delete(row, drop, axis=1).T for row in (a_, b_, c_))
+        return a[0] * (b[1] * c[2] - b[2] * c[1]) \
+            - a[1] * (b[0] * c[2] - b[2] * c[0]) \
+            + a[2] * (b[0] * c[1] - b[1] * c[0])
+
+    m1, m2, m3, m4 = (minor(k) for k in range(4))
+    out = np.stack([sign * -m1, sign * -m2, sign * m3, sign * -m4], axis=1)
+    return np.where(repeated[:, None], 0.0, out)
 
 
 def causal_class(u: Vec4, tol: float = LIGHTLIKE_TOL) -> CausalClass:

@@ -1,9 +1,10 @@
 """Finite-difference differential geometry of parametrized hypersurfaces.
 
-Independent verification engine: given nothing but a point evaluator
-R^3 -> E^4_1, compute second-order central-difference jets, the Gauss map
-N = (O_s x O_t x O_w)/||.||, the fundamental forms g_ij = <O_i, O_j> and
-h_ij = <O_ij, N>, the shape operator S = g^{-1} h and the curvatures
+Independent verification engine: given nothing but the points of the
+hypersurface on a stencil, compute second-order central-difference jets, the
+Gauss map N = (O_s x O_t x O_w)/||.||, the fundamental forms
+g_ij = <O_i, O_j> and h_ij = <O_ij, N>, the shape operator S = g^{-1} h and
+the curvatures
 
     K = eps * det(h)/det(g),        H = tr(S) / (3*eps),
 
@@ -11,6 +12,13 @@ with eps = <N, N> measured, not assumed.  The 3x3 inverse goes through the
 adjugate with an explicit determinant guard.  Because the evaluator is
 differentiated numerically, the engine shares nothing with the closed-form
 curvature path it is used to check.
+
+The engine works on batches: ``stencil`` lays out the 19-point stencils of
+N points, the caller evaluates all 19 N points in one call, and
+``stencil_jets``, ``forms_batch`` and ``curvatures_batch`` turn them into
+(N, ...) arrays with per-point masks instead of exceptions.  The one-point
+functions (``numeric_jet``, ``fundamental_forms``, ``curvatures_numeric``)
+are adapters over the batch functions and raise at singular points.
 """
 
 from __future__ import annotations
@@ -18,7 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .minkowski import Vec4, inner, triple_cross
+import numpy as np
+
+from .minkowski import Vec4, inner_rows, triple_cross_rows
 
 PointFn = Callable[[float, float, float], Vec4]
 
@@ -29,6 +39,15 @@ DEFAULT_STEP = 1e-3
 #: Scaled threshold for a degenerate tangent frame / singular metric.
 DEGENERATE_TOL = 1e-10
 METRIC_DET_TOL = 1e-12
+
+#: Offsets (ds, dt, dw) of the 19-point stencil in units of the step.  The
+#: center comes first, so the first N entries of a stencil batch are the
+#: points themselves.
+STENCIL = ((0, 0, 0),
+           (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+           (1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0),
+           (1, 0, 1), (1, 0, -1), (-1, 0, 1), (-1, 0, -1),
+           (0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1))
 
 
 class OracleError(Exception):
@@ -45,7 +64,8 @@ class SingularMetricError(OracleError):
 
 @dataclass(frozen=True)
 class SurfaceJet:
-    """Point, first and second central-difference partials of the map."""
+    """Point, first and second central-difference partials of the map:
+    Vec4 fields at one point, (N, 4) arrays from ``stencil_jets``."""
 
     point: Vec4
     d_s: Vec4
@@ -63,7 +83,8 @@ class SurfaceJet:
 @dataclass(frozen=True)
 class FundamentalForms:
     """First/second fundamental forms, their determinants, the unit normal
-    and its causal sign eps = <N, N>."""
+    and its causal sign eps = <N, N>: tuples, floats and a Vec4 at one
+    point, (N, 3, 3), (N,) and (N, 4) arrays from ``forms_batch``."""
 
     g: tuple
     h: tuple
@@ -73,20 +94,27 @@ class FundamentalForms:
     eps: int
 
 
-def numeric_jet(surface: PointFn, s: float, t: float, w: float,
-                step: float = DEFAULT_STEP) -> SurfaceJet:
-    """Second-order central differences on the 19-point stencil."""
+# ---------------------------------------------------------------------------
+# Batches
+
+def stencil(s, t, w, step: float = DEFAULT_STEP):
+    """Parameter arrays (S, T, W) of the stencils around N points, each of
+    length 19 N in stencil-major order (see STENCIL)."""
     if step <= 0:
         raise ValueError("step must be positive")
+    offsets = np.array(STENCIL, dtype=float)
+    return tuple(
+        (np.asarray(x, dtype=float).ravel()[None, :]
+         + offsets[:, k, None] * step).ravel()
+        for k, x in enumerate((s, t, w)))
+
+
+def stencil_jets(points, step: float) -> SurfaceJet:
+    """Second-order central differences from the (19 N, 4) points of a
+    ``stencil`` batch."""
+    p = np.asarray(points, dtype=float).reshape(len(STENCIL), -1, 4)
     h = step
-
-    def p(ds, dt, dw):
-        return surface(s + ds * h, t + dt * h, w + dw * h)
-
-    c = p(0, 0, 0)
-    sp, sm = p(1, 0, 0), p(-1, 0, 0)
-    tp, tm = p(0, 1, 0), p(0, -1, 0)
-    wp, wm = p(0, 0, 1), p(0, 0, -1)
+    c = p[0]
 
     def first(fp, fm):
         return (fp - fm) / (2.0 * h)
@@ -99,69 +127,134 @@ def numeric_jet(surface: PointFn, s: float, t: float, w: float,
 
     return SurfaceJet(
         point=c,
-        d_s=first(sp, sm), d_t=first(tp, tm), d_w=first(wp, wm),
-        d_ss=second(sp, sm), d_tt=second(tp, tm), d_ww=second(wp, wm),
-        d_st=mixed(p(1, 1, 0), p(1, -1, 0), p(-1, 1, 0), p(-1, -1, 0)),
-        d_sw=mixed(p(1, 0, 1), p(1, 0, -1), p(-1, 0, 1), p(-1, 0, -1)),
-        d_tw=mixed(p(0, 1, 1), p(0, 1, -1), p(0, -1, 1), p(0, -1, -1)),
+        d_s=first(p[1], p[2]), d_t=first(p[3], p[4]), d_w=first(p[5], p[6]),
+        d_ss=second(p[1], p[2]), d_tt=second(p[3], p[4]),
+        d_ww=second(p[5], p[6]),
+        d_st=mixed(*p[7:11]), d_sw=mixed(*p[11:15]), d_tw=mixed(*p[15:19]),
         step=h,
     )
 
 
-def _det3(m) -> float:
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+def _det3(m):
+    return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2]
+                            - m[..., 1, 2] * m[..., 2, 1])
+            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2]
+                              - m[..., 1, 2] * m[..., 2, 0])
+            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1]
+                              - m[..., 1, 1] * m[..., 2, 0]))
 
 
 def _adjugate3(m):
-    return (
-        (m[1][1] * m[2][2] - m[1][2] * m[2][1],
-         m[0][2] * m[2][1] - m[0][1] * m[2][2],
-         m[0][1] * m[1][2] - m[0][2] * m[1][1]),
-        (m[1][2] * m[2][0] - m[1][0] * m[2][2],
-         m[0][0] * m[2][2] - m[0][2] * m[2][0],
-         m[0][2] * m[1][0] - m[0][0] * m[1][2]),
-        (m[1][0] * m[2][1] - m[1][1] * m[2][0],
-         m[0][1] * m[2][0] - m[0][0] * m[2][1],
-         m[0][0] * m[1][1] - m[0][1] * m[1][0]),
-    )
+    def e(i, j):
+        return m[..., i, j]
+    return np.stack([
+        np.stack([e(1, 1) * e(2, 2) - e(1, 2) * e(2, 1),
+                  e(0, 2) * e(2, 1) - e(0, 1) * e(2, 2),
+                  e(0, 1) * e(1, 2) - e(0, 2) * e(1, 1)], axis=-1),
+        np.stack([e(1, 2) * e(2, 0) - e(1, 0) * e(2, 2),
+                  e(0, 0) * e(2, 2) - e(0, 2) * e(2, 0),
+                  e(0, 2) * e(1, 0) - e(0, 0) * e(1, 2)], axis=-1),
+        np.stack([e(1, 0) * e(2, 1) - e(1, 1) * e(2, 0),
+                  e(0, 1) * e(2, 0) - e(0, 0) * e(2, 1),
+                  e(0, 0) * e(1, 1) - e(0, 1) * e(1, 0)], axis=-1),
+    ], axis=-2)
+
+
+def _matrix(entries):
+    """(N, 3, 3) array from a 3 x 3 nested list of (N,) arrays."""
+    return np.stack([np.stack(row, axis=-1) for row in entries], axis=-2)
+
+
+def forms_batch(jet: SurfaceJet):
+    """Normals, g, h and their determinants from batched jets, and the
+    mask of points whose tangent frame is degenerate."""
+    tangents = (jet.d_s, jet.d_t, jet.d_w)
+    with np.errstate(all="ignore"):
+        raw = triple_cross_rows(*tangents)
+        q = np.abs(inner_rows(raw, raw))
+        longest = np.max([np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+                                  + v[:, 2] * v[:, 2] + v[:, 3] * v[:, 3])
+                          for v in tangents], axis=0)
+        scale = np.fmax(1.0, longest * longest * longest)
+        # libm's pow, as the one-point form computed it (it can differ from
+        # sqrt in the last ulp)
+        length = np.array([x ** 0.5 for x in q.tolist()], dtype=float)
+        degenerate = length <= DEGENERATE_TOL * scale
+        normal = raw / length[:, None]
+        eps = np.where(inner_rows(normal, normal) > 0, 1, -1)
+        g = _matrix([[inner_rows(a, b) for b in tangents] for a in tangents])
+        h = _matrix([[inner_rows(v, normal) for v in row]
+                     for row in ((jet.d_ss, jet.d_st, jet.d_sw),
+                                 (jet.d_st, jet.d_tt, jet.d_tw),
+                                 (jet.d_sw, jet.d_tw, jet.d_ww))])
+    return FundamentalForms(g=g, h=h, detg=_det3(g), deth=_det3(h),
+                            normal=normal, eps=eps), degenerate
+
+
+def curvatures_batch(forms: FundamentalForms):
+    """K = eps det(h)/det(g), H = tr(g^{-1} h)/(3 eps) from batched forms,
+    and the mask of points whose metric is singular."""
+    g, h = forms.g, forms.h
+    with np.errstate(all="ignore"):
+        largest = np.fmax(1.0, np.max(np.abs(g), axis=(-2, -1)))
+        singular = (np.abs(forms.detg)
+                    <= METRIC_DET_TOL * largest * largest * largest)
+        K = forms.eps * forms.deth / forms.detg
+        adj = _adjugate3(g)
+        # tr(S) = tr(adj(g) h) / det(g)
+        tr = 0.0
+        for i in range(3):
+            for k in range(3):
+                tr = tr + adj[..., i, k] * h[..., k, i]
+        H = tr / forms.detg / (3.0 * forms.eps)
+    return K, H, singular
+
+
+# ---------------------------------------------------------------------------
+# One point
+
+def numeric_jet(surface: PointFn, s: float, t: float, w: float,
+                step: float = DEFAULT_STEP) -> SurfaceJet:
+    """Second-order central differences on the 19-point stencil."""
+    params = zip(*(x.tolist() for x in stencil([s], [t], [w], step)))
+    batch = stencil_jets([surface(*p).components() for p in params], step)
+    return SurfaceJet(*(Vec4(*getattr(batch, name)[0].tolist())
+                        for name in _JET_VECTORS), step=step)
+
+
+_JET_VECTORS = ("point", "d_s", "d_t", "d_w", "d_ss", "d_st", "d_sw", "d_tt",
+                "d_tw", "d_ww")
 
 
 def fundamental_forms(jet: SurfaceJet) -> FundamentalForms:
     """Normal, g, h and their determinants from a surface jet."""
-    tangents = (jet.d_s, jet.d_t, jet.d_w)
-    raw = triple_cross(*tangents)
-    q = inner(raw, raw)
-    scale = max(1.0, max(v.euclid_norm() for v in tangents) ** 3)
-    if abs(q) ** 0.5 <= DEGENERATE_TOL * scale:
+    batch = SurfaceJet(*(np.array([getattr(jet, name).components()])
+                         for name in _JET_VECTORS), step=jet.step)
+    forms, degenerate = forms_batch(batch)
+    if degenerate[0]:
         raise DegenerateTangentError(
-            f"tangent frame is degenerate: ||O_s x O_t x O_w|| ~ {abs(q) ** 0.5}")
-    normal = raw / (abs(q) ** 0.5)
-    eps = 1 if inner(normal, normal) > 0 else -1
-    g = tuple(tuple(inner(a, b) for b in tangents) for a in tangents)
-    seconds = ((jet.d_ss, jet.d_st, jet.d_sw),
-               (jet.d_st, jet.d_tt, jet.d_tw),
-               (jet.d_sw, jet.d_tw, jet.d_ww))
-    h = tuple(tuple(inner(v, normal) for v in row) for row in seconds)
-    return FundamentalForms(g=g, h=h, detg=_det3(g), deth=_det3(h),
-                            normal=normal, eps=eps)
+            "tangent frame is degenerate: ||O_s x O_t x O_w|| is below "
+            "its scaled tolerance")
+    return FundamentalForms(
+        g=tuple(map(tuple, forms.g[0].tolist())),
+        h=tuple(map(tuple, forms.h[0].tolist())),
+        detg=float(forms.detg[0]), deth=float(forms.deth[0]),
+        normal=Vec4(*forms.normal[0].tolist()), eps=int(forms.eps[0]))
 
 
 def curvatures_numeric(forms: FundamentalForms):
     """K = eps det(h)/det(g) and H = tr(g^{-1} h)/(3 eps)."""
     from .canal import CurvaturePair
 
-    scale = max(1.0, max(abs(x) for row in forms.g for x in row)) ** 3
-    if abs(forms.detg) <= METRIC_DET_TOL * scale:
+    batch = FundamentalForms(
+        g=np.array([forms.g], dtype=float), h=np.array([forms.h], dtype=float),
+        detg=np.array([forms.detg]), deth=np.array([forms.deth]),
+        normal=np.array([forms.normal.components()]),
+        eps=np.array([forms.eps]))
+    K, H, singular = curvatures_batch(batch)
+    if singular[0]:
         raise SingularMetricError(f"det[g] = {forms.detg} is singular")
-    K = forms.eps * forms.deth / forms.detg
-    adj = _adjugate3(forms.g)
-    # tr(S) = tr(adj(g) h) / det(g)
-    tr = sum(adj[i][k] * forms.h[k][i]
-             for i in range(3) for k in range(3)) / forms.detg
-    H = tr / (3.0 * forms.eps)
-    return CurvaturePair(K, H)
+    return CurvaturePair(float(K[0]), float(H[0]))
 
 
 @dataclass(frozen=True)
@@ -179,13 +272,14 @@ class CompareReport:
 
 
 def compare(closed, numeric, rel_tol: float, abs_tol: float) -> CompareReport:
-    """Per-quantity check |a - b| <= abs_tol + rel_tol * max(|a|, |b|)."""
+    """Per-quantity check |a - b| <= abs_tol + rel_tol * max(|a|, |b|).  The
+    pairs may hold floats or arrays; with arrays every field is an array."""
     if rel_tol <= 0 or abs_tol <= 0:
         raise ValueError("tolerances must be positive")
 
     def check(a, b):
-        err = abs(a - b)
-        return err, err <= abs_tol + rel_tol * max(abs(a), abs(b))
+        err = np.abs(a - b)
+        return err, err <= abs_tol + rel_tol * np.maximum(np.abs(a), np.abs(b))
 
     k_err, k_ok = check(closed.K, numeric.K)
     h_err, h_ok = check(closed.H, numeric.H)

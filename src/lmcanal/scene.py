@@ -35,8 +35,9 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import expr
-from .canal import (CanalFamily, CurvaturePair, NullCoefficients, RadiusSpec,
-                    ShapeSpec, Variant, curvature_closed, evaluate_point)
+from .canal import (CanalFamily, CurvaturePair, Field, NullCoefficients,
+                    RadiusSpec, ShapeSpec, Variant, curvature_closed,
+                    evaluate_point, field)
 from .curves import CurveClass, CurveSpec, builtin, derive_frame
 from .mesh import AXES, PROJECTIONS, GridSpec
 from .minkowski import Vec4
@@ -69,6 +70,11 @@ class SceneSpec:
             return evaluate_point(self.family, self.curve, self.radius,
                                   self.shape, self.nc, s, t, w)
         return fn
+
+    def field(self, s, t, w) -> Field:
+        """The scene's family at the parameter arrays (see canal.field)."""
+        return field(self.family, self.curve, self.radius, self.shape,
+                     self.nc, s, t, w)
 
     def closed_pair(self, s: float, t: float, w: float) -> CurvaturePair:
         fr = derive_frame(self.curve, s)

@@ -16,11 +16,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import oracle
-from .canal import (CurvaturePair, SingularPointError, Variant,
-                    relation_residual, weingarten_residuals)
-from .curves import derive_frame
-from .minkowski import inner
+from .canal import (CurvaturePair, Variant, relation_residual,
+                    weingarten_residuals)
+from .minkowski import inner_rows
 from .scene import SceneSpec
 
 #: Sign relating each variant's closed-form normal to the radial direction.
@@ -77,121 +78,123 @@ class Tolerances:
 
 
 def _random_points(grid, n, seed):
+    """n seeded uniform draws in the grid box, as (s, t, w) arrays."""
     rng = random.Random(seed)
-    pts = []
-    for _ in range(n):
-        s = rng.uniform(*grid.range_of("s"))
-        t = rng.uniform(*grid.range_of("t"))
-        w = rng.uniform(*grid.range_of("w"))
-        pts.append((s, t, w))
-    return pts
+    draws = [rng.uniform(*grid.range_of(axis))
+             for _ in range(n) for axis in ("s", "t", "w")]
+    return np.array(draws, dtype=float).reshape(-1, 3).T
+
+
+def _worst(values) -> float:
+    """Largest value, 0.0 for none; NaNs are skipped like max() skips them
+    after a number."""
+    return float(np.fmax.reduce(values, initial=0.0))
 
 
 def check_envelope(scene: SceneSpec, report: VerifyReport, tol: Tolerances,
                    n_points: int = 200):
     """Membership on the defining quadric and normality of C - gamma,
     on random in-domain points."""
-    fn = scene.point_fn()
-    lam = scene.family.lam
+    s, t, w = _random_points(scene.grid, n_points, ENVELOPE_SEED)
     h = scene.oracle_step
-    worst_m = worst_n = 0.0
-    for (s, t, w) in _random_points(scene.grid, n_points, ENVELOPE_SEED):
-        d = fn(s, t, w) - derive_frame(scene.curve, s).point
-        r = scene.radius.jet(s)[0]
-        worst_m = max(worst_m, abs(inner(d, d) - lam * r * r))
-        d_s = (fn(s + h, t, w) - fn(s - h, t, w)) / (2.0 * h)
-        worst_n = max(worst_n, abs(inner(d, d_s)))
+    n = len(s)
+    fld = scene.field(np.concatenate([s, s + h, s - h]), np.tile(t, 3),
+                      np.tile(w, 3))
+    point, plus, minus = fld.points.reshape(3, n, 4)
+    d = point - fld.center[:n]
+    r = fld.r[:n]
+    d_s = (plus - minus) / (2.0 * h)
+    worst_m = _worst(np.abs(inner_rows(d, d) - scene.family.lam * r * r))
+    worst_n = _worst(np.abs(inner_rows(d, d_s)))
     report.add("membership |<C-g,C-g> - lam r^2|", worst_m, tol.membership)
     report.add("normality |<C-g, C_s>|", worst_n, tol.normality)
+
+
+def _grid_slab(scene: SceneSpec, s, t, w):
+    """Closed forms, gauge-aligned oracle curvatures, radii and eps at the
+    nonsingular points among (s, t, w), from one kernel call on their
+    19-point stencils, and the number of singular points."""
+    fam = scene.family
+    n = len(s)
+    h = scene.oracle_step
+    fld = scene.field(*oracle.stencil(s, t, w, h))
+    forms, degenerate = oracle.forms_batch(oracle.stencil_jets(fld.points, h))
+    K, H, metric_singular = oracle.curvatures_batch(forms)
+    # singular-set policy: also skip where det[g] is tiny at local scale
+    largest = np.fmax(1.0, np.max(np.abs(forms.g), axis=(1, 2)))
+    ok = ~(fld.singular[:n] | degenerate | metric_singular
+           | (np.abs(forms.detg) <= 1e-10 * largest * largest * largest))
+    radial = fld.points[:n] - fld.center[:n]
+    flip = closed_form_gauge(fam.variant) * np.where(
+        fam.lam * inner_rows(forms.normal, radial) > 0, 1, -1)
+    values = (fld.K[:n][ok], fld.H[:n][ok], (flip * K)[ok], (flip * H)[ok],
+              fld.r[:n][ok], forms.eps[ok])
+    return values, n - int(ok.sum())
 
 
 def check_curvatures(scene: SceneSpec, report: VerifyReport, tol: Tolerances,
                      min_points: int = 1):
     """Closed-form K, H against the oracle on the scene grid, plus the K-H
-    relation residual and the causal character of the normal."""
-    fn = scene.point_fn()
+    relation residual and the causal character of the normal.  The grid is
+    evaluated one s value at a time, which bounds the stencil temporaries."""
     fam = scene.family
-    gauge = closed_form_gauge(fam.variant)
-    worst_k = worst_h = worst_rel = 0.0
-    eps_ok = True
-    n_ok = n_sing = 0
-    k_pass = h_pass = True
-    is_canal = fam.variant in (Variant.C1, Variant.C2, Variant.C3,
-                               Variant.C4, Variant.C5)
-    for (s, t, w) in scene.grid.points3d():
-        r_jet = scene.radius.jet(s)
-        try:
-            closed = scene.closed_pair(s, t, w)
-            jet = oracle.numeric_jet(fn, s, t, w, scene.oracle_step)
-            forms = oracle.fundamental_forms(jet)
-            numeric = oracle.curvatures_numeric(forms)
-        except (SingularPointError, oracle.DegenerateTangentError,
-                oracle.SingularMetricError):
-            n_sing += 1
-            continue
-        # singular-set policy: skip where det[g] is tiny at local scale
-        g_scale = max(1.0, max(abs(x) for row in forms.g for x in row)) ** 3
-        if abs(forms.detg) <= 1e-10 * g_scale:
-            n_sing += 1
-            continue
-        if forms.eps != fam.lam:
-            eps_ok = False
-        radial = jet.point - derive_frame(scene.curve, s).point
-        flip = gauge * (1 if fam.lam * inner(forms.normal, radial) > 0 else -1)
-        res = oracle.compare(closed,
-                             CurvaturePair(flip * numeric.K, flip * numeric.H),
-                             tol.rel, tol.abs)
-        worst_k = max(worst_k, res.k_error)
-        worst_h = max(worst_h, res.h_error)
-        k_pass = k_pass and res.k_ok
-        h_pass = h_pass and res.h_ok
-        if is_canal:
-            worst_rel = max(worst_rel,
-                            abs(relation_residual(closed, r_jet[0], fam)))
-        n_ok += 1
+    grid = scene.grid
+    t, w = (x.ravel() for x in np.meshgrid(grid.values_of("t"),
+                                           grid.values_of("w"), indexing="ij"))
+    slabs = [_grid_slab(scene, np.full(len(t), s), t, w)
+             for s in grid.values_of("s")]
+    k_closed, h_closed, k_oracle, h_oracle, r, eps = (
+        np.concatenate(column) for column in zip(*(v for v, _ in slabs)))
+    closed = CurvaturePair(k_closed, h_closed)
+    res = oracle.compare(closed, CurvaturePair(k_oracle, h_oracle),
+                         tol.rel, tol.abs)
+    n_ok = len(r)
     report.points_checked = n_ok
-    report.points_singular = n_sing
-    report.add_flag(f"K closed vs oracle (worst err {worst_k:.2e})", k_pass)
-    report.add_flag(f"H closed vs oracle (worst err {worst_h:.2e})", h_pass)
+    report.points_singular = sum(n for _, n in slabs)
+    for name, err, ok in (("K", res.k_error, res.k_ok),
+                          ("H", res.h_error, res.h_ok)):
+        report.add_flag(f"{name} closed vs oracle (worst err "
+                        f"{_worst(err):.2e})", bool(np.all(ok)))
     report.add_flag(f"nonsingular points >= {min_points} (got {n_ok})",
                     n_ok >= min_points)
-    if is_canal:
-        report.add("K-H relation |3H - r^2 K +/- 2/r|", worst_rel, tol.relation)
-    report.add_flag(f"causal character eps == {fam.lam}", eps_ok)
+    if fam.variant in (Variant.C1, Variant.C2, Variant.C3, Variant.C4,
+                       Variant.C5):
+        rel = relation_residual(closed, r, fam)
+        report.add("K-H relation |3H - r^2 K +/- 2/r|", _worst(np.abs(rel)),
+                   tol.relation)
+    report.add_flag(f"causal character eps == {fam.lam}",
+                    bool(np.all(eps == fam.lam)))
 
 
 def check_epsilon_only(scene: SceneSpec, report: VerifyReport):
-    """Causal character for families without closed forms (null centers)."""
-    fn = scene.point_fn()
-    eps_ok = True
-    for (s, t, w) in _random_points(scene.grid, EPSILON_POINTS, EPSILON_SEED):
-        try:
-            forms = oracle.fundamental_forms(
-                oracle.numeric_jet(fn, s, t, w, scene.oracle_step))
-        except oracle.DegenerateTangentError:
-            continue
-        if forms.eps != scene.family.lam:
-            eps_ok = False
-    report.add_flag(f"causal character eps == {scene.family.lam}", eps_ok)
+    """Causal character for families without closed forms (null centers),
+    on random points; fails if no point has a nondegenerate tangent frame."""
+    lam = scene.family.lam
+    h = scene.oracle_step
+    fld = scene.field(*oracle.stencil(
+        *_random_points(scene.grid, EPSILON_POINTS, EPSILON_SEED), h))
+    forms, degenerate = oracle.forms_batch(oracle.stencil_jets(fld.points, h))
+    n_ok = int(np.count_nonzero(~degenerate))
+    report.add_flag(f"causal character eps == {lam}",
+                    bool(np.all(forms.eps[~degenerate] == lam)))
+    report.add_flag(f"causal character points >= 1 (got {n_ok})", n_ok >= 1)
 
 
 def check_weingarten(scene: SceneSpec, report: VerifyReport, tol: Tolerances):
-    """Mixed-Jacobian residuals of (H, K) for tubular variants."""
-    grid, n_grid = scene.grid, WEINGARTEN_GRID
-
-    def pts():
-        for i in range(n_grid):
-            for j in range(n_grid):
-                for k in range(n_grid):
-                    yield (_lerp(grid.range_of("s"), i, n_grid),
-                           _lerp(grid.range_of("t"), j, n_grid),
-                           _lerp(grid.range_of("w"), k, n_grid))
-
+    """Mixed-Jacobian residuals of (H, K) for tubular variants on a
+    WEINGARTEN_GRID^3 grid over the scene ranges; fails if every grid point
+    is singular."""
+    axes = [[_lerp(scene.grid.range_of(axis), i, WEINGARTEN_GRID)
+             for i in range(WEINGARTEN_GRID)] for axis in ("s", "t", "w")]
+    grid = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")],
+                    axis=1)
     rep = weingarten_residuals(scene.family, scene.curve, scene.radius,
-                               scene.shape, pts())
+                               scene.shape, grid)
     report.add("Weingarten |H_s K_t - H_t K_s|", rep.st, tol.weingarten)
     report.add("Weingarten |H_s K_w - H_w K_s|", rep.sw, tol.weingarten)
     report.add("Weingarten |H_t K_w - H_w K_t|", rep.tw, tol.weingarten)
+    report.add_flag(f"Weingarten points >= 1 (got {rep.points}, "
+                    f"{rep.singular} singular)", rep.points >= 1)
 
 
 def _lerp(rng, i, n):

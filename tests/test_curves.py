@@ -166,8 +166,8 @@ def test_frame_point_is_curve_point():
 
 
 def test_curves_hash_by_identity():
-    # The frame cache keys on the curve object; hashing must not walk the
-    # expression trees, so equal-valued copies are distinct keys.
+    # Curves hash and compare by identity, so hashing never walks the
+    # expression trees; equal-valued copies still give equal frames.
     a, b = builtin("pseudo-null-example"), builtin("pseudo-null-example")
     assert hash(a) == object.__hash__(a)
     assert a == a and a != b

@@ -151,6 +151,20 @@ def test_jet_s_domain_error():
         ex.eval_s(ex.parse("sinh(s)"), 800.0)
     with pytest.raises(ex.DomainError):
         ex.eval_s(ex.parse("cosh(s)"), -800.0)
+    # order-4 derivative terms: u^4 underflows to 0, u^3 overflows
+    with pytest.raises(ex.DomainError):
+        ex.eval_s(ex.parse("ln(s)"), 1e-90)
+    with pytest.raises(ex.DomainError):
+        ex.eval_s(ex.parse("sqrt(s)"), 1e200)
+
+
+def test_jet_tw_domain_error():
+    with pytest.raises(ex.DomainError):
+        ex.eval_tw(ex.parse("1/t"), 0.0, 1.0)
+    with pytest.raises(ex.DomainError):
+        ex.eval_tw(ex.parse("ln(t)"), 1e-90, 0.0)
+    with pytest.raises(ex.DomainError):
+        ex.eval_tw(ex.parse("sqrt(w)"), 0.0, 1e200)
 
 
 def test_jet_s_rejects_other_variables():

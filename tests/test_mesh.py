@@ -3,11 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from lmcanal.canal import Field
 from lmcanal.mesh import (FIELD_COLUMNS, GridSpec, MeshError, export_field,
                           export_obj, sweep)
-from lmcanal.minkowski import Vec4
 from lmcanal.scene import bundled_scene, parse_scene
 
 
@@ -16,12 +17,11 @@ class UnitSquareScene:
 
     projection = "x2x3x4"
 
-    def point_fn(self):
-        return lambda s, t, w: Vec4(0.0, s, t, 0.0)
-
-    def closed_pair(self, s, t, w):
-        from lmcanal.canal import UnsupportedFamilyError
-        raise UnsupportedFamilyError("no closed form")
+    def field(self, s, t, w):
+        zero = np.zeros_like(s)
+        return Field(points=np.stack([zero, s, t, zero], axis=1),
+                     center=np.zeros((len(s), 4)), r=np.ones_like(s),
+                     K=None, H=None, singular=np.zeros(len(s), dtype=bool))
 
 
 def unit_grid():

@@ -3,11 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lmcanal.minkowski import (
-    CausalClass, QuadricKind, Vec4, causal_class, inner, norm,
-    quadric_residual, triple_cross,
+    CausalClass, QuadricKind, Vec4, causal_class, inner, inner_rows, norm,
+    quadric_residual, triple_cross, triple_cross_rows,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -74,6 +75,29 @@ def test_triple_cross_alternating():
         x = triple_cross(u, v, w)
         assert triple_cross(v, u, w) == -x
         assert triple_cross(u, w, v) == -x
+
+
+def test_row_forms_round_like_the_vector_forms():
+    # rows with ties in leading components, signed zeros, repeated and
+    # permuted arguments exercise the canonical ordering bit for bit
+    rng = random.Random(11)
+    triples = []
+    for _ in range(3000):
+        vecs = [[rng.choice((0.0, -0.0, 1.0, -1.0, rng.uniform(-3, 3)))
+                 for _ in range(4)] for _ in range(3)]
+        if rng.random() < 0.1:
+            vecs[2] = vecs[0]
+        if rng.random() < 0.3:  # equal leading components
+            k = rng.randint(1, 3)
+            vecs[1] = vecs[0][:k] + vecs[1][k:]
+        triples.append([vecs[i] for i in rng.sample(range(3), 3)])
+    rows = np.array(triples)
+    got = triple_cross_rows(rows[:, 0], rows[:, 1], rows[:, 2])
+    want = np.array([triple_cross(*(Vec4(*v) for v in t)).components()
+                     for t in triples])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    dots = inner_rows(rows[:, 0], rows[:, 1])
+    assert dots.tolist() == [inner(Vec4(*t[0]), Vec4(*t[1])) for t in triples]
 
 
 def test_causal_class_examples():

@@ -148,6 +148,25 @@ def test_cli_verify_failure_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_cli_verify_fails_without_epsilon_points(capsys, tmp_path):
+    # a1 and theta constant: C does not depend on t, w, so every tangent
+    # frame of the causal-character check is degenerate
+    doc = {
+        "version": 1,
+        "curve": {"builtin": "null-example"},
+        "family": {"variant": "NullC1"},
+        "radius": "s/2",
+        "null_coefficients": {"a1": "0", "theta": "0"},
+        "grid": {"s": [0.3, 0.9, 4], "t": [0.5, 1.5, 4], "w": [0.0, 6.2, 4]},
+    }
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--scene", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "causal character points >= 1 (got 0)  FAIL" in out
+
+
 def test_cli_verify_regime_violation_exits_1(capsys, tmp_path):
     doc = minimal_doc()
     doc["radius"] = "2*s"  # r'^2 = 4 >= 1 violates the C1 side condition
