@@ -9,7 +9,7 @@ from .canal import (CanalFamily, CurvaturePair, NullCoefficients, RadiusSpec,
                     relation_residual, weingarten_residuals)
 from .curves import (CurveClass, CurveSpec, FrenetData, builtin,
                      builtin_names, derive_frame, verify_frame)
-from .expr import Jet1x4, Jet2x2, eval_s, eval_tw, eval_value, parse, to_str
+from .expr import Jet1x4, eval_s, eval_value, parse, to_str
 from .mesh import GridSpec, ProjectedMesh, export_field, export_obj, sweep
 from .minkowski import (CausalClass, QuadricKind, Vec4, causal_class, inner,
                         norm, quadric_residual, triple_cross)

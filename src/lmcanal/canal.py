@@ -175,11 +175,11 @@ class CurvaturePair:
 # ``field`` evaluates a family at N parameter points in one pass.  It derives
 # the frame and the radius jet once per distinct s, the shape values and
 # their trig values once per distinct (t, w), and the null coefficients once
-# per distinct (s, t, w).  Those functions run through Python's math module,
-# so every batched value rounds exactly as a one-point evaluation does;
-# numpy only combines them with + - * / and sqrt, in the one-point operation
-# order.  The one-point entry points (evaluate_point, frame_coefficients,
-# curvature_closed) are adapters over the same functions.
+# per distinct (s, t, w).  Transcendental functions run through Python's
+# math module and numpy only combines their values with correctly rounded
+# elementwise operations (+ - * /, square, sqrt), so a point gets the same
+# bits in any batch.  The one-point entry points (evaluate_point,
+# frame_coefficients, curvature_closed) are adapters over the same functions.
 
 
 @dataclass(frozen=True)
@@ -201,16 +201,11 @@ class Field:
 
 def _libm(fn, x):
     """A math-module function applied to every element of x.  numpy's own
-    sinh, cosh, exp and power differ from libm in the last ulp on some
-    platforms, and batched values must equal one-point ones."""
+    sin, cos, sinh and cosh can differ from libm in the last ulp depending on
+    memory layout, and a point must get the same bits in any batch."""
     x = np.asarray(x, dtype=float)
     return np.array([fn(v) for v in x.ravel().tolist()],
                     dtype=float).reshape(x.shape)
-
-
-def _pow(x, p):
-    """x ** p elementwise, through libm's pow like the one-point forms."""
-    return _libm(lambda v: v ** p, x)
 
 
 def _distinct(*columns):
@@ -485,10 +480,10 @@ def _kh_pseudo_c123(k1, r, r1, r2, T, g, hyperbolic: bool):
     sgn = -1.0 if hyperbolic else 1.0  # F4 fiber sign: C3 carries -sinh/2g
     num_k = (-r * m * k1 * k1 * T * T + 4.0 * r2 * a * g * g
              + sgn * 2.0 * sm * amm * k1 * g * T)
-    den_k = r * r * _pow(r * sm * k1 * T - sgn * 2.0 * a * g, 2)
+    den_k = r * r * np.square(r * sm * k1 * T - sgn * 2.0 * a * g)
     num_h = (sgn * 2.0 * r * m * sm * k1 * g * T
              + 3.0 * r * r * m * k1 * k1 * T * T - 4.0 * a * c * g * g)
-    den_h = 3.0 * (-_pow(r, 3) * m * k1 * k1 * T * T
+    den_h = 3.0 * (-r * r * r * m * k1 * k1 * T * T
                    + 4.0 * r * a * a * g * g)
     return num_k, den_k, num_h, den_h
 
@@ -509,10 +504,10 @@ def _kh_pseudo(variant: Variant, k1, r, r1, r2, T, g):
         c = 2.0 * m + 3.0 * r * r2
         num_k = (-r * m * k1 * k1 * T * T - 4.0 * r2 * a * g * g
                  + 2.0 * sm * amm * k1 * g * T)
-        den_k = r * r * _pow(r * sm * k1 * T - 2.0 * a * g, 2)
+        den_k = r * r * np.square(r * sm * k1 * T - 2.0 * a * g)
         num_h = (-2.0 * r * m * sm * k1 * g * T
                  - 3.0 * r * r * m * k1 * k1 * T * T + 4.0 * a * c * g * g)
-        den_h = 3.0 * (_pow(r, 3) * m * k1 * k1 * T * T
+        den_h = 3.0 * (r * r * r * m * k1 * k1 * T * T
                        - 4.0 * r * a * a * g * g)
         return num_k, den_k, num_h, den_h
     # C5
@@ -523,10 +518,10 @@ def _kh_pseudo(variant: Variant, k1, r, r1, r2, T, g):
     c = 2.0 * p + 3.0 * r * r2
     num_k = (r * p * k1 * k1 * T * T + 4.0 * r2 * a * g * g
              + 2.0 * sp * amm * k1 * g * T)
-    den_k = r * r * _pow(r * sp * k1 * T + 2.0 * a * g, 2)
+    den_k = r * r * np.square(r * sp * k1 * T + 2.0 * a * g)
     num_h = (-2.0 * r * p * sp * k1 * g * T
              + 3.0 * r * r * p * k1 * k1 * T * T - 4.0 * a * c * g * g)
-    den_h = 3.0 * (_pow(r, 3) * p * k1 * k1 * T * T
+    den_h = 3.0 * (r * r * r * p * k1 * k1 * T * T
                    - 4.0 * r * a * a * g * g)
     return num_k, den_k, num_h, den_h
 
@@ -539,7 +534,7 @@ def _kh_partial(variant: Variant, k1, r, r1, r2, T, g):
         amm = m - 2.0 * r * r2
         c = 2.0 * m - 3.0 * r * r2
         num_k = -r * m * k1 * k1 * T * T + r2 * a + sm * amm * k1 * T
-        den_k = r * r * _pow(a - r * sm * k1 * T, 2)
+        den_k = r * r * np.square(a - r * sm * k1 * T)
         num_h = (r * m * sm * k1 * T + 3.0 * r * r * m * k1 * k1 * T * T
                  - a * c)
         den_h = 3.0 * r * (-r * r * m * k1 * k1 * T * T + a * a)
@@ -553,7 +548,7 @@ def _kh_partial(variant: Variant, k1, r, r1, r2, T, g):
         amm = m + 2.0 * r * r2
         c = 2.0 * m + 3.0 * r * r2
         num_k = -(r * m * k1 * k1 * T * T + r2 * a + sm * amm * k1 * T)
-        den_k = r * r * _pow(a + r * sm * k1 * T, 2)
+        den_k = r * r * np.square(a + r * sm * k1 * T)
         num_h = (r * m * sm * k1 * T - 3.0 * r * r * m * k1 * k1 * T * T
                  + a * c)
         den_h = 3.0 * r * (r * r * m * k1 * k1 * T * T - a * a)
@@ -565,7 +560,7 @@ def _kh_partial(variant: Variant, k1, r, r1, r2, T, g):
     amm = p + 2.0 * r * r2
     c = 2.0 * p + 3.0 * r * r2
     num_k = r * p * k1 * k1 * T * T + r2 * a - sp * amm * k1 * T
-    den_k = r * r * _pow(a - r * sp * k1 * T, 2)
+    den_k = r * r * np.square(a - r * sp * k1 * T)
     num_h = r * p * sp * k1 * T + 3.0 * r * r * p * k1 * k1 * T * T - a * c
     den_h = 3.0 * r * (r * r * p * k1 * k1 * T * T - a * a)
     return num_k, den_k, num_h, den_h

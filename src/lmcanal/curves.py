@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import expr
 from .minkowski import Vec4, inner, triple_cross
 
@@ -99,10 +97,6 @@ class ReferenceFrame:
         def vec(comps):
             return Vec4(*(expr.eval_value(c, s=s) for c in comps))
         return vec(self.f1), vec(self.f2), vec(self.f3), vec(self.f4)
-
-    def curvatures_at(self, s: float) -> tuple[float, float, float]:
-        return (expr.eval_value(self.k1, s=s), expr.eval_value(self.k2, s=s),
-                expr.eval_value(self.k3, s=s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,45 +262,28 @@ def _jet_vectors(curve: CurveSpec, s: float):
     return [Vec4(*d) for d in zip(*jets)]  # gamma, gamma', ..., gamma''''
 
 
-def _orthogonal_plane_basis(a: Vec4, b: Vec4) -> tuple[Vec4, Vec4]:
-    """Euclidean-orthonormal basis of the Minkowski-orthogonal complement
-    of span{a, b}; rows of the constraint system are the metric images."""
-    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
-    m = np.array([a.components(), b.components()]) @ eta
-    _, sv, vh = np.linalg.svd(m)
-    if sv.min() < 1e-12 * max(sv.max(), 1.0):
+def _null_mate(a: Vec4, b: Vec4, mate: Vec4) -> Vec4:
+    """The null vector x with <x, a> = <x, b> = 0 and <x, mate> = 1.
+
+    ``a``, ``b`` are unit spacelike and ``mate`` is null and orthogonal to
+    both, so the solutions of the three linear conditions form a line
+    x0 + c*mate on which <x, x> is linear in c.  Start from y with
+    <y, mate> = |mate|_E^2 > 0, project out span{a, b} with their Gram
+    table, scale the pairing to 1 and move along mate to the null point.
+    """
+    y = Vec4(-mate.x1, mate.x2, mate.x3, mate.x4)
+    gaa, gab, gbb = inner(a, a), inner(a, b), inner(b, b)
+    det = gaa * gbb - gab * gab
+    if abs(det) < DEGENERATE_TOL:
         raise DegenerateCurveError("frame vectors are linearly dependent")
-    # plain floats: numpy scalars must not leak into frames and exports
-    return (Vec4(*(float(x) for x in vh[2])),
-            Vec4(*(float(x) for x in vh[3])))
-
-
-def _null_directions(p: Vec4, q: Vec4) -> tuple[Vec4, Vec4]:
-    """The two null directions of the Lorentzian plane span{p, q}."""
-    g11, g12, g22 = inner(p, p), inner(p, q), inner(q, q)
-    disc = g12 * g12 - g11 * g22
-    if disc <= 0:
-        raise DegenerateCurveError(
-            "orthogonal complement plane is not Lorentzian")
-    root = math.sqrt(disc)
-    if abs(g11) >= abs(g22) and abs(g11) > 1e-14:
-        return (((-g12 + root) / g11) * p + q,
-                ((-g12 - root) / g11) * p + q)
-    if abs(g22) > 1e-14:
-        return (p + ((-g12 + root) / g22) * q,
-                p + ((-g12 - root) / g22) * q)
-    return p, q  # both basis vectors already null
-
-
-def _null_partner(d1: Vec4, d2: Vec4, mate: Vec4) -> Vec4:
-    """Among null directions d1, d2 pick the one not parallel to ``mate``
-    (a null vector pairs to zero with itself) and scale it so the pairing
-    <result, mate> equals 1."""
-    p1, p2 = inner(d1, mate), inner(d2, mate)
-    d, p = (d1, p1) if abs(p1) >= abs(p2) else (d2, p2)
-    if abs(p) < DEGENERATE_TOL:
+    ya, yb = inner(y, a), inner(y, b)
+    ca, cb = (gbb * ya - gab * yb) / det, (gaa * yb - gab * ya) / det
+    y = y - ca * a - cb * b
+    p = inner(y, mate)
+    if not p > DEGENERATE_TOL * mate.euclid_norm() ** 2:
         raise DegenerateCurveError("cannot normalize null frame partner")
-    return d / p
+    y = y / p
+    return y - (inner(y, y) / 2.0) * mate
 
 
 def _lex_sign(v: Vec4) -> float:
@@ -333,9 +310,7 @@ def _derive_pseudo_null(curve: CurveSpec, s: float) -> FrenetData:
         raise DegenerateCurveError(f"vanishing second curvature at s={s}")
     k2 = math.sqrt(q3)  # gauge: k2 > 0
     f3 = d3 / k2
-    p, q = _orthogonal_plane_basis(f1, f3)
-    da, db = _null_directions(p, q)
-    f4 = _null_partner(da, db, f2)
+    f4 = _null_mate(f1, f3, f2)
     k3 = inner(d4, f4) / k2
     return FrenetData(s, f1, f2, f3, f4, 1.0, k2, k3, g)
 
@@ -370,9 +345,7 @@ def _derive_partially_null(curve: CurveSpec, s: float) -> FrenetData:
                 f"f3 gauge vector is not parallel to the binormal at s={s}")
     else:
         f3 = (_lex_sign(u) / u.euclid_norm()) * u
-    p, q = _orthogonal_plane_basis(f1, f2)
-    da, db = _null_directions(p, q)
-    f4 = _null_partner(da, db, f3)
+    f4 = _null_mate(f1, f2, f3)
     k2 = inner(u, f4)  # = <F2', F4> since <F1, F4> = 0
     return FrenetData(s, f1, f2, f3, f4, k1, k2, 0.0, g)
 

@@ -1,12 +1,10 @@
 """Scalar math expressions in s, t, w with forward-mode Taylor differentiation.
 
 Expressions are parsed by a hand-written precedence-climbing parser into a
-small immutable AST and evaluated in one of three modes:
+small immutable AST and evaluated by one tree walker in one of two modes:
 
 * ``eval_s``   -- truncated Taylor jet in s: value and d/ds derivatives of
   orders 1..4 (``Jet1x4``), exact to machine precision,
-* ``eval_tw``  -- second-order jet in (t, w): value and the partials
-  t, w, tt, tw, ww (``Jet2x2``),
 * ``eval_value`` -- the same walker on plain floats, any of s, t, w bound.
 
 Grammar (documented wire format; scene files embed these strings):
@@ -382,73 +380,6 @@ class Jet1x4:
         ))
 
 
-@dataclass(frozen=True)
-class Jet2x2:
-    """Value plus partials t, w, tt, tw, ww at a point of the (t, w) plane.
-
-    The symmetric mixed partial is stored once.
-    """
-
-    v: float
-    dt: float
-    dw: float
-    dtt: float
-    dtw: float
-    dww: float
-
-    @staticmethod
-    def constant(x: float) -> "Jet2x2":
-        return Jet2x2(float(x), 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    @staticmethod
-    def variable_t(t0: float) -> "Jet2x2":
-        return Jet2x2(float(t0), 1.0, 0.0, 0.0, 0.0, 0.0)
-
-    @staticmethod
-    def variable_w(w0: float) -> "Jet2x2":
-        return Jet2x2(float(w0), 0.0, 1.0, 0.0, 0.0, 0.0)
-
-    def __add__(self, o: "Jet2x2") -> "Jet2x2":
-        return Jet2x2(self.v + o.v, self.dt + o.dt, self.dw + o.dw,
-                      self.dtt + o.dtt, self.dtw + o.dtw, self.dww + o.dww)
-
-    def __sub__(self, o: "Jet2x2") -> "Jet2x2":
-        return Jet2x2(self.v - o.v, self.dt - o.dt, self.dw - o.dw,
-                      self.dtt - o.dtt, self.dtw - o.dtw, self.dww - o.dww)
-
-    def __neg__(self) -> "Jet2x2":
-        return Jet2x2(-self.v, -self.dt, -self.dw, -self.dtt, -self.dtw, -self.dww)
-
-    def __mul__(self, o: "Jet2x2") -> "Jet2x2":
-        a, b = self, o
-        return Jet2x2(
-            a.v * b.v,
-            a.dt * b.v + a.v * b.dt,
-            a.dw * b.v + a.v * b.dw,
-            a.dtt * b.v + 2.0 * a.dt * b.dt + a.v * b.dtt,
-            a.dtw * b.v + a.dt * b.dw + a.dw * b.dt + a.v * b.dtw,
-            a.dww * b.v + 2.0 * a.dw * b.dw + a.v * b.dww,
-        )
-
-    def __truediv__(self, o: "Jet2x2") -> "Jet2x2":
-        if o.v == 0.0:
-            raise DomainError("division by zero")
-        inv = o.compose((1.0 / o.v, -1.0 / o.v ** 2, 2.0 / o.v ** 3))
-        return self * inv
-
-    def compose(self, f: tuple[float, float, float]) -> "Jet2x2":
-        """Apply outer function with derivatives (f, f', f'') at ``self.v``."""
-        f0, f1, f2 = f
-        return Jet2x2(
-            f0,
-            f1 * self.dt,
-            f1 * self.dw,
-            f2 * self.dt * self.dt + f1 * self.dtt,
-            f2 * self.dt * self.dw + f1 * self.dtw,
-            f2 * self.dw * self.dw + f1 * self.dww,
-        )
-
-
 class _Plain:
     """Order-0 mode of ``_eval_jet``: values are plain floats."""
 
@@ -497,7 +428,7 @@ def _trig_derivs(fn: str, u: float, order: int) -> tuple:
     return cycle[: order + 1]
 
 
-_ORDER = {_Plain: 0, Jet1x4: 4, Jet2x2: 2}
+_ORDER = {_Plain: 0, Jet1x4: 4}
 _DERIVS = {"exp": _exp_derivs, "ln": _ln_derivs, "sqrt": _sqrt_derivs,
            **{fn: partial(_trig_derivs, fn)
               for fn in ("sin", "cos", "sinh", "cosh")}}
@@ -505,11 +436,11 @@ _RECIPROCALS = {"csc": "sin", "sec": "cos", "csch": "sinh", "sech": "cosh"}
 
 
 def _value(u, jet_cls) -> float:
-    return u if jet_cls is _Plain else u.value if jet_cls is Jet1x4 else u.v
+    return u if jet_cls is _Plain else u.value
 
 
 def _apply_fn(fn: str, u, jet_cls):
-    """Apply a named function to a float, a Jet1x4 or a Jet2x2."""
+    """Apply a named function to a float or a Jet1x4."""
     if fn == "tan":
         return _apply_fn("sin", u, jet_cls) / _apply_fn("cos", u, jet_cls)
     if fn in _RECIPROCALS:
@@ -519,12 +450,6 @@ def _apply_fn(fn: str, u, jet_cls):
         raise ExprError(f"unhandled function {fn!r}")
     d = _DERIVS[fn](_value(u, jet_cls), _ORDER[jet_cls])
     return d[0] if jet_cls is _Plain else u.compose(d)
-
-
-def _is_constant_jet(u, jet_cls) -> bool:
-    if jet_cls is Jet1x4:
-        return all(x == 0.0 for x in u.c[1:])
-    return u.dt == u.dw == u.dtt == u.dtw == u.dww == 0.0
 
 
 def _int_pow(u, n: int, jet_cls):
@@ -545,7 +470,7 @@ def _int_pow(u, n: int, jet_cls):
 
 def _pow(u, v, jet_cls):
     # Constant integer exponent: repeated multiplication, valid for any base.
-    if jet_cls is _Plain or _is_constant_jet(v, jet_cls):
+    if jet_cls is _Plain or all(x == 0.0 for x in v.c[1:]):
         e = _value(v, jet_cls)
         if float(e).is_integer() and abs(e) <= 64:
             return _int_pow(u, int(e), jet_cls)
@@ -596,15 +521,6 @@ def eval_s(expr: Expr, s0: float) -> Jet1x4:
     out = _walk(expr, {"s": Jet1x4.variable(s0)}, Jet1x4)
     for d in out.derivatives():
         _check_finite(d, "jet derivative")
-    return out
-
-
-def eval_tw(expr: Expr, t0: float, w0: float) -> Jet2x2:
-    """Evaluate an expression in t, w as a second-order jet of partials."""
-    out = _walk(expr, {"t": Jet2x2.variable_t(t0),
-                       "w": Jet2x2.variable_w(w0)}, Jet2x2)
-    for d in (out.v, out.dt, out.dw, out.dtt, out.dtw, out.dww):
-        _check_finite(d, "jet partial")
     return out
 
 

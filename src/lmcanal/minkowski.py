@@ -77,9 +77,6 @@ class Vec4:
     def components(self) -> tuple[float, float, float, float]:
         return (self.x1, self.x2, self.x3, self.x4)
 
-    def is_finite(self) -> bool:
-        return all(math.isfinite(c) for c in self.components())
-
     def euclid_norm(self) -> float:
         """Auxiliary Euclidean length, used only for gauge fixing."""
         return math.sqrt(self.x1**2 + self.x2**2 + self.x3**2 + self.x4**2)

@@ -176,9 +176,7 @@ def forms_batch(jet: SurfaceJet):
                                   + v[:, 2] * v[:, 2] + v[:, 3] * v[:, 3])
                           for v in tangents], axis=0)
         scale = np.fmax(1.0, longest * longest * longest)
-        # libm's pow, as the one-point form computed it (it can differ from
-        # sqrt in the last ulp)
-        length = np.array([x ** 0.5 for x in q.tolist()], dtype=float)
+        length = np.sqrt(q)
         degenerate = length <= DEGENERATE_TOL * scale
         normal = raw / length[:, None]
         eps = np.where(inner_rows(normal, normal) > 0, 1, -1)

@@ -31,6 +31,7 @@ by name.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -87,6 +88,19 @@ def _expect(cond: bool, message: str, path: str):
         raise SceneError(message, path)
 
 
+def _number(x, path: str, integral: bool = False):
+    """A JSON number as a float, or as an int when ``integral``; booleans,
+    strings, nulls, non-finite and (for counts) fractional values are
+    schema errors."""
+    _expect(isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max,
+            f"expected a finite number, got {x!r}", path)
+    if not integral:
+        return float(x)
+    _expect(float(x).is_integer(), f"expected an integer, got {x!r}", path)
+    return int(x)
+
+
 def _parse_expr(text, path: str, allowed: tuple = expr.VARIABLES):
     _expect(isinstance(text, str), "expected an expression string", path)
     try:
@@ -127,7 +141,10 @@ def _parse_curve(node, path: str) -> CurveSpec:
                 and all(isinstance(row, list) and len(row) == 4 for row in cf),
                 "completion_frame must be 4 rows of 4 numbers",
                 f"{path}.completion_frame")
-        completion = tuple(Vec4(*(float(x) for x in row)) for row in cf)
+        completion = tuple(
+            Vec4(*(_number(x, f"{path}.completion_frame[{i}][{j}]")
+                   for j, x in enumerate(row)))
+            for i, row in enumerate(cf))
     return CurveSpec(components=components, curve_class=cls,
                      completion_frame=completion)
 
@@ -140,7 +157,7 @@ def _parse_family(node, curve_class: CurveClass, path: str) -> CanalFamily:
     except ValueError:
         raise SceneError(f"unknown variant {node['variant']!r}",
                          f"{path}.variant") from None
-    branch = node.get("branch", 1)
+    branch = _number(node.get("branch", 1), f"{path}.branch", integral=True)
     _expect(branch in (1, -1), "branch must be 1 or -1", f"{path}.branch")
     try:
         return CanalFamily(curve_class, variant, branch)
@@ -158,8 +175,9 @@ def _parse_grid(node, path: str) -> GridSpec:
         _expect(isinstance(spec, list) and len(spec) == 3,
                 "axis spec must be [lo, hi, count]", f"{path}.{axis}")
         lo, hi, n = spec
-        ranges[axis] = (float(lo), float(hi))
-        counts[axis] = int(n)
+        ranges[axis] = (_number(lo, f"{path}.{axis}"),
+                        _number(hi, f"{path}.{axis}"))
+        counts[axis] = _number(n, f"{path}.{axis}", integral=True)
     fixed_axis = fixed_value = None
     if "fixed" in node:
         fx = node["fixed"]
@@ -168,7 +186,7 @@ def _parse_grid(node, path: str) -> GridSpec:
         fixed_axis = fx["axis"]
         _expect(fixed_axis in AXES, f"fixed axis must be one of {AXES}",
                 f"{path}.fixed.axis")
-        fixed_value = float(fx["value"])
+        fixed_value = _number(fx["value"], f"{path}.fixed.value")
     try:
         return GridSpec(s_range=ranges["s"], t_range=ranges["t"],
                         w_range=ranges["w"], n_s=counts["s"],
@@ -210,9 +228,9 @@ def parse_scene(doc: dict, name: str = "<scene>") -> SceneSpec:
 
     grid = _parse_grid(doc["grid"], "$.grid")
     projection = doc.get("projection", "x1x3x4")
-    _expect(projection in PROJECTIONS,
+    _expect(isinstance(projection, str) and projection in PROJECTIONS,
             f"projection must be one of {sorted(PROJECTIONS)}", "$.projection")
-    step = float(doc.get("oracle_step", 1e-3))
+    step = _number(doc.get("oracle_step", 1e-3), "$.oracle_step")
     _expect(step > 0, "oracle_step must be positive", "$.oracle_step")
     return SceneSpec(name=doc.get("name", name), curve=curve, family=family,
                      radius=radius, shape=shape, nc=nc, grid=grid,

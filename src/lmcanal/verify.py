@@ -46,7 +46,6 @@ class Check:
     value: float
     tol: float
     passed: bool
-    note: str = ""
 
 
 @dataclass
@@ -56,11 +55,11 @@ class VerifyReport:
     points_checked: int = 0
     points_singular: int = 0
 
-    def add(self, name, value, tol, note=""):
-        self.checks.append(Check(name, value, tol, value <= tol, note))
+    def add(self, name, value, tol):
+        self.checks.append(Check(name, value, tol, value <= tol))
 
-    def add_flag(self, name, ok: bool, note=""):
-        self.checks.append(Check(name, 0.0 if ok else 1.0, 0.5, ok, note))
+    def add_flag(self, name, ok: bool):
+        self.checks.append(Check(name, 0.0 if ok else 1.0, 0.5, ok))
 
     @property
     def passed(self) -> bool:

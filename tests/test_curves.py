@@ -2,12 +2,13 @@
 curves, plus the Gram-table / frame-ODE verification machinery."""
 
 import math
+import random
 
 import pytest
 
 from lmcanal import expr
 from lmcanal.curves import (CurveClass, CurveSpec, DegenerateCurveError,
-                            FrenetData, UnknownCurveError, builtin,
+                            FrenetData, UnknownCurveError, _null_mate, builtin,
                             builtin_names, derive_frame, frenet_rhs,
                             gram_residual, verify_frame)
 from lmcanal.minkowski import Vec4, inner
@@ -172,3 +173,87 @@ def test_curves_hash_by_identity():
     assert hash(a) == object.__hash__(a)
     assert a == a and a != b
     assert derive_frame(a, 0.25) == derive_frame(b, 0.25)
+
+
+# Lorentz boost (cosh, sinh) = (5/4, 3/4) in the x1-x2 plane, then a shift.
+BOOST_CH, BOOST_SH = 1.25, 0.75
+SHIFT = (0.5, -1.0, 2.0, 0.25)
+
+
+def _boost(v: Vec4) -> Vec4:
+    return Vec4(BOOST_CH * v.x1 + BOOST_SH * v.x2,
+                BOOST_SH * v.x1 + BOOST_CH * v.x2, v.x3, v.x4)
+
+
+def _boosted_curve(name: str) -> CurveSpec:
+    """The builtin curve moved by the isometry, as custom components."""
+    curve = builtin(name)
+    c1, c2, c3, c4 = (f"({expr.to_str(c)})" for c in curve.components)
+    texts = (f"5/4*{c1} + 3/4*{c2} + {SHIFT[0]}",
+             f"3/4*{c1} + 5/4*{c2} + {SHIFT[1]}",
+             f"{c3} + {SHIFT[2]}", f"{c4} + {SHIFT[3]}")
+    gauge = None if curve.f3_gauge is None else _boost(curve.f3_gauge)
+    return CurveSpec(components=tuple(expr.parse(t) for t in texts),
+                     curve_class=curve.curve_class, f3_gauge=gauge)
+
+
+@pytest.mark.parametrize("name", ["pseudo-null-example",
+                                  "partially-null-example"])
+def test_frames_are_lorentz_equivariant(name):
+    # The frame construction uses only the metric, so the frame of the
+    # moved curve is the boosted frame and the curvatures are unchanged.
+    curve, moved = builtin(name), _boosted_curve(name)
+    for s in SAMPLES:
+        fr, mv = derive_frame(curve, s), derive_frame(moved, s)
+        for got, want in zip(mv.vectors(), fr.vectors()):
+            assert (got - _boost(want)).euclid_norm() <= 1e-9, (name, s)
+        for got, want in zip((mv.k1, mv.k2, mv.k3), (fr.k1, fr.k2, fr.k3)):
+            assert abs(got - want) <= 1e-8, (name, s)
+        assert (mv.point - _boost(fr.point)
+                - Vec4(*SHIFT)).euclid_norm() <= 1e-12, (name, s)
+
+
+def _random_lorentz(rng):
+    """A random proper Lorentz transformation: four boosts or rotations in
+    random coordinate planes."""
+    ops = [(*sorted(rng.sample(range(4), 2)), rng.uniform(-1.5, 1.5))
+           for _ in range(4)]
+
+    def apply(v: Vec4) -> Vec4:
+        x = list(v.components())
+        for i, j, a in ops:
+            if i == 0:  # boost in the (x1, xj) plane
+                c, sh = math.cosh(a), math.sinh(a)
+                x[i], x[j] = c * x[i] + sh * x[j], sh * x[i] + c * x[j]
+            else:
+                c, sn = math.cos(a), math.sin(a)
+                x[i], x[j] = c * x[i] - sn * x[j], sn * x[i] + c * x[j]
+        return Vec4(*x)
+    return apply
+
+
+def test_null_mate_solves_the_gram_conditions():
+    # Standard pair: a, b unit spacelike, <mate, x> = 1 with both null.
+    rt2 = math.sqrt(2.0)
+    a0, b0 = Vec4(0.0, 0.0, 1.0, 0.0), Vec4(0.0, 0.0, 0.0, 1.0)
+    m0, x0 = Vec4(1.0, 1.0, 0.0, 0.0) / rt2, Vec4(-1.0, 1.0, 0.0, 0.0) / rt2
+    rng = random.Random(5)
+    for _ in range(200):
+        move, lam = _random_lorentz(rng), math.exp(rng.uniform(-2.0, 2.0))
+        a, b, mate = move(a0), move(b0), lam * move(m0)
+        want = move(x0) / lam
+        got = _null_mate(a, b, mate)
+        assert (got - want).euclid_norm() <= 1e-10 * want.euclid_norm()
+        assert abs(inner(got, mate) - 1.0) <= 1e-10
+        assert abs(inner(got, got)) <= 1e-10 * want.euclid_norm() ** 2
+
+
+def test_null_mate_rejects_degenerate_input():
+    a, b = Vec4(0.0, 0.0, 1.0, 0.0), Vec4(0.0, 0.0, 0.0, 1.0)
+    mate = Vec4(1.0, 1.0, 0.0, 0.0)
+    with pytest.raises(DegenerateCurveError):
+        _null_mate(a, a, mate)  # vanishing Gram determinant
+    with pytest.raises(DegenerateCurveError):
+        _null_mate(a, b, Vec4(0.0, 0.0, 0.0, 0.0))  # nothing to pair with
+    with pytest.raises(DegenerateCurveError):
+        _null_mate(a, b, a)  # the pairing vanishes after the projection

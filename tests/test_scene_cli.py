@@ -66,6 +66,42 @@ def test_schema_error_paths():
         parse_scene(doc)
     assert err.value.path == "$.version"
 
+    # malformed values: wrong types, booleans, fractional counts
+    def with_grid(axis, spec):
+        doc = minimal_doc()
+        doc["grid"][axis] = spec
+        return doc
+
+    fixed = minimal_doc()
+    fixed["grid"]["fixed"] = {"axis": "w", "value": "q"}
+    branch = minimal_doc()
+    branch["family"]["branch"] = True
+    frame = minimal_doc()
+    frame["curve"] = {"class": "pseudo-null",
+                      "components": ["s", "0", "0", "0"],
+                      "completion_frame": [[0, 1, 0, 0], [1, 0, 0, "x"],
+                                           [0, 0, 1, 0], [0, 0, 0, 1]]}
+    for doc, path in ((with_grid("s", ["a", 1, 5]), "$.grid.s"),
+                      (with_grid("s", [None, 1, 5]), "$.grid.s"),
+                      (with_grid("t", [0.7, 1.4, 4.9]), "$.grid.t"),
+                      (with_grid("w", [0.5, 2.5, True]), "$.grid.w"),
+                      (with_grid("w", [0.5, 2.5, "4"]), "$.grid.w"),
+                      (dict(minimal_doc(), oracle_step="x"), "$.oracle_step"),
+                      (dict(minimal_doc(), oracle_step=math.nan),
+                       "$.oracle_step"),
+                      (fixed, "$.grid.fixed.value"),
+                      (dict(minimal_doc(), projection=["x1x2x3"]),
+                       "$.projection"),
+                      (branch, "$.family.branch"),
+                      (frame, "$.curve.completion_frame[1][3]")):
+        with pytest.raises(SceneError) as err:
+            parse_scene(doc)
+        assert err.value.path == path
+
+    # integral floats are counts; the parsed count is an int
+    scene = parse_scene(with_grid("s", [0.3, 0.9, 4.0]))
+    assert scene.grid.n_s == 4 and isinstance(scene.grid.n_s, int)
+
 
 def test_family_class_compatibility_checked():
     doc = minimal_doc()
@@ -176,6 +212,17 @@ def test_cli_verify_regime_violation_exits_1(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 1
     assert "r'^2 < 1" in err
+
+
+def test_cli_malformed_number_exits_1(capsys, tmp_path):
+    doc = minimal_doc()
+    doc["grid"]["s"] = ["a", 1, 5]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--scene", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("lmcanal: $.grid.s: ")
 
 
 def test_cli_frames_accepts_scene(capsys):
