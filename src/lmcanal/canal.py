@@ -31,7 +31,9 @@ from enum import Enum
 import numpy as np
 
 from . import expr
-from .curves import CurveClass, CurveSpec, FrenetData, derive_frame
+from .curves import CurveClass, CurveSpec, FrenetData, derive_frames
+from .curves import derive_frame  # noqa: F401  (importable from canal)
+from .expr import libm
 from .minkowski import Vec4
 
 #: Scaled threshold below which a closed-form denominator counts as singular.
@@ -125,7 +127,9 @@ class RadiusSpec:
     def from_text(text: str) -> "RadiusSpec":
         return RadiusSpec(expr.parse(text))
 
-    def jet(self, s: float) -> tuple[float, float, float, float]:
+    def jet(self, s):
+        """(r, r', r'', r''') at s: floats for one s, arrays of the shape of
+        an array of s values (one jet walk, see ``expr.eval_s``)."""
         j = expr.eval_s(self.expression, s)
         return (j.value, j.d1, j.d2, j.d3)
 
@@ -173,13 +177,14 @@ class CurvaturePair:
 # The batched field kernel
 #
 # ``field`` evaluates a family at N parameter points in one pass.  It derives
-# the frame and the radius jet once per distinct s, the shape values and
-# their trig values once per distinct (t, w), and the null coefficients once
-# per distinct (s, t, w).  Transcendental functions run through Python's
-# math module and numpy only combines their values with correctly rounded
-# elementwise operations (+ - * /, square, sqrt), so a point gets the same
-# bits in any batch.  The one-point entry points (evaluate_point,
-# frame_coefficients, curvature_closed) are adapters over the same functions.
+# the frames and radius jets of all distinct s in one call each, the shape
+# values and their trig values once per distinct (t, w), and the null
+# coefficients once per distinct (s, t, w).  Transcendental functions run
+# through Python's math module (``expr.libm``) and numpy only combines their
+# values with correctly rounded elementwise operations (+ - * /, square,
+# sqrt), so a point gets the same bits in any batch.  The one-point entry
+# points (evaluate_point, frame_coefficients, curvature_closed) are adapters
+# over the same functions.
 
 
 @dataclass(frozen=True)
@@ -199,15 +204,6 @@ class Field:
     singular: np.ndarray
 
 
-def _libm(fn, x):
-    """A math-module function applied to every element of x.  numpy's own
-    sin, cos, sinh and cosh can differ from libm in the last ulp depending on
-    memory layout, and a point must get the same bits in any batch."""
-    x = np.asarray(x, dtype=float)
-    return np.array([fn(v) for v in x.ravel().tolist()],
-                    dtype=float).reshape(x.shape)
-
-
 def _distinct(*columns):
     """Distinct rows of equal-length float columns, compared bit for bit,
     and the index of each row's distinct entry."""
@@ -224,64 +220,48 @@ def _distinct(*columns):
     return [c[order[starts]] for c in cols], inverse
 
 
-def _check_radius(variant: Variant, r: float, r1: float) -> None:
-    if r <= 0:
-        raise RegimeError(f"radius must be positive, got r={r}")
-    if variant.is_tubular and abs(r1) > CONST_RADIUS_TOL:
-        raise RegimeError(
-            f"tubular variant requires a constant radius, got r'={r1}")
+def _regime(bad, message: str, x) -> None:
+    """Raise ``RegimeError(message)`` with the first element of x where
+    ``bad`` holds filled in."""
+    if np.any(bad):
+        raise RegimeError(message.format(float(np.asarray(x)[bad][0])))
 
 
-def _radial_scale(variant: Variant, r: float, r1: float) -> float:
-    """r * sqrt(...) radial factor of a non-null variant, with the variant
-    regime checks."""
+def _check_radius(variant: Variant, r, r1) -> None:
+    _regime(r <= 0, "radius must be positive, got r={}", r)
+    if variant.is_tubular:
+        _regime(np.abs(r1) > CONST_RADIUS_TOL,
+                "tubular variant requires a constant radius, got r'={}", r1)
+
+
+def _radial_scale(variant: Variant, r, r1):
+    """r * sqrt(...) radial factor of a non-null variant at floats or
+    arrays r, r', with the variant regime checks."""
     _check_radius(variant, r, r1)
     if variant.is_tubular:
         return r
+    q = r1 * r1
     if variant in (Variant.C1, Variant.C2, Variant.C3):
-        if r1 * r1 >= 1.0:
-            raise RegimeError(f"variant {variant.value} requires r'^2 < 1, "
-                              f"got r'={r1}")
-        return r * math.sqrt(1.0 - r1 * r1)
+        _regime(q >= 1.0, f"variant {variant.value} requires r'^2 < 1, "
+                "got r'={}", r1)
+        return r * np.sqrt(1.0 - q)
     if variant is Variant.C4:
-        if r1 * r1 <= 1.0:
-            raise RegimeError(f"variant C4 requires r'^2 > 1, got r'={r1}")
-        return r * math.sqrt(r1 * r1 - 1.0)
-    return r * math.sqrt(1.0 + r1 * r1)  # C5
-
-
-@dataclass(frozen=True)
-class _Frames:
-    """Per distinct s: curve point, frame rows F1..F4, k1, the radius jet
-    and (non-null families) the radial scale."""
-
-    gamma: np.ndarray   # (n, 4)
-    vectors: np.ndarray  # (n, 4, 4)
-    k1: np.ndarray
-    r: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-    rho: np.ndarray
+        _regime(q <= 1.0, "variant C4 requires r'^2 > 1, got r'={}", r1)
+        return r * np.sqrt(q - 1.0)
+    return r * np.sqrt(1.0 + q)  # C5
 
 
 def _frames(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
-            s_values) -> _Frames:
-    n = len(s_values)
-    gamma, vectors = np.empty((n, 4)), np.empty((n, 4, 4))
-    rows = np.empty((5, n))
-    for i, s in enumerate(s_values.tolist()):
-        fr = derive_frame(curve, s)
-        r, r1, r2, _ = radius.jet(s)
-        if family.variant.is_null_variant:
-            _check_radius(family.variant, r, r1)
-            rho = math.nan
-        else:
-            rho = _radial_scale(family.variant, r, r1)
-        gamma[i] = fr.point.components()
-        for k, v in enumerate(fr.vectors()):
-            vectors[i, k] = v.components()
-        rows[:, i] = (fr.k1, r, r1, r2, rho)
-    return _Frames(gamma, vectors, *rows)
+            s_values):
+    """Frame rows, the radius jet (r, r', r'') and, for non-null families,
+    the radial scale at the s values; frames and jets come from one call
+    each."""
+    fr = derive_frames(curve, s_values)
+    r, r1, r2, _ = radius.jet(s_values)
+    if family.variant.is_null_variant:
+        _check_radius(family.variant, r, r1)
+        return fr, (r, r1, r2), None
+    return fr, (r, r1, r2), _radial_scale(family.variant, r, r1)
 
 
 # Fiber coefficient patterns (F2, F3, F4) per variant over the trig pair
@@ -315,9 +295,9 @@ def _fiber(family: CanalFamily, f, g):
     """Fiber coefficients (per unit radial scale) and the closed forms'
     branch-signed trig value T at shape values f, g."""
     if family.variant in _CIRCULAR:
-        a, b = _libm(math.sin, f), _libm(math.cos, f)
+        a, b = libm(math.sin, f), libm(math.cos, f)
     else:
-        a, b = _libm(math.sinh, f), _libm(math.cosh, f)
+        a, b = libm(math.sinh, f), libm(math.cosh, f)
     pattern = (_fiber_pseudo if family.curve_class is CurveClass.PSEUDO_NULL
                else _fiber_partial)
     fiber, trig = pattern(family.variant, a, b, g)
@@ -327,9 +307,7 @@ def _fiber(family: CanalFamily, f, g):
 def _null_coefficients(lam: int, r, r1, a1, cos_theta, sin_theta):
     """(a1, a2, a3, a4) of a null-center family from its free data."""
     rho_sq = lam * r * (r + 2.0 * a1 * r1)
-    if np.any(rho_sq < 0):
-        raise RegimeError(f"rho^2 = lambda*r*(r + 2*a1*r') = "
-                          f"{rho_sq[rho_sq < 0][0]} < 0")
+    _regime(rho_sq < 0, "rho^2 = lambda*r*(r + 2*a1*r') = {} < 0", rho_sq)
     rho = np.sqrt(rho_sq)
     return (a1, rho * cos_theta, -lam * r * r1, rho * sin_theta)
 
@@ -384,8 +362,8 @@ def field(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
                                     for x in (s, t, w)))
     with np.errstate(all="ignore"):
         (s_values,), s_ix = _distinct(s)
-        fr = _frames(family, curve, radius, s_values)
-        r, r1 = fr.r[s_ix], fr.r1[s_ix]
+        fr, jet, rho = _frames(family, curve, radius, s_values)
+        r, r1, r2 = (x[s_ix] for x in jet)
         K = H = None
         singular = np.zeros(len(s), dtype=bool)
         if family.variant.is_null_variant:
@@ -395,18 +373,18 @@ def field(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
                                             wu.tolist())],
                 dtype=float).reshape(-1, 2).T
             coeff = _null_coefficients(family.lam, r, r1, a1[ix],
-                                       _libm(math.cos, theta)[ix],
-                                       _libm(math.sin, theta)[ix])
+                                       libm(math.cos, theta)[ix],
+                                       libm(math.sin, theta)[ix])
         else:
             fiber, trig, g, ix = _shape_table(family, shape, t, w)
-            coeff = _fiber_coefficients(family, r, r1, fr.rho[s_ix],
+            coeff = _fiber_coefficients(family, r, r1, rho[s_ix],
                                         [c[ix] for c in fiber])
-            K, H, singular = _closed(family, fr.k1[s_ix], r, r1,
-                                     fr.r2[s_ix], trig[ix], g[ix])
+            K, H, singular = _closed(family, fr.k1[s_ix], r, r1, r2,
+                                     trig[ix], g[ix])
         center = fr.gamma[s_ix]
         points = center.copy()
-        for k, a in enumerate(coeff):
-            points += a[:, None] * fr.vectors[s_ix, k]
+        for a, f in zip(coeff, (fr.f1, fr.f2, fr.f3, fr.f4)):
+            points += a[:, None] * f[s_ix]
     return Field(points, center, r, K, H, singular)
 
 
@@ -415,14 +393,14 @@ def frame_coefficients(family: CanalFamily, r_jet, f: float, g: float,
     """Offset coefficients (a1, a2, a3, a4) of C - gamma in the frame."""
     r, r1 = (np.array([x], dtype=float) for x in r_jet[:2])
     if family.variant.is_null_variant:
-        _check_radius(family.variant, r_jet[0], r_jet[1])
+        _check_radius(family.variant, r, r1)
         if nc_values is None:
             raise RegimeError("null families require NullCoefficients")
         a1, theta = nc_values
         coeff = _null_coefficients(family.lam, r, r1, np.array([a1]),
                                    math.cos(theta), math.sin(theta))
     else:
-        rho = np.array([_radial_scale(family.variant, r_jet[0], r_jet[1])])
+        rho = _radial_scale(family.variant, r, r1)
         if g == 0.0:
             raise RegimeError(
                 "shape function g vanishes at the evaluation point")
@@ -769,9 +747,10 @@ def weingarten_residuals(family: CanalFamily, curve: CurveSpec,
     differences (step WEINGARTEN_STEP) of the closed forms at the points.
 
     A point is singular when any of its six closed-form evaluations is.
-    The shape values are computed once for every (t, w) the differences
-    need; the closed forms are evaluated one s-slab (the points sharing
-    one s value) at a time, which bounds the temporaries.
+    The frames and radius jets of every s the differences need come from
+    one call and the shape values are computed once for every (t, w) they
+    need; the closed forms are evaluated one s-slab (the points sharing one
+    s value) at a time, which bounds the temporaries.
     """
     if not family.variant.is_tubular or family.variant.is_null_variant:
         raise UnsupportedFamilyError(
@@ -792,15 +771,18 @@ def weingarten_residuals(family: CanalFamily, curve: CurveSpec,
             family, shape, np.concatenate([tc, tc, tc + h, tc - h, tc, tc]),
             np.concatenate([wc, wc, wc, wc, wc + h, wc - h]))
         offset_ix = offset_ix.reshape(6, -1)
-        rows = np.array([0, 1, 2, 2, 2, 2])[:, None]
+        # frames at s+h, s-h and s of every distinct s, in one call
         (s_values,), slab_of = _distinct(s)
-        for k, sv in enumerate(s_values.tolist()):
+        m = len(s_values)
+        fr, (r, r1, r2), _ = _frames(
+            family, curve, radius,
+            np.concatenate([s_values + h, s_values - h, s_values]))
+        for k in range(m):
             sel = np.flatnonzero(slab_of == k)
-            fr = _frames(family, curve, radius,
-                         np.array([sv + h, sv - h, sv]))
+            rows = k + m * np.array([0, 1, 2, 2, 2, 2])[:, None]
             ix = offset_ix[:, tw_of[sel]]
-            K, H, bad = _closed(family, fr.k1[rows], fr.r[rows], fr.r1[rows],
-                                fr.r2[rows], trig[ix], g[ix])
+            K, H, bad = _closed(family, fr.k1[rows], r[rows], r1[rows],
+                                r2[rows], trig[ix], g[ix])
             ok = ~bad.any(axis=0)
             K, H = K[:, ok], H[:, ok]
             H_s = (H[0] - H[1]) / (2 * h)

@@ -14,6 +14,7 @@ modules.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import mesh as mesh_mod
@@ -40,6 +41,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive(kind, noun):
+    """argparse type: a finite value of ``kind`` above zero."""
+    def parse(text):
+        try:
+            x = kind(text)
+        except ValueError:
+            x = math.nan
+        if not (math.isfinite(x) and x > 0):
+            raise argparse.ArgumentTypeError(
+                f"expected a positive {noun}, got {text!r}")
+        return x
+    return parse
+
+
+_POSITIVE = _positive(float, "number")
+_COUNT = _positive(int, "integer")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="lmcanal",
                   description="canal/tubular hypersurfaces in E^4_1")
@@ -54,22 +73,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-min", type=float, default=-1.0)
     p.add_argument("--s-max", type=float, default=1.0)
     p.add_argument("-n", "--samples", type=int, default=50)
-    p.add_argument("--step", type=float, default=1e-4,
+    p.add_argument("--step", type=_POSITIVE, default=1e-4,
                    help="central-difference step for the frame ODE check")
-    p.add_argument("--gram-tol", type=float, default=1e-8)
-    p.add_argument("--ode-tol", type=float, default=1e-5)
+    p.add_argument("--gram-tol", type=_POSITIVE, default=1e-8)
+    p.add_argument("--ode-tol", type=_POSITIVE, default=1e-5)
 
     p = sub.add_parser("verify", help="verify a scene against the oracle")
     p.add_argument("--scene", required=True,
                    help="scene file or bundled scene name "
                         f"(bundled: {', '.join(bundled_scene_names() or ['-'])})")
-    p.add_argument("--rel-tol", type=float, default=1e-4)
-    p.add_argument("--abs-tol", type=float, default=1e-6)
-    p.add_argument("--step", type=float, default=None,
+    p.add_argument("--rel-tol", type=_POSITIVE, default=1e-4)
+    p.add_argument("--abs-tol", type=_POSITIVE, default=1e-6)
+    p.add_argument("--step", type=_POSITIVE, default=None,
                    help="override the scene's oracle step")
     p.add_argument("--min-points", type=int, default=1,
                    help="required number of nonsingular grid points")
-    p.add_argument("--envelope-points", type=int, default=200)
+    p.add_argument("--envelope-points", type=_COUNT, default=200)
     p.add_argument("--no-weingarten", action="store_true")
 
     p = sub.add_parser("mesh", help="sweep a scene and export mesh/field")

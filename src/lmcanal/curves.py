@@ -11,21 +11,24 @@ and curvatures (k1, k2, k3):
 * null          -- null tangent, arclength normalized by <gamma'',gamma''> = 1;
                    k1 is 0 or 1, <F1,F3> = 1.
 
-Frames are derived numerically from order-4 jets of the curve components.
-The frame vectors that the Gram tables leave underdetermined are fixed by
-documented gauge choices (see ``derive_frame``); builtin example curves
+Frames are derived numerically from order-4 jets of the curve components,
+for a whole array of parameter values at once (``derive_frames``).  The
+frame vectors that the Gram tables leave underdetermined are fixed by
+documented gauge choices (see ``derive_frames``); builtin example curves
 carry their analytic frames as reference data and pin the gauge so derived
 and analytic frames agree componentwise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import expr
-from .minkowski import Vec4, inner, triple_cross
+from .expr import libm
+from .minkowski import Vec4, inner, inner_rows, triple_cross_rows
 
 #: Band for "this quadratic form should vanish" checks on normalized data.
 NULL_TOL = 1e-9
@@ -120,7 +123,7 @@ class CurveSpec:
     def point(self, s: float) -> Vec4:
         return Vec4(*(expr.eval_value(c, s=s) for c in self.components))
 
-    def jets(self, s: float) -> tuple:
+    def jets(self, s) -> tuple:
         return tuple(expr.eval_s(c, s) for c in self.components)
 
 
@@ -255,15 +258,48 @@ def builtin_names() -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Frame derivation
-
-def _jet_vectors(curve: CurveSpec, s: float):
-    jets = (j.derivatives() for j in curve.jets(s))
-    return [Vec4(*d) for d in zip(*jets)]  # gamma, gamma', ..., gamma''''
+# Frame derivation, on rows: each vector is an (n, 4) array with one s per
+# row, combined by numpy's correctly rounded + - * / and sqrt with every
+# power through ``expr.libm``, so a row gets the same bits in any batch.
 
 
-def _null_mate(a: Vec4, b: Vec4, mate: Vec4) -> Vec4:
-    """The null vector x with <x, a> = <x, b> = 0 and <x, mate> = 1.
+@dataclass(frozen=True)
+class FrameRows:
+    """Curve points and frame vectors F1..F4 at n parameter values as
+    (n, 4) rows, and the curvatures k1..k3 as (n,) arrays."""
+
+    gamma: np.ndarray
+    f1: np.ndarray
+    f2: np.ndarray
+    f3: np.ndarray
+    f4: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
+    k3: np.ndarray
+
+
+def _euclid(v):
+    """Euclidean length of each row, the auxiliary norm of gauge fixing."""
+    q = libm(pow, v, 2)
+    return np.sqrt(q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3])
+
+
+def _not_null(q, v):
+    """|<v, v>| = |q| above the null band at the Euclidean scale of v."""
+    return np.abs(q) > NULL_TOL * np.fmax(1.0, libm(pow, _euclid(v), 2))
+
+
+def _refuse(error, bad, s, message, values=None):
+    """Raise ``error`` for the first row where ``bad`` holds, with
+    ``message`` formatted from its s and its entry v of ``values``."""
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise error(message.format(
+            s=float(s[i]), v=None if values is None else values[i]))
+
+
+def _null_mate(a, b, mate, s):
+    """Rows x, null, with <x, a> = <x, b> = 0 and <x, mate> = 1.
 
     ``a``, ``b`` are unit spacelike and ``mate`` is null and orthogonal to
     both, so the solutions of the three linear conditions form a line
@@ -271,145 +307,148 @@ def _null_mate(a: Vec4, b: Vec4, mate: Vec4) -> Vec4:
     <y, mate> = |mate|_E^2 > 0, project out span{a, b} with their Gram
     table, scale the pairing to 1 and move along mate to the null point.
     """
-    y = Vec4(-mate.x1, mate.x2, mate.x3, mate.x4)
-    gaa, gab, gbb = inner(a, a), inner(a, b), inner(b, b)
+    y = np.concatenate([-mate[:, :1], mate[:, 1:]], axis=1)
+    gaa, gab, gbb = inner_rows(a, a), inner_rows(a, b), inner_rows(b, b)
     det = gaa * gbb - gab * gab
-    if abs(det) < DEGENERATE_TOL:
-        raise DegenerateCurveError("frame vectors are linearly dependent")
-    ya, yb = inner(y, a), inner(y, b)
+    _refuse(DegenerateCurveError, np.abs(det) < DEGENERATE_TOL, s,
+            "frame vectors are linearly dependent at s={s}")
+    ya, yb = inner_rows(y, a), inner_rows(y, b)
     ca, cb = (gbb * ya - gab * yb) / det, (gaa * yb - gab * ya) / det
-    y = y - ca * a - cb * b
-    p = inner(y, mate)
-    if not p > DEGENERATE_TOL * mate.euclid_norm() ** 2:
-        raise DegenerateCurveError("cannot normalize null frame partner")
-    y = y / p
-    return y - (inner(y, y) / 2.0) * mate
+    y = y - ca[:, None] * a - cb[:, None] * b
+    p = inner_rows(y, mate)
+    _refuse(DegenerateCurveError,
+            ~(p > DEGENERATE_TOL * libm(pow, _euclid(mate), 2)), s,
+            "cannot normalize null frame partner at s={s}")
+    y = y / p[:, None]
+    return y - (inner_rows(y, y) / 2.0)[:, None] * mate
 
 
-def _lex_sign(v: Vec4) -> float:
-    for c in v.components():
-        if abs(c) > 1e-12:
-            return 1.0 if c > 0 else -1.0
-    return 1.0
+def _lex_sign(u):
+    """Per row: the sign of the first component above 1e-12 in modulus."""
+    big = np.abs(u) > 1e-12
+    lead = u[np.arange(len(u)), np.argmax(big, axis=1)]
+    return np.where(big.any(axis=1) & (lead < 0), -1.0, 1.0)
 
 
-def _derive_pseudo_null(curve: CurveSpec, s: float) -> FrenetData:
-    g, d1, d2, d3, d4 = _jet_vectors(curve, s)
-    if abs(inner(d1, d1) - 1.0) > UNIT_TOL:
-        raise ClassMismatchError(
-            f"tangent is not spacelike unit at s={s}: <g',g'>={inner(d1, d1)}")
-    if d2.euclid_norm() < DEGENERATE_TOL:
-        raise DegenerateCurveError(
-            f"straight line at s={s}: k1=0 branch has no canonical frame")
-    if abs(inner(d2, d2)) > NULL_TOL * max(1.0, d2.euclid_norm() ** 2):
-        raise ClassMismatchError(
-            f"principal normal is not null at s={s}: <g'',g''>={inner(d2, d2)}")
-    f1, f2 = d1, d2
-    q3 = inner(d3, d3)
-    if q3 <= DEGENERATE_TOL:
-        raise DegenerateCurveError(f"vanishing second curvature at s={s}")
-    k2 = math.sqrt(q3)  # gauge: k2 > 0
-    f3 = d3 / k2
-    f4 = _null_mate(f1, f3, f2)
-    k3 = inner(d4, f4) / k2
-    return FrenetData(s, f1, f2, f3, f4, 1.0, k2, k3, g)
+def _unit_tangent(s, d1):
+    q1 = inner_rows(d1, d1)
+    _refuse(ClassMismatchError, np.abs(q1 - 1.0) > UNIT_TOL, s,
+            "tangent is not spacelike unit at s={s}: <g',g'>={v}", q1)
 
 
-def _derive_partially_null(curve: CurveSpec, s: float) -> FrenetData:
-    g, d1, d2, d3, d4 = _jet_vectors(curve, s)
-    if abs(inner(d1, d1) - 1.0) > UNIT_TOL:
-        raise ClassMismatchError(
-            f"tangent is not spacelike unit at s={s}: <g',g'>={inner(d1, d1)}")
-    q2 = inner(d2, d2)
-    if d2.euclid_norm() < DEGENERATE_TOL:
-        raise DegenerateCurveError(
-            f"straight line at s={s}: supply a completion frame")
-    if q2 <= 0:
-        raise ClassMismatchError(
-            f"principal normal is not spacelike at s={s}: <g'',g''>={q2}")
-    k1 = math.sqrt(q2)
-    f1, f2 = d1, d2 / k1
+def _pseudo_null_rows(curve, s, d1, d2, d3, d4):
+    _unit_tangent(s, d1)
+    _refuse(DegenerateCurveError, _euclid(d2) < DEGENERATE_TOL, s,
+            "straight line at s={s}: k1=0 branch has no canonical frame")
+    q2 = inner_rows(d2, d2)
+    _refuse(ClassMismatchError, _not_null(q2, d2), s,
+            "principal normal is not null at s={s}: <g'',g''>={v}", q2)
+    q3 = inner_rows(d3, d3)
+    _refuse(DegenerateCurveError, q3 <= DEGENERATE_TOL, s,
+            "vanishing second curvature at s={s}")
+    k2 = np.sqrt(q3)  # gauge: k2 > 0
+    f3 = d3 / k2[:, None]
+    f4 = _null_mate(d1, f3, d2, s)
+    return d1, d2, f3, f4, np.ones(len(s)), k2, inner_rows(d4, f4) / k2
+
+
+def _partially_null_rows(curve, s, d1, d2, d3, d4):
+    _unit_tangent(s, d1)
+    q2 = inner_rows(d2, d2)
+    _refuse(DegenerateCurveError, _euclid(d2) < DEGENERATE_TOL, s,
+            "straight line at s={s}: supply a completion frame")
+    _refuse(ClassMismatchError, q2 <= 0, s,
+            "principal normal is not spacelike at s={s}: <g'',g''>={v}", q2)
+    k1 = np.sqrt(q2)
+    f2 = d2 / k1[:, None]
     # u = F2' + k1*F1 = k2*F3 points along the constant null binormal.
-    k1p = inner(d2, d3) / k1
-    u = (d3 / k1) - (k1p / (k1 * k1)) * d2 + k1 * d1
-    if u.euclid_norm() < DEGENERATE_TOL:
-        raise DegenerateCurveError(f"vanishing second curvature at s={s}")
-    if abs(inner(u, u)) > NULL_TOL * max(1.0, u.euclid_norm() ** 2):
-        raise ClassMismatchError(
-            f"binormal direction is not null at s={s}: <u,u>={inner(u, u)}")
+    k1p = inner_rows(d2, d3) / k1
+    u = d3 / k1[:, None] - (k1p / (k1 * k1))[:, None] * d2 + k1[:, None] * d1
+    nu = _euclid(u)
+    _refuse(DegenerateCurveError, nu < DEGENERATE_TOL, s,
+            "vanishing second curvature at s={s}")
+    quu = inner_rows(u, u)
+    _refuse(ClassMismatchError, _not_null(quu, u), s,
+            "binormal direction is not null at s={s}: <u,u>={v}", quu)
     if curve.f3_gauge is not None:
-        f3 = curve.f3_gauge
-        align = abs(inner_euclid_cos(u, f3))
-        if align < 1.0 - 1e-6:
-            raise ClassMismatchError(
-                f"f3 gauge vector is not parallel to the binormal at s={s}")
+        f3 = np.tile(np.array(curve.f3_gauge.components(), dtype=float),
+                     (len(s), 1))
+        # Euclidean direction cosine of u and the gauge vector
+        cos = np.abs(np.sum(u * f3, axis=1)) / (nu * _euclid(f3))
+        _refuse(ClassMismatchError, ~(cos >= 1.0 - 1e-6), s,
+                "f3 gauge vector is not parallel to the binormal at s={s}")
     else:
-        f3 = (_lex_sign(u) / u.euclid_norm()) * u
-    f4 = _null_mate(f1, f2, f3)
-    k2 = inner(u, f4)  # = <F2', F4> since <F1, F4> = 0
-    return FrenetData(s, f1, f2, f3, f4, k1, k2, 0.0, g)
+        f3 = (_lex_sign(u) / nu)[:, None] * u
+    f4 = _null_mate(d1, f2, f3, s)
+    k2 = inner_rows(u, f4)  # = <F2', F4> since <F1, F4> = 0
+    return d1, f2, f3, f4, k1, k2, np.zeros(len(s))
 
 
-def inner_euclid_cos(u: Vec4, v: Vec4) -> float:
-    """Euclidean direction cosine, used only for gauge validation."""
-    uu, vv = u.euclid_norm(), v.euclid_norm()
-    if uu == 0 or vv == 0:
-        return 0.0
-    dot = sum(a * b for a, b in zip(u.components(), v.components()))
-    return dot / (uu * vv)
-
-
-def _derive_null(curve: CurveSpec, s: float) -> FrenetData:
-    g, d1, d2, d3, d4 = _jet_vectors(curve, s)
-    if abs(inner(d1, d1)) > NULL_TOL * max(1.0, d1.euclid_norm() ** 2):
-        raise ClassMismatchError(
-            f"tangent is not null at s={s}: <g',g'>={inner(d1, d1)}")
-    if d2.euclid_norm() < DEGENERATE_TOL:
-        raise DegenerateCurveError(
-            f"straight null line at s={s}: supply a completion frame")
-    if abs(inner(d2, d2) - 1.0) > UNIT_TOL:
-        raise ClassMismatchError(
-            f"curve is not arclength parametrized at s={s}: "
-            f"<g'',g''>={inner(d2, d2)}")
-    f1, f2 = d1, d2
-    denom = inner(d1, d3)  # equals -<g'',g''> = -1 for arclength curves
-    if abs(denom) < DEGENERATE_TOL:
-        raise DegenerateCurveError(f"degenerate null frame at s={s}")
-    k2 = inner(d3, d3) / (2.0 * denom)
-    f3 = k2 * f1 - d3
+def _null_rows(curve, s, d1, d2, d3, d4):
+    q1 = inner_rows(d1, d1)
+    _refuse(ClassMismatchError, _not_null(q1, d1), s,
+            "tangent is not null at s={s}: <g',g'>={v}", q1)
+    _refuse(DegenerateCurveError, _euclid(d2) < DEGENERATE_TOL, s,
+            "straight null line at s={s}: supply a completion frame")
+    q2 = inner_rows(d2, d2)
+    _refuse(ClassMismatchError, np.abs(q2 - 1.0) > UNIT_TOL, s,
+            "curve is not arclength parametrized at s={s}: <g'',g''>={v}", q2)
+    denom = inner_rows(d1, d3)  # equals -<g'',g''> = -1 for arclength curves
+    _refuse(DegenerateCurveError, np.abs(denom) < DEGENERATE_TOL, s,
+            "degenerate null frame at s={s}")
+    k2 = inner_rows(d3, d3) / (2.0 * denom)
+    f3 = k2[:, None] * d1 - d3
     # Orientation gauge: F4 = -(F1 x F2 x F3), matching the builtin frame.
-    f4 = -triple_cross(f1, f2, f3)
-    q4 = inner(f4, f4)
-    if q4 <= DEGENERATE_TOL:
-        raise DegenerateCurveError(f"degenerate trinormal at s={s}")
-    f4 = f4 / math.sqrt(q4)
-    k3 = -inner(d4, f4)
-    return FrenetData(s, f1, f2, f3, f4, 1.0, k2, k3, g)
+    f4 = -triple_cross_rows(d1, d2, f3)
+    q4 = inner_rows(f4, f4)
+    _refuse(DegenerateCurveError, q4 <= DEGENERATE_TOL, s,
+            "degenerate trinormal at s={s}")
+    f4 = f4 / np.sqrt(q4)[:, None]
+    return d1, d2, f3, f4, np.ones(len(s)), k2, -inner_rows(d4, f4)
+
+
+def _completion_rows(curve, s, d1):
+    frame = np.array([v.components() for v in curve.completion_frame],
+                     dtype=float)
+    _refuse(ClassMismatchError, _euclid(d1 - frame[0]) > 1e-9, s,
+            "completion frame tangent differs from the curve tangent at s={s}")
+    zero = np.zeros(len(s))
+    return (*(np.tile(v, (len(s), 1)) for v in frame), zero, zero, zero)
+
+
+_CLASS_ROWS = {CurveClass.PSEUDO_NULL: _pseudo_null_rows,
+               CurveClass.PARTIALLY_NULL: _partially_null_rows,
+               CurveClass.NULL: _null_rows}
+
+
+def derive_frames(curve: CurveSpec, s) -> FrameRows:
+    """Frenet frames, curvatures and curve points gamma(s) at the values
+    of ``s``, one row each, from one jet walk per curve component.
+
+    Not cached: batched callers pass each distinct s once.  Gauge
+    conventions: pseudo null k2 > 0; partially null F3 from ``f3_gauge`` or
+    the Euclidean-unit lexicographically-positive null direction; null
+    F4 = -(F1 x F2 x F3).  Straight lines require a completion frame.  A
+    batch raises what the construction raises at its first failing s.
+    """
+    s = np.asarray(s, dtype=float).ravel()
+    g, d1, d2, d3, d4 = (np.stack(d, axis=1) for d in
+                         zip(*(j.derivatives() for j in curve.jets(s))))
+    with np.errstate(all="ignore"):
+        if curve.completion_frame is not None:
+            rows = _completion_rows(curve, s, d1)
+        else:
+            rows = _CLASS_ROWS[curve.curve_class](curve, s, d1, d2, d3, d4)
+    return FrameRows(g, *rows)
 
 
 def derive_frame(curve: CurveSpec, s: float) -> FrenetData:
-    """Frenet frame and curvatures of the curve at s.
-
-    The construction is pure and is not cached: batched callers derive one
-    frame per distinct s of their batch.  ``point`` is gamma(s) from the
-    same jets.  Gauge conventions: pseudo null k2 > 0; partially null F3
-    from ``f3_gauge`` or the Euclidean-unit lexicographically-positive null
-    direction; null F4 = -(F1 x F2 x F3).  Straight lines require a
-    completion frame.
-    """
-    s = float(s)
-    if curve.completion_frame is not None:
-        f1, f2, f3, f4 = curve.completion_frame
-        g, d1 = _jet_vectors(curve, s)[:2]
-        if (d1 - f1).euclid_norm() > 1e-9:
-            raise ClassMismatchError(
-                "completion frame tangent differs from the curve tangent")
-        return FrenetData(s, f1, f2, f3, f4, 0.0, 0.0, 0.0, g)
-    if curve.curve_class is CurveClass.PSEUDO_NULL:
-        return _derive_pseudo_null(curve, s)
-    if curve.curve_class is CurveClass.PARTIALLY_NULL:
-        return _derive_partially_null(curve, s)
-    return _derive_null(curve, s)
+    """``derive_frames`` at one s, as Vec4 vectors and floats."""
+    rows = derive_frames(curve, [float(s)])
+    f1, f2, f3, f4, point = (Vec4(*x[0].tolist()) for x in (
+        rows.f1, rows.f2, rows.f3, rows.f4, rows.gamma))
+    k1, k2, k3 = (float(k[0]) for k in (rows.k1, rows.k2, rows.k3))
+    return FrenetData(float(s), f1, f2, f3, f4, k1, k2, k3, point)
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +497,9 @@ def verify_frame(frame: FrenetData, curve_class: CurveClass, curve: CurveSpec,
     if step <= 0:
         raise ValueError("step must be positive")
     gres, gworst = gram_residual(frame, curve_class)
-    plus = derive_frame(curve, frame.s + step)
-    minus = derive_frame(curve, frame.s - step)
-    rhs = frenet_rhs(curve_class, frame)
-    ode_res = 0.0
-    for fp, fm, r in zip(plus.vectors(), minus.vectors(), rhs):
-        fd = (fp - fm) / (2.0 * step)
-        diff = fd - r
-        ode_res = max(ode_res, max(abs(c) for c in diff.components()))
+    rows = derive_frames(curve, [frame.s + step, frame.s - step])
+    fd = np.array([(f[0] - f[1]) / (2.0 * step)
+                   for f in (rows.f1, rows.f2, rows.f3, rows.f4)])
+    rhs = np.array([v.components() for v in frenet_rhs(curve_class, frame)])
+    ode_res = float(np.max(np.abs(fd - rhs)))
     return FrameReport(frame.s, gres, gworst, ode_res, gram_tol, ode_tol)

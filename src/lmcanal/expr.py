@@ -4,8 +4,13 @@ Expressions are parsed by a hand-written precedence-climbing parser into a
 small immutable AST and evaluated by one tree walker in one of two modes:
 
 * ``eval_s``   -- truncated Taylor jet in s: value and d/ds derivatives of
-  orders 1..4 (``Jet1x4``), exact to machine precision,
+  orders 1..4 (``Jet1x4``), exact to machine precision, at one s or at an
+  array of s values in one walk,
 * ``eval_value`` -- the same walker on plain floats, any of s, t, w bound.
+
+On arrays numpy applies only ``+ - * /`` (correctly rounded, like Python
+floats) and every function and ``**`` goes through ``libm``, so an element
+gets the bits of a walk at that element alone.
 
 Grammar (documented wire format; scene files embed these strings):
 
@@ -27,6 +32,8 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Union
+
+import numpy as np
 
 
 class ExprError(Exception):
@@ -294,15 +301,31 @@ def to_str(expr: Expr) -> str:
 # ---------------------------------------------------------------------------
 # Jets
 
-def _check_finite(x: float, what: str) -> float:
-    if not math.isfinite(x):
+def _check_finite(x, what: str):
+    if not (np.isfinite(x).all() if isinstance(x, np.ndarray)
+            else math.isfinite(x)):
         raise DomainError(f"{what} is not finite")
     return x
 
 
+def libm(fn, x, *args):
+    """``fn(x, *args)`` for each element of x where x is an array (a tuple
+    result becomes a tuple of arrays).  numpy's own transcendental functions
+    and powers can differ from libm in the last ulp, and this also raises
+    Python's exceptions as scalar code does."""
+    if not isinstance(x, np.ndarray):
+        return fn(x, *args)
+    out = np.array([fn(v, *args) for v in x.ravel().tolist()], dtype=float)
+    if out.ndim > 1:
+        return tuple(col.reshape(x.shape) for col in out.T)
+    return out.reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class Jet1x4:
-    """Value and d/ds derivatives of orders 1..4 at a point.
+    """Value and d/ds derivatives of orders 1..4 at a point, or at n points
+    when the coefficients are (n,) arrays (a float coefficient stands for
+    the same value at every point).
 
     Internally a degree-4 Taylor polynomial: ``c[k]`` is the k-th Taylor
     coefficient (k-th derivative over k!), so multiplication is plain
@@ -316,8 +339,8 @@ class Jet1x4:
         return Jet1x4((float(x), 0.0, 0.0, 0.0, 0.0))
 
     @staticmethod
-    def variable(x0: float) -> "Jet1x4":
-        return Jet1x4((float(x0), 1.0, 0.0, 0.0, 0.0))
+    def variable(x0) -> "Jet1x4":
+        return Jet1x4((x0, 1.0, 0.0, 0.0, 0.0))
 
     @property
     def value(self) -> float:
@@ -358,7 +381,7 @@ class Jet1x4:
 
     def __truediv__(self, o: "Jet1x4") -> "Jet1x4":
         a, b = self.c, o.c
-        if b[0] == 0.0:
+        if np.any(b[0] == 0.0):
             raise DomainError("division by zero")
         q = [0.0] * 5
         for k in range(5):
@@ -374,10 +397,15 @@ class Jet1x4:
             f0,
             f1 * p1,
             f1 * p2 + (f2 / 2.0) * p1 * p1,
-            f1 * p3 + f2 * p1 * p2 + (f3 / 6.0) * p1 ** 3,
+            f1 * p3 + f2 * p1 * p2 + (f3 / 6.0) * libm(pow, p1, 3),
             f1 * p4 + f2 * (p1 * p3 + p2 * p2 / 2.0)
-            + (f3 / 2.0) * p1 * p1 * p2 + (f4 / 24.0) * p1 ** 4,
+            + (f3 / 2.0) * p1 * p1 * p2 + (f4 / 24.0) * libm(pow, p1, 4),
         ))
+
+    def at(self, i) -> "Jet1x4":
+        """The one-point jet at index i of a batch, on Python floats."""
+        return Jet1x4(tuple(float(x[i]) if isinstance(x, np.ndarray) else x
+                            for x in self.c))
 
 
 class _Plain:
@@ -448,7 +476,7 @@ def _apply_fn(fn: str, u, jet_cls):
         return jet_cls.constant(1.0) / _apply_fn(_RECIPROCALS[fn], u, jet_cls)
     if fn not in _DERIVS:
         raise ExprError(f"unhandled function {fn!r}")
-    d = _DERIVS[fn](_value(u, jet_cls), _ORDER[jet_cls])
+    d = libm(partial(_DERIVS[fn], order=_ORDER[jet_cls]), _value(u, jet_cls))
     return d[0] if jet_cls is _Plain else u.compose(d)
 
 
@@ -469,13 +497,23 @@ def _int_pow(u, n: int, jet_cls):
 
 
 def _pow(u, v, jet_cls):
-    # Constant integer exponent: repeated multiplication, valid for any base.
-    if jet_cls is _Plain or all(x == 0.0 for x in v.c[1:]):
-        e = _value(v, jet_cls)
-        if float(e).is_integer() and abs(e) <= 64:
-            return _int_pow(u, int(e), jet_cls)
-    # General power via exp(v * ln u); requires a positive base.
-    return _apply_fn("exp", v * _apply_fn("ln", u, jet_cls), jet_cls)
+    """u^v.  A constant integer exponent multiplies out (valid for any
+    base), any other takes exp(v * ln u), which requires a positive base.
+    In a batch whose elements differ in branch or exponent, each element
+    is walked on its own."""
+    e = _value(v, jet_cls)
+    whole = (np.abs(e) <= 64) & (np.floor(e) == e)
+    if jet_cls is not _Plain:
+        for x in v.c[1:]:
+            whole = whole & (x == 0.0)
+    e = np.broadcast_to(e, np.shape(whole))
+    if not whole.any():
+        return _apply_fn("exp", v * _apply_fn("ln", u, jet_cls), jet_cls)
+    if whole.all() and (e == e.flat[0]).all():
+        return _int_pow(u, int(e.flat[0]), jet_cls)
+    parts = [_pow(u.at(i), v.at(i), jet_cls) for i in np.ndindex(e.shape)]
+    return Jet1x4(tuple(np.reshape(c, e.shape)
+                        for c in zip(*(p.c for p in parts))))
 
 
 def _eval_jet(expr: Expr, scope: dict, jet_cls):
@@ -516,11 +554,24 @@ def _walk(expr: Expr, scope: dict, jet_cls):
         raise DomainError(str(e)) from None
 
 
-def eval_s(expr: Expr, s0: float) -> Jet1x4:
-    """Evaluate an expression in s as a jet with derivatives of orders 1..4."""
-    out = _walk(expr, {"s": Jet1x4.variable(s0)}, Jet1x4)
-    for d in out.derivatives():
-        _check_finite(d, "jet derivative")
+def eval_s(expr: Expr, s0) -> Jet1x4:
+    """Evaluate an expression in s as a jet with derivatives of orders 1..4.
+
+    ``s0`` is one value or an array of values walked in one pass.  With an
+    array every coefficient is an array of its shape, each element holding
+    the bits ``eval_s`` gives at that s alone, and the batch raises
+    ``DomainError`` exactly when some element alone would.
+    """
+    s = np.asarray(s0, dtype=float) if np.ndim(s0) else float(s0)
+    if not np.size(s):
+        return Jet1x4((s,) * 5)
+    with np.errstate(all="ignore"):
+        out = _walk(expr, {"s": Jet1x4.variable(s)}, Jet1x4)
+        if np.ndim(s):
+            out = Jet1x4(tuple(x.copy() if isinstance(x, np.ndarray)
+                               else np.full(s.shape, x) for x in out.c))
+        for d in out.derivatives():
+            _check_finite(d, "jet derivative")
     return out
 
 

@@ -16,34 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-
-
-class CausalClass(Enum):
-    """Causal character of a vector: sign of <u,u> up to a tolerance band."""
-
-    SPACELIKE = "spacelike"
-    TIMELIKE = "timelike"
-    LIGHTLIKE = "lightlike"
-
-
-class QuadricKind(Enum):
-    """The three central quadrics of E^4_1, tagged by their sign lambda."""
-
-    PSEUDO_SPHERE = 1        # <u-p, u-p> = +r^2
-    PSEUDO_HYPERBOLIC = -1   # <u-p, u-p> = -r^2
-    NULL_CONE = 0            # <u-p, u-p> = 0
-
-    @property
-    def lam(self) -> int:
-        return self.value
-
-
-#: Default tolerance band on the quadratic form for lightlike classification.
-#: Frame vectors produced by numerical differentiation are never exactly null.
-LIGHTLIKE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,7 +52,7 @@ class Vec4:
         return (self.x1, self.x2, self.x3, self.x4)
 
     def euclid_norm(self) -> float:
-        """Auxiliary Euclidean length, used only for gauge fixing."""
+        """Auxiliary Euclidean length (gauge fixing takes it row-wise)."""
         return math.sqrt(self.x1**2 + self.x2**2 + self.x3**2 + self.x4**2)
 
 
@@ -158,27 +132,3 @@ def triple_cross_rows(u, v, w):
     m1, m2, m3, m4 = (minor(k) for k in range(4))
     out = np.stack([sign * -m1, sign * -m2, sign * m3, sign * -m4], axis=1)
     return np.where(repeated[:, None], 0.0, out)
-
-
-def causal_class(u: Vec4, tol: float = LIGHTLIKE_TOL) -> CausalClass:
-    """Classify u by the sign of <u,u> with a band of width tol around zero."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    q = inner(u, u)
-    if abs(q) <= tol:
-        return CausalClass.LIGHTLIKE
-    if q < -tol:
-        return CausalClass.TIMELIKE
-    return CausalClass.SPACELIKE
-
-
-def quadric_residual(u: Vec4, p: Vec4, r: float, kind: QuadricKind) -> float:
-    """Residual <u-p, u-p> - lambda*r^2; zero iff u lies on the quadric.
-
-    For the null cone the radius is ignored.  For the pseudo sphere and
-    pseudo hyperbolic hypersphere r must be positive.
-    """
-    if kind is not QuadricKind.NULL_CONE and r <= 0:
-        raise ValueError("quadric radius must be positive")
-    d = u - p
-    return inner(d, d) - kind.lam * (r * r)

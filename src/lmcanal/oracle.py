@@ -282,10 +282,3 @@ def compare(closed, numeric, rel_tol: float, abs_tol: float) -> CompareReport:
     k_err, k_ok = check(closed.K, numeric.K)
     h_err, h_ok = check(closed.H, numeric.H)
     return CompareReport(k_err, h_err, k_ok, h_ok)
-
-
-def curvatures_at(surface: PointFn, s: float, t: float, w: float,
-                  step: float = DEFAULT_STEP):
-    """Convenience: jet -> forms -> curvature pair at one point."""
-    return curvatures_numeric(fundamental_forms(numeric_jet(surface, s, t, w,
-                                                            step)))

@@ -37,8 +37,7 @@ from importlib import resources
 
 from . import expr
 from .canal import (CanalFamily, CurvaturePair, Field, NullCoefficients,
-                    RadiusSpec, ShapeSpec, Variant, curvature_closed,
-                    evaluate_point, field)
+                    RadiusSpec, ShapeSpec, Variant, curvature_closed, field)
 from .curves import CurveClass, CurveSpec, builtin, derive_frame
 from .mesh import AXES, PROJECTIONS, GridSpec
 from .minkowski import Vec4
@@ -65,12 +64,6 @@ class SceneSpec:
     grid: GridSpec
     projection: str
     oracle_step: float
-
-    def point_fn(self):
-        def fn(s: float, t: float, w: float) -> Vec4:
-            return evaluate_point(self.family, self.curve, self.radius,
-                                  self.shape, self.nc, s, t, w)
-        return fn
 
     def field(self, s, t, w) -> Field:
         """The scene's family at the parameter arrays (see canal.field)."""

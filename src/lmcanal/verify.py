@@ -93,7 +93,10 @@ def _worst(values) -> float:
 def check_envelope(scene: SceneSpec, report: VerifyReport, tol: Tolerances,
                    n_points: int = 200):
     """Membership on the defining quadric and normality of C - gamma,
-    on random in-domain points."""
+    on random in-domain points; at least one point is required."""
+    if n_points < 1:
+        raise ValueError(f"the envelope check needs at least one point, "
+                         f"got {n_points}")
     s, t, w = _random_points(scene.grid, n_points, ENVELOPE_SEED)
     h = scene.oracle_step
     n = len(s)

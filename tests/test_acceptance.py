@@ -26,13 +26,15 @@ comparison with the paper's text.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lmcanal.canal import (CanalFamily, NullCoefficients, RadiusSpec,
                            ShapeSpec, Variant, curvature_closed,
-                           evaluate_point, flat_residual)
-from lmcanal.curves import (CurveClass, builtin, builtin_names, derive_frame,
-                            gram_residual, verify_frame)
+                           evaluate_point, field, flat_residual)
+from lmcanal.curves import (CurveClass, CurveSpec, builtin, builtin_names,
+                            derive_frame, gram_residual, verify_frame)
+from lmcanal.expr import parse
 from lmcanal.mesh import GridSpec, export_field, export_obj, sweep
 from lmcanal.minkowski import Vec4, inner
 from lmcanal.scene import bundled_scene, bundled_scene_names
@@ -168,35 +170,32 @@ def test_criterion_06_causal_character(reports):
 
 def test_criterion_07_tubular_constants():
     pn = builtin("pseudo-null-example")
+    line = CurveSpec(components=tuple(parse(c) for c in ("0", "s", "0", "0")),
+                     curve_class=CurveClass.PSEUDO_NULL,
+                     completion_frame=(Vec4(0, 1, 0, 0), Vec4(1, 0, 0, 1),
+                                       Vec4(0, 0, 1, 0), Vec4(-0.5, 0, 0, 0.5)))
     fam = CanalFamily(CurveClass.PSEUDO_NULL, Variant.T1, 1)
     one = RadiusSpec.from_text("1")
 
     def lerp(lo, hi, i, n=20):
         return lo + (hi - lo) * i / (n - 1)
 
-    ks, hs = [], []
-    for i in range(20):
-        fr = derive_frame(pn, lerp(0.2, 1.8, i))
-        for j in range(20):
-            f = lerp(0.3, 2.8, j)
-            for k in range(20):
-                pair = curvature_closed(fam, fr.k1, one.jet(0.0), f,
-                                        math.sin(f))
-                ks.append(pair.K)
-                hs.append(pair.H)
-    ok1 = (max(ks) - min(ks) <= 1e-10 and max(hs) - min(hs) <= 1e-10
+    i, j, k = (x.ravel() for x in np.meshgrid(*[np.arange(20)] * 3,
+                                              indexing="ij"))
+    # k1 = 1 (frames at s), g = sin f
+    fld = field(fam, pn, one, ShapeSpec.from_text("w", "sin(w)"), None,
+                lerp(0.2, 1.8, i), lerp(0.8, 1.6, k), lerp(0.3, 2.8, j))
+    ks, hs = fld.K, fld.H
+    ok1 = (not fld.singular.any()
+           and np.ptp(ks) <= 1e-10 and np.ptp(hs) <= 1e-10
            and abs(ks[0] - 1.0) <= 1e-10 and abs(hs[0] + 1.0 / 3.0) <= 1e-10)
 
-    ks, hs = [], []
-    for i in range(20):
-        for j in range(20):
-            t = lerp(0.8, 1.6, j)
-            for k in range(20):
-                w = lerp(0.4, 2.7, k)
-                pair = curvature_closed(fam, 0.0, one.jet(0.0), w, t)
-                ks.append(pair.K)
-                hs.append(pair.H)
-    ok2 = (max(ks) - min(ks) <= 1e-10 and max(hs) - min(hs) <= 1e-10
+    # k1 = 0 (a straight line), f = w, g = t
+    fld = field(fam, line, one, ShapeSpec.from_text("w", "t"), None,
+                lerp(0.2, 1.8, i), lerp(0.8, 1.6, j), lerp(0.4, 2.7, k))
+    ks, hs = fld.K, fld.H
+    ok2 = (not fld.singular.any()
+           and np.ptp(ks) <= 1e-10 and np.ptp(hs) <= 1e-10
            and ks[0] == 0.0 and abs(hs[0] + 2.0 / 3.0) <= 1e-10)
     _announce(7, ok1 and ok2,
               "k1=1, g=sin f, r=1: K=1, H=-1/3; k1=0, r=1: K=0, H=-2/3; "

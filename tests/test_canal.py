@@ -3,24 +3,25 @@
 Expected values are frozen from independent evaluations: direct
 substitution into the worked-example parametrization/curvature formulas
 (transcribed below as plain functions) and envelope identities checked
-through the quadric residual.
+through the quadric residual <C - gamma, C - gamma> - lambda r^2.
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lmcanal.canal import (CanalFamily, CurvaturePair, NullCoefficients,
                            RadiusSpec, RegimeError, ShapeSpec,
                            SingularPointError, UnsupportedFamilyError,
-                           Variant, curvature_closed, evaluate_point,
+                           Variant, curvature_closed, evaluate_point, field,
                            flat_residual, frame_coefficients,
                            minimal_residual, null_constraint_residual,
                            relation_residual, unit_normal_closed_pseudo_c1,
                            weingarten_residuals)
 from lmcanal.curves import CurveClass, CurveSpec, builtin, derive_frame
-from lmcanal.minkowski import QuadricKind, Vec4, inner, quadric_residual
+from lmcanal.minkowski import Vec4, inner, inner_rows
 from lmcanal import expr, oracle
 
 PN = builtin("pseudo-null-example")
@@ -98,6 +99,26 @@ def rand_box(rng, box):
     return rng.uniform(*box)
 
 
+def quadric_residuals(points, center, r, lam):
+    """<C - gamma, C - gamma> - lam r^2, row by row."""
+    d = points - center
+    return inner_rows(d, d) - lam * (r * r)
+
+
+def assert_envelope(fam, curve, radius, shape, nc, s, t, w, h=1e-4):
+    """Membership (1e-9) and normality (1e-5, central difference in s of
+    step h) at the points, from one field call."""
+    n = len(s)
+    fld = field(fam, curve, radius, shape, nc,
+                np.concatenate([s, s + h, s - h]), np.tile(t, 3), np.tile(w, 3))
+    point, plus, minus = fld.points.reshape(3, n, 4)
+    center, r = fld.center[:n], fld.r[:n]
+    assert np.all(np.abs(quadric_residuals(point, center, r, fam.lam))
+                  <= 1e-9)
+    d_s = (plus - minus) / (2 * h)
+    assert np.all(np.abs(inner_rows(point - center, d_s)) <= 1e-5)
+
+
 def test_family_compatibility():
     with pytest.raises(ValueError):
         CanalFamily(CurveClass.NULL, Variant.C1)
@@ -129,9 +150,10 @@ def test_example_point_first_coordinate():
 
 def test_example_point_on_pseudo_sphere():
     fam = CanalFamily(CurveClass.PSEUDO_NULL, Variant.C1, 1)
-    p = evaluate_point(fam, PN, HALF_S, SHAPE_WT, None, 1.0, 1.0, math.pi / 2)
-    res = quadric_residual(p, PN.point(1.0), 0.5, QuadricKind.PSEUDO_SPHERE)
-    assert abs(res) <= 1e-9
+    fld = field(fam, PN, HALF_S, SHAPE_WT, None, [1.0], [1.0], [math.pi / 2])
+    assert fld.r[0] == 0.5 and np.array_equal(fld.center[0],
+                                             PN.point(1.0).components())
+    assert abs(quadric_residuals(fld.points, fld.center, fld.r, 1)[0]) <= 1e-9
 
 
 def test_constant_radius_collapses_c_to_t():
@@ -153,21 +175,9 @@ def test_membership_and_normality_all_families():
         for branch in (1, -1):
             fam = CanalFamily(curve.curve_class, variant, branch)
             rad = RadiusSpec.from_text(rtext)
-            kind = (QuadricKind.PSEUDO_SPHERE if fam.lam == 1
-                    else QuadricKind.PSEUDO_HYPERBOLIC)
-
-            def fn(s, t, w):
-                return evaluate_point(fam, curve, rad, SHAPE_WT, None, s, t, w)
-
-            for _ in range(40):
-                s, t, w = rand_box(rng, sb), rand_box(rng, tb), rand_box(rng, wb)
-                p = fn(s, t, w)
-                gamma = curve.point(s)
-                r = rad.jet(s)[0]
-                assert abs(quadric_residual(p, gamma, r, kind)) <= 1e-9
-                h = 1e-4
-                d_s = (fn(s + h, t, w) - fn(s - h, t, w)) / (2 * h)
-                assert abs(inner(p - gamma, d_s)) <= 1e-5
+            s, t, w = np.array([(rand_box(rng, sb), rand_box(rng, tb),
+                                 rand_box(rng, wb)) for _ in range(40)]).T
+            assert_envelope(fam, curve, rad, SHAPE_WT, None, s, t, w)
 
 
 def test_membership_and_normality_null_families():
@@ -175,21 +185,9 @@ def test_membership_and_normality_null_families():
     for variant, rtext, nc in NULL_SCENES:
         fam = CanalFamily(CurveClass.NULL, variant)
         rad = RadiusSpec.from_text(rtext)
-        kind = (QuadricKind.PSEUDO_SPHERE if fam.lam == 1
-                else QuadricKind.PSEUDO_HYPERBOLIC)
-
-        def fn(s, t, w):
-            return evaluate_point(fam, NU, rad, None, nc, s, t, w)
-
-        for _ in range(60):
-            s, t, w = rng.uniform(0.3, 0.9), rng.uniform(0.5, 1.5), rng.uniform(0, 6.2)
-            p = fn(s, t, w)
-            gamma = NU.point(s)
-            r = rad.jet(s)[0]
-            assert abs(quadric_residual(p, gamma, r, kind)) <= 1e-9
-            h = 1e-4
-            d_s = (fn(s + h, t, w) - fn(s - h, t, w)) / (2 * h)
-            assert abs(inner(p - gamma, d_s)) <= 1e-5
+        s, t, w = np.array([(rng.uniform(0.3, 0.9), rng.uniform(0.5, 1.5),
+                             rng.uniform(0, 6.2)) for _ in range(60)]).T
+        assert_envelope(fam, NU, rad, None, nc, s, t, w)
 
 
 def test_closed_curvature_matches_example_forms():
@@ -249,12 +247,13 @@ def test_relation_residuals():
         for branch in (1, -1):
             fam = CanalFamily(curve.curve_class, variant, branch)
             rad = RadiusSpec.from_text(rtext)
-            for _ in range(25):
-                s, t, w = rand_box(rng, sb), rand_box(rng, tb), rand_box(rng, wb)
-                fr = derive_frame(curve, s)
-                r_jet = rad.jet(s)
-                pair = curvature_closed(fam, fr.k1, r_jet, w, t)
-                assert abs(relation_residual(pair, r_jet[0], fam)) <= 1e-9
+            s, t, w = np.array([(rand_box(rng, sb), rand_box(rng, tb),
+                                 rand_box(rng, wb)) for _ in range(25)]).T
+            # closed forms at f = w, g = t
+            fld = field(fam, curve, rad, SHAPE_WT, None, s, t, w)
+            assert not fld.singular.any()
+            res = relation_residual(CurvaturePair(fld.K, fld.H), fld.r, fam)
+            assert np.all(np.abs(res) <= 1e-9)
 
 
 def test_relation_examples():
@@ -404,11 +403,12 @@ def test_straight_line_tube_with_completion_frame():
     fam = CanalFamily(CurveClass.PSEUDO_NULL, Variant.T1, 1)
     one = RadiusSpec.from_text("1")
     rng = random.Random(13)
-    for _ in range(20):
-        s, t, w = rng.uniform(0, 2), rng.uniform(0.8, 1.6), rng.uniform(0.4, 2.6)
-        p = evaluate_point(fam, line, one, SHAPE_WT, None, s, t, w)
-        res = quadric_residual(p, line.point(s), 1.0, QuadricKind.PSEUDO_SPHERE)
-        assert abs(res) <= 1e-12
+    s, t, w = np.array([(rng.uniform(0, 2), rng.uniform(0.8, 1.6),
+                         rng.uniform(0.4, 2.6)) for _ in range(20)]).T
+    fld = field(fam, line, one, SHAPE_WT, None, s, t, w)
+    assert np.array_equal(fld.center[:, 1], s) and np.all(fld.r == 1.0)
+    assert np.all(np.abs(quadric_residuals(fld.points, fld.center, fld.r, 1))
+                  <= 1e-12)
 
 
 def test_closed_normal_pseudo_c1_is_radial():

@@ -4,14 +4,17 @@ curves, plus the Gram-table / frame-ODE verification machinery."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lmcanal import expr
-from lmcanal.curves import (CurveClass, CurveSpec, DegenerateCurveError,
-                            FrenetData, UnknownCurveError, _null_mate, builtin,
-                            builtin_names, derive_frame, frenet_rhs,
-                            gram_residual, verify_frame)
-from lmcanal.minkowski import Vec4, inner
+from lmcanal.curves import (ClassMismatchError, CurveClass, CurveSpec,
+                            DegenerateCurveError, FrenetData,
+                            UnknownCurveError, _null_mate, builtin,
+                            builtin_names, derive_frame, derive_frames,
+                            frenet_rhs, gram_residual, verify_frame)
+from lmcanal.minkowski import Vec4, inner, inner_rows
+from lmcanal.scene import bundled_scene, bundled_scene_names
 
 SAMPLES = [-1.0 + 2.0 * i / 49 for i in range(50)]
 
@@ -238,22 +241,124 @@ def test_null_mate_solves_the_gram_conditions():
     a0, b0 = Vec4(0.0, 0.0, 1.0, 0.0), Vec4(0.0, 0.0, 0.0, 1.0)
     m0, x0 = Vec4(1.0, 1.0, 0.0, 0.0) / rt2, Vec4(-1.0, 1.0, 0.0, 0.0) / rt2
     rng = random.Random(5)
+    rows = {"a": [], "b": [], "mate": [], "want": []}
     for _ in range(200):
         move, lam = _random_lorentz(rng), math.exp(rng.uniform(-2.0, 2.0))
-        a, b, mate = move(a0), move(b0), lam * move(m0)
-        want = move(x0) / lam
-        got = _null_mate(a, b, mate)
-        assert (got - want).euclid_norm() <= 1e-10 * want.euclid_norm()
-        assert abs(inner(got, mate) - 1.0) <= 1e-10
-        assert abs(inner(got, got)) <= 1e-10 * want.euclid_norm() ** 2
+        for key, v in (("a", move(a0)), ("b", move(b0)),
+                       ("mate", lam * move(m0)), ("want", move(x0) / lam)):
+            rows[key].append(v.components())
+    a, b, mate, want = (np.array(rows[k]) for k in ("a", "b", "mate", "want"))
+    got = _null_mate(a, b, mate, np.arange(200.0))
+    want_norm = np.linalg.norm(want, axis=1)
+    assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-10 * want_norm)
+    assert np.all(np.abs(inner_rows(got, mate) - 1.0) <= 1e-10)
+    assert np.all(np.abs(inner_rows(got, got)) <= 1e-10 * want_norm ** 2)
 
 
 def test_null_mate_rejects_degenerate_input():
-    a, b = Vec4(0.0, 0.0, 1.0, 0.0), Vec4(0.0, 0.0, 0.0, 1.0)
-    mate = Vec4(1.0, 1.0, 0.0, 0.0)
+    a, b = np.array([[0.0, 0.0, 1.0, 0.0]]), np.array([[0.0, 0.0, 0.0, 1.0]])
+    mate = np.array([[1.0, 1.0, 0.0, 0.0]])
+    s = np.array([0.25])
+    with pytest.raises(DegenerateCurveError, match="s=0.25"):
+        _null_mate(a, a, mate, s)  # vanishing Gram determinant
     with pytest.raises(DegenerateCurveError):
-        _null_mate(a, a, mate)  # vanishing Gram determinant
+        _null_mate(a, b, np.zeros((1, 4)), s)  # nothing to pair with
     with pytest.raises(DegenerateCurveError):
-        _null_mate(a, b, Vec4(0.0, 0.0, 0.0, 0.0))  # nothing to pair with
-    with pytest.raises(DegenerateCurveError):
-        _null_mate(a, b, a)  # the pairing vanishes after the projection
+        _null_mate(a, b, a, s)  # the pairing vanishes after the projection
+
+
+# ---------------------------------------------------------------------------
+# Frames on rows
+
+def _frame_bits(frame: FrenetData):
+    return np.array([frame.point.components()]
+                    + [v.components() for v in frame.vectors()]
+                    + [(frame.k1, frame.k2, frame.k3, 0.0)]).tobytes()
+
+
+def _row_bits(rows, i):
+    return np.array([rows.gamma[i], rows.f1[i], rows.f2[i], rows.f3[i],
+                     rows.f4[i], [rows.k1[i], rows.k2[i], rows.k3[i], 0.0]]
+                    ).tobytes()
+
+
+def test_derive_frames_rows_equal_one_point_frames():
+    # Every bundled scene's curve over its s range (each value once), plus
+    # the boosted custom-component curves, an ungauged partially null curve
+    # and a completion-frame line.
+    # Shuffled and doubled batches give each s the bits of derive_frame.
+    line = CurveSpec(
+        components=tuple(expr.parse(c) for c in ("0", "s", "0", "0")),
+        curve_class=CurveClass.PSEUDO_NULL,
+        completion_frame=(Vec4(0, 1, 0, 0), Vec4(1, 0, 0, 1),
+                          Vec4(0, 0, 1, 0), Vec4(-0.5, 0, 0, 0.5)))
+    cases = [(bundled_scene(name).curve,
+              np.linspace(*bundled_scene(name).grid.range_of("s"), 5))
+             for name in bundled_scene_names()]
+    cases += [(_boosted_curve(name), np.array(SAMPLES[::7]))
+              for name in ("pseudo-null-example", "partially-null-example")]
+    # without f3_gauge, F3 takes the lexicographic sign and Euclidean scale
+    ungauged = CurveSpec(components=builtin("partially-null-example")
+                         .components, curve_class=CurveClass.PARTIALLY_NULL)
+    cases.append((ungauged, np.array(SAMPLES[::7])))
+    cases.append((line, np.array([-1.0, 0.0, 0.3, 2.5])))
+    rng = np.random.default_rng(3)
+    for curve, s in cases:
+        want = [_frame_bits(derive_frame(curve, x)) for x in s.tolist()]
+        perm = rng.permutation(len(s))
+        shuffled = derive_frames(curve, s[perm])
+        doubled = derive_frames(curve, np.concatenate([s, s[::-1]]))
+        n = len(s)
+        for i in range(n):
+            assert _row_bits(shuffled, int(np.argsort(perm)[i])) == want[i]
+            assert _row_bits(doubled, i) == want[i]
+            assert _row_bits(doubled, 2 * n - 1 - i) == want[i]
+
+
+def test_ungauged_partially_null_f3_is_lexicographically_positive():
+    # Without f3_gauge, F3 is the Euclidean-unit null binormal direction
+    # whose first nonzero component is positive, whichever way the curve
+    # is traversed; the builtin's binormal direction is (1, 1, 0, 0).
+    curve = builtin("partially-null-example")
+    for sign in ("", "-"):
+        comps = tuple(expr.parse(f"{sign}({expr.to_str(c)})")
+                      for c in curve.components)
+        rows = derive_frames(CurveSpec(components=comps,
+                                       curve_class=CurveClass.PARTIALLY_NULL),
+                             SAMPLES)
+        want = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
+        assert np.all(np.abs(rows.f3 - want) <= 1e-12), sign
+
+
+def _perturbed(name, component, term):
+    curve = builtin(name)
+    comps = list(curve.components)
+    comps[component] = expr.parse(f"{expr.to_str(comps[component])} + {term}")
+    return CurveSpec(components=tuple(comps), curve_class=curve.curve_class,
+                     f3_gauge=curve.f3_gauge)
+
+
+@pytest.mark.parametrize("curve, good, bad", [
+    # the jets leave their domain at s <= 0 only
+    (_perturbed("pseudo-null-example", 0, "0*sqrt(s)"), [0.3, 0.7, 1.1], -0.5),
+    # the tangent stays unit to 1e-6 near s = 0 only
+    (_perturbed("pseudo-null-example", 2, "s^5/1000"), [0.0, 0.01, -0.01],
+     1.0),
+    # the completion frame matches the tangent to 1e-9 near s = 0 only
+    (CurveSpec(components=tuple(expr.parse(c) for c in
+                                ("0", "s + s^3", "0", "0")),
+               curve_class=CurveClass.PSEUDO_NULL,
+               completion_frame=(Vec4(0, 1, 0, 0), Vec4(1, 0, 0, 1),
+                                 Vec4(0, 0, 1, 0), Vec4(-0.5, 0, 0, 0.5))),
+     [0.0, 1e-6, -1e-6], 0.5),
+])
+def test_derive_frames_one_bad_s_raises_its_one_point_error(curve, good, bad):
+    derive_frames(curve, good)
+    with pytest.raises(Exception) as one:
+        derive_frame(curve, bad)
+    assert str(bad) in str(one.value)
+    for batch in (good + [bad], [bad] + good, good[:1] + [bad] + good[1:]):
+        with pytest.raises(type(one.value)) as err:
+            derive_frames(curve, batch)
+        assert type(err.value) is type(one.value)
+        assert str(err.value) == str(one.value)

@@ -11,6 +11,7 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -307,3 +308,87 @@ def test_fractional_power_jet():
     jet = ex.eval_s(ex.parse("s^(3/2)"), 4.0)
     assert jet.value == pytest.approx(8.0)
     assert jet.d1 == pytest.approx(1.5 * math.sqrt(4.0))
+
+
+# ---------------------------------------------------------------------------
+# Jets over arrays
+
+
+def _jet_bits(jet, index=None):
+    """Coefficient bits of a one-point jet, or of element ``index`` of a
+    batch."""
+    return [np.float64(c if index is None else c[index]).tobytes()
+            for c in jet.c]
+
+
+def _one_by_one(ast, values):
+    """Per-element eval_s: the jets, or None where the element raises."""
+    out = []
+    for s0 in values:
+        try:
+            out.append(ex.eval_s(ast, s0))
+        except ex.DomainError:
+            out.append(None)
+    return out
+
+
+def test_jet_s_power_branch_per_element():
+    # at s = 0 the exponent jet of sin(s)^5 is the constant 0, so the
+    # integer branch gives 1; elsewhere exp(v ln u) takes over
+    s = np.linspace(0.0, 0.5, 6)
+    for text, values in (("s^(sin(s)^5)", s),
+                         ("(s+2)^(s-s)", np.array([-2.0, -3.0, 0.5, 1.0]))):
+        ast = ex.parse(text)
+        batch = ex.eval_s(ast, values)
+        for i, one in enumerate(_one_by_one(ast, values.tolist())):
+            assert _jet_bits(batch, i) == _jet_bits(one), (text, values[i])
+    assert ex.eval_s(ex.parse("s^(sin(s)^5)"), 0.0).derivatives() == \
+        (1.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def test_jet_s_batch_raises_iff_an_element_raises():
+    ast = ex.parse("ln(s)")
+    with pytest.raises(ex.DomainError):
+        ex.eval_s(ast, np.array([1.0, -1.0]))
+    ex.eval_s(ast, np.array([1.0, 2.0]))
+    for text, good, bad in (("1/s", [1.0, 2.0], 0.0),
+                            ("sqrt(s)", [1.0, 4.0], -1.0),
+                            ("csc(s)", [1.0, 2.0], 0.0),
+                            ("sinh(s)", [1.0, -3.0], 800.0),
+                            ("(s-1)^(-2)", [2.0, 3.0], 1.0),
+                            ("s^(1/2)", [1.0, 4.0], -4.0)):
+        ex.eval_s(ex.parse(text), np.array(good))
+        with pytest.raises(ex.DomainError) as one:
+            ex.eval_s(ex.parse(text), bad)
+        # one bad element: the batch fails as that element fails alone
+        with pytest.raises(ex.DomainError) as batch:
+            ex.eval_s(ex.parse(text), np.array(good + [bad]))
+        assert str(batch.value) == str(one.value), text
+
+
+def test_jet_s_arrays_match_per_element_walks():
+    # a batch gives every element the bits of a walk at that element alone,
+    # and raises exactly when some element alone does
+    rng = random.Random(47)
+    # sin(s)^5 is the constant-integer exponent 0 at s = 0 only
+    exponent = ex.parse("sin(s)^5")
+    checked = raised = 0
+    for _ in range(2000):
+        ast = random_ast(rng, rng.randint(0, 5))
+        wrap = rng.choice(["", "", "ln", "pow"])
+        if wrap == "ln":
+            ast = ex.Call("ln", ast)
+        elif wrap == "pow":
+            ast = ex.Bin("^", ast, exponent)
+        values = [rng.uniform(-2.0, 2.0) for _ in range(3)] + [0.0]
+        ones = _one_by_one(ast, values)
+        if any(one is None for one in ones):
+            with pytest.raises(ex.DomainError):
+                ex.eval_s(ast, np.array(values))
+            raised += 1
+            continue
+        batch = ex.eval_s(ast, np.array(values))
+        for i, one in enumerate(ones):
+            assert _jet_bits(batch, i) == _jet_bits(one), (ex.to_str(ast), i)
+        checked += 1
+    assert checked >= 1200 and raised >= 200

@@ -78,17 +78,17 @@ def test_field_is_batch_invariant(name):
 def test_check_curvatures_derives_each_s_once(monkeypatch):
     scene = bundled_scene("pseudo-null-c1")
     frames, jets = [], []
-    real_frame, real_jet = canal.derive_frame, RadiusSpec.jet
+    real_frames, real_jet = canal.derive_frames, RadiusSpec.jet
 
-    def counted_frame(curve, s):
-        frames.append(s)
-        return real_frame(curve, s)
+    def counted_frames(curve, s):
+        frames.extend(np.asarray(s, dtype=float).ravel().tolist())
+        return real_frames(curve, s)
 
     def counted_jet(self, s):
-        jets.append(s)
+        jets.extend(np.asarray(s, dtype=float).ravel().tolist())
         return real_jet(self, s)
 
-    monkeypatch.setattr(canal, "derive_frame", counted_frame)
+    monkeypatch.setattr(canal, "derive_frames", counted_frames)
     monkeypatch.setattr(RadiusSpec, "jet", counted_jet)
     report = VerifyReport(scene.name)
     check_curvatures(scene, report, Tolerances())

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from lmcanal.minkowski import (
-    CausalClass, QuadricKind, Vec4, causal_class, inner, inner_rows, norm,
-    quadric_residual, triple_cross, triple_cross_rows,
+    Vec4, inner, inner_rows, norm, triple_cross, triple_cross_rows,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -100,50 +99,16 @@ def test_row_forms_round_like_the_vector_forms():
     assert dots.tolist() == [inner(Vec4(*t[0]), Vec4(*t[1])) for t in triples]
 
 
-def test_causal_class_examples():
-    assert causal_class(E1, 1e-12) is CausalClass.TIMELIKE
-    assert causal_class(Vec4(SQRT2, 0, 0, SQRT2), 1e-12) is CausalClass.LIGHTLIKE
-    assert causal_class(E2, 1e-12) is CausalClass.SPACELIKE
-
-
-def test_causal_class_scale_consistent():
-    rng = random.Random(11)
-    tol = 1e-9
-    for _ in range(200):
-        u = rand_vec(rng)
-        c = rng.uniform(0.1, 10.0)
-        if abs(inner(u, u)) > 10 * tol / (c * c):
-            assert causal_class(c * u, tol) is causal_class(u, tol)
-
-
-def test_causal_class_rejects_negative_tol():
-    with pytest.raises(ValueError):
-        causal_class(E1, -1.0)
-
-
 def test_norm_examples():
     assert norm(E1) == 1.0
     assert norm(Vec4(0, 3, 4, 0)) == 5.0
     assert norm(Vec4(1, 1, 0, 0)) == 0.0  # lightlike
 
 
-def test_quadric_residual_examples():
-    p = Vec4(0, 0, 0, 0)
-    assert quadric_residual(p, p, 1.0, QuadricKind.NULL_CONE) == 0.0
+def test_quadric_membership_examples():
+    # offsets d = u - p from the center with <d, d> = lambda r^2 on the
+    # pseudo sphere (lambda = 1), the pseudo hyperbolic hypersphere (-1) and
+    # the null cone (0), row-wise
     r = 0.7
-    assert quadric_residual(Vec4(0, r, 0, 0), p, r,
-                            QuadricKind.PSEUDO_SPHERE) == pytest.approx(0, abs=1e-15)
-    assert quadric_residual(Vec4(r, 0, 0, 0), p, r,
-                            QuadricKind.PSEUDO_HYPERBOLIC) == pytest.approx(0, abs=1e-15)
-
-
-def test_quadric_residual_rejects_nonpositive_radius():
-    p = Vec4(0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        quadric_residual(p, p, 0.0, QuadricKind.PSEUDO_SPHERE)
-
-
-def test_quadric_lambda_values():
-    assert QuadricKind.PSEUDO_SPHERE.lam == 1
-    assert QuadricKind.PSEUDO_HYPERBOLIC.lam == -1
-    assert QuadricKind.NULL_CONE.lam == 0
+    d = np.array([[0.0, r, 0.0, 0.0], [r, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+    assert inner_rows(d, d).tolist() == [r * r, -(r * r), 0.0]

@@ -8,14 +8,15 @@ and second-form determinant all have known closed expressions.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lmcanal import oracle
 from lmcanal.canal import (CanalFamily, CurvaturePair, RadiusSpec, ShapeSpec,
-                           Variant, curvature_closed, evaluate_point,
+                           Variant, curvature_closed, evaluate_point, field,
                            unit_normal_closed_pseudo_c1)
 from lmcanal.curves import CurveClass, builtin, derive_frame
-from lmcanal.minkowski import Vec4, inner
+from lmcanal.minkowski import Vec4, inner_rows
 
 PN = builtin("pseudo-null-example")
 FAM = CanalFamily(CurveClass.PSEUDO_NULL, Variant.C1, 1)
@@ -25,6 +26,21 @@ SHAPE = ShapeSpec.from_text("w", "t")
 
 def scene_fn(s, t, w):
     return evaluate_point(FAM, PN, RAD, SHAPE, None, s, t, w)
+
+
+def scene_points(s, t, w):
+    """The example scene at parameter arrays, as (N, 4) rows."""
+    return field(FAM, PN, RAD, SHAPE, None, s, t, w).points
+
+
+def batch_curvatures(points_of, s, t, w, step=oracle.DEFAULT_STEP):
+    """stencil -> stencil_jets -> forms_batch -> curvatures_batch at the
+    points (s[i], t[i], w[i]); none of them may be degenerate or singular."""
+    points = points_of(*oracle.stencil(s, t, w, step))
+    forms, degenerate = oracle.forms_batch(oracle.stencil_jets(points, step))
+    K, H, singular = oracle.curvatures_batch(forms)
+    assert not (degenerate | singular).any()
+    return CurvaturePair(K, H)
 
 
 def detg_closed(s, t, w):
@@ -87,67 +103,82 @@ def test_mixed_partials_symmetric():
 
 def test_fundamental_form_invariants():
     rng = random.Random(21)
-    for _ in range(25):
-        s, t, w = rng.uniform(0.3, 0.9), rng.uniform(0.7, 1.4), rng.uniform(0.5, 2.5)
-        jet = oracle.numeric_jet(scene_fn, s, t, w)
-        forms = oracle.fundamental_forms(jet)
-        # symmetry
-        for i in range(3):
-            for j in range(3):
-                assert forms.g[i][j] == forms.g[j][i]
-                assert abs(forms.h[i][j] - forms.h[j][i]) <= 1e-8
-        # unit normal, orthogonal to the tangents
-        assert abs(abs(inner(forms.normal, forms.normal)) - 1.0) <= 1e-9
-        for tangent in (jet.d_s, jet.d_t, jet.d_w):
-            assert abs(inner(forms.normal, tangent)) <= 1e-8
-        assert forms.eps == 1
+    s, t, w = np.array([(rng.uniform(0.3, 0.9), rng.uniform(0.7, 1.4),
+                         rng.uniform(0.5, 2.5)) for _ in range(25)]).T
+    h = oracle.DEFAULT_STEP
+    jet = oracle.stencil_jets(scene_points(*oracle.stencil(s, t, w, h)), h)
+    forms, degenerate = oracle.forms_batch(jet)
+    assert not degenerate.any()
+    # symmetry
+    assert np.array_equal(forms.g, forms.g.transpose(0, 2, 1))
+    assert np.all(np.abs(forms.h - forms.h.transpose(0, 2, 1)) <= 1e-8)
+    # unit normal, orthogonal to the tangents
+    normal = forms.normal
+    assert np.all(np.abs(np.abs(inner_rows(normal, normal)) - 1.0) <= 1e-9)
+    for tangent in (jet.d_s, jet.d_t, jet.d_w):
+        assert np.all(np.abs(inner_rows(normal, tangent)) <= 1e-8)
+    assert np.all(forms.eps == 1)
+
+
+def batch_forms(s, t, w, step=oracle.DEFAULT_STEP):
+    """Fundamental forms of the example scene at the points (s[i], t[i],
+    w[i]) from one kernel call on their stencils; none may be degenerate."""
+    jet = oracle.stencil_jets(scene_points(*oracle.stencil(s, t, w, step)),
+                              step)
+    forms, degenerate = oracle.forms_batch(jet)
+    assert not degenerate.any()
+    return forms
 
 
 def test_normal_matches_closed_form():
     rng = random.Random(22)
-    for _ in range(15):
-        s, t, w = rng.uniform(0.3, 0.8), rng.uniform(0.7, 1.2), rng.uniform(0.5, 1.5)
-        forms = oracle.fundamental_forms(
-            oracle.numeric_jet(scene_fn, s, t, w, step=1.25e-4))
-        fr = derive_frame(PN, s)
-        want = unit_normal_closed_pseudo_c1(fr, RAD.jet(s), w, t, branch=1)
-        direct = min((forms.normal - want).euclid_norm(),
-                     (forms.normal + want).euclid_norm())
+    s, t, w = np.array([(rng.uniform(0.3, 0.8), rng.uniform(0.7, 1.2),
+                         rng.uniform(0.5, 1.5)) for _ in range(15)]).T
+    forms = batch_forms(s, t, w, step=1.25e-4)
+    for i in range(15):
+        fr = derive_frame(PN, s[i])
+        want = unit_normal_closed_pseudo_c1(fr, RAD.jet(s[i]), w[i], t[i],
+                                            branch=1)
+        normal = Vec4(*forms.normal[i])
+        direct = min((normal - want).euclid_norm(),
+                     (normal + want).euclid_norm())
         assert direct <= 1e-6
 
 
 def test_detg_matches_closed_form():
     rng = random.Random(23)
-    for _ in range(15):
-        s, t, w = rng.uniform(0.3, 0.9), rng.uniform(0.7, 1.4), rng.uniform(0.5, 2.5)
-        forms = oracle.fundamental_forms(oracle.numeric_jet(scene_fn, s, t, w))
-        want = detg_closed(s, t, w)
-        assert forms.detg == pytest.approx(want, rel=1e-4)
+    s, t, w = np.array([(rng.uniform(0.3, 0.9), rng.uniform(0.7, 1.4),
+                         rng.uniform(0.5, 2.5)) for _ in range(15)]).T
+    forms = batch_forms(s, t, w)
+    for i in range(15):
+        assert forms.detg[i] == pytest.approx(detg_closed(s[i], t[i], w[i]),
+                                              rel=1e-4)
 
 
 def test_deth_matches_closed_form():
     rng = random.Random(24)
-    for _ in range(15):
-        s, t, w = rng.uniform(0.3, 0.9), rng.uniform(0.7, 1.4), rng.uniform(0.5, 2.5)
-        forms = oracle.fundamental_forms(oracle.numeric_jet(scene_fn, s, t, w))
-        want = deth_closed(s, t, w)
-        assert forms.deth == pytest.approx(want, rel=1e-3)
+    s, t, w = np.array([(rng.uniform(0.3, 0.9), rng.uniform(0.7, 1.4),
+                         rng.uniform(0.5, 2.5)) for _ in range(15)]).T
+    forms = batch_forms(s, t, w)
+    for i in range(15):
+        assert forms.deth[i] == pytest.approx(deth_closed(s[i], t[i], w[i]),
+                                              rel=1e-3)
 
 
 def test_curvatures_match_example_values():
-    pair = oracle.curvatures_at(scene_fn, 1.0, 1.0, math.pi / 2)
-    assert pair.K == pytest.approx(3.246620, rel=1e-4)
-    assert pair.H == pytest.approx(-1.062782, rel=1e-4)
+    pair = batch_curvatures(scene_points, [1.0], [1.0], [math.pi / 2])
+    assert pair.K[0] == pytest.approx(3.246620, rel=1e-4)
+    assert pair.H[0] == pytest.approx(-1.062782, rel=1e-4)
 
 
 def test_flat_surface_zero_curvature():
     def affine(s, t, w):
-        return Vec4(0.1, 1, 0, 0) * s + Vec4(0.2, 0, 1, 0) * t \
-            + Vec4(0.3, 0, 0, 1) * w + Vec4(1, 2, 3, 4)
+        return (np.outer(s, [0.1, 1, 0, 0]) + np.outer(t, [0.2, 0, 1, 0])
+                + np.outer(w, [0.3, 0, 0, 1]) + np.array([1, 2, 3, 4]))
 
-    pair = oracle.curvatures_at(affine, 0.1, 0.2, 0.3)
-    assert abs(pair.K) <= 1e-8
-    assert abs(pair.H) <= 1e-8
+    pair = batch_curvatures(affine, [0.1], [0.2], [0.3])
+    assert abs(pair.K[0]) <= 1e-8
+    assert abs(pair.H[0]) <= 1e-8
 
 
 def test_degenerate_tangent_error():
@@ -189,12 +220,12 @@ def test_step_halving_self_consistency():
     s, t, w = 0.5, 1.2, 1.5
     fr = derive_frame(PN, s)
     closed = curvature_closed(FAM, fr.k1, RAD.jet(s), w, t)
-    full = oracle.curvatures_at(scene_fn, s, t, w, step=1e-3)
-    half = oracle.curvatures_at(scene_fn, s, t, w, step=5e-4)
+    full = batch_curvatures(scene_points, [s], [t], [w], step=1e-3)
+    half = batch_curvatures(scene_points, [s], [t], [w], step=5e-4)
     for attr in ("K", "H"):
-        e_full = abs(getattr(full, attr) - getattr(closed, attr))
-        e_half = abs(getattr(half, attr) - getattr(closed, attr))
-        change = abs(getattr(full, attr) - getattr(half, attr))
+        e_full = abs(getattr(full, attr)[0] - getattr(closed, attr))
+        e_half = abs(getattr(half, attr)[0] - getattr(closed, attr))
+        change = abs(getattr(full, attr)[0] - getattr(half, attr)[0])
         # the change between steps is at most the full-step error itself
         # (= 4x the expected quarter-step residue), plus a rounding floor
         assert e_half <= e_full

@@ -3,11 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from lmcanal.cli import main
 from lmcanal.scene import (SceneError, bundled_scene, bundled_scene_names,
                            parse_scene)
+from lmcanal.verify import verify_scene
 
 
 def minimal_doc():
@@ -131,8 +133,8 @@ def test_custom_curve_components():
                        "sin(2*s)/(2*sqrt(2))", "-cos(2*s)/(2*sqrt(2))"],
     }
     scene = parse_scene(doc)
-    p = scene.point_fn()(0.5, 1.0, 1.0)
-    assert all(math.isfinite(c) for c in p.components())
+    fld = scene.field([0.5], [1.0], [1.0])
+    assert fld.points.shape == (1, 4) and np.all(np.isfinite(fld.points))
 
 
 def test_bundled_scenes_all_parse():
@@ -172,6 +174,38 @@ def test_cli_verify_scene_pass(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "--scene", "pseudo-null-c1", "--step", "0"], "--step"),
+    (["verify", "--scene", "pseudo-null-c1", "--rel-tol", "0"], "--rel-tol"),
+    (["verify", "--scene", "pseudo-null-c1", "--abs-tol=-1e-6"], "--abs-tol"),
+    (["verify", "--scene", "pseudo-null-c1", "--step", "nan"], "--step"),
+    (["verify", "--scene", "pseudo-null-c1", "--rel-tol", "inf"], "--rel-tol"),
+    (["frames", "--curve", "null-example", "--step", "0"], "--step"),
+    (["frames", "--curve", "null-example", "--gram-tol", "x"], "--gram-tol"),
+    (["frames", "--curve", "null-example", "--ode-tol=-1"], "--ode-tol"),
+])
+def test_cli_nonpositive_numbers_are_usage_errors(capsys, argv, option):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert (f"lmcanal {argv[0]}: error: argument {option}: expected a "
+            f"positive number") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_envelope_check_needs_a_point(capsys, count):
+    # the envelope check must not pass over zero evaluated points
+    assert main(["verify", "--scene", "pseudo-null-c1",
+                 "--envelope-points", count]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert ("argument --envelope-points: expected a positive integer"
+            in captured.err)
+    with pytest.raises(ValueError, match="at least one point"):
+        verify_scene(bundled_scene("pseudo-null-c1"),
+                     envelope_points=int(count))
 
 
 def test_cli_verify_failure_exits_2(capsys, tmp_path):
