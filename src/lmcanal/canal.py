@@ -145,7 +145,9 @@ class ShapeSpec:
     def from_text(f_text: str, g_text: str) -> "ShapeSpec":
         return ShapeSpec(expr.parse(f_text), expr.parse(g_text))
 
-    def values(self, t: float, w: float) -> tuple[float, float]:
+    def values(self, t, w):
+        """(f, g) at (t, w): floats, or arrays of the broadcast shape of
+        arrays t, w from one walk per expression (see ``expr.eval_value``)."""
         return (expr.eval_value(self.f, t=t, w=w),
                 expr.eval_value(self.g, t=t, w=w))
 
@@ -162,7 +164,10 @@ class NullCoefficients:
     def from_text(a1_text: str, theta_text: str) -> "NullCoefficients":
         return NullCoefficients(expr.parse(a1_text), expr.parse(theta_text))
 
-    def values(self, s: float, t: float, w: float) -> tuple[float, float]:
+    def values(self, s, t, w):
+        """(a1, theta) at (s, t, w): floats, or arrays of the broadcast shape
+        of arrays s, t, w from one walk per expression (see
+        ``expr.eval_value``)."""
         return (expr.eval_value(self.a1, s=s, t=t, w=w),
                 expr.eval_value(self.theta, s=s, t=t, w=w))
 
@@ -178,13 +183,14 @@ class CurvaturePair:
 #
 # ``field`` evaluates a family at N parameter points in one pass.  It derives
 # the frames and radius jets of all distinct s in one call each, the shape
-# values and their trig values once per distinct (t, w), and the null
-# coefficients once per distinct (s, t, w).  Transcendental functions run
-# through Python's math module (``expr.libm``) and numpy only combines their
-# values with correctly rounded elementwise operations (+ - * /, square,
-# sqrt), so a point gets the same bits in any batch.  The one-point entry
-# points (evaluate_point, frame_coefficients, curvature_closed) are adapters
-# over the same functions.
+# values and their trig values at the distinct (t, w) and the null
+# coefficients at the distinct (s, t, w), with one walk per expression
+# (``expr.eval_value`` on arrays).  Transcendental functions run through
+# Python's math module (``expr.libm``) and numpy only combines their values
+# with correctly rounded elementwise operations (+ - * /, square, sqrt), so a
+# point gets the same bits in any batch.  The one-point entry points
+# (evaluate_point, frame_coefficients, curvature_closed) are adapters over
+# the same functions.
 
 
 @dataclass(frozen=True)
@@ -337,9 +343,7 @@ def _shape_table(family: CanalFamily, shape: ShapeSpec, t, w):
     """Fiber and closed-form inputs per distinct (t, w): (fiber, T, g)
     over the distinct points and the index of each input point."""
     (tu, wu), ix = _distinct(t, w)
-    f, g = np.array([shape.values(a, b) for a, b in zip(tu.tolist(),
-                                                         wu.tolist())],
-                    dtype=float).reshape(-1, 2).T
+    f, g = shape.values(tu, wu)
     if np.any(g == 0.0):
         raise RegimeError("shape function g vanishes at the evaluation point")
     fiber, trig = _fiber(family, f, g)
@@ -367,11 +371,8 @@ def field(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
         K = H = None
         singular = np.zeros(len(s), dtype=bool)
         if family.variant.is_null_variant:
-            (su, tu, wu), ix = _distinct(s, t, w)
-            a1, theta = np.array(
-                [nc.values(*p) for p in zip(su.tolist(), tu.tolist(),
-                                            wu.tolist())],
-                dtype=float).reshape(-1, 2).T
+            distinct, ix = _distinct(s, t, w)
+            a1, theta = nc.values(*distinct)
             coeff = _null_coefficients(family.lam, r, r1, a1[ix],
                                        libm(math.cos, theta)[ix],
                                        libm(math.sin, theta)[ix])

@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abs-tol", type=_POSITIVE, default=1e-6)
     p.add_argument("--step", type=_POSITIVE, default=None,
                    help="override the scene's oracle step")
-    p.add_argument("--min-points", type=int, default=1,
+    p.add_argument("--min-points", type=_COUNT, default=1,
                    help="required number of nonsingular grid points")
     p.add_argument("--envelope-points", type=_COUNT, default=200)
     p.add_argument("--no-weingarten", action="store_true")

@@ -6,11 +6,14 @@ small immutable AST and evaluated by one tree walker in one of two modes:
 * ``eval_s``   -- truncated Taylor jet in s: value and d/ds derivatives of
   orders 1..4 (``Jet1x4``), exact to machine precision, at one s or at an
   array of s values in one walk,
-* ``eval_value`` -- the same walker on plain floats, any of s, t, w bound.
+* ``eval_value`` -- the same walker on plain values, any of s, t, w bound
+  to a float or to an array (arrays broadcast; one walk per batch).
 
 On arrays numpy applies only ``+ - * /`` (correctly rounded, like Python
-floats) and every function and ``**`` goes through ``libm``, so an element
-gets the bits of a walk at that element alone.
+floats) and exact negations, and every function and ``**`` goes through
+``libm`` one column at a time, so an element gets the bits of a walk at
+that element alone.  A batch raises ``DomainError`` exactly when some
+element alone would, with the error of the first such element.
 
 Grammar (documented wire format; scene files embed these strings):
 
@@ -31,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -309,16 +313,33 @@ def _check_finite(x, what: str):
 
 
 def libm(fn, x, *args):
-    """``fn(x, *args)`` for each element of x where x is an array (a tuple
-    result becomes a tuple of arrays).  numpy's own transcendental functions
-    and powers can differ from libm in the last ulp, and this also raises
-    Python's exceptions as scalar code does."""
+    """``fn(x, *args)`` for each element of x where x is an array.
+
+    A batch element gets the bits of the scalar call: the same libm
+    function runs on the same float, mapped over the elements at C level
+    with no Python frame per element.  numpy's own transcendental functions
+    and powers can differ from libm in the last ulp.  Python's exceptions
+    are raised as scalar code raises them, by the first element that
+    raises."""
     if not isinstance(x, np.ndarray):
         return fn(x, *args)
-    out = np.array([fn(v, *args) for v in x.ravel().tolist()], dtype=float)
-    if out.ndim > 1:
-        return tuple(col.reshape(x.shape) for col in out.T)
+    out = np.fromiter(map(fn, x.ravel().tolist(), *map(repeat, args)),
+                      dtype=float, count=x.size)
     return out.reshape(x.shape)
+
+
+def _any(x) -> bool:
+    """A condition on a float or on every element of an array: whether it
+    holds anywhere."""
+    return bool(x.any()) if isinstance(x, np.ndarray) else bool(x)
+
+
+def _div(a, b):
+    """a / b on floats, arrays or jets; a zero divisor in any element
+    raises ``DomainError`` (numpy would give inf and go on)."""
+    if not isinstance(b, Jet1x4) and _any(b == 0.0):
+        raise DomainError("division by zero")
+    return a / b
 
 
 @dataclass(frozen=True)
@@ -381,7 +402,7 @@ class Jet1x4:
 
     def __truediv__(self, o: "Jet1x4") -> "Jet1x4":
         a, b = self.c, o.c
-        if np.any(b[0] == 0.0):
+        if _any(b[0] == 0.0):
             raise DomainError("division by zero")
         q = [0.0] * 5
         for k in range(5):
@@ -402,81 +423,92 @@ class Jet1x4:
             + (f3 / 2.0) * p1 * p1 * p2 + (f4 / 24.0) * libm(pow, p1, 4),
         ))
 
-    def at(self, i) -> "Jet1x4":
-        """The one-point jet at index i of a batch, on Python floats."""
-        return Jet1x4(tuple(float(x[i]) if isinstance(x, np.ndarray) else x
-                            for x in self.c))
-
 
 class _Plain:
-    """Order-0 mode of ``_eval_jet``: values are plain floats."""
+    """Order-0 mode of ``_eval_jet``: values are plain floats or arrays."""
 
     constant = float
 
 
-def _ln_derivs(u: float, order: int) -> tuple:
-    if u <= 0.0:
+# Derivative tables at u, a float or an array on which each libm function
+# runs once.  A failing batch is walked again element by element (see
+# ``_walk``), so the messages below are written for a float u.
+
+def _ln_derivs(u, order: int) -> tuple:
+    if _any(u <= 0.0):
         raise DomainError(f"ln of non-positive value {u}")
-    if not order:
-        return (math.log(u),)
-    d = (math.log(u), 1.0 / u, -1.0 / u ** 2, 2.0 / u ** 3, -6.0 / u ** 4)
+    d = (libm(math.log, u),)
+    if order:
+        d += (_div(1.0, u), _div(-1.0, libm(pow, u, 2)),
+              _div(2.0, libm(pow, u, 3)), _div(-6.0, libm(pow, u, 4)))
     return d[: order + 1]
 
 
-def _sqrt_derivs(u: float, order: int) -> tuple:
-    if u <= 0.0:
+def _sqrt_derivs(u, order: int) -> tuple:
+    if _any(u <= 0.0):
         raise DomainError(f"sqrt of non-positive value {u} (jet needs u > 0)")
-    r = math.sqrt(u)
+    r = libm(math.sqrt, u)
     if not order:
         return (r,)
-    d = (r, 0.5 / r, -0.25 / (u * r), 0.375 / (u * u * r),
-         -0.9375 / (u ** 3 * r))
+    d = (r, _div(0.5, r), _div(-0.25, u * r), _div(0.375, u * u * r),
+         _div(-0.9375, libm(pow, u, 3) * r))
     return d[: order + 1]
 
 
-def _exp_derivs(u: float, order: int) -> tuple:
+def _exp_derivs(u, order: int) -> tuple:
     try:
-        ev = math.exp(u)
+        ev = libm(math.exp, u)
     except OverflowError:
         raise DomainError(f"exp overflow at {u}") from None
     return (ev,) * (order + 1)
 
 
-def _trig_derivs(fn: str, u: float, order: int) -> tuple:
-    """Derivative cycle of fn; computes only fn's trig or hyperbolic pair."""
+#: The function of each trig or hyperbolic name and its derivative's mate.
+_TRIG = {"sin": (math.sin, math.cos), "cos": (math.cos, math.sin),
+         "sinh": (math.sinh, math.cosh), "cosh": (math.cosh, math.sinh)}
+
+
+def _trig_derivs(fn: str, u, order: int) -> tuple:
+    """Derivative cycle of fn; computes fn alone for a value and only fn's
+    trig or hyperbolic pair for a jet."""
+    own, mate = _TRIG[fn]
     try:
-        if fn in ("sin", "cos"):
-            a, b = math.sin(u), math.cos(u)
-            cycle = (a, b, -a, -b, a) if fn == "sin" else (b, -a, -b, a, b)
-        else:
-            a, b = math.sinh(u), math.cosh(u)
-            cycle = (a, b, a, b, a) if fn == "sinh" else (b, a, b, a, b)
+        a = libm(own, u)
+        if not order:
+            return (a,)
+        b = libm(mate, u)
     except (OverflowError, ValueError):
         raise DomainError(f"{fn} overflow or undefined at {u}") from None
+    if fn == "sin":
+        cycle = (a, b, -a, -b, a)
+    elif fn == "cos":
+        cycle = (a, -b, -a, b, a)
+    else:
+        cycle = (a, b, a, b, a)
     return cycle[: order + 1]
 
 
 _ORDER = {_Plain: 0, Jet1x4: 4}
 _DERIVS = {"exp": _exp_derivs, "ln": _ln_derivs, "sqrt": _sqrt_derivs,
-           **{fn: partial(_trig_derivs, fn)
-              for fn in ("sin", "cos", "sinh", "cosh")}}
+           **{fn: partial(_trig_derivs, fn) for fn in _TRIG}}
 _RECIPROCALS = {"csc": "sin", "sec": "cos", "csch": "sinh", "sech": "cosh"}
 
 
-def _value(u, jet_cls) -> float:
+def _value(u, jet_cls):
     return u if jet_cls is _Plain else u.value
 
 
 def _apply_fn(fn: str, u, jet_cls):
-    """Apply a named function to a float or a Jet1x4."""
+    """Apply a named function to a value or a Jet1x4."""
     if fn == "tan":
-        return _apply_fn("sin", u, jet_cls) / _apply_fn("cos", u, jet_cls)
+        return _div(_apply_fn("sin", u, jet_cls), _apply_fn("cos", u, jet_cls))
     if fn in _RECIPROCALS:
         # Domain error at the pole comes from the division.
-        return jet_cls.constant(1.0) / _apply_fn(_RECIPROCALS[fn], u, jet_cls)
+        return _div(jet_cls.constant(1.0),
+                    _apply_fn(_RECIPROCALS[fn], u, jet_cls))
     if fn not in _DERIVS:
         raise ExprError(f"unhandled function {fn!r}")
-    d = libm(partial(_DERIVS[fn], order=_ORDER[jet_cls]), _value(u, jet_cls))
+    d = _DERIVS[fn](_value(u, jet_cls), _ORDER[jet_cls])
     return d[0] if jet_cls is _Plain else u.compose(d)
 
 
@@ -484,7 +516,7 @@ def _int_pow(u, n: int, jet_cls):
     if n == 0:
         return jet_cls.constant(1.0)
     if n < 0:
-        return jet_cls.constant(1.0) / _int_pow(u, -n, jet_cls)
+        return _div(jet_cls.constant(1.0), _int_pow(u, -n, jet_cls))
     acc = None
     base = u
     while n:
@@ -496,11 +528,30 @@ def _int_pow(u, n: int, jet_cls):
     return acc
 
 
+def _take(x, sel):
+    """The elements ``sel`` of a batch value: a float (the same value at
+    every element), an array or a jet."""
+    if isinstance(x, Jet1x4):
+        return Jet1x4(tuple(_take(c, sel) for c in x.c))
+    return x[sel] if isinstance(x, np.ndarray) else x
+
+
+def _merge(shape, parts):
+    """The batch value of ``shape`` made of (sel, value) parts."""
+    if isinstance(parts[0][1], Jet1x4):
+        return Jet1x4(tuple(_merge(shape, [(sel, v.c[k]) for sel, v in parts])
+                            for k in range(5)))
+    out = np.empty(shape)
+    for sel, v in parts:
+        out[sel] = v
+    return out
+
+
 def _pow(u, v, jet_cls):
     """u^v.  A constant integer exponent multiplies out (valid for any
     base), any other takes exp(v * ln u), which requires a positive base.
-    In a batch whose elements differ in branch or exponent, each element
-    is walked on its own."""
+    A batch whose elements differ in branch or exponent is split into one
+    part per branch and exponent, so each element takes its own branch."""
     e = _value(v, jet_cls)
     whole = (np.abs(e) <= 64) & (np.floor(e) == e)
     if jet_cls is not _Plain:
@@ -511,9 +562,10 @@ def _pow(u, v, jet_cls):
         return _apply_fn("exp", v * _apply_fn("ln", u, jet_cls), jet_cls)
     if whole.all() and (e == e.flat[0]).all():
         return _int_pow(u, int(e.flat[0]), jet_cls)
-    parts = [_pow(u.at(i), v.at(i), jet_cls) for i in np.ndindex(e.shape)]
-    return Jet1x4(tuple(np.reshape(c, e.shape)
-                        for c in zip(*(p.c for p in parts))))
+    parts = [~whole] + [whole & (e == n) for n in np.unique(e[whole])]
+    return _merge(whole.shape, [(sel, _pow(_take(u, sel), _take(v, sel),
+                                           jet_cls)) for sel in parts
+                                if sel.any()])
 
 
 def _eval_jet(expr: Expr, scope: dict, jet_cls):
@@ -539,19 +591,48 @@ def _eval_jet(expr: Expr, scope: dict, jet_cls):
         if expr.op == "*":
             return a * b
         if expr.op == "/":
-            return a / b
+            return _div(a, b)
         if expr.op == "^":
             return _pow(a, b, jet_cls)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _walk(expr: Expr, scope: dict, jet_cls):
-    """``_eval_jet`` with Python's arithmetic errors (a jet term dividing by
-    an underflowed power, a power overflowing) reported as ``DomainError``."""
+def _run(expr: Expr, values: dict, jet_cls):
+    """One walk over the bound values with every term of the result checked
+    finite; Python's arithmetic errors (a power overflowing) are reported
+    as ``DomainError``."""
+    if jet_cls is _Plain:
+        scope, what = values, "value"
+    else:
+        scope = {name: Jet1x4.variable(x) for name, x in values.items()}
+        what = "jet derivative"
     try:
-        return _eval_jet(expr, scope, jet_cls)
+        out = _eval_jet(expr, scope, jet_cls)
     except (ZeroDivisionError, OverflowError) as e:
         raise DomainError(str(e)) from None
+    for x in (out,) if jet_cls is _Plain else out.derivatives():
+        _check_finite(x, what)
+    return out
+
+
+def _walk(expr: Expr, values: dict, jet_cls):
+    """``_run`` over floats or a batch of arrays of one shape.  A failing
+    batch is walked again one element at a time, so that it raises the
+    error of its first element that fails alone; the error names the
+    point."""
+    try:
+        return _run(expr, values, jet_cls)
+    except DomainError as e:
+        failure = e
+    if not values:
+        raise failure
+    if not any(isinstance(x, np.ndarray) for x in values.values()):
+        where = ", ".join(f"{name}={x!r}" for name, x in values.items())
+        raise DomainError(f"{failure} where {where}")
+    for i in np.ndindex(np.shape(next(iter(values.values())))):
+        _walk(expr, {name: float(x[i]) for name, x in values.items()},
+              jet_cls)
+    raise failure
 
 
 def eval_s(expr: Expr, s0) -> Jet1x4:
@@ -560,29 +641,40 @@ def eval_s(expr: Expr, s0) -> Jet1x4:
     ``s0`` is one value or an array of values walked in one pass.  With an
     array every coefficient is an array of its shape, each element holding
     the bits ``eval_s`` gives at that s alone, and the batch raises
-    ``DomainError`` exactly when some element alone would.
+    ``DomainError`` exactly when some element alone would, with the error
+    of the first such element.
     """
     s = np.asarray(s0, dtype=float) if np.ndim(s0) else float(s0)
     if not np.size(s):
         return Jet1x4((s,) * 5)
     with np.errstate(all="ignore"):
-        out = _walk(expr, {"s": Jet1x4.variable(s)}, Jet1x4)
-        if np.ndim(s):
-            out = Jet1x4(tuple(x.copy() if isinstance(x, np.ndarray)
-                               else np.full(s.shape, x) for x in out.c))
-        for d in out.derivatives():
-            _check_finite(d, "jet derivative")
+        out = _walk(expr, {"s": s}, Jet1x4)
+    if np.ndim(s):
+        out = Jet1x4(tuple(x.copy() if isinstance(x, np.ndarray)
+                           else np.full(s.shape, x) for x in out.c))
     return out
 
 
-def eval_value(expr: Expr, s: float | None = None, t: float | None = None,
-               w: float | None = None) -> float:
-    """Plain float evaluation with the given variables bound.
+def eval_value(expr: Expr, s=None, t=None, w=None):
+    """Value of an expression with the given variables bound.
 
-    Runs the jets' walker on plain floats and so returns their value term,
-    except that a variable exponent with an integer value is multiplied out.
-    Leaving a domain, dividing by zero or overflowing raises ``DomainError``.
+    Any of s, t, w may be an array: they broadcast, the expression is
+    walked once over the batch and the result is an array of the batch
+    shape (also for an expression without variables), each element holding
+    the bits ``eval_value`` gives at that element alone.  Runs the jets'
+    walker in its order-0 mode and so returns their value term, except that
+    a variable exponent with an integer value is multiplied out.  Leaving a
+    domain, dividing by zero or overflowing raises ``DomainError`` naming
+    the point, in a batch exactly when some element alone would, with the
+    error of the first such element.
     """
-    scope = {name: float(x) for name, x in (("s", s), ("t", t), ("w", w))
-             if x is not None}
-    return _check_finite(_walk(expr, scope, _Plain), "value")
+    values = {name: x for name, x in (("s", s), ("t", t), ("w", w))
+              if x is not None}
+    if not any(np.ndim(x) for x in values.values()):
+        return _walk(expr, {name: float(x) for name, x in values.items()},
+                     _Plain)
+    arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                   for x in values.values()))
+    with np.errstate(all="ignore"):
+        out = _walk(expr, dict(zip(values, arrays)), _Plain)
+    return np.array(np.broadcast_to(out, arrays[0].shape))

@@ -137,8 +137,12 @@ def _grid_slab(scene: SceneSpec, s, t, w):
 def check_curvatures(scene: SceneSpec, report: VerifyReport, tol: Tolerances,
                      min_points: int = 1):
     """Closed-form K, H against the oracle on the scene grid, plus the K-H
-    relation residual and the causal character of the normal.  The grid is
-    evaluated one s value at a time, which bounds the stencil temporaries."""
+    relation residual and the causal character of the normal; at least
+    one nonsingular point is required.  The grid is evaluated one s value
+    at a time, which bounds the stencil temporaries."""
+    if min_points < 1:
+        raise ValueError(f"the curvature check needs at least one point, "
+                         f"got min_points={min_points}")
     fam = scene.family
     grid = scene.grid
     t, w = (x.ravel() for x in np.meshgrid(grid.values_of("t"),

@@ -9,6 +9,7 @@ stencils, so the stated tolerances measure the jets, not the oracle.
 
 import math
 import random
+import re
 
 import mpmath
 import numpy as np
@@ -260,8 +261,18 @@ def test_eval_value_tw_matches_mpmath():
 def test_eval_value_tw_domain_errors():
     for text, t0, w0 in (("1/t", 0.0, 1.0), ("ln(t)", -1.0, 0.0),
                          ("sqrt(w)", 0.0, -1.0), ("csc(w)", 1.0, 0.0)):
-        with pytest.raises(ex.DomainError):
+        with pytest.raises(ex.DomainError) as one:
             ex.eval_value(ex.parse(text), t=t0, w=w0)
+        # the same point inside a batch of good ones
+        with pytest.raises(ex.DomainError) as batch:
+            ex.eval_value(ex.parse(text), t=np.array([2.0, t0, 3.0]),
+                          w=np.array([2.0, w0, 3.0]))
+        assert str(batch.value) == str(one.value), text
+    # a zero divisor in one element raises instead of flowing on as inf
+    # (here 1/inf would be a finite 0), and the error names that element
+    for text in ("1/(t-1)", "1/(1/(t-1))"):
+        with pytest.raises(ex.DomainError, match=r"t=1\.0\b"):
+            ex.eval_value(ex.parse(text), t=np.array([0.0, 1.0, 2.0]))
 
 
 def test_eval_value():
@@ -271,6 +282,12 @@ def test_eval_value():
     assert ex.eval_s(ex.parse("cos(s)"), -800.0).value == math.cos(-800.0)
     with pytest.raises(ex.VariableScopeError):
         ex.eval_value(ex.parse("s"), t=1.0, w=1.0)
+    # arrays broadcast, and a constant takes the batch shape
+    t, w = np.array([[0.5], [1.0]]), np.array([0.0, 2.0, 3.0])
+    zero = ex.eval_value(ex.parse("0"), t=t, w=w)
+    assert zero.shape == (2, 3) and not zero.any()
+    assert ex.eval_value(ex.parse("t*w"), t=t, w=w).tolist() == \
+        (t * w).tolist()
 
 
 def test_eval_value_is_the_jet_value():
@@ -321,6 +338,11 @@ def _jet_bits(jet, index=None):
             for c in jet.c]
 
 
+def _bits(x):
+    """Bits of each element of a value or a batch of values."""
+    return [v.tobytes() for v in np.ravel(np.asarray(x, dtype=float))]
+
+
 def _one_by_one(ast, values):
     """Per-element eval_s: the jets, or None where the element raises."""
     out = []
@@ -344,6 +366,20 @@ def test_jet_s_power_branch_per_element():
             assert _jet_bits(batch, i) == _jet_bits(one), (text, values[i])
     assert ex.eval_s(ex.parse("s^(sin(s)^5)"), 0.0).derivatives() == \
         (1.0, 0.0, 0.0, 0.0, 0.0)
+    # libm gives every element the bits of the scalar call, negative and
+    # subnormal bases included, and raises as the scalar call raises
+    x = np.array([[-2.5, -1e-310, 5e-324], [-0.0, 3.0, 1e100]])
+    cubes = ex.libm(pow, x, 3)
+    assert cubes.shape == x.shape
+    assert _bits(cubes) == _bits([pow(v, 3) for v in x.ravel().tolist()])
+    with pytest.raises(OverflowError):
+        ex.libm(pow, np.array([1.0, 1e103]), 3)
+    # values pick their branch per element too
+    ast = ex.parse("t^(sin(t)^5)")
+    batch = ex.eval_value(ast, t=np.array([0.0, 0.5]))
+    assert _bits(batch) == [_bits(ex.eval_value(ast, t=t0))[0]
+                            for t0 in (0.0, 0.5)]
+    assert batch[0] == 1.0
 
 
 def test_jet_s_batch_raises_iff_an_element_raises():
@@ -363,6 +399,13 @@ def test_jet_s_batch_raises_iff_an_element_raises():
         # one bad element: the batch fails as that element fails alone
         with pytest.raises(ex.DomainError) as batch:
             ex.eval_s(ex.parse(text), np.array(good + [bad]))
+        assert str(batch.value) == str(one.value), text
+        # the same in the value mode, over t beside a scalar w
+        tw = ex.parse(re.sub(r"\bs\b", "t", text))
+        with pytest.raises(ex.DomainError) as one:
+            ex.eval_value(tw, t=bad, w=0.0)
+        with pytest.raises(ex.DomainError) as batch:
+            ex.eval_value(tw, t=np.array(good + [bad]), w=0.0)
         assert str(batch.value) == str(one.value), text
 
 
@@ -392,3 +435,29 @@ def test_jet_s_arrays_match_per_element_walks():
             assert _jet_bits(batch, i) == _jet_bits(one), (ex.to_str(ast), i)
         checked += 1
     assert checked >= 1200 and raised >= 200
+    # values over t, w arrays beside a scalar s: one walk, the same bits
+    exponent = ex.parse("sin(t)^5")
+    checked = raised = 0
+    for _ in range(1000):
+        ast = random_ast(rng, rng.randint(0, 5), vars_=("s", "t", "w"))
+        wrap = rng.choice(["", "", "ln", "pow"])
+        if wrap == "ln":
+            ast = ex.Call("ln", ast)
+        elif wrap == "pow":
+            ast = ex.Bin("^", ast, exponent)
+        s0 = rng.uniform(-2.0, 2.0)
+        t, w = ([rng.uniform(-2.0, 2.0) for _ in range(3)] + [0.0]
+                for _ in range(2))
+        try:
+            ones = [_bits(ex.eval_value(ast, s=s0, t=a, w=b))
+                    for a, b in zip(t, w)]
+        except ex.DomainError:
+            with pytest.raises(ex.DomainError):
+                ex.eval_value(ast, s=s0, t=np.array(t), w=np.array(w))
+            raised += 1
+            continue
+        batch = ex.eval_value(ast, s=s0, t=np.array(t), w=np.array(w))
+        assert _bits(batch) == [b for one in ones for b in one], \
+            ex.to_str(ast)
+        checked += 1
+    assert checked >= 600 and raised >= 100

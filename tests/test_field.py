@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from lmcanal import canal
+from lmcanal import canal, expr
+from lmcanal import scene as scene_mod
 from lmcanal.canal import (RadiusSpec, SingularPointError, curvature_closed,
                            weingarten_residuals)
 from lmcanal.curves import derive_frame
@@ -99,6 +100,34 @@ def test_check_curvatures_derives_each_s_once(monkeypatch):
                 for d in (-1.0, 0.0, 1.0)}
     assert len(distinct) == 3 * scene.grid.n_s == 27
     assert sorted(frames) == sorted(jets) == sorted(distinct)
+
+
+def test_field_walks_each_expression_once_per_call(monkeypatch):
+    # shape and null data come from one eval_value walk per expression and
+    # kernel call, whatever the number of points
+    canal_scene, null_scene = (bundled_scene(n) for n in ("pseudo-null-c1",
+                                                           "null-c1"))
+    walks, fields = [], []
+    real_walk, real_field = expr.eval_value, scene_mod.field
+
+    def counted_walk(*args, **kwargs):
+        walks.append(args[0])
+        return real_walk(*args, **kwargs)
+
+    def counted_field(*args):
+        fields.append(len(args[-1]))
+        return real_field(*args)
+
+    monkeypatch.setattr(expr, "eval_value", counted_walk)
+    monkeypatch.setattr(scene_mod, "field", counted_field)
+    report = VerifyReport(canal_scene.name)
+    check_curvatures(canal_scene, report, Tolerances())
+    assert report.passed
+    assert len(fields) == canal_scene.grid.n_s and sum(fields) > 1000
+    assert len(walks) == 2 * len(fields)
+    walks.clear()
+    null_scene.field(*_random_points(null_scene, 500, 3))
+    assert walks == [null_scene.nc.a1, null_scene.nc.theta]
 
 
 def _weingarten_reference(scene, points):

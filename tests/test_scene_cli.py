@@ -208,6 +208,30 @@ def test_cli_envelope_check_needs_a_point(capsys, count):
                      envelope_points=int(count))
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_curvature_check_needs_a_point(capsys, tmp_path, count):
+    # f = 0 puts every T1 closed form on its csc pole, so no grid point is
+    # nonsingular; the nonsingular-points guard must not pass over them
+    doc = minimal_doc()
+    doc["family"]["variant"] = "T1"
+    doc["radius"] = "1/2"
+    doc["shape"] = {"f": "0", "g": "t"}
+    path = tmp_path / "poles.json"
+    path.write_text(json.dumps(doc))
+    argv = ["verify", "--scene", str(path), "--no-weingarten"]
+    assert main(argv + ["--min-points", count]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert ("argument --min-points: expected a positive integer"
+            in captured.err)
+    assert main(argv) == 2
+    row, = (line for line in capsys.readouterr().out.splitlines()
+            if "nonsingular points" in line)
+    assert "nonsingular points >= 1 (got 0)" in row and row.endswith("FAIL")
+    with pytest.raises(ValueError, match="at least one point"):
+        verify_scene(parse_scene(doc), min_points=int(count))
+
+
 def test_cli_verify_failure_exits_2(capsys, tmp_path):
     # an intentionally mis-tolerated run: rel tolerance far below what the
     # finite-difference oracle can deliver
