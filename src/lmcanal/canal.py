@@ -14,17 +14,20 @@ variant below is one solution family of that constraint; tubular variants
 are the constant-radius specializations.
 
 Closed-form Gaussian/mean curvature pairs exist for the ten pseudo null /
-partially null variants and the eight tubular ones; null-center families
-have no closed forms and are covered by the numerical oracle only.  The
-closed forms are transcribed for the worked branch (+1); for branch -1 the
-radial part of the surface flips sign, which enters the formulas only
-through the odd powers of the fiber trig value, so the branch sign is
-folded into that value (validated against the oracle in the test suite).
+partially null canal variants and the eight tubular ones: one canal and one
+tubular formula with per-variant terms from one table (see "Closed-form
+curvatures" below); the partially null forms are the pseudo null ones with
+2g replaced by +-1.  Null-center families have none and are covered by the
+oracle only.  The forms hold for branch +1; for branch -1 the radial part
+flips sign, which enters them only through the odd powers of the fiber trig
+value, so the branch sign is folded into that value (checked against the
+oracle on every non-null gate scene in tests/test_closed_vs_oracle.py).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -241,20 +244,16 @@ def _check_radius(variant: Variant, r, r1) -> None:
 
 
 def _radial_scale(variant: Variant, r, r1):
-    """r * sqrt(...) radial factor of a non-null variant at floats or
-    arrays r, r', with the variant regime checks."""
+    """r * sqrt(m) radial factor of a non-null variant at floats or arrays
+    r, r' (m from _CLOSED_FORMS), with the variant regime checks."""
     _check_radius(variant, r, r1)
     if variant.is_tubular:
         return r
-    q = r1 * r1
-    if variant in (Variant.C1, Variant.C2, Variant.C3):
-        _regime(q >= 1.0, f"variant {variant.value} requires r'^2 < 1, "
-                "got r'={}", r1)
-        return r * np.sqrt(1.0 - q)
-    if variant is Variant.C4:
-        _regime(q <= 1.0, "variant C4 requires r'^2 > 1, got r'={}", r1)
-        return r * np.sqrt(q - 1.0)
-    return r * np.sqrt(1.0 + q)  # C5
+    row = _CLOSED_FORMS[variant]
+    m = row.m0 + row.mq * (r1 * r1)
+    _regime(m <= 0.0, f"variant {variant.value} requires r'^2 "
+            f"{'<' if row.mq < 0 else '>'} 1, got r'={{}}", r1)
+    return r * np.sqrt(m)
 
 
 def _frames(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
@@ -437,9 +436,38 @@ def unit_normal_closed_pseudo_c1(frame: FrenetData, r_jet, f: float, g: float,
 # ---------------------------------------------------------------------------
 # Closed-form curvatures
 #
-# The forms below take broadcastable arrays; T is the branch-signed trig
-# value of the shape function f (see ``_fiber``).  ``guard`` divides and
-# marks the points whose denominator vanishes at the scale of the numerator.
+# With q = r'^2, a variant's row of _CLOSED_FORMS gives m, the sign of
+# q2 = +-r'', the shape term G (+-2g for pseudo null centers, +-1 for
+# partially null ones) and a sign sigma of K and H, which is also the sign
+# of the K-H relation 3H - r^2 K + sigma 2/r.  T is the branch-signed trig
+# value of f (see ``_fiber``).  Canal variants, where m > 0 is the regime,
+# with a = m - r q2, b = m - 2 r q2 and c = 2m - 3 r q2:
+#
+#   K = sigma [-r m k1^2 T^2 + q2 a G^2 + sqrt(m) b k1 G T]
+#       / [r^2 (r sqrt(m) k1 T - a G)^2]
+#   H = sigma [r m sqrt(m) k1 G T + 3 r^2 m k1^2 T^2 - a c G^2]
+#       / [3 (-r^3 m k1^2 T^2 + r a^2 G^2)]
+#
+# Tubular variants: K = sigma k1 / (r^2 (G/T - r k1)) and
+# H = sigma / (-r + r G / (-2G + 3 r k1 T)).  The forms take broadcastable
+# arrays; ``guard`` divides and marks the points whose denominator vanishes
+# at the scale of the numerator.
+
+#: Per variant: m = m0 + mq q and q2 = e2 r'' (canal variants only),
+#: G / 2g for pseudo null centers, G for partially null ones, and sigma.
+_Row = namedtuple("_Row", "m0 mq e2 pseudo partial sigma")
+_CLOSED_FORMS = {
+    Variant.C1: _Row(+1.0, -1.0, +1.0, +1.0, +1.0, +1.0),
+    Variant.C2: _Row(+1.0, -1.0, +1.0, +1.0, +1.0, -1.0),
+    Variant.C3: _Row(+1.0, -1.0, +1.0, -1.0, +1.0, +1.0),
+    Variant.C4: _Row(-1.0, +1.0, -1.0, +1.0, -1.0, +1.0),
+    Variant.C5: _Row(+1.0, +1.0, -1.0, -1.0, +1.0, -1.0),
+    Variant.T1: _Row(None, None, None, +1.0, +1.0, +1.0),
+    Variant.T2: _Row(None, None, None, +1.0, +1.0, -1.0),
+    Variant.T3: _Row(None, None, None, -1.0, +1.0, +1.0),
+    Variant.T4: _Row(None, None, None, -1.0, +1.0, -1.0),
+}
+
 
 def _guard_into(bad):
     def guard(num, den):
@@ -449,126 +477,20 @@ def _guard_into(bad):
     return guard
 
 
-def _kh_pseudo_c123(k1, r, r1, r2, T, g, hyperbolic: bool):
-    """Shared core of pseudo null C1 (sin), C2 via sign flips, C3 (sinh)."""
-    m = 1.0 - r1 * r1
+def _canal_kh(row, k1, r, r1, r2, T, G):
+    """Numerators and denominators of the canal K and H, before sigma."""
+    m = row.m0 + row.mq * (r1 * r1)
     sm = np.sqrt(m)
-    a = m - r * r2
-    amm = m - 2.0 * r * r2
-    c = 2.0 * m - 3.0 * r * r2
-    sgn = -1.0 if hyperbolic else 1.0  # F4 fiber sign: C3 carries -sinh/2g
-    num_k = (-r * m * k1 * k1 * T * T + 4.0 * r2 * a * g * g
-             + sgn * 2.0 * sm * amm * k1 * g * T)
-    den_k = r * r * np.square(r * sm * k1 * T - sgn * 2.0 * a * g)
-    num_h = (sgn * 2.0 * r * m * sm * k1 * g * T
-             + 3.0 * r * r * m * k1 * k1 * T * T - 4.0 * a * c * g * g)
-    den_h = 3.0 * (-r * r * r * m * k1 * k1 * T * T
-                   + 4.0 * r * a * a * g * g)
+    q2 = row.e2 * r2
+    a = m - r * q2
+    b = m - 2.0 * r * q2
+    c = 2.0 * m - 3.0 * r * q2
+    num_k = -r * m * k1 * k1 * T * T + q2 * a * G * G + sm * b * k1 * G * T
+    den_k = r * r * np.square(r * sm * k1 * T - a * G)
+    num_h = (r * m * sm * k1 * G * T + 3.0 * r * r * m * k1 * k1 * T * T
+             - a * c * G * G)
+    den_h = 3.0 * (-r * r * r * m * k1 * k1 * T * T + r * a * a * G * G)
     return num_k, den_k, num_h, den_h
-
-
-def _kh_pseudo(variant: Variant, k1, r, r1, r2, T, g):
-    if variant is Variant.C1:
-        return _kh_pseudo_c123(k1, r, r1, r2, T, g, hyperbolic=False)
-    if variant is Variant.C2:
-        nk, dk, nh, dh = _kh_pseudo_c123(k1, r, r1, r2, T, g, hyperbolic=False)
-        return (-nk, dk, -nh, dh)
-    if variant is Variant.C3:
-        return _kh_pseudo_c123(k1, r, r1, r2, T, g, hyperbolic=True)
-    if variant is Variant.C4:
-        m = r1 * r1 - 1.0
-        sm = np.sqrt(m)
-        a = m + r * r2      # -1 + r'^2 + r r''
-        amm = m + 2.0 * r * r2
-        c = 2.0 * m + 3.0 * r * r2
-        num_k = (-r * m * k1 * k1 * T * T - 4.0 * r2 * a * g * g
-                 + 2.0 * sm * amm * k1 * g * T)
-        den_k = r * r * np.square(r * sm * k1 * T - 2.0 * a * g)
-        num_h = (-2.0 * r * m * sm * k1 * g * T
-                 - 3.0 * r * r * m * k1 * k1 * T * T + 4.0 * a * c * g * g)
-        den_h = 3.0 * (r * r * r * m * k1 * k1 * T * T
-                       - 4.0 * r * a * a * g * g)
-        return num_k, den_k, num_h, den_h
-    # C5
-    p = 1.0 + r1 * r1
-    sp = np.sqrt(p)
-    a = p + r * r2
-    amm = p + 2.0 * r * r2
-    c = 2.0 * p + 3.0 * r * r2
-    num_k = (r * p * k1 * k1 * T * T + 4.0 * r2 * a * g * g
-             + 2.0 * sp * amm * k1 * g * T)
-    den_k = r * r * np.square(r * sp * k1 * T + 2.0 * a * g)
-    num_h = (-2.0 * r * p * sp * k1 * g * T
-             + 3.0 * r * r * p * k1 * k1 * T * T - 4.0 * a * c * g * g)
-    den_h = 3.0 * (r * r * r * p * k1 * k1 * T * T
-                   - 4.0 * r * a * a * g * g)
-    return num_k, den_k, num_h, den_h
-
-
-def _kh_partial(variant: Variant, k1, r, r1, r2, T, g):
-    if variant in (Variant.C1, Variant.C2, Variant.C3):
-        m = 1.0 - r1 * r1
-        sm = np.sqrt(m)
-        a = m - r * r2
-        amm = m - 2.0 * r * r2
-        c = 2.0 * m - 3.0 * r * r2
-        num_k = -r * m * k1 * k1 * T * T + r2 * a + sm * amm * k1 * T
-        den_k = r * r * np.square(a - r * sm * k1 * T)
-        num_h = (r * m * sm * k1 * T + 3.0 * r * r * m * k1 * k1 * T * T
-                 - a * c)
-        den_h = 3.0 * r * (-r * r * m * k1 * k1 * T * T + a * a)
-        if variant is Variant.C2:
-            return (-num_k, den_k, -num_h, den_h)
-        return num_k, den_k, num_h, den_h
-    if variant is Variant.C4:
-        m = r1 * r1 - 1.0
-        sm = np.sqrt(m)
-        a = m + r * r2
-        amm = m + 2.0 * r * r2
-        c = 2.0 * m + 3.0 * r * r2
-        num_k = -(r * m * k1 * k1 * T * T + r2 * a + sm * amm * k1 * T)
-        den_k = r * r * np.square(a + r * sm * k1 * T)
-        num_h = (r * m * sm * k1 * T - 3.0 * r * r * m * k1 * k1 * T * T
-                 + a * c)
-        den_h = 3.0 * r * (r * r * m * k1 * k1 * T * T - a * a)
-        return num_k, den_k, num_h, den_h
-    # C5
-    p = 1.0 + r1 * r1
-    sp = np.sqrt(p)
-    a = p + r * r2
-    amm = p + 2.0 * r * r2
-    c = 2.0 * p + 3.0 * r * r2
-    num_k = r * p * k1 * k1 * T * T + r2 * a - sp * amm * k1 * T
-    den_k = r * r * np.square(a - r * sp * k1 * T)
-    num_h = r * p * sp * k1 * T + 3.0 * r * r * p * k1 * k1 * T * T - a * c
-    den_h = 3.0 * r * (r * r * p * k1 * k1 * T * T - a * a)
-    return num_k, den_k, num_h, den_h
-
-
-def _kh_tubular_pseudo(variant: Variant, k1, r, T, g, guard):
-    if variant is Variant.T1:
-        K = guard(k1, r * r * (2.0 * g * guard(1.0, T) - r * k1))
-        H = guard(1.0, -r + guard(2.0 * r * g, -4.0 * g + 3.0 * r * k1 * T))
-        return K, H
-    if variant is Variant.T2:
-        K = guard(k1, r * r * (r * k1 - 2.0 * g * guard(1.0, T)))
-        H = guard(1.0, r + guard(2.0 * r * g, 4.0 * g - 3.0 * r * k1 * T))
-        return K, H
-    if variant is Variant.T3:
-        K = guard(-k1, r * r * (2.0 * g * guard(1.0, T) + r * k1))
-        H = guard(1.0, -r + guard(2.0 * r * g, -4.0 * g - 3.0 * r * k1 * T))
-        return K, H
-    # T4
-    K = guard(k1, r * r * (2.0 * g * guard(1.0, T) + r * k1))
-    H = guard(1.0, r + guard(2.0 * r * g, 4.0 * g + 3.0 * r * k1 * T))
-    return K, H
-
-
-def _kh_tubular_partial(variant: Variant, k1, r, T, guard):
-    sign = 1.0 if variant in (Variant.T1, Variant.T3) else -1.0
-    K = sign * guard(k1, r * r * (guard(1.0, T) - r * k1))
-    H = sign * guard(1.0, -r + guard(r, -2.0 + 3.0 * r * k1 * T))
-    return K, H
 
 
 def _closed(family: CanalFamily, k1, r, r1, r2, T, g):
@@ -576,18 +498,17 @@ def _closed(family: CanalFamily, k1, r, r1, r2, T, g):
     bad = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in
                                          (k1, r, r1, r2, T, g))), dtype=bool)
     guard = _guard_into(bad)
+    row = _CLOSED_FORMS[family.variant]
     with np.errstate(all="ignore"):
+        G = (row.pseudo * (2.0 * g)
+             if family.curve_class is CurveClass.PSEUDO_NULL else row.partial)
         if family.variant.is_tubular:
-            if family.curve_class is CurveClass.PSEUDO_NULL:
-                K, H = _kh_tubular_pseudo(family.variant, k1, r, T, g, guard)
-            else:
-                K, H = _kh_tubular_partial(family.variant, k1, r, T, guard)
+            K = guard(k1, r * r * (G * guard(1.0, T) - r * k1))
+            H = guard(1.0, -r + guard(r * G, -2.0 * G + 3.0 * r * k1 * T))
         else:
-            kh = (_kh_pseudo if family.curve_class is CurveClass.PSEUDO_NULL
-                  else _kh_partial)(family.variant, k1, r, r1, r2, T, g)
-            num_k, den_k, num_h, den_h = kh
+            num_k, den_k, num_h, den_h = _canal_kh(row, k1, r, r1, r2, T, G)
             K, H = guard(num_k, den_k), guard(num_h, den_h)
-    return K, H, bad
+    return row.sigma * K, row.sigma * H, bad
 
 
 def curvature_closed(family: CanalFamily, k1: float, r_jet, f: float,
@@ -618,25 +539,19 @@ def curvature_closed(family: CanalFamily, k1: float, r_jet, f: float,
 # ---------------------------------------------------------------------------
 # Algebraic relations and condition residuals
 
-#: Variants whose K-H relation carries +2/r; the others carry -2/r.
-_RELATION_PLUS = (Variant.C1, Variant.C3, Variant.C4)
-_RELATION_MINUS = (Variant.C2, Variant.C5)
-
-
 def relation_residual(pair: CurvaturePair, r: float,
                       family: CanalFamily) -> float:
-    """Left side of the linear K-H relation 3H - r^2 K +/- 2/r."""
+    """Left side of the linear K-H relation 3H - r^2 K + sigma 2/r."""
     if family.curve_class not in (CurveClass.PSEUDO_NULL,
                                   CurveClass.PARTIALLY_NULL):
         raise UnsupportedFamilyError(
             "K-H relations cover pseudo null and partially null canal "
             "variants only")
-    if family.variant in _RELATION_PLUS:
-        return 3.0 * pair.H - r * r * pair.K + 2.0 / r
-    if family.variant in _RELATION_MINUS:
-        return 3.0 * pair.H - r * r * pair.K - 2.0 / r
-    raise UnsupportedFamilyError(
-        f"no K-H relation for variant {family.variant.value}")
+    if family.variant.is_tubular:
+        raise UnsupportedFamilyError(
+            f"no K-H relation for variant {family.variant.value}")
+    sigma = _CLOSED_FORMS[family.variant].sigma
+    return 3.0 * pair.H - r * r * pair.K + sigma * 2.0 / r
 
 
 def _is_zero_k1(k1: float) -> bool:
@@ -647,34 +562,40 @@ def _shape_is_g_eq_sinf(f: float, g: float) -> bool:
     return abs(g - math.sin(f)) <= 1e-9
 
 
+def _curved_c1_numerators(r_jet, f: float, g: float):
+    """The canal K and H numerators of pseudo null C1 on a curved center
+    (k1 = 1, T = sin f, G = 2g).  Both are homogeneous of degree 2 in
+    (T, G), so under g = sin f they are taken at T = 1, G = 2, which is
+    the numerators over sin^2 f."""
+    r, r1, r2 = r_jet[0], r_jet[1], r_jet[2]
+    _radial_scale(Variant.C1, r, r1)  # regime checks on r and r'
+    T, G = ((1.0, 2.0) if _shape_is_g_eq_sinf(f, g)
+            else (math.sin(f), 2.0 * g))
+    num_k, _, num_h, _ = _canal_kh(_CLOSED_FORMS[Variant.C1], 1.0, r, r1, r2,
+                                   T, G)
+    return float(num_k), float(num_h)
+
+
 def flat_residual(family: CanalFamily, r_jet, k1: float,
                   f: float | None = None, g: float | None = None) -> float:
     """Left side of the flatness condition governing the family/case.
 
-    Pseudo null C1: r'' for straight centers; the degree-2 polynomial in
-    (r, r', r'') under g = sin f; otherwise the full K numerator.
-    Partially null C5: r'' for straight centers (flatness is impossible
-    for curved ones, reported as unsupported).
+    Pseudo null C1: r'' for straight centers; for curved ones the canal K
+    numerator, divided by sin^2 f under g = sin f (a degree-2 polynomial
+    in (r, r', r'')).  Partially null C5: r'' for straight centers
+    (flatness is impossible for curved ones, reported as unsupported).
     """
-    r, r1, r2 = r_jet[0], r_jet[1], r_jet[2]
     if (family.curve_class is CurveClass.PSEUDO_NULL
             and family.variant is Variant.C1):
         if _is_zero_k1(k1):
-            return r2
+            return r_jet[2]
         if f is None or g is None:
             raise RegimeError("curved-center flatness requires f, g values")
-        m = 1.0 - r1 * r1
-        sm = math.sqrt(m)
-        if _shape_is_g_eq_sinf(f, g):
-            return (2.0 * m * (sm + 2.0 * r2)
-                    - r * (m + 4.0 * r2 * (sm + r2)))
-        return (-r * m * math.sin(f) ** 2
-                + 4.0 * r2 * (m - r * r2) * g * g
-                + 2.0 * sm * (m - 2.0 * r * r2) * g * math.sin(f))
+        return _curved_c1_numerators(r_jet, f, g)[0]
     if (family.curve_class is CurveClass.PARTIALLY_NULL
             and family.variant is Variant.C5):
         if _is_zero_k1(k1):
-            return r2
+            return r_jet[2]
         raise UnsupportedFamilyError(
             "partially null C5 cannot be flat for k1 != 0")
     raise UnsupportedFamilyError(
@@ -686,8 +607,9 @@ def minimal_residual(family: CanalFamily, r_jet, k1: float,
                      f: float | None = None, g: float | None = None) -> float:
     """Left side of the minimality condition governing the family/case.
 
-    Pseudo null C1: 2 - 2r'^2 - 3rr'' for straight centers; the g = sin f
-    polynomial for curved ones; otherwise the full H numerator.
+    Pseudo null C1: 2 - 2r'^2 - 3rr'' for straight centers; for curved ones
+    the canal H numerator, or under g = sin f the polynomial
+    -numerator/sin^2 f (leading term 8m^2).
     Partially null C5: 2 + 2r'^2 + 3rr'' for straight centers.
     """
     r, r1, r2 = r_jet[0], r_jet[1], r_jet[2]
@@ -697,14 +619,8 @@ def minimal_residual(family: CanalFamily, r_jet, k1: float,
             return 2.0 - 2.0 * r1 * r1 - 3.0 * r * r2
         if f is None or g is None:
             raise RegimeError("curved-center minimality requires f, g values")
-        m = 1.0 - r1 * r1
-        sm = math.sqrt(m)
-        if _shape_is_g_eq_sinf(f, g):
-            return (8.0 * m * m - 2.0 * r * m * (sm + 10.0 * r2)
-                    - 3.0 * r * r * (m - 4.0 * r2 * r2))
-        return (2.0 * r * m * sm * g * math.sin(f)
-                + 3.0 * r * r * m * math.sin(f) ** 2
-                - 4.0 * (m - r * r2) * (2.0 * m - 3.0 * r * r2) * g * g)
+        num_h = _curved_c1_numerators(r_jet, f, g)[1]
+        return -num_h if _shape_is_g_eq_sinf(f, g) else num_h
     if (family.curve_class is CurveClass.PARTIALLY_NULL
             and family.variant is Variant.C5):
         if _is_zero_k1(k1):

@@ -212,6 +212,9 @@ def verify_scene(scene: SceneSpec, tol: Tolerances = Tolerances(),
                  min_points: int = 1, weingarten: bool = True,
                  envelope_points: int = 200) -> VerifyReport:
     """Run every check applicable to the scene's family."""
+    if min_points < 1:
+        raise ValueError(f"verify needs at least one point, got "
+                         f"min_points={min_points}")
     report = VerifyReport(scene.name)
     check_envelope(scene, report, tol, n_points=envelope_points)
     if scene.family.variant.is_null_variant:

@@ -315,6 +315,11 @@ def test_flat_residual_cases():
         jet = (r0, 0.0, 0.0)
         assert flat_residual(fam, jet, 1.0, f=0.8, g=math.sin(0.8)) == \
             pytest.approx(2.0 - r0, rel=1e-12)
+    # curved center, general shape: the K numerator, at r'=r''=0
+    # sin f (2g - r sin f)
+    sf = math.sin(0.8)
+    assert flat_residual(fam, (1.3, 0.0, 0.0), 1.0, f=0.8, g=1.1) == \
+        pytest.approx(sf * (2.0 * 1.1 - 1.3 * sf), rel=1e-12)
     fam5 = CanalFamily(CurveClass.PARTIALLY_NULL, Variant.C5, 1)
     assert flat_residual(fam5, line.jet(0.3), 0.0) == 0.0
     with pytest.raises(UnsupportedFamilyError):
@@ -360,6 +365,12 @@ def test_minimal_residual_cases():
     assert minimal_residual(fam5, const.jet(0.1), 0.0) == 2.0
     with pytest.raises(UnsupportedFamilyError):
         minimal_residual(fam5, const.jet(0.1), 2.0, f=0.5, g=1.0)
+    # curved center, general shape: the H numerator, at r'=r''=0
+    # 2rg sin f + 3r^2 sin^2 f - 8g^2
+    r, sf, g = 1.3, math.sin(0.8), 1.1
+    assert minimal_residual(fam, (r, 0.0, 0.0), 1.0, f=0.8, g=g) == \
+        pytest.approx(2 * r * g * sf + 3 * r * r * sf * sf - 8 * g * g,
+                      rel=1e-12)
 
     # first integral r'^2 = 1 - (a/r)^{4/3} solves 2 - 2r'^2 - 3rr'' = 0
     a = 1.0

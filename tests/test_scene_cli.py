@@ -228,8 +228,10 @@ def test_cli_curvature_check_needs_a_point(capsys, tmp_path, count):
     row, = (line for line in capsys.readouterr().out.splitlines()
             if "nonsingular points" in line)
     assert "nonsingular points >= 1 (got 0)" in row and row.endswith("FAIL")
-    with pytest.raises(ValueError, match="at least one point"):
-        verify_scene(parse_scene(doc), min_points=int(count))
+    # null families have no curvature check, so verify_scene itself rejects
+    for scene in (parse_scene(doc), bundled_scene("null-c1")):
+        with pytest.raises(ValueError, match="at least one point"):
+            verify_scene(scene, min_points=int(count))
 
 
 def test_cli_verify_failure_exits_2(capsys, tmp_path):
