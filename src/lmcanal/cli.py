@@ -41,22 +41,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive(kind, noun):
-    """argparse type: a finite value of ``kind`` above zero."""
+def _finite(kind, noun, positive=True):
+    """argparse type: a finite ``kind``, above zero if ``positive``."""
     def parse(text):
         try:
             x = kind(text)
         except ValueError:
             x = math.nan
-        if not (math.isfinite(x) and x > 0):
+        if not (math.isfinite(x) and (x > 0 or not positive)):
             raise argparse.ArgumentTypeError(
-                f"expected a positive {noun}, got {text!r}")
+                f"expected a {noun}, got {text!r}")
         return x
     return parse
 
 
-_POSITIVE = _positive(float, "number")
-_COUNT = _positive(int, "integer")
+_POSITIVE = _finite(float, "positive number")
+_COUNT = _finite(int, "positive integer")
+_FINITE = _finite(float, "finite number", positive=False)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--curve", choices=builtin_names(),
                      help="builtin curve name")
     src.add_argument("--scene", help="scene file or bundled scene name")
-    p.add_argument("--s-min", type=float, default=-1.0)
-    p.add_argument("--s-max", type=float, default=1.0)
+    p.add_argument("--s-min", type=_FINITE, default=-1.0)
+    p.add_argument("--s-max", type=_FINITE, default=1.0)
     p.add_argument("-n", "--samples", type=int, default=50)
     p.add_argument("--step", type=_POSITIVE, default=1e-4,
                    help="central-difference step for the frame ODE check")
@@ -88,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the scene's oracle step")
     p.add_argument("--min-points", type=_COUNT, default=1,
                    help="required number of nonsingular grid points")
-    p.add_argument("--envelope-points", type=_COUNT, default=200)
     p.add_argument("--no-weingarten", action="store_true")
 
     p = sub.add_parser("mesh", help="sweep a scene and export mesh/field")
@@ -104,9 +104,9 @@ def cmd_frames(args) -> int:
         curve = builtin(args.curve)
     else:
         curve = resolve_scene(args.scene).curve
-    if args.samples < 2 or not args.s_min < args.s_max:
-        print("frames: need s-min < s-max and at least 2 samples",
-              file=sys.stderr)
+    if args.samples < 2 or not 0 < args.s_max - args.s_min < math.inf:
+        print("frames: need s-min < s-max a finite distance apart and at "
+              "least 2 samples", file=sys.stderr)
         return EXIT_USAGE
     worst_gram = worst_ode = worst_unit = 0.0
     failed = False
@@ -150,8 +150,7 @@ def cmd_verify(args) -> int:
         scene = replace(scene, oracle_step=args.step)
     tol = Tolerances(rel=args.rel_tol, abs=args.abs_tol)
     report = verify_scene(scene, tol, min_points=args.min_points,
-                          weingarten=not args.no_weingarten,
-                          envelope_points=args.envelope_points)
+                          weingarten=not args.no_weingarten)
     print(f"scene {report.scene}: {report.points_checked} grid points "
           f"checked, {report.points_singular} singular skipped")
     width = max(len(c.name) for c in report.checks)

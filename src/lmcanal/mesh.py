@@ -56,8 +56,8 @@ class GridSpec:
             lo, hi = self.range_of(axis)
             if not lo < hi:
                 raise MeshError(f"degenerate {axis} range [{lo}, {hi}]")
-            if axis != self.fixed_axis and self.count_of(axis) < 2:
-                raise MeshError(f"swept axis {axis} needs at least 2 samples")
+            if self.count_of(axis) < 2:
+                raise MeshError(f"axis {axis} needs at least 2 samples")
 
     def range_of(self, axis: str) -> tuple[float, float]:
         return {"s": self.s_range, "t": self.t_range, "w": self.w_range}[axis]

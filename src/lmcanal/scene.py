@@ -194,6 +194,9 @@ def parse_scene(doc: dict, name: str = "<scene>") -> SceneSpec:
     _expect(isinstance(doc, dict), "scene must be a JSON object", "$")
     _expect(doc.get("version") == 1, "unsupported or missing schema version",
             "$.version")
+    name = doc.get("name", name)
+    _expect(isinstance(name, str), f"expected a string, got {name!r}",
+            "$.name")
     for key in ("curve", "family", "radius", "grid"):
         _expect(key in doc, f"missing required field {key!r}", f"$.{key}")
     curve = _parse_curve(doc["curve"], "$.curve")
@@ -225,17 +228,19 @@ def parse_scene(doc: dict, name: str = "<scene>") -> SceneSpec:
             f"projection must be one of {sorted(PROJECTIONS)}", "$.projection")
     step = _number(doc.get("oracle_step", 1e-3), "$.oracle_step")
     _expect(step > 0, "oracle_step must be positive", "$.oracle_step")
-    return SceneSpec(name=doc.get("name", name), curve=curve, family=family,
+    return SceneSpec(name=name, curve=curve, family=family,
                      radius=radius, shape=shape, nc=nc, grid=grid,
                      projection=projection, oracle_step=step)
 
 
 def load_scene_file(path) -> SceneSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SceneError(f"not valid JSON: {e}", "$") from e
+    except json.JSONDecodeError as e:
+        raise SceneError(f"not valid JSON: {e}", "$") from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise SceneError(f"cannot read scene file: {e}", "$") from e
     return parse_scene(doc, name=str(path))
 
 

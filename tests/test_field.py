@@ -18,7 +18,7 @@ from lmcanal.canal import (RadiusSpec, SingularPointError, curvature_closed,
 from lmcanal.curves import derive_frame
 from lmcanal.scene import bundled_scene, parse_scene
 from lmcanal.verify import (Tolerances, VerifyReport, check_curvatures,
-                            check_weingarten)
+                            check_weingarten, grid_table, verify_scene)
 
 CLASSES = ("pseudo-null", "partially-null")
 TUBULAR_SCENES = [f"{c}-t{k}" for c in CLASSES for k in range(1, 5)]
@@ -92,7 +92,7 @@ def test_check_curvatures_derives_each_s_once(monkeypatch):
     monkeypatch.setattr(canal, "derive_frames", counted_frames)
     monkeypatch.setattr(RadiusSpec, "jet", counted_jet)
     report = VerifyReport(scene.name)
-    check_curvatures(scene, report, Tolerances())
+    check_curvatures(grid_table(scene), report, Tolerances())
     assert report.passed
     h = scene.oracle_step
     # the oracle stencil reaches s and s +/- h of each grid s value
@@ -121,13 +121,30 @@ def test_field_walks_each_expression_once_per_call(monkeypatch):
     monkeypatch.setattr(expr, "eval_value", counted_walk)
     monkeypatch.setattr(scene_mod, "field", counted_field)
     report = VerifyReport(canal_scene.name)
-    check_curvatures(canal_scene, report, Tolerances())
+    check_curvatures(grid_table(canal_scene), report, Tolerances())
     assert report.passed
     assert len(fields) == canal_scene.grid.n_s and sum(fields) > 1000
     assert len(walks) == 2 * len(fields)
     walks.clear()
     null_scene.field(*_random_points(null_scene, 500, 3))
     assert walks == [null_scene.nc.a1, null_scene.nc.theta]
+
+
+@pytest.mark.parametrize("name", GATE_SCENES)
+def test_verify_scene_makes_one_kernel_call_per_grid_s(monkeypatch, name):
+    # envelope, curvatures and causal character all read the one grid pass
+    scene = bundled_scene(name)
+    calls = []
+    real_field = scene_mod.field
+
+    def counted_field(*args):
+        calls.append(len(args[-1]))
+        return real_field(*args)
+
+    monkeypatch.setattr(scene_mod, "field", counted_field)
+    assert verify_scene(scene).passed
+    assert len(calls) == scene.grid.n_s
+    assert sum(calls) == 19 * scene.grid.n_s * scene.grid.n_t * scene.grid.n_w
 
 
 def _weingarten_reference(scene, points):

@@ -34,6 +34,8 @@ def test_grid_validation():
     with pytest.raises(MeshError):
         GridSpec((0, 1), (0, 1), (0, 1), 1, 2, 2, "w", 0.0)  # n_s = 1
     with pytest.raises(MeshError):
+        GridSpec((0, 1), (0, 1), (0, 1), 2, 2, 1, "w", 0.0)  # fixed n_w = 1
+    with pytest.raises(MeshError):
         GridSpec((1, 1), (0, 1), (0, 1), 2, 2, 2, "w", 0.0)  # empty range
     with pytest.raises(MeshError):
         GridSpec((0, 1), (0, 1), (0, 1), 2, 2, 2, "q", 0.0)  # bad axis

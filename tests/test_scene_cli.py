@@ -125,6 +125,15 @@ def test_null_scene_requires_coefficients():
     assert scene.nc is not None
 
 
+@pytest.mark.parametrize("name", [5, None, ["x"]])
+def test_scene_name_must_be_a_string(name):
+    doc = minimal_doc()
+    doc["name"] = name
+    with pytest.raises(SceneError) as err:
+        parse_scene(doc)
+    assert err.value.path == "$.name"
+
+
 def test_custom_curve_components():
     doc = minimal_doc()
     doc["curve"] = {
@@ -150,6 +159,12 @@ def test_cli_usage_errors_exit_1(capsys):
     assert main(["frames"]) == 1  # missing --curve/--scene
     assert main(["verify"]) == 1  # missing --scene
     assert main(["verify", "--scene", "no-such-scene"]) == 1
+    for bounds in (["--s-min=-inf"], ["--s-max=inf"], ["--s-min=nan"]):
+        assert main(["frames", "--curve", "null-example"] + bounds) == 1
+        assert "expected a finite number" in capsys.readouterr().err
+    # finite bounds whose difference overflows would sample s = nan
+    assert main(["frames", "--curve", "null-example", "--s-min=-1e308",
+                 "--s-max=1e308"]) == 1
     capsys.readouterr()
 
 
@@ -170,7 +185,7 @@ def test_cli_frames_null_curve_reports_arclength(capsys):
 
 def test_cli_verify_scene_pass(capsys):
     code = main(["verify", "--scene", "partially-null-c1",
-                 "--envelope-points", "50", "--min-points", "100"])
+                 "--min-points", "100"])
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out
@@ -194,18 +209,32 @@ def test_cli_nonpositive_numbers_are_usage_errors(capsys, argv, option):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("count", ["0", "-3"])
-def test_cli_envelope_check_needs_a_point(capsys, count):
-    # the envelope check must not pass over zero evaluated points
-    assert main(["verify", "--scene", "pseudo-null-c1",
-                 "--envelope-points", count]) == 1
+@pytest.mark.parametrize("count", [1, 0, -2])
+def test_cli_fixed_axis_needs_two_samples(capsys, tmp_path, count):
+    # every check reads the grid, so no axis may have fewer than 2 samples
+    doc = minimal_doc()
+    doc["grid"]["w"][2] = count
+    doc["grid"]["fixed"] = {"axis": "w", "value": 1.0}
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--scene", str(path)]) == 1
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
-    assert ("argument --envelope-points: expected a positive integer"
-            in captured.err)
-    with pytest.raises(ValueError, match="at least one point"):
-        verify_scene(bundled_scene("pseudo-null-c1"),
-                     envelope_points=int(count))
+    assert captured.err.startswith("lmcanal: $.grid: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+def test_cli_unreadable_scene_file_exits_1(capsys, tmp_path, kind):
+    path = tmp_path / "scene.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(json.dumps(minimal_doc()).encode()[:-1] + b"\xe9}")
+    assert main(["verify", "--scene", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lmcanal: $: cannot read scene file")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
@@ -238,8 +267,7 @@ def test_cli_verify_failure_exits_2(capsys, tmp_path):
     # an intentionally mis-tolerated run: rel tolerance far below what the
     # finite-difference oracle can deliver
     code = main(["verify", "--scene", "partially-null-c1",
-                 "--rel-tol", "1e-14", "--abs-tol", "1e-14",
-                 "--envelope-points", "5"])
+                 "--rel-tol", "1e-14", "--abs-tol", "1e-14"])
     capsys.readouterr()
     assert code == 2
 
