@@ -192,8 +192,7 @@ class CurvaturePair:
 # Python's math module (``expr.libm``) and numpy only combines their values
 # with correctly rounded elementwise operations (+ - * /, square, sqrt), so a
 # point gets the same bits in any batch.  The one-point entry points
-# (evaluate_point, frame_coefficients, curvature_closed) are adapters over
-# the same functions.
+# (evaluate_point, curvature_closed) are adapters over the same functions.
 
 
 @dataclass(frozen=True)
@@ -386,28 +385,6 @@ def field(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
         for a, f in zip(coeff, (fr.f1, fr.f2, fr.f3, fr.f4)):
             points += a[:, None] * f[s_ix]
     return Field(points, center, r, K, H, singular)
-
-
-def frame_coefficients(family: CanalFamily, r_jet, f: float, g: float,
-                       nc_values=None) -> tuple[float, float, float, float]:
-    """Offset coefficients (a1, a2, a3, a4) of C - gamma in the frame."""
-    r, r1 = (np.array([x], dtype=float) for x in r_jet[:2])
-    if family.variant.is_null_variant:
-        _check_radius(family.variant, r, r1)
-        if nc_values is None:
-            raise RegimeError("null families require NullCoefficients")
-        a1, theta = nc_values
-        coeff = _null_coefficients(family.lam, r, r1, np.array([a1]),
-                                   math.cos(theta), math.sin(theta))
-    else:
-        rho = _radial_scale(family.variant, r, r1)
-        if g == 0.0:
-            raise RegimeError(
-                "shape function g vanishes at the evaluation point")
-        fiber, _ = _fiber(family, np.array([f], dtype=float),
-                          np.array([g], dtype=float))
-        coeff = _fiber_coefficients(family, r, r1, rho, fiber)
-    return tuple(float(c[0]) for c in coeff)
 
 
 def evaluate_point(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
@@ -608,8 +585,8 @@ def minimal_residual(family: CanalFamily, r_jet, k1: float,
     """Left side of the minimality condition governing the family/case.
 
     Pseudo null C1: 2 - 2r'^2 - 3rr'' for straight centers; for curved ones
-    the canal H numerator, or under g = sin f the polynomial
-    -numerator/sin^2 f (leading term 8m^2).
+    the canal H numerator, divided by sin^2 f under g = sin f (a polynomial
+    with leading term -8m^2).
     Partially null C5: 2 + 2r'^2 + 3rr'' for straight centers.
     """
     r, r1, r2 = r_jet[0], r_jet[1], r_jet[2]
@@ -619,8 +596,7 @@ def minimal_residual(family: CanalFamily, r_jet, k1: float,
             return 2.0 - 2.0 * r1 * r1 - 3.0 * r * r2
         if f is None or g is None:
             raise RegimeError("curved-center minimality requires f, g values")
-        num_h = _curved_c1_numerators(r_jet, f, g)[1]
-        return -num_h if _shape_is_g_eq_sinf(f, g) else num_h
+        return _curved_c1_numerators(r_jet, f, g)[1]
     if (family.curve_class is CurveClass.PARTIALLY_NULL
             and family.variant is Variant.C5):
         if _is_zero_k1(k1):

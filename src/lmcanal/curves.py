@@ -28,7 +28,7 @@ import numpy as np
 
 from . import expr
 from .expr import libm
-from .minkowski import Vec4, inner, inner_rows, triple_cross_rows
+from .minkowski import Vec4, inner_rows, triple_cross_rows
 
 #: Band for "this quadratic form should vanish" checks on normalized data.
 NULL_TOL = 1e-9
@@ -140,29 +140,6 @@ class FrenetData:
     k2: float
     k3: float
     point: Vec4 | None = None
-
-    def vectors(self) -> tuple[Vec4, Vec4, Vec4, Vec4]:
-        return (self.f1, self.f2, self.f3, self.f4)
-
-
-def frenet_rhs(curve_class: CurveClass, fr: FrenetData) -> tuple[Vec4, Vec4, Vec4, Vec4]:
-    """Right-hand sides (F1', F2', F3', F4') of the class frame ODE system."""
-    f1, f2, f3, f4 = fr.vectors()
-    k1, k2, k3 = fr.k1, fr.k2, fr.k3
-    if curve_class is CurveClass.PSEUDO_NULL:
-        return (k1 * f2,
-                k2 * f3,
-                k3 * f2 - k2 * f4,
-                -k1 * f1 - k3 * f3)
-    if curve_class is CurveClass.PARTIALLY_NULL:
-        return (k1 * f2,
-                -k1 * f1 + k2 * f3,
-                k3 * f3,
-                -k2 * f2 - k3 * f4)
-    return (k1 * f2,
-            k2 * f1 - k1 * f3,
-            -k2 * f2 + k3 * f4,
-            -k3 * f1)
 
 
 # ---------------------------------------------------------------------------
@@ -452,54 +429,80 @@ def derive_frame(curve: CurveSpec, s: float) -> FrenetData:
 
 
 # ---------------------------------------------------------------------------
-# Frame verification
+# Frame verification, on rows
+
+
+def frenet_rhs(curve_class: CurveClass, rows: FrameRows):
+    """Right-hand sides (F1', F2', F3', F4') of the class frame ODE system,
+    as (n, 4) rows."""
+    f1, f2, f3, f4 = rows.f1, rows.f2, rows.f3, rows.f4
+    k1, k2, k3 = rows.k1[:, None], rows.k2[:, None], rows.k3[:, None]
+    if curve_class is CurveClass.PSEUDO_NULL:
+        return (k1 * f2,
+                k2 * f3,
+                k3 * f2 - k2 * f4,
+                -k1 * f1 - k3 * f3)
+    if curve_class is CurveClass.PARTIALLY_NULL:
+        return (k1 * f2,
+                -k1 * f1 + k2 * f3,
+                k3 * f3,
+                -k2 * f2 - k3 * f4)
+    return (k1 * f2,
+            k2 * f1 - k1 * f3,
+            -k2 * f2 + k3 * f4,
+            -k3 * f1)
 
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Residuals of one frame against its class Gram table and ODE system."""
+    """Residuals of n frames against their class Gram table and ODE
+    system, one array entry per frame."""
 
-    s: float
-    gram_residual: float
-    gram_worst: tuple[int, int]
-    ode_residual: float
+    s: np.ndarray
+    #: (n,) worst entrywise deviation from the Gram table
+    gram_residual: np.ndarray
+    #: (n, 2) 1-based (i, j) of that entry
+    gram_worst: np.ndarray
+    #: (n,) worst entrywise deviation from the frame ODE system
+    ode_residual: np.ndarray
     gram_tol: float
     ode_tol: float
 
     @property
-    def passed(self) -> bool:
-        return (self.gram_residual <= self.gram_tol
-                and self.ode_residual <= self.ode_tol)
+    def passed(self) -> np.ndarray:
+        return ((self.gram_residual <= self.gram_tol)
+                & (self.ode_residual <= self.ode_tol))
 
 
-def gram_residual(frame: FrenetData, curve_class: CurveClass):
-    """Max entrywise deviation of <Fi,Fj> from the class Gram table."""
-    table = GRAM_TABLES[curve_class]
-    vecs = frame.vectors()
-    worst, where = 0.0, (0, 0)
-    for i in range(4):
-        for j in range(4):
-            r = abs(inner(vecs[i], vecs[j]) - table[i][j])
-            if r > worst:
-                worst, where = r, (i + 1, j + 1)
-    return worst, where
+def gram_residual(rows: FrameRows, curve_class: CurveClass):
+    """Per row: the max entrywise deviation of <Fi,Fj> from the class Gram
+    table, and its 1-based (i, j) as an (n, 2) array."""
+    vecs = (rows.f1, rows.f2, rows.f3, rows.f4)
+    table = np.array(GRAM_TABLES[curve_class])
+    dev = np.abs(np.stack([inner_rows(a, b) for a in vecs for b in vecs],
+                          axis=1) - table.ravel())
+    at = np.argmax(dev, axis=1)
+    return dev[np.arange(len(at)), at], np.stack([at // 4, at % 4], axis=1) + 1
 
 
-def verify_frame(frame: FrenetData, curve_class: CurveClass, curve: CurveSpec,
-                 step: float = 1e-4, gram_tol: float = 1e-8,
-                 ode_tol: float = 1e-5) -> FrameReport:
-    """Check a frame against the Gram table and the frame ODE system.
+def verify_frames(frames: FrameRows, curve: CurveSpec, s, step: float = 1e-4,
+                  gram_tol: float = 1e-8, ode_tol: float = 1e-5) -> FrameReport:
+    """Check frames, given at the values of ``s``, against the Gram table
+    and the frame ODE system of the curve's class.
 
-    The ODE residual compares central differences of the derived frame at
-    s +/- step with the class right-hand side assembled from ``frame``.
-    Failures are reported, never raised.
+    The ODE residual compares central differences of the curve's derived
+    frames at s +/- step (one ``derive_frames`` call for all of them) with
+    the class right-hand side assembled from ``frames``.  Failing checks
+    are reported, never raised; a failing frame construction at some
+    s +/- step raises like ``derive_frames``.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    gres, gworst = gram_residual(frame, curve_class)
-    rows = derive_frames(curve, [frame.s + step, frame.s - step])
-    fd = np.array([(f[0] - f[1]) / (2.0 * step)
-                   for f in (rows.f1, rows.f2, rows.f3, rows.f4)])
-    rhs = np.array([v.components() for v in frenet_rhs(curve_class, frame)])
-    ode_res = float(np.max(np.abs(fd - rhs)))
-    return FrameReport(frame.s, gres, gworst, ode_res, gram_tol, ode_tol)
+    s = np.asarray(s, dtype=float).ravel()
+    gres, gworst = gram_residual(frames, curve.curve_class)
+    n = len(s)
+    moved = derive_frames(curve, np.concatenate([s + step, s - step]))
+    f = np.stack([moved.f1, moved.f2, moved.f3, moved.f4], axis=1)
+    rhs = np.stack(frenet_rhs(curve.curve_class, frames), axis=1)
+    ode = np.max(np.abs((f[:n] - f[n:]) / (2.0 * step) - rhs), axis=(1, 2))
+    return FrameReport(s, gres, gworst, ode, gram_tol, ode_tol)

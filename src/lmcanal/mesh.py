@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canal import CurvaturePair, UnsupportedFamilyError, relation_residual
 
 PROJECTIONS = {
     "x1x2x3": (0, 1, 2),
@@ -93,8 +92,6 @@ class ProjectedMesh:
     singular: np.ndarray = field(default_factory=lambda: np.zeros(0, bool))
     quads: list = field(default_factory=list)          # 0-based index 4-tuples
     projection: str = "x1x3x4"
-    #: worst K-H relation residual over nonsingular vertices (canal variants)
-    relation_worst: float = 0.0
 
     @property
     def vertices(self) -> np.ndarray:
@@ -144,15 +141,6 @@ def sweep(scene, grid: GridSpec) -> ProjectedMesh:
                          singular=fld.singular, projection=scene.projection)
     if mesh.n_singular == n_a * n_b:
         raise MeshError("every grid point is singular")
-    if fld.K is not None:
-        ok = ~fld.singular
-        try:
-            rel = relation_residual(CurvaturePair(fld.K[ok], fld.H[ok]),
-                                    fld.r[ok], scene.family)
-            mesh.relation_worst = float(np.fmax.reduce(np.abs(rel),
-                                                       initial=0.0))
-        except UnsupportedFamilyError:
-            pass  # tubular variants: no K-H relation to recheck
     base = (np.arange(n_a - 1)[:, None] * n_b + np.arange(n_b - 1)).ravel()
     mesh.quads = list(zip(base.tolist(), (base + 1).tolist(),
                           (base + n_b + 1).tolist(), (base + n_b).tolist()))

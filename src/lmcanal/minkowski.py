@@ -9,7 +9,8 @@ here is exact-signature and hand-expanded: the ternary cross product is
 written out cofactor by cofactor so the sign pattern (-e1, e2, e3, e4)
 of the defining determinant can be audited directly.  The row-wise forms
 (``inner_rows``, ``triple_cross_rows``) take arrays of shape (N, 4) and
-round exactly as the one-vector forms do.
+round exactly as the one-vector forms do; ``triple_cross`` is the one-row
+adapter of ``triple_cross_rows``.
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ class Vec4:
         return math.sqrt(self.x1**2 + self.x2**2 + self.x3**2 + self.x4**2)
 
 
-ZERO = Vec4(0.0, 0.0, 0.0, 0.0)
-
-
 def inner(u: Vec4, v: Vec4) -> float:
     """Indefinite inner product -u1*v1 + u2*v2 + u3*v3 + u4*v4."""
     return -u.x1 * v.x1 + u.x2 * v.x2 + u.x3 * v.x3 + u.x4 * v.x4
@@ -76,41 +74,21 @@ def inner_rows(u, v):
 
 
 def triple_cross(u: Vec4, v: Vec4, w: Vec4) -> Vec4:
-    """Ternary cross product of E^4_1.
-
-    Formal expansion of det[[-e1, e2, e3, e4], [u], [v], [w]] along the
-    first row.  The result is Minkowski-orthogonal to u, v and w and
-    alternating in its arguments.  Arguments are brought into a canonical
-    order first (tracking permutation parity), so swapping any two of them
-    flips the sign of the result exactly, rounding included, and a repeated
-    argument yields the exact zero vector.
-    """
-    rows = sorted(((u.components(), 0), (v.components(), 1),
-                   (w.components(), 2)))
-    (a_, ia), (b_, ib), (c_, ic) = rows
-    if a_ == b_ or b_ == c_:
-        return ZERO
-    sign = 1.0 if (ia, ib, ic) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1.0
-
-    # 3x3 minors of the canonical rows (a, b, c), dropping one column each.
-    def minor3(a, b, c, d, e, f, g, h, i):
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-    m1 = minor3(a_[1], a_[2], a_[3], b_[1], b_[2], b_[3], c_[1], c_[2], c_[3])
-    m2 = minor3(a_[0], a_[2], a_[3], b_[0], b_[2], b_[3], c_[0], c_[2], c_[3])
-    m3 = minor3(a_[0], a_[1], a_[3], b_[0], b_[1], b_[3], c_[0], c_[1], c_[3])
-    m4 = minor3(a_[0], a_[1], a_[2], b_[0], b_[1], b_[2], c_[0], c_[1], c_[2])
-    # First-row entries are (-e1, +e2, +e3, +e4) and cofactor signs alternate
-    # (+,-,+,-), so the coordinates come out as (-m1, -m2, +m3, -m4).
-    return Vec4(sign * -m1, sign * -m2, sign * m3, sign * -m4)
+    """Ternary cross product of E^4_1: ``triple_cross_rows`` of one row."""
+    x = triple_cross_rows(*(np.array([a.components()]) for a in (u, v, w)))
+    return Vec4(*x[0].tolist())
 
 
 def triple_cross_rows(u, v, w):
-    """``triple_cross`` of corresponding rows of three (N, 4) arrays.
+    """Ternary cross product of corresponding rows of three (N, 4) arrays.
 
-    Each row triple is put in the canonical order of ``triple_cross`` (its
-    ``sorted`` of (components, argument index) pairs), so every row rounds
-    exactly as the one-vector form.
+    Formal expansion of det[[-e1, e2, e3, e4], [u], [v], [w]] along the
+    first row.  Each result is Minkowski-orthogonal to its u, v and w and
+    alternating in them.  Each row triple is first brought into a
+    canonical order (lexicographic in the components, ties by argument
+    index, tracking permutation parity), so swapping any two arguments
+    flips the sign of the result exactly, rounding included, and a
+    repeated argument yields the exact zero vector.
     """
     args = np.stack([u, v, w], axis=1)                    # (N, 3, 4)
     index = np.broadcast_to(np.arange(3), args.shape[:2])
@@ -130,5 +108,7 @@ def triple_cross_rows(u, v, w):
             + a[2] * (b[0] * c[1] - b[1] * c[0])
 
     m1, m2, m3, m4 = (minor(k) for k in range(4))
+    # First-row entries are (-e1, +e2, +e3, +e4) and cofactor signs alternate
+    # (+,-,+,-), so the coordinates come out as (-m1, -m2, +m3, -m4).
     out = np.stack([sign * -m1, sign * -m2, sign * m3, sign * -m4], axis=1)
     return np.where(repeated[:, None], 0.0, out)

@@ -38,7 +38,7 @@ DEFAULT_STEP = 1e-3
 
 #: Scaled threshold for a degenerate tangent frame / singular metric.
 DEGENERATE_TOL = 1e-10
-METRIC_DET_TOL = 1e-12
+METRIC_DET_TOL = 1e-10
 
 #: Offsets (ds, dt, dw) of the 19-point stencil in units of the step.  The
 #: center comes first, so the first N entries of a stencil batch are the

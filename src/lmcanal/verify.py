@@ -111,10 +111,7 @@ def _grid_slab(scene: SceneSpec, s, t, w):
     K, H, metric_singular = oracle.curvatures_batch(forms)
     radial = jet.point - fld.center[:n]
     r = fld.r[:n]
-    # singular-set policy: also skip where det[g] is tiny at local scale
-    largest = np.fmax(1.0, np.max(np.abs(forms.g), axis=(1, 2)))
-    ok = ~(fld.singular[:n] | degenerate | metric_singular
-           | (np.abs(forms.detg) <= 1e-10 * largest * largest * largest))
+    ok = ~(fld.singular[:n] | degenerate | metric_singular)
     flip = closed_form_gauge(fam.variant) * np.where(
         fam.lam * inner_rows(forms.normal, radial) > 0, 1, -1)
     closed = ((np.full(n, np.nan),) * 2 if fld.K is None

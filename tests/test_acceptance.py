@@ -33,7 +33,8 @@ from lmcanal.canal import (CanalFamily, NullCoefficients, RadiusSpec,
                            ShapeSpec, Variant, curvature_closed,
                            evaluate_point, field, flat_residual)
 from lmcanal.curves import (CurveClass, CurveSpec, builtin, builtin_names,
-                            derive_frame, gram_residual, verify_frame)
+                            derive_frame, derive_frames, gram_residual,
+                            verify_frames)
 from lmcanal.expr import parse
 from lmcanal.mesh import GridSpec, export_field, export_obj, sweep
 from lmcanal.minkowski import Vec4, inner
@@ -88,14 +89,15 @@ def test_criterion_01_frenet_fidelity():
     worst_gram = worst_ode = worst_k = 0.0
     for name in builtin_names():
         curve = builtin(name)
-        for s in samples:
-            fr = derive_frame(curve, s)
-            gres, _ = gram_residual(fr, curve.curve_class)
-            worst_gram = max(worst_gram, gres)
-            rep = verify_frame(fr, curve.curve_class, curve, step=1e-4)
-            worst_ode = max(worst_ode, rep.ode_residual)
-            for got, want in zip((fr.k1, fr.k2, fr.k3), expected_k[name](s)):
-                worst_k = max(worst_k, abs(got - want))
+        rows = derive_frames(curve, samples)
+        gres, _ = gram_residual(rows, curve.curve_class)
+        worst_gram = max(worst_gram, float(gres.max()))
+        rep = verify_frames(rows, curve, samples, step=1e-4)
+        worst_ode = max(worst_ode, float(rep.ode_residual.max()))
+        for i, s in enumerate(samples):
+            for got, want in zip((rows.k1[i], rows.k2[i], rows.k3[i]),
+                                 expected_k[name](s)):
+                worst_k = max(worst_k, abs(float(got) - want))
     ok = worst_gram <= 1e-8 and worst_ode <= 1e-5 and worst_k <= 1e-8
     _announce(1, ok, f"gram {worst_gram:.2e} (<=1e-8), "
                      f"ode {worst_ode:.2e} (<=1e-5), "

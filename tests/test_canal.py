@@ -16,11 +16,12 @@ from lmcanal.canal import (CanalFamily, CurvaturePair, NullCoefficients,
                            RadiusSpec, RegimeError, ShapeSpec,
                            SingularPointError, UnsupportedFamilyError,
                            Variant, curvature_closed, evaluate_point, field,
-                           flat_residual, frame_coefficients,
-                           minimal_residual, null_constraint_residual,
+                           flat_residual, minimal_residual,
+                           null_constraint_residual,
                            relation_residual, unit_normal_closed_pseudo_c1,
                            weingarten_residuals)
-from lmcanal.curves import CurveClass, CurveSpec, builtin, derive_frame
+from lmcanal.curves import (CurveClass, CurveSpec, builtin, derive_frame,
+                            derive_frames)
 from lmcanal.minkowski import Vec4, inner, inner_rows
 from lmcanal import expr, oracle
 
@@ -371,6 +372,13 @@ def test_minimal_residual_cases():
     assert minimal_residual(fam, (r, 0.0, 0.0), 1.0, f=0.8, g=g) == \
         pytest.approx(2 * r * g * sf + 3 * r * r * sf * sf - 8 * g * g,
                       rel=1e-12)
+    # the g = sin f band divides the same numerator by sin^2 f, so the
+    # sign holds across the edge of the band
+    jet = (1.0, 0.1, 0.2)
+    inside = minimal_residual(fam, jet, 1.0, f=0.8, g=sf)
+    outside = minimal_residual(fam, jet, 1.0, f=0.8, g=sf + 2e-9)
+    assert inside * outside > 0
+    assert inside == pytest.approx(outside / (sf * sf), rel=1e-6)
 
     # first integral r'^2 = 1 - (a/r)^{4/3} solves 2 - 2r'^2 - 3rr'' = 0
     a = 1.0
@@ -387,17 +395,23 @@ def test_minimal_residual_cases():
 
 
 def test_null_constraint_residual():
-    # built coefficients satisfy the constraint identically
+    # built coefficients satisfy the constraint identically; read them off
+    # field points through the null Gram table (<F1,F3> = 1, F2 and F4
+    # unit spacelike): d = C - gamma = a1 F1 + a2 F2 + a3 F3 + a4 F4 gives
+    # a1 = <d,F3>, a2 = <d,F2>, a3 = <d,F1>, a4 = <d,F4>.
     rng = random.Random(11)
     nc = NullCoefficients.from_text("t", "w")
     rad = HALF_S
-    for _ in range(50):
-        s, t, w = rng.uniform(0.3, 0.9), rng.uniform(0.5, 1.5), rng.uniform(0, 6.2)
-        r, r1 = rad.jet(s)[0], rad.jet(s)[1]
-        a1, theta = nc.values(s, t, w)
-        fam = CanalFamily(CurveClass.NULL, Variant.NULL_C1)
-        coeff = frame_coefficients(fam, rad.jet(s), 0.0, 1.0, (a1, theta))
-        res = null_constraint_residual(coeff[0], coeff[1], coeff[3], r, r1, 1)
+    s, t, w = np.array([(rng.uniform(0.3, 0.9), rng.uniform(0.5, 1.5),
+                         rng.uniform(0, 6.2)) for _ in range(50)]).T
+    fam = CanalFamily(CurveClass.NULL, Variant.NULL_C1)
+    fld = field(fam, NU, rad, None, nc, s, t, w)
+    fr = derive_frames(NU, s)
+    d = fld.points - fld.center
+    a1, a2, a4 = (inner_rows(d, f) for f in (fr.f3, fr.f2, fr.f4))
+    r, r1 = rad.jet(s)[:2]
+    for i in range(len(s)):
+        res = null_constraint_residual(a1[i], a2[i], a4[i], r[i], r1[i], 1)
         assert abs(res) <= 1e-12
     # raw external data generally violates it: a2 = a4 = r, a1 = 0
     assert null_constraint_residual(0.0, 1.0, 1.0, 1.0, 0.5, 1) == \

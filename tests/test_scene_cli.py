@@ -183,6 +183,43 @@ def test_cli_frames_null_curve_reports_arclength(capsys):
     assert "normalization=" in out
 
 
+@pytest.mark.parametrize("samples", [7, 200])
+def test_cli_frames_derives_all_samples_in_two_batches(monkeypatch, capsys,
+                                                       samples):
+    # one batch for the samples and one for their s +/- step neighbours
+    import lmcanal.cli
+    import lmcanal.curves
+    real, batches = lmcanal.curves.derive_frames, []
+
+    def counted(curve, s):
+        batches.append(len(s))
+        return real(curve, s)
+
+    monkeypatch.setattr(lmcanal.curves, "derive_frames", counted)
+    monkeypatch.setattr(lmcanal.cli, "derive_frames", counted)
+    for curve in ("pseudo-null-example", "null-example"):
+        batches.clear()
+        assert main(["frames", "--curve", curve, "-n", str(samples)]) == 0
+        assert batches == [samples, 2 * samples]
+    capsys.readouterr()
+
+
+def test_cli_frames_failing_construction_fails_once(capsys, tmp_path):
+    # a pseudo null curve with a timelike tangent fails at every s; the
+    # batch reports the first one, then FAIL
+    doc = minimal_doc()
+    doc["curve"] = {"class": "pseudo-null", "components": ["s", "0", "0", "0"]}
+    path = tmp_path / "timelike.json"
+    path.write_text(json.dumps(doc))
+    code = main(["frames", "--scene", str(path), "-n", "9"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert [x for x in lines if "error:" in x] == [lines[0]]
+    assert lines[0].startswith("error: tangent is not spacelike unit at "
+                               "s=-1.0")
+    assert lines[1:] == ["FAIL"]
+
+
 def test_cli_verify_scene_pass(capsys):
     code = main(["verify", "--scene", "partially-null-c1",
                  "--min-points", "100"])
