@@ -34,7 +34,8 @@ from enum import Enum
 import numpy as np
 
 from . import expr
-from .curves import CurveClass, CurveSpec, FrenetData, derive_frames
+from .curves import (CurveClass, CurveSpec, FrameRows, FrenetData,
+                     derive_frames)
 from .curves import derive_frame  # noqa: F401  (importable from canal)
 from .expr import libm
 from .minkowski import Vec4
@@ -184,15 +185,23 @@ class CurvaturePair:
 # ---------------------------------------------------------------------------
 # The batched field kernel
 #
-# ``field`` evaluates a family at N parameter points in one pass.  It derives
-# the frames and radius jets of all distinct s in one call each, the shape
-# values and their trig values at the distinct (t, w) and the null
-# coefficients at the distinct (s, t, w), with one walk per expression
-# (``expr.eval_value`` on arrays).  Transcendental functions run through
-# Python's math module (``expr.libm``) and numpy only combines their values
-# with correctly rounded elementwise operations (+ - * /, square, sqrt), so a
-# point gets the same bits in any batch.  The one-point entry points
-# (evaluate_point, curvature_closed) are adapters over the same functions.
+# ``field`` evaluates a family at N parameter rows in one pass, as the
+# composition of a table stage and two row stages.  The table stage
+# (``field_tables``) derives the frames and radius jets of all distinct s in
+# one call each, the shape values and their trig values at the distinct
+# (t, w) and the null coefficients at the distinct (s, t, w), with one walk
+# per expression (``expr.eval_value`` on arrays), and keeps each row's index
+# into those tables.  The row stages read the tables at rows:
+# ``field_points`` builds the hypersurface points of every row and
+# ``field_rows`` the center points, radii and closed-form K, H at chosen
+# rows, so a caller that needs the closed forms at a few rows only (the
+# oracle's stencil centers, see ``verify.grid_table``) pays for those rows
+# only.  Transcendental functions run through Python's math module
+# (``expr.libm``) and numpy only combines their values with correctly
+# rounded elementwise operations (+ - * /, square, sqrt), so a point gets
+# the same bits in any batch and from any stage.  The one-point entry
+# points (evaluate_point, curvature_closed) are adapters over the same
+# functions.
 
 
 @dataclass(frozen=True)
@@ -308,21 +317,25 @@ def _fiber(family: CanalFamily, f, g):
     return fiber, float(family.branch) * trig
 
 
-def _null_coefficients(lam: int, r, r1, a1, cos_theta, sin_theta):
-    """(a1, a2, a3, a4) of a null-center family from its free data."""
-    rho_sq = lam * r * (r + 2.0 * a1 * r1)
-    _regime(rho_sq < 0, "rho^2 = lambda*r*(r + 2*a1*r') = {} < 0", rho_sq)
-    rho = np.sqrt(rho_sq)
-    return (a1, rho * cos_theta, -lam * r * r1, rho * sin_theta)
-
-
-def _fiber_coefficients(family: CanalFamily, r, r1, rho, fiber):
-    """(a1, a2, a3, a4) of a non-null family: the radial scale times the
-    branch sign times the fiber, plus the a1 = -lambda r r' offset."""
-    a1 = np.zeros_like(r) if family.variant.is_tubular \
-        else -family.lam * r * r1
-    scale = float(family.branch) * rho
-    return (a1, scale * fiber[0], scale * fiber[1], scale * fiber[2])
+def _null_coefficients(lam: int, r, r1, a1, theta, s_ix, ix):
+    """(a1, a2, a3, a4) of a null-center family from the radius jet at the
+    distinct s and its free data at the distinct (s, t, w), given each row's
+    index into both; a negative rho^2 is reported at the first row where it
+    occurs."""
+    # The (s, t, w) tables have about as many entries as there are rows,
+    # so each temporary is dropped as soon as it is used.
+    at = np.empty(len(a1), dtype=np.intp)
+    at[ix] = s_ix  # the distinct s of each distinct (s, t, w)
+    r, r1 = r[at], r1[at]
+    del at
+    a3 = -lam * r * r1
+    rho = lam * r * (r + 2.0 * a1 * r1)
+    del r, r1
+    if np.any(rho < 0):
+        _regime(rho[ix] < 0, "rho^2 = lambda*r*(r + 2*a1*r') = {} < 0",
+                rho[ix])
+    np.sqrt(rho, out=rho)
+    return (a1, rho * libm(math.cos, theta), a3, rho * libm(math.sin, theta))
 
 
 def _check_inputs(family: CanalFamily, curve: CurveSpec, shape, nc) -> None:
@@ -348,16 +361,39 @@ def _shape_table(family: CanalFamily, shape: ShapeSpec, t, w):
     return fiber, trig, g, ix
 
 
-def field(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
-          shape: ShapeSpec | None, nc: NullCoefficients | None,
-          s, t, w) -> Field:
-    """The family at the parameter points (s[i], t[i], w[i]): hypersurface
-    points, center points, radii and, for non-null families, the
-    closed-form K, H with the mask of closed-form singular points.
+@dataclass(frozen=True)
+class FieldTables:
+    """The table stage of ``field``: a family's inputs at the distinct
+    parameter values of a batch of rows, and each row's index into them."""
 
-    Regime violations anywhere in the batch raise ``RegimeError``; closed-
-    form poles only set ``singular``.  Each point's values are the same bits
-    whatever batch it is evaluated in.
+    family: CanalFamily
+    #: frame rows and the radius jet (r, r', r'') at the distinct s
+    frames: FrameRows
+    jet: tuple
+    #: each row's distinct s
+    s_ix: np.ndarray
+    #: a1 at the distinct s (non-null families) or (s, t, w) (null ones)
+    a1: np.ndarray
+    #: the radial factor branch * r sqrt(m) at the distinct s; None for
+    #: null families
+    radial: np.ndarray | None
+    #: factors of (a2, a3, a4): the fiber per unit radial factor at the
+    #: distinct (t, w), or the null coefficients at the distinct (s, t, w)
+    fiber: tuple
+    #: the closed forms' trig value T and g at the distinct (t, w); None
+    #: for null families
+    trig: np.ndarray | None
+    g: np.ndarray | None
+    #: each row's distinct (t, w) (non-null families) or (s, t, w)
+    ix: np.ndarray
+
+
+def field_tables(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
+                 shape: ShapeSpec | None, nc: NullCoefficients | None,
+                 s, t, w) -> FieldTables:
+    """The table stage of ``field`` at the rows (s[i], t[i], w[i]).
+
+    Regime violations anywhere in the batch raise ``RegimeError``.
     """
     _check_inputs(family, curve, shape, nc)
     s, t, w = np.broadcast_arrays(*(np.asarray(x, dtype=float).ravel()
@@ -365,26 +401,78 @@ def field(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
     with np.errstate(all="ignore"):
         (s_values,), s_ix = _distinct(s)
         fr, jet, rho = _frames(family, curve, radius, s_values)
-        r, r1, r2 = (x[s_ix] for x in jet)
-        K = H = None
-        singular = np.zeros(len(s), dtype=bool)
+        r, r1, _ = jet
         if family.variant.is_null_variant:
             distinct, ix = _distinct(s, t, w)
             a1, theta = nc.values(*distinct)
-            coeff = _null_coefficients(family.lam, r, r1, a1[ix],
-                                       libm(math.cos, theta)[ix],
-                                       libm(math.sin, theta)[ix])
-        else:
-            fiber, trig, g, ix = _shape_table(family, shape, t, w)
-            coeff = _fiber_coefficients(family, r, r1, rho[s_ix],
-                                        [c[ix] for c in fiber])
-            K, H, singular = _closed(family, fr.k1[s_ix], r, r1, r2,
-                                     trig[ix], g[ix])
-        center = fr.gamma[s_ix]
-        points = center.copy()
-        for a, f in zip(coeff, (fr.f1, fr.f2, fr.f3, fr.f4)):
-            points += a[:, None] * f[s_ix]
-    return Field(points, center, r, K, H, singular)
+            del distinct
+            a1, *fiber = _null_coefficients(family.lam, r, r1, a1, theta,
+                                            s_ix, ix)
+            return FieldTables(family, fr, jet, s_ix, a1, None, tuple(fiber),
+                               None, None, ix)
+        fiber, trig, g, ix = _shape_table(family, shape, t, w)
+        a1 = (np.zeros_like(r) if family.variant.is_tubular
+              else -family.lam * r * r1)
+        return FieldTables(family, fr, jet, s_ix, a1,
+                           float(family.branch) * rho, fiber, trig, g, ix)
+
+
+def _row_coefficients(tables: FieldTables):
+    """(a1, a2, a3, a4) of every row of the tables, one at a time."""
+    if tables.radial is None:
+        for c in (tables.a1, *tables.fiber):
+            yield c[tables.ix]
+        return
+    yield tables.a1[tables.s_ix]
+    radial = tables.radial[tables.s_ix]
+    for c in tables.fiber:
+        yield radial * c[tables.ix]
+
+
+def field_points(tables: FieldTables) -> np.ndarray:
+    """The (N, 4) hypersurface points gamma + a1 F1 + a2 F2 + a3 F3 + a4 F4
+    of every row of the tables, added one coefficient and one column at a
+    time, so no other (N, 4) array is made."""
+    fr, s_ix = tables.frames, tables.s_ix
+    points = fr.gamma[s_ix]
+    with np.errstate(all="ignore"):
+        for a, f in zip(_row_coefficients(tables),
+                        (fr.f1, fr.f2, fr.f3, fr.f4)):
+            for k in range(4):
+                points[:, k] += a * f[s_ix, k]
+    return points
+
+
+def field_rows(tables: FieldTables, rows=slice(None)):
+    """Center points, radii and, for non-null families, the closed-form
+    K, H (None for null families) and singular mask at the given rows of
+    the tables (an index array or a slice)."""
+    fr = tables.frames
+    s_ix = tables.s_ix[rows]
+    r, r1, r2 = (x[s_ix] for x in tables.jet)
+    if tables.trig is None:
+        return fr.gamma[s_ix], r, None, None, np.zeros(len(s_ix), dtype=bool)
+    ix = tables.ix[rows]
+    K, H, singular = _closed(tables.family, fr.k1[s_ix], r, r1, r2,
+                             tables.trig[ix], tables.g[ix])
+    return fr.gamma[s_ix], r, K, H, singular
+
+
+def field(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
+          shape: ShapeSpec | None, nc: NullCoefficients | None,
+          s, t, w) -> Field:
+    """The family at the parameter points (s[i], t[i], w[i]): hypersurface
+    points, center points, radii and, for non-null families, the
+    closed-form K, H with the mask of closed-form singular points
+    (``field_tables``, then ``field_points`` and ``field_rows`` on every
+    row).
+
+    Regime violations anywhere in the batch raise ``RegimeError``; closed-
+    form poles only set ``singular``.  Each point's values are the same bits
+    whatever batch it is evaluated in.
+    """
+    tables = field_tables(family, curve, radius, shape, nc, s, t, w)
+    return Field(field_points(tables), *field_rows(tables))
 
 
 def evaluate_point(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,

@@ -36,8 +36,9 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import expr
-from .canal import (CanalFamily, CurvaturePair, Field, NullCoefficients,
-                    RadiusSpec, ShapeSpec, Variant, curvature_closed, field)
+from .canal import (CanalFamily, CurvaturePair, Field, FieldTables,
+                    NullCoefficients, RadiusSpec, ShapeSpec, Variant,
+                    curvature_closed, field, field_tables)
 from .curves import CurveClass, CurveSpec, builtin, derive_frame
 from .mesh import AXES, PROJECTIONS, GridSpec
 from .minkowski import Vec4
@@ -69,6 +70,12 @@ class SceneSpec:
         """The scene's family at the parameter arrays (see canal.field)."""
         return field(self.family, self.curve, self.radius, self.shape,
                      self.nc, s, t, w)
+
+    def tables(self, s, t, w) -> FieldTables:
+        """The table stage of ``field`` at the parameter arrays (see
+        canal.field_tables)."""
+        return field_tables(self.family, self.curve, self.radius, self.shape,
+                            self.nc, s, t, w)
 
     def closed_pair(self, s: float, t: float, w: float) -> CurvaturePair:
         fr = derive_frame(self.curve, s)

@@ -1,9 +1,12 @@
 """Scene verification: envelope identities, closed-form-vs-oracle curvature
 agreement, K-H relations, causal character and Weingarten residuals.
 
-``grid_table`` evaluates a scene once on its grid, one kernel call per grid
-s value on the oracle's 19-point stencils; the envelope, curvature and
-causal-character checks are reductions over that table.
+``grid_table`` evaluates a scene once on its grid in one stencil batch:
+the field kernel's table stage runs once on the oracle's 19-point stencils
+of all grid points (each distinct s is derived once), the points are built
+on every stencil row and the closed forms on the grid rows only, and the
+oracle runs once; the envelope, curvature and causal-character checks are
+reductions over that table.
 
 The closed curvature forms are stated relative to a choice of unit normal.
 For almost all variants that choice is the radial direction (C - gamma)/r;
@@ -22,8 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import oracle
-from .canal import (CanalFamily, CurvaturePair, Variant, relation_residual,
-                    weingarten_residuals)
+from .canal import (CanalFamily, CurvaturePair, Variant, field_points,
+                    field_rows, relation_residual, weingarten_residuals)
 from .minkowski import inner_rows
 from .scene import SceneSpec
 
@@ -100,38 +103,35 @@ def _worst(values) -> float:
     return float(np.fmax.reduce(values, initial=0.0))
 
 
-def _grid_slab(scene: SceneSpec, s, t, w):
-    """Table columns at (s, t, w) from one kernel call on their stencils."""
+def grid_table(scene: SceneSpec) -> GridTable:
+    """The scene evaluated on its grid in one pass: the kernel's table stage
+    runs once on the oracle's 19-point stencils of all grid points, the
+    hypersurface points are built on every stencil row, the center points,
+    radii and closed forms on the grid rows only (the stencil centers come
+    first), and the oracle runs once on the grid."""
+    grid = scene.grid
     fam = scene.family
-    n = len(s)
     h = scene.oracle_step
-    fld = scene.field(*oracle.stencil(s, t, w, h))
-    jet = oracle.stencil_jets(fld.points, h)
+    axes = (grid.values_of(axis) for axis in ("s", "t", "w"))
+    s, t, w = (x.ravel() for x in np.meshgrid(*axes, indexing="ij"))
+    n = len(s)
+    tables = scene.tables(*oracle.stencil(s, t, w, h))
+    jet = oracle.stencil_jets(field_points(tables), h)
+    center, r, k_closed, h_closed, singular = field_rows(tables, slice(n))
+    del tables  # stencil-sized row indices, not needed by the oracle
     forms, degenerate = oracle.forms_batch(jet)
     K, H, metric_singular = oracle.curvatures_batch(forms)
-    radial = jet.point - fld.center[:n]
-    r = fld.r[:n]
-    ok = ~(fld.singular[:n] | degenerate | metric_singular)
+    radial = jet.point - center
     flip = closed_form_gauge(fam.variant) * np.where(
         fam.lam * inner_rows(forms.normal, radial) > 0, 1, -1)
-    closed = ((np.full(n, np.nan),) * 2 if fld.K is None
-              else (fld.K[:n], fld.H[:n]))
-    return (np.abs(inner_rows(radial, radial) - fam.lam * r * r),
-            np.abs(inner_rows(radial, jet.d_s)),
-            np.where(degenerate, 0, forms.eps),
-            *closed, flip * K, flip * H, r, ok)
-
-
-def grid_table(scene: SceneSpec) -> GridTable:
-    """The scene evaluated on its grid, one s value at a time, which bounds
-    the stencil temporaries."""
-    grid = scene.grid
-    t, w = (x.ravel() for x in np.meshgrid(grid.values_of("t"),
-                                           grid.values_of("w"), indexing="ij"))
-    slabs = [_grid_slab(scene, np.full(len(t), s), t, w)
-             for s in grid.values_of("s")]
-    return GridTable(scene.family,
-                     *(np.concatenate(column) for column in zip(*slabs)))
+    if k_closed is None:
+        k_closed = h_closed = np.full(n, np.nan)
+    return GridTable(fam,
+                     np.abs(inner_rows(radial, radial) - fam.lam * r * r),
+                     np.abs(inner_rows(radial, jet.d_s)),
+                     np.where(degenerate, 0, forms.eps),
+                     k_closed, h_closed, flip * K, flip * H, r,
+                     ~(singular | degenerate | metric_singular))
 
 
 def check_envelope(table: GridTable, report: VerifyReport, tol: Tolerances):

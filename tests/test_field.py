@@ -6,6 +6,7 @@ evaluated in, derive each distinct s once per call, and reproduce the
 residuals of a per-point loop over ``curvature_closed``.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from lmcanal import canal, expr
 from lmcanal import scene as scene_mod
+from lmcanal import verify as verify_mod
 from lmcanal.canal import (RadiusSpec, SingularPointError, curvature_closed,
                            weingarten_residuals)
 from lmcanal.curves import derive_frame
@@ -104,27 +106,30 @@ def test_check_curvatures_derives_each_s_once(monkeypatch):
 
 def test_field_walks_each_expression_once_per_call(monkeypatch):
     # shape and null data come from one eval_value walk per expression and
-    # kernel call, whatever the number of points
+    # verify pass (or kernel call), whatever the number of points
     canal_scene, null_scene = (bundled_scene(n) for n in ("pseudo-null-c1",
                                                            "null-c1"))
-    walks, fields = [], []
-    real_walk, real_field = expr.eval_value, scene_mod.field
+    walks, tables = [], []
+    real_walk, real_tables = expr.eval_value, scene_mod.field_tables
 
     def counted_walk(*args, **kwargs):
         walks.append(args[0])
         return real_walk(*args, **kwargs)
 
-    def counted_field(*args):
-        fields.append(len(args[-1]))
-        return real_field(*args)
+    def counted_tables(*args):
+        tables.append(len(args[-1]))
+        return real_tables(*args)
 
     monkeypatch.setattr(expr, "eval_value", counted_walk)
-    monkeypatch.setattr(scene_mod, "field", counted_field)
+    monkeypatch.setattr(scene_mod, "field_tables", counted_tables)
     report = VerifyReport(canal_scene.name)
     check_curvatures(grid_table(canal_scene), report, Tolerances())
     assert report.passed
-    assert len(fields) == canal_scene.grid.n_s and sum(fields) > 1000
-    assert len(walks) == 2 * len(fields)
+    assert len(tables) == 1 and tables[0] > 1000
+    assert walks == [canal_scene.shape.f, canal_scene.shape.g]
+    walks.clear()
+    grid_table(null_scene)
+    assert walks == [null_scene.nc.a1, null_scene.nc.theta]
     walks.clear()
     null_scene.field(*_random_points(null_scene, 500, 3))
     assert walks == [null_scene.nc.a1, null_scene.nc.theta]
@@ -132,19 +137,34 @@ def test_field_walks_each_expression_once_per_call(monkeypatch):
 
 @pytest.mark.parametrize("name", GATE_SCENES)
 def test_verify_scene_makes_one_kernel_call_per_grid_s(monkeypatch, name):
-    # envelope, curvatures and causal character all read the one grid pass
+    # envelope, curvatures and causal character all read the one grid pass:
+    # one table stage on the stencils of every grid point, the points on all
+    # 19 n_s n_t n_w stencil rows and the closed side on the grid rows (the
+    # stencil centers come first), as many kernel calls for n_s = 2 as for
+    # the scene's n_s
     scene = bundled_scene(name)
     calls = []
-    real_field = scene_mod.field
 
-    def counted_field(*args):
-        calls.append(len(args[-1]))
-        return real_field(*args)
+    def counted(module, kernel, rows):
+        real = getattr(module, kernel)
 
-    monkeypatch.setattr(scene_mod, "field", counted_field)
-    assert verify_scene(scene).passed
-    assert len(calls) == scene.grid.n_s
-    assert sum(calls) == 19 * scene.grid.n_s * scene.grid.n_t * scene.grid.n_w
+        def call(*args):
+            calls.append((kernel, rows(*args)))
+            return real(*args)
+        monkeypatch.setattr(module, kernel, call)
+
+    counted(scene_mod, "field_tables", lambda *args: len(args[-1]))
+    counted(verify_mod, "field_points", lambda tables: len(tables.s_ix))
+    counted(verify_mod, "field_rows", lambda tables, rows: np.arange(
+        len(tables.s_ix))[rows].tolist())
+    monkeypatch.setattr(scene_mod, "field", None)  # no per-slab calls
+    for n_s in (scene.grid.n_s, 2):
+        calls.clear()
+        grid = dataclasses.replace(scene.grid, n_s=n_s)
+        assert verify_scene(dataclasses.replace(scene, grid=grid)).passed
+        n = n_s * grid.n_t * grid.n_w
+        assert calls == [("field_tables", 19 * n), ("field_points", 19 * n),
+                         ("field_rows", list(range(n)))]
 
 
 def _weingarten_reference(scene, points):
