@@ -10,7 +10,8 @@ from .canal import (CanalFamily, CurvaturePair, NullCoefficients, RadiusSpec,
 from .curves import (CurveClass, CurveSpec, FrameRows, FrenetData, builtin,
                      builtin_names, derive_frame, derive_frames, verify_frames)
 from .expr import Jet1x4, eval_s, eval_value, parse, to_str
-from .mesh import GridSpec, ProjectedMesh, export_field, export_obj, sweep
+from .mesh import (GridSpec, ProjectedMesh, export, export_field, export_obj,
+                   sweep)
 from .minkowski import Vec4, inner, norm, triple_cross
 from .oracle import (FundamentalForms, SurfaceJet, compare, curvatures_numeric,
                      fundamental_forms, numeric_jet)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -160,7 +161,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
+def _same_file(a: str, b: str) -> bool:
+    """True when two paths name one file: the same real path, or an
+    existing file reached through a hard link."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either file does not exist yet
+        return False
+
+
 def cmd_mesh(args) -> int:
+    if args.field and _same_file(args.field, args.out):
+        print("mesh: --out and --field name the same file", file=sys.stderr)
+        return EXIT_USAGE
     scene = resolve_scene(args.scene)
     grid = scene.grid
     if grid.fixed_axis is None:
@@ -168,13 +183,11 @@ def cmd_mesh(args) -> int:
         return EXIT_USAGE
     m = mesh_mod.sweep(scene, grid)
     try:
-        mesh_mod.export_obj(m, args.out)
-        if args.field:
-            mesh_mod.export_field(m, args.field, args.format)
+        mesh_mod.export(m, args.out, args.field or None, args.format)
     except OSError as e:
         print(f"mesh: I/O error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"wrote {args.out}: {len(m.vertices)} vertices, "
+    print(f"wrote {args.out}: {len(m.points)} vertices, "
           f"{len(m.quads)} quads, {m.n_singular} singular points")
     if args.field:
         print(f"wrote {args.field} ({args.format})")

@@ -11,10 +11,20 @@ Exports are deterministic: floats are written with ``repr`` (shortest
 round-trip form), vertices in row-major order over (first swept axis,
 second swept axis), quads as 1-based index quadruples following grid
 adjacency.
+
+``export`` writes the OBJ and the CSV field in one pass over the vertices,
+in blocks of ``EXPORT_BLOCK_ROWS`` rows, and formats each exported value
+once: a point coordinate is formatted once for both the OBJ ``v`` line and
+the CSV row, a parameter once per distinct bit pattern in the block, K and
+H only on non-singular rows.  No string holds more than a block, so peak
+memory does not grow with the vertex count.  ``export_obj`` and
+``export_field`` write one of the two files through the same writer; JSON
+field records are written with ``json.dump``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 
@@ -147,18 +157,57 @@ def sweep(scene, grid: GridSpec) -> ProjectedMesh:
     return mesh
 
 
-def export_obj(mesh: ProjectedMesh, path) -> None:
-    """Wavefront OBJ: `v x y z` lines then 1-based `f i j k l` quads."""
-    if not len(mesh.points):
-        raise MeshError("cannot export an empty mesh")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for x, y, z in map(np.ndarray.tolist, mesh.vertices):
-            fh.write(f"v {x!r} {y!r} {z!r}\n")
-        for a, b, c, d in mesh.quads:
-            fh.write(f"f {a + 1} {b + 1} {c + 1} {d + 1}\n")
-
+#: Rows formatted and written per step of ``export``: peak memory is this
+#: many rows of strings, not the whole file.
+EXPORT_BLOCK_ROWS = 256
 
 FIELD_COLUMNS = ("s", "t", "w", "x1", "x2", "x3", "x4", "K", "H", "singular")
+
+
+def _reprs(values: np.ndarray) -> list:
+    """``repr`` of each value, as the Python scalars of ``tolist``."""
+    return list(map(repr, values.tolist()))
+
+
+def _dedup_reprs(values: np.ndarray) -> list:
+    """``_reprs`` formatting each distinct bit pattern once.  Keyed on bits,
+    not float equality: 0.0 == -0.0 but their reprs differ."""
+    if values.dtype != np.float64:  # the bit key is for float64 only
+        return _reprs(values)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(_reprs(bits.view(np.float64)), dtype=object)[
+        inverse].tolist()
+
+
+def _channel_cells(values, singular: np.ndarray) -> list:
+    """CSV cells of a curvature channel: ``repr`` on non-singular rows,
+    empty on singular rows and for families without the channel."""
+    if values is None:
+        return [""] * len(singular)
+    cells = np.full(len(singular), "", dtype=object)
+    cells[~singular] = _reprs(values[~singular])
+    return cells.tolist()
+
+
+def _write_vertices(mesh: ProjectedMesh, obj, csv) -> None:
+    """OBJ ``v`` lines to ``obj`` and CSV field rows to ``csv`` (either may
+    be None), block by block; each exported float is formatted once."""
+    kept = PROJECTIONS[mesh.projection]
+    singular = np.asarray(mesh.singular, dtype=bool)
+    for lo in range(0, len(mesh.points), EXPORT_BLOCK_ROWS):
+        hi = lo + EXPORT_BLOCK_ROWS
+        x = [_reprs(col) for col in mesh.points[lo:hi].T]
+        if obj is not None:
+            obj.writelines(map("v {} {} {}\n".format, *(x[i] for i in kept)))
+        if csv is not None:
+            sing = singular[lo:hi]
+            cells = [_dedup_reprs(col) for col in mesh.params[lo:hi].T] + x
+            for channel in (mesh.K, mesh.H):
+                cells.append(_channel_cells(
+                    None if channel is None else channel[lo:hi], sing))
+            cells.append(np.where(sing, "true", "false").tolist())
+            csv.writelines(map("{},{},{},{},{},{},{},{},{},{}\n".format,
+                               *cells))
 
 
 def _field_records(mesh: ProjectedMesh):
@@ -170,26 +219,48 @@ def _field_records(mesh: ProjectedMesh):
                "x4": x4, "K": k, "H": h, "singular": sing}
 
 
-def export_field(mesh: ProjectedMesh, path, format: str = "csv") -> None:
-    """Per-vertex curvature field as CSV or JSON records.
+def export(mesh: ProjectedMesh, obj_path, field_path=None,
+           format: str = "csv") -> None:
+    """Write the OBJ mesh and, given ``field_path``, the curvature field.
 
-    CSV columns are fixed (see FIELD_COLUMNS); K and H cells are empty on
-    singular vertices and on families without closed forms.
+    OBJ and CSV come from one block-wise pass over the vertices (see the
+    module docstring); JSON records are written after the OBJ.  Either
+    path may be None.  The field file is opened first, so an unwritable
+    field path fails before the OBJ is touched.
+
+    OBJ: `v x y z` lines then 1-based `f i j k l` quads.  CSV columns are
+    fixed (see FIELD_COLUMNS); K and H cells are empty on singular
+    vertices and on families without closed forms.
     """
     if not len(mesh.points):
         raise MeshError("cannot export an empty mesh")
-    if format == "csv":
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(",".join(FIELD_COLUMNS) + "\n")
-            for rec in _field_records(mesh):
-                cells = [repr(rec[c]) for c in FIELD_COLUMNS[:7]]
-                cells.append("" if rec["K"] is None else repr(rec["K"]))
-                cells.append("" if rec["H"] is None else repr(rec["H"]))
-                cells.append("true" if rec["singular"] else "false")
-                fh.write(",".join(cells) + "\n")
-    elif format == "json":
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(list(_field_records(mesh)), fh, indent=1)
-            fh.write("\n")
-    else:
+    if format not in ("csv", "json"):
         raise MeshError(f"unknown field format {format!r}")
+    with contextlib.ExitStack() as stack:
+        def opened(path):
+            return None if path is None else stack.enter_context(
+                open(path, "w", encoding="ascii", newline="\n"))
+        fld = opened(field_path)
+        obj = opened(obj_path)
+        csv = fld if format == "csv" else None
+        if csv is not None:
+            csv.write(",".join(FIELD_COLUMNS) + "\n")
+        if obj is not None or csv is not None:
+            _write_vertices(mesh, obj, csv)
+        if obj is not None:
+            obj.writelines(f"f {a + 1} {b + 1} {c + 1} {d + 1}\n"
+                           for a, b, c, d in mesh.quads)
+        if fld is not None and format == "json":
+            json.dump(list(_field_records(mesh)), fld, indent=1)
+            fld.write("\n")
+
+
+def export_obj(mesh: ProjectedMesh, path) -> None:
+    """Wavefront OBJ alone: ``export`` without a field file."""
+    export(mesh, path)
+
+
+def export_field(mesh: ProjectedMesh, path, format: str = "csv") -> None:
+    """Per-vertex curvature field alone, as CSV or JSON records:
+    ``export`` without an OBJ file."""
+    export(mesh, None, path, format)

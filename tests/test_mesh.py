@@ -1,15 +1,28 @@
 """Grid sweeps, projection, OBJ/field export and their determinism."""
 
+import dataclasses
+import hashlib
 import json
 import math
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lmcanal.canal import CurvaturePair, Field, relation_residual
-from lmcanal.mesh import (FIELD_COLUMNS, GridSpec, MeshError, export_field,
+from lmcanal.cli import main
+from lmcanal.mesh import (EXPORT_BLOCK_ROWS, FIELD_COLUMNS, GridSpec,
+                          MeshError, ProjectedMesh, export, export_field,
                           export_obj, sweep)
 from lmcanal.scene import bundled_scene, parse_scene
+
+#: sha256 of the OBJ, CSV and JSON exports of the figure scenes and the
+#: pole sweep on their own grids, one ``<hex>  <case>.<kind>`` line each:
+#: export speed-ups must not move a byte.
+PINNED = pathlib.Path(__file__).parent / "data" / "mesh_exports.sha256"
+FIGURE_SCENES = ("pseudo-null-c1-figure", "partially-null-c5-figure",
+                 "null-c1-figure")
 
 
 class UnitSquareScene:
@@ -129,10 +142,10 @@ def test_field_csv_format(tmp_path):
     assert first[-1] in ("true", "false")
 
 
-def test_field_csv_empty_cells_on_singular_rows(tmp_path):
-    # sweep across the sin f = 0 pole at w = pi: those rows keep geometry
-    # but carry no curvature
-    doc = {
+def pole_t1_doc():
+    """A pseudo null T1 sweep across the sin f = 0 pole at w = pi: those
+    rows keep geometry but carry no curvature."""
+    return {
         "version": 1,
         "curve": {"builtin": "pseudo-null-example"},
         "family": {"variant": "T1"},
@@ -142,7 +155,10 @@ def test_field_csv_empty_cells_on_singular_rows(tmp_path):
                  "w": [math.pi - 0.4, math.pi + 0.4, 3],
                  "fixed": {"axis": "t", "value": 0.9}},
     }
-    scene = parse_scene(doc)
+
+
+def test_field_csv_empty_cells_on_singular_rows(tmp_path):
+    scene = parse_scene(pole_t1_doc())
     mesh = sweep(scene, scene.grid)
     assert 0 < mesh.n_singular < len(mesh.vertices)
     path = tmp_path / "f.csv"
@@ -204,3 +220,101 @@ def test_export_unwritable_path():
     mesh = sweep(scene, grid)
     with pytest.raises(OSError):
         export_obj(mesh, "/nonexistent-dir/sub/mesh.obj")
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", FIGURE_SCENES + ("pole-t1",))
+def test_exports_match_pinned_bytes(case, tmp_path, capsys):
+    pinned = dict(line.split()[::-1] for line in PINNED.read_text().splitlines())
+    scene = case
+    if case == "pole-t1":
+        scene = tmp_path / "pole-t1.json"
+        scene.write_text(json.dumps(pole_t1_doc()))
+    runs = {"obj": [], "csv": ["--format", "csv"], "json": ["--format", "json"]}
+    for kind, fmt in runs.items():
+        obj = tmp_path / f"{kind}.obj"
+        argv = ["mesh", "--scene", str(scene), "--out", str(obj)]
+        if fmt:
+            argv += ["--field", str(tmp_path / f"{case}.{kind}")] + fmt
+        assert main(argv) == 0
+        assert _sha256(obj) == pinned[f"{case}.obj"], kind
+        if fmt:
+            assert _sha256(tmp_path / f"{case}.{kind}") == \
+                pinned[f"{case}.{kind}"]
+    capsys.readouterr()
+
+
+def signed_zero_mesh() -> ProjectedMesh:
+    """More than two blocks of rows whose parameter and point columns
+    repeat both 0.0 and -0.0, with a few singular rows."""
+    n = 2 * EXPORT_BLOCK_ROWS + 7
+    i = np.arange(n)
+    zeros = np.where(i % 3 == 0, -0.0, 0.0)
+    params = np.stack([zeros, np.where(i % 2, 0.1, -0.0), i / 7.0], axis=1)
+    points = np.stack([zeros[::-1], i * 0.3, -zeros, np.sqrt(i)], axis=1)
+    singular = i % 11 == 5
+    return ProjectedMesh(params=params, points=points, K=i * -0.25,
+                         H=np.where(i % 4, 0.0, -0.0), singular=singular,
+                         quads=[(0, 1, 3, 2)], projection="x1x2x4")
+
+
+def test_signed_zeros_keep_their_reprs(tmp_path):
+    mesh = signed_zero_mesh()
+    obj, csv = tmp_path / "one.obj", tmp_path / "one.csv"
+    export(mesh, obj, csv)
+    rows = [r.split(",") for r in csv.read_text().splitlines()[1:]]
+    assert len(rows) == len(mesh.points)
+    assert {r[0] for r in rows} == {"0.0", "-0.0"}
+    for row, p, x, k, h, sing in zip(rows, mesh.params.tolist(),
+                                     mesh.points.tolist(), mesh.K.tolist(),
+                                     mesh.H.tolist(), mesh.singular.tolist()):
+        assert row[:7] == [repr(v) for v in p + x]
+        assert row[7:] == (["", "", "true"] if sing
+                           else [repr(k), repr(h), "false"])
+    vertices = [line.split()[1:] for line in obj.read_text().splitlines()
+                if line.startswith("v ")]
+    assert vertices == [[repr(v) for v in row]
+                        for row in mesh.vertices.tolist()]
+    export_obj(mesh, tmp_path / "two.obj")
+    export_field(mesh, tmp_path / "two.csv")
+    assert obj.read_bytes() == (tmp_path / "two.obj").read_bytes()
+    assert csv.read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+
+def test_integer_columns_keep_their_reprs(tmp_path):
+    # ProjectedMesh is public: columns need not be float64
+    mesh = ProjectedMesh(params=np.array([[0, 1, 2], [0, -1, 2]]),
+                         points=np.ones((2, 4), dtype=np.float32),
+                         K=np.array([0.5, 1.5]), H=np.array([2, 3]),
+                         singular=np.array([0, 1]), quads=[])
+    path = tmp_path / "int.csv"
+    export_field(mesh, path)
+    assert path.read_text().splitlines()[1:] == [
+        "0,1,2,1.0,1.0,1.0,1.0,0.5,2,false",
+        "0,-1,2,1.0,1.0,1.0,1.0,,,true"]
+
+
+def _export_peak(mesh, tmp_path) -> int:
+    """Peak traced allocation of one OBJ+CSV export."""
+    obj, csv = tmp_path / "m.obj", tmp_path / "m.csv"
+    export(mesh, obj, csv)  # first-call allocations excluded
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        export(mesh, obj, csv)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_memory_does_not_grow_with_vertex_count(tmp_path):
+    # the writer streams blocks of rows; a whole-file string would make the
+    # peak grow fourfold from 40x40 to 80x80
+    scene = bundled_scene("pseudo-null-c1-figure")
+    small, large = (_export_peak(sweep(scene, dataclasses.replace(
+        scene.grid, n_s=n, n_t=n)), tmp_path) for n in (40, 80))
+    assert large <= 1.25 * small

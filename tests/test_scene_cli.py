@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -373,6 +374,31 @@ def test_cli_mesh_bad_output_dir(capsys, tmp_path):
                  "--out", str(tmp_path / "missing" / "fig.obj")])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("field", ["fig.obj", "./sub/../fig.obj", "link.csv"])
+def test_cli_mesh_same_out_and_field_is_a_usage_error(field, capsys, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    obj = tmp_path / "fig.obj"
+    obj.write_text("old\n")
+    os.link(obj, tmp_path / "link.csv")
+    code = main(["mesh", "--scene", "pseudo-null-c1-figure",
+                 "--out", str(obj), "--field", field])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "same file" in captured.err and "wrote" not in captured.out
+    assert obj.read_text() == "old\n"
+
+
+def test_cli_mesh_unwritable_field_fails_before_obj(capsys, tmp_path):
+    obj = tmp_path / "fig.obj"
+    code = main(["mesh", "--scene", "pseudo-null-c1-figure", "--out", str(obj),
+                 "--field", str(tmp_path / "missing" / "fig.csv")])
+    assert code == 1
+    assert "I/O error" in capsys.readouterr().err
+    assert not obj.exists()
 
 
 def test_cli_mesh_field_values_match_verify_path(tmp_path, capsys):
