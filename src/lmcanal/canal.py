@@ -350,15 +350,20 @@ def _check_inputs(family: CanalFamily, curve: CurveSpec, shape, nc) -> None:
         raise RegimeError("non-null families require a ShapeSpec")
 
 
+def _shape_values(family: CanalFamily, shape: ShapeSpec, t, w):
+    """Fiber and closed-form inputs (fiber, T, g) at the points (t, w)."""
+    f, g = shape.values(t, w)
+    if np.any(g == 0.0):
+        raise RegimeError("shape function g vanishes at the evaluation point")
+    fiber, trig = _fiber(family, f, g)
+    return fiber, trig, g
+
+
 def _shape_table(family: CanalFamily, shape: ShapeSpec, t, w):
     """Fiber and closed-form inputs per distinct (t, w): (fiber, T, g)
     over the distinct points and the index of each input point."""
     (tu, wu), ix = _distinct(t, w)
-    f, g = shape.values(tu, wu)
-    if np.any(g == 0.0):
-        raise RegimeError("shape function g vanishes at the evaluation point")
-    fiber, trig = _fiber(family, f, g)
-    return fiber, trig, g, ix
+    return (*_shape_values(family, shape, tu, wu), ix)
 
 
 @dataclass(frozen=True)
@@ -723,15 +728,18 @@ class WeingartenReport:
 
 def weingarten_residuals(family: CanalFamily, curve: CurveSpec,
                          radius: RadiusSpec, shape: ShapeSpec,
-                         points) -> WeingartenReport:
+                         s, t, w) -> WeingartenReport:
     """Mixed Jacobians of (H, K) in the parameter pairs, by central
-    differences (step WEINGARTEN_STEP) of the closed forms at the points.
+    differences (step WEINGARTEN_STEP) of the closed forms on the grid
+    with axes s, t and w (1-D arrays; the grid is their outer product).
 
-    A point is singular when any of its six closed-form evaluations is.
-    The frames and radius jets of every s the differences need come from
-    one call and the shape values are computed once for every (t, w) they
-    need; the closed forms are evaluated one s-slab (the points sharing one
-    s value) at a time, which bounds the temporaries.
+    A grid point is singular when any of its six closed-form evaluations
+    is.  The frames and radius jets at s + h, s - h and s come from one
+    call, as (n_s, 1) columns, and the shape values on the five (t, w)
+    offset grids from one walk, as (1, n_t n_w) rows; each closed form is
+    evaluated on their broadcast, so an s-only or (t, w)-only term is
+    computed once per axis value.  One direction's differences are formed
+    before the next direction's closed forms are evaluated.
     """
     if not family.variant.is_tubular or family.variant.is_null_variant:
         raise UnsupportedFamilyError(
@@ -739,44 +747,37 @@ def weingarten_residuals(family: CanalFamily, curve: CurveSpec,
             "closed forms")
     _check_inputs(family, curve, shape, None)
     h = WEINGARTEN_STEP
-    if not isinstance(points, np.ndarray):
-        points = list(points)
-    s, t, w = np.asarray(points, dtype=float).reshape(-1, 3).T
-    worst = {"st": 0.0, "sw": 0.0, "tw": 0.0}
-    n_points = 0
+    s, t, w = (np.asarray(x, dtype=float).ravel() for x in (s, t, w))
     with np.errstate(all="ignore"):
-        # rows: the offsets s+h, s-h, t+h, t-h, w+h, w-h of each distinct
-        # (t, w) of the points
-        (tc, wc), tw_of = _distinct(t, w)
-        _, trig, g, offset_ix = _shape_table(
-            family, shape, np.concatenate([tc, tc, tc + h, tc - h, tc, tc]),
-            np.concatenate([wc, wc, wc, wc, wc + h, wc - h]))
-        offset_ix = offset_ix.reshape(6, -1)
-        # frames at s+h, s-h and s of every distinct s, in one call
-        (s_values,), slab_of = _distinct(s)
-        m = len(s_values)
-        fr, (r, r1, r2), _ = _frames(
-            family, curve, radius,
-            np.concatenate([s_values + h, s_values - h, s_values]))
-        for k in range(m):
-            sel = np.flatnonzero(slab_of == k)
-            rows = k + m * np.array([0, 1, 2, 2, 2, 2])[:, None]
-            ix = offset_ix[:, tw_of[sel]]
-            K, H, bad = _closed(family, fr.k1[rows], r[rows], r1[rows],
-                                r2[rows], trig[ix], g[ix])
-            ok = ~bad.any(axis=0)
-            K, H = K[:, ok], H[:, ok]
-            H_s = (H[0] - H[1]) / (2 * h)
-            K_s = (K[0] - K[1]) / (2 * h)
-            H_t = (H[2] - H[3]) / (2 * h)
-            K_t = (K[2] - K[3]) / (2 * h)
-            H_w = (H[4] - H[5]) / (2 * h)
-            K_w = (K[4] - K[5]) / (2 * h)
-            for key, res in (("st", H_s * K_t - H_t * K_s),
-                             ("sw", H_s * K_w - H_w * K_s),
-                             ("tw", H_t * K_w - H_w * K_t)):
-                worst[key] = float(np.fmax.reduce(np.abs(res),
-                                                  initial=worst[key]))
-            n_points += int(ok.sum())
-    return WeingartenReport(worst["st"], worst["sw"], worst["tw"],
-                            n_points, len(s) - n_points)
+        # (T, g) on the offset grids (t, w), (t+h, w), (t-h, w), (t, w+h)
+        # and (t, w-h), each raveled row-major
+        _, trig, g = _shape_values(
+            family, shape,
+            np.concatenate([np.repeat(x, len(w))
+                            for x in (t, t + h, t - h, t, t)]),
+            np.concatenate([np.tile(x, len(t))
+                            for x in (w, w, w, w + h, w - h)]))
+        tw = list(zip(trig.reshape(5, 1, -1), g.reshape(5, 1, -1)))
+        # (k1, r, r', r'') at s + h, s - h and s, from one call
+        fr, jet, _ = _frames(family, curve, radius,
+                             np.concatenate([s + h, s - h, s]))
+        at = list(zip(*(x.reshape(3, -1, 1) for x in (fr.k1, *jet))))
+
+        def slope(plus, minus):
+            """(H_x, K_x) at every grid point and the singular mask of the
+            two closed-form evaluations; ``plus`` and ``minus`` are
+            (s offset, (t, w) offset) pairs."""
+            K1, H1, bad1 = _closed(family, *at[plus[0]], *tw[plus[1]])
+            K0, H0, bad0 = _closed(family, *at[minus[0]], *tw[minus[1]])
+            return (H1 - H0) / (2 * h), (K1 - K0) / (2 * h), bad1 | bad0
+
+        H_s, K_s, bad_s = slope((0, 0), (1, 0))
+        H_t, K_t, bad_t = slope((2, 1), (2, 2))
+        H_w, K_w, bad_w = slope((2, 3), (2, 4))
+        ok = ~(bad_s | bad_t | bad_w)
+        worst = [float(np.fmax.reduce(np.abs(res, out=res), axis=None,
+                                      where=ok, initial=0.0))
+                 for res in (H_s * K_t - H_t * K_s, H_s * K_w - H_w * K_s,
+                             H_t * K_w - H_w * K_t)]
+    n_points = int(np.count_nonzero(ok))
+    return WeingartenReport(*worst, n_points, ok.size - n_points)

@@ -12,20 +12,20 @@ round-trip form), vertices in row-major order over (first swept axis,
 second swept axis), quads as 1-based index quadruples following grid
 adjacency.
 
-``export`` writes the OBJ and the CSV field in one pass over the vertices,
-in blocks of ``EXPORT_BLOCK_ROWS`` rows, and formats each exported value
-once: a point coordinate is formatted once for both the OBJ ``v`` line and
-the CSV row, a parameter once per distinct bit pattern in the block, K and
-H only on non-singular rows.  No string holds more than a block, so peak
-memory does not grow with the vertex count.  ``export_obj`` and
-``export_field`` write one of the two files through the same writer; JSON
-field records are written with ``json.dump``.
+``export`` writes the OBJ and the field in one pass over the vertices, in
+blocks of ``EXPORT_BLOCK_ROWS`` rows, and formats each exported value once:
+a point coordinate is formatted once for both the OBJ ``v`` line and the
+field row, a parameter once per distinct bit pattern in the block, K and H
+only on non-singular rows.  JSON records are built from the same cells,
+in the layout and spelling of ``json.dump(records, indent=1)``.  No string
+holds more than a block, so peak memory does not grow with the vertex
+count.  ``export_obj`` and ``export_field`` write one of the two files
+through the same writer.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,6 +162,14 @@ def sweep(scene, grid: GridSpec) -> ProjectedMesh:
 EXPORT_BLOCK_ROWS = 256
 
 FIELD_COLUMNS = ("s", "t", "w", "x1", "x2", "x3", "x4", "K", "H", "singular")
+_CSV_ROW = ",".join(["{}"] * len(FIELD_COLUMNS)) + "\n"
+#: One field record as ``json.dump(..., indent=1)`` lays it out in a list.
+_JSON_RECORD = (" {{\n" + ",\n".join(f'  "{c}": {{}}' for c in FIELD_COLUMNS)
+                + "\n }}")
+#: json's spelling of the field cells it spells otherwise: non-finite
+#: floats, booleans and the empty K and H cells of singular rows.
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
+               "True": "true", "False": "false", "": "null"}
 
 
 def _reprs(values: np.ndarray) -> list:
@@ -179,8 +187,18 @@ def _dedup_reprs(values: np.ndarray) -> list:
         inverse].tolist()
 
 
+def _json_cells(cells: list, values=None) -> list:
+    """Field cells as json spells them.  ``values``, where given, are what
+    the cells are the ``repr`` of: finite floats and integers keep their
+    cells."""
+    if values is not None and (values.dtype.kind in "iu" or (
+            values.dtype.kind == "f" and np.isfinite(values).all())):
+        return cells
+    return [_JSON_WORDS.get(c, c) for c in cells]
+
+
 def _channel_cells(values, singular: np.ndarray) -> list:
-    """CSV cells of a curvature channel: ``repr`` on non-singular rows,
+    """Field cells of a curvature channel: ``repr`` on non-singular rows,
     empty on singular rows and for families without the channel."""
     if values is None:
         return [""] * len(singular)
@@ -189,44 +207,44 @@ def _channel_cells(values, singular: np.ndarray) -> list:
     return cells.tolist()
 
 
-def _write_vertices(mesh: ProjectedMesh, obj, csv) -> None:
-    """OBJ ``v`` lines to ``obj`` and CSV field rows to ``csv`` (either may
-    be None), block by block; each exported float is formatted once."""
+def _write_vertices(mesh: ProjectedMesh, obj, fld, format: str) -> None:
+    """OBJ ``v`` lines to ``obj`` and field rows (CSV rows or JSON records)
+    to ``fld`` (either may be None), block by block; each exported float is
+    formatted once."""
     kept = PROJECTIONS[mesh.projection]
     singular = np.asarray(mesh.singular, dtype=bool)
     for lo in range(0, len(mesh.points), EXPORT_BLOCK_ROWS):
         hi = lo + EXPORT_BLOCK_ROWS
-        x = [_reprs(col) for col in mesh.points[lo:hi].T]
+        points = mesh.points[lo:hi].T
+        x = [_reprs(col) for col in points]
         if obj is not None:
             obj.writelines(map("v {} {} {}\n".format, *(x[i] for i in kept)))
-        if csv is not None:
-            sing = singular[lo:hi]
-            cells = [_dedup_reprs(col) for col in mesh.params[lo:hi].T] + x
-            for channel in (mesh.K, mesh.H):
-                cells.append(_channel_cells(
-                    None if channel is None else channel[lo:hi], sing))
-            cells.append(np.where(sing, "true", "false").tolist())
-            csv.writelines(map("{},{},{},{},{},{},{},{},{},{}\n".format,
-                               *cells))
-
-
-def _field_records(mesh: ProjectedMesh):
-    for (s, t, w), (x1, x2, x3, x4), k, h, sing in zip(
-            map(np.ndarray.tolist, mesh.params),
-            map(np.ndarray.tolist, mesh.points), mesh.k_values,
-            mesh.h_values, mesh.singular.tolist()):
-        yield {"s": s, "t": t, "w": w, "x1": x1, "x2": x2, "x3": x3,
-               "x4": x4, "K": k, "H": h, "singular": sing}
+        if fld is None:
+            continue
+        sing = singular[lo:hi]
+        params = mesh.params[lo:hi].T
+        cells = [_dedup_reprs(col) for col in params] + x
+        channels = [_channel_cells(None if c is None else c[lo:hi], sing)
+                    for c in (mesh.K, mesh.H)]
+        if format == "csv":
+            fld.writelines(map(_CSV_ROW.format, *cells, *channels,
+                               np.where(sing, "true", "false").tolist()))
+            continue
+        raw = np.asarray(mesh.singular[lo:hi])
+        record = [*map(_json_cells, cells, (*params, *points)),
+                  *map(_json_cells, channels), _json_cells(_reprs(raw), raw)]
+        fld.write(("[\n" if lo == 0 else ",\n")
+                  + ",\n".join(map(_JSON_RECORD.format, *record)))
 
 
 def export(mesh: ProjectedMesh, obj_path, field_path=None,
            format: str = "csv") -> None:
     """Write the OBJ mesh and, given ``field_path``, the curvature field.
 
-    OBJ and CSV come from one block-wise pass over the vertices (see the
-    module docstring); JSON records are written after the OBJ.  Either
-    path may be None.  The field file is opened first, so an unwritable
-    field path fails before the OBJ is touched.
+    OBJ and field come from one block-wise pass over the vertices (see
+    the module docstring).  Either path may be None.  The field file is
+    opened first, so an unwritable field path fails before the OBJ is
+    touched.
 
     OBJ: `v x y z` lines then 1-based `f i j k l` quads.  CSV columns are
     fixed (see FIELD_COLUMNS); K and H cells are empty on singular
@@ -242,17 +260,15 @@ def export(mesh: ProjectedMesh, obj_path, field_path=None,
                 open(path, "w", encoding="ascii", newline="\n"))
         fld = opened(field_path)
         obj = opened(obj_path)
-        csv = fld if format == "csv" else None
-        if csv is not None:
-            csv.write(",".join(FIELD_COLUMNS) + "\n")
-        if obj is not None or csv is not None:
-            _write_vertices(mesh, obj, csv)
+        if fld is not None and format == "csv":
+            fld.write(",".join(FIELD_COLUMNS) + "\n")
+        if obj is not None or fld is not None:
+            _write_vertices(mesh, obj, fld, format)
         if obj is not None:
             obj.writelines(f"f {a + 1} {b + 1} {c + 1} {d + 1}\n"
                            for a, b, c, d in mesh.quads)
         if fld is not None and format == "json":
-            json.dump(list(_field_records(mesh)), fld, indent=1)
-            fld.write("\n")
+            fld.write("\n]\n")
 
 
 def export_obj(mesh: ProjectedMesh, path) -> None:

@@ -191,11 +191,9 @@ def check_weingarten(scene: SceneSpec, report: VerifyReport, tol: Tolerances):
     is singular."""
     fine = replace(scene.grid, n_s=WEINGARTEN_GRID, n_t=WEINGARTEN_GRID,
                    n_w=WEINGARTEN_GRID)
-    axes = (fine.values_of(axis) for axis in ("s", "t", "w"))
-    grid = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")],
-                    axis=1)
     rep = weingarten_residuals(scene.family, scene.curve, scene.radius,
-                               scene.shape, grid)
+                               scene.shape, *(fine.values_of(axis)
+                                              for axis in ("s", "t", "w")))
     report.add("Weingarten |H_s K_t - H_t K_s|", rep.st, tol.weingarten)
     report.add("Weingarten |H_s K_w - H_w K_s|", rep.sw, tol.weingarten)
     report.add("Weingarten |H_t K_w - H_w K_t|", rep.tw, tol.weingarten)

@@ -451,23 +451,24 @@ def test_closed_normal_pseudo_c1_is_radial():
 
 
 def test_weingarten_residuals_tubular():
-    grid = [(0.3 + 0.1 * i, 1.0 + 0.1 * j, 0.6 + 0.1 * k)
-            for i in range(4) for j in range(4) for k in range(4)]
+    axes = ([0.3 + 0.1 * i for i in range(4)],
+            [1.0 + 0.1 * j for j in range(4)],
+            [0.6 + 0.1 * k for k in range(4)])
     fam = CanalFamily(CurveClass.PSEUDO_NULL, Variant.T1, 1)
     rep = weingarten_residuals(fam, PN, RadiusSpec.from_text("1/2"),
-                               SHAPE_WT, grid)
+                               SHAPE_WT, *axes)
     assert rep.max_residual() <= 1e-6
-    assert rep.points == len(grid)
+    assert rep.points == 4 ** 3
     with pytest.raises(UnsupportedFamilyError):
         weingarten_residuals(CanalFamily(CurveClass.PSEUDO_NULL, Variant.C1),
-                             PN, HALF_S, SHAPE_WT, grid)
+                             PN, HALF_S, SHAPE_WT, *axes)
 
 
 def test_weingarten_constant_scene_is_zero():
     # constant k1 and constant r in s: K, H constant along s, so the s-mixed
     # Jacobians vanish to rounding
-    grid = [(0.3 + 0.1 * i, 1.0, 0.8) for i in range(5)]
     fam = CanalFamily(CurveClass.PSEUDO_NULL, Variant.T2, 1)
     rep = weingarten_residuals(fam, PN, RadiusSpec.from_text("1/2"),
-                               SHAPE_WT, grid)
+                               SHAPE_WT, [0.3 + 0.1 * i for i in range(5)],
+                               [1.0], [0.8])
     assert rep.st <= 1e-10 and rep.sw <= 1e-10

@@ -297,6 +297,42 @@ def test_integer_columns_keep_their_reprs(tmp_path):
         "0,-1,2,1.0,1.0,1.0,1.0,,,true"]
 
 
+def non_finite_mesh() -> ProjectedMesh:
+    """``signed_zero_mesh`` with nan, inf and -inf cells in a parameter,
+    a point and a curvature column."""
+    mesh = signed_zero_mesh()
+    i = np.arange(len(mesh.points))
+    special = np.array([np.nan, np.inf, -np.inf, 1.5])[i % 4]
+    mesh.params[:, 1] = special
+    mesh.points[:, 2] = special[::-1]
+    mesh.K = np.where(i % 3, special, -np.inf)
+    return mesh
+
+
+def _json_dump_reference(mesh) -> str:
+    """The field as ``json.dump`` writes one dict per vertex."""
+    records = [dict(zip(FIELD_COLUMNS, (*p, *x, k, h, sing)))
+               for p, x, k, h, sing in zip(
+                   mesh.params.tolist(), mesh.points.tolist(), mesh.k_values,
+                   mesh.h_values, mesh.singular.tolist())]
+    return json.dumps(records, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("mesh", [
+    signed_zero_mesh(),
+    non_finite_mesh(),
+    # integer, boolean and float32 columns, no H channel
+    ProjectedMesh(params=np.array([[0, 1, 2], [0, -1, 2]]),
+                  points=np.array([[True, False, True, True]] * 2),
+                  K=np.array([0.5, np.nan], dtype=np.float32), H=None,
+                  singular=np.array([0, 1]), quads=[]),
+], ids=["signed-zeros", "non-finite", "integer-bool-float32"])
+def test_json_field_matches_json_dump(mesh, tmp_path):
+    path = tmp_path / "field.json"
+    export_field(mesh, path, "json")
+    assert path.read_text() == _json_dump_reference(mesh)
+
+
 def _export_peak(mesh, tmp_path) -> int:
     """Peak traced allocation of one OBJ+CSV export."""
     obj, csv = tmp_path / "m.obj", tmp_path / "m.csv"
