@@ -185,23 +185,19 @@ class CurvaturePair:
 # ---------------------------------------------------------------------------
 # The batched field kernel
 #
-# ``field`` evaluates a family at N parameter rows in one pass, as the
-# composition of a table stage and two row stages.  The table stage
-# (``field_tables``) derives the frames and radius jets of all distinct s in
-# one call each, the shape values and their trig values at the distinct
-# (t, w) and the null coefficients at the distinct (s, t, w), with one walk
-# per expression (``expr.eval_value`` on arrays), and keeps each row's index
-# into those tables.  The row stages read the tables at rows:
-# ``field_points`` builds the hypersurface points of every row and
-# ``field_rows`` the center points, radii and closed-form K, H at chosen
-# rows, so a caller that needs the closed forms at a few rows only (the
-# oracle's stencil centers, see ``verify.grid_table``) pays for those rows
-# only.  Transcendental functions run through Python's math module
-# (``expr.libm``) and numpy only combines their values with correctly
-# rounded elementwise operations (+ - * /, square, sqrt), so a point gets
-# the same bits in any batch and from any stage.  The one-point entry
-# points (evaluate_point, curvature_closed) are adapters over the same
-# functions.
+# C(s,t,w) = gamma(s) + sum a_i F_i(s) reads the frame, the radius jet and
+# the radial factor at s alone and the shape values at (t, w) alone, and
+# callers evaluate on a product of s values and (t, w) pairs that they
+# state: the table stage (``field_tables``) evaluates each s value and each
+# (t, w) pair once, and the row stages (``field_points``, ``field_rows``)
+# read the tables at index arrays, so a caller that needs the closed forms
+# at a few rows only (the oracle's stencil centers, see
+# ``verify.grid_table``) pays for those rows only.  Transcendental functions
+# run through Python's math module (``expr.libm``) and numpy only combines
+# their values with correctly rounded elementwise operations (+ - * /,
+# square, sqrt), so a point gets the same bits in any batch and from any
+# stage.  ``field`` and the one-point entry points (evaluate_point,
+# curvature_closed) are adapters over the same functions.
 
 
 @dataclass(frozen=True)
@@ -219,22 +215,6 @@ class Field:
     H: np.ndarray | None
     #: (N,) True where a closed-form denominator vanishes (K, H undefined)
     singular: np.ndarray
-
-
-def _distinct(*columns):
-    """Distinct rows of equal-length float columns, compared bit for bit,
-    and the index of each row's distinct entry."""
-    cols = [np.ascontiguousarray(c, dtype=float) for c in columns]
-    keys = [c.view(np.int64) for c in cols]
-    order = np.lexsort(keys[::-1])
-    starts = np.zeros(len(order), dtype=bool)
-    starts[:1] = True
-    for key in keys:
-        ordered = key[order]
-        starts[1:] |= ordered[1:] != ordered[:-1]
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return [c[order[starts]] for c in cols], inverse
 
 
 def _regime(bad, message: str, x) -> None:
@@ -267,78 +247,91 @@ def _radial_scale(variant: Variant, r, r1):
 def _frames(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
             s_values):
     """Frame rows, the radius jet (r, r', r'') and, for non-null families,
-    the radial scale at the s values; frames and jets come from one call
-    each."""
+    the radial factor branch * r sqrt(m) at the s values; frames and jets
+    come from one call each."""
     fr = derive_frames(curve, s_values)
     r, r1, r2, _ = radius.jet(s_values)
     if family.variant.is_null_variant:
         _check_radius(family.variant, r, r1)
         return fr, (r, r1, r2), None
-    return fr, (r, r1, r2), _radial_scale(family.variant, r, r1)
+    return fr, (r, r1, r2), (float(family.branch)
+                             * _radial_scale(family.variant, r, r1))
 
 
-# Fiber coefficient patterns (F2, F3, F4) per variant over the trig pair
-# (a, b) = (sin f, cos f) or (sinh f, cosh f), and the trig value T of the
-# variant's closed forms.
+# A non-null fiber is built from the trig pair (sin f, cos f) or
+# (sinh f, cosh f).  The closed forms read one of the two, T, signed by the
+# branch; the fiber reads T unsigned and its mate M.  Per unit radial
+# factor the coefficients of (F2, F3, F4) are (g T, M, +-T/(2g)) for pseudo
+# null centers and (T, g M, +-M/(2g)) for partially null ones, with the
+# minus sign on the hyperbolic variants.
 _CIRCULAR = (Variant.C1, Variant.C2, Variant.T1, Variant.T2)
 
 
-def _fiber_pseudo(variant: Variant, a, b, g):
-    if variant in (Variant.C1, Variant.T1):
-        return (g * a, b, a / (2.0 * g)), a
-    if variant in (Variant.C2, Variant.T2):
-        return (g * b, a, b / (2.0 * g)), b
-    if variant in (Variant.C3, Variant.T3):
-        return (g * a, b, -a / (2.0 * g)), a
-    # C4, C5, T4 share the cosh/sinh pattern.
-    return (g * b, a, -b / (2.0 * g)), b
-
-
-def _fiber_partial(variant: Variant, a, b, g):
-    if variant in (Variant.C1, Variant.T1):
-        return (a, g * b, b / (2.0 * g)), a
-    if variant in (Variant.C2, Variant.T2):
-        return (b, g * a, a / (2.0 * g)), b
-    if variant in (Variant.C3, Variant.T3):
-        return (b, g * a, -a / (2.0 * g)), b
-    return (a, g * b, -b / (2.0 * g)), a
-
-
-def _fiber(family: CanalFamily, f, g):
-    """Fiber coefficients (per unit radial scale) and the closed forms'
-    branch-signed trig value T at shape values f, g."""
+def _trig_functions(family: CanalFamily):
+    """The functions of f giving T and its mate: the odd one of the pair
+    (sin, sinh) gives T on C1 and T1, and on C3 and T3 of pseudo null
+    centers or C4, C5 and T4 of partially null ones."""
     if family.variant in _CIRCULAR:
-        a, b = libm(math.sin, f), libm(math.cos, f)
+        odd, even = math.sin, math.cos
+        odd_first = family.variant in (Variant.C1, Variant.T1)
     else:
-        a, b = libm(math.sinh, f), libm(math.cosh, f)
-    pattern = (_fiber_pseudo if family.curve_class is CurveClass.PSEUDO_NULL
-               else _fiber_partial)
-    fiber, trig = pattern(family.variant, a, b, g)
-    return fiber, float(family.branch) * trig
+        odd, even = math.sinh, math.cosh
+        odd_first = ((family.variant in (Variant.C3, Variant.T3))
+                     == (family.curve_class is CurveClass.PSEUDO_NULL))
+    return (odd, even) if odd_first else (even, odd)
 
 
-def _null_coefficients(lam: int, r, r1, a1, theta, s_ix, ix):
-    """(a1, a2, a3, a4) of a null-center family from the radius jet at the
-    distinct s and its free data at the distinct (s, t, w), given each row's
-    index into both; a negative rho^2 is reported at the first row where it
-    occurs."""
-    # The (s, t, w) tables have about as many entries as there are rows,
-    # so each temporary is dropped as soon as it is used.
-    at = np.empty(len(a1), dtype=np.intp)
-    at[ix] = s_ix  # the distinct s of each distinct (s, t, w)
-    r, r1 = r[at], r1[at]
-    del at
-    a3 = -lam * r * r1
-    rho = lam * r * (r + 2.0 * a1 * r1)
-    del r, r1
-    if np.any(rho < 0):
-        _regime(rho[ix] < 0, "rho^2 = lambda*r*(r + 2*a1*r') = {} < 0",
-                rho[ix])
-    np.sqrt(rho, out=rho)
-    return (a1, rho * libm(math.cos, theta), a3, rho * libm(math.sin, theta))
+def _trig(family: CanalFamily, f):
+    """The closed forms' branch-signed trig value T at shape values f."""
+    return float(family.branch) * libm(_trig_functions(family)[0], f)
 
 
-def _check_inputs(family: CanalFamily, curve: CurveSpec, shape, nc) -> None:
+def _fiber(family: CanalFamily, f, g, T):
+    """Fiber coefficients of (F2, F3, F4) per unit radial factor at shape
+    values f, g, given T = _trig(family, f)."""
+    trig = float(family.branch) * T  # unsigned again, exactly
+    mate = libm(_trig_functions(family)[1], f)
+    sign = 1.0 if family.variant in _CIRCULAR else -1.0
+    if family.curve_class is CurveClass.PSEUDO_NULL:
+        return g * trig, mate, sign * trig / (2.0 * g)
+    return trig, g * mate, sign * mate / (2.0 * g)
+
+
+@dataclass(frozen=True)
+class FieldTables:
+    """The table stage of ``field``: a family's inputs at an array of s
+    values and at an array of (t, w) pairs."""
+
+    family: CanalFamily
+    #: the s values and the (t, w) pairs (t[j], w[j]) of the tables
+    s: np.ndarray
+    t: np.ndarray
+    w: np.ndarray
+    #: frame rows, the radius jet (r, r', r'') and the radial factor
+    #: branch * r sqrt(m) (None for null families) at the s values
+    frames: FrameRows
+    jet: tuple
+    radial: np.ndarray | None
+    #: the shape values f, g and the closed forms' trig value T at the
+    #: (t, w) pairs; None for null families
+    f: np.ndarray | None
+    g: np.ndarray | None
+    T: np.ndarray | None
+    #: a null family's free data, walked at the rows by ``field_points``
+    nc: NullCoefficients | None
+
+
+def field_tables(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
+                 shape: ShapeSpec | None, nc: NullCoefficients | None,
+                 s, t, w) -> FieldTables:
+    """The table stage of ``field``: frames, radius jets and radial factors
+    at the s values (raveled to 1-D), and for non-null families the shape
+    values at the (t, w) pairs (t[j], w[j]).  Each value is evaluated once,
+    in the order given; nothing is deduplicated.
+
+    Regime violations raise ``RegimeError`` naming the first failing value
+    in that order.
+    """
     if curve.curve_class is not family.curve_class:
         raise RegimeError(
             f"family expects a {family.curve_class.value} curve, "
@@ -348,118 +341,86 @@ def _check_inputs(family: CanalFamily, curve: CurveSpec, shape, nc) -> None:
             raise RegimeError("null families require NullCoefficients")
     elif shape is None:
         raise RegimeError("non-null families require a ShapeSpec")
-
-
-def _shape_values(family: CanalFamily, shape: ShapeSpec, t, w):
-    """Fiber and closed-form inputs (fiber, T, g) at the points (t, w)."""
-    f, g = shape.values(t, w)
-    if np.any(g == 0.0):
-        raise RegimeError("shape function g vanishes at the evaluation point")
-    fiber, trig = _fiber(family, f, g)
-    return fiber, trig, g
-
-
-def _shape_table(family: CanalFamily, shape: ShapeSpec, t, w):
-    """Fiber and closed-form inputs per distinct (t, w): (fiber, T, g)
-    over the distinct points and the index of each input point."""
-    (tu, wu), ix = _distinct(t, w)
-    return (*_shape_values(family, shape, tu, wu), ix)
-
-
-@dataclass(frozen=True)
-class FieldTables:
-    """The table stage of ``field``: a family's inputs at the distinct
-    parameter values of a batch of rows, and each row's index into them."""
-
-    family: CanalFamily
-    #: frame rows and the radius jet (r, r', r'') at the distinct s
-    frames: FrameRows
-    jet: tuple
-    #: each row's distinct s
-    s_ix: np.ndarray
-    #: a1 at the distinct s (non-null families) or (s, t, w) (null ones)
-    a1: np.ndarray
-    #: the radial factor branch * r sqrt(m) at the distinct s; None for
-    #: null families
-    radial: np.ndarray | None
-    #: factors of (a2, a3, a4): the fiber per unit radial factor at the
-    #: distinct (t, w), or the null coefficients at the distinct (s, t, w)
-    fiber: tuple
-    #: the closed forms' trig value T and g at the distinct (t, w); None
-    #: for null families
-    trig: np.ndarray | None
-    g: np.ndarray | None
-    #: each row's distinct (t, w) (non-null families) or (s, t, w)
-    ix: np.ndarray
-
-
-def field_tables(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
-                 shape: ShapeSpec | None, nc: NullCoefficients | None,
-                 s, t, w) -> FieldTables:
-    """The table stage of ``field`` at the rows (s[i], t[i], w[i]).
-
-    Regime violations anywhere in the batch raise ``RegimeError``.
-    """
-    _check_inputs(family, curve, shape, nc)
-    s, t, w = np.broadcast_arrays(*(np.asarray(x, dtype=float).ravel()
-                                    for x in (s, t, w)))
+    s = np.asarray(s, dtype=float).ravel()
+    t, w = np.broadcast_arrays(*(np.asarray(x, dtype=float).ravel()
+                                 for x in (t, w)))
     with np.errstate(all="ignore"):
-        (s_values,), s_ix = _distinct(s)
-        fr, jet, rho = _frames(family, curve, radius, s_values)
-        r, r1, _ = jet
+        fr, jet, radial = _frames(family, curve, radius, s)
         if family.variant.is_null_variant:
-            distinct, ix = _distinct(s, t, w)
-            a1, theta = nc.values(*distinct)
-            del distinct
-            a1, *fiber = _null_coefficients(family.lam, r, r1, a1, theta,
-                                            s_ix, ix)
-            return FieldTables(family, fr, jet, s_ix, a1, None, tuple(fiber),
-                               None, None, ix)
-        fiber, trig, g, ix = _shape_table(family, shape, t, w)
-        a1 = (np.zeros_like(r) if family.variant.is_tubular
-              else -family.lam * r * r1)
-        return FieldTables(family, fr, jet, s_ix, a1,
-                           float(family.branch) * rho, fiber, trig, g, ix)
+            return FieldTables(family, s, t, w, fr, jet, None, None, None,
+                               None, nc)
+        f, g = shape.values(t, w)
+        if np.any(g == 0.0):
+            raise RegimeError("shape function g vanishes at the evaluation "
+                              "point")
+    return FieldTables(family, s, t, w, fr, jet, radial, f, g,
+                       _trig(family, f), None)
 
 
-def _row_coefficients(tables: FieldTables):
-    """(a1, a2, a3, a4) of every row of the tables, one at a time."""
-    if tables.radial is None:
-        for c in (tables.a1, *tables.fiber):
-            yield c[tables.ix]
-        return
-    yield tables.a1[tables.s_ix]
-    radial = tables.radial[tables.s_ix]
-    for c in tables.fiber:
-        yield radial * c[tables.ix]
+def _fiber_coefficients(tables: FieldTables, s_ix, tw_ix):
+    """(a1, a2, a3, a4) of a non-null family at the rows, one at a time."""
+    family = tables.family
+    r, r1, _ = tables.jet
+    a1 = (np.zeros_like(r) if family.variant.is_tubular
+          else -family.lam * r * r1)
+    yield a1[s_ix]
+    radial = tables.radial[s_ix]
+    for c in _fiber(family, tables.f, tables.g, tables.T):
+        yield radial * c[tw_ix]
 
 
-def field_points(tables: FieldTables) -> np.ndarray:
-    """The (N, 4) hypersurface points gamma + a1 F1 + a2 F2 + a3 F3 + a4 F4
-    of every row of the tables, added one coefficient and one column at a
-    time, so no other (N, 4) array is made."""
-    fr, s_ix = tables.frames, tables.s_ix
-    points = fr.gamma[s_ix]
+def _null_coefficients(tables: FieldTables, s_ix, tw_ix):
+    """(a1, a2, a3, a4) of a null-center family at the rows, from its free
+    data walked once at the rows; a negative rho^2 is reported at the first
+    row where it occurs."""
+    # The coefficients are row-sized, so each temporary is dropped as soon
+    # as it is used.
+    a1, theta = tables.nc.values(tables.s[s_ix], tables.t[tw_ix],
+                                 tables.w[tw_ix])
+    lam = tables.family.lam
+    r, r1 = (x[s_ix] for x in tables.jet[:2])
+    a3 = -lam * r * r1
+    rho = lam * r * (r + 2.0 * a1 * r1)
+    del r, r1
+    _regime(rho < 0, "rho^2 = lambda*r*(r + 2*a1*r') = {} < 0", rho)
+    np.sqrt(rho, out=rho)
+    return [a1, rho * libm(math.cos, theta), a3, rho * libm(math.sin, theta)]
+
+
+def field_points(tables: FieldTables, s_ix, tw_ix) -> np.ndarray:
+    """The hypersurface points gamma + a1 F1 + a2 F2 + a3 F3 + a4 F4 at the
+    rows (tables.s[s_ix], tables.t[tw_ix], tables.w[tw_ix]) of the index
+    arrays' broadcast, as an array of that shape with a last axis of 4.
+
+    The points are added one coefficient and one column at a time, so no
+    other array of their size is made; a null family's free data is walked
+    before the points are allocated.
+    """
+    s_ix, tw_ix = np.broadcast_arrays(s_ix, tw_ix)
+    fr = tables.frames
     with np.errstate(all="ignore"):
-        for a, f in zip(_row_coefficients(tables),
-                        (fr.f1, fr.f2, fr.f3, fr.f4)):
+        coefficients = (_fiber_coefficients if tables.nc is None
+                        else _null_coefficients)(tables, s_ix, tw_ix)
+        points = fr.gamma[s_ix]
+        for a, f in zip(coefficients, (fr.f1, fr.f2, fr.f3, fr.f4)):
             for k in range(4):
-                points[:, k] += a * f[s_ix, k]
+                points[..., k] += a * f[s_ix, k]
     return points
 
 
-def field_rows(tables: FieldTables, rows=slice(None)):
-    """Center points, radii and, for non-null families, the closed-form
-    K, H (None for null families) and singular mask at the given rows of
-    the tables (an index array or a slice)."""
+def field_rows(tables: FieldTables, s_ix, tw_ix):
+    """Center points and radii at the s values s_ix, and the closed-form
+    K, H (None for null families) and singular mask at the broadcast of
+    the index arrays s_ix and tw_ix.  Index blocks of shapes (n, 1) and
+    (1, m) give (n, m) closed forms whose s-only terms are computed once
+    per s value."""
     fr = tables.frames
-    s_ix = tables.s_ix[rows]
     r, r1, r2 = (x[s_ix] for x in tables.jet)
-    if tables.trig is None:
-        return fr.gamma[s_ix], r, None, None, np.zeros(len(s_ix), dtype=bool)
-    ix = tables.ix[rows]
+    if tables.T is None:
+        shape = np.broadcast_shapes(np.shape(s_ix), np.shape(tw_ix))
+        return fr.gamma[s_ix], r, None, None, np.zeros(shape, dtype=bool)
     K, H, singular = _closed(tables.family, fr.k1[s_ix], r, r1, r2,
-                             tables.trig[ix], tables.g[ix])
+                             tables.T[tw_ix], tables.g[tw_ix])
     return fr.gamma[s_ix], r, K, H, singular
 
 
@@ -468,16 +429,22 @@ def field(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
           s, t, w) -> Field:
     """The family at the parameter points (s[i], t[i], w[i]): hypersurface
     points, center points, radii and, for non-null families, the
-    closed-form K, H with the mask of closed-form singular points
-    (``field_tables``, then ``field_points`` and ``field_rows`` on every
-    row).
+    closed-form K, H with the mask of closed-form singular points.
 
-    Regime violations anywhere in the batch raise ``RegimeError``; closed-
-    form poles only set ``singular``.  Each point's values are the same bits
+    The tables are built on the rows themselves (``field_tables``, then
+    ``field_points`` and ``field_rows`` reading row i of both), so rows
+    that repeat an s derive it once each; a caller evaluating on a product
+    of s values and (t, w) pairs states it to the stages instead.  Regime
+    violations anywhere in the batch raise ``RegimeError``; closed-form
+    poles only set ``singular``.  Each point's values are the same bits
     whatever batch it is evaluated in.
     """
+    s, t, w = np.broadcast_arrays(*(np.asarray(x, dtype=float).ravel()
+                                    for x in (s, t, w)))
     tables = field_tables(family, curve, radius, shape, nc, s, t, w)
-    return Field(field_points(tables), *field_rows(tables))
+    rows = np.arange(len(s))
+    return Field(field_points(tables, rows, rows),
+                 *field_rows(tables, rows, rows))
 
 
 def evaluate_point(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
@@ -510,7 +477,7 @@ def unit_normal_closed_pseudo_c1(frame: FrenetData, r_jet, f: float, g: float,
 # q2 = +-r'', the shape term G (+-2g for pseudo null centers, +-1 for
 # partially null ones) and a sign sigma of K and H, which is also the sign
 # of the K-H relation 3H - r^2 K + sigma 2/r.  T is the branch-signed trig
-# value of f (see ``_fiber``).  Canal variants, where m > 0 is the regime,
+# value of f (see ``_trig``).  Canal variants, where m > 0 is the regime,
 # with a = m - r q2, b = m - 2 r q2 and c = 2m - 3 r q2:
 #
 #   K = sigma [-r m k1^2 T^2 + q2 a G^2 + sqrt(m) b k1 G T]
@@ -597,7 +564,7 @@ def curvature_closed(family: CanalFamily, k1: float, r_jet, f: float,
     _radial_scale(family.variant, r, r1)  # regime checks on r and r'
     one = [np.array([x], dtype=float) for x in (k1, r, r1, r2, f, g)]
     with np.errstate(all="ignore"):
-        _, T = _fiber(family, one[4], one[5])
+        T = _trig(family, one[4])
     K, H, bad = _closed(family, *one[:4], T, one[5])
     if bad[0]:
         raise SingularPointError(
@@ -734,43 +701,40 @@ def weingarten_residuals(family: CanalFamily, curve: CurveSpec,
     with axes s, t and w (1-D arrays; the grid is their outer product).
 
     A grid point is singular when any of its six closed-form evaluations
-    is.  The frames and radius jets at s + h, s - h and s come from one
-    call, as (n_s, 1) columns, and the shape values on the five (t, w)
-    offset grids from one walk, as (1, n_t n_w) rows; each closed form is
-    evaluated on their broadcast, so an s-only or (t, w)-only term is
-    computed once per axis value.  One direction's differences are formed
-    before the next direction's closed forms are evaluated.
+    is.  One ``field_tables`` call holds s + h, s - h and s and the five
+    (t, w) offset grids; each closed form is a ``field_rows`` call on an
+    (n_s, 1) block of s indices and a (1, n_t n_w) block of (t, w)
+    indices, so an s-only or (t, w)-only term is computed once per axis
+    value.  One direction's differences are formed before the next
+    direction's closed forms are evaluated.
     """
     if not family.variant.is_tubular or family.variant.is_null_variant:
         raise UnsupportedFamilyError(
             "Weingarten residuals are defined for tubular variants with "
             "closed forms")
-    _check_inputs(family, curve, shape, None)
     h = WEINGARTEN_STEP
     s, t, w = (np.asarray(x, dtype=float).ravel() for x in (s, t, w))
+    # s blocks s + h, s - h, s; (t, w) blocks (t, w), (t+h, w), (t-h, w),
+    # (t, w+h), (t, w-h), each raveled row-major
+    tables = field_tables(
+        family, curve, radius, shape, None, np.concatenate([s + h, s - h, s]),
+        np.concatenate([np.repeat(x, len(w))
+                        for x in (t, t + h, t - h, t, t)]),
+        np.concatenate([np.tile(x, len(t)) for x in (w, w, w, w + h, w - h)]))
+    n_s, n_tw = len(s), len(t) * len(w)
+    column, row = np.arange(n_s)[:, None], np.arange(n_tw)[None, :]
+
+    def slope(plus, minus):
+        """(H_x, K_x) at every grid point and the singular mask of the
+        two closed-form evaluations; ``plus`` and ``minus`` are
+        (s block, (t, w) block) pairs."""
+        K1, H1, bad1 = field_rows(tables, column + plus[0] * n_s,
+                                  row + plus[1] * n_tw)[2:]
+        K0, H0, bad0 = field_rows(tables, column + minus[0] * n_s,
+                                  row + minus[1] * n_tw)[2:]
+        return (H1 - H0) / (2 * h), (K1 - K0) / (2 * h), bad1 | bad0
+
     with np.errstate(all="ignore"):
-        # (T, g) on the offset grids (t, w), (t+h, w), (t-h, w), (t, w+h)
-        # and (t, w-h), each raveled row-major
-        _, trig, g = _shape_values(
-            family, shape,
-            np.concatenate([np.repeat(x, len(w))
-                            for x in (t, t + h, t - h, t, t)]),
-            np.concatenate([np.tile(x, len(t))
-                            for x in (w, w, w, w + h, w - h)]))
-        tw = list(zip(trig.reshape(5, 1, -1), g.reshape(5, 1, -1)))
-        # (k1, r, r', r'') at s + h, s - h and s, from one call
-        fr, jet, _ = _frames(family, curve, radius,
-                             np.concatenate([s + h, s - h, s]))
-        at = list(zip(*(x.reshape(3, -1, 1) for x in (fr.k1, *jet))))
-
-        def slope(plus, minus):
-            """(H_x, K_x) at every grid point and the singular mask of the
-            two closed-form evaluations; ``plus`` and ``minus`` are
-            (s offset, (t, w) offset) pairs."""
-            K1, H1, bad1 = _closed(family, *at[plus[0]], *tw[plus[1]])
-            K0, H0, bad0 = _closed(family, *at[minus[0]], *tw[minus[1]])
-            return (H1 - H0) / (2 * h), (K1 - K0) / (2 * h), bad1 | bad0
-
         H_s, K_s, bad_s = slope((0, 0), (1, 0))
         H_t, K_t, bad_t = slope((2, 1), (2, 2))
         H_w, K_w, bad_w = slope((2, 3), (2, 4))

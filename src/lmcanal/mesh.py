@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .canal import field_points, field_rows
 
 PROJECTIONS = {
     "x1x2x3": (0, 1, 2),
@@ -132,10 +133,11 @@ class ProjectedMesh:
 def sweep(scene, grid: GridSpec) -> ProjectedMesh:
     """Evaluate the scene on the fixed-axis grid and project.
 
-    ``scene`` provides ``projection``, ``family`` and ``field(s, t, w)``
-    returning a ``canal.Field`` (see the scene module); every vertex is
-    evaluated in that one call.  Raises MeshError when every point is
-    singular.
+    ``scene`` provides ``projection`` and ``tables(s, t, w)`` returning
+    ``canal.FieldTables`` (see the scene module): the s axis, or the fixed
+    s, and the n_tw (t, w) pairs of one row of vertices; vertex i reads
+    s value i // n_tw and pair i % n_tw.  Raises MeshError when every point
+    is singular.
     """
     if scene.projection not in PROJECTIONS:
         raise MeshError(f"unknown projection {scene.projection!r}")
@@ -146,9 +148,15 @@ def sweep(scene, grid: GridSpec) -> ProjectedMesh:
     coords = {grid.fixed_axis: np.full(a.size, grid.fixed_value),
               axis_a: a.ravel(), axis_b: b.ravel()}
     params = np.stack([coords[axis] for axis in AXES], axis=1)
-    fld = scene.field(*params.T)
-    mesh = ProjectedMesh(params=params, points=fld.points, K=fld.K, H=fld.H,
-                         singular=fld.singular, projection=scene.projection)
+    # s is the slower swept axis unless it is fixed
+    n_tw = a.size if grid.fixed_axis == "s" else n_b
+    tables = scene.tables(params[::n_tw, 0], params[:n_tw, 1],
+                          params[:n_tw, 2])
+    s_ix, tw_ix = np.divmod(np.arange(a.size), n_tw)
+    points = field_points(tables, s_ix, tw_ix)
+    _, _, K, H, singular = field_rows(tables, s_ix, tw_ix)
+    mesh = ProjectedMesh(params=params, points=points, K=K, H=H,
+                         singular=singular, projection=scene.projection)
     if mesh.n_singular == n_a * n_b:
         raise MeshError("every grid point is singular")
     base = (np.arange(n_a - 1)[:, None] * n_b + np.arange(n_b - 1)).ravel()

@@ -14,7 +14,8 @@ differentiated numerically, the engine shares nothing with the closed-form
 curvature path it is used to check.
 
 The engine works on batches: ``stencil`` lays out the 19-point stencils of
-N points, the caller evaluates all 19 N points in one call, and
+N points (``grid_stencil`` those of a grid, as parameter tables and
+indices into them), the caller evaluates all 19 N points in one call, and
 ``stencil_jets``, ``forms_batch`` and ``curvatures_batch`` turn them into
 (N, ...) arrays with per-point masks instead of exceptions.  The one-point
 functions (``numeric_jet``, ``fundamental_forms``, ``curvatures_numeric``)
@@ -107,6 +108,28 @@ def stencil(s, t, w, step: float = DEFAULT_STEP):
         (np.asarray(x, dtype=float).ravel()[None, :]
          + offsets[:, k, None] * step).ravel()
         for k, x in enumerate((s, t, w)))
+
+
+def grid_stencil(s, t, w, step: float):
+    """The stencils of the grid of s values by (t, w) pairs (t[j], w[j]),
+    s slowest, as the tables (S, T, W) and the indices (s_ix, tw_ix) of
+    the 19 N rows of ``stencil`` on the N grid points, with their bits.
+
+    S is (s, s + h, s - h), so an s offset d falls in block d % 3; the
+    (t, w) pairs at the offset (dt, dw) are block 3 (dt % 3) + dw % 3.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    s, t, w = (np.asarray(x, dtype=float).ravel() for x in (s, t, w))
+    d = np.array([0.0, 1.0, -1.0])[:, None] * step  # offset d in row d % 3
+    blocks = np.array(STENCIL) % 3
+    n_s, n_tw = len(s), len(t)
+    s_ix = blocks[:, 0, None] * n_s + np.repeat(np.arange(n_s), n_tw)
+    tw_ix = ((3 * blocks[:, 1] + blocks[:, 2])[:, None] * n_tw
+             + np.tile(np.arange(n_tw), n_s))
+    tables = ((s + d).ravel(), np.repeat(t + d, 3, axis=0).ravel(),
+              np.tile(w + d, (3, 1)).ravel())
+    return tables, (s_ix.ravel(), tw_ix.ravel())
 
 
 def stencil_jets(points, step: float) -> SurfaceJet:

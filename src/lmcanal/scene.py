@@ -72,8 +72,8 @@ class SceneSpec:
                      self.nc, s, t, w)
 
     def tables(self, s, t, w) -> FieldTables:
-        """The table stage of ``field`` at the parameter arrays (see
-        canal.field_tables)."""
+        """The table stage of ``field`` at the s values and the (t, w)
+        pairs (t[j], w[j]) (see canal.field_tables)."""
         return field_tables(self.family, self.curve, self.radius, self.shape,
                             self.nc, s, t, w)
 

@@ -2,11 +2,11 @@
 agreement, K-H relations, causal character and Weingarten residuals.
 
 ``grid_table`` evaluates a scene once on its grid in one stencil batch:
-the field kernel's table stage runs once on the oracle's 19-point stencils
-of all grid points (each distinct s is derived once), the points are built
-on every stencil row and the closed forms on the grid rows only, and the
-oracle runs once; the envelope, curvature and causal-character checks are
-reductions over that table.
+the field kernel's table stage runs once on the 3 n_s s values and the
+9 n_t n_w (t, w) pairs of the oracle's 19-point stencils of all grid
+points, the points are built on every stencil row and the closed forms on
+the grid rows only, and the oracle runs once; the envelope, curvature and
+causal-character checks are reductions over that table.
 
 The closed curvature forms are stated relative to a choice of unit normal.
 For almost all variants that choice is the radial direction (C - gamma)/r;
@@ -105,20 +105,23 @@ def _worst(values) -> float:
 
 def grid_table(scene: SceneSpec) -> GridTable:
     """The scene evaluated on its grid in one pass: the kernel's table stage
-    runs once on the oracle's 19-point stencils of all grid points, the
-    hypersurface points are built on every stencil row, the center points,
-    radii and closed forms on the grid rows only (the stencil centers come
-    first), and the oracle runs once on the grid."""
+    runs once on the s values and (t, w) pairs of the oracle's 19-point
+    stencils of all grid points (``oracle.grid_stencil``), the hypersurface
+    points are built on every stencil row, the center points, radii and
+    closed forms on the grid rows only (the stencil centers come first),
+    and the oracle runs once on the grid."""
     grid = scene.grid
     fam = scene.family
     h = scene.oracle_step
-    axes = (grid.values_of(axis) for axis in ("s", "t", "w"))
-    s, t, w = (x.ravel() for x in np.meshgrid(*axes, indexing="ij"))
-    n = len(s)
-    tables = scene.tables(*oracle.stencil(s, t, w, h))
-    jet = oracle.stencil_jets(field_points(tables), h)
-    center, r, k_closed, h_closed, singular = field_rows(tables, slice(n))
-    del tables  # stencil-sized row indices, not needed by the oracle
+    t, w = (x.ravel() for x in np.meshgrid(grid.values_of("t"),
+                                           grid.values_of("w"), indexing="ij"))
+    params, (s_ix, tw_ix) = oracle.grid_stencil(grid.values_of("s"), t, w, h)
+    tables = scene.tables(*params)
+    jet = oracle.stencil_jets(field_points(tables, s_ix, tw_ix), h)
+    n = len(jet.point)
+    center, r, k_closed, h_closed, singular = field_rows(tables, s_ix[:n],
+                                                         tw_ix[:n])
+    del s_ix, tw_ix  # stencil-sized, not needed by the oracle
     forms, degenerate = oracle.forms_batch(jet)
     K, H, metric_singular = oracle.curvatures_batch(forms)
     radial = jet.point - center

@@ -2,7 +2,7 @@
 residuals, checked against one-point evaluation.
 
 The kernel must give every point the same bits whatever batch it is
-evaluated in, derive each distinct s once per call, and reproduce the
+evaluated in, derive each s value of a verify pass once, and reproduce the
 residuals of a per-point loop over ``curvature_closed``.
 """
 
@@ -127,7 +127,9 @@ def test_field_walks_each_expression_once_per_call(monkeypatch):
     report = VerifyReport(canal_scene.name)
     check_curvatures(grid_table(canal_scene), report, Tolerances())
     assert report.passed
-    assert len(tables) == 1 and tables[0] > 1000
+    # the shape walk covers the (t, w) pairs of every stencil: 576 here
+    grid = canal_scene.grid
+    assert tables == [9 * grid.n_t * grid.n_w]
     assert walks == [canal_scene.shape.f, canal_scene.shape.g]
     walks.clear()
     grid_table(null_scene)
@@ -140,10 +142,10 @@ def test_field_walks_each_expression_once_per_call(monkeypatch):
 @pytest.mark.parametrize("name", GATE_SCENES)
 def test_verify_scene_makes_one_kernel_call_per_grid_s(monkeypatch, name):
     # envelope, curvatures and causal character all read the one grid pass:
-    # one table stage on the stencils of every grid point, the points on all
-    # 19 n_s n_t n_w stencil rows and the closed side on the grid rows (the
-    # stencil centers come first), as many kernel calls for n_s = 2 as for
-    # the scene's n_s
+    # one table stage on the 3 n_s s values and 9 n_t n_w (t, w) pairs of
+    # the stencils of every grid point, the points on all 19 n_s n_t n_w
+    # stencil rows and the closed side on the grid rows, as many kernel
+    # calls for n_s = 2 as for the scene's n_s
     scene = bundled_scene(name)
     calls = []
 
@@ -155,18 +157,28 @@ def test_verify_scene_makes_one_kernel_call_per_grid_s(monkeypatch, name):
             return real(*args)
         monkeypatch.setattr(module, kernel, call)
 
-    counted(scene_mod, "field_tables", lambda *args: len(args[-1]))
-    counted(verify_mod, "field_points", lambda tables: len(tables.s_ix))
-    counted(verify_mod, "field_rows", lambda tables, rows: np.arange(
-        len(tables.s_ix))[rows].tolist())
+    def params(tables, s_ix, tw_ix):
+        s_ix, tw_ix = np.broadcast_arrays(s_ix, tw_ix)
+        return np.stack([tables.s[s_ix], tables.t[tw_ix], tables.w[tw_ix]],
+                        axis=1).tolist()
+
+    counted(scene_mod, "field_tables",
+            lambda *args: tuple(map(len, args[-3:])))
+    counted(verify_mod, "field_points",
+            lambda tables, s_ix, tw_ix: np.broadcast(s_ix, tw_ix).size)
+    counted(verify_mod, "field_rows", params)
     monkeypatch.setattr(scene_mod, "field", None)  # no per-slab calls
     for n_s in (scene.grid.n_s, 2):
         calls.clear()
         grid = dataclasses.replace(scene.grid, n_s=n_s)
         assert verify_scene(dataclasses.replace(scene, grid=grid)).passed
-        n = n_s * grid.n_t * grid.n_w
-        assert calls == [("field_tables", 19 * n), ("field_points", 19 * n),
-                         ("field_rows", list(range(n)))]
+        n_tw = grid.n_t * grid.n_w
+        n = n_s * n_tw
+        grid_points = np.stack(_grid_points(dataclasses.replace(
+            scene, grid=grid)), axis=1).tolist()
+        assert calls == [("field_tables", (3 * n_s, 9 * n_tw, 9 * n_tw)),
+                         ("field_points", 19 * n),
+                         ("field_rows", grid_points)]
 
 
 def _weingarten_reference(scene, axes):
@@ -260,6 +272,28 @@ def test_check_weingarten_evaluates_the_closed_forms_on_the_axes(
     column, row = (n, 1), (1, n * n)
     assert calls == ([("derive_frames", (3 * n,))]
                      + [("_closed", [column] * 4 + [row] * 2)] * 6)
+
+
+def test_check_weingarten_makes_one_table_call_and_builds_no_fiber(
+        monkeypatch):
+    # the closed forms read the trig value T only, not the fiber
+    scene = bundled_scene("pseudo-null-t1")
+    n = verify_mod.WEINGARTEN_GRID
+    calls, real = [], canal.field_tables
+
+    def counted(*args):
+        calls.append(tuple(map(len, args[-3:])))
+        return real(*args)
+
+    def no_fiber(*args):
+        raise AssertionError("the fiber was built")
+
+    monkeypatch.setattr(canal, "field_tables", counted)
+    monkeypatch.setattr(canal, "_fiber", no_fiber)
+    report = VerifyReport(scene.name)
+    check_weingarten(scene, report, Tolerances())
+    assert report.passed
+    assert calls == [(3 * n, 5 * n * n, 5 * n * n)]
 
 
 def _traced_peak(fn, *args) -> int:

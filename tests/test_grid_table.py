@@ -78,6 +78,23 @@ def test_grid_table_matches_slab_reference_bit_for_bit(name):
         assert a.tobytes() == b.tobytes(), column
 
 
+@pytest.mark.parametrize("name", GATE_SCENES + FIGURE_SCENES)
+def test_grid_stencil_rows_are_the_stencils_of_the_grid_bit_for_bit(name):
+    scene = bundled_scene(name)
+    grid, h = scene.grid, scene.oracle_step
+    t, w = (x.ravel() for x in np.meshgrid(grid.values_of("t"),
+                                           grid.values_of("w"), indexing="ij"))
+    (S, T, W), (s_ix, tw_ix) = oracle.grid_stencil(grid.values_of("s"), t, w,
+                                                   h)
+    assert (len(S), len(T), len(W)) == (3 * grid.n_s, 9 * len(t), 9 * len(t))
+    points = (x.ravel() for x in np.meshgrid(
+        *(grid.values_of(axis) for axis in ("s", "t", "w")), indexing="ij"))
+    for got, want in zip((S[s_ix], T[tw_ix], W[tw_ix]),
+                         oracle.stencil(*points, h)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name", ["pseudo-null-c1", "pseudo-null-t1",
                                   "null-c1"])
 def test_grid_table_memory_is_bounded_per_row(name):

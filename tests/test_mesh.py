@@ -10,9 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lmcanal.canal import CurvaturePair, Field, relation_residual
+from lmcanal import canal
+from lmcanal import scene as scene_mod
+from lmcanal.canal import CurvaturePair, relation_residual
 from lmcanal.cli import main
-from lmcanal.mesh import (EXPORT_BLOCK_ROWS, FIELD_COLUMNS, GridSpec,
+from lmcanal.mesh import (AXES, EXPORT_BLOCK_ROWS, FIELD_COLUMNS, GridSpec,
                           MeshError, ProjectedMesh, export, export_field,
                           export_obj, sweep)
 from lmcanal.scene import bundled_scene, parse_scene
@@ -23,24 +25,6 @@ from lmcanal.scene import bundled_scene, parse_scene
 PINNED = pathlib.Path(__file__).parent / "data" / "mesh_exports.sha256"
 FIGURE_SCENES = ("pseudo-null-c1-figure", "partially-null-c5-figure",
                  "null-c1-figure")
-
-
-class UnitSquareScene:
-    """Minimal scene stand-in: a flat unit patch, no curvature channel."""
-
-    projection = "x2x3x4"
-
-    def field(self, s, t, w):
-        zero = np.zeros_like(s)
-        return Field(points=np.stack([zero, s, t, zero], axis=1),
-                     center=np.zeros((len(s), 4)), r=np.ones_like(s),
-                     K=None, H=None, singular=np.zeros(len(s), dtype=bool))
-
-
-def unit_grid():
-    return GridSpec(s_range=(0.0, 1.0), t_range=(0.0, 1.0),
-                    w_range=(0.0, 1.0), n_s=2, n_t=2, n_w=2,
-                    fixed_axis="w", fixed_value=0.0)
 
 
 def test_grid_validation():
@@ -55,7 +39,8 @@ def test_grid_validation():
 
 
 def test_obj_contract_2x2(tmp_path):
-    mesh = sweep(UnitSquareScene(), unit_grid())
+    scene = bundled_scene("pseudo-null-c1-figure")
+    mesh = sweep(scene, dataclasses.replace(scene.grid, n_s=2, n_t=2))
     assert len(mesh.vertices) == 4
     assert mesh.quads == [(0, 1, 3, 2)]
     path = tmp_path / "square.obj"
@@ -112,6 +97,38 @@ def test_sweep_counts_and_channels():
     for k, h, sing in zip(mesh.k_values, mesh.h_values, mesh.singular):
         assert (k is None) == (h is None)
         assert (k is None) == sing
+
+
+@pytest.mark.parametrize("axis", AXES)
+@pytest.mark.parametrize("name", FIGURE_SCENES)
+def test_sweep_with_each_fixed_axis(monkeypatch, name, axis):
+    # one table stage on the s axis (or the fixed s) by the (t, w) pairs of
+    # one row of vertices, and every vertex gets the bits field gives its
+    # parameters
+    scene = bundled_scene(name)
+    lo, hi = scene.grid.range_of(axis)
+    grid = dataclasses.replace(scene.grid, n_s=7, n_t=6, n_w=5,
+                               fixed_axis=axis, fixed_value=(lo + hi) / 2)
+    sizes, real = [], canal.field_tables
+
+    def counted(*args):
+        sizes.append(tuple(map(len, args[-3:])))
+        return real(*args)
+
+    # through the scene's tables, or canal.field's on the vertices
+    monkeypatch.setattr(scene_mod, "field_tables", counted)
+    monkeypatch.setattr(canal, "field_tables", counted)
+    mesh = sweep(scene, grid)
+    n_tw = {"s": 6 * 5, "t": 5, "w": 6}[axis]
+    assert sizes == [(1 if axis == "s" else 7, n_tw, n_tw)]
+    fld = scene.field(*mesh.params.T)
+    for column in ("points", "K", "H", "singular"):
+        got, want = getattr(mesh, column), getattr(fld, column)
+        if want is None:
+            assert got is None, column
+            continue
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), column
+        assert got.tobytes() == want.tobytes(), column
 
 
 def test_relation_recheck_on_sweep():
