@@ -7,12 +7,12 @@ from .canal import (CanalFamily, CurvaturePair, NullCoefficients, RadiusSpec,
                     ShapeSpec, Variant, curvature_closed, evaluate_point,
                     flat_residual, minimal_residual, null_constraint_residual,
                     relation_residual, weingarten_residuals)
-from .curves import (CurveClass, CurveSpec, FrameRows, FrenetData, builtin,
-                     builtin_names, derive_frame, derive_frames, verify_frames)
+from .curves import (CurveClass, CurveSpec, FrameRows, builtin, builtin_names,
+                     derive_frame, derive_frames, verify_frames)
 from .expr import Jet1x4, eval_s, eval_value, parse, to_str
 from .mesh import (GridSpec, ProjectedMesh, export, export_field, export_obj,
                    sweep)
-from .minkowski import Vec4, inner, norm, triple_cross
+from .minkowski import inner_rows, triple_cross
 from .oracle import (FundamentalForms, SurfaceJet, compare, curvatures_numeric,
                      fundamental_forms, numeric_jet)
 from .scene import SceneSpec, bundled_scene, bundled_scene_names, parse_scene

@@ -34,11 +34,9 @@ from enum import Enum
 import numpy as np
 
 from . import expr
-from .curves import (CurveClass, CurveSpec, FrameRows, FrenetData,
-                     derive_frames)
+from .curves import CurveClass, CurveSpec, FrameRows, derive_frames
 from .curves import derive_frame  # noqa: F401  (importable from canal)
 from .expr import libm
-from .minkowski import Vec4
 
 #: Scaled threshold below which a closed-form denominator counts as singular.
 DENOM_TOL = 1e-12
@@ -449,17 +447,17 @@ def field(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
 
 def evaluate_point(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
                    shape: ShapeSpec | None, nc: NullCoefficients | None,
-                   s: float, t: float, w: float) -> Vec4:
-    """The hypersurface point C(s,t,w) assembled in the frame at s
-    (``field`` at one point)."""
-    fld = field(family, curve, radius, shape, nc, [s], [t], [w])
-    return Vec4(*fld.points[0].tolist())
+                   s: float, t: float, w: float) -> np.ndarray:
+    """The hypersurface point C(s,t,w) as a (4,) vector: row 0 of
+    ``field`` at the one point."""
+    return field(family, curve, radius, shape, nc, [s], [t], [w]).points[0]
 
 
-def unit_normal_closed_pseudo_c1(frame: FrenetData, r_jet, f: float, g: float,
-                                 branch: int = 1) -> Vec4:
-    """Closed-form unit normal of the pseudo null C1 family: the radial
-    direction (C - gamma)/r."""
+def unit_normal_closed_pseudo_c1(frame: FrameRows, r_jet, f: float, g: float,
+                                 branch: int = 1) -> np.ndarray:
+    """Closed-form unit normal of the pseudo null C1 family, the radial
+    direction (C - gamma)/r, as a (4,) vector from the one frame of
+    ``derive_frame``."""
     r1 = r_jet[1]
     if r1 * r1 >= 1.0:
         raise RegimeError("C1 requires r'^2 < 1")
@@ -508,8 +506,12 @@ _CLOSED_FORMS = {
 
 def _guard_into(bad):
     def guard(num, den):
-        tiny = np.abs(den) <= DENOM_TOL * np.fmax(1.0, np.abs(num))
-        np.logical_or(bad, tiny, out=bad)
+        # the scale is built in place and dropped before the quotient is
+        # made, so at most two temporaries of the closed forms' size live
+        scale = np.fmax(1.0, np.abs(num))
+        scale *= DENOM_TOL
+        np.logical_or(bad, np.abs(den) <= scale, out=bad)
+        del scale
         return num / den
     return guard
 

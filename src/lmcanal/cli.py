@@ -152,7 +152,7 @@ def cmd_verify(args) -> int:
           f"checked, {report.points_singular} singular skipped")
     width = max(len(c.name) for c in report.checks)
     for c in report.checks:
-        if c.tol == 0.5:  # boolean flag rows
+        if c.tol is None:
             print(f"  {c.name:<{width}}  {'PASS' if c.passed else 'FAIL'}")
         else:
             print(f"  {c.name:<{width}}  {c.value:.3e} <= {c.tol:g}  "

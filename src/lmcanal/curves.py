@@ -28,7 +28,7 @@ import numpy as np
 
 from . import expr
 from .expr import libm
-from .minkowski import Vec4, inner_rows, triple_cross_rows
+from .minkowski import inner_rows, triple_cross_rows
 
 #: Band for "this quadratic form should vanish" checks on normalized data.
 NULL_TOL = 1e-9
@@ -96,9 +96,12 @@ class ReferenceFrame:
     k2: object
     k3: object
 
-    def frame_at(self, s: float) -> tuple[Vec4, Vec4, Vec4, Vec4]:
+    def frame_at(self, s):
+        """F1..F4 at s: (4,) vectors for one s, (n, 4) rows for an array
+        of n values."""
         def vec(comps):
-            return Vec4(*(expr.eval_value(c, s=s) for c in comps))
+            return np.stack(np.broadcast_arrays(
+                *(expr.eval_value(c, s=s) for c in comps)), axis=-1)
         return vec(self.f1), vec(self.f2), vec(self.f3), vec(self.f4)
 
 
@@ -107,39 +110,27 @@ class CurveSpec:
     """A center curve: four component expressions in s plus its causal class.
 
     ``completion_frame`` supplies a constant class-compatible frame for
-    straight lines (k1 = 0), which have no canonical Frenet construction.
-    ``f3_gauge`` fixes the free scale of the null binormal direction for
-    partially null curves (F3 is parallel-constant because k3 = 0; only its
-    scale is conventional).
+    straight lines (k1 = 0), which have no canonical Frenet construction,
+    as four 4-tuples of floats.  ``f3_gauge``, a 4-tuple of floats, fixes
+    the free scale of the null binormal direction for partially null curves
+    (F3 is parallel-constant because k3 = 0; only its scale is
+    conventional).
     """
 
     components: tuple
     curve_class: CurveClass
     name: str | None = None
     reference: ReferenceFrame | None = None
-    f3_gauge: Vec4 | None = None
+    f3_gauge: tuple | None = None
     completion_frame: tuple | None = None
 
-    def point(self, s: float) -> Vec4:
-        return Vec4(*(expr.eval_value(c, s=s) for c in self.components))
+    def point(self, s: float) -> np.ndarray:
+        """gamma(s) as a (4,) vector."""
+        return np.array([expr.eval_value(c, s=s) for c in self.components],
+                        dtype=float)
 
     def jets(self, s) -> tuple:
         return tuple(expr.eval_s(c, s) for c in self.components)
-
-
-@dataclass(frozen=True)
-class FrenetData:
-    """Frame, curvatures and curve point gamma(s) at one parameter value."""
-
-    s: float
-    f1: Vec4
-    f2: Vec4
-    f3: Vec4
-    f4: Vec4
-    k1: float
-    k2: float
-    k3: float
-    point: Vec4 | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +178,7 @@ def _builtin_partially_null() -> CurveSpec:
         reference=ref,
         # F3 is the constant null direction (1,1,0,0); the analytic frame
         # carries it with scale 5/2 and F4 is scaled to keep <F3,F4> = 1.
-        f3_gauge=Vec4(2.5, 2.5, 0.0, 0.0),
+        f3_gauge=(2.5, 2.5, 0.0, 0.0),
     )
 
 
@@ -243,7 +234,8 @@ def builtin_names() -> tuple[str, ...]:
 @dataclass(frozen=True)
 class FrameRows:
     """Curve points and frame vectors F1..F4 at n parameter values as
-    (n, 4) rows, and the curvatures k1..k3 as (n,) arrays."""
+    (n, 4) rows, and the curvatures k1..k3 as (n,) arrays; from
+    ``derive_frame``, one frame as (4,) vectors and float curvatures."""
 
     gamma: np.ndarray
     f1: np.ndarray
@@ -348,8 +340,7 @@ def _partially_null_rows(curve, s, d1, d2, d3, d4):
     _refuse(ClassMismatchError, _not_null(quu, u), s,
             "binormal direction is not null at s={s}: <u,u>={v}", quu)
     if curve.f3_gauge is not None:
-        f3 = np.tile(np.array(curve.f3_gauge.components(), dtype=float),
-                     (len(s), 1))
+        f3 = np.tile(np.array(curve.f3_gauge, dtype=float), (len(s), 1))
         # Euclidean direction cosine of u and the gauge vector
         cos = np.abs(np.sum(u * f3, axis=1)) / (nu * _euclid(f3))
         _refuse(ClassMismatchError, ~(cos >= 1.0 - 1e-6), s,
@@ -385,8 +376,7 @@ def _null_rows(curve, s, d1, d2, d3, d4):
 
 
 def _completion_rows(curve, s, d1):
-    frame = np.array([v.components() for v in curve.completion_frame],
-                     dtype=float)
+    frame = np.array(curve.completion_frame, dtype=float)
     _refuse(ClassMismatchError, _euclid(d1 - frame[0]) > 1e-9, s,
             "completion frame tangent differs from the curve tangent at s={s}")
     zero = np.zeros(len(s))
@@ -419,13 +409,13 @@ def derive_frames(curve: CurveSpec, s) -> FrameRows:
     return FrameRows(g, *rows)
 
 
-def derive_frame(curve: CurveSpec, s: float) -> FrenetData:
-    """``derive_frames`` at one s, as Vec4 vectors and floats."""
-    rows = derive_frames(curve, [float(s)])
-    f1, f2, f3, f4, point = (Vec4(*x[0].tolist()) for x in (
-        rows.f1, rows.f2, rows.f3, rows.f4, rows.gamma))
-    k1, k2, k3 = (float(k[0]) for k in (rows.k1, rows.k2, rows.k3))
-    return FrenetData(float(s), f1, f2, f3, f4, k1, k2, k3, point)
+def derive_frame(curve: CurveSpec, s: float) -> FrameRows:
+    """Row 0 of ``derive_frames`` at the one value s: (4,) vectors and
+    float curvatures."""
+    rows = derive_frames(curve, [s])
+    return FrameRows(rows.gamma[0], rows.f1[0], rows.f2[0], rows.f3[0],
+                     rows.f4[0], float(rows.k1[0]), float(rows.k2[0]),
+                     float(rows.k3[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,11 @@ class GridSpec:
                 raise MeshError(f"degenerate {axis} range [{lo}, {hi}]")
             if self.count_of(axis) < 2:
                 raise MeshError(f"axis {axis} needs at least 2 samples")
+            # a width hi - lo that overflows samples nan, a width near the
+            # largest float can sample inf
+            if not np.all(np.isfinite(self.values_of(axis))):
+                raise MeshError(f"{axis} range [{lo}, {hi}] is too wide: its "
+                                f"samples overflow")
 
     def range_of(self, axis: str) -> tuple[float, float]:
         return {"s": self.s_range, "t": self.t_range, "w": self.w_range}[axis]

@@ -19,19 +19,16 @@ indices into them), the caller evaluates all 19 N points in one call, and
 ``stencil_jets``, ``forms_batch`` and ``curvatures_batch`` turn them into
 (N, ...) arrays with per-point masks instead of exceptions.  The one-point
 functions (``numeric_jet``, ``fundamental_forms``, ``curvatures_numeric``)
-are adapters over the batch functions and raise at singular points.
+give the batch of one point and raise at singular points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .minkowski import Vec4, inner_rows, triple_cross_rows
-
-PointFn = Callable[[float, float, float], Vec4]
+from .minkowski import inner_rows, triple_cross_rows
 
 #: Default finite-difference step: balances O(step^2) truncation against
 #: double-precision cancellation in the second differences.
@@ -65,34 +62,34 @@ class SingularMetricError(OracleError):
 
 @dataclass(frozen=True)
 class SurfaceJet:
-    """Point, first and second central-difference partials of the map:
-    Vec4 fields at one point, (N, 4) arrays from ``stencil_jets``."""
+    """Points, first and second central-difference partials of the map at
+    N points, as (N, 4) arrays."""
 
-    point: Vec4
-    d_s: Vec4
-    d_t: Vec4
-    d_w: Vec4
-    d_ss: Vec4
-    d_st: Vec4
-    d_sw: Vec4
-    d_tt: Vec4
-    d_tw: Vec4
-    d_ww: Vec4
+    point: np.ndarray
+    d_s: np.ndarray
+    d_t: np.ndarray
+    d_w: np.ndarray
+    d_ss: np.ndarray
+    d_st: np.ndarray
+    d_sw: np.ndarray
+    d_tt: np.ndarray
+    d_tw: np.ndarray
+    d_ww: np.ndarray
     step: float
 
 
 @dataclass(frozen=True)
 class FundamentalForms:
-    """First/second fundamental forms, their determinants, the unit normal
-    and its causal sign eps = <N, N>: tuples, floats and a Vec4 at one
-    point, (N, 3, 3), (N,) and (N, 4) arrays from ``forms_batch``."""
+    """First/second fundamental forms (N, 3, 3), their determinants (N,),
+    the unit normals (N, 4) and their causal signs eps = <N, N> (N,) at N
+    points."""
 
-    g: tuple
-    h: tuple
-    detg: float
-    deth: float
-    normal: Vec4
-    eps: int
+    g: np.ndarray
+    h: np.ndarray
+    detg: np.ndarray
+    deth: np.ndarray
+    normal: np.ndarray
+    eps: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -234,48 +231,35 @@ def curvatures_batch(forms: FundamentalForms):
 # ---------------------------------------------------------------------------
 # One point
 
-def numeric_jet(surface: PointFn, s: float, t: float, w: float,
+def numeric_jet(surface, s: float, t: float, w: float,
                 step: float = DEFAULT_STEP) -> SurfaceJet:
-    """Second-order central differences on the 19-point stencil."""
+    """``stencil_jets`` of the one point (s, t, w), from ``surface(s, t, w)``
+    (any 4-sequence) at its 19-point stencil: a batch of one."""
     params = zip(*(x.tolist() for x in stencil([s], [t], [w], step)))
-    batch = stencil_jets([surface(*p).components() for p in params], step)
-    return SurfaceJet(*(Vec4(*getattr(batch, name)[0].tolist())
-                        for name in _JET_VECTORS), step=step)
-
-
-_JET_VECTORS = ("point", "d_s", "d_t", "d_w", "d_ss", "d_st", "d_sw", "d_tt",
-                "d_tw", "d_ww")
+    return stencil_jets([surface(*p) for p in params], step)
 
 
 def fundamental_forms(jet: SurfaceJet) -> FundamentalForms:
-    """Normal, g, h and their determinants from a surface jet."""
-    batch = SurfaceJet(*(np.array([getattr(jet, name).components()])
-                         for name in _JET_VECTORS), step=jet.step)
-    forms, degenerate = forms_batch(batch)
-    if degenerate[0]:
+    """``forms_batch`` of the jets; raises DegenerateTangentError where a
+    tangent frame is degenerate."""
+    forms, degenerate = forms_batch(jet)
+    if degenerate.any():
         raise DegenerateTangentError(
             "tangent frame is degenerate: ||O_s x O_t x O_w|| is below "
             "its scaled tolerance")
-    return FundamentalForms(
-        g=tuple(map(tuple, forms.g[0].tolist())),
-        h=tuple(map(tuple, forms.h[0].tolist())),
-        detg=float(forms.detg[0]), deth=float(forms.deth[0]),
-        normal=Vec4(*forms.normal[0].tolist()), eps=int(forms.eps[0]))
+    return forms
 
 
 def curvatures_numeric(forms: FundamentalForms):
-    """K = eps det(h)/det(g) and H = tr(g^{-1} h)/(3 eps)."""
+    """``curvatures_batch`` of the forms as a pair of (N,) arrays K, H;
+    raises SingularMetricError where a metric is singular."""
     from .canal import CurvaturePair
 
-    batch = FundamentalForms(
-        g=np.array([forms.g], dtype=float), h=np.array([forms.h], dtype=float),
-        detg=np.array([forms.detg]), deth=np.array([forms.deth]),
-        normal=np.array([forms.normal.components()]),
-        eps=np.array([forms.eps]))
-    K, H, singular = curvatures_batch(batch)
-    if singular[0]:
-        raise SingularMetricError(f"det[g] = {forms.detg} is singular")
-    return CurvaturePair(float(K[0]), float(H[0]))
+    K, H, singular = curvatures_batch(forms)
+    if singular.any():
+        detg = float(forms.detg[np.argmax(singular)])
+        raise SingularMetricError(f"det[g] = {detg} is singular")
+    return CurvaturePair(K, H)
 
 
 @dataclass(frozen=True)

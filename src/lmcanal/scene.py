@@ -41,7 +41,6 @@ from .canal import (CanalFamily, CurvaturePair, Field, FieldTables,
                     curvature_closed, field, field_tables)
 from .curves import CurveClass, CurveSpec, builtin, derive_frame
 from .mesh import AXES, PROJECTIONS, GridSpec
-from .minkowski import Vec4
 
 
 class SceneError(Exception):
@@ -142,8 +141,8 @@ def _parse_curve(node, path: str) -> CurveSpec:
                 "completion_frame must be 4 rows of 4 numbers",
                 f"{path}.completion_frame")
         completion = tuple(
-            Vec4(*(_number(x, f"{path}.completion_frame[{i}][{j}]")
-                   for j, x in enumerate(row)))
+            tuple(_number(x, f"{path}.completion_frame[{i}][{j}]")
+                  for j, x in enumerate(row))
             for i, row in enumerate(cf))
     return CurveSpec(components=components, curve_class=cls,
                      completion_frame=completion)

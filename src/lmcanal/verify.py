@@ -42,11 +42,12 @@ def closed_form_gauge(variant: Variant) -> int:
 
 @dataclass(frozen=True)
 class Check:
-    """One verification row: a named residual against its tolerance."""
+    """One verification row: a named residual against its tolerance, or a
+    pass/fail flag, which has no tolerance (``tol`` None)."""
 
     name: str
     value: float
-    tol: float
+    tol: float | None
     passed: bool
 
 
@@ -61,7 +62,7 @@ class VerifyReport:
         self.checks.append(Check(name, value, tol, value <= tol))
 
     def add_flag(self, name, ok: bool):
-        self.checks.append(Check(name, 0.0 if ok else 1.0, 0.5, ok))
+        self.checks.append(Check(name, 0.0 if ok else 1.0, None, ok))
 
     @property
     def passed(self) -> bool:

@@ -3,21 +3,23 @@ curves, plus the Gram-table / frame-ODE verification machinery."""
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from lmcanal import expr
 from lmcanal.curves import (ClassMismatchError, CurveClass, CurveSpec,
-                            DegenerateCurveError, FrenetData,
+                            DegenerateCurveError, FrameRows,
                             UnknownCurveError, _null_mate, builtin,
                             builtin_names, derive_frame, derive_frames,
                             frenet_rhs, gram_residual, verify_frames)
-from lmcanal.minkowski import Vec4, inner, inner_rows
+from lmcanal.minkowski import inner_rows
 from lmcanal.scene import bundled_scene, bundled_scene_names
 
 SAMPLES = [-1.0 + 2.0 * i / 49 for i in range(50)]
+#: a constant pseudo null frame for the straight line (0, s, 0, 0)
+COMPLETION = ((0, 1, 0, 0), (1, 0, 0, 1), (0, 0, 1, 0), (-0.5, 0, 0, 0.5))
 
 
 def test_builtin_names():
@@ -44,11 +46,16 @@ def test_builtin_curvature_constants():
 def test_derived_frames_match_analytic():
     for name in builtin_names():
         curve = builtin(name)
-        for s in SAMPLES:
+        # the reference frame on rows has the bits of its one-s vectors
+        rows = curve.reference.frame_at(np.array(SAMPLES))
+        assert [v.shape for v in rows] == [(len(SAMPLES), 4)] * 4
+        for i, s in enumerate(SAMPLES):
             fr = derive_frame(curve, s)
             ref = curve.reference.frame_at(s)
-            for got, want in zip((fr.f1, fr.f2, fr.f3, fr.f4), ref):
-                assert (got - want).euclid_norm() <= 1e-7, (name, s)
+            for got, want, row in zip((fr.f1, fr.f2, fr.f3, fr.f4), ref, rows):
+                assert want.shape == (4,)
+                assert want.tobytes() == row[i].tobytes(), (name, s)
+                assert np.linalg.norm(got - want) <= 1e-7, (name, s)
 
 
 def test_gram_tables_hold():
@@ -72,24 +79,24 @@ def test_frenet_ode_residuals():
 def test_pseudo_null_example_frame_at_zero():
     fr = derive_frame(builtin("pseudo-null-example"), 0.0)
     rt2 = math.sqrt(2.0)
-    assert (fr.f1 - Vec4(0, 1 / rt2, 1 / rt2, 0)).euclid_norm() < 1e-12
-    assert (fr.f2 - Vec4(rt2, 0, 0, rt2)).euclid_norm() < 1e-12
-    assert (fr.f3 - Vec4(0, 1 / rt2, -1 / rt2, 0)).euclid_norm() < 1e-12
-    assert (fr.f4 - Vec4(-1 / (2 * rt2), 0, 0, 1 / (2 * rt2))).euclid_norm() < 1e-12
+    assert np.linalg.norm(fr.f1 - [0, 1 / rt2, 1 / rt2, 0]) < 1e-12
+    assert np.linalg.norm(fr.f2 - [rt2, 0, 0, rt2]) < 1e-12
+    assert np.linalg.norm(fr.f3 - [0, 1 / rt2, -1 / rt2, 0]) < 1e-12
+    assert np.linalg.norm(fr.f4 - [-1 / (2 * rt2), 0, 0, 1 / (2 * rt2)]) < 1e-12
 
 
 def test_null_example_tangent_at_zero():
     fr = derive_frame(builtin("null-example"), 0.0)
     rt2 = math.sqrt(2.0)
-    assert (fr.f1 - Vec4(1 / rt2, 0, 1 / rt2, 0)).euclid_norm() < 1e-12
+    assert np.linalg.norm(fr.f1 - [1 / rt2, 0, 1 / rt2, 0]) < 1e-12
 
 
 def test_null_example_arclength():
     curve = builtin("null-example")
     for s in SAMPLES:
         jets = curve.jets(s)
-        d2 = Vec4(*(j.d2 for j in jets))
-        assert abs(inner(d2, d2) - 1.0) <= 1e-10
+        d2 = np.array([j.d2 for j in jets])
+        assert abs(inner_rows(d2, d2) - 1.0) <= 1e-10
 
 
 def test_straight_line_rejected_without_completion():
@@ -101,12 +108,10 @@ def test_straight_line_rejected_without_completion():
 
 
 def test_straight_line_accepts_completion_frame():
-    frame = (Vec4(0, 1, 0, 0), Vec4(1, 0, 0, 1),
-             Vec4(0, 0, 1, 0), Vec4(-0.5, 0, 0, 0.5))
     line = CurveSpec(
         components=tuple(expr.parse(c) for c in ("0", "s", "0", "0")),
         curve_class=CurveClass.PSEUDO_NULL,
-        completion_frame=frame)
+        completion_frame=COMPLETION)
     fr = derive_frame(line, 0.3)
     assert fr.k1 == fr.k2 == fr.k3 == 0.0
     res, _ = gram_residual(derive_frames(line, [0.3]), CurveClass.PSEUDO_NULL)
@@ -163,12 +168,14 @@ def test_frame_point_is_curve_point():
     line = CurveSpec(
         components=tuple(expr.parse(c) for c in ("0", "s", "0", "0")),
         curve_class=CurveClass.PSEUDO_NULL,
-        completion_frame=(Vec4(0, 1, 0, 0), Vec4(1, 0, 0, 1),
-                          Vec4(0, 0, 1, 0), Vec4(-0.5, 0, 0, 0.5)))
+        completion_frame=COMPLETION)
     for curve in [builtin(name) for name in builtin_names()] + [line]:
         for s in (-1.0, -0.37, 0.0, 0.5, 1.3):
             fr = derive_frame(curve, s)
-            assert fr.point == curve.point(s), (curve.name, s)
+            point = curve.point(s)
+            assert point.shape == fr.gamma.shape == (4,)
+            assert {type(k) for k in (fr.k1, fr.k2, fr.k3)} == {float}
+            assert np.array_equal(fr.gamma, point), (curve.name, s)
 
 
 def test_curves_hash_by_identity():
@@ -177,7 +184,10 @@ def test_curves_hash_by_identity():
     a, b = builtin("pseudo-null-example"), builtin("pseudo-null-example")
     assert hash(a) == object.__hash__(a)
     assert a == a and a != b
-    assert derive_frame(a, 0.25) == derive_frame(b, 0.25)
+    fa, fb = derive_frame(a, 0.25), derive_frame(b, 0.25)
+    for field in fields(FrameRows):
+        assert np.array_equal(getattr(fa, field.name),
+                              getattr(fb, field.name)), field.name
 
 
 # Lorentz boost (cosh, sinh) = (5/4, 3/4) in the x1-x2 plane, then a shift.
@@ -185,9 +195,9 @@ BOOST_CH, BOOST_SH = 1.25, 0.75
 SHIFT = (0.5, -1.0, 2.0, 0.25)
 
 
-def _boost(v: Vec4) -> Vec4:
-    return Vec4(BOOST_CH * v.x1 + BOOST_SH * v.x2,
-                BOOST_SH * v.x1 + BOOST_CH * v.x2, v.x3, v.x4)
+def _boost(v):
+    return np.array([BOOST_CH * v[0] + BOOST_SH * v[1],
+                     BOOST_SH * v[0] + BOOST_CH * v[1], v[2], v[3]])
 
 
 def _boosted_curve(name: str) -> CurveSpec:
@@ -197,7 +207,8 @@ def _boosted_curve(name: str) -> CurveSpec:
     texts = (f"5/4*{c1} + 3/4*{c2} + {SHIFT[0]}",
              f"3/4*{c1} + 5/4*{c2} + {SHIFT[1]}",
              f"{c3} + {SHIFT[2]}", f"{c4} + {SHIFT[3]}")
-    gauge = None if curve.f3_gauge is None else _boost(curve.f3_gauge)
+    gauge = (None if curve.f3_gauge is None
+             else tuple(_boost(curve.f3_gauge).tolist()))
     return CurveSpec(components=tuple(expr.parse(t) for t in texts),
                      curve_class=curve.curve_class, f3_gauge=gauge)
 
@@ -212,11 +223,11 @@ def test_frames_are_lorentz_equivariant(name):
         fr, mv = derive_frame(curve, s), derive_frame(moved, s)
         for got, want in zip((mv.f1, mv.f2, mv.f3, mv.f4),
                              (fr.f1, fr.f2, fr.f3, fr.f4)):
-            assert (got - _boost(want)).euclid_norm() <= 1e-9, (name, s)
+            assert np.linalg.norm(got - _boost(want)) <= 1e-9, (name, s)
         for got, want in zip((mv.k1, mv.k2, mv.k3), (fr.k1, fr.k2, fr.k3)):
             assert abs(got - want) <= 1e-8, (name, s)
-        assert (mv.point - _boost(fr.point)
-                - Vec4(*SHIFT)).euclid_norm() <= 1e-12, (name, s)
+        assert np.linalg.norm(mv.gamma - _boost(fr.gamma)
+                              - np.array(SHIFT)) <= 1e-12, (name, s)
 
 
 def _random_lorentz(rng):
@@ -225,8 +236,8 @@ def _random_lorentz(rng):
     ops = [(*sorted(rng.sample(range(4), 2)), rng.uniform(-1.5, 1.5))
            for _ in range(4)]
 
-    def apply(v: Vec4) -> Vec4:
-        x = list(v.components())
+    def apply(v):
+        x = v.tolist()
         for i, j, a in ops:
             if i == 0:  # boost in the (x1, xj) plane
                 c, sh = math.cosh(a), math.sinh(a)
@@ -234,22 +245,23 @@ def _random_lorentz(rng):
             else:
                 c, sn = math.cos(a), math.sin(a)
                 x[i], x[j] = c * x[i] - sn * x[j], sn * x[i] + c * x[j]
-        return Vec4(*x)
+        return np.array(x)
     return apply
 
 
 def test_null_mate_solves_the_gram_conditions():
     # Standard pair: a, b unit spacelike, <mate, x> = 1 with both null.
     rt2 = math.sqrt(2.0)
-    a0, b0 = Vec4(0.0, 0.0, 1.0, 0.0), Vec4(0.0, 0.0, 0.0, 1.0)
-    m0, x0 = Vec4(1.0, 1.0, 0.0, 0.0) / rt2, Vec4(-1.0, 1.0, 0.0, 0.0) / rt2
+    a0, b0 = np.array([0.0, 0.0, 1.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])
+    m0 = np.array([1.0, 1.0, 0.0, 0.0]) / rt2
+    x0 = np.array([-1.0, 1.0, 0.0, 0.0]) / rt2
     rng = random.Random(5)
     rows = {"a": [], "b": [], "mate": [], "want": []}
     for _ in range(200):
         move, lam = _random_lorentz(rng), math.exp(rng.uniform(-2.0, 2.0))
         for key, v in (("a", move(a0)), ("b", move(b0)),
                        ("mate", lam * move(m0)), ("want", move(x0) / lam)):
-            rows[key].append(v.components())
+            rows[key].append(v)
     a, b, mate, want = (np.array(rows[k]) for k in ("a", "b", "mate", "want"))
     got = _null_mate(a, b, mate, np.arange(200.0))
     want_norm = np.linalg.norm(want, axis=1)
@@ -273,11 +285,9 @@ def test_null_mate_rejects_degenerate_input():
 # ---------------------------------------------------------------------------
 # Frames on rows
 
-def _frame_bits(frame: FrenetData):
-    return np.array([frame.point.components()]
-                    + [v.components()
-                       for v in (frame.f1, frame.f2, frame.f3, frame.f4)]
-                    + [(frame.k1, frame.k2, frame.k3, 0.0)]).tobytes()
+def _frame_bits(frame: FrameRows):
+    return np.array([frame.gamma, frame.f1, frame.f2, frame.f3, frame.f4,
+                     [frame.k1, frame.k2, frame.k3, 0.0]]).tobytes()
 
 
 def _row_bits(rows, i):
@@ -294,8 +304,7 @@ def test_derive_frames_rows_equal_one_point_frames():
     line = CurveSpec(
         components=tuple(expr.parse(c) for c in ("0", "s", "0", "0")),
         curve_class=CurveClass.PSEUDO_NULL,
-        completion_frame=(Vec4(0, 1, 0, 0), Vec4(1, 0, 0, 1),
-                          Vec4(0, 0, 1, 0), Vec4(-0.5, 0, 0, 0.5)))
+        completion_frame=COMPLETION)
     cases = [(bundled_scene(name).curve,
               np.linspace(*bundled_scene(name).grid.range_of("s"), 5))
              for name in bundled_scene_names()]
@@ -352,8 +361,7 @@ def _perturbed(name, component, term):
     (CurveSpec(components=tuple(expr.parse(c) for c in
                                 ("0", "s + s^3", "0", "0")),
                curve_class=CurveClass.PSEUDO_NULL,
-               completion_frame=(Vec4(0, 1, 0, 0), Vec4(1, 0, 0, 1),
-                                 Vec4(0, 0, 1, 0), Vec4(-0.5, 0, 0, 0.5))),
+               completion_frame=COMPLETION),
      [0.0, 1e-6, -1e-6], 0.5),
 ])
 def test_derive_frames_one_bad_s_raises_its_one_point_error(curve, good, bad):

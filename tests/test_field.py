@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lmcanal import canal, expr
+from lmcanal import canal, expr, oracle
 from lmcanal import scene as scene_mod
 from lmcanal import verify as verify_mod
 from lmcanal.canal import (RadiusSpec, SingularPointError, curvature_closed,
@@ -29,6 +29,8 @@ TUBULAR_SCENES = [f"{c}-t{k}" for c in CLASSES for k in range(1, 5)]
 GATE_SCENES = ([f"{c}-c{k}" for c in CLASSES for k in range(1, 6)]
                + TUBULAR_SCENES + ["null-c1", "null-c2", "null-t1"])
 FIELD_ARRAYS = ("points", "center", "r", "K", "H", "singular")
+JET_VECTORS = ("point", "d_s", "d_t", "d_w", "d_ss", "d_st", "d_sw", "d_tt",
+               "d_tw", "d_ww")
 
 
 def _random_points(scene, n, seed):
@@ -78,6 +80,25 @@ def test_field_is_batch_invariant(name):
     for i in range(0, n, 3):
         one = scene.field(s[i:i + 1], t[i:i + 1], w[i:i + 1])
         _assert_same_bits(_rows(one, 0), _rows(whole, i))
+    # the one-point adapters give row 0 of their batch kernels: a point of
+    # ``field``, and the jets of ``stencil_jets`` on the stencils of all
+    # the points
+    def point(*p):
+        got = canal.evaluate_point(scene.family, scene.curve, scene.radius,
+                                   scene.shape, scene.nc, *p)
+        assert got.shape == (4,)
+        return got
+
+    for i in range(0, n, 9):
+        assert point(s[i], t[i], w[i]).tobytes() == whole.points[i].tobytes()
+    h = scene.oracle_step
+    jets = oracle.stencil_jets(scene.field(*oracle.stencil(s, t, w, h)).points,
+                               h)
+    for i in (0, n - 1):  # a random point and a grid point
+        one = oracle.numeric_jet(point, s[i], t[i], w[i], h)
+        for vector in JET_VECTORS:
+            a, b = getattr(one, vector), getattr(jets, vector)[i:i + 1]
+            assert a.shape == (1, 4) and a.tobytes() == b.tobytes(), vector
 
 
 def test_check_curvatures_derives_each_s_once(monkeypatch):

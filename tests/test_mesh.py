@@ -36,6 +36,16 @@ def test_grid_validation():
         GridSpec((1, 1), (0, 1), (0, 1), 2, 2, 2, "w", 0.0)  # empty range
     with pytest.raises(MeshError):
         GridSpec((0, 1), (0, 1), (0, 1), 2, 2, 2, "q", 0.0)  # bad axis
+    with pytest.raises(MeshError, match="s range .* too wide"):
+        GridSpec((-1e308, 1e308), (0, 1), (0, 1), 3, 2, 2)  # hi - lo = inf
+    with pytest.raises(MeshError, match="t range .* too wide"):
+        GridSpec((0, 1), (-1e308, 1e308), (0, 1), 2, 3, 2, "w", 0.0)
+    with pytest.raises(MeshError, match="w range .* too wide"):
+        GridSpec((0, 1), (0, 1), (0.0, 1.7e308), 2, 2, 3)  # 2 (hi - lo) = inf
+    # the widest grids whose samples stay finite are accepted
+    wide = GridSpec((-4e307, 4e307), (0, 1), (0.0, 1.7e308), 3, 2, 2)
+    assert wide.values_of("s") == [-4e307, 0.0, 4e307]
+    assert wide.values_of("w") == [0.0, 1.7e308]
 
 
 def test_obj_contract_2x2(tmp_path):

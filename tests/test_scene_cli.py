@@ -10,7 +10,7 @@ import pytest
 from lmcanal.cli import main
 from lmcanal.scene import (SceneError, bundled_scene, bundled_scene_names,
                            parse_scene)
-from lmcanal.verify import verify_scene
+from lmcanal.verify import Tolerances, verify_scene
 
 
 def minimal_doc():
@@ -229,6 +229,26 @@ def test_cli_verify_scene_pass(capsys):
     assert "PASS" in out
 
 
+def test_cli_verify_tells_flag_rows_by_their_missing_tolerance(
+        capsys, monkeypatch):
+    # a residual row whose tolerance is 0.5 still prints its value and
+    # tolerance; only flag rows, which have none, print PASS/FAIL alone
+    import lmcanal.cli as cli
+    monkeypatch.setattr(cli, "Tolerances", lambda rel, abs: Tolerances(
+        rel=rel, abs=abs, membership=0.5))
+    assert main(["verify", "--scene", "pseudo-null-c1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    membership, = (row for row in rows if "membership" in row)
+    assert membership.endswith(" <= 0.5  PASS")
+    report = verify_scene(bundled_scene("pseudo-null-c1"))
+    flags = [c for c in report.checks if c.tol is None]
+    assert [c.name.split(" ")[0] for c in flags] == [
+        "K", "H", "nonsingular", "causal"]
+    for c in flags:
+        row, = (row for row in rows if c.name in row)
+        assert row.endswith("  PASS") and " <= " not in row
+
+
 @pytest.mark.parametrize("argv, option", [
     (["verify", "--scene", "pseudo-null-c1", "--step", "0"], "--step"),
     (["verify", "--scene", "pseudo-null-c1", "--rel-tol", "0"], "--rel-tol"),
@@ -260,6 +280,19 @@ def test_cli_fixed_axis_needs_two_samples(capsys, tmp_path, count):
     assert "PASS" not in captured.out
     assert captured.err.startswith("lmcanal: $.grid: ")
     assert "Traceback" not in captured.err
+
+
+def test_cli_grid_axis_whose_width_overflows_exits_1(capsys, tmp_path):
+    # hi - lo = inf would sample s = nan and fail later, at the jets
+    doc = minimal_doc()
+    doc["grid"]["s"] = [-1e308, 1e308, 3]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--scene", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("lmcanal: $.grid: s range [-1e+308, 1e+308] is "
+                            "too wide: its samples overflow\n")
 
 
 @pytest.mark.parametrize("kind", ["directory", "latin-1"])
