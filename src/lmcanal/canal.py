@@ -504,6 +504,13 @@ _CLOSED_FORMS = {
 }
 
 
+def closed_form_gauge(variant: Variant) -> int:
+    """Sign relating a variant's closed-form normal to the radial direction
+    (C - gamma)/r: the C2 and T2 forms are stated relative to its negative,
+    consistently with the sign of their K-H relation."""
+    return -1 if variant in (Variant.C2, Variant.T2) else 1
+
+
 def _guard_into(bad):
     def guard(num, den):
         # the scale is built in place and dropped before the quotient is
@@ -690,9 +697,6 @@ class WeingartenReport:
     tw: float
     points: int
     singular: int
-
-    def max_residual(self) -> float:
-        return max(self.st, self.sw, self.tw)
 
 
 def weingarten_residuals(family: CanalFamily, curve: CurveSpec,

@@ -8,7 +8,9 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 usage/schema/I-O error, 2 verification
 failure.  Tolerances are overridable by flags; defaults follow the kernel
-modules.
+modules (``curves`` for frames, ``verify.Tolerances`` for verify), and the
+frames s range is sampled and checked like a scene grid axis
+(``mesh.sample_axis``).
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 
 from . import mesh as mesh_mod
 from .canal import CanalError
-from .curves import (CurveClass, CurveError, builtin, builtin_names,
-                     derive_frames, verify_frames)
+from .curves import (FRAME_STEP, GRAM_TOL, ODE_TOL, CurveClass, CurveError,
+                     builtin, builtin_names, derive_frames, verify_frames)
 # perfbench's tracer wraps every binding of derive_frame, this one included
 from .curves import derive_frame  # noqa: F401
 from .expr import ExprError
@@ -79,17 +81,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-min", type=_FINITE, default=-1.0)
     p.add_argument("--s-max", type=_FINITE, default=1.0)
     p.add_argument("-n", "--samples", type=int, default=50)
-    p.add_argument("--step", type=_POSITIVE, default=1e-4,
+    p.add_argument("--step", type=_POSITIVE, default=FRAME_STEP,
                    help="central-difference step for the frame ODE check")
-    p.add_argument("--gram-tol", type=_POSITIVE, default=1e-8)
-    p.add_argument("--ode-tol", type=_POSITIVE, default=1e-5)
+    p.add_argument("--gram-tol", type=_POSITIVE, default=GRAM_TOL)
+    p.add_argument("--ode-tol", type=_POSITIVE, default=ODE_TOL)
 
     p = sub.add_parser("verify", help="verify a scene against the oracle")
     p.add_argument("--scene", required=True,
                    help="scene file or bundled scene name "
                         f"(bundled: {', '.join(bundled_scene_names() or ['-'])})")
-    p.add_argument("--rel-tol", type=_POSITIVE, default=1e-4)
-    p.add_argument("--abs-tol", type=_POSITIVE, default=1e-6)
+    p.add_argument("--rel-tol", type=_POSITIVE, default=Tolerances.rel)
+    p.add_argument("--abs-tol", type=_POSITIVE, default=Tolerances.abs)
     p.add_argument("--step", type=_POSITIVE, default=None,
                    help="override the scene's oracle step")
     p.add_argument("--min-points", type=_COUNT, default=1,
@@ -109,12 +111,8 @@ def cmd_frames(args) -> int:
         curve = builtin(args.curve)
     else:
         curve = resolve_scene(args.scene).curve
-    if args.samples < 2 or not 0 < args.s_max - args.s_min < math.inf:
-        print("frames: need s-min < s-max a finite distance apart and at "
-              "least 2 samples", file=sys.stderr)
-        return EXIT_USAGE
-    n = args.samples
-    s = args.s_min + (args.s_max - args.s_min) * np.arange(n) / (n - 1)
+    s = np.array(mesh_mod.sample_axis("s", args.s_min, args.s_max,
+                                      args.samples))
     try:
         frames = derive_frames(curve, s)
         rep = verify_frames(frames, curve, s, step=args.step,
@@ -176,12 +174,7 @@ def cmd_mesh(args) -> int:
     if args.field and _same_file(args.field, args.out):
         print("mesh: --out and --field name the same file", file=sys.stderr)
         return EXIT_USAGE
-    scene = resolve_scene(args.scene)
-    grid = scene.grid
-    if grid.fixed_axis is None:
-        print("mesh: the scene grid has no fixed axis", file=sys.stderr)
-        return EXIT_USAGE
-    m = mesh_mod.sweep(scene, grid)
+    m = mesh_mod.sweep(resolve_scene(args.scene))
     try:
         mesh_mod.export(m, args.out, args.field or None, args.format)
     except OSError as e:

@@ -36,6 +36,11 @@ NULL_TOL = 1e-9
 UNIT_TOL = 1e-6
 #: Normalizations smaller than this are treated as degenerate.
 DEGENERATE_TOL = 1e-9
+#: ``verify_frames`` defaults: the central-difference step of the frame ODE
+#: check and the bands of its Gram and ODE residuals.
+FRAME_STEP = 1e-4
+GRAM_TOL = 1e-8
+ODE_TOL = 1e-5
 
 
 class CurveClass(Enum):
@@ -451,8 +456,6 @@ class FrameReport:
     s: np.ndarray
     #: (n,) worst entrywise deviation from the Gram table
     gram_residual: np.ndarray
-    #: (n, 2) 1-based (i, j) of that entry
-    gram_worst: np.ndarray
     #: (n,) worst entrywise deviation from the frame ODE system
     ode_residual: np.ndarray
     gram_tol: float
@@ -475,8 +478,9 @@ def gram_residual(rows: FrameRows, curve_class: CurveClass):
     return dev[np.arange(len(at)), at], np.stack([at // 4, at % 4], axis=1) + 1
 
 
-def verify_frames(frames: FrameRows, curve: CurveSpec, s, step: float = 1e-4,
-                  gram_tol: float = 1e-8, ode_tol: float = 1e-5) -> FrameReport:
+def verify_frames(frames: FrameRows, curve: CurveSpec, s,
+                  step: float = FRAME_STEP, gram_tol: float = GRAM_TOL,
+                  ode_tol: float = ODE_TOL) -> FrameReport:
     """Check frames, given at the values of ``s``, against the Gram table
     and the frame ODE system of the curve's class.
 
@@ -489,10 +493,10 @@ def verify_frames(frames: FrameRows, curve: CurveSpec, s, step: float = 1e-4,
     if step <= 0:
         raise ValueError("step must be positive")
     s = np.asarray(s, dtype=float).ravel()
-    gres, gworst = gram_residual(frames, curve.curve_class)
+    gres, _ = gram_residual(frames, curve.curve_class)
     n = len(s)
     moved = derive_frames(curve, np.concatenate([s + step, s - step]))
     f = np.stack([moved.f1, moved.f2, moved.f3, moved.f4], axis=1)
     rhs = np.stack(frenet_rhs(curve.curve_class, frames), axis=1)
     ode = np.max(np.abs((f[:n] - f[n:]) / (2.0 * step) - rhs), axis=(1, 2))
-    return FrameReport(s, gres, gworst, ode, gram_tol, ode_tol)
+    return FrameReport(s, gres, ode, gram_tol, ode_tol)

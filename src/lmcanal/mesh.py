@@ -46,6 +46,22 @@ class MeshError(Exception):
     pass
 
 
+def sample_axis(axis: str, lo: float, hi: float, n: int) -> list[float]:
+    """``n`` evenly spaced samples from ``lo`` to ``hi``, both included.
+    Raises MeshError unless lo < hi, n >= 2 and every sample is finite."""
+    if not lo < hi:
+        raise MeshError(f"degenerate {axis} range [{lo}, {hi}]")
+    if n < 2:
+        raise MeshError(f"axis {axis} needs at least 2 samples")
+    values = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    # a width hi - lo that overflows samples nan, a width near the largest
+    # float can sample inf
+    if not np.all(np.isfinite(values)):
+        raise MeshError(f"{axis} range [{lo}, {hi}] is too wide: its samples "
+                        f"overflow")
+    return values
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Parameter ranges and counts, plus the fixed-axis selector for sweeps."""
@@ -63,16 +79,7 @@ class GridSpec:
         if self.fixed_axis is not None and self.fixed_axis not in AXES:
             raise MeshError(f"fixed axis must be one of {AXES}")
         for axis in AXES:
-            lo, hi = self.range_of(axis)
-            if not lo < hi:
-                raise MeshError(f"degenerate {axis} range [{lo}, {hi}]")
-            if self.count_of(axis) < 2:
-                raise MeshError(f"axis {axis} needs at least 2 samples")
-            # a width hi - lo that overflows samples nan, a width near the
-            # largest float can sample inf
-            if not np.all(np.isfinite(self.values_of(axis))):
-                raise MeshError(f"{axis} range [{lo}, {hi}] is too wide: its "
-                                f"samples overflow")
+            self.values_of(axis)  # sample_axis checks the range and count
 
     def range_of(self, axis: str) -> tuple[float, float]:
         return {"s": self.s_range, "t": self.t_range, "w": self.w_range}[axis]
@@ -81,9 +88,7 @@ class GridSpec:
         return {"s": self.n_s, "t": self.n_t, "w": self.n_w}[axis]
 
     def values_of(self, axis: str) -> list[float]:
-        lo, hi = self.range_of(axis)
-        n = self.count_of(axis)
-        return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+        return sample_axis(axis, *self.range_of(axis), self.count_of(axis))
 
     def swept_axes(self) -> tuple[str, str]:
         if self.fixed_axis is None:
@@ -114,38 +119,23 @@ class ProjectedMesh:
         """(N, 3) points projected onto the kept coordinates."""
         return self.points[:, list(PROJECTIONS[self.projection])]
 
-    def _channel(self, values) -> list:
-        if values is None:
-            return [None] * len(self.points)
-        return np.where(self.singular, None, values).tolist()
-
-    @property
-    def k_values(self) -> list:
-        """K per vertex: a float, or None on singular vertices and for
-        families without closed forms."""
-        return self._channel(self.K)
-
-    @property
-    def h_values(self) -> list:
-        """H per vertex, None like ``k_values``."""
-        return self._channel(self.H)
-
     @property
     def n_singular(self) -> int:
         return int(np.count_nonzero(self.singular))
 
 
-def sweep(scene, grid: GridSpec) -> ProjectedMesh:
-    """Evaluate the scene on the fixed-axis grid and project.
+def sweep(scene) -> ProjectedMesh:
+    """Evaluate the scene on its grid, which needs a fixed axis, and project.
 
-    ``scene`` provides ``projection`` and ``tables(s, t, w)`` returning
-    ``canal.FieldTables`` (see the scene module): the s axis, or the fixed
-    s, and the n_tw (t, w) pairs of one row of vertices; vertex i reads
-    s value i // n_tw and pair i % n_tw.  Raises MeshError when every point
-    is singular.
+    ``scene`` provides ``grid``, ``projection`` and ``tables(s, t, w)``
+    returning ``canal.FieldTables`` (see the scene module): the s axis, or
+    the fixed s, and the n_tw (t, w) pairs of one row of vertices; vertex i
+    reads s value i // n_tw and pair i % n_tw.  Raises MeshError when the
+    grid has no fixed axis or every point is singular.
     """
     if scene.projection not in PROJECTIONS:
         raise MeshError(f"unknown projection {scene.projection!r}")
+    grid = scene.grid
     axis_a, axis_b = grid.swept_axes()
     n_a, n_b = grid.count_of(axis_a), grid.count_of(axis_b)
     a, b = np.meshgrid(grid.values_of(axis_a), grid.values_of(axis_b),

@@ -273,7 +273,8 @@ class CompareReport:
 
     @property
     def passed(self) -> bool:
-        return self.k_ok and self.h_ok
+        """Every K and every H within tolerance."""
+        return bool(np.all(self.k_ok) and np.all(self.h_ok))
 
 
 def compare(closed, numeric, rel_tol: float, abs_tol: float) -> CompareReport:

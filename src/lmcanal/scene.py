@@ -39,8 +39,9 @@ from . import expr
 from .canal import (CanalFamily, CurvaturePair, Field, FieldTables,
                     NullCoefficients, RadiusSpec, ShapeSpec, Variant,
                     curvature_closed, field, field_tables)
-from .curves import CurveClass, CurveSpec, builtin, derive_frame
-from .mesh import AXES, PROJECTIONS, GridSpec
+from .curves import CurveClass, CurveError, CurveSpec, builtin, derive_frame
+from .mesh import AXES, PROJECTIONS, GridSpec, MeshError
+from .oracle import DEFAULT_STEP
 
 
 class SceneError(Exception):
@@ -119,7 +120,7 @@ def _parse_curve(node, path: str) -> CurveSpec:
                 f"{path}.builtin")
         try:
             return builtin(name)
-        except Exception as e:
+        except CurveError as e:
             raise SceneError(str(e), f"{path}.builtin") from e
     _expect("class" in node and "components" in node,
             "curve needs either 'builtin' or 'class' + 'components'", path)
@@ -191,7 +192,7 @@ def _parse_grid(node, path: str) -> GridSpec:
                         w_range=ranges["w"], n_s=counts["s"],
                         n_t=counts["t"], n_w=counts["w"],
                         fixed_axis=fixed_axis, fixed_value=fixed_value)
-    except Exception as e:
+    except MeshError as e:
         raise SceneError(str(e), path) from e
 
 
@@ -232,7 +233,7 @@ def parse_scene(doc: dict, name: str = "<scene>") -> SceneSpec:
     projection = doc.get("projection", "x1x3x4")
     _expect(isinstance(projection, str) and projection in PROJECTIONS,
             f"projection must be one of {sorted(PROJECTIONS)}", "$.projection")
-    step = _number(doc.get("oracle_step", 1e-3), "$.oracle_step")
+    step = _number(doc.get("oracle_step", DEFAULT_STEP), "$.oracle_step")
     _expect(step > 0, "oracle_step must be positive", "$.oracle_step")
     return SceneSpec(name=name, curve=curve, family=family,
                      radius=radius, shape=shape, nc=nc, grid=grid,

@@ -10,12 +10,15 @@ causal-character checks are reductions over that table.
 
 The closed curvature forms are stated relative to a choice of unit normal.
 For almost all variants that choice is the radial direction (C - gamma)/r;
-the C2/T2 forms are stated relative to its negative (consistently with the
-sign of their K-H relation).  The oracle measures curvatures with
-the cross-product normal of the parametrization, so before comparing, its
+the C2/T2 forms are stated relative to its negative
+(``canal.closed_form_gauge``).  The oracle measures curvatures with the
+cross-product normal of the parametrization, so before comparing, its
 (K, H) pair is flipped to the closed form's gauge using the sign of
-lambda * <N_oracle, C - gamma> times the variant gauge below.  eps = <N, N>
+lambda * <N_oracle, C - gamma> times the variant gauge.  eps = <N, N>
 itself is gauge-independent and is compared against lambda directly.
+
+The envelope, K-H relation and Weingarten rows use the fixed tolerances
+below; only the closed-vs-oracle comparison takes ``Tolerances``.
 """
 
 from __future__ import annotations
@@ -25,19 +28,21 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import oracle
-from .canal import (CanalFamily, CurvaturePair, Variant, field_points,
-                    field_rows, relation_residual, weingarten_residuals)
+from .canal import (CanalFamily, CurvaturePair, closed_form_gauge,
+                    field_points, field_rows, relation_residual,
+                    weingarten_residuals)
 from .minkowski import inner_rows
 from .scene import SceneSpec
 
-#: Sign relating each variant's closed-form normal to the radial direction.
-CLOSED_FORM_NORMAL_GAUGE = {Variant.C2: -1, Variant.T2: -1}
 #: Points per axis of the Weingarten check's grid.
 WEINGARTEN_GRID = 20
-
-
-def closed_form_gauge(variant: Variant) -> int:
-    return CLOSED_FORM_NORMAL_GAUGE.get(variant, 1)
+#: Envelope residuals |<C-g, C-g> - lam r^2| and |<C-g, C_s>|.
+MEMBERSHIP_TOL = 1e-9
+NORMALITY_TOL = 1e-5
+#: K-H relation residual |3H - r^2 K +/- 2/r| of canal variants.
+RELATION_TOL = 1e-9
+#: Mixed-Jacobian residuals |H_x K_y - H_y K_x| of tubular variants.
+WEINGARTEN_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -71,12 +76,11 @@ class VerifyReport:
 
 @dataclass(frozen=True)
 class Tolerances:
-    membership: float = 1e-9
-    normality: float = 1e-5
+    """Relative and absolute tolerance of the closed-vs-oracle comparison
+    (see ``oracle.compare``)."""
+
     rel: float = 1e-4
     abs: float = 1e-6
-    relation: float = 1e-9
-    weingarten: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -138,13 +142,13 @@ def grid_table(scene: SceneSpec) -> GridTable:
                      ~(singular | degenerate | metric_singular))
 
 
-def check_envelope(table: GridTable, report: VerifyReport, tol: Tolerances):
+def check_envelope(table: GridTable, report: VerifyReport):
     """Membership on the defining quadric and normality of C - gamma, with
     C_s from the oracle's central difference, at every grid point."""
     report.add("membership |<C-g,C-g> - lam r^2|", _worst(table.membership),
-               tol.membership)
+               MEMBERSHIP_TOL)
     report.add("normality |<C-g, C_s>|", _worst(table.normality),
-               tol.normality)
+               NORMALITY_TOL)
 
 
 def check_curvatures(table: GridTable, report: VerifyReport, tol: Tolerances,
@@ -170,11 +174,10 @@ def check_curvatures(table: GridTable, report: VerifyReport, tol: Tolerances,
                         f"{_worst(err):.2e})", bool(np.all(passed)))
     report.add_flag(f"nonsingular points >= {min_points} (got {n_ok})",
                     n_ok >= min_points)
-    if fam.variant in (Variant.C1, Variant.C2, Variant.C3, Variant.C4,
-                       Variant.C5):
+    if not fam.variant.is_tubular:
         rel = relation_residual(closed, table.r[ok], fam)
         report.add("K-H relation |3H - r^2 K +/- 2/r|", _worst(np.abs(rel)),
-                   tol.relation)
+                   RELATION_TOL)
     report.add_flag(f"causal character eps == {fam.lam}",
                     bool(np.all(table.eps[ok] == fam.lam)))
 
@@ -189,7 +192,7 @@ def check_epsilon_only(table: GridTable, report: VerifyReport):
     report.add_flag(f"causal character points >= 1 (got {n_ok})", n_ok >= 1)
 
 
-def check_weingarten(scene: SceneSpec, report: VerifyReport, tol: Tolerances):
+def check_weingarten(scene: SceneSpec, report: VerifyReport):
     """Mixed-Jacobian residuals of (H, K) for tubular variants on a
     WEINGARTEN_GRID^3 grid over the scene ranges; fails if every grid point
     is singular."""
@@ -198,9 +201,9 @@ def check_weingarten(scene: SceneSpec, report: VerifyReport, tol: Tolerances):
     rep = weingarten_residuals(scene.family, scene.curve, scene.radius,
                                scene.shape, *(fine.values_of(axis)
                                               for axis in ("s", "t", "w")))
-    report.add("Weingarten |H_s K_t - H_t K_s|", rep.st, tol.weingarten)
-    report.add("Weingarten |H_s K_w - H_w K_s|", rep.sw, tol.weingarten)
-    report.add("Weingarten |H_t K_w - H_w K_t|", rep.tw, tol.weingarten)
+    report.add("Weingarten |H_s K_t - H_t K_s|", rep.st, WEINGARTEN_TOL)
+    report.add("Weingarten |H_s K_w - H_w K_s|", rep.sw, WEINGARTEN_TOL)
+    report.add("Weingarten |H_t K_w - H_w K_t|", rep.tw, WEINGARTEN_TOL)
     report.add_flag(f"Weingarten points >= 1 (got {rep.points}, "
                     f"{rep.singular} singular)", rep.points >= 1)
 
@@ -213,11 +216,11 @@ def verify_scene(scene: SceneSpec, tol: Tolerances = Tolerances(),
                          f"min_points={min_points}")
     report = VerifyReport(scene.name)
     table = grid_table(scene)
-    check_envelope(table, report, tol)
+    check_envelope(table, report)
     if scene.family.variant.is_null_variant:
         check_epsilon_only(table, report)
     else:
         check_curvatures(table, report, tol, min_points=min_points)
         if weingarten and scene.family.variant.is_tubular:
-            check_weingarten(scene, report, tol)
+            check_weingarten(scene, report)
     return report

@@ -316,7 +316,7 @@ def test_criterion_11_mesh_determinism(tmp_path):
         scene = bundled_scene(name)
         blobs = []
         for run in range(2):
-            mesh = sweep(scene, scene.grid)
+            mesh = sweep(scene)
             obj = tmp_path / f"{name}-{run}.obj"
             csv = tmp_path / f"{name}-{run}.csv"
             export_obj(mesh, obj)

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from lmcanal import oracle
-from lmcanal.canal import CanalFamily, CurvaturePair, RadiusSpec, Variant
+from lmcanal.canal import (CanalFamily, CurvaturePair, RadiusSpec, Variant,
+                           closed_form_gauge)
 from lmcanal.minkowski import inner_rows
 from lmcanal.scene import bundled_scene, bundled_scene_names
 from lmcanal.verify import (Tolerances, VerifyReport, check_curvatures,
-                            closed_form_gauge, grid_table)
+                            grid_table)
 
 GATE_SCENES = [n for n in bundled_scene_names()
                if not n.endswith("-figure") and not n.startswith("null-")]

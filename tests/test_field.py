@@ -288,7 +288,7 @@ def test_check_weingarten_evaluates_the_closed_forms_on_the_axes(
     monkeypatch.setattr(canal, "derive_frames", counted_frames)
     monkeypatch.setattr(canal, "_closed", counted_closed)
     report = VerifyReport(scene.name)
-    check_weingarten(scene, report, Tolerances())
+    check_weingarten(scene, report)
     assert report.passed
     column, row = (n, 1), (1, n * n)
     assert calls == ([("derive_frames", (3 * n,))]
@@ -312,7 +312,7 @@ def test_check_weingarten_makes_one_table_call_and_builds_no_fiber(
     monkeypatch.setattr(canal, "field_tables", counted)
     monkeypatch.setattr(canal, "_fiber", no_fiber)
     report = VerifyReport(scene.name)
-    check_weingarten(scene, report, Tolerances())
+    check_weingarten(scene, report)
     assert report.passed
     assert calls == [(3 * n, 5 * n * n, 5 * n * n)]
 
@@ -336,7 +336,7 @@ def test_check_weingarten_peak_memory_stays_below_the_grid_pass():
     # made; keeping all six pairs alive measured 1.61 MB against 0.93 MB
     scene = bundled_scene("pseudo-null-t1")
     weingarten = _traced_peak(check_weingarten, scene,
-                              VerifyReport(scene.name), Tolerances())
+                              VerifyReport(scene.name))
     assert weingarten <= _traced_peak(grid_table, scene)
 
 
@@ -348,7 +348,7 @@ def test_check_weingarten_fails_when_every_point_is_singular():
         "shape": {"f": "0", "g": "t"},
         "grid": {"s": [0.3, 0.9, 4], "t": [0.9, 1.5, 4], "w": [0.5, 2.5, 4]}})
     report = VerifyReport(scene.name)
-    check_weingarten(scene, report, Tolerances())
+    check_weingarten(scene, report)
     guard = [c for c in report.checks
              if c.name.startswith("Weingarten points")]
     assert [c.name for c in guard] == [

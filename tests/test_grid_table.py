@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from lmcanal import oracle
+from lmcanal.canal import closed_form_gauge
 from lmcanal.minkowski import inner_rows
 from lmcanal.scene import bundled_scene
-from lmcanal.verify import GridTable, closed_form_gauge, grid_table
+from lmcanal.verify import GridTable, grid_table
 
 CLASSES = ("pseudo-null", "partially-null")
 GATE_SCENES = ([f"{c}-c{k}" for c in CLASSES for k in range(1, 6)]

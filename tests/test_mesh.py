@@ -27,6 +27,14 @@ FIGURE_SCENES = ("pseudo-null-c1-figure", "partially-null-c5-figure",
                  "null-c1-figure")
 
 
+def _channel(mesh, values) -> list:
+    """A curvature channel per vertex: a float, or None on singular
+    vertices and for families without closed forms."""
+    if values is None:
+        return [None] * len(mesh.points)
+    return np.where(mesh.singular, None, values).tolist()
+
+
 def test_grid_validation():
     with pytest.raises(MeshError):
         GridSpec((0, 1), (0, 1), (0, 1), 1, 2, 2, "w", 0.0)  # n_s = 1
@@ -50,7 +58,8 @@ def test_grid_validation():
 
 def test_obj_contract_2x2(tmp_path):
     scene = bundled_scene("pseudo-null-c1-figure")
-    mesh = sweep(scene, dataclasses.replace(scene.grid, n_s=2, n_t=2))
+    mesh = sweep(dataclasses.replace(
+        scene, grid=dataclasses.replace(scene.grid, n_s=2, n_t=2)))
     assert len(mesh.vertices) == 4
     assert mesh.quads == [(0, 1, 3, 2)]
     path = tmp_path / "square.obj"
@@ -66,7 +75,7 @@ def test_export_determinism(tmp_path):
                     8, 8, 2, scene.grid.fixed_axis, scene.grid.fixed_value)
     blobs = []
     for run in range(2):
-        mesh = sweep(scene, grid)
+        mesh = sweep(dataclasses.replace(scene, grid=grid))
         obj = tmp_path / f"m{run}.obj"
         csv = tmp_path / f"m{run}.csv"
         jsn = tmp_path / f"m{run}.json"
@@ -83,7 +92,7 @@ def test_obj_cells_are_plain_decimal_floats(tmp_path):
     scene = bundled_scene("partially-null-c5-figure")
     grid = GridSpec(scene.grid.s_range, scene.grid.t_range, scene.grid.w_range,
                     4, 4, 2, scene.grid.fixed_axis, scene.grid.fixed_value)
-    mesh = sweep(scene, grid)
+    mesh = sweep(dataclasses.replace(scene, grid=grid))
     path = tmp_path / "c5.obj"
     export_obj(mesh, path)
     for line in path.read_text().splitlines():
@@ -97,14 +106,15 @@ def test_sweep_counts_and_channels():
     scene = bundled_scene("pseudo-null-c1-figure")
     grid = GridSpec(scene.grid.s_range, scene.grid.t_range, scene.grid.w_range,
                     10, 10, 2, scene.grid.fixed_axis, scene.grid.fixed_value)
-    mesh = sweep(scene, grid)
+    mesh = sweep(dataclasses.replace(scene, grid=grid))
     assert len(mesh.vertices) == 100
     assert len(mesh.quads) == 81
     assert all(len(v) == 3 for v in mesh.vertices)
-    assert len(mesh.k_values) == 100
+    assert len(mesh.K) == len(mesh.H) == len(mesh.singular) == 100
     # this figure grid starts at t = 0.2 where some points sit close to the
     # singular locus; curvature is None exactly on the singular flags
-    for k, h, sing in zip(mesh.k_values, mesh.h_values, mesh.singular):
+    for k, h, sing in zip(_channel(mesh, mesh.K), _channel(mesh, mesh.H),
+                          mesh.singular):
         assert (k is None) == (h is None)
         assert (k is None) == sing
 
@@ -128,7 +138,7 @@ def test_sweep_with_each_fixed_axis(monkeypatch, name, axis):
     # through the scene's tables, or canal.field's on the vertices
     monkeypatch.setattr(scene_mod, "field_tables", counted)
     monkeypatch.setattr(canal, "field_tables", counted)
-    mesh = sweep(scene, grid)
+    mesh = sweep(dataclasses.replace(scene, grid=grid))
     n_tw = {"s": 6 * 5, "t": 5, "w": 6}[axis]
     assert sizes == [(1 if axis == "s" else 7, n_tw, n_tw)]
     fld = scene.field(*mesh.params.T)
@@ -145,7 +155,7 @@ def test_relation_recheck_on_sweep():
     scene = bundled_scene("pseudo-null-c1")
     grid = GridSpec(scene.grid.s_range, scene.grid.t_range, scene.grid.w_range,
                     12, 12, 2, "w", 1.0)
-    mesh = sweep(scene, grid)
+    mesh = sweep(dataclasses.replace(scene, grid=grid))
     ok = ~mesh.singular
     r = scene.radius.jet(mesh.params[ok, 0])[0]
     rel = relation_residual(CurvaturePair(mesh.K[ok], mesh.H[ok]), r,
@@ -158,7 +168,7 @@ def test_field_csv_format(tmp_path):
     scene = bundled_scene("pseudo-null-c1")
     grid = GridSpec(scene.grid.s_range, scene.grid.t_range, scene.grid.w_range,
                     3, 3, 2, "w", 1.2)
-    mesh = sweep(scene, grid)
+    mesh = sweep(dataclasses.replace(scene, grid=grid))
     path = tmp_path / "field.csv"
     export_field(mesh, path, "csv")
     lines = path.read_text().splitlines()
@@ -186,7 +196,7 @@ def pole_t1_doc():
 
 def test_field_csv_empty_cells_on_singular_rows(tmp_path):
     scene = parse_scene(pole_t1_doc())
-    mesh = sweep(scene, scene.grid)
+    mesh = sweep(scene)
     assert 0 < mesh.n_singular < len(mesh.vertices)
     path = tmp_path / "f.csv"
     export_field(mesh, path, "csv")
@@ -201,7 +211,7 @@ def test_field_json_round_trips(tmp_path):
     scene = bundled_scene("pseudo-null-c1")
     grid = GridSpec(scene.grid.s_range, scene.grid.t_range, scene.grid.w_range,
                     3, 3, 2, "w", 1.2)
-    mesh = sweep(scene, grid)
+    mesh = sweep(dataclasses.replace(scene, grid=grid))
     path = tmp_path / "field.json"
     export_field(mesh, path, "json")
     records = json.loads(path.read_text())
@@ -213,8 +223,8 @@ def test_null_scene_mesh_has_geometry_but_no_curvature():
     scene = bundled_scene("null-c1-figure")
     grid = GridSpec(scene.grid.s_range, scene.grid.t_range, scene.grid.w_range,
                     4, 4, 2, scene.grid.fixed_axis, scene.grid.fixed_value)
-    mesh = sweep(scene, grid)
-    assert all(k is None for k in mesh.k_values)
+    mesh = sweep(dataclasses.replace(scene, grid=grid))
+    assert mesh.K is None and mesh.H is None
     assert mesh.n_singular == 0
 
 
@@ -231,7 +241,7 @@ def test_fully_singular_grid_errors():
     }
     scene = parse_scene(doc)
     with pytest.raises(MeshError):
-        sweep(scene, scene.grid)
+        sweep(scene)
 
 
 def test_export_empty_mesh_fails(tmp_path):
@@ -244,7 +254,7 @@ def test_export_unwritable_path():
     scene = bundled_scene("pseudo-null-c1")
     grid = GridSpec(scene.grid.s_range, scene.grid.t_range, scene.grid.w_range,
                     3, 3, 2, "w", 1.2)
-    mesh = sweep(scene, grid)
+    mesh = sweep(dataclasses.replace(scene, grid=grid))
     with pytest.raises(OSError):
         export_obj(mesh, "/nonexistent-dir/sub/mesh.obj")
 
@@ -340,8 +350,9 @@ def _json_dump_reference(mesh) -> str:
     """The field as ``json.dump`` writes one dict per vertex."""
     records = [dict(zip(FIELD_COLUMNS, (*p, *x, k, h, sing)))
                for p, x, k, h, sing in zip(
-                   mesh.params.tolist(), mesh.points.tolist(), mesh.k_values,
-                   mesh.h_values, mesh.singular.tolist())]
+                   mesh.params.tolist(), mesh.points.tolist(),
+                   _channel(mesh, mesh.K), _channel(mesh, mesh.H),
+                   mesh.singular.tolist())]
     return json.dumps(records, indent=1) + "\n"
 
 
@@ -378,6 +389,7 @@ def test_export_memory_does_not_grow_with_vertex_count(tmp_path):
     # the writer streams blocks of rows; a whole-file string would make the
     # peak grow fourfold from 40x40 to 80x80
     scene = bundled_scene("pseudo-null-c1-figure")
-    small, large = (_export_peak(sweep(scene, dataclasses.replace(
-        scene.grid, n_s=n, n_t=n)), tmp_path) for n in (40, 80))
+    small, large = (_export_peak(sweep(dataclasses.replace(
+        scene, grid=dataclasses.replace(scene.grid, n_s=n, n_t=n))), tmp_path)
+        for n in (40, 80))
     assert large <= 1.25 * small

@@ -211,6 +211,13 @@ def test_compare_mixed_criterion():
     bad = oracle.compare(CurvaturePair(1.0, 1.0), CurvaturePair(1.1, 1.0),
                          rel_tol=1e-3, abs_tol=1e-6)
     assert not bad.k_ok and bad.h_ok and not bad.passed
+    # array pairs: every element must pass
+    closed = CurvaturePair(np.array([1.0, 0.0, -3.0]), np.array([2.0, 1.0, 0.5]))
+    assert oracle.compare(closed, CurvaturePair(closed.K + 1e-7, closed.H),
+                          rel_tol=1e-4, abs_tol=1e-6).passed is True
+    one_off = CurvaturePair(closed.K, closed.H + np.array([0.0, 0.1, 0.0]))
+    assert oracle.compare(closed, one_off, rel_tol=1e-4,
+                          abs_tol=1e-6).passed is False
     with pytest.raises(ValueError):
         oracle.compare(CurvaturePair(0, 0), CurvaturePair(0, 0), 0.0, 1e-6)
 

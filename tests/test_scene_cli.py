@@ -10,7 +10,7 @@ import pytest
 from lmcanal.cli import main
 from lmcanal.scene import (SceneError, bundled_scene, bundled_scene_names,
                            parse_scene)
-from lmcanal.verify import Tolerances, verify_scene
+from lmcanal.verify import verify_scene
 
 
 def minimal_doc():
@@ -167,6 +167,13 @@ def test_cli_usage_errors_exit_1(capsys):
     assert main(["frames", "--curve", "null-example", "--s-min=-1e308",
                  "--s-max=1e308"]) == 1
     capsys.readouterr()
+    # a finite width whose multiples overflow would sample s = inf
+    assert main(["frames", "--curve", "null-example", "--s-min", "0",
+                 "--s-max", "1.7e308", "-n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("lmcanal: s range [0.0, 1.7e+308] is too wide: "
+                            "its samples overflow\n")
 
 
 def test_cli_frames_pass(capsys):
@@ -233,9 +240,8 @@ def test_cli_verify_tells_flag_rows_by_their_missing_tolerance(
         capsys, monkeypatch):
     # a residual row whose tolerance is 0.5 still prints its value and
     # tolerance; only flag rows, which have none, print PASS/FAIL alone
-    import lmcanal.cli as cli
-    monkeypatch.setattr(cli, "Tolerances", lambda rel, abs: Tolerances(
-        rel=rel, abs=abs, membership=0.5))
+    import lmcanal.verify as verify_mod
+    monkeypatch.setattr(verify_mod, "MEMBERSHIP_TOL", 0.5)
     assert main(["verify", "--scene", "pseudo-null-c1"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:-1]
     membership, = (row for row in rows if "membership" in row)
@@ -400,6 +406,17 @@ def test_cli_mesh_writes_files(capsys, tmp_path):
     assert code == 0
     assert obj.exists() and field.exists()
     assert "vertices" in out and "singular" in out
+
+
+def test_cli_mesh_needs_a_fixed_axis(capsys, tmp_path):
+    path = tmp_path / "unfixed.json"
+    path.write_text(json.dumps(minimal_doc()))
+    obj = tmp_path / "m.obj"
+    assert main(["mesh", "--scene", str(path), "--out", str(obj)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not obj.exists()
+    assert captured.err == ("lmcanal: sweep needs a fixed axis in the grid "
+                            "spec\n")
 
 
 def test_cli_mesh_bad_output_dir(capsys, tmp_path):
