@@ -176,8 +176,10 @@ class NullCoefficients:
 
 @dataclass(frozen=True)
 class CurvaturePair:
-    K: float
-    H: float
+    """K and H at one point (floats) or at many (arrays of one shape)."""
+
+    K: float | np.ndarray
+    H: float | np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +190,13 @@ class CurvaturePair:
 # callers evaluate on a product of s values and (t, w) pairs that they
 # state: the table stage (``field_tables``) evaluates each s value and each
 # (t, w) pair once, and the row stages (``field_points``, ``field_rows``)
-# read the tables at index arrays, so a caller that needs the closed forms
-# at a few rows only (the oracle's stencil centers, see
-# ``verify.grid_table``) pays for those rows only.  Transcendental functions
+# read the tables at index arrays that broadcast, typically an (n, 1) block
+# of s indices by a (1, m) block of (t, w) indices, so an s-only or
+# (t, w)-only factor is gathered and computed once per value, and a caller
+# that needs the closed forms at a few rows only (the oracle's stencil
+# centers, see ``verify.grid_table``) pays for those rows only.  One table
+# may hold several callers' axes, each reading its own index blocks (see
+# ``verify.scene_tables``).  Transcendental functions
 # run through Python's math module (``expr.libm``) and numpy only combines
 # their values with correctly rounded elementwise operations (+ - * /,
 # square, sqrt), so a point gets the same bits in any batch and from any
@@ -390,20 +396,29 @@ def field_points(tables: FieldTables, s_ix, tw_ix) -> np.ndarray:
     rows (tables.s[s_ix], tables.t[tw_ix], tables.w[tw_ix]) of the index
     arrays' broadcast, as an array of that shape with a last axis of 4.
 
-    The points are added one coefficient and one column at a time, so no
-    other array of their size is made; a null family's free data is walked
-    before the points are allocated.
+    Frame rows and s-only factors are gathered at s_ix and (t, w)-only
+    factors at tw_ix, each at its own index shape, and multiplied under
+    broadcasting, so index blocks of shapes (n, 1) and (1, m) gather n and
+    m values, not n m.  The points are built component-major, one
+    coefficient and one contiguous column at a time, and returned as the
+    (..., 4) view of that array, so no other array of their size is made;
+    a null family's free data is walked at the rows before the points are
+    allocated.
     """
-    s_ix, tw_ix = np.broadcast_arrays(s_ix, tw_ix)
     fr = tables.frames
+    shape = np.broadcast_shapes(np.shape(s_ix), np.shape(tw_ix))
     with np.errstate(all="ignore"):
-        coefficients = (_fiber_coefficients if tables.nc is None
-                        else _null_coefficients)(tables, s_ix, tw_ix)
-        points = fr.gamma[s_ix]
-        for a, f in zip(coefficients, (fr.f1, fr.f2, fr.f3, fr.f4)):
+        coefficients = iter((_fiber_coefficients if tables.nc is None
+                             else _null_coefficients)(tables, s_ix, tw_ix))
+        a1, gamma, f1 = next(coefficients), fr.gamma[s_ix], fr.f1[s_ix]
+        points = np.empty((4,) + shape)
+        for k in range(4):
+            points[k] = gamma[..., k] + a1 * f1[..., k]
+        for a, f in zip(coefficients, (fr.f2, fr.f3, fr.f4)):
+            f = f[s_ix]
             for k in range(4):
-                points[..., k] += a * f[s_ix, k]
-    return points
+                points[k] += a * f[..., k]
+    return np.moveaxis(points, 0, -1)
 
 
 def field_rows(tables: FieldTables, s_ix, tw_ix):
@@ -585,9 +600,10 @@ def curvature_closed(family: CanalFamily, k1: float, r_jet, f: float,
 # ---------------------------------------------------------------------------
 # Algebraic relations and condition residuals
 
-def relation_residual(pair: CurvaturePair, r: float,
-                      family: CanalFamily) -> float:
-    """Left side of the linear K-H relation 3H - r^2 K + sigma 2/r."""
+def relation_residual(pair: CurvaturePair, r: float | np.ndarray,
+                      family: CanalFamily) -> float | np.ndarray:
+    """Left side of the linear K-H relation 3H - r^2 K + sigma 2/r, at one
+    point or elementwise at arrays of points."""
     if family.curve_class not in (CurveClass.PSEUDO_NULL,
                                   CurveClass.PARTIALLY_NULL):
         raise UnsupportedFamilyError(
@@ -699,47 +715,64 @@ class WeingartenReport:
     singular: int
 
 
-def weingarten_residuals(family: CanalFamily, curve: CurveSpec,
-                         radius: RadiusSpec, shape: ShapeSpec,
-                         s, t, w) -> WeingartenReport:
+def weingarten_axes(s, t, w):
+    """The table axes and index blocks of the Weingarten residuals on the
+    grid with axes s, t and w (1-D arrays; the grid is their outer
+    product), with h = WEINGARTEN_STEP.
+
+    The axes are the s values s + h, s - h and s, and the (t, w) pairs of
+    the five offset grids (t, w), (t + h, w), (t - h, w), (t, w + h) and
+    (t, w - h), each raveled row-major; the index blocks are s_ix of shape
+    (3, n_s, 1), one block per s offset, and tw_ix of shape
+    (5, 1, n_t n_w), one block per offset grid.
+    """
+    h = WEINGARTEN_STEP
+    s, t, w = (np.asarray(x, dtype=float).ravel() for x in (s, t, w))
+    axes = (np.concatenate([s + h, s - h, s]),
+            np.concatenate([np.repeat(x, len(w))
+                            for x in (t, t + h, t - h, t, t)]),
+            np.concatenate([np.tile(x, len(t))
+                            for x in (w, w, w, w + h, w - h)]))
+    return axes, (np.arange(3 * len(s)).reshape(3, -1, 1),
+                  np.arange(5 * len(t) * len(w)).reshape(5, 1, -1))
+
+
+def weingarten_residuals(tables: FieldTables, s_ix, tw_ix
+                         ) -> WeingartenReport:
     """Mixed Jacobians of (H, K) in the parameter pairs, by central
-    differences (step WEINGARTEN_STEP) of the closed forms on the grid
-    with axes s, t and w (1-D arrays; the grid is their outer product).
+    differences (step WEINGARTEN_STEP) of the closed forms on a grid.
+
+    This is the last of three steps: ``weingarten_axes`` gives the grid's
+    axes and index blocks, ``field_tables`` evaluates tables holding those
+    axes (after other axes, if the blocks are shifted to match), and this
+    reads the tables at the blocks.
 
     A grid point is singular when any of its six closed-form evaluations
-    is.  One ``field_tables`` call holds s + h, s - h and s and the five
-    (t, w) offset grids; each closed form is a ``field_rows`` call on an
-    (n_s, 1) block of s indices and a (1, n_t n_w) block of (t, w)
-    indices, so an s-only or (t, w)-only term is computed once per axis
-    value.  One direction's differences are formed before the next
-    direction's closed forms are evaluated.
+    is.  Each closed form is a ``field_rows`` call on one (n_s, 1) block of
+    s indices and one (1, n_t n_w) block of (t, w) indices, so an s-only or
+    (t, w)-only term is computed once per axis value.  One direction's
+    differences are formed before the next direction's closed forms are
+    evaluated.
     """
-    if not family.variant.is_tubular or family.variant.is_null_variant:
+    variant = tables.family.variant
+    if not variant.is_tubular or variant.is_null_variant:
         raise UnsupportedFamilyError(
             "Weingarten residuals are defined for tubular variants with "
             "closed forms")
     h = WEINGARTEN_STEP
-    s, t, w = (np.asarray(x, dtype=float).ravel() for x in (s, t, w))
-    # s blocks s + h, s - h, s; (t, w) blocks (t, w), (t+h, w), (t-h, w),
-    # (t, w+h), (t, w-h), each raveled row-major
-    tables = field_tables(
-        family, curve, radius, shape, None, np.concatenate([s + h, s - h, s]),
-        np.concatenate([np.repeat(x, len(w))
-                        for x in (t, t + h, t - h, t, t)]),
-        np.concatenate([np.tile(x, len(t)) for x in (w, w, w, w + h, w - h)]))
-    n_s, n_tw = len(s), len(t) * len(w)
-    column, row = np.arange(n_s)[:, None], np.arange(n_tw)[None, :]
 
     def slope(plus, minus):
         """(H_x, K_x) at every grid point and the singular mask of the
         two closed-form evaluations; ``plus`` and ``minus`` are
         (s block, (t, w) block) pairs."""
-        K1, H1, bad1 = field_rows(tables, column + plus[0] * n_s,
-                                  row + plus[1] * n_tw)[2:]
-        K0, H0, bad0 = field_rows(tables, column + minus[0] * n_s,
-                                  row + minus[1] * n_tw)[2:]
+        K1, H1, bad1 = field_rows(tables, s_ix[plus[0]],
+                                  tw_ix[plus[1]])[2:]
+        K0, H0, bad0 = field_rows(tables, s_ix[minus[0]],
+                                  tw_ix[minus[1]])[2:]
         return (H1 - H0) / (2 * h), (K1 - K0) / (2 * h), bad1 | bad0
 
+    # s blocks s + h, s - h, s; (t, w) blocks (t, w), (t+h, w), (t-h, w),
+    # (t, w+h), (t, w-h)
     with np.errstate(all="ignore"):
         H_s, K_s, bad_s = slope((0, 0), (1, 0))
         H_t, K_t, bad_t = slope((2, 1), (2, 2))

@@ -67,12 +67,7 @@ _COUNT = _finite(int, "positive integer")
 _FINITE = _finite(float, "finite number", positive=False)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="lmcanal",
-                  description="canal/tubular hypersurfaces in E^4_1")
-    sub = top.add_subparsers(dest="command", required=True,
-                             parser_class=_Parser)
-
+def _add_frames(sub):
     p = sub.add_parser("frames", help="verify curve frames")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--curve", choices=builtin_names(),
@@ -86,6 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gram-tol", type=_POSITIVE, default=GRAM_TOL)
     p.add_argument("--ode-tol", type=_POSITIVE, default=ODE_TOL)
 
+
+def _add_verify(sub):
     p = sub.add_parser("verify", help="verify a scene against the oracle")
     p.add_argument("--scene", required=True,
                    help="scene file or bundled scene name "
@@ -98,11 +95,34 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="required number of nonsingular grid points")
     p.add_argument("--no-weingarten", action="store_true")
 
+
+def _add_mesh(sub):
     p = sub.add_parser("mesh", help="sweep a scene and export mesh/field")
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True, help="OBJ output path")
     p.add_argument("--field", help="optional curvature field output path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+#: The subcommands in help order, each with the function adding its parser.
+_SUBCOMMANDS = {"frames": _add_frames, "verify": _add_verify,
+                "mesh": _add_mesh}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of ``argv``: the top parser with only the subcommand
+    parser that argv's first word names, or with all of them when it names
+    none (no word, ``--help``, an unknown word).  The subcommand metavar and
+    prog are given, not derived from the subparsers present, so both builds
+    print the same usage, help and errors for ``argv``."""
+    top = _Parser(prog="lmcanal",
+                  description="canal/tubular hypersurfaces in E^4_1")
+    sub = top.add_subparsers(dest="command", required=True,
+                             parser_class=_Parser, prog="lmcanal",
+                             metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+    names = argv[:1] if argv[:1] and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+    for name in names:
+        _SUBCOMMANDS[name](sub)
     return top
 
 
@@ -188,7 +208,8 @@ def cmd_mesh(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

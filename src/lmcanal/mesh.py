@@ -128,10 +128,13 @@ def sweep(scene) -> ProjectedMesh:
     """Evaluate the scene on its grid, which needs a fixed axis, and project.
 
     ``scene`` provides ``grid``, ``projection`` and ``tables(s, t, w)``
-    returning ``canal.FieldTables`` (see the scene module): the s axis, or
-    the fixed s, and the n_tw (t, w) pairs of one row of vertices; vertex i
-    reads s value i // n_tw and pair i % n_tw.  Raises MeshError when the
-    grid has no fixed axis or every point is singular.
+    returning ``canal.FieldTables`` (see the scene module).  With s swept,
+    the tables hold the n_a or n_b s values and the (t, w) pairs of one row
+    of vertices, and the kernel's row stages read them at an (n_a, 1) block
+    of s indices by a (1, n_b) block of pair indices; with s fixed, they
+    hold the one s and all n_a n_b pairs, read at (n_a, 1) zeros by the
+    (n_a, n_b) pair indices.  Raises MeshError when the grid has no fixed
+    axis or every point is singular.
     """
     if scene.projection not in PROJECTIONS:
         raise MeshError(f"unknown projection {scene.projection!r}")
@@ -144,12 +147,17 @@ def sweep(scene) -> ProjectedMesh:
               axis_a: a.ravel(), axis_b: b.ravel()}
     params = np.stack([coords[axis] for axis in AXES], axis=1)
     # s is the slower swept axis unless it is fixed
-    n_tw = a.size if grid.fixed_axis == "s" else n_b
+    if grid.fixed_axis == "s":
+        s_ix = np.zeros((n_a, 1), dtype=int)
+        tw_ix = np.arange(a.size).reshape(n_a, n_b)
+    else:
+        s_ix, tw_ix = np.arange(n_a)[:, None], np.arange(n_b)[None, :]
+    n_tw = tw_ix.size
     tables = scene.tables(params[::n_tw, 0], params[:n_tw, 1],
                           params[:n_tw, 2])
-    s_ix, tw_ix = np.divmod(np.arange(a.size), n_tw)
-    points = field_points(tables, s_ix, tw_ix)
-    _, _, K, H, singular = field_rows(tables, s_ix, tw_ix)
+    points = field_points(tables, s_ix, tw_ix).reshape(-1, 4)
+    K, H, singular = (None if x is None else x.ravel()
+                      for x in field_rows(tables, s_ix, tw_ix)[2:])
     mesh = ProjectedMesh(params=params, points=points, K=K, H=H,
                          singular=singular, projection=scene.projection)
     if mesh.n_singular == n_a * n_b:

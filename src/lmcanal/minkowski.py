@@ -54,13 +54,15 @@ def triple_cross_rows(u, v, w):
     sign = np.where(inversions % 2 == 0, 1.0, -1.0)
     repeated = np.all(a_ == b_, axis=1) | np.all(b_ == c_, axis=1)
 
-    def minor(drop):
-        a, b, c = (np.delete(row, drop, axis=1).T for row in (a_, b_, c_))
+    def minor(columns):
+        a, b, c = ([row[:, k] for k in columns] for row in (a_, b_, c_))
         return a[0] * (b[1] * c[2] - b[2] * c[1]) \
             - a[1] * (b[0] * c[2] - b[2] * c[0]) \
             + a[2] * (b[0] * c[1] - b[1] * c[0])
 
-    m1, m2, m3, m4 = (minor(k) for k in range(4))
+    # minor k drops column k
+    m1, m2, m3, m4 = (minor(columns) for columns in
+                      ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)))
     # First-row entries are (-e1, +e2, +e3, +e4) and cofactor signs alternate
     # (+,-,+,-), so the coordinates come out as (-m1, -m2, +m3, -m4).
     out = np.stack([sign * -m1, sign * -m2, sign * m3, sign * -m4], axis=1)

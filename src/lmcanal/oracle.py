@@ -15,11 +15,12 @@ curvature path it is used to check.
 
 The engine works on batches: ``stencil`` lays out the 19-point stencils of
 N points (``grid_stencil`` those of a grid, as parameter tables and
-indices into them), the caller evaluates all 19 N points in one call, and
-``stencil_jets``, ``forms_batch`` and ``curvatures_batch`` turn them into
-(N, ...) arrays with per-point masks instead of exceptions.  The one-point
-functions (``numeric_jet``, ``fundamental_forms``, ``curvatures_numeric``)
-give the batch of one point and raise at singular points.
+broadcast index blocks into them), the caller evaluates all 19 N points
+in one call, and ``stencil_jets``, ``forms_batch`` and ``curvatures_batch``
+turn them into (N, ...) arrays with per-point masks instead of
+exceptions.  The one-point functions (``numeric_jet``,
+``fundamental_forms``, ``curvatures_numeric``) give the batch of one point
+and raise at singular points.
 """
 
 from __future__ import annotations
@@ -109,8 +110,10 @@ def stencil(s, t, w, step: float = DEFAULT_STEP):
 
 def grid_stencil(s, t, w, step: float):
     """The stencils of the grid of s values by (t, w) pairs (t[j], w[j]),
-    s slowest, as the tables (S, T, W) and the indices (s_ix, tw_ix) of
-    the 19 N rows of ``stencil`` on the N grid points, with their bits.
+    s slowest, as the tables (S, T, W) and index blocks (s_ix, tw_ix) of
+    shapes (19, n_s, 1) and (19, 1, n_tw) into them: raveled, the
+    broadcast of the blocks indexes the 19 N rows of ``stencil`` on the N
+    grid points, with their bits.
 
     S is (s, s + h, s - h), so an s offset d falls in block d % 3; the
     (t, w) pairs at the offset (dt, dw) are block 3 (dt % 3) + dw % 3.
@@ -121,12 +124,12 @@ def grid_stencil(s, t, w, step: float):
     d = np.array([0.0, 1.0, -1.0])[:, None] * step  # offset d in row d % 3
     blocks = np.array(STENCIL) % 3
     n_s, n_tw = len(s), len(t)
-    s_ix = blocks[:, 0, None] * n_s + np.repeat(np.arange(n_s), n_tw)
-    tw_ix = ((3 * blocks[:, 1] + blocks[:, 2])[:, None] * n_tw
-             + np.tile(np.arange(n_tw), n_s))
+    s_ix = (blocks[:, 0] * n_s)[:, None, None] + np.arange(n_s)[:, None]
+    tw_ix = (((3 * blocks[:, 1] + blocks[:, 2]) * n_tw)[:, None, None]
+             + np.arange(n_tw))
     tables = ((s + d).ravel(), np.repeat(t + d, 3, axis=0).ravel(),
               np.tile(w + d, (3, 1)).ravel())
-    return tables, (s_ix.ravel(), tw_ix.ravel())
+    return tables, (s_ix, tw_ix)
 
 
 def stencil_jets(points, step: float) -> SurfaceJet:
@@ -180,9 +183,9 @@ def _adjugate3(m):
     ], axis=-2)
 
 
-def _matrix(entries):
-    """(N, 3, 3) array from a 3 x 3 nested list of (N,) arrays."""
-    return np.stack([np.stack(row, axis=-1) for row in entries], axis=-2)
+#: The entry (i, j) of the symmetric 3 x 3 matrix of second partials, as
+#: an index into (ss, st, sw, tt, tw, ww).
+_SECOND = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 def forms_batch(jet: SurfaceJet):
@@ -200,11 +203,11 @@ def forms_batch(jet: SurfaceJet):
         degenerate = length <= DEGENERATE_TOL * scale
         normal = raw / length[:, None]
         eps = np.where(inner_rows(normal, normal) > 0, 1, -1)
-        g = _matrix([[inner_rows(a, b) for b in tangents] for a in tangents])
-        h = _matrix([[inner_rows(v, normal) for v in row]
-                     for row in ((jet.d_ss, jet.d_st, jet.d_sw),
-                                 (jet.d_st, jet.d_tt, jet.d_tw),
-                                 (jet.d_sw, jet.d_tw, jet.d_ww))])
+        first = np.stack(tangents, axis=1)  # (N, 3, 4)
+        g = inner_rows(first[:, :, None], first[:, None])
+        second = np.stack([jet.d_ss, jet.d_st, jet.d_sw, jet.d_tt,
+                           jet.d_tw, jet.d_ww], axis=1)  # (N, 6, 4)
+        h = inner_rows(second, normal[:, None])[:, _SECOND]
     return FundamentalForms(g=g, h=h, detg=_det3(g), deth=_det3(h),
                             normal=normal, eps=eps), degenerate
 
@@ -264,12 +267,14 @@ def curvatures_numeric(forms: FundamentalForms):
 
 @dataclass(frozen=True)
 class CompareReport:
-    """Mixed relative/absolute comparison of two curvature pairs."""
+    """Mixed relative/absolute comparison of two curvature pairs: per-point
+    errors and verdicts, scalars for pairs of floats and arrays for pairs
+    of arrays."""
 
-    k_error: float
-    h_error: float
-    k_ok: bool
-    h_ok: bool
+    k_error: float | np.ndarray
+    h_error: float | np.ndarray
+    k_ok: bool | np.ndarray
+    h_ok: bool | np.ndarray
 
     @property
     def passed(self) -> bool:

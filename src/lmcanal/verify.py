@@ -1,12 +1,16 @@
 """Scene verification: envelope identities, closed-form-vs-oracle curvature
 agreement, K-H relations, causal character and Weingarten residuals.
 
-``grid_table`` evaluates a scene once on its grid in one stencil batch:
-the field kernel's table stage runs once on the 3 n_s s values and the
+A scene is verified from one table stage of the field kernel
+(``scene_tables``): one ``field_tables`` call on the 3 n_s s values and the
 9 n_t n_w (t, w) pairs of the oracle's 19-point stencils of all grid
-points, the points are built on every stencil row and the closed forms on
-the grid rows only, and the oracle runs once; the envelope, curvature and
-causal-character checks are reductions over that table.
+points and, for tubular scenes, on the 3 * 20 s values and 5 * 20^2 (t, w)
+pairs of the Weingarten grid.  Each check reads its own index blocks of
+that one table.  ``grid_table`` builds the points on every stencil row of
+(19, n_s, 1) by (19, 1, n_t n_w) blocks and the closed forms on the
+(n_s, 1) by (1, n_t n_w) grid block only, and runs the oracle once; the
+envelope, curvature and causal-character checks are reductions over its
+table.  ``check_weingarten`` reads the Weingarten blocks.
 
 The closed curvature forms are stated relative to a choice of unit normal.
 For almost all variants that choice is the radial direction (C - gamma)/r;
@@ -24,13 +28,14 @@ below; only the closed-vs-oracle comparison takes ``Tolerances``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import oracle
-from .canal import (CanalFamily, CurvaturePair, closed_form_gauge,
-                    field_points, field_rows, relation_residual,
-                    weingarten_residuals)
+from .canal import (CanalFamily, CurvaturePair, FieldTables,
+                    closed_form_gauge, field_points, field_rows,
+                    relation_residual, weingarten_axes, weingarten_residuals)
 from .minkowski import inner_rows
 from .scene import SceneSpec
 
@@ -108,38 +113,72 @@ def _worst(values) -> float:
     return float(np.fmax.reduce(values, initial=0.0))
 
 
-def grid_table(scene: SceneSpec) -> GridTable:
-    """The scene evaluated on its grid in one pass: the kernel's table stage
-    runs once on the s values and (t, w) pairs of the oracle's 19-point
-    stencils of all grid points (``oracle.grid_stencil``), the hypersurface
-    points are built on every stencil row, the center points, radii and
-    closed forms on the grid rows only (the stencil centers come first),
-    and the oracle runs once on the grid."""
+class SceneTables(NamedTuple):
+    """A scene's one table stage and the index blocks each check reads of
+    it (see ``scene_tables``)."""
+
+    field_tables: FieldTables
+    #: the oracle step and the (19, n_s, 1), (19, 1, n_t n_w) index blocks
+    #: of the grid's stencils (``oracle.grid_stencil``)
+    step: float
+    grid: tuple
+    #: the (3, n, 1), (5, 1, n^2) index blocks of the Weingarten grid
+    #: (``canal.weingarten_axes``), None when the tables lack its axes
+    weingarten: tuple | None
+
+
+def scene_tables(scene: SceneSpec, weingarten: bool = False) -> SceneTables:
+    """The scene's one ``field_tables`` call: the s values and (t, w) pairs
+    of the oracle's stencils of every grid point and, with ``weingarten``,
+    after them those of the Weingarten check on a WEINGARTEN_GRID^3 grid
+    over the scene ranges; each part's index blocks are shifted to where
+    its axes sit in the tables."""
     grid = scene.grid
-    fam = scene.family
-    h = scene.oracle_step
     t, w = (x.ravel() for x in np.meshgrid(grid.values_of("t"),
                                            grid.values_of("w"), indexing="ij"))
-    params, (s_ix, tw_ix) = oracle.grid_stencil(grid.values_of("s"), t, w, h)
-    tables = scene.tables(*params)
-    jet = oracle.stencil_jets(field_points(tables, s_ix, tw_ix), h)
-    n = len(jet.point)
-    center, r, k_closed, h_closed, singular = field_rows(tables, s_ix[:n],
-                                                         tw_ix[:n])
-    del s_ix, tw_ix  # stencil-sized, not needed by the oracle
+    parts = [oracle.grid_stencil(grid.values_of("s"), t, w,
+                                 scene.oracle_step)]
+    if weingarten:
+        fine = replace(grid, n_s=WEINGARTEN_GRID, n_t=WEINGARTEN_GRID,
+                       n_w=WEINGARTEN_GRID)
+        parts.append(weingarten_axes(*(fine.values_of(axis)
+                                       for axis in ("s", "t", "w"))))
+    blocks, n_s, n_tw = [], 0, 0
+    for (s, t, _), (s_ix, tw_ix) in parts:
+        blocks.append((s_ix + n_s, tw_ix + n_tw))
+        n_s, n_tw = n_s + len(s), n_tw + len(t)
+    tables = scene.tables(*(np.concatenate(axis)
+                            for axis in zip(*(axes for axes, _ in parts))))
+    return SceneTables(tables, scene.oracle_step, blocks[0],
+                       blocks[1] if weingarten else None)
+
+
+def grid_table(tables: SceneTables) -> GridTable:
+    """The scene evaluated on its grid in one pass over the grid blocks of
+    its tables: the hypersurface points on every stencil row, the center
+    points, radii and closed forms on the grid rows only (block 0, the
+    stencil centers), and the oracle once on the grid."""
+    ft = tables.field_tables
+    fam = ft.family
+    s_ix, tw_ix = tables.grid
+    n_s, n_tw = s_ix.shape[1], tw_ix.shape[2]
+    jet = oracle.stencil_jets(field_points(ft, s_ix, tw_ix), tables.step)
+    center, r, k_closed, h_closed, singular = field_rows(ft, s_ix[0],
+                                                         tw_ix[0])
     forms, degenerate = oracle.forms_batch(jet)
     K, H, metric_singular = oracle.curvatures_batch(forms)
-    radial = jet.point - center
+    radial = (jet.point.reshape(n_s, n_tw, 4) - center).reshape(-1, 4)
+    r = np.broadcast_to(r, (n_s, n_tw)).ravel()
     flip = closed_form_gauge(fam.variant) * np.where(
         fam.lam * inner_rows(forms.normal, radial) > 0, 1, -1)
     if k_closed is None:
-        k_closed = h_closed = np.full(n, np.nan)
+        k_closed = h_closed = np.full(len(r), np.nan)
     return GridTable(fam,
                      np.abs(inner_rows(radial, radial) - fam.lam * r * r),
                      np.abs(inner_rows(radial, jet.d_s)),
                      np.where(degenerate, 0, forms.eps),
-                     k_closed, h_closed, flip * K, flip * H, r,
-                     ~(singular | degenerate | metric_singular))
+                     k_closed.ravel(), h_closed.ravel(), flip * K, flip * H,
+                     r, ~(singular.ravel() | degenerate | metric_singular))
 
 
 def check_envelope(table: GridTable, report: VerifyReport):
@@ -192,15 +231,14 @@ def check_epsilon_only(table: GridTable, report: VerifyReport):
     report.add_flag(f"causal character points >= 1 (got {n_ok})", n_ok >= 1)
 
 
-def check_weingarten(scene: SceneSpec, report: VerifyReport):
-    """Mixed-Jacobian residuals of (H, K) for tubular variants on a
-    WEINGARTEN_GRID^3 grid over the scene ranges; fails if every grid point
-    is singular."""
-    fine = replace(scene.grid, n_s=WEINGARTEN_GRID, n_t=WEINGARTEN_GRID,
-                   n_w=WEINGARTEN_GRID)
-    rep = weingarten_residuals(scene.family, scene.curve, scene.radius,
-                               scene.shape, *(fine.values_of(axis)
-                                              for axis in ("s", "t", "w")))
+def check_weingarten(tables: SceneTables, report: VerifyReport):
+    """Mixed-Jacobian residuals of (H, K) for tubular variants on the
+    Weingarten grid of the tables; fails if every grid point is
+    singular."""
+    if tables.weingarten is None:
+        raise ValueError("the tables hold no Weingarten grid: build them "
+                         "with scene_tables(scene, weingarten=True)")
+    rep = weingarten_residuals(tables.field_tables, *tables.weingarten)
     report.add("Weingarten |H_s K_t - H_t K_s|", rep.st, WEINGARTEN_TOL)
     report.add("Weingarten |H_s K_w - H_w K_s|", rep.sw, WEINGARTEN_TOL)
     report.add("Weingarten |H_t K_w - H_w K_t|", rep.tw, WEINGARTEN_TOL)
@@ -210,17 +248,22 @@ def check_weingarten(scene: SceneSpec, report: VerifyReport):
 
 def verify_scene(scene: SceneSpec, tol: Tolerances = Tolerances(),
                  min_points: int = 1, weingarten: bool = True) -> VerifyReport:
-    """Run every check applicable to the scene's family."""
+    """Run every check applicable to the scene's family, all from one
+    table stage (``scene_tables``)."""
     if min_points < 1:
         raise ValueError(f"verify needs at least one point, got "
                          f"min_points={min_points}")
+    variant = scene.family.variant
+    weingarten = (weingarten and variant.is_tubular
+                  and not variant.is_null_variant)
     report = VerifyReport(scene.name)
-    table = grid_table(scene)
+    tables = scene_tables(scene, weingarten)
+    table = grid_table(tables)
     check_envelope(table, report)
-    if scene.family.variant.is_null_variant:
+    if variant.is_null_variant:
         check_epsilon_only(table, report)
     else:
         check_curvatures(table, report, tol, min_points=min_points)
-        if weingarten and scene.family.variant.is_tubular:
-            check_weingarten(scene, report)
+        if weingarten:
+            check_weingarten(tables, report)
     return report

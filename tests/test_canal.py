@@ -18,7 +18,8 @@ from lmcanal.canal import (CanalFamily, CurvaturePair, NullCoefficients,
                            Variant, curvature_closed, evaluate_point, field,
                            flat_residual, minimal_residual,
                            null_constraint_residual,
-                           relation_residual, unit_normal_closed_pseudo_c1,
+                           field_tables, relation_residual,
+                           unit_normal_closed_pseudo_c1, weingarten_axes,
                            weingarten_residuals)
 from lmcanal.curves import (CurveClass, CurveSpec, builtin, derive_frame,
                             derive_frames)
@@ -451,25 +452,31 @@ def test_closed_normal_pseudo_c1_is_radial():
         assert np.linalg.norm(n - radial) <= 1e-12
 
 
+def _weingarten(family, curve, radius, shape, *axes):
+    """Weingarten residuals on the grid of the axes: axes, then tables,
+    then residuals."""
+    table_axes, blocks = weingarten_axes(*axes)
+    return weingarten_residuals(field_tables(family, curve, radius, shape,
+                                             None, *table_axes), *blocks)
+
+
 def test_weingarten_residuals_tubular():
     axes = ([0.3 + 0.1 * i for i in range(4)],
             [1.0 + 0.1 * j for j in range(4)],
             [0.6 + 0.1 * k for k in range(4)])
     fam = CanalFamily(CurveClass.PSEUDO_NULL, Variant.T1, 1)
-    rep = weingarten_residuals(fam, PN, RadiusSpec.from_text("1/2"),
-                               SHAPE_WT, *axes)
+    rep = _weingarten(fam, PN, RadiusSpec.from_text("1/2"), SHAPE_WT, *axes)
     assert max(rep.st, rep.sw, rep.tw) <= 1e-6
     assert rep.points == 4 ** 3
     with pytest.raises(UnsupportedFamilyError):
-        weingarten_residuals(CanalFamily(CurveClass.PSEUDO_NULL, Variant.C1),
-                             PN, HALF_S, SHAPE_WT, *axes)
+        _weingarten(CanalFamily(CurveClass.PSEUDO_NULL, Variant.C1),
+                    PN, HALF_S, SHAPE_WT, *axes)
 
 
 def test_weingarten_constant_scene_is_zero():
     # constant k1 and constant r in s: K, H constant along s, so the s-mixed
     # Jacobians vanish to rounding
     fam = CanalFamily(CurveClass.PSEUDO_NULL, Variant.T2, 1)
-    rep = weingarten_residuals(fam, PN, RadiusSpec.from_text("1/2"),
-                               SHAPE_WT, [0.3 + 0.1 * i for i in range(5)],
-                               [1.0], [0.8])
+    rep = _weingarten(fam, PN, RadiusSpec.from_text("1/2"), SHAPE_WT,
+                      [0.3 + 0.1 * i for i in range(5)], [1.0], [0.8])
     assert rep.st <= 1e-10 and rep.sw <= 1e-10

@@ -18,7 +18,7 @@ from lmcanal.canal import (CanalFamily, CurvaturePair, RadiusSpec, Variant,
 from lmcanal.minkowski import inner_rows
 from lmcanal.scene import bundled_scene, bundled_scene_names
 from lmcanal.verify import (Tolerances, VerifyReport, check_curvatures,
-                            grid_table)
+                            grid_table, scene_tables)
 
 GATE_SCENES = [n for n in bundled_scene_names()
                if not n.endswith("-figure") and not n.startswith("null-")]
@@ -74,8 +74,8 @@ def test_branch_minus_one_matches_oracle(name):
     scene = bundled_scene(name)
     family = dataclasses.replace(scene.family, branch=-1)
     report = VerifyReport(name)
-    check_curvatures(grid_table(dataclasses.replace(scene, family=family)),
-                     report, Tolerances())
+    check_curvatures(grid_table(scene_tables(dataclasses.replace(
+        scene, family=family))), report, Tolerances())
     rows = [c for c in report.checks
             if c.name.startswith(("K closed vs oracle", "H closed vs oracle"))]
     assert len(rows) == 2

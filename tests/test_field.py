@@ -18,16 +18,19 @@ from lmcanal import canal, expr, oracle
 from lmcanal import scene as scene_mod
 from lmcanal import verify as verify_mod
 from lmcanal.canal import (RadiusSpec, SingularPointError, curvature_closed,
-                           weingarten_residuals)
+                           weingarten_axes, weingarten_residuals)
 from lmcanal.curves import derive_frame
 from lmcanal.scene import bundled_scene, parse_scene
 from lmcanal.verify import (Tolerances, VerifyReport, check_curvatures,
-                            check_weingarten, grid_table, verify_scene)
+                            check_weingarten, grid_table, scene_tables,
+                            verify_scene)
 
 CLASSES = ("pseudo-null", "partially-null")
 TUBULAR_SCENES = [f"{c}-t{k}" for c in CLASSES for k in range(1, 5)]
 GATE_SCENES = ([f"{c}-c{k}" for c in CLASSES for k in range(1, 6)]
                + TUBULAR_SCENES + ["null-c1", "null-c2", "null-t1"])
+FIGURE_SCENES = ["pseudo-null-c1-figure", "partially-null-c5-figure",
+                 "null-c1-figure"]
 FIELD_ARRAYS = ("points", "center", "r", "K", "H", "singular")
 JET_VECTORS = ("point", "d_s", "d_t", "d_w", "d_ss", "d_st", "d_sw", "d_tt",
                "d_tw", "d_ww")
@@ -101,6 +104,34 @@ def test_field_is_batch_invariant(name):
             assert a.shape == (1, 4) and a.tobytes() == b.tobytes(), vector
 
 
+@pytest.mark.parametrize("name", GATE_SCENES + FIGURE_SCENES)
+def test_row_stages_on_broadcast_blocks_equal_raveled_rows(name):
+    # the stencil's (19, n_s, 1) by (19, 1, n_tw) blocks and the grid's
+    # (n_s, 1) by (1, n_tw) block give the bits of the raveled rows
+    scene = bundled_scene(name)
+    grid = scene.grid
+    t, w = (x.ravel() for x in np.meshgrid(grid.values_of("t"),
+                                           grid.values_of("w"), indexing="ij"))
+    axes, stencil_blocks = oracle.grid_stencil(grid.values_of("s"), t, w,
+                                               scene.oracle_step)
+    tables = scene.tables(*axes)
+    grid_blocks = tuple(ix[0] for ix in stencil_blocks)
+    for blocks, stage in ((stencil_blocks, canal.field_points),
+                          (grid_blocks, canal.field_points),
+                          (grid_blocks, canal.field_rows)):
+        shape = np.broadcast_shapes(*(ix.shape for ix in blocks))
+        rows = [np.broadcast_to(ix, shape).ravel() for ix in blocks]
+        got, want = stage(tables, *blocks), stage(tables, *rows)
+        if stage is canal.field_points:
+            got, want = [got], [want]
+        for a, b in zip(got, want):
+            if b is None:
+                assert a is None
+                continue
+            a = np.broadcast_to(a, shape + b.shape[1:]).reshape(b.shape)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_check_curvatures_derives_each_s_once(monkeypatch):
     scene = bundled_scene("pseudo-null-c1")
     frames, jets = [], []
@@ -117,7 +148,7 @@ def test_check_curvatures_derives_each_s_once(monkeypatch):
     monkeypatch.setattr(canal, "derive_frames", counted_frames)
     monkeypatch.setattr(RadiusSpec, "jet", counted_jet)
     report = VerifyReport(scene.name)
-    check_curvatures(grid_table(scene), report, Tolerances())
+    check_curvatures(grid_table(scene_tables(scene)), report, Tolerances())
     assert report.passed
     h = scene.oracle_step
     # the oracle stencil reaches s and s +/- h of each grid s value
@@ -146,14 +177,15 @@ def test_field_walks_each_expression_once_per_call(monkeypatch):
     monkeypatch.setattr(expr, "eval_value", counted_walk)
     monkeypatch.setattr(scene_mod, "field_tables", counted_tables)
     report = VerifyReport(canal_scene.name)
-    check_curvatures(grid_table(canal_scene), report, Tolerances())
+    check_curvatures(grid_table(scene_tables(canal_scene)), report,
+                     Tolerances())
     assert report.passed
     # the shape walk covers the (t, w) pairs of every stencil: 576 here
     grid = canal_scene.grid
     assert tables == [9 * grid.n_t * grid.n_w]
     assert walks == [canal_scene.shape.f, canal_scene.shape.g]
     walks.clear()
-    grid_table(null_scene)
+    grid_table(scene_tables(null_scene))
     assert walks == [null_scene.nc.a1, null_scene.nc.theta]
     walks.clear()
     null_scene.field(*_random_points(null_scene, 500, 3))
@@ -162,44 +194,56 @@ def test_field_walks_each_expression_once_per_call(monkeypatch):
 
 @pytest.mark.parametrize("name", GATE_SCENES)
 def test_verify_scene_makes_one_kernel_call_per_grid_s(monkeypatch, name):
-    # envelope, curvatures and causal character all read the one grid pass:
-    # one table stage on the 3 n_s s values and 9 n_t n_w (t, w) pairs of
-    # the stencils of every grid point, the points on all 19 n_s n_t n_w
-    # stencil rows and the closed side on the grid rows, as many kernel
-    # calls for n_s = 2 as for the scene's n_s
+    # every check reads the one table stage: the 3 n_s s values and
+    # 9 n_t n_w (t, w) pairs of the stencils of every grid point and, for
+    # tubular scenes, the 3 n s values and 5 n^2 pairs of the Weingarten
+    # grid after them; the points on (19, n_s, 1) by (19, 1, n_t n_w)
+    # index blocks, the closed side on the grid block and each Weingarten
+    # closed form on an (n, 1) by (1, n^2) block; as many kernel calls for
+    # n_s = 2 as for the scene's n_s
     scene = bundled_scene(name)
+    variant = scene.family.variant
+    tubular = variant.is_tubular and not variant.is_null_variant
+    n = verify_mod.WEINGARTEN_GRID
     calls = []
 
     def counted(module, kernel, rows):
         real = getattr(module, kernel)
 
         def call(*args):
-            calls.append((kernel, rows(*args)))
+            calls.append((f"{module.__name__}.{kernel}", rows(*args)))
             return real(*args)
         monkeypatch.setattr(module, kernel, call)
 
     def params(tables, s_ix, tw_ix):
         s_ix, tw_ix = np.broadcast_arrays(s_ix, tw_ix)
         return np.stack([tables.s[s_ix], tables.t[tw_ix], tables.w[tw_ix]],
-                        axis=1).tolist()
+                        axis=-1).reshape(-1, 3).tolist()
+
+    def shapes(tables, s_ix, tw_ix):
+        return np.shape(s_ix), np.shape(tw_ix)
 
     counted(scene_mod, "field_tables",
             lambda *args: tuple(map(len, args[-3:])))
-    counted(verify_mod, "field_points",
-            lambda tables, s_ix, tw_ix: np.broadcast(s_ix, tw_ix).size)
+    counted(verify_mod, "field_points", shapes)
     counted(verify_mod, "field_rows", params)
+    counted(canal, "field_rows", shapes)
     monkeypatch.setattr(scene_mod, "field", None)  # no per-slab calls
     for n_s in (scene.grid.n_s, 2):
         calls.clear()
         grid = dataclasses.replace(scene.grid, n_s=n_s)
         assert verify_scene(dataclasses.replace(scene, grid=grid)).passed
         n_tw = grid.n_t * grid.n_w
-        n = n_s * n_tw
         grid_points = np.stack(_grid_points(dataclasses.replace(
             scene, grid=grid)), axis=1).tolist()
-        assert calls == [("field_tables", (3 * n_s, 9 * n_tw, 9 * n_tw)),
-                         ("field_points", 19 * n),
-                         ("field_rows", grid_points)]
+        n_pairs = 9 * n_tw + (5 * n * n if tubular else 0)
+        assert calls == (
+            [("lmcanal.scene.field_tables",
+              (3 * n_s + (3 * n if tubular else 0), n_pairs, n_pairs)),
+             ("lmcanal.verify.field_points", ((19, n_s, 1), (19, 1, n_tw))),
+             ("lmcanal.verify.field_rows", grid_points)]
+            + [("lmcanal.canal.field_rows", ((n, 1), (1, n * n)))]
+            * (6 if tubular else 0))
 
 
 def _weingarten_reference(scene, axes):
@@ -230,9 +274,15 @@ def _weingarten_reference(scene, axes):
     return worst, n_points, n_singular
 
 
+def _weingarten(scene, axes):
+    """Weingarten residuals on the grid of the axes: axes, then the
+    scene's tables, then residuals."""
+    table_axes, blocks = weingarten_axes(*axes)
+    return weingarten_residuals(scene.tables(*table_axes), *blocks)
+
+
 def _assert_weingarten_matches(scene, axes):
-    rep = weingarten_residuals(scene.family, scene.curve, scene.radius,
-                               scene.shape, *axes)
+    rep = _weingarten(scene, axes)
     worst, n_points, n_singular = _weingarten_reference(scene, axes)
     for key in ("st", "sw", "tw"):
         assert getattr(rep, key) == worst[key], key
@@ -272,6 +322,8 @@ def test_weingarten_singular_counts_across_a_pole(curve, variant, pole):
 
 def test_check_weingarten_evaluates_the_closed_forms_on_the_axes(
         monkeypatch):
+    # the frames of the grid and of the Weingarten axes come from the one
+    # table stage; check_weingarten itself only evaluates closed forms
     scene = bundled_scene("pseudo-null-t1")
     n = verify_mod.WEINGARTEN_GRID
     calls = []
@@ -287,34 +339,50 @@ def test_check_weingarten_evaluates_the_closed_forms_on_the_axes(
 
     monkeypatch.setattr(canal, "derive_frames", counted_frames)
     monkeypatch.setattr(canal, "_closed", counted_closed)
+    tables = scene_tables(scene, weingarten=True)
+    assert calls == [("derive_frames", (3 * scene.grid.n_s + 3 * n,))]
+    calls.clear()
     report = VerifyReport(scene.name)
-    check_weingarten(scene, report)
+    check_weingarten(tables, report)
     assert report.passed
     column, row = (n, 1), (1, n * n)
-    assert calls == ([("derive_frames", (3 * n,))]
-                     + [("_closed", [column] * 4 + [row] * 2)] * 6)
+    assert calls == [("_closed", [column] * 4 + [row] * 2)] * 6
 
 
-def test_check_weingarten_makes_one_table_call_and_builds_no_fiber(
-        monkeypatch):
-    # the closed forms read the trig value T only, not the fiber
+def test_check_weingarten_builds_no_table_and_no_fiber(monkeypatch):
+    # the tables come from the scene's one table stage, and the closed
+    # forms read the trig value T only, not the fiber
     scene = bundled_scene("pseudo-null-t1")
-    n = verify_mod.WEINGARTEN_GRID
-    calls, real = [], canal.field_tables
+    tables = scene_tables(scene, weingarten=True)
 
-    def counted(*args):
-        calls.append(tuple(map(len, args[-3:])))
-        return real(*args)
+    def no_call(*args):
+        raise AssertionError("called")
 
-    def no_fiber(*args):
-        raise AssertionError("the fiber was built")
-
-    monkeypatch.setattr(canal, "field_tables", counted)
-    monkeypatch.setattr(canal, "_fiber", no_fiber)
+    for module, name in ((canal, "field_tables"), (scene_mod, "field_tables"),
+                         (canal, "derive_frames"), (canal, "_fiber")):
+        monkeypatch.setattr(module, name, no_call)
     report = VerifyReport(scene.name)
-    check_weingarten(scene, report)
+    check_weingarten(tables, report)
     assert report.passed
-    assert calls == [(3 * n, 5 * n * n, 5 * n * n)]
+
+
+@pytest.mark.parametrize("name", TUBULAR_SCENES)
+def test_check_weingarten_reads_its_blocks_of_the_shared_table(name):
+    # the Weingarten blocks sit after the grid's in the scene's table and
+    # give the residuals of a table of their own, bit for bit
+    scene = bundled_scene(name)
+    fine = dataclasses.replace(
+        scene.grid, **{f"n_{axis}": verify_mod.WEINGARTEN_GRID
+                       for axis in ("s", "t", "w")})
+    tables = scene_tables(scene, weingarten=True)
+    assert tables.weingarten[0].min() == 3 * scene.grid.n_s
+    assert tables.weingarten[1].min() == 9 * scene.grid.n_t * scene.grid.n_w
+    shared = weingarten_residuals(tables.field_tables, *tables.weingarten)
+    alone = _weingarten(scene, [fine.values_of(axis)
+                                for axis in ("s", "t", "w")])
+    assert shared == alone
+    with pytest.raises(ValueError, match="no Weingarten grid"):
+        check_weingarten(scene_tables(scene), VerifyReport(name))
 
 
 def _traced_peak(fn, *args) -> int:
@@ -333,11 +401,13 @@ def _traced_peak(fn, *args) -> int:
 
 def test_check_weingarten_peak_memory_stays_below_the_grid_pass():
     # one direction's K and H are dropped before the next direction's are
-    # made; keeping all six pairs alive measured 1.61 MB against 0.93 MB
+    # made; keeping all six pairs alive measured 1.61 MB against 0.93 MB.
+    # Both stages read the scene's one table stage, built beforehand.
     scene = bundled_scene("pseudo-null-t1")
-    weingarten = _traced_peak(check_weingarten, scene,
+    tables = scene_tables(scene, weingarten=True)
+    weingarten = _traced_peak(check_weingarten, tables,
                               VerifyReport(scene.name))
-    assert weingarten <= _traced_peak(grid_table, scene)
+    assert weingarten <= _traced_peak(grid_table, tables)
 
 
 def test_check_weingarten_fails_when_every_point_is_singular():
@@ -348,7 +418,7 @@ def test_check_weingarten_fails_when_every_point_is_singular():
         "shape": {"f": "0", "g": "t"},
         "grid": {"s": [0.3, 0.9, 4], "t": [0.9, 1.5, 4], "w": [0.5, 2.5, 4]}})
     report = VerifyReport(scene.name)
-    check_weingarten(scene, report)
+    check_weingarten(scene_tables(scene, weingarten=True), report)
     guard = [c for c in report.checks
              if c.name.startswith("Weingarten points")]
     assert [c.name for c in guard] == [

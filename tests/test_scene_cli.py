@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from lmcanal import cli
 from lmcanal.cli import main
 from lmcanal.scene import (SceneError, bundled_scene, bundled_scene_names,
                            parse_scene)
@@ -174,6 +175,41 @@ def test_cli_usage_errors_exit_1(capsys):
     assert captured.out == ""
     assert captured.err == ("lmcanal: s range [0.0, 1.7e+308] is too wide: "
                             "its samples overflow\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["frames", "--help"], ["verify", "--help"], ["mesh", "--help"],
+    ["no-such-command"], [],
+    ["frames"], ["verify"], ["mesh", "--scene", "pseudo-null-c1-figure"],
+    ["verify", "--scene", "pseudo-null-t1", "--rel-tol", "-1"],
+    ["verify", "--scene", "pseudo-null-t1", "--rel-tol", "abc"],
+    ["verify", "--scene", "pseudo-null-t1", "extra"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_cli_lean_parser_prints_what_the_full_parser_prints(capsys, argv):
+    # the parser built for argv holds only the subcommand argv names; its
+    # stdout, stderr and exit code are the full parser's, and main's
+    def run(parse):
+        try:
+            result = parse(argv)  # main returns its exit code
+            code = result if isinstance(result, int) else 0
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        return captured.out, captured.err, code
+
+    def subcommands(parser):
+        action, = (a for a in parser._actions
+                   if isinstance(a, cli.argparse._SubParsersAction))
+        return list(action.choices)
+
+    lean, full = cli._build_parser(argv), cli._build_parser([])
+    assert subcommands(full) == ["frames", "verify", "mesh"]
+    named = argv[:1] if argv[:1] and argv[0] in subcommands(full) else None
+    assert subcommands(lean) == (named or subcommands(full))
+    want = run(full.parse_args)
+    assert want[2] == 0 if argv[-1:] == ["--help"] else want[2] == 1
+    assert run(lean.parse_args) == want
+    assert run(main) == want
 
 
 def test_cli_frames_pass(capsys):
