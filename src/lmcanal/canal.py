@@ -42,8 +42,6 @@ from .expr import libm
 DENOM_TOL = 1e-12
 #: Tubular variants require |r'| below this.
 CONST_RADIUS_TOL = 1e-9
-#: Central-difference step of the Weingarten mixed Jacobians.
-WEINGARTEN_STEP = 1e-4
 
 
 class CanalError(Exception):
@@ -715,72 +713,32 @@ class WeingartenReport:
     singular: int
 
 
-def weingarten_axes(s, t, w):
-    """The table axes and index blocks of the Weingarten residuals on the
-    grid with axes s, t and w (1-D arrays; the grid is their outer
-    product), with h = WEINGARTEN_STEP.
-
-    The axes are the s values s + h, s - h and s, and the (t, w) pairs of
-    the five offset grids (t, w), (t + h, w), (t - h, w), (t, w + h) and
-    (t, w - h), each raveled row-major; the index blocks are s_ix of shape
-    (3, n_s, 1), one block per s offset, and tw_ix of shape
-    (5, 1, n_t n_w), one block per offset grid.
-    """
-    h = WEINGARTEN_STEP
-    s, t, w = (np.asarray(x, dtype=float).ravel() for x in (s, t, w))
-    axes = (np.concatenate([s + h, s - h, s]),
-            np.concatenate([np.repeat(x, len(w))
-                            for x in (t, t + h, t - h, t, t)]),
-            np.concatenate([np.tile(x, len(t))
-                            for x in (w, w, w, w + h, w - h)]))
-    return axes, (np.arange(3 * len(s)).reshape(3, -1, 1),
-                  np.arange(5 * len(t) * len(w)).reshape(5, 1, -1))
-
-
-def weingarten_residuals(tables: FieldTables, s_ix, tw_ix
+def weingarten_residuals(tables: FieldTables, s_ix, tw_ix, step: float
                          ) -> WeingartenReport:
-    """Mixed Jacobians of (H, K) in the parameter pairs, by central
-    differences (step WEINGARTEN_STEP) of the closed forms on a grid.
+    """Mixed Jacobians of (H, K) in the parameter pairs at the points of a
+    grid, by central differences of the closed forms with step ``step``.
 
-    This is the last of three steps: ``weingarten_axes`` gives the grid's
-    axes and index blocks, ``field_tables`` evaluates tables holding those
-    axes (after other axes, if the blocks are shifted to match), and this
-    reads the tables at the blocks.
-
-    A grid point is singular when any of its six closed-form evaluations
-    is.  Each closed form is a ``field_rows`` call on one (n_s, 1) block of
-    s indices and one (1, n_t n_w) block of (t, w) indices, so an s-only or
-    (t, w)-only term is computed once per axis value.  One direction's
-    differences are formed before the next direction's closed forms are
-    evaluated.
+    s_ix and tw_ix are (6, n_s, 1) and (6, 1, n_tw) index blocks into the
+    tables, one block per offset in the order s + h, s - h, t + h, t - h,
+    w + h, w - h: rows 1-6 of ``oracle.STENCIL``, i.e. blocks [1:7] of
+    ``oracle.grid_stencil``.  The closed forms at all six offsets are one
+    ``field_rows`` call, so an s-only or (t, w)-only term is computed once
+    per axis value.  A grid point is singular when any of its six
+    closed-form evaluations is.
     """
     variant = tables.family.variant
     if not variant.is_tubular or variant.is_null_variant:
         raise UnsupportedFamilyError(
             "Weingarten residuals are defined for tubular variants with "
             "closed forms")
-    h = WEINGARTEN_STEP
-
-    def slope(plus, minus):
-        """(H_x, K_x) at every grid point and the singular mask of the
-        two closed-form evaluations; ``plus`` and ``minus`` are
-        (s block, (t, w) block) pairs."""
-        K1, H1, bad1 = field_rows(tables, s_ix[plus[0]],
-                                  tw_ix[plus[1]])[2:]
-        K0, H0, bad0 = field_rows(tables, s_ix[minus[0]],
-                                  tw_ix[minus[1]])[2:]
-        return (H1 - H0) / (2 * h), (K1 - K0) / (2 * h), bad1 | bad0
-
-    # s blocks s + h, s - h, s; (t, w) blocks (t, w), (t+h, w), (t-h, w),
-    # (t, w+h), (t, w-h)
     with np.errstate(all="ignore"):
-        H_s, K_s, bad_s = slope((0, 0), (1, 0))
-        H_t, K_t, bad_t = slope((2, 1), (2, 2))
-        H_w, K_w, bad_w = slope((2, 3), (2, 4))
-        ok = ~(bad_s | bad_t | bad_w)
-        worst = [float(np.fmax.reduce(np.abs(res, out=res), axis=None,
-                                      where=ok, initial=0.0))
-                 for res in (H_s * K_t - H_t * K_s, H_s * K_w - H_w * K_s,
-                             H_t * K_w - H_w * K_t)]
+        K, H, singular = field_rows(tables, s_ix, tw_ix)[2:]
+        # (H_x, K_x) for x = s, t, w
+        H = (H[0::2] - H[1::2]) / (2 * step)
+        K = (K[0::2] - K[1::2]) / (2 * step)
+        ok = ~singular.any(axis=0)
+        worst = [float(np.fmax.reduce(np.abs(H[i] * K[j] - H[j] * K[i]),
+                                      axis=None, where=ok, initial=0.0))
+                 for i, j in ((0, 1), (0, 2), (1, 2))]
     n_points = int(np.count_nonzero(ok))
     return WeingartenReport(*worst, n_points, ok.size - n_points)

@@ -90,10 +90,10 @@ def _add_verify(sub):
     p.add_argument("--rel-tol", type=_POSITIVE, default=Tolerances.rel)
     p.add_argument("--abs-tol", type=_POSITIVE, default=Tolerances.abs)
     p.add_argument("--step", type=_POSITIVE, default=None,
-                   help="override the scene's oracle step")
+                   help="override the scene's oracle step, which is also "
+                        "the Weingarten check's difference step")
     p.add_argument("--min-points", type=_COUNT, default=1,
                    help="required number of nonsingular grid points")
-    p.add_argument("--no-weingarten", action="store_true")
 
 
 def _add_mesh(sub):
@@ -164,8 +164,7 @@ def cmd_verify(args) -> int:
         from dataclasses import replace
         scene = replace(scene, oracle_step=args.step)
     tol = Tolerances(rel=args.rel_tol, abs=args.abs_tol)
-    report = verify_scene(scene, tol, min_points=args.min_points,
-                          weingarten=not args.no_weingarten)
+    report = verify_scene(scene, tol, min_points=args.min_points)
     print(f"scene {report.scene}: {report.points_checked} grid points "
           f"checked, {report.points_singular} singular skipped")
     width = max(len(c.name) for c in report.checks)

@@ -27,6 +27,10 @@ Identifiers: variables ``s t w``, constants ``pi e``, functions
 ``sin cos sinh cosh tan exp ln sqrt csc sec csch sech``.  ``^`` binds
 tighter than unary minus, so ``-s^2`` means ``-(s^2)``.  The reciprocal
 trig/hyperbolic functions raise a domain error at their poles.
+
+Nesting is bounded: an AST more than ``MAX_DEPTH`` levels deep, or
+parentheses, calls, signs and powers nested more than ``MAX_DEPTH`` levels,
+is a ``ParseError``.  The tree walkers recurse once per AST level.
 """
 
 from __future__ import annotations
@@ -38,6 +42,11 @@ from itertools import repeat
 from typing import Union
 
 import numpy as np
+
+
+#: Deepest AST, and deepest nesting of the parser's rules, that ``parse``
+#: accepts.
+MAX_DEPTH = 100
 
 
 class ExprError(Exception):
@@ -181,6 +190,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -204,10 +214,15 @@ class _Parser:
         return expr
 
     def parse_binary(self, min_prec: int) -> Expr:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nested deeper than {MAX_DEPTH} levels",
+                             self.peek()[2])
         lhs = self.parse_unary()
         while True:
             kind, op, _ = self.peek()
             if kind != "op" or op not in _PREC or _PREC[op] < min_prec:
+                self.depth -= 1
                 return lhs
             self.advance()
             next_min = _PREC[op] if op in _RIGHT_ASSOC else _PREC[op] + 1
@@ -261,7 +276,24 @@ def parse(text: str) -> Expr:
     """Parse expression text; raises ParseError with a byte offset on faults."""
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    tree = parser.parse()
+    # each node takes a token of its own, so only a long text can be deep
+    if len(parser.tokens) > MAX_DEPTH and _height(tree) > MAX_DEPTH:
+        raise ParseError(f"AST deeper than {MAX_DEPTH} levels", 0)
+    return tree
+
+
+def _height(tree: Expr) -> int:
+    """Levels of the AST, counted level by level so that no deep tree
+    recurses here."""
+    level, height = [tree], 0
+    while level:
+        height += 1
+        level = [child for node in level for child in
+                 ((node.left, node.right) if isinstance(node, Bin)
+                  else (node.arg,) if isinstance(node, (Neg, Call)) else ())]
+    return height
 
 
 def _prec_of(node: Expr) -> int:

@@ -246,7 +246,7 @@ def load_scene_file(path) -> SceneSpec:
             doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise SceneError(f"not valid JSON: {e}", "$") from e
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, UnicodeDecodeError, RecursionError) as e:
         raise SceneError(f"cannot read scene file: {e}", "$") from e
     return parse_scene(doc, name=str(path))
 

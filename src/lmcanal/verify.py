@@ -4,13 +4,13 @@ agreement, K-H relations, causal character and Weingarten residuals.
 A scene is verified from one table stage of the field kernel
 (``scene_tables``): one ``field_tables`` call on the 3 n_s s values and the
 9 n_t n_w (t, w) pairs of the oracle's 19-point stencils of all grid
-points and, for tubular scenes, on the 3 * 20 s values and 5 * 20^2 (t, w)
-pairs of the Weingarten grid.  Each check reads its own index blocks of
-that one table.  ``grid_table`` builds the points on every stencil row of
-(19, n_s, 1) by (19, 1, n_t n_w) blocks and the closed forms on the
-(n_s, 1) by (1, n_t n_w) grid block only, and runs the oracle once; the
-envelope, curvature and causal-character checks are reductions over its
-table.  ``check_weingarten`` reads the Weingarten blocks.
+points, with the stencil's (19, n_s, 1) and (19, 1, n_t n_w) index blocks.
+Every check reads the grid's points through these blocks.  ``grid_table``
+builds the points on every stencil row and the closed forms on row 0 (the
+grid points), and runs the oracle once; the envelope, curvature and
+causal-character checks are reductions over its table.
+``check_weingarten`` differences the closed forms on rows 1-6 (s, t and
+w each offset by plus and minus the oracle step).
 
 The closed curvature forms are stated relative to a choice of unit normal.
 For almost all variants that choice is the radial direction (C - gamma)/r;
@@ -27,7 +27,7 @@ below; only the closed-vs-oracle comparison takes ``Tolerances``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -35,12 +35,10 @@ import numpy as np
 from . import oracle
 from .canal import (CanalFamily, CurvaturePair, FieldTables,
                     closed_form_gauge, field_points, field_rows,
-                    relation_residual, weingarten_axes, weingarten_residuals)
+                    relation_residual, weingarten_residuals)
 from .minkowski import inner_rows
 from .scene import SceneSpec
 
-#: Points per axis of the Weingarten check's grid.
-WEINGARTEN_GRID = 20
 #: Envelope residuals |<C-g, C-g> - lam r^2| and |<C-g, C_s>|.
 MEMBERSHIP_TOL = 1e-9
 NORMALITY_TOL = 1e-5
@@ -122,35 +120,20 @@ class SceneTables(NamedTuple):
     #: of the grid's stencils (``oracle.grid_stencil``)
     step: float
     grid: tuple
-    #: the (3, n, 1), (5, 1, n^2) index blocks of the Weingarten grid
-    #: (``canal.weingarten_axes``), None when the tables lack its axes
-    weingarten: tuple | None
 
 
-def scene_tables(scene: SceneSpec, weingarten: bool = False) -> SceneTables:
-    """The scene's one ``field_tables`` call: the s values and (t, w) pairs
-    of the oracle's stencils of every grid point and, with ``weingarten``,
-    after them those of the Weingarten check on a WEINGARTEN_GRID^3 grid
-    over the scene ranges; each part's index blocks are shifted to where
-    its axes sit in the tables."""
+def scene_tables(scene: SceneSpec) -> SceneTables:
+    """The scene's one ``field_tables`` call, on the s values and (t, w)
+    pairs of the oracle's stencils of every grid point at the scene's
+    oracle step, with the stencil's index blocks into them.  Every check
+    reads the tables through these blocks: the oracle all 19 rows, the
+    closed forms row 0 and the Weingarten differences rows 1-6."""
     grid = scene.grid
     t, w = (x.ravel() for x in np.meshgrid(grid.values_of("t"),
                                            grid.values_of("w"), indexing="ij"))
-    parts = [oracle.grid_stencil(grid.values_of("s"), t, w,
-                                 scene.oracle_step)]
-    if weingarten:
-        fine = replace(grid, n_s=WEINGARTEN_GRID, n_t=WEINGARTEN_GRID,
-                       n_w=WEINGARTEN_GRID)
-        parts.append(weingarten_axes(*(fine.values_of(axis)
-                                       for axis in ("s", "t", "w"))))
-    blocks, n_s, n_tw = [], 0, 0
-    for (s, t, _), (s_ix, tw_ix) in parts:
-        blocks.append((s_ix + n_s, tw_ix + n_tw))
-        n_s, n_tw = n_s + len(s), n_tw + len(t)
-    tables = scene.tables(*(np.concatenate(axis)
-                            for axis in zip(*(axes for axes, _ in parts))))
-    return SceneTables(tables, scene.oracle_step, blocks[0],
-                       blocks[1] if weingarten else None)
+    axes, blocks = oracle.grid_stencil(grid.values_of("s"), t, w,
+                                       scene.oracle_step)
+    return SceneTables(scene.tables(*axes), scene.oracle_step, blocks)
 
 
 def grid_table(tables: SceneTables) -> GridTable:
@@ -232,13 +215,13 @@ def check_epsilon_only(table: GridTable, report: VerifyReport):
 
 
 def check_weingarten(tables: SceneTables, report: VerifyReport):
-    """Mixed-Jacobian residuals of (H, K) for tubular variants on the
-    Weingarten grid of the tables; fails if every grid point is
+    """Mixed-Jacobian residuals of (H, K) for tubular variants at the grid
+    points, from central differences of the closed forms on stencil rows
+    1-6 of the tables' grid blocks; fails if every grid point is
     singular."""
-    if tables.weingarten is None:
-        raise ValueError("the tables hold no Weingarten grid: build them "
-                         "with scene_tables(scene, weingarten=True)")
-    rep = weingarten_residuals(tables.field_tables, *tables.weingarten)
+    s_ix, tw_ix = tables.grid
+    rep = weingarten_residuals(tables.field_tables, s_ix[1:7], tw_ix[1:7],
+                               tables.step)
     report.add("Weingarten |H_s K_t - H_t K_s|", rep.st, WEINGARTEN_TOL)
     report.add("Weingarten |H_s K_w - H_w K_s|", rep.sw, WEINGARTEN_TOL)
     report.add("Weingarten |H_t K_w - H_w K_t|", rep.tw, WEINGARTEN_TOL)
@@ -247,23 +230,21 @@ def check_weingarten(tables: SceneTables, report: VerifyReport):
 
 
 def verify_scene(scene: SceneSpec, tol: Tolerances = Tolerances(),
-                 min_points: int = 1, weingarten: bool = True) -> VerifyReport:
+                 min_points: int = 1) -> VerifyReport:
     """Run every check applicable to the scene's family, all from one
     table stage (``scene_tables``)."""
     if min_points < 1:
         raise ValueError(f"verify needs at least one point, got "
                          f"min_points={min_points}")
     variant = scene.family.variant
-    weingarten = (weingarten and variant.is_tubular
-                  and not variant.is_null_variant)
     report = VerifyReport(scene.name)
-    tables = scene_tables(scene, weingarten)
+    tables = scene_tables(scene)
     table = grid_table(tables)
     check_envelope(table, report)
     if variant.is_null_variant:
         check_epsilon_only(table, report)
     else:
         check_curvatures(table, report, tol, min_points=min_points)
-        if weingarten:
+        if variant.is_tubular:
             check_weingarten(tables, report)
     return report

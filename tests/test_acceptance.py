@@ -213,7 +213,7 @@ def test_criterion_08_weingarten(reports):
         ok = ok and w_ok
         worst = max(worst, value)
     _announce(8, ok, f"all three mixed Jacobians of (H, K) worst "
-                     f"{worst:.2e} (<=1e-6) over 20^3 grids, "
+                     f"{worst:.2e} (<=1e-6) over the scene grids, "
                      f"eight tubular variants")
 
 

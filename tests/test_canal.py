@@ -19,7 +19,7 @@ from lmcanal.canal import (CanalFamily, CurvaturePair, NullCoefficients,
                            flat_residual, minimal_residual,
                            null_constraint_residual,
                            field_tables, relation_residual,
-                           unit_normal_closed_pseudo_c1, weingarten_axes,
+                           unit_normal_closed_pseudo_c1,
                            weingarten_residuals)
 from lmcanal.curves import (CurveClass, CurveSpec, builtin, derive_frame,
                             derive_frames)
@@ -452,12 +452,15 @@ def test_closed_normal_pseudo_c1_is_radial():
         assert np.linalg.norm(n - radial) <= 1e-12
 
 
-def _weingarten(family, curve, radius, shape, *axes):
-    """Weingarten residuals on the grid of the axes: axes, then tables,
-    then residuals."""
-    table_axes, blocks = weingarten_axes(*axes)
+def _weingarten(family, curve, radius, shape, s, t, w,
+                step=oracle.DEFAULT_STEP):
+    """Weingarten residuals on the grid of the axes s, t, w: the grid's
+    stencil, then tables, then residuals on stencil rows 1-6."""
+    t, w = (x.ravel() for x in np.meshgrid(t, w, indexing="ij"))
+    axes, (s_ix, tw_ix) = oracle.grid_stencil(s, t, w, step)
     return weingarten_residuals(field_tables(family, curve, radius, shape,
-                                             None, *table_axes), *blocks)
+                                             None, *axes),
+                                s_ix[1:7], tw_ix[1:7], step)
 
 
 def test_weingarten_residuals_tubular():

@@ -58,6 +58,21 @@ def test_parse_empty():
 def test_parse_trailing_garbage():
     with pytest.raises(ex.ParseError):
         ex.parse("1 2")
+
+
+@pytest.mark.parametrize("nested, value", [
+    # n - 1 pairs of parentheses: n levels of the parser's rules
+    (lambda n: "(" * (n - 1) + "s" + ")" * (n - 1), lambda n: 0.5),
+    # n - 1 additions: an AST n levels deep
+    (lambda n: "s" + "+s" * (n - 1), lambda n: 0.5 * n),
+], ids=["parentheses", "sum"])
+def test_parse_nesting_limit(nested, value):
+    n = ex.MAX_DEPTH
+    tree = ex.parse(nested(n))
+    assert ex.eval_s(tree, 0.5).value == value(n)
+    assert ex.parse(ex.to_str(tree)) == tree
+    with pytest.raises(ex.ParseError, match=f"deeper than {n} levels"):
+        ex.parse(nested(n + 1))
     with pytest.raises(ex.ParseError):
         ex.parse("(1+2))")
 

@@ -7,6 +7,7 @@ residuals of a per-point loop over ``curvature_closed``.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -18,7 +19,7 @@ from lmcanal import canal, expr, oracle
 from lmcanal import scene as scene_mod
 from lmcanal import verify as verify_mod
 from lmcanal.canal import (RadiusSpec, SingularPointError, curvature_closed,
-                           weingarten_axes, weingarten_residuals)
+                           weingarten_residuals)
 from lmcanal.curves import derive_frame
 from lmcanal.scene import bundled_scene, parse_scene
 from lmcanal.verify import (Tolerances, VerifyReport, check_curvatures,
@@ -195,16 +196,14 @@ def test_field_walks_each_expression_once_per_call(monkeypatch):
 @pytest.mark.parametrize("name", GATE_SCENES)
 def test_verify_scene_makes_one_kernel_call_per_grid_s(monkeypatch, name):
     # every check reads the one table stage: the 3 n_s s values and
-    # 9 n_t n_w (t, w) pairs of the stencils of every grid point and, for
-    # tubular scenes, the 3 n s values and 5 n^2 pairs of the Weingarten
-    # grid after them; the points on (19, n_s, 1) by (19, 1, n_t n_w)
-    # index blocks, the closed side on the grid block and each Weingarten
-    # closed form on an (n, 1) by (1, n^2) block; as many kernel calls for
-    # n_s = 2 as for the scene's n_s
+    # 9 n_t n_w (t, w) pairs of the stencils of every grid point; the
+    # points on (19, n_s, 1) by (19, 1, n_t n_w) index blocks, the closed
+    # side on the grid block and, for tubular scenes, the Weingarten closed
+    # forms on the (6, n_s, 1) by (6, 1, n_t n_w) blocks of stencil rows
+    # 1-6; as many kernel calls for n_s = 2 as for the scene's n_s
     scene = bundled_scene(name)
     variant = scene.family.variant
     tubular = variant.is_tubular and not variant.is_null_variant
-    n = verify_mod.WEINGARTEN_GRID
     calls = []
 
     def counted(module, kernel, rows):
@@ -236,25 +235,26 @@ def test_verify_scene_makes_one_kernel_call_per_grid_s(monkeypatch, name):
         n_tw = grid.n_t * grid.n_w
         grid_points = np.stack(_grid_points(dataclasses.replace(
             scene, grid=grid)), axis=1).tolist()
-        n_pairs = 9 * n_tw + (5 * n * n if tubular else 0)
         assert calls == (
             [("lmcanal.scene.field_tables",
-              (3 * n_s + (3 * n if tubular else 0), n_pairs, n_pairs)),
+              (3 * n_s, 9 * n_tw, 9 * n_tw)),
              ("lmcanal.verify.field_points", ((19, n_s, 1), (19, 1, n_tw))),
              ("lmcanal.verify.field_rows", grid_points)]
-            + [("lmcanal.canal.field_rows", ((n, 1), (1, n * n)))]
-            * (6 if tubular else 0))
+            + [("lmcanal.canal.field_rows", ((6, n_s, 1), (6, 1, n_tw)))]
+            * tubular)
 
 
-def _weingarten_reference(scene, axes):
+def _weingarten_reference(scene, axes, h):
     """The per-point loop over the grid of the axes: six curvature_closed
-    calls per point."""
-    h = canal.WEINGARTEN_STEP
+    calls per point, with step h.  Frames and radius jets are derived once
+    per s value."""
+    @functools.cache
+    def k1_and_jet(s):
+        return derive_frame(scene.curve, s).k1, scene.radius.jet(s)
 
     def pair(s, t, w):
         f, g = scene.shape.values(t, w)
-        return curvature_closed(scene.family, derive_frame(scene.curve, s).k1,
-                                scene.radius.jet(s), f, g)
+        return curvature_closed(scene.family, *k1_and_jet(s), f, g)
 
     worst = {"st": 0.0, "sw": 0.0, "tw": 0.0}
     n_points = n_singular = 0
@@ -274,16 +274,19 @@ def _weingarten_reference(scene, axes):
     return worst, n_points, n_singular
 
 
-def _weingarten(scene, axes):
-    """Weingarten residuals on the grid of the axes: axes, then the
-    scene's tables, then residuals."""
-    table_axes, blocks = weingarten_axes(*axes)
-    return weingarten_residuals(scene.tables(*table_axes), *blocks)
+def _weingarten(scene, axes, h):
+    """Weingarten residuals on the grid of the axes: the grid's stencil,
+    then the scene's tables, then residuals on stencil rows 1-6."""
+    s, t, w = axes
+    t, w = (x.ravel() for x in np.meshgrid(t, w, indexing="ij"))
+    table_axes, (s_ix, tw_ix) = oracle.grid_stencil(s, t, w, h)
+    return weingarten_residuals(scene.tables(*table_axes), s_ix[1:7],
+                                tw_ix[1:7], h)
 
 
-def _assert_weingarten_matches(scene, axes):
-    rep = _weingarten(scene, axes)
-    worst, n_points, n_singular = _weingarten_reference(scene, axes)
+def _assert_weingarten_matches(scene, axes, h):
+    rep = _weingarten(scene, axes, h)
+    worst, n_points, n_singular = _weingarten_reference(scene, axes, h)
     for key in ("st", "sw", "tw"):
         assert getattr(rep, key) == worst[key], key
     assert (rep.points, rep.singular) == (n_points, n_singular)
@@ -292,10 +295,23 @@ def _assert_weingarten_matches(scene, axes):
 
 @pytest.mark.parametrize("name", TUBULAR_SCENES)
 def test_weingarten_matches_per_point_loop(name):
+    # check_weingarten's rows on the scene's grid and oracle step are the
+    # per-point loop's, bit for bit
     scene = bundled_scene(name)
-    axes = _random_points(scene, 4, 7)
-    rep = _assert_weingarten_matches(scene, axes)
-    assert rep.points == 4 ** 3
+    grid = scene.grid
+    worst, n_points, n_singular = _weingarten_reference(
+        scene, [grid.values_of(axis) for axis in ("s", "t", "w")],
+        scene.oracle_step)
+    report = VerifyReport(scene.name)
+    check_weingarten(scene_tables(scene), report)
+    assert [(c.name, c.value) for c in report.checks] == [
+        ("Weingarten |H_s K_t - H_t K_s|", worst["st"]),
+        ("Weingarten |H_s K_w - H_w K_s|", worst["sw"]),
+        ("Weingarten |H_t K_w - H_w K_t|", worst["tw"]),
+        (f"Weingarten points >= 1 (got {n_points}, {n_singular} singular)",
+         0.0)]
+    assert report.passed
+    assert (n_points, n_singular) == (grid.n_s * grid.n_t * grid.n_w, 0)
 
 
 @pytest.mark.parametrize("curve, variant, pole", [
@@ -309,23 +325,23 @@ def test_weingarten_singular_counts_across_a_pole(curve, variant, pole):
         "shape": {"f": "w", "g": "t"},
         "grid": {"s": [0.3, 0.9, 4], "t": [0.9, 1.5, 4],
                  "w": [pole - 0.4, pole + 0.4, 5]}})
-    h = canal.WEINGARTEN_STEP
+    h = scene.oracle_step
     s, t, w = (scene.grid.values_of(axis) for axis in ("s", "t", "w"))
     # the grid w axis has a value on the pole; at pole -+ h only the
     # w-offset evaluations are on it
     w = w + [pole, pole - h, pole + h]
-    rep = _assert_weingarten_matches(scene, (s, t, w))
+    rep = _assert_weingarten_matches(scene, (s, t, w), h)
     assert rep.singular > 0 and rep.points > 0
     # the pole value on the grid, the pole itself and both neighbours
     assert rep.singular == 4 * len(s) * len(t)
 
 
-def test_check_weingarten_evaluates_the_closed_forms_on_the_axes(
+def test_check_weingarten_evaluates_the_closed_forms_once_on_the_stencil(
         monkeypatch):
-    # the frames of the grid and of the Weingarten axes come from the one
-    # table stage; check_weingarten itself only evaluates closed forms
+    # the frames come from the one table stage; check_weingarten itself
+    # only evaluates closed forms, in one call on stencil rows 1-6
     scene = bundled_scene("pseudo-null-t1")
-    n = verify_mod.WEINGARTEN_GRID
+    grid = scene.grid
     calls = []
     real_frames, real_closed = canal.derive_frames, canal._closed
 
@@ -339,21 +355,21 @@ def test_check_weingarten_evaluates_the_closed_forms_on_the_axes(
 
     monkeypatch.setattr(canal, "derive_frames", counted_frames)
     monkeypatch.setattr(canal, "_closed", counted_closed)
-    tables = scene_tables(scene, weingarten=True)
-    assert calls == [("derive_frames", (3 * scene.grid.n_s + 3 * n,))]
+    tables = scene_tables(scene)
+    assert calls == [("derive_frames", (3 * grid.n_s,))]
     calls.clear()
     report = VerifyReport(scene.name)
     check_weingarten(tables, report)
     assert report.passed
-    column, row = (n, 1), (1, n * n)
-    assert calls == [("_closed", [column] * 4 + [row] * 2)] * 6
+    column, row = (6, grid.n_s, 1), (6, 1, grid.n_t * grid.n_w)
+    assert calls == [("_closed", [column] * 4 + [row] * 2)]
 
 
 def test_check_weingarten_builds_no_table_and_no_fiber(monkeypatch):
     # the tables come from the scene's one table stage, and the closed
     # forms read the trig value T only, not the fiber
     scene = bundled_scene("pseudo-null-t1")
-    tables = scene_tables(scene, weingarten=True)
+    tables = scene_tables(scene)
 
     def no_call(*args):
         raise AssertionError("called")
@@ -367,22 +383,30 @@ def test_check_weingarten_builds_no_table_and_no_fiber(monkeypatch):
 
 
 @pytest.mark.parametrize("name", TUBULAR_SCENES)
-def test_check_weingarten_reads_its_blocks_of_the_shared_table(name):
-    # the Weingarten blocks sit after the grid's in the scene's table and
-    # give the residuals of a table of their own, bit for bit
+def test_check_weingarten_reads_the_offset_rows_of_the_grid_stencil(
+        monkeypatch, name):
+    # the closed forms are evaluated at s + h, s - h, t + h, t - h, w + h
+    # and w - h around every grid point, in that block order (rows 1-6 of
+    # oracle.STENCIL), with h the scene's oracle step
     scene = bundled_scene(name)
-    fine = dataclasses.replace(
-        scene.grid, **{f"n_{axis}": verify_mod.WEINGARTEN_GRID
-                       for axis in ("s", "t", "w")})
-    tables = scene_tables(scene, weingarten=True)
-    assert tables.weingarten[0].min() == 3 * scene.grid.n_s
-    assert tables.weingarten[1].min() == 9 * scene.grid.n_t * scene.grid.n_w
-    shared = weingarten_residuals(tables.field_tables, *tables.weingarten)
-    alone = _weingarten(scene, [fine.values_of(axis)
-                                for axis in ("s", "t", "w")])
-    assert shared == alone
-    with pytest.raises(ValueError, match="no Weingarten grid"):
-        check_weingarten(scene_tables(scene), VerifyReport(name))
+    tables = scene_tables(scene)
+    seen = []
+    real = canal.field_rows
+
+    def recorded(ft, s_ix, tw_ix):
+        s_b, tw_b = np.broadcast_arrays(s_ix, tw_ix)
+        seen.append(np.stack([ft.s[s_b], ft.t[tw_b], ft.w[tw_b]], axis=-1))
+        return real(ft, s_ix, tw_ix)
+
+    monkeypatch.setattr(canal, "field_rows", recorded)
+    check_weingarten(tables, VerifyReport(name))
+    got, = seen
+    grid = scene.grid
+    points = np.stack(_grid_points(scene), axis=-1).reshape(
+        grid.n_s, grid.n_t * grid.n_w, 3)
+    offsets = np.array(oracle.STENCIL[1:7]) * scene.oracle_step
+    want = points[None] + offsets[:, None, None, :]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _traced_peak(fn, *args) -> int:
@@ -400,11 +424,10 @@ def _traced_peak(fn, *args) -> int:
 
 
 def test_check_weingarten_peak_memory_stays_below_the_grid_pass():
-    # one direction's K and H are dropped before the next direction's are
-    # made; keeping all six pairs alive measured 1.61 MB against 0.93 MB.
-    # Both stages read the scene's one table stage, built beforehand.
+    # the six offset rows' closed forms are one stacked call on the grid;
+    # both stages read the scene's one table stage, built beforehand
     scene = bundled_scene("pseudo-null-t1")
-    tables = scene_tables(scene, weingarten=True)
+    tables = scene_tables(scene)
     weingarten = _traced_peak(check_weingarten, tables,
                               VerifyReport(scene.name))
     assert weingarten <= _traced_peak(grid_table, tables)
@@ -418,9 +441,9 @@ def test_check_weingarten_fails_when_every_point_is_singular():
         "shape": {"f": "0", "g": "t"},
         "grid": {"s": [0.3, 0.9, 4], "t": [0.9, 1.5, 4], "w": [0.5, 2.5, 4]}})
     report = VerifyReport(scene.name)
-    check_weingarten(scene_tables(scene, weingarten=True), report)
+    check_weingarten(scene_tables(scene), report)
     guard = [c for c in report.checks
              if c.name.startswith("Weingarten points")]
     assert [c.name for c in guard] == [
-        "Weingarten points >= 1 (got 0, 8000 singular)"]
+        "Weingarten points >= 1 (got 0, 64 singular)"]
     assert not guard[0].passed and not report.passed

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from lmcanal import cli
+from lmcanal import cli, expr
 from lmcanal.cli import main
 from lmcanal.scene import (SceneError, bundled_scene, bundled_scene_names,
                            parse_scene)
@@ -161,6 +161,13 @@ def test_cli_usage_errors_exit_1(capsys):
     assert main(["frames"]) == 1  # missing --curve/--scene
     assert main(["verify"]) == 1  # missing --scene
     assert main(["verify", "--scene", "no-such-scene"]) == 1
+    capsys.readouterr()
+    # the Weingarten check runs on every tubular scene; it has no switch
+    assert main(["verify", "--scene", "pseudo-null-t1",
+                 "--no-weingarten"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --no-weingarten" in captured.err
     for bounds in (["--s-min=-inf"], ["--s-max=inf"], ["--s-min=nan"]):
         assert main(["frames", "--curve", "null-example"] + bounds) == 1
         assert "expected a finite number" in capsys.readouterr().err
@@ -337,13 +344,15 @@ def test_cli_grid_axis_whose_width_overflows_exits_1(capsys, tmp_path):
                             "too wide: its samples overflow\n")
 
 
-@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+@pytest.mark.parametrize("kind", ["directory", "latin-1", "deeply-nested"])
 def test_cli_unreadable_scene_file_exits_1(capsys, tmp_path, kind):
     path = tmp_path / "scene.json"
     if kind == "directory":
         path.mkdir()
-    else:
+    elif kind == "latin-1":
         path.write_bytes(json.dumps(minimal_doc()).encode()[:-1] + b"\xe9}")
+    else:  # deeper than json's recursion allows
+        path.write_text("[" * 100000)
     assert main(["verify", "--scene", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("lmcanal: $: cannot read scene file")
@@ -360,7 +369,7 @@ def test_cli_curvature_check_needs_a_point(capsys, tmp_path, count):
     doc["shape"] = {"f": "0", "g": "t"}
     path = tmp_path / "poles.json"
     path.write_text(json.dumps(doc))
-    argv = ["verify", "--scene", str(path), "--no-weingarten"]
+    argv = ["verify", "--scene", str(path)]
     assert main(argv + ["--min-points", count]) == 1
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
@@ -413,6 +422,22 @@ def test_cli_verify_regime_violation_exits_1(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 1
     assert "r'^2 < 1" in err
+
+
+@pytest.mark.parametrize("radius", ["(" * 3000 + "s" + ")" * 3000,
+                                    "s/2" + "+0*s" * 3000],
+                         ids=["parentheses", "sum"])
+def test_cli_deeply_nested_expression_exits_1(capsys, tmp_path, radius):
+    # too deep for the parser's rules, and for the tree walkers
+    doc = minimal_doc()
+    doc["radius"] = radius
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--scene", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lmcanal: $.radius: bad expression ")
+    assert f"deeper than {expr.MAX_DEPTH} levels" in err
+    assert "Traceback" not in err
 
 
 def test_cli_malformed_number_exits_1(capsys, tmp_path):
