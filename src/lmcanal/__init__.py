@@ -16,6 +16,6 @@ from .minkowski import inner_rows, triple_cross
 from .oracle import (FundamentalForms, SurfaceJet, compare, curvatures_numeric,
                      fundamental_forms, numeric_jet)
 from .scene import SceneSpec, bundled_scene, bundled_scene_names, parse_scene
-from .verify import Tolerances, VerifyReport, verify_scene
+from .verify import VerifyReport, verify_scene
 
 __version__ = "0.1.0"

@@ -7,8 +7,8 @@ Subcommands:
     mesh    -- sweep a scene to an OBJ mesh and optional curvature field file
 
 Exit codes: 0 all checks pass, 1 usage/schema/I-O error, 2 verification
-failure.  Tolerances are overridable by flags; defaults follow the kernel
-modules (``curves`` for frames, ``verify.Tolerances`` for verify), and the
+failure.  Every tolerance and step is the library's (``curves`` for
+frames, ``verify`` and the scene's ``oracle_step`` for verify), and the
 frames s range is sampled and checked like a scene grid axis
 (``mesh.sample_axis``).
 """
@@ -24,14 +24,14 @@ import numpy as np
 
 from . import mesh as mesh_mod
 from .canal import CanalError
-from .curves import (FRAME_STEP, GRAM_TOL, ODE_TOL, CurveClass, CurveError,
-                     builtin, builtin_names, derive_frames, verify_frames)
+from .curves import (GRAM_TOL, ODE_TOL, CurveClass, CurveError, builtin,
+                     builtin_names, derive_frames, verify_frames)
 # perfbench's tracer wraps every binding of derive_frame, this one included
 from .curves import derive_frame  # noqa: F401
 from .expr import ExprError
 from .minkowski import inner_rows
 from .scene import SceneError, bundled_scene_names, resolve_scene
-from .verify import Tolerances, verify_scene
+from .verify import verify_scene
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,23 +48,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _finite(kind, noun, positive=True):
-    """argparse type: a finite ``kind``, above zero if ``positive``."""
-    def parse(text):
-        try:
-            x = kind(text)
-        except ValueError:
-            x = math.nan
-        if not (math.isfinite(x) and (x > 0 or not positive)):
-            raise argparse.ArgumentTypeError(
-                f"expected a {noun}, got {text!r}")
-        return x
-    return parse
-
-
-_POSITIVE = _finite(float, "positive number")
-_COUNT = _finite(int, "positive integer")
-_FINITE = _finite(float, "finite number", positive=False)
+def _finite(text):
+    """argparse type: a finite float."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return x
 
 
 def _add_frames(sub):
@@ -73,13 +66,9 @@ def _add_frames(sub):
     src.add_argument("--curve", choices=builtin_names(),
                      help="builtin curve name")
     src.add_argument("--scene", help="scene file or bundled scene name")
-    p.add_argument("--s-min", type=_FINITE, default=-1.0)
-    p.add_argument("--s-max", type=_FINITE, default=1.0)
+    p.add_argument("--s-min", type=_finite, default=-1.0)
+    p.add_argument("--s-max", type=_finite, default=1.0)
     p.add_argument("-n", "--samples", type=int, default=50)
-    p.add_argument("--step", type=_POSITIVE, default=FRAME_STEP,
-                   help="central-difference step for the frame ODE check")
-    p.add_argument("--gram-tol", type=_POSITIVE, default=GRAM_TOL)
-    p.add_argument("--ode-tol", type=_POSITIVE, default=ODE_TOL)
 
 
 def _add_verify(sub):
@@ -87,13 +76,6 @@ def _add_verify(sub):
     p.add_argument("--scene", required=True,
                    help="scene file or bundled scene name "
                         f"(bundled: {', '.join(bundled_scene_names() or ['-'])})")
-    p.add_argument("--rel-tol", type=_POSITIVE, default=Tolerances.rel)
-    p.add_argument("--abs-tol", type=_POSITIVE, default=Tolerances.abs)
-    p.add_argument("--step", type=_POSITIVE, default=None,
-                   help="override the scene's oracle step, which is also "
-                        "the Weingarten check's difference step")
-    p.add_argument("--min-points", type=_COUNT, default=1,
-                   help="required number of nonsingular grid points")
 
 
 def _add_mesh(sub):
@@ -135,8 +117,7 @@ def cmd_frames(args) -> int:
                                       args.samples))
     try:
         frames = derive_frames(curve, s)
-        rep = verify_frames(frames, curve, s, step=args.step,
-                            gram_tol=args.gram_tol, ode_tol=args.ode_tol)
+        rep = verify_frames(frames, curve, s)
     except (CurveError, ExprError) as e:
         print(f"error: {e}")
         print("FAIL")
@@ -150,8 +131,8 @@ def cmd_frames(args) -> int:
               f"ode={rep.ode_residual[i]:.3e}  "
               f"k=({frames.k1[i]:.6g}, {frames.k2[i]:.6g}, "
               f"{frames.k3[i]:.6g})  {'PASS' if passed[i] else 'FAIL'}")
-    print(f"worst: gram={rep.gram_residual.max():.3e} (tol {args.gram_tol:g})  "
-          f"ode={rep.ode_residual.max():.3e} (tol {args.ode_tol:g})  "
+    print(f"worst: gram={rep.gram_residual.max():.3e} (tol {GRAM_TOL:g})  "
+          f"ode={rep.ode_residual.max():.3e} (tol {ODE_TOL:g})  "
           f"normalization={unit.max():.3e}")
     ok = bool(passed.all())
     print("PASS" if ok else "FAIL")
@@ -159,12 +140,7 @@ def cmd_frames(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scene = resolve_scene(args.scene)
-    if args.step is not None:
-        from dataclasses import replace
-        scene = replace(scene, oracle_step=args.step)
-    tol = Tolerances(rel=args.rel_tol, abs=args.abs_tol)
-    report = verify_scene(scene, tol, min_points=args.min_points)
+    report = verify_scene(resolve_scene(args.scene))
     print(f"scene {report.scene}: {report.points_checked} grid points "
           f"checked, {report.points_singular} singular skipped")
     width = max(len(c.name) for c in report.checks)

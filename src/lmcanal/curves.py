@@ -36,8 +36,8 @@ NULL_TOL = 1e-9
 UNIT_TOL = 1e-6
 #: Normalizations smaller than this are treated as degenerate.
 DEGENERATE_TOL = 1e-9
-#: ``verify_frames`` defaults: the central-difference step of the frame ODE
-#: check and the bands of its Gram and ODE residuals.
+#: ``verify_frames`` settings, read at call time: the central-difference
+#: step of the frame ODE check and the bands of its Gram and ODE residuals.
 FRAME_STEP = 1e-4
 GRAM_TOL = 1e-8
 ODE_TOL = 1e-5
@@ -458,13 +458,10 @@ class FrameReport:
     gram_residual: np.ndarray
     #: (n,) worst entrywise deviation from the frame ODE system
     ode_residual: np.ndarray
-    gram_tol: float
-    ode_tol: float
 
     @property
     def passed(self) -> np.ndarray:
-        return ((self.gram_residual <= self.gram_tol)
-                & (self.ode_residual <= self.ode_tol))
+        return (self.gram_residual <= GRAM_TOL) & (self.ode_residual <= ODE_TOL)
 
 
 def gram_residual(rows: FrameRows, curve_class: CurveClass):
@@ -478,25 +475,23 @@ def gram_residual(rows: FrameRows, curve_class: CurveClass):
     return dev[np.arange(len(at)), at], np.stack([at // 4, at % 4], axis=1) + 1
 
 
-def verify_frames(frames: FrameRows, curve: CurveSpec, s,
-                  step: float = FRAME_STEP, gram_tol: float = GRAM_TOL,
-                  ode_tol: float = ODE_TOL) -> FrameReport:
+def verify_frames(frames: FrameRows, curve: CurveSpec, s) -> FrameReport:
     """Check frames, given at the values of ``s``, against the Gram table
     and the frame ODE system of the curve's class.
 
     The ODE residual compares central differences of the curve's derived
-    frames at s +/- step (one ``derive_frames`` call for all of them) with
-    the class right-hand side assembled from ``frames``.  Failing checks
-    are reported, never raised; a failing frame construction at some
-    s +/- step raises like ``derive_frames``.
+    frames at s +/- FRAME_STEP (one ``derive_frames`` call for all of them)
+    with the class right-hand side assembled from ``frames``.  Failing
+    checks are reported, never raised; a failing frame construction at some
+    s +/- FRAME_STEP raises like ``derive_frames``.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     s = np.asarray(s, dtype=float).ravel()
     gres, _ = gram_residual(frames, curve.curve_class)
     n = len(s)
-    moved = derive_frames(curve, np.concatenate([s + step, s - step]))
+    moved = derive_frames(curve, np.concatenate([s + FRAME_STEP,
+                                                 s - FRAME_STEP]))
     f = np.stack([moved.f1, moved.f2, moved.f3, moved.f4], axis=1)
     rhs = np.stack(frenet_rhs(curve.curve_class, frames), axis=1)
-    ode = np.max(np.abs((f[:n] - f[n:]) / (2.0 * step) - rhs), axis=(1, 2))
-    return FrameReport(s, gres, ode, gram_tol, ode_tol)
+    ode = np.max(np.abs((f[:n] - f[n:]) / (2.0 * FRAME_STEP) - rhs),
+                 axis=(1, 2))
+    return FrameReport(s, gres, ode)

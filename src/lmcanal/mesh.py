@@ -78,6 +78,11 @@ class GridSpec:
     def __post_init__(self):
         if self.fixed_axis is not None and self.fixed_axis not in AXES:
             raise MeshError(f"fixed axis must be one of {AXES}")
+        fixed = (self.fixed_axis, self.fixed_value)
+        if fixed != (None, None) and (None in fixed
+                                      or not np.isfinite(self.fixed_value)):
+            raise MeshError(f"a fixed axis needs a finite fixed value and a "
+                            f"fixed value an axis, got {fixed}")
         for axis in AXES:
             self.values_of(axis)  # sample_axis checks the range and count
 

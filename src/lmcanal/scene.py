@@ -23,6 +23,10 @@ Schema (version 1):
       "oracle_step": number                                    # optional
     }
 
+``oracle_step`` (default ``oracle.DEFAULT_STEP``) is the step of the
+oracle's central differences and of the Weingarten check's differences of
+the closed forms; it is the one place that sets either.
+
 Expressions use the grammar documented in the expr module.  Scenes for all
 constructible families ship as package data; ``bundled_scene`` loads them
 by name.
@@ -101,12 +105,17 @@ def _number(x, path: str, integral: bool = False):
     return int(x)
 
 
+#: Longest prefix of an expression text that a schema error quotes.
+QUOTE_CHARS = 60
+
+
 def _parse_expr(text, path: str, allowed: tuple = expr.VARIABLES):
     _expect(isinstance(text, str), "expected an expression string", path)
     try:
         e = expr.parse(text)
     except expr.ParseError as err:
-        raise SceneError(f"bad expression {text!r}: {err}", path) from err
+        quoted = repr(text[:QUOTE_CHARS]) + "…" * (len(text) > QUOTE_CHARS)
+        raise SceneError(f"bad expression {quoted}: {err}", path) from err
     _expect(expr.variables(e) <= set(allowed),
             f"expression may use only {', '.join(allowed)}", path)
     return e

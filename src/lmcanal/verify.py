@@ -21,8 +21,9 @@ cross-product normal of the parametrization, so before comparing, its
 lambda * <N_oracle, C - gamma> times the variant gauge.  eps = <N, N>
 itself is gauge-independent and is compared against lambda directly.
 
-The envelope, K-H relation and Weingarten rows use the fixed tolerances
-below; only the closed-vs-oracle comparison takes ``Tolerances``.
+Every verdict is set by the module tolerances below, read at call time,
+and by the scene's ``oracle_step``, the step of both the oracle and the
+Weingarten differences; no check takes a tolerance or a step.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ from .canal import (CanalFamily, CurvaturePair, FieldTables,
 from .minkowski import inner_rows
 from .scene import SceneSpec
 
+#: Relative and absolute tolerance of the closed-vs-oracle comparison
+#: (see ``oracle.compare``).
+REL_TOL = 1e-4
+ABS_TOL = 1e-6
 #: Envelope residuals |<C-g, C-g> - lam r^2| and |<C-g, C_s>|.
 MEMBERSHIP_TOL = 1e-9
 NORMALITY_TOL = 1e-5
@@ -75,15 +80,6 @@ class VerifyReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Relative and absolute tolerance of the closed-vs-oracle comparison
-    (see ``oracle.compare``)."""
-
-    rel: float = 1e-4
-    abs: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -173,20 +169,16 @@ def check_envelope(table: GridTable, report: VerifyReport):
                NORMALITY_TOL)
 
 
-def check_curvatures(table: GridTable, report: VerifyReport, tol: Tolerances,
-                     min_points: int = 1):
+def check_curvatures(table: GridTable, report: VerifyReport):
     """Closed-form K, H against the oracle at the nonsingular grid points,
     plus the K-H relation residual and the causal character of the normal;
     at least one nonsingular point is required."""
-    if min_points < 1:
-        raise ValueError(f"the curvature check needs at least one point, "
-                         f"got min_points={min_points}")
     fam = table.family
     ok = table.nonsingular
     closed = CurvaturePair(table.k_closed[ok], table.h_closed[ok])
     res = oracle.compare(closed, CurvaturePair(table.k_oracle[ok],
                                                table.h_oracle[ok]),
-                         tol.rel, tol.abs)
+                         REL_TOL, ABS_TOL)
     n_ok = int(np.count_nonzero(ok))
     report.points_checked = n_ok
     report.points_singular = len(ok) - n_ok
@@ -194,8 +186,7 @@ def check_curvatures(table: GridTable, report: VerifyReport, tol: Tolerances,
                               ("H", res.h_error, res.h_ok)):
         report.add_flag(f"{name} closed vs oracle (worst err "
                         f"{_worst(err):.2e})", bool(np.all(passed)))
-    report.add_flag(f"nonsingular points >= {min_points} (got {n_ok})",
-                    n_ok >= min_points)
+    report.add_flag(f"nonsingular points >= 1 (got {n_ok})", n_ok >= 1)
     if not fam.variant.is_tubular:
         rel = relation_residual(closed, table.r[ok], fam)
         report.add("K-H relation |3H - r^2 K +/- 2/r|", _worst(np.abs(rel)),
@@ -229,13 +220,9 @@ def check_weingarten(tables: SceneTables, report: VerifyReport):
                     f"{rep.singular} singular)", rep.points >= 1)
 
 
-def verify_scene(scene: SceneSpec, tol: Tolerances = Tolerances(),
-                 min_points: int = 1) -> VerifyReport:
+def verify_scene(scene: SceneSpec) -> VerifyReport:
     """Run every check applicable to the scene's family, all from one
     table stage (``scene_tables``)."""
-    if min_points < 1:
-        raise ValueError(f"verify needs at least one point, got "
-                         f"min_points={min_points}")
     variant = scene.family.variant
     report = VerifyReport(scene.name)
     tables = scene_tables(scene)
@@ -244,7 +231,7 @@ def verify_scene(scene: SceneSpec, tol: Tolerances = Tolerances(),
     if variant.is_null_variant:
         check_epsilon_only(table, report)
     else:
-        check_curvatures(table, report, tol, min_points=min_points)
+        check_curvatures(table, report)
         if variant.is_tubular:
             check_weingarten(tables, report)
     return report

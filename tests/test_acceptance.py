@@ -39,7 +39,7 @@ from lmcanal.expr import parse
 from lmcanal.mesh import GridSpec, export_field, export_obj, sweep
 from lmcanal.minkowski import inner_rows
 from lmcanal.scene import bundled_scene, bundled_scene_names
-from lmcanal.verify import Tolerances, verify_scene
+from lmcanal.verify import verify_scene
 
 CANAL_SCENES = [
     "pseudo-null-c1", "pseudo-null-c2", "pseudo-null-c3", "pseudo-null-c4",
@@ -63,8 +63,9 @@ def reports():
     """verify_scene once per bundled (non-figure) scene, cached."""
     if not _REPORTS:
         for name in CANAL_SCENES + TUBULAR_SCENES + NULL_SCENES:
-            _REPORTS[name] = verify_scene(bundled_scene(name), Tolerances(),
-                                          min_points=500)
+            _REPORTS[name] = rep = verify_scene(bundled_scene(name))
+            if name not in NULL_SCENES:
+                assert rep.points_checked >= 500, (name, rep.points_checked)
     return _REPORTS
 
 
@@ -92,7 +93,7 @@ def test_criterion_01_frenet_fidelity():
         rows = derive_frames(curve, samples)
         gres, _ = gram_residual(rows, curve.curve_class)
         worst_gram = max(worst_gram, float(gres.max()))
-        rep = verify_frames(rows, curve, samples, step=1e-4)
+        rep = verify_frames(rows, curve, samples)
         worst_ode = max(worst_ode, float(rep.ode_residual.max()))
         for i, s in enumerate(samples):
             for got, want in zip((rows.k1[i], rows.k2[i], rows.k3[i]),

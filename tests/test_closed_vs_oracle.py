@@ -17,8 +17,8 @@ from lmcanal.canal import (CanalFamily, CurvaturePair, RadiusSpec, Variant,
                            closed_form_gauge)
 from lmcanal.minkowski import inner_rows
 from lmcanal.scene import bundled_scene, bundled_scene_names
-from lmcanal.verify import (Tolerances, VerifyReport, check_curvatures,
-                            grid_table, scene_tables)
+from lmcanal.verify import (VerifyReport, check_curvatures, grid_table,
+                            scene_tables)
 
 GATE_SCENES = [n for n in bundled_scene_names()
                if not n.endswith("-figure") and not n.startswith("null-")]
@@ -75,7 +75,7 @@ def test_branch_minus_one_matches_oracle(name):
     family = dataclasses.replace(scene.family, branch=-1)
     report = VerifyReport(name)
     check_curvatures(grid_table(scene_tables(dataclasses.replace(
-        scene, family=family))), report, Tolerances())
+        scene, family=family))), report)
     rows = [c for c in report.checks
             if c.name.startswith(("K closed vs oracle", "H closed vs oracle"))]
     assert len(rows) == 2

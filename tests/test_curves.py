@@ -70,7 +70,7 @@ def test_frenet_ode_residuals():
     s = SAMPLES[::5]
     for name in builtin_names():
         curve = builtin(name)
-        rep = verify_frames(derive_frames(curve, s), curve, s, step=1e-4)
+        rep = verify_frames(derive_frames(curve, s), curve, s)
         assert rep.ode_residual.shape == (len(s),)
         assert np.all(rep.ode_residual <= 1e-5), (name, rep.ode_residual)
         assert np.all(rep.passed)
@@ -128,7 +128,7 @@ def test_scaled_f3_breaks_gram_table():
     assert res[0] == pytest.approx(3.0, abs=1e-9)
     assert tuple(worst[0]) == (3, 3)
     assert res[1] <= 1e-8
-    rep = verify_frames(bad, curve, s, step=1e-4)
+    rep = verify_frames(bad, curve, s)
     assert rep.passed.tolist() == [False, True]
 
 

@@ -22,9 +22,8 @@ from lmcanal.canal import (RadiusSpec, SingularPointError, curvature_closed,
                            weingarten_residuals)
 from lmcanal.curves import derive_frame
 from lmcanal.scene import bundled_scene, parse_scene
-from lmcanal.verify import (Tolerances, VerifyReport, check_curvatures,
-                            check_weingarten, grid_table, scene_tables,
-                            verify_scene)
+from lmcanal.verify import (VerifyReport, check_curvatures, check_weingarten,
+                            grid_table, scene_tables, verify_scene)
 
 CLASSES = ("pseudo-null", "partially-null")
 TUBULAR_SCENES = [f"{c}-t{k}" for c in CLASSES for k in range(1, 5)]
@@ -149,7 +148,7 @@ def test_check_curvatures_derives_each_s_once(monkeypatch):
     monkeypatch.setattr(canal, "derive_frames", counted_frames)
     monkeypatch.setattr(RadiusSpec, "jet", counted_jet)
     report = VerifyReport(scene.name)
-    check_curvatures(grid_table(scene_tables(scene)), report, Tolerances())
+    check_curvatures(grid_table(scene_tables(scene)), report)
     assert report.passed
     h = scene.oracle_step
     # the oracle stencil reaches s and s +/- h of each grid s value
@@ -178,8 +177,7 @@ def test_field_walks_each_expression_once_per_call(monkeypatch):
     monkeypatch.setattr(expr, "eval_value", counted_walk)
     monkeypatch.setattr(scene_mod, "field_tables", counted_tables)
     report = VerifyReport(canal_scene.name)
-    check_curvatures(grid_table(scene_tables(canal_scene)), report,
-                     Tolerances())
+    check_curvatures(grid_table(scene_tables(canal_scene)), report)
     assert report.passed
     # the shape walk covers the (t, w) pairs of every stencil: 576 here
     grid = canal_scene.grid

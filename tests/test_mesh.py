@@ -50,6 +50,11 @@ def test_grid_validation():
         GridSpec((0, 1), (-1e308, 1e308), (0, 1), 2, 3, 2, "w", 0.0)
     with pytest.raises(MeshError, match="w range .* too wide"):
         GridSpec((0, 1), (0, 1), (0.0, 1.7e308), 2, 2, 3)  # 2 (hi - lo) = inf
+    # a fixed axis and a finite fixed value come together or not at all
+    for axis, value in (("w", None), ("w", math.nan), ("w", math.inf),
+                        (None, 0.0)):
+        with pytest.raises(MeshError, match="fixed axis needs a finite"):
+            GridSpec((0, 1), (0, 1), (0, 1), 2, 2, 2, axis, value)
     # the widest grids whose samples stay finite are accepted
     wide = GridSpec((-4e307, 4e307), (0, 1), (0.0, 1.7e308), 3, 2, 2)
     assert wide.values_of("s") == [-4e307, 0.0, 4e307]

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -188,8 +189,8 @@ def test_cli_usage_errors_exit_1(capsys):
     ["--help"], ["frames", "--help"], ["verify", "--help"], ["mesh", "--help"],
     ["no-such-command"], [],
     ["frames"], ["verify"], ["mesh", "--scene", "pseudo-null-c1-figure"],
-    ["verify", "--scene", "pseudo-null-t1", "--rel-tol", "-1"],
-    ["verify", "--scene", "pseudo-null-t1", "--rel-tol", "abc"],
+    ["frames", "--curve", "null-example", "--s-min", "abc"],
+    ["verify", "--scene", "pseudo-null-t1", "--rel-tol", "1e-4"],
     ["verify", "--scene", "pseudo-null-t1", "extra"],
 ], ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_cli_lean_parser_prints_what_the_full_parser_prints(capsys, argv):
@@ -272,11 +273,14 @@ def test_cli_frames_failing_construction_fails_once(capsys, tmp_path):
 
 
 def test_cli_verify_scene_pass(capsys):
-    code = main(["verify", "--scene", "partially-null-c1",
-                 "--min-points", "100"])
+    code = main(["verify", "--scene", "partially-null-c1"])
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out
+    header = re.fullmatch(r"scene partially-null-c1: (\d+) grid points "
+                          r"checked, \d+ singular skipped",
+                          out.splitlines()[0])
+    assert int(header[1]) >= 100
 
 
 def test_cli_verify_tells_flag_rows_by_their_missing_tolerance(
@@ -298,22 +302,52 @@ def test_cli_verify_tells_flag_rows_by_their_missing_tolerance(
         assert row.endswith("  PASS") and " <= " not in row
 
 
-@pytest.mark.parametrize("argv, option", [
-    (["verify", "--scene", "pseudo-null-c1", "--step", "0"], "--step"),
-    (["verify", "--scene", "pseudo-null-c1", "--rel-tol", "0"], "--rel-tol"),
-    (["verify", "--scene", "pseudo-null-c1", "--abs-tol=-1e-6"], "--abs-tol"),
-    (["verify", "--scene", "pseudo-null-c1", "--step", "nan"], "--step"),
-    (["verify", "--scene", "pseudo-null-c1", "--rel-tol", "inf"], "--rel-tol"),
-    (["frames", "--curve", "null-example", "--step", "0"], "--step"),
-    (["frames", "--curve", "null-example", "--gram-tol", "x"], "--gram-tol"),
-    (["frames", "--curve", "null-example", "--ode-tol=-1"], "--ode-tol"),
-])
-def test_cli_nonpositive_numbers_are_usage_errors(capsys, argv, option):
+def test_cli_option_surface(capsys):
+    # every tolerance and step is the package's or the scene's, so no
+    # option sets one
+    def options(parser):
+        action, = (a for a in parser._actions
+                   if isinstance(a, cli.argparse._SubParsersAction))
+        return {name: [a.option_strings for a in sub._actions
+                       if a.option_strings != ["-h", "--help"]]
+                for name, sub in action.choices.items()}
+
+    assert options(cli._build_parser([])) == {
+        "frames": [["--curve"], ["--scene"], ["--s-min"], ["--s-max"],
+                   ["-n", "--samples"]],
+        "verify": [["--scene"]],
+        "mesh": [["--scene"], ["--out"], ["--field"], ["--format"]],
+    }
+
+
+# one case per removed flag at its old default, then each argv that a
+# removed parse-error case ran: none may reach a verdict
+@pytest.mark.parametrize("argv", [
+    ["verify", "--scene", "pseudo-null-c1", "--rel-tol", "1e-4"],
+    ["verify", "--scene", "pseudo-null-c1", "--abs-tol", "1e-6"],
+    ["verify", "--scene", "pseudo-null-c1", "--step", "5e-4"],
+    ["verify", "--scene", "pseudo-null-c1", "--min-points", "1"],
+    ["frames", "--curve", "null-example", "--step", "1e-4"],
+    ["frames", "--curve", "null-example", "--gram-tol", "1e-8"],
+    ["frames", "--curve", "null-example", "--ode-tol", "1e-5"],
+    ["verify", "--scene", "pseudo-null-c1", "--step", "0"],
+    ["verify", "--scene", "pseudo-null-c1", "--rel-tol", "0"],
+    ["verify", "--scene", "pseudo-null-c1", "--abs-tol=-1e-6"],
+    ["verify", "--scene", "pseudo-null-c1", "--step", "nan"],
+    ["verify", "--scene", "pseudo-null-c1", "--rel-tol", "inf"],
+    ["verify", "--scene", "pseudo-null-c1", "--min-points", "0"],
+    ["verify", "--scene", "pseudo-null-c1", "--min-points", "-3"],
+    ["frames", "--curve", "null-example", "--step", "0"],
+    ["frames", "--curve", "null-example", "--gram-tol", "x"],
+    ["frames", "--curve", "null-example", "--ode-tol=-1"],
+], ids=lambda argv: " ".join(argv[3:]))
+def test_cli_removed_flags_are_unrecognized(capsys, argv):
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert (f"lmcanal {argv[0]}: error: argument {option}: expected a "
-            f"positive number") in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"lmcanal: error: unrecognized arguments: {' '.join(argv[3:])}"
+            in captured.err)
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("count", [1, 0, -2])
@@ -359,8 +393,7 @@ def test_cli_unreadable_scene_file_exits_1(capsys, tmp_path, kind):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("count", ["0", "-3"])
-def test_cli_curvature_check_needs_a_point(capsys, tmp_path, count):
+def test_cli_curvature_check_needs_a_point(capsys, tmp_path):
     # f = 0 puts every T1 closed form on its csc pole, so no grid point is
     # nonsingular; the nonsingular-points guard must not pass over them
     doc = minimal_doc()
@@ -369,27 +402,19 @@ def test_cli_curvature_check_needs_a_point(capsys, tmp_path, count):
     doc["shape"] = {"f": "0", "g": "t"}
     path = tmp_path / "poles.json"
     path.write_text(json.dumps(doc))
-    argv = ["verify", "--scene", str(path)]
-    assert main(argv + ["--min-points", count]) == 1
-    captured = capsys.readouterr()
-    assert "PASS" not in captured.out
-    assert ("argument --min-points: expected a positive integer"
-            in captured.err)
-    assert main(argv) == 2
+    assert main(["verify", "--scene", str(path)]) == 2
     row, = (line for line in capsys.readouterr().out.splitlines()
             if "nonsingular points" in line)
     assert "nonsingular points >= 1 (got 0)" in row and row.endswith("FAIL")
-    # null families have no curvature check, so verify_scene itself rejects
-    for scene in (parse_scene(doc), bundled_scene("null-c1")):
-        with pytest.raises(ValueError, match="at least one point"):
-            verify_scene(scene, min_points=int(count))
 
 
-def test_cli_verify_failure_exits_2(capsys, tmp_path):
+def test_cli_verify_failure_exits_2(capsys, monkeypatch):
     # an intentionally mis-tolerated run: rel tolerance far below what the
     # finite-difference oracle can deliver
-    code = main(["verify", "--scene", "partially-null-c1",
-                 "--rel-tol", "1e-14", "--abs-tol", "1e-14"])
+    import lmcanal.verify as verify_mod
+    monkeypatch.setattr(verify_mod, "REL_TOL", 1e-14)
+    monkeypatch.setattr(verify_mod, "ABS_TOL", 1e-14)
+    code = main(["verify", "--scene", "partially-null-c1"])
     capsys.readouterr()
     assert code == 2
 
@@ -428,14 +453,16 @@ def test_cli_verify_regime_violation_exits_1(capsys, tmp_path):
                                     "s/2" + "+0*s" * 3000],
                          ids=["parentheses", "sum"])
 def test_cli_deeply_nested_expression_exits_1(capsys, tmp_path, radius):
-    # too deep for the parser's rules, and for the tree walkers
+    # too deep for the parser's rules, and for the tree walkers; the error
+    # quotes the 6,001- or 12,003-character text by its first 60 only
     doc = minimal_doc()
     doc["radius"] = radius
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", "--scene", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("lmcanal: $.radius: bad expression ")
+    assert err.startswith(f"lmcanal: $.radius: bad expression "
+                          f"{radius[:60]!r}…: ")
     assert f"deeper than {expr.MAX_DEPTH} levels" in err
     assert "Traceback" not in err
 
