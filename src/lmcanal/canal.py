@@ -265,22 +265,15 @@ def _frames(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
 # branch; the fiber reads T unsigned and its mate M.  Per unit radial
 # factor the coefficients of (F2, F3, F4) are (g T, M, +-T/(2g)) for pseudo
 # null centers and (T, g M, +-M/(2g)) for partially null ones, with the
-# minus sign on the hyperbolic variants.
-_CIRCULAR = (Variant.C1, Variant.C2, Variant.T1, Variant.T2)
+# minus sign on the hyperbolic pair.
 
 
 def _trig_functions(family: CanalFamily):
-    """The functions of f giving T and its mate: the odd one of the pair
-    (sin, sinh) gives T on C1 and T1, and on C3 and T3 of pseudo null
-    centers or C4, C5 and T4 of partially null ones."""
-    if family.variant in _CIRCULAR:
-        odd, even = math.sin, math.cos
-        odd_first = family.variant in (Variant.C1, Variant.T1)
-    else:
-        odd, even = math.sinh, math.cosh
-        odd_first = ((family.variant in (Variant.C3, Variant.T3))
-                     == (family.curve_class is CurveClass.PSEUDO_NULL))
-    return (odd, even) if odd_first else (even, odd)
+    """The functions of f giving T and its mate: the variant's column of
+    _CLOSED_FORMS for the center class."""
+    row = _CLOSED_FORMS[family.variant]
+    return (row.pseudo_trig if family.curve_class is CurveClass.PSEUDO_NULL
+            else row.partial_trig)
 
 
 def _trig(family: CanalFamily, f):
@@ -292,8 +285,9 @@ def _fiber(family: CanalFamily, f, g, T):
     """Fiber coefficients of (F2, F3, F4) per unit radial factor at shape
     values f, g, given T = _trig(family, f)."""
     trig = float(family.branch) * T  # unsigned again, exactly
-    mate = libm(_trig_functions(family)[1], f)
-    sign = 1.0 if family.variant in _CIRCULAR else -1.0
+    functions = _trig_functions(family)
+    mate = libm(functions[1], f)
+    sign = 1.0 if math.sin in functions else -1.0
     if family.curve_class is CurveClass.PSEUDO_NULL:
         return g * trig, mate, sign * trig / (2.0 * g)
     return trig, g * mate, sign * mate / (2.0 * g)
@@ -486,10 +480,13 @@ def unit_normal_closed_pseudo_c1(frame: FrameRows, r_jet, f: float, g: float,
 #
 # With q = r'^2, a variant's row of _CLOSED_FORMS gives m, the sign of
 # q2 = +-r'', the shape term G (+-2g for pseudo null centers, +-1 for
-# partially null ones) and a sign sigma of K and H, which is also the sign
-# of the K-H relation 3H - r^2 K + sigma 2/r.  T is the branch-signed trig
-# value of f (see ``_trig``).  Canal variants, where m > 0 is the regime,
-# with a = m - r q2, b = m - 2 r q2 and c = 2m - 3 r q2:
+# partially null ones), a sign sigma of K and H, which is also the sign
+# of the K-H relation 3H - r^2 K + sigma 2/r, and per center class the
+# fiber's function pair (T, mate).  T is the branch-signed trig value of f
+# (see ``_trig``); sigma lambda is the sign of the forms' normal against
+# the radial direction (``closed_form_gauge``).  Canal variants, where
+# m > 0 is the regime, with a = m - r q2, b = m - 2 r q2 and
+# c = 2m - 3 r q2:
 #
 #   K = sigma [-r m k1^2 T^2 + q2 a G^2 + sqrt(m) b k1 G T]
 #       / [r^2 (r sqrt(m) k1 T - a G)^2]
@@ -502,26 +499,32 @@ def unit_normal_closed_pseudo_c1(frame: FrameRows, r_jet, f: float, g: float,
 # at the scale of the numerator.
 
 #: Per variant: m = m0 + mq q and q2 = e2 r'' (canal variants only),
-#: G / 2g for pseudo null centers, G for partially null ones, and sigma.
-_Row = namedtuple("_Row", "m0 mq e2 pseudo partial sigma")
+#: G / 2g for pseudo null centers, G for partially null ones, sigma, and
+#: the (T, mate) function pairs for pseudo null and partially null centers.
+_Row = namedtuple("_Row", "m0 mq e2 pseudo partial sigma pseudo_trig "
+                          "partial_trig")
+_SIN, _COS = (math.sin, math.cos), (math.cos, math.sin)
+_SINH, _COSH = (math.sinh, math.cosh), (math.cosh, math.sinh)
 _CLOSED_FORMS = {
-    Variant.C1: _Row(+1.0, -1.0, +1.0, +1.0, +1.0, +1.0),
-    Variant.C2: _Row(+1.0, -1.0, +1.0, +1.0, +1.0, -1.0),
-    Variant.C3: _Row(+1.0, -1.0, +1.0, -1.0, +1.0, +1.0),
-    Variant.C4: _Row(-1.0, +1.0, -1.0, +1.0, -1.0, +1.0),
-    Variant.C5: _Row(+1.0, +1.0, -1.0, -1.0, +1.0, -1.0),
-    Variant.T1: _Row(None, None, None, +1.0, +1.0, +1.0),
-    Variant.T2: _Row(None, None, None, +1.0, +1.0, -1.0),
-    Variant.T3: _Row(None, None, None, -1.0, +1.0, +1.0),
-    Variant.T4: _Row(None, None, None, -1.0, +1.0, -1.0),
+    Variant.C1: _Row(+1.0, -1.0, +1.0, +1.0, +1.0, +1.0, _SIN, _SIN),
+    Variant.C2: _Row(+1.0, -1.0, +1.0, +1.0, +1.0, -1.0, _COS, _COS),
+    Variant.C3: _Row(+1.0, -1.0, +1.0, -1.0, +1.0, +1.0, _SINH, _COSH),
+    Variant.C4: _Row(-1.0, +1.0, -1.0, +1.0, -1.0, +1.0, _COSH, _SINH),
+    Variant.C5: _Row(+1.0, +1.0, -1.0, -1.0, +1.0, -1.0, _COSH, _SINH),
+    Variant.T1: _Row(None, None, None, +1.0, +1.0, +1.0, _SIN, _SIN),
+    Variant.T2: _Row(None, None, None, +1.0, +1.0, -1.0, _COS, _COS),
+    Variant.T3: _Row(None, None, None, -1.0, +1.0, +1.0, _SINH, _COSH),
+    Variant.T4: _Row(None, None, None, -1.0, +1.0, -1.0, _COSH, _SINH),
 }
 
 
 def closed_form_gauge(variant: Variant) -> int:
     """Sign relating a variant's closed-form normal to the radial direction
-    (C - gamma)/r: the C2 and T2 forms are stated relative to its negative,
-    consistently with the sign of their K-H relation."""
-    return -1 if variant in (Variant.C2, Variant.T2) else 1
+    (C - gamma)/r: sigma lambda of the variant's row, -1 on C2 and T2,
+    whose forms are stated relative to its negative; 1 for null variants,
+    which have no closed forms."""
+    return (1 if variant.is_null_variant
+            else int(_CLOSED_FORMS[variant].sigma) * variant.lam)
 
 
 def _guard_into(bad):

@@ -6,18 +6,18 @@ Subcommands:
     verify  -- run every verification check of a scene and print a summary
     mesh    -- sweep a scene to an OBJ mesh and optional curvature field file
 
-Exit codes: 0 all checks pass, 1 usage/schema/I-O error, 2 verification
-failure.  Every tolerance and step is the library's (``curves`` for
-frames, ``verify`` and the scene's ``oracle_step`` for verify), and the
-frames s range is sampled and checked like a scene grid axis
-(``mesh.sample_axis``).
+Exit codes: 0 all checks pass, 1 usage/schema/I-O error or a grid too
+large to allocate, 2 verification failure.  Every tolerance and step is
+the library's (``curves`` for frames, ``verify`` and the scene's
+``oracle_step`` for verify), the frames s range is sampled and checked like
+a scene grid axis (``mesh.sample_axis``), and ``mesh.export`` refuses one
+file for both outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -36,6 +36,10 @@ from .verify import verify_scene
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAILED = 2
+
+#: Width ``lmcanal verify`` pads every check name to, so that a row's
+#: layout does not depend on the other rows' names.
+NAME_WIDTH = 44
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,20 +95,17 @@ _SUBCOMMANDS = {"frames": _add_frames, "verify": _add_verify,
                 "mesh": _add_mesh}
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser of ``argv``: the top parser with only the subcommand
-    parser that argv's first word names, or with all of them when it names
-    none (no word, ``--help``, an unknown word).  The subcommand metavar and
-    prog are given, not derived from the subparsers present, so both builds
-    print the same usage, help and errors for ``argv``."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top parser with every subcommand parser.  prog and the
+    subcommand metavar are given, so usage, help and errors read the same
+    however the program is started."""
     top = _Parser(prog="lmcanal",
                   description="canal/tubular hypersurfaces in E^4_1")
     sub = top.add_subparsers(dest="command", required=True,
                              parser_class=_Parser, prog="lmcanal",
                              metavar="{" + ",".join(_SUBCOMMANDS) + "}")
-    names = argv[:1] if argv[:1] and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
-    for name in names:
-        _SUBCOMMANDS[name](sub)
+    for add in _SUBCOMMANDS.values():
+        add(sub)
     return top
 
 
@@ -143,32 +144,15 @@ def cmd_verify(args) -> int:
     report = verify_scene(resolve_scene(args.scene))
     print(f"scene {report.scene}: {report.points_checked} grid points "
           f"checked, {report.points_singular} singular skipped")
-    width = max(len(c.name) for c in report.checks)
     for c in report.checks:
-        if c.tol is None:
-            print(f"  {c.name:<{width}}  {'PASS' if c.passed else 'FAIL'}")
-        else:
-            print(f"  {c.name:<{width}}  {c.value:.3e} <= {c.tol:g}  "
-                  f"{'PASS' if c.passed else 'FAIL'}")
+        value = "" if c.tol is None else f"{c.value:.3e} <= {c.tol:g}  "
+        print(f"  {c.name:<{NAME_WIDTH}}  {value}"
+              f"{'PASS' if c.passed else 'FAIL'}")
     print("PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
-def _same_file(a: str, b: str) -> bool:
-    """True when two paths name one file: the same real path, or an
-    existing file reached through a hard link."""
-    if os.path.realpath(a) == os.path.realpath(b):
-        return True
-    try:
-        return os.path.samefile(a, b)
-    except OSError:  # either file does not exist yet
-        return False
-
-
 def cmd_mesh(args) -> int:
-    if args.field and _same_file(args.field, args.out):
-        print("mesh: --out and --field name the same file", file=sys.stderr)
-        return EXIT_USAGE
     m = mesh_mod.sweep(resolve_scene(args.scene))
     try:
         mesh_mod.export(m, args.out, args.field or None, args.format)
@@ -184,9 +168,8 @@ def cmd_mesh(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
@@ -196,7 +179,7 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         return cmd_mesh(args)
     except (SceneError, ExprError, CurveError, CanalError,
-            mesh_mod.MeshError) as e:
+            mesh_mod.MeshError, MemoryError) as e:
         print(f"lmcanal: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -26,6 +26,7 @@ through the same writer.
 from __future__ import annotations
 
 import contextlib
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +96,16 @@ class GridSpec:
     def values_of(self, axis: str) -> list[float]:
         return sample_axis(axis, *self.range_of(axis), self.count_of(axis))
 
+    def axes(self, fixed: bool = False) -> tuple[np.ndarray, ...]:
+        """The grid's s values and its (t, w) pairs (t[j], w[j]), t slower,
+        as 1-D arrays; with ``fixed`` the fixed axis holds its one value."""
+        s, t, w = (np.array([self.fixed_value] if fixed
+                            and axis == self.fixed_axis
+                            else self.values_of(axis), dtype=float)
+                   for axis in AXES)
+        t, w = (x.ravel() for x in np.meshgrid(t, w, indexing="ij"))
+        return s, t, w
+
     def swept_axes(self) -> tuple[str, str]:
         if self.fixed_axis is None:
             raise MeshError("sweep needs a fixed axis in the grid spec")
@@ -133,33 +144,23 @@ def sweep(scene) -> ProjectedMesh:
     """Evaluate the scene on its grid, which needs a fixed axis, and project.
 
     ``scene`` provides ``grid``, ``projection`` and ``tables(s, t, w)``
-    returning ``canal.FieldTables`` (see the scene module).  With s swept,
-    the tables hold the n_a or n_b s values and the (t, w) pairs of one row
-    of vertices, and the kernel's row stages read them at an (n_a, 1) block
-    of s indices by a (1, n_b) block of pair indices; with s fixed, they
-    hold the one s and all n_a n_b pairs, read at (n_a, 1) zeros by the
-    (n_a, n_b) pair indices.  Raises MeshError when the grid has no fixed
-    axis or every point is singular.
+    returning ``canal.FieldTables`` (see the scene module).  The tables
+    hold ``grid.axes(fixed=True)``, the s values and (t, w) pairs with the
+    fixed axis at its one value, and the kernel's row stages read them at
+    a (len(s), 1) block of s indices by a (1, len(t)) block of pair
+    indices, as verify reads its grid rows; the vertices are that block
+    raveled, row-major over the two swept axes.  Raises MeshError when the
+    grid has no fixed axis or every point is singular.
     """
     if scene.projection not in PROJECTIONS:
         raise MeshError(f"unknown projection {scene.projection!r}")
     grid = scene.grid
-    axis_a, axis_b = grid.swept_axes()
-    n_a, n_b = grid.count_of(axis_a), grid.count_of(axis_b)
-    a, b = np.meshgrid(grid.values_of(axis_a), grid.values_of(axis_b),
-                       indexing="ij")
-    coords = {grid.fixed_axis: np.full(a.size, grid.fixed_value),
-              axis_a: a.ravel(), axis_b: b.ravel()}
-    params = np.stack([coords[axis] for axis in AXES], axis=1)
-    # s is the slower swept axis unless it is fixed
-    if grid.fixed_axis == "s":
-        s_ix = np.zeros((n_a, 1), dtype=int)
-        tw_ix = np.arange(a.size).reshape(n_a, n_b)
-    else:
-        s_ix, tw_ix = np.arange(n_a)[:, None], np.arange(n_b)[None, :]
-    n_tw = tw_ix.size
-    tables = scene.tables(params[::n_tw, 0], params[:n_tw, 1],
-                          params[:n_tw, 2])
+    n_a, n_b = (grid.count_of(axis) for axis in grid.swept_axes())
+    s, t, w = grid.axes(fixed=True)
+    s_ix, tw_ix = np.arange(len(s))[:, None], np.arange(len(t))[None, :]
+    tables = scene.tables(s, t, w)
+    params = np.stack(np.broadcast_arrays(s[:, None], t, w),
+                      axis=-1).reshape(-1, 3)
     points = field_points(tables, s_ix, tw_ix).reshape(-1, 4)
     K, H, singular = (None if x is None else x.ravel()
                       for x in field_rows(tables, s_ix, tw_ix)[2:])
@@ -253,12 +254,23 @@ def _write_vertices(mesh: ProjectedMesh, obj, fld, format: str) -> None:
                   + ",\n".join(map(_JSON_RECORD.format, *record)))
 
 
+def _same_file(a, b) -> bool:
+    """True when two paths name one file: the same real path, or an
+    existing file reached through a hard link."""
+    try:
+        return (os.path.realpath(a) == os.path.realpath(b)
+                or os.path.samefile(a, b))
+    except OSError:  # either file does not exist yet
+        return False
+
+
 def export(mesh: ProjectedMesh, obj_path, field_path=None,
            format: str = "csv") -> None:
     """Write the OBJ mesh and, given ``field_path``, the curvature field.
 
     OBJ and field come from one block-wise pass over the vertices (see
-    the module docstring).  Either path may be None.  The field file is
+    the module docstring).  Either path may be None; two paths that name
+    one file raise MeshError before either is opened.  The field file is
     opened first, so an unwritable field path fails before the OBJ is
     touched.
 
@@ -270,6 +282,10 @@ def export(mesh: ProjectedMesh, obj_path, field_path=None,
         raise MeshError("cannot export an empty mesh")
     if format not in ("csv", "json"):
         raise MeshError(f"unknown field format {format!r}")
+    if (obj_path is not None and field_path is not None
+            and _same_file(obj_path, field_path)):
+        raise MeshError(f"the OBJ and field paths name the same file "
+                        f"{obj_path!r}")
     with contextlib.ExitStack() as stack:
         def opened(path):
             return None if path is None else stack.enter_context(

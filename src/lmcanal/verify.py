@@ -120,15 +120,12 @@ class SceneTables(NamedTuple):
 
 def scene_tables(scene: SceneSpec) -> SceneTables:
     """The scene's one ``field_tables`` call, on the s values and (t, w)
-    pairs of the oracle's stencils of every grid point at the scene's
-    oracle step, with the stencil's index blocks into them.  Every check
-    reads the tables through these blocks: the oracle all 19 rows, the
-    closed forms row 0 and the Weingarten differences rows 1-6."""
-    grid = scene.grid
-    t, w = (x.ravel() for x in np.meshgrid(grid.values_of("t"),
-                                           grid.values_of("w"), indexing="ij"))
-    axes, blocks = oracle.grid_stencil(grid.values_of("s"), t, w,
-                                       scene.oracle_step)
+    pairs of the oracle's stencils of every grid point of
+    ``scene.grid.axes()`` at the scene's oracle step, with the stencil's
+    index blocks into them.  Every check reads the tables through these
+    blocks: the oracle all 19 rows, the closed forms row 0 and the
+    Weingarten differences rows 1-6."""
+    axes, blocks = oracle.grid_stencil(*scene.grid.axes(), scene.oracle_step)
     return SceneTables(scene.tables(*axes), scene.oracle_step, blocks)
 
 

@@ -15,7 +15,8 @@ import pytest
 from lmcanal.canal import (CanalFamily, CurvaturePair, NullCoefficients,
                            RadiusSpec, RegimeError, ShapeSpec,
                            SingularPointError, UnsupportedFamilyError,
-                           Variant, curvature_closed, evaluate_point, field,
+                           Variant, closed_form_gauge, curvature_closed,
+                           evaluate_point, field,
                            flat_residual, minimal_residual,
                            null_constraint_residual,
                            field_tables, relation_residual,
@@ -24,7 +25,7 @@ from lmcanal.canal import (CanalFamily, CurvaturePair, NullCoefficients,
 from lmcanal.curves import (CurveClass, CurveSpec, builtin, derive_frame,
                             derive_frames)
 from lmcanal.minkowski import inner_rows
-from lmcanal import expr, oracle
+from lmcanal import canal, expr, oracle
 
 PN = builtin("pseudo-null-example")
 PT = builtin("partially-null-example")
@@ -257,6 +258,15 @@ def test_relation_residuals():
             assert not fld.singular.any()
             res = relation_residual(CurvaturePair(fld.K, fld.H), fld.r, fam)
             assert np.all(np.abs(res) <= 1e-9)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_closed_form_gauge(variant):
+    # -1 on C2 and T2 alone; on the closed-form variants it is sigma lambda
+    want = -1 if variant in (Variant.C2, Variant.T2) else 1
+    assert closed_form_gauge(variant) == want
+    if not variant.is_null_variant:
+        assert want == canal._CLOSED_FORMS[variant].sigma * variant.lam
 
 
 def test_relation_examples():

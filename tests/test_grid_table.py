@@ -9,6 +9,7 @@ same bits in any batch, the one-batch table must equal the concatenated
 slabs byte for byte.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -77,6 +78,28 @@ def test_grid_table_matches_slab_reference_bit_for_bit(name):
         a, b = getattr(got, column), getattr(want, column)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), column
         assert a.tobytes() == b.tobytes(), column
+
+
+@pytest.mark.parametrize("name", ["pseudo-null-c1", "partially-null-t3",
+                                  "null-c2"])
+def test_grid_table_row_i_lies_at_point_i_of_the_grid_axes(name):
+    # row i is (s[i // n_tw], t[i % n_tw], w[i % n_tw]) of grid.axes(),
+    # the s values by the (t, w) pairs, t slower, whatever the fixed axis
+    scene = bundled_scene(name)
+    grid = scene.grid
+    s, t, w = grid.axes()
+    assert s.tolist() == grid.values_of("s")
+    assert list(zip(t.tolist(), w.tolist())) == list(itertools.product(
+        grid.values_of("t"), grid.values_of("w")))
+    i = np.arange(len(s) * len(t))
+    fld = scene.field(s[i // len(t)], t[i % len(t)], w[i % len(t)])
+    table = grid_table(scene_tables(scene))
+    for got, want in ((table.r, fld.r), (table.k_closed, fld.K),
+                      (table.h_closed, fld.H)):
+        if want is None:  # null families: the radius alone places a row
+            continue
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", GATE_SCENES + FIGURE_SCENES)

@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
+import os
 import pathlib
 import tracemalloc
 
@@ -146,6 +148,15 @@ def test_sweep_with_each_fixed_axis(monkeypatch, name, axis):
     mesh = sweep(dataclasses.replace(scene, grid=grid))
     n_tw = {"s": 6 * 5, "t": 5, "w": 6}[axis]
     assert sizes == [(1 if axis == "s" else 7, n_tw, n_tw)]
+    # the vertices are the broadcast of grid.axes(fixed=True), which is
+    # the product of the axes with the fixed one at its value
+    s, t, w = grid.axes(fixed=True)
+    assert mesh.params.tolist() == np.column_stack(
+        [np.repeat(s, len(t)), np.tile(t, len(s)), np.tile(w, len(s))]
+    ).tolist()
+    assert mesh.params.tolist() == [list(p) for p in itertools.product(
+        *([grid.fixed_value] if a == axis else grid.values_of(a)
+          for a in AXES))]
     fld = scene.field(*mesh.params.T)
     for column in ("points", "K", "H", "singular"):
         got, want = getattr(mesh, column), getattr(fld, column)
@@ -262,6 +273,28 @@ def test_export_unwritable_path():
     mesh = sweep(dataclasses.replace(scene, grid=grid))
     with pytest.raises(OSError):
         export_obj(mesh, "/nonexistent-dir/sub/mesh.obj")
+
+
+@pytest.mark.parametrize("field", ["fig.obj", "./sub/../fig.obj", "link.csv",
+                                   "new.obj"])
+def test_export_to_one_file_twice_fails_before_opening_it(field, tmp_path,
+                                                          monkeypatch):
+    # one path for both files would leave the field alone in it; a new
+    # path, an existing one, its other spelling and a hard link to it are
+    # all refused before anything is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "fig.obj").write_text("old\n")
+    os.link(tmp_path / "fig.obj", tmp_path / "link.csv")
+    scene = bundled_scene("pseudo-null-c1-figure")
+    mesh = sweep(dataclasses.replace(
+        scene, grid=dataclasses.replace(scene.grid, n_s=6, n_t=6)))
+    obj = "new.obj" if field == "new.obj" else "fig.obj"
+    for fmt in ("csv", "json"):
+        with pytest.raises(MeshError, match="same file"):
+            export(mesh, obj, field, fmt)
+    assert (tmp_path / "fig.obj").read_text() == "old\n"
+    assert not (tmp_path / "new.obj").exists()
 
 
 def _sha256(path) -> str:
