@@ -164,13 +164,6 @@ class NullCoefficients:
     def from_text(a1_text: str, theta_text: str) -> "NullCoefficients":
         return NullCoefficients(expr.parse(a1_text), expr.parse(theta_text))
 
-    def values(self, s, t, w):
-        """(a1, theta) at (s, t, w): floats, or arrays of the broadcast shape
-        of arrays s, t, w from one walk per expression (see
-        ``expr.eval_value``)."""
-        return (expr.eval_value(self.a1, s=s, t=t, w=w),
-                expr.eval_value(self.theta, s=s, t=t, w=w))
-
 
 @dataclass(frozen=True)
 class CurvaturePair:
@@ -184,12 +177,14 @@ class CurvaturePair:
 # The batched field kernel
 #
 # C(s,t,w) = gamma(s) + sum a_i F_i(s) reads the frame, the radius jet and
-# the radial factor at s alone and the shape values at (t, w) alone, and
-# callers evaluate on a product of s values and (t, w) pairs that they
-# state: the table stage (``field_tables``) evaluates each s value and each
-# (t, w) pair once, and the row stages (``field_points``, ``field_rows``)
-# read the tables at index arrays that broadcast, typically an (n, 1) block
-# of s indices by a (1, m) block of (t, w) indices, so an s-only or
+# the radial factor at s alone and the shape values at (t, w) alone, as a
+# null family's a1 and theta where they read no s (where they do, they are
+# walked at the rows).  Callers evaluate on a product of s values and
+# (t, w) pairs that they state: the table stage (``field_tables``)
+# evaluates each s value and each (t, w) pair once, and the row stages
+# (``field_points``, ``field_rows``) read the tables at index arrays that
+# broadcast, typically an (n, 1) block of s indices by a (1, m) block of
+# (t, w) indices, so an s-only or
 # (t, w)-only factor is gathered and computed once per value, and a caller
 # that needs the closed forms at a few rows only (the oracle's stencil
 # centers, see ``verify.grid_table``) pays for those rows only.  One table
@@ -293,6 +288,15 @@ def _fiber(family: CanalFamily, f, g, T):
     return trig, g * mate, sign * mate / (2.0 * g)
 
 
+def _cos_sin(theta):
+    return libm(math.cos, theta), libm(math.sin, theta)
+
+
+def _on_pairs(e, t, w):
+    """A null expression at the (t, w) pairs, or None when it reads s."""
+    return None if "s" in expr.variables(e) else expr.eval_value(e, t=t, w=w)
+
+
 @dataclass(frozen=True)
 class FieldTables:
     """The table stage of ``field``: a family's inputs at an array of s
@@ -313,20 +317,26 @@ class FieldTables:
     f: np.ndarray | None
     g: np.ndarray | None
     T: np.ndarray | None
-    #: a null family's free data, walked at the rows by ``field_points``
+    #: a null family's free data, and its a1 and (cos theta, sin theta) at
+    #: the (t, w) pairs, like the shape values; a factor whose expression
+    #: reads s is None here and walked at the rows by ``field_points``
     nc: NullCoefficients | None
+    a1_tw: np.ndarray | None = None
+    cos_sin_tw: tuple | None = None
 
 
 def field_tables(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
                  shape: ShapeSpec | None, nc: NullCoefficients | None,
                  s, t, w) -> FieldTables:
     """The table stage of ``field``: frames, radius jets and radial factors
-    at the s values (raveled to 1-D), and for non-null families the shape
-    values at the (t, w) pairs (t[j], w[j]).  Each value is evaluated once,
-    in the order given; nothing is deduplicated.
+    at the s values (raveled to 1-D), for non-null families the shape
+    values at the (t, w) pairs (t[j], w[j]), and for null families a1 and
+    theta's cos and sin at the pairs where the expression has no s (one in
+    s is left to the rows).  Each value is evaluated once, in the order
+    given; nothing is deduplicated.
 
-    Regime violations raise ``RegimeError`` naming the first failing value
-    in that order.
+    Regime violations and domain errors raise naming the first failing
+    value in that order.
     """
     if curve.curve_class is not family.curve_class:
         raise RegimeError(
@@ -343,8 +353,10 @@ def field_tables(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
     with np.errstate(all="ignore"):
         fr, jet, radial = _frames(family, curve, radius, s)
         if family.variant.is_null_variant:
+            a1, theta = (_on_pairs(e, t, w) for e in (nc.a1, nc.theta))
             return FieldTables(family, s, t, w, fr, jet, None, None, None,
-                               None, nc)
+                               None, nc, a1,
+                               None if theta is None else _cos_sin(theta))
         f, g = shape.values(t, w)
         if np.any(g == 0.0):
             raise RegimeError("shape function g vanishes at the evaluation "
@@ -366,13 +378,20 @@ def _fiber_coefficients(tables: FieldTables, s_ix, tw_ix):
 
 
 def _null_coefficients(tables: FieldTables, s_ix, tw_ix):
-    """(a1, a2, a3, a4) of a null-center family at the rows, from its free
-    data walked once at the rows; a negative rho^2 is reported at the first
-    row where it occurs."""
+    """(a1, a2, a3, a4) of a null-center family at the rows: a1, cos theta
+    and sin theta gathered from the (t, w) tables at tw_ix, or walked at
+    the rows where the expression reads s; a negative rho^2 is reported at
+    the first row where it occurs."""
+    def walk(e):
+        return expr.eval_value(e, s=tables.s[s_ix], t=tables.t[tw_ix],
+                               w=tables.w[tw_ix])
+
     # The coefficients are row-sized, so each temporary is dropped as soon
     # as it is used.
-    a1, theta = tables.nc.values(tables.s[s_ix], tables.t[tw_ix],
-                                 tables.w[tw_ix])
+    nc = tables.nc
+    a1 = walk(nc.a1) if tables.a1_tw is None else tables.a1_tw[tw_ix]
+    cos, sin = (_cos_sin(walk(nc.theta)) if tables.cos_sin_tw is None
+                else (x[tw_ix] for x in tables.cos_sin_tw))
     lam = tables.family.lam
     r, r1 = (x[s_ix] for x in tables.jet[:2])
     a3 = -lam * r * r1
@@ -380,7 +399,7 @@ def _null_coefficients(tables: FieldTables, s_ix, tw_ix):
     del r, r1
     _regime(rho < 0, "rho^2 = lambda*r*(r + 2*a1*r') = {} < 0", rho)
     np.sqrt(rho, out=rho)
-    return [a1, rho * libm(math.cos, theta), a3, rho * libm(math.sin, theta)]
+    return [a1, rho * cos, a3, rho * sin]
 
 
 def field_points(tables: FieldTables, s_ix, tw_ix) -> np.ndarray:
@@ -393,9 +412,10 @@ def field_points(tables: FieldTables, s_ix, tw_ix) -> np.ndarray:
     broadcasting, so index blocks of shapes (n, 1) and (1, m) gather n and
     m values, not n m.  The points are built component-major, one
     coefficient and one contiguous column at a time, and returned as the
-    (..., 4) view of that array, so no other array of their size is made;
-    a null family's free data is walked at the rows before the points are
-    allocated.
+    (..., 4) view of that array, so no other array of their size is made.
+    A null family's a1, cos theta and sin theta are gathered at tw_ix like
+    the shape factors, and an expression that reads s is walked at the
+    rows before the points are allocated.
     """
     fr = tables.frames
     shape = np.broadcast_shapes(np.shape(s_ix), np.shape(tw_ix))

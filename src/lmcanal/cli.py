@@ -30,7 +30,7 @@ from .curves import (GRAM_TOL, ODE_TOL, CurveClass, CurveError, builtin,
 from .curves import derive_frame  # noqa: F401
 from .expr import ExprError
 from .minkowski import inner_rows
-from .scene import SceneError, bundled_scene_names, resolve_scene
+from .scene import SceneError, resolve_scene
 from .verify import verify_scene
 
 EXIT_OK = 0
@@ -78,8 +78,7 @@ def _add_frames(sub):
 def _add_verify(sub):
     p = sub.add_parser("verify", help="verify a scene against the oracle")
     p.add_argument("--scene", required=True,
-                   help="scene file or bundled scene name "
-                        f"(bundled: {', '.join(bundled_scene_names() or ['-'])})")
+                   help="scene file or bundled scene name")
 
 
 def _add_mesh(sub):

@@ -14,9 +14,9 @@ and curvatures (k1, k2, k3):
 Frames are derived numerically from order-4 jets of the curve components,
 for a whole array of parameter values at once (``derive_frames``).  The
 frame vectors that the Gram tables leave underdetermined are fixed by
-documented gauge choices (see ``derive_frames``); builtin example curves
-carry their analytic frames as reference data and pin the gauge so derived
-and analytic frames agree componentwise.
+documented gauge choices (see ``derive_frames``), pinned so that the
+derived frames of the builtin example curves agree componentwise with
+their analytic frames (tests/test_curves.py).
 """
 
 from __future__ import annotations
@@ -89,27 +89,6 @@ class UnknownCurveError(CurveError):
     """Builtin curve name is not known."""
 
 
-@dataclass(frozen=True)
-class ReferenceFrame:
-    """Analytic frame and curvature expressions attached to builtin curves."""
-
-    f1: tuple
-    f2: tuple
-    f3: tuple
-    f4: tuple
-    k1: object
-    k2: object
-    k3: object
-
-    def frame_at(self, s):
-        """F1..F4 at s: (4,) vectors for one s, (n, 4) rows for an array
-        of n values."""
-        def vec(comps):
-            return np.stack(np.broadcast_arrays(
-                *(expr.eval_value(c, s=s) for c in comps)), axis=-1)
-        return vec(self.f1), vec(self.f2), vec(self.f3), vec(self.f4)
-
-
 @dataclass(frozen=True, eq=False)
 class CurveSpec:
     """A center curve: four component expressions in s plus its causal class.
@@ -125,7 +104,6 @@ class CurveSpec:
     components: tuple
     curve_class: CurveClass
     name: str | None = None
-    reference: ReferenceFrame | None = None
     f3_gauge: tuple | None = None
     completion_frame: tuple | None = None
 
@@ -146,41 +124,19 @@ def _exprs(*texts: str) -> tuple:
 
 
 def _builtin_pseudo_null() -> CurveSpec:
-    ref = ReferenceFrame(
-        f1=_exprs("sinh(2*s)/sqrt(2)", "cosh(2*s)/sqrt(2)",
-                  "cos(2*s)/sqrt(2)", "sin(2*s)/sqrt(2)"),
-        f2=_exprs("sqrt(2)*cosh(2*s)", "sqrt(2)*sinh(2*s)",
-                  "-sqrt(2)*sin(2*s)", "sqrt(2)*cos(2*s)"),
-        f3=_exprs("sinh(2*s)/sqrt(2)", "cosh(2*s)/sqrt(2)",
-                  "-cos(2*s)/sqrt(2)", "-sin(2*s)/sqrt(2)"),
-        f4=_exprs("-cosh(2*s)/(2*sqrt(2))", "-sinh(2*s)/(2*sqrt(2))",
-                  "-sin(2*s)/(2*sqrt(2))", "cos(2*s)/(2*sqrt(2))"),
-        k1=expr.parse("1"), k2=expr.parse("4"), k3=expr.parse("0"),
-    )
     return CurveSpec(
         components=_exprs("cosh(2*s)/(2*sqrt(2))", "sinh(2*s)/(2*sqrt(2))",
                           "sin(2*s)/(2*sqrt(2))", "-cos(2*s)/(2*sqrt(2))"),
         curve_class=CurveClass.PSEUDO_NULL,
         name="pseudo-null-example",
-        reference=ref,
     )
 
 
 def _builtin_partially_null() -> CurveSpec:
-    ref = ReferenceFrame(
-        f1=_exprs("exp(s)", "exp(s)", "-sin(2*s)", "cos(2*s)"),
-        f2=_exprs("exp(s)/2", "exp(s)/2", "-cos(2*s)", "-sin(2*s)"),
-        f3=_exprs("5/2", "5/2", "0", "0"),
-        f4=_exprs("-exp(2*s)/4 - 1/5", "-exp(2*s)/4 + 1/5",
-                  "exp(s)*(cos(2*s) + 2*sin(2*s))/5",
-                  "exp(s)*(sin(2*s) - 2*cos(2*s))/5"),
-        k1=expr.parse("2"), k2=expr.parse("exp(s)"), k3=expr.parse("0"),
-    )
     return CurveSpec(
         components=_exprs("exp(s)", "exp(s)", "cos(2*s)/2", "sin(2*s)/2"),
         curve_class=CurveClass.PARTIALLY_NULL,
         name="partially-null-example",
-        reference=ref,
         # F3 is the constant null direction (1,1,0,0); the analytic frame
         # carries it with scale 5/2 and F4 is scaled to keep <F3,F4> = 1.
         f3_gauge=(2.5, 2.5, 0.0, 0.0),
@@ -188,23 +144,11 @@ def _builtin_partially_null() -> CurveSpec:
 
 
 def _builtin_null() -> CurveSpec:
-    ref = ReferenceFrame(
-        f1=_exprs("cosh(s)/sqrt(2)", "sinh(s)/sqrt(2)",
-                  "cos(s)/sqrt(2)", "-sin(s)/sqrt(2)"),
-        f2=_exprs("sinh(s)/sqrt(2)", "cosh(s)/sqrt(2)",
-                  "-sin(s)/sqrt(2)", "-cos(s)/sqrt(2)"),
-        f3=_exprs("-cosh(s)/sqrt(2)", "-sinh(s)/sqrt(2)",
-                  "cos(s)/sqrt(2)", "-sin(s)/sqrt(2)"),
-        f4=_exprs("sinh(s)/sqrt(2)", "cosh(s)/sqrt(2)",
-                  "sin(s)/sqrt(2)", "cos(s)/sqrt(2)"),
-        k1=expr.parse("1"), k2=expr.parse("0"), k3=expr.parse("-1"),
-    )
     return CurveSpec(
         components=_exprs("sinh(s)/sqrt(2)", "cosh(s)/sqrt(2)",
                           "sin(s)/sqrt(2)", "cos(s)/sqrt(2)"),
         curve_class=CurveClass.NULL,
         name="null-example",
-        reference=ref,
     )
 
 
@@ -216,7 +160,7 @@ _BUILTINS = {
 
 
 def builtin(name: str) -> CurveSpec:
-    """Return a builtin example curve with analytic reference frame."""
+    """Return a builtin example curve."""
     try:
         factory = _BUILTINS[name]
     except KeyError:

@@ -1,9 +1,10 @@
 """Frame derivation against the analytic reference frames of the builtin
-curves, plus the Gram-table / frame-ODE verification machinery."""
+curves (``REFERENCE``, kept here as test data), plus the Gram-table /
+frame-ODE verification machinery."""
 
 import math
 import random
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,70 @@ from lmcanal.minkowski import inner_rows
 from lmcanal.scene import bundled_scene, bundled_scene_names
 
 SAMPLES = [-1.0 + 2.0 * i / 49 for i in range(50)]
+
+
+@dataclass(frozen=True)
+class ReferenceFrame:
+    """Analytic frame and curvature expressions of a builtin curve."""
+
+    f1: tuple
+    f2: tuple
+    f3: tuple
+    f4: tuple
+    k1: object
+    k2: object
+    k3: object
+
+    def frame_at(self, s):
+        """F1..F4 at s: (4,) vectors for one s, (n, 4) rows for an array
+        of n values."""
+        def vec(comps):
+            return np.stack(np.broadcast_arrays(
+                *(expr.eval_value(c, s=s) for c in comps)), axis=-1)
+        return vec(self.f1), vec(self.f2), vec(self.f3), vec(self.f4)
+
+
+def _exprs(*texts: str) -> tuple:
+    return tuple(expr.parse(t) for t in texts)
+
+
+#: The analytic frames of the builtin curves, under the gauges of
+#: ``derive_frames``.
+REFERENCE = {
+    "pseudo-null-example": ReferenceFrame(
+        f1=_exprs("sinh(2*s)/sqrt(2)", "cosh(2*s)/sqrt(2)",
+                  "cos(2*s)/sqrt(2)", "sin(2*s)/sqrt(2)"),
+        f2=_exprs("sqrt(2)*cosh(2*s)", "sqrt(2)*sinh(2*s)",
+                  "-sqrt(2)*sin(2*s)", "sqrt(2)*cos(2*s)"),
+        f3=_exprs("sinh(2*s)/sqrt(2)", "cosh(2*s)/sqrt(2)",
+                  "-cos(2*s)/sqrt(2)", "-sin(2*s)/sqrt(2)"),
+        f4=_exprs("-cosh(2*s)/(2*sqrt(2))", "-sinh(2*s)/(2*sqrt(2))",
+                  "-sin(2*s)/(2*sqrt(2))", "cos(2*s)/(2*sqrt(2))"),
+        k1=expr.parse("1"), k2=expr.parse("4"), k3=expr.parse("0"),
+    ),
+    # F3 is the constant null direction (1,1,0,0) at the scale 5/2 of the
+    # curve's f3_gauge
+    "partially-null-example": ReferenceFrame(
+        f1=_exprs("exp(s)", "exp(s)", "-sin(2*s)", "cos(2*s)"),
+        f2=_exprs("exp(s)/2", "exp(s)/2", "-cos(2*s)", "-sin(2*s)"),
+        f3=_exprs("5/2", "5/2", "0", "0"),
+        f4=_exprs("-exp(2*s)/4 - 1/5", "-exp(2*s)/4 + 1/5",
+                  "exp(s)*(cos(2*s) + 2*sin(2*s))/5",
+                  "exp(s)*(sin(2*s) - 2*cos(2*s))/5"),
+        k1=expr.parse("2"), k2=expr.parse("exp(s)"), k3=expr.parse("0"),
+    ),
+    "null-example": ReferenceFrame(
+        f1=_exprs("cosh(s)/sqrt(2)", "sinh(s)/sqrt(2)",
+                  "cos(s)/sqrt(2)", "-sin(s)/sqrt(2)"),
+        f2=_exprs("sinh(s)/sqrt(2)", "cosh(s)/sqrt(2)",
+                  "-sin(s)/sqrt(2)", "-cos(s)/sqrt(2)"),
+        f3=_exprs("-cosh(s)/sqrt(2)", "-sinh(s)/sqrt(2)",
+                  "cos(s)/sqrt(2)", "-sin(s)/sqrt(2)"),
+        f4=_exprs("sinh(s)/sqrt(2)", "cosh(s)/sqrt(2)",
+                  "sin(s)/sqrt(2)", "cos(s)/sqrt(2)"),
+        k1=expr.parse("1"), k2=expr.parse("0"), k3=expr.parse("-1"),
+    ),
+}
 #: a constant pseudo null frame for the straight line (0, s, 0, 0)
 COMPLETION = ((0, 1, 0, 0), (1, 0, 0, 1), (0, 0, 1, 0), (-0.5, 0, 0, 0.5))
 
@@ -44,18 +109,22 @@ def test_builtin_curvature_constants():
 
 
 def test_derived_frames_match_analytic():
+    assert sorted(REFERENCE) == list(builtin_names())
     for name in builtin_names():
-        curve = builtin(name)
+        curve, reference = builtin(name), REFERENCE[name]
         # the reference frame on rows has the bits of its one-s vectors
-        rows = curve.reference.frame_at(np.array(SAMPLES))
+        rows = reference.frame_at(np.array(SAMPLES))
         assert [v.shape for v in rows] == [(len(SAMPLES), 4)] * 4
         for i, s in enumerate(SAMPLES):
             fr = derive_frame(curve, s)
-            ref = curve.reference.frame_at(s)
+            ref = reference.frame_at(s)
             for got, want, row in zip((fr.f1, fr.f2, fr.f3, fr.f4), ref, rows):
                 assert want.shape == (4,)
                 assert want.tobytes() == row[i].tobytes(), (name, s)
                 assert np.linalg.norm(got - want) <= 1e-7, (name, s)
+            for got, k in zip((fr.k1, fr.k2, fr.k3),
+                              (reference.k1, reference.k2, reference.k3)):
+                assert abs(got - expr.eval_value(k, s=s)) <= 1e-8, (name, s)
 
 
 def test_gram_tables_hold():

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from lmcanal import canal, expr, oracle
+from lmcanal import mesh as mesh_mod
 from lmcanal import scene as scene_mod
 from lmcanal import verify as verify_mod
 from lmcanal.canal import (RadiusSpec, SingularPointError, curvature_closed,
@@ -160,15 +161,17 @@ def test_check_curvatures_derives_each_s_once(monkeypatch):
 
 def test_field_walks_each_expression_once_per_call(monkeypatch):
     # shape and null data come from one eval_value walk per expression and
-    # verify pass (or kernel call), whatever the number of points
+    # verify pass (or kernel call), whatever the number of points, on the
+    # table that the expression's variables span
     canal_scene, null_scene = (bundled_scene(n) for n in ("pseudo-null-c1",
                                                            "null-c1"))
-    walks, tables = [], []
+    walks, sizes, tables = [], [], []
     real_walk, real_tables = expr.eval_value, scene_mod.field_tables
 
-    def counted_walk(*args, **kwargs):
-        walks.append(args[0])
-        return real_walk(*args, **kwargs)
+    def counted_walk(e, **at):
+        walks.append(e)
+        sizes.append(np.broadcast_shapes(*(np.shape(x) for x in at.values())))
+        return real_walk(e, **at)
 
     def counted_tables(*args):
         tables.append(len(args[-1]))
@@ -184,11 +187,94 @@ def test_field_walks_each_expression_once_per_call(monkeypatch):
     assert tables == [9 * grid.n_t * grid.n_w]
     assert walks == [canal_scene.shape.f, canal_scene.shape.g]
     walks.clear()
+    sizes.clear()
     grid_table(scene_tables(null_scene))
     assert walks == [null_scene.nc.a1, null_scene.nc.theta]
+    # a1 = t and theta = w read no s: they are walked on the 9 n_t n_w
+    # (t, w) pairs of the stencils, not on the 19 n_s n_t n_w stencil rows
+    grid = null_scene.grid
+    n_tw = grid.n_t * grid.n_w
+    assert sizes == [(9 * n_tw,)] * 2
     walks.clear()
     null_scene.field(*_random_points(null_scene, 500, 3))
     assert walks == [null_scene.nc.a1, null_scene.nc.theta]
+    # an expression that reads s is walked at the 19 n_s n_t n_w rows
+    walks.clear()
+    sizes.clear()
+    nc = canal.NullCoefficients.from_text("t", "s")
+    grid_table(scene_tables(dataclasses.replace(null_scene, nc=nc)))
+    assert walks == [nc.a1, nc.theta]
+    assert sizes == [(9 * n_tw,), (19, grid.n_s, n_tw)]
+
+
+#: (a1, theta) free data on the null example curve, each on a null gate
+#: scene where rho^2 = lambda r (r + 2 a1 r') >= 0: a1 and theta on the
+#: (t, w) table (constants included) or, where they read s, walked at the
+#: rows
+NULL_DATA = [("null-c1", "t", "w"), ("null-c2", "-s-t", "w"),
+             ("null-c1", "s", "1"), ("null-c1", "0", "w"),
+             ("null-c1", "t^2+s", "w+s*t"), ("null-t1", "-s-t", "w"),
+             ("null-t1", "t^2+s", "w+s*t")]
+
+
+def _null_scene(name, a1, theta):
+    return dataclasses.replace(
+        bundled_scene(name), nc=canal.NullCoefficients.from_text(a1, theta))
+
+
+@pytest.mark.parametrize("name, a1, theta", NULL_DATA)
+def test_null_points_on_blocks_equal_field_on_raveled_rows(name, a1, theta):
+    # verify's (19, n_s, 1) by (19, 1, n_tw) blocks and sweep's blocks
+    # give the bits of ``field`` on the same rows raveled
+    scene = _null_scene(name, a1, theta)
+    assert scene.curve.name == "null-example"
+    axes, blocks = oracle.grid_stencil(*scene.grid.axes(), scene.oracle_step)
+    tables = scene.tables(*axes)
+    got = canal.field_points(tables, *blocks)
+    s_ix, tw_ix = (x.ravel() for x in np.broadcast_arrays(*blocks))
+    want = scene.field(tables.s[s_ix], tables.t[tw_ix], tables.w[tw_ix])
+    assert got.shape == blocks[0].shape[:2] + blocks[1].shape[2:] + (4,)
+    assert got.reshape(-1, 4).tobytes() == want.points.tobytes()
+    fixed = dataclasses.replace(scene, grid=bundled_scene(
+        "null-c1-figure").grid)
+    mesh = mesh_mod.sweep(fixed)
+    want = fixed.field(*mesh.params.T)
+    assert mesh.points.tobytes() == want.points.tobytes()
+
+
+def test_null_table_domain_error_names_the_first_failing_pair():
+    # theta = ln(w - 1) reads no s, so the table stage walks it on the
+    # (t, w) pairs and names the first pair that leaves the domain
+    scene = _null_scene("null-c1", "t", "ln(w - 1)")
+    axes, _ = oracle.grid_stencil(*scene.grid.axes(), scene.oracle_step)
+    _, t, w = axes
+    j = int(np.argmax(w - 1.0 <= 0.0))
+    with pytest.raises(expr.DomainError) as e:
+        scene.tables(*axes)
+    t, w = float(t[j]), float(w[j])
+    assert str(e.value) == (f"ln of non-positive value {w - 1.0!r} "
+                            f"where t={t!r}, w={w!r}")
+
+
+@pytest.mark.parametrize("a1", ["0", "-t", "s-1"])
+def test_null_rho_error_names_the_first_failing_row(a1):
+    # rho^2 reads r(s) and a1, so it is a row computation: the error
+    # names its value on the first stencil row where it is negative,
+    # whichever table a1 is read from
+    scene = _null_scene("null-c2" if a1 == "0" else "null-c1", a1, "w")
+    axes, blocks = oracle.grid_stencil(*scene.grid.axes(), scene.oracle_step)
+    tables = scene.tables(*axes)
+    s_ix, tw_ix = np.broadcast_arrays(*blocks)
+    s, t, w = tables.s[s_ix], tables.t[tw_ix], tables.w[tw_ix]
+    r, r1 = scene.radius.jet(s)[:2]
+    lam = scene.family.lam
+    rho = lam * r * (r + 2.0 * expr.eval_value(scene.nc.a1, s=s, t=t, w=w)
+                     * r1)
+    assert np.any(rho < 0)
+    first = float(rho[rho < 0][0])
+    with pytest.raises(canal.RegimeError) as e:
+        canal.field_points(tables, *blocks)
+    assert str(e.value) == f"rho^2 = lambda*r*(r + 2*a1*r') = {first} < 0"
 
 
 @pytest.mark.parametrize("name", GATE_SCENES)

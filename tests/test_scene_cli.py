@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lmcanal import cli, expr
+from lmcanal import scene as scene_mod
 from lmcanal.cli import main
 from lmcanal.scene import (SceneError, bundled_scene, bundled_scene_names,
                            parse_scene)
@@ -300,6 +301,24 @@ def test_cli_allocation_failure_exits_1(capsys, monkeypatch):
                             "array\n")
 
 
+def test_parser_build_lists_no_scenes(monkeypatch, capsys):
+    # the --scene help text is static: building the parser reads no scene
+    # directory, and an unknown name is reported with the bundled ones
+    def listed():
+        raise AssertionError("bundled scenes listed")
+
+    monkeypatch.setattr(scene_mod, "bundled_scene_names", listed)
+    monkeypatch.setattr(cli, "bundled_scene_names", listed, raising=False)
+    parser = cli._build_parser()
+    assert parser.parse_args(["verify", "--scene", "null-c1"]).scene == \
+        "null-c1"
+    monkeypatch.undo()
+    assert main(["verify", "--scene", "no-such-scene"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lmcanal: $: no bundled scene 'no-such-scene'; "
+                          "known: ['null-c1', ")
+
+
 def test_cli_option_surface(capsys):
     # every tolerance and step is the package's or the scene's, so no
     # option sets one
@@ -445,6 +464,26 @@ def test_cli_verify_regime_violation_exits_1(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 1
     assert "r'^2 < 1" in err
+
+
+def test_cli_verify_null_table_domain_error_exits_1(capsys, tmp_path):
+    # theta reads no s, so it is walked on the (t, w) table; the first
+    # table entry that leaves the domain is named
+    doc = {
+        "version": 1,
+        "curve": {"builtin": "null-example"},
+        "family": {"variant": "NullC1"},
+        "radius": "s/2",
+        "null_coefficients": {"a1": "t", "theta": "ln(w - 1)"},
+        "grid": {"s": [0.3, 0.9, 4], "t": [0.5, 1.5, 4], "w": [0.2, 2.0, 4]},
+    }
+    path = tmp_path / "ln.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--scene", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("lmcanal: ln of non-positive value -0.8 where "
+                            "t=0.5, w=0.2\n")
 
 
 @pytest.mark.parametrize("radius", ["(" * 3000 + "s" + ")" * 3000,
