@@ -480,21 +480,6 @@ def evaluate_point(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
     return field(family, curve, radius, shape, nc, [s], [t], [w]).points[0]
 
 
-def unit_normal_closed_pseudo_c1(frame: FrameRows, r_jet, f: float, g: float,
-                                 branch: int = 1) -> np.ndarray:
-    """Closed-form unit normal of the pseudo null C1 family, the radial
-    direction (C - gamma)/r, as a (4,) vector from the one frame of
-    ``derive_frame``."""
-    r1 = r_jet[1]
-    if r1 * r1 >= 1.0:
-        raise RegimeError("C1 requires r'^2 < 1")
-    root = math.sqrt(1.0 - r1 * r1)
-    b = float(branch)
-    return (-r1) * frame.f1 + (b * root * g * math.sin(f)) * frame.f2 \
-        + (b * root * math.cos(f)) * frame.f3 \
-        + (b * root * math.sin(f) / (2.0 * g)) * frame.f4
-
-
 # ---------------------------------------------------------------------------
 # Closed-form curvatures
 #
@@ -624,39 +609,54 @@ def curvature_closed(family: CanalFamily, k1: float, r_jet, f: float,
 def relation_residual(pair: CurvaturePair, r: float | np.ndarray,
                       family: CanalFamily) -> float | np.ndarray:
     """Left side of the linear K-H relation 3H - r^2 K + sigma 2/r, at one
-    point or elementwise at arrays of points."""
-    if family.curve_class not in (CurveClass.PSEUDO_NULL,
-                                  CurveClass.PARTIALLY_NULL):
+    point or elementwise at arrays of points, for every family with closed
+    forms, canal and tubular alike (a canal hypersurface's K and H both
+    follow from its meridian curvature and r)."""
+    if family.variant.is_null_variant:
         raise UnsupportedFamilyError(
-            "K-H relations cover pseudo null and partially null canal "
-            "variants only")
-    if family.variant.is_tubular:
-        raise UnsupportedFamilyError(
-            f"no K-H relation for variant {family.variant.value}")
+            "K-H relations cover pseudo null and partially null variants "
+            "only")
     sigma = _CLOSED_FORMS[family.variant].sigma
     return 3.0 * pair.H - r * r * pair.K + sigma * 2.0 / r
 
 
-def _is_zero_k1(k1: float) -> bool:
-    return abs(k1) <= 1e-12
+#: Names of the flatness (0) and minimality (1) conditions in messages.
+_CONDITIONS = (("flatness", "flat"), ("minimality", "minimal"))
 
 
-def _shape_is_g_eq_sinf(f: float, g: float) -> bool:
-    return abs(g - math.sin(f)) <= 1e-9
-
-
-def _curved_c1_numerators(r_jet, f: float, g: float):
-    """The canal K and H numerators of pseudo null C1 on a curved center
-    (k1 = 1, T = sin f, G = 2g).  Both are homogeneous of degree 2 in
-    (T, G), so under g = sin f they are taken at T = 1, G = 2, which is
-    the numerators over sin^2 f."""
+def _condition_residual(which: int, family: CanalFamily, r_jet, k1: float,
+                        f: float | None, g: float | None) -> float:
+    """Left side of the flatness (``which`` 0) or minimality (1) condition
+    of pseudo null C1 or partially null C5.  Straight centers (|k1| <=
+    1e-12) have conditions in r alone; on a curved C1 center it is the
+    canal K or H numerator (k1 = 1, T = sin f, G = 2g), which is
+    homogeneous of degree 2 in (T, G), so under g = sin f it is taken at
+    T = 1, G = 2: the numerator over sin^2 f."""
+    noun, adjective = _CONDITIONS[which]
+    c1 = (family.curve_class is CurveClass.PSEUDO_NULL
+          and family.variant is Variant.C1)
+    if not c1 and not (family.curve_class is CurveClass.PARTIALLY_NULL
+                       and family.variant is Variant.C5):
+        raise UnsupportedFamilyError(
+            f"no {noun} condition for {family.curve_class.value} "
+            f"{family.variant.value}")
     r, r1, r2 = r_jet[0], r_jet[1], r_jet[2]
+    if abs(k1) <= 1e-12:
+        if which == 0:
+            return r2
+        return (2.0 - 2.0 * r1 * r1 - 3.0 * r * r2 if c1
+                else 2.0 + 2.0 * r1 * r1 + 3.0 * r * r2)
+    if not c1:
+        raise UnsupportedFamilyError(
+            f"partially null C5 cannot be {adjective} for k1 != 0")
+    if f is None or g is None:
+        raise RegimeError(f"curved-center {noun} requires f, g values")
     _radial_scale(Variant.C1, r, r1)  # regime checks on r and r'
-    T, G = ((1.0, 2.0) if _shape_is_g_eq_sinf(f, g)
+    T, G = ((1.0, 2.0) if abs(g - math.sin(f)) <= 1e-9
             else (math.sin(f), 2.0 * g))
     num_k, _, num_h, _ = _canal_kh(_CLOSED_FORMS[Variant.C1], 1.0, r, r1, r2,
                                    T, G)
-    return float(num_k), float(num_h)
+    return float((num_k, num_h)[which])
 
 
 def flat_residual(family: CanalFamily, r_jet, k1: float,
@@ -668,22 +668,7 @@ def flat_residual(family: CanalFamily, r_jet, k1: float,
     in (r, r', r'')).  Partially null C5: r'' for straight centers
     (flatness is impossible for curved ones, reported as unsupported).
     """
-    if (family.curve_class is CurveClass.PSEUDO_NULL
-            and family.variant is Variant.C1):
-        if _is_zero_k1(k1):
-            return r_jet[2]
-        if f is None or g is None:
-            raise RegimeError("curved-center flatness requires f, g values")
-        return _curved_c1_numerators(r_jet, f, g)[0]
-    if (family.curve_class is CurveClass.PARTIALLY_NULL
-            and family.variant is Variant.C5):
-        if _is_zero_k1(k1):
-            return r_jet[2]
-        raise UnsupportedFamilyError(
-            "partially null C5 cannot be flat for k1 != 0")
-    raise UnsupportedFamilyError(
-        f"no flatness condition for {family.curve_class.value} "
-        f"{family.variant.value}")
+    return _condition_residual(0, family, r_jet, k1, f, g)
 
 
 def minimal_residual(family: CanalFamily, r_jet, k1: float,
@@ -695,23 +680,7 @@ def minimal_residual(family: CanalFamily, r_jet, k1: float,
     with leading term -8m^2).
     Partially null C5: 2 + 2r'^2 + 3rr'' for straight centers.
     """
-    r, r1, r2 = r_jet[0], r_jet[1], r_jet[2]
-    if (family.curve_class is CurveClass.PSEUDO_NULL
-            and family.variant is Variant.C1):
-        if _is_zero_k1(k1):
-            return 2.0 - 2.0 * r1 * r1 - 3.0 * r * r2
-        if f is None or g is None:
-            raise RegimeError("curved-center minimality requires f, g values")
-        return _curved_c1_numerators(r_jet, f, g)[1]
-    if (family.curve_class is CurveClass.PARTIALLY_NULL
-            and family.variant is Variant.C5):
-        if _is_zero_k1(k1):
-            return 2.0 + 2.0 * r1 * r1 + 3.0 * r * r2
-        raise UnsupportedFamilyError(
-            "partially null C5 cannot be minimal for k1 != 0")
-    raise UnsupportedFamilyError(
-        f"no minimality condition for {family.curve_class.value} "
-        f"{family.variant.value}")
+    return _condition_residual(1, family, r_jet, k1, f, g)
 
 
 def null_constraint_residual(a1: float, a2: float, a4: float, r: float,
@@ -727,7 +696,9 @@ def null_constraint_residual(a1: float, a2: float, a4: float, r: float,
 
 @dataclass(frozen=True)
 class WeingartenReport:
-    """Max mixed-Jacobian residuals |H_x K_y - H_y K_x| over a grid."""
+    """Max mixed-Jacobian residuals |H_x K_y - H_y K_x| over a grid: the
+    result of ``weingarten_residuals``, which stays for the benchmark's
+    tracer only."""
 
     st: float
     sw: float
@@ -748,6 +719,12 @@ def weingarten_residuals(tables: FieldTables, s_ix, tw_ix, step: float
     ``field_rows`` call, so an s-only or (t, w)-only term is computed once
     per axis value.  A grid point is singular when any of its six
     closed-form evaluations is.
+
+    ``verify`` does not call this: with r constant, the K-H relation
+    (``relation_residual``, which covers the tubular variants) makes every
+    mixed Jacobian vanish.  It stays only because the benchmark's tracer
+    (``perfbench/tracer.py``) binds it by name; it goes when the tracer
+    stops doing so (ROADMAP.md).
     """
     variant = tables.family.variant
     if not variant.is_tubular or variant.is_null_variant:

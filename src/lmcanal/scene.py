@@ -24,8 +24,7 @@ Schema (version 1):
     }
 
 ``oracle_step`` (default ``oracle.DEFAULT_STEP``) is the step of the
-oracle's central differences and of the Weingarten check's differences of
-the closed forms; it is the one place that sets either.
+oracle's central differences, and the one place that sets it.
 
 Expressions use the grammar documented in the expr module.  Scenes for all
 constructible families ship as package data; ``bundled_scene`` loads them

@@ -1,5 +1,5 @@
 """Scene verification: envelope identities, closed-form-vs-oracle curvature
-agreement, K-H relations, causal character and Weingarten residuals.
+agreement, K-H relations and causal character.
 
 A scene is verified from one table stage of the field kernel
 (``scene_tables``): one ``field_tables`` call on the 3 n_s s values and the
@@ -8,9 +8,10 @@ points, with the stencil's (19, n_s, 1) and (19, 1, n_t n_w) index blocks.
 Every check reads the grid's points through these blocks.  ``grid_table``
 builds the points on every stencil row and the closed forms on row 0 (the
 grid points), and runs the oracle once; the envelope, curvature and
-causal-character checks are reductions over its table.
-``check_weingarten`` differences the closed forms on rows 1-6 (s, t and
-w each offset by plus and minus the oracle step).
+causal-character checks are reductions over its table.  Every family
+with closed forms, canal and tubular alike, takes the same path: its K-H
+relation row is the tubular variants' characterization too, since with r
+constant it makes every mixed Jacobian H_x K_y - H_y K_x vanish.
 
 The closed curvature forms are stated relative to a choice of unit normal.
 For almost all variants that choice is the radial direction (C - gamma)/r;
@@ -22,8 +23,8 @@ lambda * <N_oracle, C - gamma> times the variant gauge.  eps = <N, N>
 itself is gauge-independent and is compared against lambda directly.
 
 Every verdict is set by the module tolerances below, read at call time,
-and by the scene's ``oracle_step``, the step of both the oracle and the
-Weingarten differences; no check takes a tolerance or a step.
+and by the scene's ``oracle_step``, the step of the oracle's central
+differences; no check takes a tolerance or a step.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ ABS_TOL = 1e-6
 #: Envelope residuals |<C-g, C-g> - lam r^2| and |<C-g, C_s>|.
 MEMBERSHIP_TOL = 1e-9
 NORMALITY_TOL = 1e-5
-#: K-H relation residual |3H - r^2 K +/- 2/r| of canal variants.
+#: K-H relation residual |3H - r^2 K +/- 2/r| of every non-null variant.
 RELATION_TOL = 1e-9
-#: Mixed-Jacobian residuals |H_x K_y - H_y K_x| of tubular variants.
+#: Mixed-Jacobian residuals |H_x K_y - H_y K_x| of ``check_weingarten``,
+#: which ``verify_scene`` does not call.
 WEINGARTEN_TOL = 1e-6
 
 
@@ -123,8 +125,7 @@ def scene_tables(scene: SceneSpec) -> SceneTables:
     pairs of the oracle's stencils of every grid point of
     ``scene.grid.axes()`` at the scene's oracle step, with the stencil's
     index blocks into them.  Every check reads the tables through these
-    blocks: the oracle all 19 rows, the closed forms row 0 and the
-    Weingarten differences rows 1-6."""
+    blocks: the oracle all 19 rows and the closed forms row 0."""
     axes, blocks = oracle.grid_stencil(*scene.grid.axes(), scene.oracle_step)
     return SceneTables(scene.tables(*axes), scene.oracle_step, blocks)
 
@@ -168,8 +169,9 @@ def check_envelope(table: GridTable, report: VerifyReport):
 
 def check_curvatures(table: GridTable, report: VerifyReport):
     """Closed-form K, H against the oracle at the nonsingular grid points,
-    plus the K-H relation residual and the causal character of the normal;
-    at least one nonsingular point is required."""
+    plus the K-H relation residual of the closed forms and the causal
+    character of the normal; at least one nonsingular point is
+    required."""
     fam = table.family
     ok = table.nonsingular
     closed = CurvaturePair(table.k_closed[ok], table.h_closed[ok])
@@ -184,20 +186,22 @@ def check_curvatures(table: GridTable, report: VerifyReport):
         report.add_flag(f"{name} closed vs oracle (worst err "
                         f"{_worst(err):.2e})", bool(np.all(passed)))
     report.add_flag(f"nonsingular points >= 1 (got {n_ok})", n_ok >= 1)
-    if not fam.variant.is_tubular:
-        rel = relation_residual(closed, table.r[ok], fam)
-        report.add("K-H relation |3H - r^2 K +/- 2/r|", _worst(np.abs(rel)),
-                   RELATION_TOL)
+    rel = relation_residual(closed, table.r[ok], fam)
+    report.add("K-H relation |3H - r^2 K +/- 2/r|", _worst(np.abs(rel)),
+               RELATION_TOL)
     report.add_flag(f"causal character eps == {fam.lam}",
                     bool(np.all(table.eps[ok] == fam.lam)))
 
 
 def check_epsilon_only(table: GridTable, report: VerifyReport):
-    """Causal character for null-center families at the grid points; fails
-    if no point has a nondegenerate tangent frame."""
+    """Causal character for null-center families at the grid points with a
+    nondegenerate tangent frame (eps != 0), which are the points it counts
+    as checked; fails if there is none."""
     lam = table.family.lam
     eps = table.eps[table.eps != 0]
     n_ok = len(eps)
+    report.points_checked = n_ok
+    report.points_singular = len(table.eps) - n_ok
     report.add_flag(f"causal character eps == {lam}", bool(np.all(eps == lam)))
     report.add_flag(f"causal character points >= 1 (got {n_ok})", n_ok >= 1)
 
@@ -206,7 +210,13 @@ def check_weingarten(tables: SceneTables, report: VerifyReport):
     """Mixed-Jacobian residuals of (H, K) for tubular variants at the grid
     points, from central differences of the closed forms on stencil rows
     1-6 of the tables' grid blocks; fails if every grid point is
-    singular."""
+    singular.
+
+    ``verify_scene`` does not call this: the K-H relation row of
+    ``check_curvatures`` covers the tubular variants and implies these
+    rows.  It stays only because the benchmark's tracer
+    (``perfbench/tracer.py``) binds it by name; it goes when the tracer
+    stops doing so (ROADMAP.md)."""
     s_ix, tw_ix = tables.grid
     rep = weingarten_residuals(tables.field_tables, s_ix[1:7], tw_ix[1:7],
                                tables.step)
@@ -219,16 +229,13 @@ def check_weingarten(tables: SceneTables, report: VerifyReport):
 
 def verify_scene(scene: SceneSpec) -> VerifyReport:
     """Run every check applicable to the scene's family, all from one
-    table stage (``scene_tables``)."""
-    variant = scene.family.variant
+    table stage (``scene_tables``) and one pass over its grid
+    (``grid_table``)."""
     report = VerifyReport(scene.name)
-    tables = scene_tables(scene)
-    table = grid_table(tables)
+    table = grid_table(scene_tables(scene))
     check_envelope(table, report)
-    if variant.is_null_variant:
+    if scene.family.variant.is_null_variant:
         check_epsilon_only(table, report)
     else:
         check_curvatures(table, report)
-        if variant.is_tubular:
-            check_weingarten(tables, report)
     return report

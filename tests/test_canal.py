@@ -20,7 +20,6 @@ from lmcanal.canal import (CanalFamily, CurvaturePair, NullCoefficients,
                            flat_residual, minimal_residual,
                            null_constraint_residual,
                            field_tables, relation_residual,
-                           unit_normal_closed_pseudo_c1,
                            weingarten_residuals)
 from lmcanal.curves import (CurveClass, CurveSpec, builtin, derive_frame,
                             derive_frames)
@@ -246,8 +245,6 @@ def test_tubular_constant_curvatures():
 def test_relation_residuals():
     rng = random.Random(9)
     for curve, variant, rtext, sb, tb, wb in ALL_FAMILY_SCENES:
-        if variant.is_tubular:
-            continue
         for branch in (1, -1):
             fam = CanalFamily(curve.curve_class, variant, branch)
             rad = RadiusSpec.from_text(rtext)
@@ -276,9 +273,16 @@ def test_relation_examples():
     famc5 = CanalFamily(CurveClass.PARTIALLY_NULL, Variant.C5, 1)
     assert relation_residual(CurvaturePair(0.0, 4.0 / 3.0), 0.5, famc5) == \
         pytest.approx(0.0, abs=1e-15)
+    # tubular T1 at r = 1: K = 1, H = -1/3 (k1 = 1, g = sin f) and K = 0,
+    # H = -2/3 (a straight center) both satisfy 3H - r^2 K + 2/r = 0
+    famt1 = CanalFamily(CurveClass.PSEUDO_NULL, Variant.T1)
+    assert relation_residual(CurvaturePair(1.0, -1.0 / 3.0), 1.0, famt1) == \
+        pytest.approx(0.0, abs=1e-15)
+    assert relation_residual(CurvaturePair(0.0, -2.0 / 3.0), 1.0, famt1) == \
+        pytest.approx(0.0, abs=1e-15)
     with pytest.raises(UnsupportedFamilyError):
         relation_residual(CurvaturePair(0, 0), 1.0,
-                          CanalFamily(CurveClass.PSEUDO_NULL, Variant.T1))
+                          CanalFamily(CurveClass.NULL, Variant.NULL_T1))
 
 
 def test_regime_errors():
@@ -445,21 +449,6 @@ def test_straight_line_tube_with_completion_frame():
     assert np.array_equal(fld.center[:, 1], s) and np.all(fld.r == 1.0)
     assert np.all(np.abs(quadric_residuals(fld.points, fld.center, fld.r, 1))
                   <= 1e-12)
-
-
-def test_closed_normal_pseudo_c1_is_radial():
-    fam = CanalFamily(CurveClass.PSEUDO_NULL, Variant.C1, 1)
-    rng = random.Random(12)
-    for _ in range(20):
-        s, t, w = rng.uniform(0.3, 0.9), rng.uniform(0.7, 1.4), rng.uniform(0.5, 2.5)
-        fr = derive_frame(PN, s)
-        r_jet = HALF_S.jet(s)
-        n = unit_normal_closed_pseudo_c1(fr, r_jet, w, t, branch=1)
-        assert n.shape == (4,)
-        assert inner_rows(n, n) == pytest.approx(1.0, abs=1e-12)
-        p = evaluate_point(fam, PN, HALF_S, SHAPE_WT, None, s, t, w)
-        radial = (p - PN.point(s)) / r_jet[0]
-        assert np.linalg.norm(n - radial) <= 1e-12
 
 
 def _weingarten(family, curve, radius, shape, s, t, w,

@@ -281,13 +281,11 @@ def test_null_rho_error_names_the_first_failing_row(a1):
 def test_verify_scene_makes_one_kernel_call_per_grid_s(monkeypatch, name):
     # every check reads the one table stage: the 3 n_s s values and
     # 9 n_t n_w (t, w) pairs of the stencils of every grid point; the
-    # points on (19, n_s, 1) by (19, 1, n_t n_w) index blocks, the closed
-    # side on the grid block and, for tubular scenes, the Weingarten closed
-    # forms on the (6, n_s, 1) by (6, 1, n_t n_w) blocks of stencil rows
-    # 1-6; as many kernel calls for n_s = 2 as for the scene's n_s
+    # points on (19, n_s, 1) by (19, 1, n_t n_w) index blocks and the
+    # closed side on the grid block, for tubular scenes as for canal and
+    # null ones (no other field_rows call, through canal or verify); as
+    # many kernel calls for n_s = 2 as for the scene's n_s
     scene = bundled_scene(name)
-    variant = scene.family.variant
-    tubular = variant.is_tubular and not variant.is_null_variant
     calls = []
 
     def counted(module, kernel, rows):
@@ -319,13 +317,10 @@ def test_verify_scene_makes_one_kernel_call_per_grid_s(monkeypatch, name):
         n_tw = grid.n_t * grid.n_w
         grid_points = np.stack(_grid_points(dataclasses.replace(
             scene, grid=grid)), axis=1).tolist()
-        assert calls == (
-            [("lmcanal.scene.field_tables",
-              (3 * n_s, 9 * n_tw, 9 * n_tw)),
-             ("lmcanal.verify.field_points", ((19, n_s, 1), (19, 1, n_tw))),
-             ("lmcanal.verify.field_rows", grid_points)]
-            + [("lmcanal.canal.field_rows", ((6, n_s, 1), (6, 1, n_tw)))]
-            * tubular)
+        assert calls == [
+            ("lmcanal.scene.field_tables", (3 * n_s, 9 * n_tw, 9 * n_tw)),
+            ("lmcanal.verify.field_points", ((19, n_s, 1), (19, 1, n_tw))),
+            ("lmcanal.verify.field_rows", grid_points)]
 
 
 def _weingarten_reference(scene, axes, h):

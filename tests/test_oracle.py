@@ -2,9 +2,12 @@
 
 Cross-checks against closed forms use the pseudo null C1 example scene
 (r = s/2, f = w, g = t, branch +1), whose unit normal, metric determinant
-and second-form determinant all have known closed expressions.
+and second-form determinant all have known closed expressions; the unit
+normal, +-(C - gamma)/r for every envelope family, is also checked on the
+gate scenes.
 """
 
+import functools
 import math
 import random
 
@@ -13,10 +16,10 @@ import pytest
 
 from lmcanal import oracle
 from lmcanal.canal import (CanalFamily, CurvaturePair, RadiusSpec, ShapeSpec,
-                           Variant, curvature_closed, evaluate_point, field,
-                           unit_normal_closed_pseudo_c1)
+                           Variant, curvature_closed, evaluate_point, field)
 from lmcanal.curves import CurveClass, builtin, derive_frame
 from lmcanal.minkowski import inner_rows
+from lmcanal.scene import bundled_scene
 
 PN = builtin("pseudo-null-example")
 FAM = CanalFamily(CurveClass.PSEUDO_NULL, Variant.C1, 1)
@@ -131,19 +134,49 @@ def batch_forms(s, t, w, step=oracle.DEFAULT_STEP):
     return forms
 
 
+def radial_normal_errors(field_of, s, t, w, step, norm=2):
+    """Distance (in the vector norm ``norm``) of the oracle's unit normal
+    from the nearer of +-(C - gamma)/r at the points (s[i], t[i], w[i]),
+    with C, gamma and r from one ``field`` call at the points; every
+    envelope family's closed unit normal is the radial direction, by
+    membership and normality.  No point may be degenerate."""
+    jet = oracle.stencil_jets(field_of(*oracle.stencil(s, t, w, step)).points,
+                              step)
+    forms, degenerate = oracle.forms_batch(jet)
+    assert not degenerate.any()
+    at = field_of(s, t, w)
+    radial = (at.points - at.center) / at.r[:, None]
+    return np.minimum(
+        *(np.linalg.norm(forms.normal + sign * radial, ord=norm, axis=1)
+          for sign in (-1, 1)))
+
+
 def test_normal_matches_closed_form():
     rng = random.Random(22)
     s, t, w = np.array([(rng.uniform(0.3, 0.8), rng.uniform(0.7, 1.2),
                          rng.uniform(0.5, 1.5)) for _ in range(15)]).T
-    forms = batch_forms(s, t, w, step=1.25e-4)
-    for i in range(15):
-        fr = derive_frame(PN, s[i])
-        want = unit_normal_closed_pseudo_c1(fr, RAD.jet(s[i]), w[i], t[i],
-                                            branch=1)
-        normal = forms.normal[i]
-        direct = min(np.linalg.norm(normal - want),
-                     np.linalg.norm(normal + want))
-        assert direct <= 1e-6
+    field_of = functools.partial(field, FAM, PN, RAD, SHAPE, None)
+    assert np.all(radial_normal_errors(field_of, s, t, w, 1.25e-4) <= 1e-6)
+
+
+# null-c1 and null-c2 are left out: at their oracle step their oracle
+# normals are 3.8e-3 and 1.9e-2 from the radial one, falling as h^2 (the
+# oracle's truncation error, not a wrong surface; ROADMAP.md).
+NORMAL_SCENES = ([f"{c}-{v}{k}" for c in ("pseudo-null", "partially-null")
+                  for v, n in (("c", 5), ("t", 4)) for k in range(1, n + 1)]
+                 + ["null-t1"])
+
+
+@pytest.mark.parametrize("name", NORMAL_SCENES)
+def test_normal_matches_closed_form_on_gate_scenes(name):
+    # the grid points of the scene at its own oracle step, max-norm
+    scene = bundled_scene(name)
+    axes = (scene.grid.values_of(axis) for axis in ("s", "t", "w"))
+    s, t, w = (x.ravel() for x in np.meshgrid(*axes, indexing="ij"))
+    errors = radial_normal_errors(scene.field, s, t, w, scene.oracle_step,
+                                  norm=np.inf)
+    assert len(errors) == scene.grid.n_s * scene.grid.n_t * scene.grid.n_w
+    assert np.all(errors <= 1e-4)
 
 
 def test_detg_matches_closed_form():

@@ -11,6 +11,7 @@ import pytest
 
 from lmcanal import cli, expr
 from lmcanal import scene as scene_mod
+from lmcanal import verify as verify_mod
 from lmcanal.cli import main
 from lmcanal.scene import (SceneError, bundled_scene, bundled_scene_names,
                            parse_scene)
@@ -165,7 +166,7 @@ def test_cli_usage_errors_exit_1(capsys):
     assert main(["verify"]) == 1  # missing --scene
     assert main(["verify", "--scene", "no-such-scene"]) == 1
     capsys.readouterr()
-    # the Weingarten check runs on every tubular scene; it has no switch
+    # verify has no Weingarten rows to switch off
     assert main(["verify", "--scene", "pseudo-null-t1",
                  "--no-weingarten"]) == 1
     captured = capsys.readouterr()
@@ -250,11 +251,39 @@ def test_cli_verify_scene_pass(capsys):
     assert int(header[1]) >= 100
 
 
+@pytest.mark.parametrize("name", ["null-c1", "null-c2", "null-t1"])
+def test_cli_verify_null_header_counts_the_points_it_checks(capsys, name):
+    # a null scene's header counts the grid points whose causal character
+    # is checked, as its causal-points row does
+    assert main(["verify", "--scene", name]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (f"scene {name}: 576 grid points checked, "
+                        f"0 singular skipped")
+    assert any("causal character points >= 1 (got 576)" in line
+               for line in lines)
+
+
+def test_check_epsilon_only_counts_degenerate_points_as_singular():
+    # a point with a degenerate tangent frame (eps 0) is not checked
+    table = verify_mod.grid_table(verify_mod.scene_tables(
+        bundled_scene("null-c1")))
+    eps = table.eps.copy()
+    eps[[0, 5, 9]] = 0
+    report = verify_mod.VerifyReport("null-c1")
+    verify_mod.check_epsilon_only(dataclasses.replace(table, eps=eps), report)
+    assert (report.points_checked, report.points_singular) == (573, 3)
+    assert report.passed
+    eps[:] = 0
+    report = verify_mod.VerifyReport("null-c1")
+    verify_mod.check_epsilon_only(dataclasses.replace(table, eps=eps), report)
+    assert (report.points_checked, report.points_singular) == (0, 576)
+    assert not report.passed
+
+
 def test_cli_verify_tells_flag_rows_by_their_missing_tolerance(
         capsys, monkeypatch):
     # a residual row whose tolerance is 0.5 still prints its value and
     # tolerance; only flag rows, which have none, print PASS/FAIL alone
-    import lmcanal.verify as verify_mod
     monkeypatch.setattr(verify_mod, "MEMBERSHIP_TOL", 0.5)
     assert main(["verify", "--scene", "pseudo-null-c1"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:-1]
@@ -428,7 +457,6 @@ def test_cli_curvature_check_needs_a_point(capsys, tmp_path):
 def test_cli_verify_failure_exits_2(capsys, monkeypatch):
     # an intentionally mis-tolerated run: rel tolerance far below what the
     # finite-difference oracle can deliver
-    import lmcanal.verify as verify_mod
     monkeypatch.setattr(verify_mod, "REL_TOL", 1e-14)
     monkeypatch.setattr(verify_mod, "ABS_TOL", 1e-14)
     code = main(["verify", "--scene", "partially-null-c1"])
