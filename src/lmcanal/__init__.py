@@ -13,7 +13,7 @@ from .expr import Jet1x4, eval_s, eval_value, parse, to_str
 from .mesh import (GridSpec, ProjectedMesh, export, export_field, export_obj,
                    sweep)
 from .minkowski import inner_rows, triple_cross
-from .oracle import (FundamentalForms, SurfaceJet, compare, curvatures_numeric,
+from .oracle import (FundamentalForms, SurfaceJet, curvatures_numeric,
                      fundamental_forms, numeric_jet)
 from .scene import SceneSpec, bundled_scene, bundled_scene_names, parse_scene
 from .verify import VerifyReport, verify_scene

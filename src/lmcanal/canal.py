@@ -96,7 +96,7 @@ class CanalFamily:
 
     The branch multiplies the radial part of the offset (the two signs of
     the defining square root).  Null variants carry their sign freedom in
-    the angle coefficient instead and ignore the branch.
+    the angle coefficient instead and take branch +1 only.
     """
 
     curve_class: CurveClass
@@ -111,6 +111,8 @@ class CanalFamily:
             raise ValueError(
                 f"variant {self.variant.value} is not available for "
                 f"{self.curve_class.value} center curves")
+        if null_class and self.branch != 1:
+            raise ValueError("null variants take branch +1 only")
 
     @property
     def lam(self) -> int:
@@ -214,11 +216,12 @@ class Field:
     singular: np.ndarray
 
 
-def _regime(bad, message: str, x) -> None:
-    """Raise ``RegimeError(message)`` with the first element of x where
-    ``bad`` holds filled in."""
+def _regime(bad, message: str, *xs) -> None:
+    """Raise ``RegimeError(message)`` with the first element of each x
+    where ``bad`` holds filled in."""
     if np.any(bad):
-        raise RegimeError(message.format(float(np.asarray(x)[bad][0])))
+        raise RegimeError(message.format(*(float(np.asarray(x)[bad][0])
+                                           for x in xs)))
 
 
 def _check_radius(variant: Variant, r, r1) -> None:
@@ -358,9 +361,8 @@ def field_tables(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
                                None, nc, a1,
                                None if theta is None else _cos_sin(theta))
         f, g = shape.values(t, w)
-        if np.any(g == 0.0):
-            raise RegimeError("shape function g vanishes at the evaluation "
-                              "point")
+        _regime(g == 0.0, "shape function g vanishes at (t, w) = ({}, {})",
+                t, w)
     return FieldTables(family, s, t, w, fr, jet, radial, f, g,
                        _trig(family, f), None)
 

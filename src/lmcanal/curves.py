@@ -397,7 +397,6 @@ class FrameReport:
     """Residuals of n frames against their class Gram table and ODE
     system, one array entry per frame."""
 
-    s: np.ndarray
     #: (n,) worst entrywise deviation from the Gram table
     gram_residual: np.ndarray
     #: (n,) worst entrywise deviation from the frame ODE system
@@ -438,4 +437,4 @@ def verify_frames(frames: FrameRows, curve: CurveSpec, s) -> FrameReport:
     rhs = np.stack(frenet_rhs(curve.curve_class, frames), axis=1)
     ode = np.max(np.abs((f[:n] - f[n:]) / (2.0 * FRAME_STEP) - rhs),
                  axis=(1, 2))
-    return FrameReport(s, gres, ode)
+    return FrameReport(gres, ode)

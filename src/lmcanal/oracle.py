@@ -76,7 +76,6 @@ class SurfaceJet:
     d_tt: np.ndarray
     d_tw: np.ndarray
     d_ww: np.ndarray
-    step: float
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,6 @@ def stencil_jets(points, step: float) -> SurfaceJet:
         d_ss=second(p[1], p[2]), d_tt=second(p[3], p[4]),
         d_ww=second(p[5], p[6]),
         d_st=mixed(*p[7:11]), d_sw=mixed(*p[11:15]), d_tw=mixed(*p[15:19]),
-        step=h,
     )
 
 
@@ -263,35 +261,3 @@ def curvatures_numeric(forms: FundamentalForms):
         detg = float(forms.detg[np.argmax(singular)])
         raise SingularMetricError(f"det[g] = {detg} is singular")
     return CurvaturePair(K, H)
-
-
-@dataclass(frozen=True)
-class CompareReport:
-    """Mixed relative/absolute comparison of two curvature pairs: per-point
-    errors and verdicts, scalars for pairs of floats and arrays for pairs
-    of arrays."""
-
-    k_error: float | np.ndarray
-    h_error: float | np.ndarray
-    k_ok: bool | np.ndarray
-    h_ok: bool | np.ndarray
-
-    @property
-    def passed(self) -> bool:
-        """Every K and every H within tolerance."""
-        return bool(np.all(self.k_ok) and np.all(self.h_ok))
-
-
-def compare(closed, numeric, rel_tol: float, abs_tol: float) -> CompareReport:
-    """Per-quantity check |a - b| <= abs_tol + rel_tol * max(|a|, |b|).  The
-    pairs may hold floats or arrays; with arrays every field is an array."""
-    if rel_tol <= 0 or abs_tol <= 0:
-        raise ValueError("tolerances must be positive")
-
-    def check(a, b):
-        err = np.abs(a - b)
-        return err, err <= abs_tol + rel_tol * np.maximum(np.abs(a), np.abs(b))
-
-    k_err, k_ok = check(closed.K, numeric.K)
-    h_err, h_ok = check(closed.H, numeric.H)
-    return CompareReport(k_err, h_err, k_ok, h_ok)

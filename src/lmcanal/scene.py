@@ -13,7 +13,7 @@ Schema (version 1):
                },
       "family": {"variant": "C1".."C5" | "T1".."T4"
                            | "NullC1" | "NullC2" | "NullT1",
-                 "branch": 1 | -1},
+                 "branch": 1 | -1},                           # 1 if null
       "radius": expr-in-s,
       "shape": {"f": expr-in-t-w, "g": expr-in-t-w},          # non-null only
       "null_coefficients": {"a1": expr, "theta": expr},       # null only
@@ -167,10 +167,14 @@ def _parse_family(node, curve_class: CurveClass, path: str) -> CanalFamily:
                          f"{path}.variant") from None
     branch = _number(node.get("branch", 1), f"{path}.branch", integral=True)
     _expect(branch in (1, -1), "branch must be 1 or -1", f"{path}.branch")
+    try:  # the variant against the class first, then the branch
+        CanalFamily(curve_class, variant)
+    except ValueError as e:
+        raise SceneError(str(e), path) from e
     try:
         return CanalFamily(curve_class, variant, branch)
     except ValueError as e:
-        raise SceneError(str(e), path) from e
+        raise SceneError(str(e), f"{path}.branch") from e
 
 
 def _parse_grid(node, path: str) -> GridSpec:

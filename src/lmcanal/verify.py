@@ -22,9 +22,14 @@ cross-product normal of the parametrization, so before comparing, its
 lambda * <N_oracle, C - gamma> times the variant gauge.  eps = <N, N>
 itself is gauge-independent and is compared against lambda directly.
 
-Every verdict is set by the module tolerances below, read at call time,
-and by the scene's ``oracle_step``, the step of the oracle's central
-differences; no check takes a tolerance or a step.
+Every row is a worst residual against its tolerance, except the one
+guard that the check covered at least one grid point.  A NaN residual
+is the worst and fails its row.  Every verdict is set by the module
+tolerances below, read at call time, and by the scene's ``oracle_step``,
+the step of the oracle's central differences; no check takes a
+tolerance or a step.  The residual arithmetic runs with floating-point
+warnings off, as the kernel's does: an overflow shows as an inf or NaN
+residual in its row.
 """
 
 from __future__ import annotations
@@ -41,10 +46,6 @@ from .canal import (CanalFamily, CurvaturePair, FieldTables,
 from .minkowski import inner_rows
 from .scene import SceneSpec
 
-#: Relative and absolute tolerance of the closed-vs-oracle comparison
-#: (see ``oracle.compare``).
-REL_TOL = 1e-4
-ABS_TOL = 1e-6
 #: Envelope residuals |<C-g, C-g> - lam r^2| and |<C-g, C_s>|.
 MEMBERSHIP_TOL = 1e-9
 NORMALITY_TOL = 1e-5
@@ -53,6 +54,25 @@ RELATION_TOL = 1e-9
 #: Mixed-Jacobian residuals |H_x K_y - H_y K_x| of ``check_weingarten``,
 #: which ``verify_scene`` does not call.
 WEINGARTEN_TOL = 1e-6
+#: Relative and absolute tolerance of the closed-vs-oracle comparison
+#: (see ``normalized_error``).
+REL_TOL = 1e-4
+ABS_TOL = 1e-6
+
+
+def normalized_error(a, b):
+    """|a - b| / (ABS_TOL + REL_TOL max(|a|, |b|)) of floats or arrays: the
+    closed-vs-oracle error in units of its mixed bound, within tolerance
+    at <= 1.
+
+    For finite a and b the quotient is <= 1 exactly when err <= bound:
+    bound >= ABS_TOL is a normal float, and for floats err > bound the
+    exact quotient exceeds 1 by more than half a unit in the last place
+    of 1, so it never rounds down to 1.  The one edge is an overflow to
+    infinity: an infinite a or b makes err and bound both inf, which
+    err <= bound passes and err / bound (NaN) fails."""
+    return np.abs(a - b) / (ABS_TOL + REL_TOL * np.maximum(np.abs(a),
+                                                            np.abs(b)))
 
 
 @dataclass(frozen=True)
@@ -104,9 +124,8 @@ class GridTable:
 
 
 def _worst(values) -> float:
-    """Largest value, 0.0 for none; NaNs are skipped like max() skips them
-    after a number."""
-    return float(np.fmax.reduce(values, initial=0.0))
+    """Largest value, 0.0 for none, NaN if any value is NaN."""
+    return float(np.max(values, initial=0.0))
 
 
 class SceneTables(NamedTuple):
@@ -139,20 +158,22 @@ def grid_table(tables: SceneTables) -> GridTable:
     fam = ft.family
     s_ix, tw_ix = tables.grid
     n_s, n_tw = s_ix.shape[1], tw_ix.shape[2]
-    jet = oracle.stencil_jets(field_points(ft, s_ix, tw_ix), tables.step)
+    points = field_points(ft, s_ix, tw_ix)
     center, r, k_closed, h_closed, singular = field_rows(ft, s_ix[0],
                                                          tw_ix[0])
-    forms, degenerate = oracle.forms_batch(jet)
-    K, H, metric_singular = oracle.curvatures_batch(forms)
-    radial = (jet.point.reshape(n_s, n_tw, 4) - center).reshape(-1, 4)
-    r = np.broadcast_to(r, (n_s, n_tw)).ravel()
-    flip = closed_form_gauge(fam.variant) * np.where(
-        fam.lam * inner_rows(forms.normal, radial) > 0, 1, -1)
     if k_closed is None:
-        k_closed = h_closed = np.full(len(r), np.nan)
-    return GridTable(fam,
-                     np.abs(inner_rows(radial, radial) - fam.lam * r * r),
-                     np.abs(inner_rows(radial, jet.d_s)),
+        k_closed = h_closed = np.full(singular.size, np.nan)
+    with np.errstate(all="ignore"):
+        jet = oracle.stencil_jets(points, tables.step)
+        forms, degenerate = oracle.forms_batch(jet)
+        K, H, metric_singular = oracle.curvatures_batch(forms)
+        radial = (jet.point.reshape(n_s, n_tw, 4) - center).reshape(-1, 4)
+        r = np.broadcast_to(r, (n_s, n_tw)).ravel()
+        flip = closed_form_gauge(fam.variant) * np.where(
+            fam.lam * inner_rows(forms.normal, radial) > 0, 1, -1)
+        membership = np.abs(inner_rows(radial, radial) - fam.lam * r * r)
+        normality = np.abs(inner_rows(radial, jet.d_s))
+    return GridTable(fam, membership, normality,
                      np.where(degenerate, 0, forms.eps),
                      k_closed.ravel(), h_closed.ravel(), flip * K, flip * H,
                      r, ~(singular.ravel() | degenerate | metric_singular))
@@ -167,43 +188,46 @@ def check_envelope(table: GridTable, report: VerifyReport):
                NORMALITY_TOL)
 
 
+def _count_points(report: VerifyReport, checked) -> None:
+    """Record the grid points a check covers (the mask ``checked``) and
+    the rest as singular, and add the guard that there is at least one."""
+    n = int(np.count_nonzero(checked))
+    report.points_checked = n
+    report.points_singular = checked.size - n
+    report.add_flag(f"grid points checked >= 1 (got {n})", n >= 1)
+
+
+def _add_causal(report: VerifyReport, eps, lam: int) -> None:
+    report.add(f"causal character |eps - lam| (lam {lam:+d})",
+               _worst(np.abs(eps - lam)), 0.0)
+
+
 def check_curvatures(table: GridTable, report: VerifyReport):
     """Closed-form K, H against the oracle at the nonsingular grid points,
-    plus the K-H relation residual of the closed forms and the causal
-    character of the normal; at least one nonsingular point is
-    required."""
-    fam = table.family
+    as the worst ``normalized_error``, plus the K-H relation residual of
+    the closed forms and the causal character of the normal there."""
     ok = table.nonsingular
-    closed = CurvaturePair(table.k_closed[ok], table.h_closed[ok])
-    res = oracle.compare(closed, CurvaturePair(table.k_oracle[ok],
-                                               table.h_oracle[ok]),
-                         REL_TOL, ABS_TOL)
-    n_ok = int(np.count_nonzero(ok))
-    report.points_checked = n_ok
-    report.points_singular = len(ok) - n_ok
-    for name, err, passed in (("K", res.k_error, res.k_ok),
-                              ("H", res.h_error, res.h_ok)):
-        report.add_flag(f"{name} closed vs oracle (worst err "
-                        f"{_worst(err):.2e})", bool(np.all(passed)))
-    report.add_flag(f"nonsingular points >= 1 (got {n_ok})", n_ok >= 1)
-    rel = relation_residual(closed, table.r[ok], fam)
-    report.add("K-H relation |3H - r^2 K +/- 2/r|", _worst(np.abs(rel)),
-               RELATION_TOL)
-    report.add_flag(f"causal character eps == {fam.lam}",
-                    bool(np.all(table.eps[ok] == fam.lam)))
+    _count_points(report, ok)
+    k, h, r = table.k_closed[ok], table.h_closed[ok], table.r[ok]
+    with np.errstate(all="ignore"):
+        for name, a, b in (("K", k, table.k_oracle[ok]),
+                           ("H", h, table.h_oracle[ok])):
+            report.add(f"{name} closed vs oracle "
+                       f"|d{name}|/(abs + rel max|{name}|)",
+                       _worst(normalized_error(a, b)), 1.0)
+        rel = relation_residual(CurvaturePair(k, h), r, table.family)
+        report.add("K-H relation |3H - r^2 K +/- 2/r|", _worst(np.abs(rel)),
+                   RELATION_TOL)
+    _add_causal(report, table.eps[ok], table.family.lam)
 
 
 def check_epsilon_only(table: GridTable, report: VerifyReport):
     """Causal character for null-center families at the grid points with a
     nondegenerate tangent frame (eps != 0), which are the points it counts
-    as checked; fails if there is none."""
-    lam = table.family.lam
-    eps = table.eps[table.eps != 0]
-    n_ok = len(eps)
-    report.points_checked = n_ok
-    report.points_singular = len(table.eps) - n_ok
-    report.add_flag(f"causal character eps == {lam}", bool(np.all(eps == lam)))
-    report.add_flag(f"causal character points >= 1 (got {n_ok})", n_ok >= 1)
+    as checked."""
+    checked = table.eps != 0
+    _count_points(report, checked)
+    _add_causal(report, table.eps[checked], table.family.lam)
 
 
 def check_weingarten(tables: SceneTables, report: VerifyReport):

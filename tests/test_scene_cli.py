@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -27,6 +28,11 @@ def minimal_doc():
         "shape": {"f": "w", "g": "t"},
         "grid": {"s": [0.3, 0.9, 4], "t": [0.7, 1.4, 4], "w": [0.5, 2.5, 4]},
     }
+
+
+def bundled_doc(name):
+    path = resources.files("lmcanal") / "scenes" / f"{name}.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def test_parse_minimal_scene():
@@ -129,6 +135,27 @@ def test_null_scene_requires_coefficients():
     doc["null_coefficients"] = {"a1": "t", "theta": "w"}
     scene = parse_scene(doc)
     assert scene.nc is not None
+
+
+@pytest.mark.parametrize("name", ["null-c1", "null-c2", "null-t1"])
+def test_null_family_refuses_branch_minus_one(capsys, tmp_path, name):
+    # a null family carries its sign in the angle coefficient, so a
+    # branch -1, which it would ignore, is refused at the branch's path
+    family = bundled_scene(name).family
+    with pytest.raises(ValueError, match="branch"):
+        dataclasses.replace(family, branch=-1)
+    doc = bundled_doc(name)
+    doc["family"]["branch"] = -1
+    with pytest.raises(SceneError) as err:
+        parse_scene(doc)
+    assert err.value.path == "$.family.branch"
+    path = tmp_path / "branch.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--scene", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("lmcanal: $.family.branch: null variants take "
+                            "branch +1 only\n")
 
 
 @pytest.mark.parametrize("name", [5, None, ["x"]])
@@ -254,12 +281,15 @@ def test_cli_verify_scene_pass(capsys):
 @pytest.mark.parametrize("name", ["null-c1", "null-c2", "null-t1"])
 def test_cli_verify_null_header_counts_the_points_it_checks(capsys, name):
     # a null scene's header counts the grid points whose causal character
-    # is checked, as its causal-points row does
+    # is checked, as its points guard does
     assert main(["verify", "--scene", name]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == (f"scene {name}: 576 grid points checked, "
                         f"0 singular skipped")
-    assert any("causal character points >= 1 (got 576)" in line
+    assert any(re.fullmatch(r" +grid points checked >= 1 \(got 576\) +PASS",
+                            line) for line in lines)
+    assert any(re.fullmatch(r" +causal character \|eps - lam\| \(lam [+-]1\)"
+                            r" +0\.000e\+00 <= 0  PASS", line)
                for line in lines)
 
 
@@ -291,8 +321,7 @@ def test_cli_verify_tells_flag_rows_by_their_missing_tolerance(
     assert membership.endswith(" <= 0.5  PASS")
     report = verify_scene(bundled_scene("pseudo-null-c1"))
     flags = [c for c in report.checks if c.tol is None]
-    assert [c.name.split(" ")[0] for c in flags] == [
-        "K", "H", "nonsingular", "causal"]
+    assert [c.name for c in flags] == ["grid points checked >= 1 (got 576)"]
     for c in flags:
         row, = (row for row in rows if c.name in row)
         assert row.endswith("  PASS") and " <= " not in row
@@ -441,7 +470,7 @@ def test_cli_unreadable_scene_file_exits_1(capsys, tmp_path, kind):
 
 def test_cli_curvature_check_needs_a_point(capsys, tmp_path):
     # f = 0 puts every T1 closed form on its csc pole, so no grid point is
-    # nonsingular; the nonsingular-points guard must not pass over them
+    # nonsingular; the points guard must not pass over them
     doc = minimal_doc()
     doc["family"]["variant"] = "T1"
     doc["radius"] = "1/2"
@@ -450,8 +479,8 @@ def test_cli_curvature_check_needs_a_point(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     assert main(["verify", "--scene", str(path)]) == 2
     row, = (line for line in capsys.readouterr().out.splitlines()
-            if "nonsingular points" in line)
-    assert "nonsingular points >= 1 (got 0)" in row and row.endswith("FAIL")
+            if "grid points checked >=" in line)
+    assert "grid points checked >= 1 (got 0)" in row and row.endswith("FAIL")
 
 
 def test_cli_verify_failure_exits_2(capsys, monkeypatch):
@@ -480,7 +509,7 @@ def test_cli_verify_fails_without_epsilon_points(capsys, tmp_path):
     code = main(["verify", "--scene", str(path)])
     out = capsys.readouterr().out
     assert code == 2
-    assert re.search(r"causal character points >= 1 \(got 0\) +FAIL\n", out)
+    assert re.search(r"grid points checked >= 1 \(got 0\) +FAIL\n", out)
 
 
 def test_cli_verify_regime_violation_exits_1(capsys, tmp_path):
@@ -492,6 +521,38 @@ def test_cli_verify_regime_violation_exits_1(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 1
     assert "r'^2 < 1" in err
+
+
+def test_cli_vanishing_shape_g_names_its_pair(capsys, tmp_path):
+    # g = w - 2.5 vanishes on the last w sample only; the refusal names
+    # the first (t, w) table pair there, as the radius refusals name theirs
+    doc = minimal_doc()
+    doc["shape"]["g"] = "w - 2.5"
+    path = tmp_path / "g0.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--scene", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("lmcanal: shape function g vanishes at (t, w) = "
+                            "(0.7, 2.5)\n")
+
+
+def test_cli_verify_nan_residuals_fail_without_warnings(capsys, tmp_path):
+    # r = 1e160 overflows <C-g, C-g> and r^2, so the membership, normality
+    # and K-H relation residuals are NaN: each fails its row, and no
+    # floating-point warning reaches stderr (pytest raises them)
+    doc = bundled_doc("pseudo-null-t1")
+    doc["radius"] = "1e160"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--scene", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = captured.out.splitlines()
+    for name in ("membership", "normality", "K-H relation"):
+        row, = (row for row in rows if row.lstrip().startswith(name))
+        assert re.fullmatch(r" +\S.*\S +nan <= 1e-\d\d  FAIL", row), row
+    assert rows[-1] == "FAIL"
 
 
 def test_cli_verify_null_table_domain_error_exits_1(capsys, tmp_path):
