@@ -8,7 +8,7 @@ from .canal import (CanalFamily, CurvaturePair, NullCoefficients, RadiusSpec,
                     flat_residual, minimal_residual, null_constraint_residual,
                     relation_residual, weingarten_residuals)
 from .curves import (CurveClass, CurveSpec, FrameRows, builtin, builtin_names,
-                     derive_frame, derive_frames, verify_frames)
+                     derive_frame, derive_frames, frame_residuals)
 from .expr import Jet1x4, eval_s, eval_value, parse, to_str
 from .mesh import (GridSpec, ProjectedMesh, export, export_field, export_obj,
                    sweep)

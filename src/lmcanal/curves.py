@@ -36,8 +36,9 @@ NULL_TOL = 1e-9
 UNIT_TOL = 1e-6
 #: Normalizations smaller than this are treated as degenerate.
 DEGENERATE_TOL = 1e-9
-#: ``verify_frames`` settings, read at call time: the central-difference
-#: step of the frame ODE check and the bands of its Gram and ODE residuals.
+#: Frame check settings: the central-difference step of the frame ODE
+#: residual (``frame_residuals`` reads it at call time) and the bands of
+#: the Gram and ODE residuals.
 FRAME_STEP = 1e-4
 GRAM_TOL = 1e-8
 ODE_TOL = 1e-5
@@ -392,21 +393,6 @@ def frenet_rhs(curve_class: CurveClass, rows: FrameRows):
             -k3 * f1)
 
 
-@dataclass(frozen=True)
-class FrameReport:
-    """Residuals of n frames against their class Gram table and ODE
-    system, one array entry per frame."""
-
-    #: (n,) worst entrywise deviation from the Gram table
-    gram_residual: np.ndarray
-    #: (n,) worst entrywise deviation from the frame ODE system
-    ode_residual: np.ndarray
-
-    @property
-    def passed(self) -> np.ndarray:
-        return (self.gram_residual <= GRAM_TOL) & (self.ode_residual <= ODE_TOL)
-
-
 def gram_residual(rows: FrameRows, curve_class: CurveClass):
     """Per row: the max entrywise deviation of <Fi,Fj> from the class Gram
     table, and its 1-based (i, j) as an (n, 2) array."""
@@ -418,23 +404,21 @@ def gram_residual(rows: FrameRows, curve_class: CurveClass):
     return dev[np.arange(len(at)), at], np.stack([at // 4, at % 4], axis=1) + 1
 
 
-def verify_frames(frames: FrameRows, curve: CurveSpec, s) -> FrameReport:
-    """Check frames, given at the values of ``s``, against the Gram table
-    and the frame ODE system of the curve's class.
+def frame_residuals(rows: FrameRows, curve_class: CurveClass):
+    """The worst Gram table deviation and the worst frame ODE deviation
+    of the first n of 3n frames, as two (n,) arrays.
 
-    The ODE residual compares central differences of the curve's derived
-    frames at s +/- FRAME_STEP (one ``derive_frames`` call for all of them)
-    with the class right-hand side assembled from ``frames``.  Failing
-    checks are reported, never raised; a failing frame construction at some
-    s +/- FRAME_STEP raises like ``derive_frames``.
+    The rows are blocks at (s, s + FRAME_STEP, s - FRAME_STEP), the layout
+    ``oracle.grid_stencil`` gives a verify table's s values; the ODE
+    residual compares the central difference of the last two blocks with
+    the class right-hand side assembled from the first.
     """
-    s = np.asarray(s, dtype=float).ravel()
-    gres, _ = gram_residual(frames, curve.curve_class)
-    n = len(s)
-    moved = derive_frames(curve, np.concatenate([s + FRAME_STEP,
-                                                 s - FRAME_STEP]))
-    f = np.stack([moved.f1, moved.f2, moved.f3, moved.f4], axis=1)
-    rhs = np.stack(frenet_rhs(curve.curve_class, frames), axis=1)
-    ode = np.max(np.abs((f[:n] - f[n:]) / (2.0 * FRAME_STEP) - rhs),
+    n, extra = divmod(len(rows.k1), 3)
+    if extra:
+        raise ValueError(f"expected 3n frame rows (s, s + h, s - h), got "
+                         f"{len(rows.k1)}")
+    f = np.stack([rows.f1, rows.f2, rows.f3, rows.f4], axis=1)
+    rhs = np.stack(frenet_rhs(curve_class, rows), axis=1)[:n]
+    ode = np.max(np.abs((f[n:2 * n] - f[2 * n:]) / (2.0 * FRAME_STEP) - rhs),
                  axis=(1, 2))
-    return FrameReport(gres, ode)
+    return gram_residual(rows, curve_class)[0][:n], ode

@@ -13,11 +13,11 @@ second swept axis), quads as 1-based index quadruples following grid
 adjacency.
 
 ``export`` writes the OBJ and the field in one pass over the vertices, in
-blocks of ``EXPORT_BLOCK_ROWS`` rows, and formats each exported value once:
-a point coordinate is formatted once for both the OBJ ``v`` line and the
-field row, a parameter once per distinct bit pattern in the block, K and H
-only on non-singular rows.  JSON records are built from the same cells,
-in the layout and spelling of ``json.dump(records, indent=1)``.  No string
+blocks of ``EXPORT_BLOCK_ROWS`` rows.  The OBJ and a CSV field format each
+exported value once: a point coordinate once for both the OBJ ``v`` line
+and the CSV row, a parameter once per distinct bit pattern in the block, K
+and H only on non-singular rows.  A JSON field is ``json.dumps(records,
+indent=1)`` of each block's records, joined into one list.  No string
 holds more than a block, so peak memory does not grow with the vertex
 count.  ``export_obj`` and ``export_field`` write one of the two files
 through the same writer.
@@ -26,6 +26,7 @@ through the same writer.
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 from dataclasses import dataclass, field
 
@@ -180,14 +181,6 @@ EXPORT_BLOCK_ROWS = 256
 
 FIELD_COLUMNS = ("s", "t", "w", "x1", "x2", "x3", "x4", "K", "H", "singular")
 _CSV_ROW = ",".join(["{}"] * len(FIELD_COLUMNS)) + "\n"
-#: One field record as ``json.dump(..., indent=1)`` lays it out in a list.
-_JSON_RECORD = (" {{\n" + ",\n".join(f'  "{c}": {{}}' for c in FIELD_COLUMNS)
-                + "\n }}")
-#: json's spelling of the field cells it spells otherwise: non-finite
-#: floats, booleans and the empty K and H cells of singular rows.
-_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
-               "True": "true", "False": "false", "": "null"}
-
 
 def _reprs(values: np.ndarray) -> list:
     """``repr`` of each value, as the Python scalars of ``tolist``."""
@@ -204,16 +197,6 @@ def _dedup_reprs(values: np.ndarray) -> list:
         inverse].tolist()
 
 
-def _json_cells(cells: list, values=None) -> list:
-    """Field cells as json spells them.  ``values``, where given, are what
-    the cells are the ``repr`` of: finite floats and integers keep their
-    cells."""
-    if values is not None and (values.dtype.kind in "iu" or (
-            values.dtype.kind == "f" and np.isfinite(values).all())):
-        return cells
-    return [_JSON_WORDS.get(c, c) for c in cells]
-
-
 def _channel_cells(values, singular: np.ndarray) -> list:
     """Field cells of a curvature channel: ``repr`` on non-singular rows,
     empty on singular rows and for families without the channel."""
@@ -224,34 +207,44 @@ def _channel_cells(values, singular: np.ndarray) -> list:
     return cells.tolist()
 
 
+def _json_records(mesh: ProjectedMesh, lo: int, hi: int, sing) -> str:
+    """Rows lo:hi as ``json.dumps(records, indent=1)`` spells the records
+    inside its list brackets: the ``tolist`` values, K and H None on
+    singular rows and for families without the channel."""
+    channels = ([None] * len(sing) if c is None else
+                [None if flag else v for v, flag in zip(c[lo:hi].tolist(),
+                                                        sing)]
+                for c in (mesh.K, mesh.H))
+    rows = zip(mesh.params[lo:hi].tolist(), mesh.points[lo:hi].tolist(),
+               *channels, np.asarray(mesh.singular[lo:hi]).tolist())
+    records = [dict(zip(FIELD_COLUMNS, (*p, *x, k, h, flag)))
+               for p, x, k, h, flag in rows]
+    return json.dumps(records, indent=1)[2:-2]
+
+
 def _write_vertices(mesh: ProjectedMesh, obj, fld, format: str) -> None:
     """OBJ ``v`` lines to ``obj`` and field rows (CSV rows or JSON records)
-    to ``fld`` (either may be None), block by block; each exported float is
-    formatted once."""
+    to ``fld`` (either may be None), block by block; the OBJ and CSV share
+    each formatted point coordinate."""
     kept = PROJECTIONS[mesh.projection]
     singular = np.asarray(mesh.singular, dtype=bool)
     for lo in range(0, len(mesh.points), EXPORT_BLOCK_ROWS):
         hi = lo + EXPORT_BLOCK_ROWS
-        points = mesh.points[lo:hi].T
-        x = [_reprs(col) for col in points]
+        x = [_reprs(col) for col in mesh.points[lo:hi].T]
         if obj is not None:
             obj.writelines(map("v {} {} {}\n".format, *(x[i] for i in kept)))
         if fld is None:
             continue
         sing = singular[lo:hi]
-        params = mesh.params[lo:hi].T
-        cells = [_dedup_reprs(col) for col in params] + x
+        if format == "json":
+            fld.write(("[\n" if lo == 0 else ",\n")
+                      + _json_records(mesh, lo, hi, sing))
+            continue
+        cells = [_dedup_reprs(col) for col in mesh.params[lo:hi].T] + x
         channels = [_channel_cells(None if c is None else c[lo:hi], sing)
                     for c in (mesh.K, mesh.H)]
-        if format == "csv":
-            fld.writelines(map(_CSV_ROW.format, *cells, *channels,
-                               np.where(sing, "true", "false").tolist()))
-            continue
-        raw = np.asarray(mesh.singular[lo:hi])
-        record = [*map(_json_cells, cells, (*params, *points)),
-                  *map(_json_cells, channels), _json_cells(_reprs(raw), raw)]
-        fld.write(("[\n" if lo == 0 else ",\n")
-                  + ",\n".join(map(_JSON_RECORD.format, *record)))
+        fld.writelines(map(_CSV_ROW.format, *cells, *channels,
+                           np.where(sing, "true", "false").tolist()))
 
 
 def _same_file(a, b) -> bool:

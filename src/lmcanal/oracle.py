@@ -81,8 +81,8 @@ class SurfaceJet:
 @dataclass(frozen=True)
 class FundamentalForms:
     """First/second fundamental forms (N, 3, 3), their determinants (N,),
-    the unit normals (N, 4) and their causal signs eps = <N, N> (N,) at N
-    points."""
+    the unit normals (N, 4) and their causal signs eps = sign <N, N> (N,),
+    nan where a normal is not finite, at N points."""
 
     g: np.ndarray
     h: np.ndarray
@@ -98,8 +98,8 @@ class FundamentalForms:
 def stencil(s, t, w, step: float = DEFAULT_STEP):
     """Parameter arrays (S, T, W) of the stencils around N points, each of
     length 19 N in stencil-major order (see STENCIL)."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < np.inf:  # also refuses nan
+        raise ValueError(f"step must be finite and positive, got {step}")
     offsets = np.array(STENCIL, dtype=float)
     return tuple(
         (np.asarray(x, dtype=float).ravel()[None, :]
@@ -117,8 +117,8 @@ def grid_stencil(s, t, w, step: float):
     S is (s, s + h, s - h), so an s offset d falls in block d % 3; the
     (t, w) pairs at the offset (dt, dw) are block 3 (dt % 3) + dw % 3.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < np.inf:  # also refuses nan
+        raise ValueError(f"step must be finite and positive, got {step}")
     s, t, w = (np.asarray(x, dtype=float).ravel() for x in (s, t, w))
     d = np.array([0.0, 1.0, -1.0])[:, None] * step  # offset d in row d % 3
     blocks = np.array(STENCIL) % 3
@@ -200,7 +200,7 @@ def forms_batch(jet: SurfaceJet):
         length = np.sqrt(q)
         degenerate = length <= DEGENERATE_TOL * scale
         normal = raw / length[:, None]
-        eps = np.where(inner_rows(normal, normal) > 0, 1, -1)
+        eps = np.sign(inner_rows(normal, normal))  # nan where N is not finite
         first = np.stack(tangents, axis=1)  # (N, 3, 4)
         g = inner_rows(first[:, :, None], first[:, None])
         second = np.stack([jet.d_ss, jet.d_st, jet.d_sw, jet.d_tt,

@@ -9,12 +9,12 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 import pytest
 
-from lmcanal import expr
+from lmcanal import curves, expr
 from lmcanal.curves import (ClassMismatchError, CurveClass, CurveSpec,
                             DegenerateCurveError, FrameRows,
                             UnknownCurveError, _null_mate, builtin,
                             builtin_names, derive_frame, derive_frames,
-                            frenet_rhs, gram_residual, verify_frames)
+                            frame_residuals, frenet_rhs, gram_residual)
 from lmcanal.minkowski import inner_rows
 from lmcanal.scene import bundled_scene, bundled_scene_names
 
@@ -135,14 +135,28 @@ def test_gram_tables_hold():
         assert np.all(res <= 1e-8), name
 
 
+def frame_table(curve, s):
+    """Frames at s, s + FRAME_STEP and s - FRAME_STEP, one block each."""
+    s = np.asarray(s, dtype=float)
+    h = curves.FRAME_STEP
+    return derive_frames(curve, np.concatenate([s, s + h, s - h]))
+
+
 def test_frenet_ode_residuals():
     s = SAMPLES[::5]
     for name in builtin_names():
         curve = builtin(name)
-        rep = verify_frames(derive_frames(curve, s), curve, s)
-        assert rep.ode_residual.shape == (len(s),)
-        assert np.all(rep.ode_residual <= 1e-5), (name, rep.ode_residual)
-        assert np.all(rep.passed)
+        gram, ode = frame_residuals(frame_table(curve, s), curve.curve_class)
+        assert gram.shape == ode.shape == (len(s),)
+        assert np.all(ode <= 1e-5), (name, ode)
+        assert np.all((gram <= curves.GRAM_TOL) & (ode <= curves.ODE_TOL))
+
+
+def test_frame_residuals_need_three_blocks():
+    curve = builtin("null-example")
+    rows = derive_frames(curve, SAMPLES[:4])
+    with pytest.raises(ValueError, match="3n frame rows"):
+        frame_residuals(rows, curve.curve_class)
 
 
 def test_pseudo_null_example_frame_at_zero():
@@ -190,15 +204,19 @@ def test_straight_line_accepts_completion_frame():
 def test_scaled_f3_breaks_gram_table():
     curve = builtin("pseudo-null-example")
     s = [0.2, 0.5]
-    good = derive_frames(curve, s)
-    bad = replace(good, f3=good.f3 * np.array([[2.0], [1.0]]))
+    good = frame_table(curve, s)
+    scale = np.ones((3 * len(s), 1))
+    scale[0] = 2.0  # the first frame at s, not its neighbours
+    bad = replace(good, f3=good.f3 * scale)
     res, worst = gram_residual(bad, CurveClass.PSEUDO_NULL)
     # <2 F3, 2 F3> = 4 where the table says 1, in the first row only
     assert res[0] == pytest.approx(3.0, abs=1e-9)
     assert tuple(worst[0]) == (3, 3)
-    assert res[1] <= 1e-8
-    rep = verify_frames(bad, curve, s)
-    assert rep.passed.tolist() == [False, True]
+    assert np.all(res[1:] <= 1e-8)
+    gram, ode = frame_residuals(bad, curve.curve_class)
+    assert gram[0] == res[0]
+    passed = (gram <= curves.GRAM_TOL) & (ode <= curves.ODE_TOL)
+    assert passed.tolist() == [False, True]
 
 
 def test_frenet_rhs_structure():

@@ -409,25 +409,26 @@ def test_json_field_matches_json_dump(mesh, tmp_path):
     assert path.read_text() == _json_dump_reference(mesh)
 
 
-def _export_peak(mesh, tmp_path) -> int:
-    """Peak traced allocation of one OBJ+CSV export."""
-    obj, csv = tmp_path / "m.obj", tmp_path / "m.csv"
-    export(mesh, obj, csv)  # first-call allocations excluded
+def _export_peak(mesh, tmp_path, format) -> int:
+    """Peak traced allocation of one OBJ+field export."""
+    obj, fld = tmp_path / "m.obj", tmp_path / f"m.{format}"
+    export(mesh, obj, fld, format)  # first-call allocations excluded
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        export(mesh, obj, csv)
+        export(mesh, obj, fld, format)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
 
-def test_export_memory_does_not_grow_with_vertex_count(tmp_path):
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_export_memory_does_not_grow_with_vertex_count(tmp_path, format):
     # the writer streams blocks of rows; a whole-file string would make the
     # peak grow fourfold from 40x40 to 80x80
     scene = bundled_scene("pseudo-null-c1-figure")
     small, large = (_export_peak(sweep(dataclasses.replace(
-        scene, grid=dataclasses.replace(scene.grid, n_s=n, n_t=n))), tmp_path)
-        for n in (40, 80))
+        scene, grid=dataclasses.replace(scene.grid, n_s=n, n_t=n))), tmp_path,
+        format) for n in (40, 80))
     assert large <= 1.25 * small

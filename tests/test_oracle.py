@@ -93,6 +93,14 @@ def test_jet_rejects_bad_step():
         oracle.numeric_jet(lambda s, t, w: (0, s, t, w), 0, 0, 0, step=0)
 
 
+@pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1e-3])
+def test_stencils_reject_a_step_that_is_not_finite_and_positive(step):
+    with pytest.raises(ValueError, match="finite and positive"):
+        oracle.stencil([0.1], [0.2], [0.3], step)
+    with pytest.raises(ValueError, match="finite and positive"):
+        oracle.grid_stencil([0.1], [0.2], [0.3], step)
+
+
 def test_mixed_partials_symmetric():
     # evaluate the same surface with two axes swapped; the cross partials
     # must land in each other's slots

@@ -231,9 +231,9 @@ def test_cli_frames_null_curve_reports_arclength(capsys):
 
 
 @pytest.mark.parametrize("samples", [7, 200])
-def test_cli_frames_derives_all_samples_in_two_batches(monkeypatch, capsys,
-                                                       samples):
-    # one batch for the samples and one for their s +/- step neighbours
+def test_cli_frames_derives_all_samples_in_one_batch(monkeypatch, capsys,
+                                                     samples):
+    # one table for the samples and their s +/- step neighbours
     import lmcanal.cli
     import lmcanal.curves
     real, batches = lmcanal.curves.derive_frames, []
@@ -247,7 +247,7 @@ def test_cli_frames_derives_all_samples_in_two_batches(monkeypatch, capsys,
     for curve in ("pseudo-null-example", "null-example"):
         batches.clear()
         assert main(["frames", "--curve", curve, "-n", str(samples)]) == 0
-        assert batches == [samples, 2 * samples]
+        assert batches == [3 * samples]
     capsys.readouterr()
 
 
@@ -539,8 +539,9 @@ def test_cli_vanishing_shape_g_names_its_pair(capsys, tmp_path):
 
 def test_cli_verify_nan_residuals_fail_without_warnings(capsys, tmp_path):
     # r = 1e160 overflows <C-g, C-g> and r^2, so the membership, normality
-    # and K-H relation residuals are NaN: each fails its row, and no
-    # floating-point warning reaches stderr (pytest raises them)
+    # and K-H relation residuals are NaN, and so is the causal sign of the
+    # normal: each fails its row, and no floating-point warning reaches
+    # stderr (pytest raises them)
     doc = bundled_doc("pseudo-null-t1")
     doc["radius"] = "1e160"
     path = tmp_path / "huge.json"
@@ -552,6 +553,8 @@ def test_cli_verify_nan_residuals_fail_without_warnings(capsys, tmp_path):
     for name in ("membership", "normality", "K-H relation"):
         row, = (row for row in rows if row.lstrip().startswith(name))
         assert re.fullmatch(r" +\S.*\S +nan <= 1e-\d\d  FAIL", row), row
+    row, = (row for row in rows if "causal character" in row)
+    assert re.fullmatch(r" +causal character .* +nan <= 0  FAIL", row), row
     assert rows[-1] == "FAIL"
 
 
