@@ -13,19 +13,20 @@ second swept axis), quads as 1-based index quadruples following grid
 adjacency.
 
 ``export`` writes the OBJ and the field in one pass over the vertices, in
-blocks of ``EXPORT_BLOCK_ROWS`` rows.  The OBJ and a CSV field format each
-exported value once: a point coordinate once for both the OBJ ``v`` line
-and the CSV row, a parameter once per distinct bit pattern in the block, K
-and H only on non-singular rows.  A JSON field is ``json.dumps(records,
-indent=1)`` of each block's records, joined into one list.  No string
-holds more than a block, so peak memory does not grow with the vertex
-count.  ``export_obj`` and ``export_field`` write one of the two files
-through the same writer.
+blocks of ``EXPORT_BLOCK_ROWS`` rows, with one write per block and file.
+A point coordinate is formatted once for both the OBJ ``v`` line and the
+CSV row; the parameters, K and H once per distinct bit pattern in the
+block.  A JSON field has the bytes of ``json.dump(records, indent=1)``
+but comes from the C encoder, one block at a time.  No string holds more
+than a block, so peak memory does not grow with the vertex count.
+``export_obj`` and ``export_field`` write one of the two files through
+the same writer.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -180,71 +181,74 @@ def sweep(scene) -> ProjectedMesh:
 EXPORT_BLOCK_ROWS = 256
 
 FIELD_COLUMNS = ("s", "t", "w", "x1", "x2", "x3", "x4", "K", "H", "singular")
-_CSV_ROW = ",".join(["{}"] * len(FIELD_COLUMNS)) + "\n"
+
 
 def _reprs(values: np.ndarray) -> list:
     """``repr`` of each value, as the Python scalars of ``tolist``."""
     return list(map(repr, values.tolist()))
 
 
-def _dedup_reprs(values: np.ndarray) -> list:
-    """``_reprs`` formatting each distinct bit pattern once.  Keyed on bits,
-    not float equality: 0.0 == -0.0 but their reprs differ."""
-    if values.dtype != np.float64:  # the bit key is for float64 only
-        return _reprs(values)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array(_reprs(bits.view(np.float64)), dtype=object)[
-        inverse].tolist()
-
-
-def _channel_cells(values, singular: np.ndarray) -> list:
-    """Field cells of a curvature channel: ``repr`` on non-singular rows,
-    empty on singular rows and for families without the channel."""
-    if values is None:
-        return [""] * len(singular)
-    cells = np.full(len(singular), "", dtype=object)
-    cells[~singular] = _reprs(values[~singular])
-    return cells.tolist()
+def _csv_rows(mesh: ProjectedMesh, lo: int, hi: int, x: list, sing) -> str:
+    """CSV rows lo:hi given their point cells ``x``.  The float64 cells of
+    s, t, w, K and H are formatted once per distinct bit pattern, keyed on
+    bits, not float equality (0.0 == -0.0 but their reprs differ); K and
+    H are empty on singular rows and for families without the channel."""
+    columns = [*mesh.params[lo:hi].T,
+               *(c[lo:hi] for c in (mesh.K, mesh.H) if c is not None)]
+    wide = [c for c in columns if c.dtype == np.float64]  # bit key: float64
+    if wide:
+        table = np.stack(wide)
+        bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
+        shared = iter(np.array(_reprs(bits.view(np.float64)), dtype=object)[
+            inverse.reshape(table.shape)].tolist())
+    cells = [next(shared) if c.dtype == np.float64 else _reprs(c)
+             for c in columns]
+    blank, channels = np.flatnonzero(sing).tolist(), iter(cells[3:])
+    for column, i in itertools.product(cells[3:], blank):
+        column[i] = ""
+    k, h = ([""] * len(sing) if c is None else next(channels)
+            for c in (mesh.K, mesh.H))
+    flags = np.where(sing, "true", "false").tolist()
+    return "\n".join(map(",".join, zip(*cells[:3], *x, k, h, flags))) + "\n"
 
 
 def _json_records(mesh: ProjectedMesh, lo: int, hi: int, sing) -> str:
     """Rows lo:hi as ``json.dumps(records, indent=1)`` spells the records
     inside its list brackets: the ``tolist`` values, K and H None on
     singular rows and for families without the channel."""
-    channels = ([None] * len(sing) if c is None else
-                [None if flag else v for v, flag in zip(c[lo:hi].tolist(),
-                                                        sing)]
-                for c in (mesh.K, mesh.H))
-    rows = zip(mesh.params[lo:hi].tolist(), mesh.points[lo:hi].tolist(),
+    channels = (np.where(sing, None, c[lo:hi]).tolist() if c is not None
+                else [None] * len(sing) for c in (mesh.K, mesh.H))
+    rows = zip(*mesh.params[lo:hi].T.tolist(), *mesh.points[lo:hi].T.tolist(),
                *channels, np.asarray(mesh.singular[lo:hi]).tolist())
-    records = [dict(zip(FIELD_COLUMNS, (*p, *x, k, h, flag)))
-               for p, x, k, h, flag in rows]
-    return json.dumps(records, indent=1)[2:-2]
+    records = [dict(zip(FIELD_COLUMNS, row)) for row in rows]
+    # the C encoder serves only indent=None; re-indenting its separators is
+    # safe: keys are FIELD_COLUMNS names, values numbers, null or booleans
+    text = (json.dumps(records)[1:-1].replace('}, {"', '\n },\n {\n  "')
+            .replace('{"', ' {\n  "').replace(', "', ',\n  "'))
+    return text[:-1] + "\n }"
 
 
-def _write_vertices(mesh: ProjectedMesh, obj, fld, format: str) -> None:
-    """OBJ ``v`` lines to ``obj`` and field rows (CSV rows or JSON records)
-    to ``fld`` (either may be None), block by block; the OBJ and CSV share
-    each formatted point coordinate."""
+def _write_blocks(mesh: ProjectedMesh, obj, fld, format: str) -> None:
+    """OBJ ``v`` then ``f`` lines to ``obj`` and field rows (CSV rows or
+    JSON records) to ``fld`` (either may be None), one write per block and
+    file; the OBJ and CSV share each formatted point coordinate."""
     kept = PROJECTIONS[mesh.projection]
     singular = np.asarray(mesh.singular, dtype=bool)
     for lo in range(0, len(mesh.points), EXPORT_BLOCK_ROWS):
         hi = lo + EXPORT_BLOCK_ROWS
         x = [_reprs(col) for col in mesh.points[lo:hi].T]
         if obj is not None:
-            obj.writelines(map("v {} {} {}\n".format, *(x[i] for i in kept)))
-        if fld is None:
-            continue
-        sing = singular[lo:hi]
-        if format == "json":
+            obj.write("v " + "\nv ".join(map(" ".join, zip(
+                *(x[i] for i in kept)))) + "\n")
+        if fld is not None and format == "json":
             fld.write(("[\n" if lo == 0 else ",\n")
-                      + _json_records(mesh, lo, hi, sing))
-            continue
-        cells = [_dedup_reprs(col) for col in mesh.params[lo:hi].T] + x
-        channels = [_channel_cells(None if c is None else c[lo:hi], sing)
-                    for c in (mesh.K, mesh.H)]
-        fld.writelines(map(_CSV_ROW.format, *cells, *channels,
-                           np.where(sing, "true", "false").tolist()))
+                      + _json_records(mesh, lo, hi, singular[lo:hi]))
+        elif fld is not None:
+            fld.write(_csv_rows(mesh, lo, hi, x, singular[lo:hi]))
+    quads = mesh.quads if obj is not None else []
+    for i in range(0, len(quads), EXPORT_BLOCK_ROWS):
+        obj.write("".join([f"f {a + 1} {b + 1} {c + 1} {d + 1}\n"
+                           for a, b, c, d in quads[i:i + EXPORT_BLOCK_ROWS]]))
 
 
 def _same_file(a, b) -> bool:
@@ -283,15 +287,11 @@ def export(mesh: ProjectedMesh, obj_path, field_path=None,
         def opened(path):
             return None if path is None else stack.enter_context(
                 open(path, "w", encoding="ascii", newline="\n"))
-        fld = opened(field_path)
-        obj = opened(obj_path)
+        fld, obj = opened(field_path), opened(obj_path)
         if fld is not None and format == "csv":
             fld.write(",".join(FIELD_COLUMNS) + "\n")
         if obj is not None or fld is not None:
-            _write_vertices(mesh, obj, fld, format)
-        if obj is not None:
-            obj.writelines(f"f {a + 1} {b + 1} {c + 1} {d + 1}\n"
-                           for a, b, c, d in mesh.quads)
+            _write_blocks(mesh, obj, fld, format)
         if fld is not None and format == "json":
             fld.write("\n]\n")
 

@@ -120,6 +120,8 @@ class GridTable:
     k_oracle: np.ndarray
     h_oracle: np.ndarray
     r: np.ndarray
+    #: the points the curvature checks cover: closed forms defined, tangent
+    #: frame nondegenerate, metric regular and the normal finite
     nonsingular: np.ndarray
 
 
@@ -176,7 +178,8 @@ def grid_table(tables: SceneTables) -> GridTable:
     return GridTable(fam, membership, normality,
                      np.where(degenerate, 0, forms.eps),
                      k_closed.ravel(), h_closed.ravel(), flip * K, flip * H,
-                     r, ~(singular.ravel() | degenerate | metric_singular))
+                     r, ~(singular.ravel() | degenerate | metric_singular
+                          | ~np.isfinite(forms.eps)))
 
 
 def check_envelope(table: GridTable, report: VerifyReport):
@@ -223,9 +226,9 @@ def check_curvatures(table: GridTable, report: VerifyReport):
 
 def check_epsilon_only(table: GridTable, report: VerifyReport):
     """Causal character for null-center families at the grid points with a
-    nondegenerate tangent frame (eps != 0), which are the points it counts
-    as checked."""
-    checked = table.eps != 0
+    nondegenerate tangent frame and a finite normal (eps finite and not
+    0), which are the points it counts as checked."""
+    checked = np.isfinite(table.eps) & (table.eps != 0)
     _count_points(report, checked)
     _add_causal(report, table.eps[checked], table.family.lam)
 

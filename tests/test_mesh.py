@@ -394,19 +394,68 @@ def _json_dump_reference(mesh) -> str:
     return json.dumps(records, indent=1) + "\n"
 
 
-@pytest.mark.parametrize("mesh", [
-    signed_zero_mesh(),
-    non_finite_mesh(),
+FIELD_MESHES = {
+    "signed-zeros": signed_zero_mesh(),
+    "non-finite": non_finite_mesh(),
     # integer, boolean and float32 columns, no H channel
-    ProjectedMesh(params=np.array([[0, 1, 2], [0, -1, 2]]),
-                  points=np.array([[True, False, True, True]] * 2),
-                  K=np.array([0.5, np.nan], dtype=np.float32), H=None,
-                  singular=np.array([0, 1]), quads=[]),
-], ids=["signed-zeros", "non-finite", "integer-bool-float32"])
+    "integer-bool-float32": ProjectedMesh(
+        params=np.array([[0, 1, 2], [0, -1, 2]]),
+        points=np.array([[True, False, True, True]] * 2),
+        K=np.array([0.5, np.nan], dtype=np.float32), H=None,
+        singular=np.array([0, 1]), quads=[]),
+}
+
+
+@pytest.mark.parametrize("mesh", FIELD_MESHES.values(), ids=FIELD_MESHES)
 def test_json_field_matches_json_dump(mesh, tmp_path):
     path = tmp_path / "field.json"
     export_field(mesh, path, "json")
     assert path.read_text() == _json_dump_reference(mesh)
+
+
+def repeated_channel_mesh() -> ProjectedMesh:
+    """More than two blocks of rows whose K and H repeat a few values,
+    0.0, -0.0, nan and a value that is also a parameter among them, so
+    that one bit pattern spans parameter and channel columns and block
+    boundaries, with a few singular rows."""
+    n = 2 * EXPORT_BLOCK_ROWS + 7
+    i = np.arange(n)
+    params = np.stack([i // 5 * 0.25, np.where(i % 2, -0.0, 1.5),
+                       i / 3.0], axis=1)
+    points = np.stack([np.sin(i), i * 0.5, -np.cos(i), np.sqrt(i)], axis=1)
+    repeated = np.array([0.0, -0.0, np.nan, 1.5, -2.75])
+    return ProjectedMesh(params=params, points=points, K=repeated[i % 5],
+                         H=repeated[(i // 7) % 5], singular=i % 13 == 4,
+                         quads=[(0, 1, 3, 2), (2, 3, 5, 4)],
+                         projection="x2x3x4")
+
+
+def _reference_rows(mesh) -> tuple[str, str]:
+    """The OBJ and CSV as a per-row writer spells them: ``repr`` of each
+    ``tolist`` cell, K and H empty on singular rows and for families
+    without the channel."""
+    channels = [[None] * len(mesh.points) if c is None else c.tolist()
+                for c in (mesh.K, mesh.H)]
+    rows = [",".join(FIELD_COLUMNS)]
+    for p, x, k, h, sing in zip(mesh.params.tolist(), mesh.points.tolist(),
+                                *channels, mesh.singular.tolist()):
+        kh = ["", ""] if sing else ["" if v is None else repr(v)
+                                    for v in (k, h)]
+        rows.append(",".join([repr(v) for v in p + x] + kh
+                             + ["true" if sing else "false"]))
+    obj = [" ".join(["v"] + [repr(v) for v in row])
+           for row in mesh.vertices.tolist()]
+    obj += [" ".join(["f"] + [str(v + 1) for v in q]) for q in mesh.quads]
+    return "".join(line + "\n" for line in obj), "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("mesh", [*FIELD_MESHES.values(),
+                                  repeated_channel_mesh()],
+                         ids=[*FIELD_MESHES, "repeated-channels"])
+def test_csv_and_obj_match_reference_rows(mesh, tmp_path):
+    obj, csv = tmp_path / "mesh.obj", tmp_path / "field.csv"
+    export(mesh, obj, csv)
+    assert (obj.read_text(), csv.read_text()) == _reference_rows(mesh)
 
 
 def _export_peak(mesh, tmp_path, format) -> int:
@@ -424,10 +473,14 @@ def _export_peak(mesh, tmp_path, format) -> int:
 
 
 @pytest.mark.parametrize("format", ["csv", "json"])
-def test_export_memory_does_not_grow_with_vertex_count(tmp_path, format):
+@pytest.mark.parametrize("name", ["pseudo-null-c1-figure",
+                                  "partially-null-c5-figure"])
+def test_export_memory_does_not_grow_with_vertex_count(tmp_path, name,
+                                                       format):
     # the writer streams blocks of rows; a whole-file string would make the
-    # peak grow fourfold from 40x40 to 80x80
-    scene = bundled_scene("pseudo-null-c1-figure")
+    # peak grow fourfold from 40x40 to 80x80 (partially-null-c5-figure's K
+    # and H depend on s alone, so they repeat along each block)
+    scene = bundled_scene(name)
     small, large = (_export_peak(sweep(dataclasses.replace(
         scene, grid=dataclasses.replace(scene.grid, n_s=n, n_t=n))), tmp_path,
         format) for n in (40, 80))

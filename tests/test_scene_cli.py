@@ -537,12 +537,14 @@ def test_cli_vanishing_shape_g_names_its_pair(capsys, tmp_path):
                             "(0.7, 2.5)\n")
 
 
-def test_cli_verify_nan_residuals_fail_without_warnings(capsys, tmp_path):
-    # r = 1e160 overflows <C-g, C-g> and r^2, so the membership, normality
-    # and K-H relation residuals are NaN, and so is the causal sign of the
-    # normal: each fails its row, and no floating-point warning reaches
-    # stderr (pytest raises them)
-    doc = bundled_doc("pseudo-null-t1")
+@pytest.mark.parametrize("name", ["pseudo-null-t1", "null-c1"])
+def test_cli_verify_nan_residuals_fail_without_warnings(capsys, tmp_path,
+                                                        name):
+    # r = 1e160 overflows <C-g, C-g> and r^2, so the membership and
+    # normality residuals are NaN and fail their rows; the normal is NaN
+    # too, so no grid point counts as checked and the guard row fails; no
+    # floating-point warning reaches stderr (pytest raises them)
+    doc = bundled_doc(name)
     doc["radius"] = "1e160"
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
@@ -550,11 +552,13 @@ def test_cli_verify_nan_residuals_fail_without_warnings(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.err == ""
     rows = captured.out.splitlines()
-    for name in ("membership", "normality", "K-H relation"):
+    assert rows[0] == (f"scene {name}: 0 grid points checked, "
+                       "576 singular skipped")
+    for name in ("membership", "normality"):
         row, = (row for row in rows if row.lstrip().startswith(name))
         assert re.fullmatch(r" +\S.*\S +nan <= 1e-\d\d  FAIL", row), row
-    row, = (row for row in rows if "causal character" in row)
-    assert re.fullmatch(r" +causal character .* +nan <= 0  FAIL", row), row
+    assert re.fullmatch(r" +grid points checked >= 1 \(got 0\) +FAIL",
+                        rows[3]), rows[3]
     assert rows[-1] == "FAIL"
 
 
