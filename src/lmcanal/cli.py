@@ -12,13 +12,19 @@ the library's (``curves`` for frames, ``verify`` and the scene's
 ``oracle_step`` for verify), the frames s range is sampled and checked like
 a scene grid axis (``mesh.sample_axis``), and ``mesh.export`` refuses one
 file for both outputs.
+
+The argv is read in one pass against one option table, ``_COMMANDS``:
+``--flag value``, ``--flag=value``, ``-n value`` or ``-n7``; a flag's value
+may start with ``-`` (``--s-min -1``), the last of a repeated flag wins, and
+long flags are never abbreviated.  ``-h``/``--help`` prints help made from
+the table.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,70 +49,139 @@ EXIT_VERIFY_FAILED = 2
 NAME_WIDTH = 44
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; the CLI contract
-    reserves 2 for verification failures, so remap to 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+class _Exit(Exception):
+    """``(code, text)``: help (0, to stdout) or a usage error (1, stderr)."""
 
 
 def _finite(text):
-    """argparse type: a finite float."""
+    """Option type: a finite float."""
     try:
         x = float(text)
     except ValueError:
         x = math.nan
     if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number, got {text!r}")
+        raise ValueError(f"expected a finite number, got {text!r}")
     return x
 
 
-def _add_frames(sub):
-    p = sub.add_parser("frames", help="verify curve frames")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--curve", choices=builtin_names(),
-                     help="builtin curve name")
-    src.add_argument("--scene", help="scene file or bundled scene name")
-    p.add_argument("--s-min", type=_finite, default=-1.0)
-    p.add_argument("--s-max", type=_finite, default=1.0)
-    p.add_argument("-n", "--samples", type=int, default=50)
+_REQUIRED = object()
+_HELP = ("-h", "--help")
+_SCENE = "scene file or bundled scene name"
+
+#: Each command's help, the attributes of a required, mutually exclusive
+#: pair of its options (or none), and its options by attribute: (flags,
+#: type, default or _REQUIRED, choices, help).
+_COMMANDS = {
+    "frames": ("verify curve frames", ("curve", "scene"), {
+        "curve": (("--curve",), str, None, builtin_names(),
+                  "builtin curve name"),
+        "scene": (("--scene",), str, None, None, _SCENE),
+        "s_min": (("--s-min",), _finite, -1.0, None, ""),
+        "s_max": (("--s-max",), _finite, 1.0, None, ""),
+        "samples": (("-n", "--samples"), int, 50, None, "")}),
+    "verify": ("verify a scene against the oracle", (), {
+        "scene": (("--scene",), str, _REQUIRED, None, _SCENE)}),
+    "mesh": ("sweep a scene and export mesh/field", (), {
+        "scene": (("--scene",), str, _REQUIRED, None, _SCENE),
+        "out": (("--out",), str, _REQUIRED, None, "OBJ output path"),
+        "field": (("--field",), str, None, None,
+                  "optional curvature field output path"),
+        "format": (("--format",), str, "csv", ("csv", "json"), "")}),
+}
+_CHOICE = "{" + ",".join(_COMMANDS) + "}"
 
 
-def _add_verify(sub):
-    p = sub.add_parser("verify", help="verify a scene against the oracle")
-    p.add_argument("--scene", required=True,
-                   help="scene file or bundled scene name")
+def _value(kind, choices, text):
+    """``kind(text)`` among ``choices``; a ValueError has argparse's text."""
+    try:
+        value = kind(text)
+    except ValueError as e:
+        raise ValueError(e if kind is _finite
+                         else f"invalid int value: {text!r}") from None
+    if choices and value not in choices:
+        raise ValueError(f"invalid choice: {value!r} (choose from "
+                         f"{', '.join(map(repr, choices))})")
+    return value
 
 
-def _add_mesh(sub):
-    p = sub.add_parser("mesh", help="sweep a scene and export mesh/field")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--out", required=True, help="OBJ output path")
-    p.add_argument("--field", help="optional curvature field output path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+def _usage(command):
+    if command is None:
+        return f"usage: lmcanal [-h] {_CHOICE} ..."
+    _, pair, options = _COMMANDS[command]
+    words = []
+    for dest, (flags, _, default, choices, _) in options.items():
+        word = f"{flags[0]} " + ("{" + ",".join(choices) + "}" if choices
+                                 else dest.upper())
+        words.append(word if default is _REQUIRED or dest in pair
+                     else f"[{word}]")
+    if pair:  # the pair's options come first
+        words[:2] = [f"({words[0]} | {words[1]})"]
+    return " ".join([f"usage: lmcanal {command} [-h]"] + words)
 
 
-#: The subcommands in help order, each with the function adding its parser.
-_SUBCOMMANDS = {"frames": _add_frames, "verify": _add_verify,
-                "mesh": _add_mesh}
+def _help(command):
+    about, _, options = _COMMANDS.get(command, (
+        "canal/tubular hypersurfaces in E^4_1", (), {}))
+    rows = ([(", ".join(o[0]), o[4]) for o in options.values()] if command
+            else [(name, spec[0]) for name, spec in _COMMANDS.items()])
+    width = max(len(name) for name, _ in rows)
+    return "\n".join([_usage(command), "", about, ""] + [
+        f"  {name:<{width}}  {text}".rstrip() for name, text in rows])
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The top parser with every subcommand parser.  prog and the
-    subcommand metavar are given, so usage, help and errors read the same
-    however the program is started."""
-    top = _Parser(prog="lmcanal",
-                  description="canal/tubular hypersurfaces in E^4_1")
-    sub = top.add_subparsers(dest="command", required=True,
-                             parser_class=_Parser, prog="lmcanal",
-                             metavar="{" + ",".join(_SUBCOMMANDS) + "}")
-    for add in _SUBCOMMANDS.values():
-        add(sub)
-    return top
+def _error(command, message):
+    prog = "lmcanal" if command is None else f"lmcanal {command}"
+    return _Exit(EXIT_USAGE, f"{_usage(command)}\n{prog}: error: {message}")
+
+
+def _parse(argv):
+    """The namespace of ``argv``, read in one pass; raises ``_Exit`` for
+    help and for a usage error, with argparse's messages."""
+    if not argv:
+        raise _error(None, f"the following arguments are required: {_CHOICE}")
+    if argv[0] in _HELP:
+        raise _Exit(EXIT_OK, _help(None))
+    try:
+        command = _value(str, _COMMANDS, argv[0])
+    except ValueError as e:
+        raise _error(None, f"argument {_CHOICE}: {e}") from None
+    _, pair, options = _COMMANDS[command]
+    by_flag = {flag: dest for dest, o in options.items() for flag in o[0]}
+    values = {dest: o[2] for dest, o in options.items()}
+    extra, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            raise _Exit(EXIT_OK, _help(command))
+        flag, eq, text = token.partition("=")
+        if flag not in by_flag and token[:2] in by_flag:  # -n7
+            flag, eq, text = token[:2], "=", token[2:]
+        if flag not in by_flag:
+            extra.append(token)
+            continue
+        dest = by_flag[flag]
+        flags, kind, _, choices, _ = options[dest]
+        other = pair[pair.index(dest) - 1] if dest in pair else None
+        text = text if eq else next(tokens, None)
+        try:
+            if text is None or not eq and (
+                    text in _HELP or text.partition("=")[0] in by_flag):
+                raise ValueError("expected one argument")
+            values[dest] = _value(kind, choices, text)
+            if other and values[other] is not None:
+                raise ValueError("not allowed with argument "
+                                 + options[other][0][0])
+        except ValueError as e:
+            raise _error(command, f"argument {'/'.join(flags)}: {e}") from None
+    if extra:
+        raise _error(None, "unrecognized arguments: " + " ".join(extra))
+    missing = [options[d][0][0] for d, v in values.items() if v is _REQUIRED]
+    if missing:
+        raise _error(command, "the following arguments are required: "
+                     + ", ".join(missing))
+    if pair and all(values[d] is None for d in pair):
+        raise _error(command, "one of the arguments " + " ".join(
+            options[d][0][0] for d in pair) + " is required")
+    return SimpleNamespace(command=command, **values)
 
 
 def cmd_frames(args) -> int:
@@ -159,7 +234,7 @@ def cmd_mesh(args) -> int:
     try:
         mesh_mod.export(m, args.out, args.field or None, args.format)
     except OSError as e:
-        print(f"mesh: I/O error: {e}", file=sys.stderr)
+        print(f"lmcanal: I/O error: {e}", file=sys.stderr)
         return EXIT_USAGE
     print(f"wrote {args.out}: {len(m.points)} vertices, "
           f"{len(m.quads)} quads, {m.n_singular} singular points")
@@ -171,9 +246,11 @@ def cmd_mesh(args) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+        args = _parse(argv)
+    except _Exit as e:
+        code, text = e.args
+        print(text, file=sys.stderr if code else sys.stdout)
+        return code
     try:
         if args.command == "frames":
             return cmd_frames(args)

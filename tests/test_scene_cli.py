@@ -4,7 +4,10 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 import re
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
@@ -360,16 +363,14 @@ def test_cli_allocation_failure_exits_1(capsys, monkeypatch):
 
 
 def test_parser_build_lists_no_scenes(monkeypatch, capsys):
-    # the --scene help text is static: building the parser reads no scene
+    # the --scene help text is static: parsing an argv reads no scene
     # directory, and an unknown name is reported with the bundled ones
     def listed():
         raise AssertionError("bundled scenes listed")
 
     monkeypatch.setattr(scene_mod, "bundled_scene_names", listed)
     monkeypatch.setattr(cli, "bundled_scene_names", listed, raising=False)
-    parser = cli._build_parser()
-    assert parser.parse_args(["verify", "--scene", "null-c1"]).scene == \
-        "null-c1"
+    assert cli._parse(["verify", "--scene", "null-c1"]).scene == "null-c1"
     monkeypatch.undo()
     assert main(["verify", "--scene", "no-such-scene"]) == 1
     err = capsys.readouterr().err
@@ -380,14 +381,9 @@ def test_parser_build_lists_no_scenes(monkeypatch, capsys):
 def test_cli_option_surface(capsys):
     # every tolerance and step is the package's or the scene's, so no
     # option sets one
-    def options(parser):
-        action, = (a for a in parser._actions
-                   if isinstance(a, cli.argparse._SubParsersAction))
-        return {name: [a.option_strings for a in sub._actions
-                       if a.option_strings != ["-h", "--help"]]
-                for name, sub in action.choices.items()}
-
-    assert options(cli._build_parser()) == {
+    options = {name: [list(option[0]) for option in spec[2].values()]
+               for name, spec in cli._COMMANDS.items()}
+    assert options == {
         "frames": [["--curve"], ["--scene"], ["--s-min"], ["--s-max"],
                    ["-n", "--samples"]],
         "verify": [["--scene"]],
@@ -423,6 +419,140 @@ def test_cli_removed_flags_are_unrecognized(capsys, argv):
     assert (f"lmcanal: error: unrecognized arguments: {' '.join(argv[3:])}"
             in captured.err)
     assert "Traceback" not in captured.err
+
+
+# each accepted form next to the spelled-out argv it must act like
+ARGV_FORMS = [
+    (["verify", "--scene=pseudo-null-t1"],
+     ["verify", "--scene", "pseudo-null-t1"]),
+    (["frames", "--curve", "null-example", "--s-min", "-1", "-n", "5"],
+     ["frames", "--curve", "null-example", "-n", "5"]),
+    (["frames", "--curve", "null-example", "--s-min=-0.5", "-n", "5"],
+     ["frames", "--curve", "null-example", "--s-min", "-0.5", "-n", "5"]),
+    (["frames", "--curve", "null-example", "-n", "7"],
+     ["frames", "--curve", "null-example", "--samples", "7"]),
+    (["frames", "--curve", "null-example", "--samples=7"],
+     ["frames", "--curve", "null-example", "--samples", "7"]),
+    (["frames", "--curve", "null-example", "-n7"],
+     ["frames", "--curve", "null-example", "--samples", "7"]),
+    (["verify", "--scene", "no-such-scene", "--scene", "pseudo-null-t1"],
+     ["verify", "--scene", "pseudo-null-t1"]),
+]
+
+
+@pytest.mark.parametrize("argv,plain", ARGV_FORMS,
+                         ids=[" ".join(argv) for argv, _ in ARGV_FORMS])
+def test_cli_argv_forms_act_like_the_plain_form(capsys, argv, plain):
+    assert main(plain) == 0
+    want = capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["frames", "-h"], ["verify", "--help"],
+    ["mesh", "-h"], ["verify", "--scene", "no-such-scene", "-h"],
+], ids=" ".join)
+def test_cli_help_prints_the_option_table(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    command = argv[0] if argv[0] in cli._COMMANDS else None
+    lines = captured.out.splitlines()
+    assert lines[0] == cli._usage(command)
+    rows = [line.split()[0].rstrip(",") for line in lines
+            if line.startswith("  ")]
+    assert rows == ([option[0][0] for option
+                     in cli._COMMANDS[command][2].values()]
+                    if command else list(cli._COMMANDS))
+
+
+CHOICE = "{frames,verify,mesh}"
+USAGE_ERRORS = [
+    ([], f"lmcanal: error: the following arguments are required: {CHOICE}"),
+    (["check"], f"lmcanal: error: argument {CHOICE}: invalid choice: "
+                "'check' (choose from 'frames', 'verify', 'mesh')"),
+    (["verify", "--scene"],
+     "lmcanal verify: error: argument --scene: expected one argument"),
+    (["frames", "--curve", "null-example", "--s-min", "--s-max", "1"],
+     "lmcanal frames: error: argument --s-min: expected one argument"),
+    (["frames", "--curve", "null-example", "-n"],
+     "lmcanal frames: error: argument -n/--samples: expected one argument"),
+    (["verify"],
+     "lmcanal verify: error: the following arguments are required: --scene"),
+    (["mesh", "--out", "fig.obj"],
+     "lmcanal mesh: error: the following arguments are required: --scene"),
+    (["mesh", "--scene", "pseudo-null-c1-figure"],
+     "lmcanal mesh: error: the following arguments are required: --out"),
+    (["mesh"], "lmcanal mesh: error: the following arguments are required: "
+               "--scene, --out"),
+    (["frames", "--curve", "null-example", "--scene", "null-c1"],
+     "lmcanal frames: error: argument --scene: not allowed with argument "
+     "--curve"),
+    (["frames", "--scene", "null-c1", "--curve", "null-example"],
+     "lmcanal frames: error: argument --curve: not allowed with argument "
+     "--scene"),
+    (["frames", "-n", "5"],
+     "lmcanal frames: error: one of the arguments --curve --scene is "
+     "required"),
+    (["frames", "--curve", "null"],
+     "lmcanal frames: error: argument --curve: invalid choice: 'null' "
+     "(choose from 'null-example', 'partially-null-example', "
+     "'pseudo-null-example')"),
+    (["mesh", "--scene", "pseudo-null-c1-figure", "--out", "fig.obj",
+      "--format", "xml"],
+     "lmcanal mesh: error: argument --format: invalid choice: 'xml' "
+     "(choose from 'csv', 'json')"),
+    (["frames", "--curve", "null-example", "-n", "x"],
+     "lmcanal frames: error: argument -n/--samples: invalid int value: 'x'"),
+    (["frames", "--curve", "null-example", "--s-max", "-inf"],
+     "lmcanal frames: error: argument --s-max: expected a finite number, "
+     "got '-inf'"),
+    # long flags are not abbreviated
+    (["verify", "--sc", "pseudo-null-t1"],
+     "lmcanal: error: unrecognized arguments: --sc pseudo-null-t1"),
+]
+
+
+@pytest.mark.parametrize("argv,last", USAGE_ERRORS, ids=[
+    " ".join(argv) or "no command" for argv, _ in USAGE_ERRORS])
+def test_cli_usage_error_names_its_cause(capsys, tmp_path, monkeypatch,
+                                         argv, last):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("usage: lmcanal ")
+    assert captured.err.splitlines()[-1] == last
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_loads_no_argparse_gettext_or_locale(capsys):
+    # the CLI reads its argv without argparse, and nothing else it runs
+    # imports argparse or the gettext/locale pair argparse pulls in
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    script = ("import sys\n"
+              "import lmcanal.cli\n"
+              "def loaded():\n"
+              "    return [m for m in ('argparse', 'gettext', 'locale')\n"
+              "            if m in sys.modules]\n"
+              "before = loaded()\n"
+              "code = lmcanal.cli.main(['verify', '--scene', "
+              "'pseudo-null-t1'])\n"
+              "print(code, before, loaded())\n")
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 [] []"
+    argv = ["verify", "--scene", "pseudo-null-t1"]
+    run = subprocess.run([sys.executable, "-m", "lmcanal.cli", *argv],
+                         env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert main(argv) == 0
+    assert run.stdout == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("count", [1, 0, -2])
@@ -668,7 +798,7 @@ def test_cli_mesh_unwritable_field_fails_before_obj(capsys, tmp_path):
     code = main(["mesh", "--scene", "pseudo-null-c1-figure", "--out", str(obj),
                  "--field", str(tmp_path / "missing" / "fig.csv")])
     assert code == 1
-    assert "I/O error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("lmcanal: I/O error: ")
     assert not obj.exists()
 
 
