@@ -184,7 +184,8 @@ def builtin_names() -> tuple[str, ...]:
 @dataclass(frozen=True)
 class FrameRows:
     """Curve points and frame vectors F1..F4 at n parameter values as
-    (n, 4) rows, and the curvatures k1..k3 as (n,) arrays; from
+    (n, 4) rows, views of component-major (4, n) arrays where computed
+    from the curve's jets, and the curvatures k1..k3 as (n,) arrays; from
     ``derive_frame``, one frame as (4,) vectors and float curvatures."""
 
     gamma: np.ndarray
@@ -211,7 +212,7 @@ def _not_null(q, v):
 def _refuse(error, bad, s, message, values=None):
     """Raise ``error`` for the first row where ``bad`` holds, with
     ``message`` formatted from its s and its entry v of ``values``."""
-    if np.any(bad):
+    if bad.any():
         i = int(np.argmax(bad))
         raise error(message.format(
             s=float(s[i]), v=None if values is None else values[i]))
@@ -349,7 +350,7 @@ def derive_frames(curve: CurveSpec, s) -> FrameRows:
     batch raises what the construction raises at its first failing s.
     """
     s = np.asarray(s, dtype=float).ravel()
-    g, d1, d2, d3, d4 = (np.stack(d, axis=1) for d in
+    g, d1, d2, d3, d4 = (np.array(d).T for d in
                          zip(*(j.derivatives() for j in curve.jets(s))))
     with np.errstate(all="ignore"):
         if curve.completion_frame is not None:

@@ -428,18 +428,26 @@ class Jet1x4:
         return Jet1x4(tuple(-a for a in self.c))
 
     def __mul__(self, o: "Jet1x4") -> "Jet1x4":
-        a, b = self.c, o.c
-        return Jet1x4(tuple(
-            sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(5)))
+        # sums start from 0 as sum() does, so a -0.0 product gives +0.0
+        a0, a1, a2, a3, a4 = self.c
+        b0, b1, b2, b3, b4 = o.c
+        return Jet1x4((0 + a0 * b0,
+                       0 + a0 * b1 + a1 * b0,
+                       0 + a0 * b2 + a1 * b1 + a2 * b0,
+                       0 + a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+                       0 + a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0))
 
     def __truediv__(self, o: "Jet1x4") -> "Jet1x4":
-        a, b = self.c, o.c
-        if _any(b[0] == 0.0):
+        a0, a1, a2, a3, a4 = self.c
+        b0, b1, b2, b3, b4 = o.c
+        if _any(b0 == 0.0):
             raise DomainError("division by zero")
-        q = [0.0] * 5
-        for k in range(5):
-            q[k] = (a[k] - sum(q[i] * b[k - i] for i in range(k))) / b[0]
-        return Jet1x4(tuple(q))
+        q0 = a0 / b0
+        q1 = (a1 - (0 + q0 * b1)) / b0
+        q2 = (a2 - (0 + q0 * b2 + q1 * b1)) / b0
+        q3 = (a3 - (0 + q0 * b3 + q1 * b2 + q2 * b1)) / b0
+        q4 = (a4 - (0 + q0 * b4 + q1 * b3 + q2 * b2 + q3 * b1)) / b0
+        return Jet1x4((q0, q1, q2, q3, q4))
 
     def compose(self, f: tuple[float, float, float, float, float]) -> "Jet1x4":
         """Apply outer function with derivatives f = (f, f', f'', f''', f'''')

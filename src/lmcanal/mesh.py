@@ -105,8 +105,7 @@ class GridSpec:
                             and axis == self.fixed_axis
                             else self.values_of(axis), dtype=float)
                    for axis in AXES)
-        t, w = (x.ravel() for x in np.meshgrid(t, w, indexing="ij"))
-        return s, t, w
+        return s, np.repeat(t, len(w)), np.tile(w, len(t))
 
     def swept_axes(self) -> tuple[str, str]:
         if self.fixed_axis is None:

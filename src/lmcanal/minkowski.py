@@ -11,6 +11,9 @@ of the defining determinant can be audited directly.  Vectors are numpy
 arrays with a last axis of 4: (4,) for one vector, (N, 4) for rows.
 ``inner_rows`` takes any (..., 4) arrays, ``triple_cross_rows`` (N, 4) rows,
 and ``triple_cross`` is its one-row adapter.
+``triple_cross_rows`` orders a row triple and finds its parity by three
+lexicographic comparisons, gives a NaN row for a triple holding a NaN,
+and returns the (N, 4) view of a component-major (4, N) array.
 """
 
 from __future__ import annotations
@@ -32,6 +35,13 @@ def triple_cross(u, v, w):
                                for a in (u, v, w)))[0]
 
 
+def _before(x, y):
+    """Per row of two (4, N) arrays: x is lexicographically at most y."""
+    return (x[0] < y[0]) | (x[0] == y[0]) & (
+        (x[1] < y[1]) | (x[1] == y[1]) & (
+            (x[2] < y[2]) | (x[2] == y[2]) & (x[3] <= y[3])))
+
+
 def triple_cross_rows(u, v, w):
     """Ternary cross product of corresponding rows of three (N, 4) arrays.
 
@@ -39,31 +49,30 @@ def triple_cross_rows(u, v, w):
     first row.  Each result is Minkowski-orthogonal to its u, v and w and
     alternating in them.  Each row triple is first brought into a
     canonical order (lexicographic in the components, ties by argument
-    index, tracking permutation parity), so swapping any two arguments
-    flips the sign of the result exactly, rounding included, and a
-    repeated argument yields the exact zero vector.
+    index), so swapping any two arguments flips the sign of the result
+    exactly, rounding included, and a repeated argument yields the exact
+    zero vector.  A row triple that holds a NaN yields a NaN row.
     """
-    args = np.stack([u, v, w], axis=1)                    # (N, 3, 4)
-    index = np.broadcast_to(np.arange(3), args.shape[:2])
-    order = np.lexsort((index,) + tuple(args[:, :, k] for k in (3, 2, 1, 0)),
-                       axis=-1)
-    a_, b_, c_ = np.take_along_axis(args, order[:, :, None], axis=1) \
-        .transpose(1, 0, 2)
-    inversions = ((order[:, 0] > order[:, 1]).astype(int)
-                  + (order[:, 0] > order[:, 2]) + (order[:, 1] > order[:, 2]))
-    sign = np.where(inversions % 2 == 0, 1.0, -1.0)
-    repeated = np.all(a_ == b_, axis=1) | np.all(b_ == c_, axis=1)
-
-    def minor(columns):
-        a, b, c = ([row[:, k] for k in columns] for row in (a_, b_, c_))
-        return a[0] * (b[1] * c[2] - b[2] * c[1]) \
-            - a[1] * (b[0] * c[2] - b[2] * c[0]) \
-            + a[2] * (b[0] * c[1] - b[1] * c[0])
-
-    # minor k drops column k
-    m1, m2, m3, m4 = (minor(columns) for columns in
-                      ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)))
-    # First-row entries are (-e1, +e2, +e3, +e4) and cofactor signs alternate
-    # (+,-,+,-), so the coordinates come out as (-m1, -m2, +m3, -m4).
-    out = np.stack([sign * -m1, sign * -m2, sign * m3, sign * -m4], axis=1)
-    return np.where(repeated[:, None], 0.0, out)
+    u, v, w = (np.asarray(x, dtype=float).T for x in (u, v, w))
+    with np.errstate(all="ignore"):
+        uv, uw, vw = _before(u, v), _before(u, w), _before(v, w)
+        u_first, u_last = uv & uw, ~(uv | uw)
+        v_first, v_last = vw & ~uv, uv & ~vw
+        a = np.where(u_first, u, np.where(v_first, v, w))
+        b = np.where(u_first | u_last, np.where(v_first | v_last, w, v), u)
+        c = np.where(u_last, u, np.where(v_last, v, w))
+        # the 2 x 2 minors dij of the last two rows; minor k drops column k
+        d01, d02, d03 = (b[0] * c[k] - b[k] * c[0] for k in (1, 2, 3))
+        d12, d13 = (b[1] * c[k] - b[k] * c[1] for k in (2, 3))
+        d23 = b[2] * c[3] - b[3] * c[2]
+        m1 = a[1] * d23 - a[2] * d13 + a[3] * d12
+        m2 = a[0] * d23 - a[2] * d03 + a[3] * d02
+        m3 = a[0] * d13 - a[1] * d03 + a[3] * d01
+        m4 = a[0] * d12 - a[1] * d02 + a[2] * d01
+        # cofactor signs (+,-,+,-) on the first row (-e1, +e2, +e3, +e4)
+        # give (-m1, -m2, +m3, -m4); an odd permutation flips them all
+        sign = np.where(uv ^ uw ^ vw, 1.0, -1.0)  # 1 on even permutations
+        out = np.array([sign * -m1, sign * -m2, sign * m3, sign * -m4])
+    out[:, (a == b).all(axis=0) | (b == c).all(axis=0)] = 0.0
+    out[:, np.isnan(np.concatenate((u, v, w))).any(axis=0)] = np.nan
+    return out.T

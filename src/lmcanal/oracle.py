@@ -15,12 +15,14 @@ curvature path it is used to check.
 
 The engine works on batches: ``stencil`` lays out the 19-point stencils of
 N points (``grid_stencil`` those of a grid, as parameter tables and
-broadcast index blocks into them), the caller evaluates all 19 N points
-in one call, and ``stencil_jets``, ``forms_batch`` and ``curvatures_batch``
-turn them into (N, ...) arrays with per-point masks instead of
-exceptions.  The one-point functions (``numeric_jet``,
-``fundamental_forms``, ``curvatures_numeric``) give the batch of one point
-and raise at singular points.
+broadcast index blocks into them), the caller evaluates all 19 N points in
+one call, and ``stencil_jets``, ``forms_batch`` and ``curvatures_batch``
+turn them into (N, ...) arrays with per-point masks instead of exceptions.
+Jets and normals are component-major behind their (N, 4) shape (``x[:, k]``
+is contiguous), and g, h, their determinants and the adjugate are computed
+from the six distinct entries of each.  The one-point functions
+(``numeric_jet``, ``fundamental_forms``, ``curvatures_numeric``) give the
+batch of one point and raise at singular points.
 """
 
 from __future__ import annotations
@@ -47,6 +49,14 @@ STENCIL = ((0, 0, 0),
            (1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0),
            (1, 0, 1), (1, 0, -1), (-1, 0, 1), (-1, 0, -1),
            (0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1))
+
+#: The (19, 1, 1) s and (t, w) blocks of STENCIL in ``grid_stencil``'s
+#: tables (see there).
+_S_BLOCK, _T_BLOCK, _W_BLOCK = (np.array(STENCIL) % 3).T[:, :, None, None]
+_TW_BLOCK = 3 * _T_BLOCK + _W_BLOCK
+#: The distinct entries (i, j), i <= j, of a symmetric 3 x 3 matrix, in
+#: the order of the second partials (ss, st, sw, tt, tw, ww).
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 class OracleError(Exception):
@@ -121,11 +131,9 @@ def grid_stencil(s, t, w, step: float):
         raise ValueError(f"step must be finite and positive, got {step}")
     s, t, w = (np.asarray(x, dtype=float).ravel() for x in (s, t, w))
     d = np.array([0.0, 1.0, -1.0])[:, None] * step  # offset d in row d % 3
-    blocks = np.array(STENCIL) % 3
     n_s, n_tw = len(s), len(t)
-    s_ix = (blocks[:, 0] * n_s)[:, None, None] + np.arange(n_s)[:, None]
-    tw_ix = (((3 * blocks[:, 1] + blocks[:, 2]) * n_tw)[:, None, None]
-             + np.arange(n_tw))
+    s_ix = _S_BLOCK * n_s + np.arange(n_s)[:, None]
+    tw_ix = _TW_BLOCK * n_tw + np.arange(n_tw)
     tables = ((s + d).ravel(), np.repeat(t + d, 3, axis=0).ravel(),
               np.tile(w + d, (3, 1)).ravel())
     return tables, (s_ix, tw_ix)
@@ -156,34 +164,17 @@ def stencil_jets(points, step: float) -> SurfaceJet:
     )
 
 
-def _det3(m):
-    return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2]
-                            - m[..., 1, 2] * m[..., 2, 1])
-            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2]
-                              - m[..., 1, 2] * m[..., 2, 0])
-            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1]
-                              - m[..., 1, 1] * m[..., 2, 0]))
+def _det3(m00, m01, m02, m11, m12, m22):
+    """Determinant of a symmetric 3 x 3 matrix along its first row."""
+    return (m00 * (m11 * m22 - m12 * m12)
+            - m01 * (m01 * m22 - m12 * m02)
+            + m02 * (m01 * m12 - m11 * m02))
 
 
-def _adjugate3(m):
-    def e(i, j):
-        return m[..., i, j]
-    return np.stack([
-        np.stack([e(1, 1) * e(2, 2) - e(1, 2) * e(2, 1),
-                  e(0, 2) * e(2, 1) - e(0, 1) * e(2, 2),
-                  e(0, 1) * e(1, 2) - e(0, 2) * e(1, 1)], axis=-1),
-        np.stack([e(1, 2) * e(2, 0) - e(1, 0) * e(2, 2),
-                  e(0, 0) * e(2, 2) - e(0, 2) * e(2, 0),
-                  e(0, 2) * e(1, 0) - e(0, 0) * e(1, 2)], axis=-1),
-        np.stack([e(1, 0) * e(2, 1) - e(1, 1) * e(2, 0),
-                  e(0, 1) * e(2, 0) - e(0, 0) * e(2, 1),
-                  e(0, 0) * e(1, 1) - e(0, 1) * e(1, 0)], axis=-1),
-    ], axis=-2)
-
-
-#: The entry (i, j) of the symmetric 3 x 3 matrix of second partials, as
-#: an index into (ss, st, sw, tt, tw, ww).
-_SECOND = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+def _symmetric(m00, m01, m02, m11, m12, m22):
+    """The (N, 3, 3) view of the (3, 3, N) matrices of six (N,) entries."""
+    return np.moveaxis(np.array([[m00, m01, m02], [m01, m11, m12],
+                                 [m02, m12, m22]]), -1, 0)
 
 
 def forms_batch(jet: SurfaceJet):
@@ -193,38 +184,40 @@ def forms_batch(jet: SurfaceJet):
     with np.errstate(all="ignore"):
         raw = triple_cross_rows(*tangents)
         q = np.abs(inner_rows(raw, raw))
-        longest = np.max([np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
-                                  + v[:, 2] * v[:, 2] + v[:, 3] * v[:, 3])
-                          for v in tangents], axis=0)
+        longest = np.maximum.reduce([
+            np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
+                    + v[:, 3] * v[:, 3]) for v in tangents])
         scale = np.fmax(1.0, longest * longest * longest)
         length = np.sqrt(q)
         degenerate = length <= DEGENERATE_TOL * scale
-        normal = raw / length[:, None]
+        normal = (raw.T / length).T
         eps = np.sign(inner_rows(normal, normal))  # nan where N is not finite
-        first = np.stack(tangents, axis=1)  # (N, 3, 4)
-        g = inner_rows(first[:, :, None], first[:, None])
-        second = np.stack([jet.d_ss, jet.d_st, jet.d_sw, jet.d_tt,
-                           jet.d_tw, jet.d_ww], axis=1)  # (N, 6, 4)
-        h = inner_rows(second, normal[:, None])[:, _SECOND]
-    return FundamentalForms(g=g, h=h, detg=_det3(g), deth=_det3(h),
-                            normal=normal, eps=eps), degenerate
+        g = [inner_rows(tangents[i], tangents[j]) for i, j in _UPPER]
+        h = [inner_rows(d, normal) for d in (jet.d_ss, jet.d_st, jet.d_sw,
+                                             jet.d_tt, jet.d_tw, jet.d_ww)]
+        detg, deth = _det3(*g), _det3(*h)
+    return FundamentalForms(g=_symmetric(*g), h=_symmetric(*h), detg=detg,
+                            deth=deth, normal=normal, eps=eps), degenerate
 
 
 def curvatures_batch(forms: FundamentalForms):
     """K = eps det(h)/det(g), H = tr(g^{-1} h)/(3 eps) from batched forms,
     and the mask of points whose metric is singular."""
-    g, h = forms.g, forms.h
+    g00, g01, g02, g11, g12, g22 = (forms.g[:, i, j] for i, j in _UPPER)
+    h00, h01, h02, h11, h12, h22 = (forms.h[:, i, j] for i, j in _UPPER)
     with np.errstate(all="ignore"):
-        largest = np.fmax(1.0, np.max(np.abs(g), axis=(-2, -1)))
+        largest = np.fmax(1.0, np.max(np.abs(forms.g), axis=(-2, -1)))
         singular = (np.abs(forms.detg)
                     <= METRIC_DET_TOL * largest * largest * largest)
         K = forms.eps * forms.deth / forms.detg
-        adj = _adjugate3(g)
-        # tr(S) = tr(adj(g) h) / det(g)
-        tr = 0.0
-        for i in range(3):
-            for k in range(3):
-                tr = tr + adj[..., i, k] * h[..., k, i]
+        # tr(S) = tr(adj(g) h) / det(g), adj(g) symmetric like g
+        a00, a01, a02 = (g11 * g22 - g12 * g12, g02 * g12 - g01 * g22,
+                         g01 * g12 - g02 * g11)
+        a11, a12, a22 = (g00 * g22 - g02 * g02, g02 * g01 - g00 * g12,
+                         g00 * g11 - g01 * g01)
+        p01, p02, p12 = a01 * h01, a02 * h02, a12 * h12
+        tr = (0.0 + a00 * h00 + p01 + p02 + p01 + a11 * h11 + p12 + p02
+              + p12 + a22 * h22)
         H = tr / forms.detg / (3.0 * forms.eps)
     return K, H, singular
 

@@ -9,7 +9,9 @@ same bits in any batch, the one-batch table must equal the concatenated
 slabs byte for byte.
 """
 
+import hashlib
 import itertools
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -29,6 +31,11 @@ FIGURE_SCENES = ["pseudo-null-c1-figure", "partially-null-c5-figure",
                  "null-c1-figure"]
 COLUMNS = ("membership", "normality", "eps", "k_closed", "h_closed",
            "k_oracle", "h_oracle", "r", "nonsingular")
+#: sha256 of each gate scene's GridTable arrays in field order, one
+#: ``<hex>  <scene>`` line each: a change of any bit of the frames, points,
+#: stencil, forms or curvatures shows here.  Like mesh_exports.sha256 the
+#: digests depend on the platform's libm.
+PINNED = pathlib.Path(__file__).parent / "data" / "grid_table.sha256"
 #: Peak traced allocation of one grid_table call per stencil row: 18
 #: float64 columns.
 PEAK_BYTES_PER_STENCIL_ROW = 18 * 8
@@ -78,6 +85,26 @@ def test_grid_table_matches_slab_reference_bit_for_bit(name):
         a, b = getattr(got, column), getattr(want, column)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), column
         assert a.tobytes() == b.tobytes(), column
+
+
+def grid_table_sha256(table: GridTable) -> str:
+    digest = hashlib.sha256()
+    for column in COLUMNS:
+        digest.update(getattr(table, column).tobytes())
+    return digest.hexdigest()
+
+
+def test_pinned_grid_tables_are_the_gate_scenes():
+    assert [line.split()[1] for line in PINNED.read_text().splitlines()] \
+        == GATE_SCENES
+
+
+@pytest.mark.parametrize("name", GATE_SCENES)
+def test_grid_table_matches_pinned_sha256(name):
+    pinned = dict(line.split()[::-1]
+                  for line in PINNED.read_text().splitlines())
+    table = grid_table(scene_tables(bundled_scene(name)))
+    assert grid_table_sha256(table) == pinned[name]
 
 
 @pytest.mark.parametrize("name", ["pseudo-null-c1", "partially-null-t3",

@@ -1,0 +1,292 @@
+"""The oracle's cross product, fundamental forms and curvatures, and the
+s-jet's product and quotient, against reference copies of the
+implementations they replaced, bit for bit, sign bits included.
+
+The references stack each row triple into an (N, 3, 4) array, sort it with
+``np.lexsort`` and assemble g, h and adj(g) as full 3 x 3 matrices.  The
+kernel computes the same products, in the same order, from the distinct
+entries of component-major rows, so every output must keep its bits: on
+the grid-stencil jets of every bundled scene, and on random rows with
+ties, repeated rows, signed zeros and infinities.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from lmcanal import oracle
+from lmcanal.canal import field_points
+from lmcanal.curves import builtin, derive_frames
+from lmcanal.expr import Jet1x4
+from lmcanal.minkowski import inner_rows, triple_cross_rows
+from lmcanal.scene import bundled_scene, bundled_scene_names
+from lmcanal.verify import scene_tables
+
+# ---------------------------------------------------------------------------
+# References
+
+
+def reference_triple_cross_rows(u, v, w):
+    args = np.stack([u, v, w], axis=1)                    # (N, 3, 4)
+    index = np.broadcast_to(np.arange(3), args.shape[:2])
+    order = np.lexsort((index,) + tuple(args[:, :, k] for k in (3, 2, 1, 0)),
+                       axis=-1)
+    a_, b_, c_ = np.take_along_axis(args, order[:, :, None], axis=1) \
+        .transpose(1, 0, 2)
+    inversions = ((order[:, 0] > order[:, 1]).astype(int)
+                  + (order[:, 0] > order[:, 2]) + (order[:, 1] > order[:, 2]))
+    sign = np.where(inversions % 2 == 0, 1.0, -1.0)
+    repeated = np.all(a_ == b_, axis=1) | np.all(b_ == c_, axis=1)
+
+    def minor(columns):
+        a, b, c = ([row[:, k] for k in columns] for row in (a_, b_, c_))
+        return a[0] * (b[1] * c[2] - b[2] * c[1]) \
+            - a[1] * (b[0] * c[2] - b[2] * c[0]) \
+            + a[2] * (b[0] * c[1] - b[1] * c[0])
+
+    m1, m2, m3, m4 = (minor(columns) for columns in
+                      ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)))
+    out = np.stack([sign * -m1, sign * -m2, sign * m3, sign * -m4], axis=1)
+    return np.where(repeated[:, None], 0.0, out)
+
+
+def reference_det3(m):
+    return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2]
+                            - m[..., 1, 2] * m[..., 2, 1])
+            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2]
+                              - m[..., 1, 2] * m[..., 2, 0])
+            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1]
+                              - m[..., 1, 1] * m[..., 2, 0]))
+
+
+def reference_adjugate3(m):
+    def e(i, j):
+        return m[..., i, j]
+    return np.stack([
+        np.stack([e(1, 1) * e(2, 2) - e(1, 2) * e(2, 1),
+                  e(0, 2) * e(2, 1) - e(0, 1) * e(2, 2),
+                  e(0, 1) * e(1, 2) - e(0, 2) * e(1, 1)], axis=-1),
+        np.stack([e(1, 2) * e(2, 0) - e(1, 0) * e(2, 2),
+                  e(0, 0) * e(2, 2) - e(0, 2) * e(2, 0),
+                  e(0, 2) * e(1, 0) - e(0, 0) * e(1, 2)], axis=-1),
+        np.stack([e(1, 0) * e(2, 1) - e(1, 1) * e(2, 0),
+                  e(0, 1) * e(2, 0) - e(0, 0) * e(2, 1),
+                  e(0, 0) * e(1, 1) - e(0, 1) * e(1, 0)], axis=-1),
+    ], axis=-2)
+
+
+SECOND = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+
+
+def reference_forms_batch(jet):
+    tangents = (jet.d_s, jet.d_t, jet.d_w)
+    with np.errstate(all="ignore"):
+        raw = reference_triple_cross_rows(*tangents)
+        q = np.abs(inner_rows(raw, raw))
+        longest = np.max([np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+                                  + v[:, 2] * v[:, 2] + v[:, 3] * v[:, 3])
+                          for v in tangents], axis=0)
+        scale = np.fmax(1.0, longest * longest * longest)
+        length = np.sqrt(q)
+        degenerate = length <= oracle.DEGENERATE_TOL * scale
+        normal = raw / length[:, None]
+        eps = np.sign(inner_rows(normal, normal))
+        first = np.stack(tangents, axis=1)
+        g = inner_rows(first[:, :, None], first[:, None])
+        second = np.stack([jet.d_ss, jet.d_st, jet.d_sw, jet.d_tt,
+                           jet.d_tw, jet.d_ww], axis=1)
+        h = inner_rows(second, normal[:, None])[:, SECOND]
+        detg, deth = reference_det3(g), reference_det3(h)
+    return oracle.FundamentalForms(g=g, h=h, detg=detg, deth=deth,
+                                   normal=normal, eps=eps), degenerate
+
+
+def reference_curvatures_batch(forms):
+    g, h = forms.g, forms.h
+    with np.errstate(all="ignore"):
+        largest = np.fmax(1.0, np.max(np.abs(g), axis=(-2, -1)))
+        singular = (np.abs(forms.detg)
+                    <= oracle.METRIC_DET_TOL * largest * largest * largest)
+        K = forms.eps * forms.deth / forms.detg
+        adj = reference_adjugate3(g)
+        tr = 0.0
+        for i in range(3):
+            for k in range(3):
+                tr = tr + adj[..., i, k] * h[..., k, i]
+        H = tr / forms.detg / (3.0 * forms.eps)
+    return K, H, singular
+
+
+def reference_jet_mul(a, b):
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1))
+                 for k in range(5))
+
+
+def reference_jet_div(a, b):
+    q = [0.0] * 5
+    for k in range(5):
+        q[k] = (a[k] - sum(q[i] * b[k - i] for i in range(k))) / b[0]
+    return tuple(q)
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+
+
+def assert_same_bits(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), what
+    assert np.array_equal(got, want, equal_nan=True), what
+    if got.dtype.kind == "f":
+        assert np.array_equal(np.signbit(got), np.signbit(want)), what
+
+
+def random_rows(rng, n):
+    """(n, 4) rows of magnitudes 1e-3 to 1e3 of either sign, a fifth of
+    the components replaced by +-0, +-1 or +-inf."""
+    rows = rng.choice([-1.0, 1.0], (n, 4)) * 10.0 ** rng.uniform(-3, 3, (n, 4))
+    special = rng.choice([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf], (n, 4))
+    return np.where(rng.random((n, 4)) < 0.2, special, rows)
+
+
+def random_triples(seed, n=6000):
+    """Row triples (u, v, w) in which v shares the first k components of u
+    and w the first k' of v (k, k' = 0..4, 4 repeating the row), shared
+    zeros with either sign, in a random argument order per row."""
+    rng = np.random.default_rng(seed)
+    rows = [random_rows(rng, n) for _ in range(3)]
+    column = np.arange(4)
+    for i in (1, 2):
+        shared = column < rng.integers(0, 5, (n, 1))
+        flip = (rows[i - 1] == 0.0) & (rng.random((n, 4)) < 0.5)
+        prefix = np.where(flip, -rows[i - 1], rows[i - 1])
+        rows[i] = np.where(shared, prefix, rows[i])
+    rows = np.stack(rows, axis=1)
+    order = rng.permuted(np.tile(np.arange(3), (n, 1)), axis=1)
+    rows = np.take_along_axis(rows, order[:, :, None], axis=1)
+    return rows[:, 0], rows[:, 1], rows[:, 2]
+
+
+def random_jet(seed, n=3000):
+    """A SurfaceJet of random rows: tangent triples as in
+    ``random_triples``, second partials and points as ``random_rows``."""
+    rng = np.random.default_rng(seed)
+    rows = [random_rows(rng, n) for _ in range(7)]
+    return oracle.SurfaceJet(rows[0], *random_triples(seed + 1, n), *rows[1:])
+
+
+def scene_jet(name):
+    """The oracle's jets on a bundled scene's grid, as ``grid_table``
+    builds them."""
+    tables = scene_tables(bundled_scene(name))
+    points = field_points(tables.field_tables, *tables.grid)
+    with np.errstate(all="ignore"):
+        return oracle.stencil_jets(points, tables.step)
+
+
+def assert_kernel_matches_reference(jet):
+    forms, degenerate = oracle.forms_batch(jet)
+    want_forms, want_degenerate = reference_forms_batch(jet)
+    assert_same_bits(degenerate, want_degenerate, "degenerate")
+    for name in ("normal", "eps", "g", "h", "detg", "deth"):
+        assert_same_bits(getattr(forms, name), getattr(want_forms, name), name)
+    for name, got, want in zip(("K", "H", "singular"),
+                               oracle.curvatures_batch(forms),
+                               reference_curvatures_batch(want_forms)):
+        assert_same_bits(got, want, name)
+
+
+# ---------------------------------------------------------------------------
+# Bit identity
+
+
+@pytest.mark.parametrize("name", bundled_scene_names())
+def test_forms_and_curvatures_keep_their_bits_on_scene_jets(name):
+    assert_kernel_matches_reference(scene_jet(name))
+
+
+def test_forms_and_curvatures_keep_their_bits_on_random_rows():
+    jet = random_jet(2718)
+    assert np.isinf(jet.d_s).any() and (jet.d_t == 0.0).any()
+    assert_kernel_matches_reference(jet)
+
+
+def test_triple_cross_rows_keeps_its_bits_on_random_rows():
+    u, v, w = random_triples(3141)
+    repeated = (np.all(u == v, axis=1) | np.all(v == w, axis=1)
+                | np.all(u == w, axis=1))
+    assert 300 < np.count_nonzero(repeated) < len(u) // 2
+    with np.errstate(all="ignore"):
+        want = reference_triple_cross_rows(u, v, w)
+    assert np.isnan(want).any() and np.isinf(want).any()
+    assert_same_bits(triple_cross_rows(u, v, w), want, "cross")
+    # the same bits from row-major and component-major rows
+    u, v, w = (np.asfortranarray(x) for x in (u, v, w))
+    assert_same_bits(triple_cross_rows(u, v, w), want, "cross")
+
+
+def test_an_infinite_component_warns_nothing_and_keeps_its_bits():
+    u, v, w = [[1.0, np.inf, 2.0, 3.0]], [[0.5, 0.0, 1.0, 0.0]], \
+        [[0.2, 0.3, 0.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = triple_cross_rows(u, v, w)
+    with np.errstate(all="ignore"):
+        want = reference_triple_cross_rows(*map(np.array, (u, v, w)))
+    assert_same_bits(got, want, "cross")
+
+
+def test_a_nan_anywhere_in_a_row_triple_gives_a_nan_row():
+    # row p holds one NaN, at argument p // 4 and component p % 4; rows
+    # 12.. are clean and keep the bits they have without the NaN rows
+    rng = np.random.default_rng(5)
+    clean = rng.uniform(-2.0, 2.0, (3, 24, 4))
+    args = clean.copy()
+    for p in range(12):
+        args[p // 4, p, p % 4] = np.nan
+    got = triple_cross_rows(*args)
+    assert np.isnan(got[:12]).all()
+    assert_same_bits(got[12:], triple_cross_rows(*clean)[12:], "clean rows")
+    assert_same_bits(got[12:], reference_triple_cross_rows(*clean)[12:],
+                     "clean rows")
+    # the sort used to decide which components of the row came out NaN
+    assert np.isnan(triple_cross_rows([[np.nan, 1.0, 2.0, 3.0]],
+                                      [[0.5, 0.0, 1.0, 0.0]],
+                                      [[0.2, 0.3, 0.0, 1.0]])).all()
+
+
+def test_jet_product_and_quotient_keep_their_bits():
+    # coefficients with signed zeros, whose sums start from 0 as sum() does
+    rng = np.random.default_rng(8)
+    n = 4000
+    a, b = (tuple(np.where(rng.random(n) < 0.6,
+                           rng.choice([0.0, -0.0], n),
+                           rng.uniform(-3.0, 3.0, n)) for _ in range(5))
+            for _ in range(2))
+    b = (np.where(b[0] == 0.0, 0.5, b[0]),) + b[1:]
+    x, y = (-0.0, 1.5, -0.0, 2.0, 0.0), (2.0, -0.0, 0.5, -1.0, 3.0)
+    with np.errstate(all="ignore"):
+        for a, b in ((a, b), (x, y), (y, (1.0,) + x[1:])):  # then floats
+            for got, want in (((Jet1x4(a) * Jet1x4(b)).c,
+                               reference_jet_mul(a, b)),
+                              ((Jet1x4(a) / Jet1x4(b)).c,
+                               reference_jet_div(a, b))):
+                for k in range(5):
+                    assert_same_bits(got[k], want[k], k)
+
+
+def test_verify_path_rows_are_component_major():
+    # x[..., k] is a contiguous row of every (N, 4) array the oracle makes
+    # and of the frames it is built from
+    jet = scene_jet("pseudo-null-t1")
+    forms, _ = oracle.forms_batch(jet)
+    for rows in (jet.d_s, jet.d_ww, forms.normal,
+                 triple_cross_rows(jet.d_s, jet.d_t, jet.d_w)):
+        assert rows.T.flags.c_contiguous
+    assert forms.g.shape == forms.h.shape == (len(forms.eps), 3, 3)
+    assert np.moveaxis(forms.g, 0, -1).flags.c_contiguous
+    frames = derive_frames(builtin("pseudo-null-example"),
+                           np.linspace(0.0, 1.0, 7))
+    for rows in (frames.gamma, frames.f1, frames.f2):
+        assert rows.shape == (7, 4) and rows.T.flags.c_contiguous
