@@ -9,7 +9,7 @@ from .canal import (CanalFamily, CurvaturePair, NullCoefficients, RadiusSpec,
                     relation_residual, weingarten_residuals)
 from .curves import (CurveClass, CurveSpec, FrameRows, builtin, builtin_names,
                      derive_frame, derive_frames, frame_residuals)
-from .expr import Jet1x4, eval_s, eval_value, parse, to_str
+from .expr import Jet, eval_s, eval_value, parse, to_str
 from .mesh import (GridSpec, ProjectedMesh, export, export_field, export_obj,
                    sweep)
 from .minkowski import inner_rows, triple_cross

@@ -121,7 +121,8 @@ class CanalFamily:
 
 @dataclass(frozen=True)
 class RadiusSpec:
-    """Radius function r(s) evaluated as a jet (r, r', r'', r''')."""
+    """Radius function r(s), read as (r, r', r'', r''') from the
+    derivatives of its degree-4 s-jet."""
 
     expression: object
 
@@ -132,8 +133,7 @@ class RadiusSpec:
     def jet(self, s):
         """(r, r', r'', r''') at s: floats for one s, arrays of the shape of
         an array of s values (one jet walk, see ``expr.eval_s``)."""
-        j = expr.eval_s(self.expression, s)
-        return (j.value, j.d1, j.d2, j.d3)
+        return expr.eval_s(self.expression, s).derivatives()[:4]
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 """Scalar math expressions in s, t, w with forward-mode Taylor differentiation.
 
 Expressions are parsed by a hand-written precedence-climbing parser into a
-small immutable AST and evaluated by one tree walker in one of two modes:
+small immutable AST and evaluated by one tree walker on one type, ``Jet``:
+a truncated Taylor polynomial in s whose degree is its number of
+coefficients less one.
 
-* ``eval_s``   -- truncated Taylor jet in s: value and d/ds derivatives of
-  orders 1..4 (``Jet1x4``), exact to machine precision, at one s or at an
-  array of s values in one walk,
-* ``eval_value`` -- the same walker on plain values, any of s, t, w bound
-  to a float or to an array (arrays broadcast; one walk per batch).
+* ``eval_s``   -- the degree-4 jet in s: value and d/ds derivatives of
+  orders 1..4, exact to machine precision, at one s or at an array of s
+  values in one walk,
+* ``eval_value`` -- the value of degree-0 jets, any of s, t, w bound to a
+  float or to an array (arrays broadcast; one walk per batch).
 
 On arrays numpy applies only ``+ - * /`` (correctly rounded, like Python
 floats) and exact negations, and every function and ``**`` goes through
@@ -30,7 +32,7 @@ trig/hyperbolic functions raise a domain error at their poles.
 
 Nesting is bounded: an AST more than ``MAX_DEPTH`` levels deep, or
 parentheses, calls, signs and powers nested more than ``MAX_DEPTH`` levels,
-is a ``ParseError``.  The tree walkers recurse once per AST level.
+is a ``ParseError``.  The tree walker recurses once per AST level.
 """
 
 from __future__ import annotations
@@ -366,264 +368,216 @@ def _any(x) -> bool:
     return bool(x.any()) if isinstance(x, np.ndarray) else bool(x)
 
 
-def _div(a, b):
-    """a / b on floats, arrays or jets; a zero divisor in any element
-    raises ``DomainError`` (numpy would give inf and go on)."""
-    if not isinstance(b, Jet1x4) and _any(b == 0.0):
-        raise DomainError("division by zero")
-    return a / b
-
-
 @dataclass(frozen=True)
-class Jet1x4:
-    """Value and d/ds derivatives of orders 1..4 at a point, or at n points
-    when the coefficients are (n,) arrays (a float coefficient stands for
-    the same value at every point).
+class Jet:
+    """Truncated Taylor polynomial in s of degree ``len(c) - 1``: ``c[k]``
+    is the k-th Taylor coefficient (k-th derivative over k!).  A degree-0
+    jet is a plain value.  A coefficient is a float or an array of points
+    (a float stands for the same value at every point).
 
-    Internally a degree-4 Taylor polynomial: ``c[k]`` is the k-th Taylor
-    coefficient (k-th derivative over k!), so multiplication is plain
-    coefficient convolution and the Leibniz rule holds by construction.
+    Products are coefficient convolutions, so the Leibniz rule holds by
+    construction, and functions take the Taylor-mode recurrences of
+    ``f' = f'(u) u'``, each coefficient from the lower ones (Griewank and
+    Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
     """
 
-    c: tuple[float, float, float, float, float]
+    c: tuple
 
-    @staticmethod
-    def constant(x: float) -> "Jet1x4":
-        return Jet1x4((float(x), 0.0, 0.0, 0.0, 0.0))
+    def derivatives(self) -> tuple:
+        """The value and the derivatives of orders 1..degree."""
+        return tuple(math.factorial(k) * x for k, x in enumerate(self.c))
 
-    @staticmethod
-    def variable(x0) -> "Jet1x4":
-        return Jet1x4((x0, 1.0, 0.0, 0.0, 0.0))
+    def __add__(self, o: "Jet") -> "Jet":
+        return Jet(tuple(a + b for a, b in zip(self.c, o.c)))
 
-    @property
-    def value(self) -> float:
-        return self.c[0]
+    def __sub__(self, o: "Jet") -> "Jet":
+        return Jet(tuple(a - b for a, b in zip(self.c, o.c)))
 
-    @property
-    def d1(self) -> float:
-        return self.c[1]
+    def __neg__(self) -> "Jet":
+        return Jet(tuple(-a for a in self.c))
 
-    @property
-    def d2(self) -> float:
-        return 2.0 * self.c[2]
+    def __mul__(self, o: "Jet") -> "Jet":
+        # sums run left to right from 0, so a -0.0 product gives +0.0
+        a, b = self.c, o.c
+        out = []
+        for k in range(len(a)):
+            acc = 0
+            for i in range(k + 1):
+                acc = acc + a[i] * b[k - i]
+            out.append(acc)
+        return Jet(tuple(out))
 
-    @property
-    def d3(self) -> float:
-        return 6.0 * self.c[3]
-
-    @property
-    def d4(self) -> float:
-        return 24.0 * self.c[4]
-
-    def derivatives(self) -> tuple[float, float, float, float, float]:
-        return (self.value, self.d1, self.d2, self.d3, self.d4)
-
-    def __add__(self, o: "Jet1x4") -> "Jet1x4":
-        return Jet1x4(tuple(a + b for a, b in zip(self.c, o.c)))
-
-    def __sub__(self, o: "Jet1x4") -> "Jet1x4":
-        return Jet1x4(tuple(a - b for a, b in zip(self.c, o.c)))
-
-    def __neg__(self) -> "Jet1x4":
-        return Jet1x4(tuple(-a for a in self.c))
-
-    def __mul__(self, o: "Jet1x4") -> "Jet1x4":
-        # sums start from 0 as sum() does, so a -0.0 product gives +0.0
-        a0, a1, a2, a3, a4 = self.c
-        b0, b1, b2, b3, b4 = o.c
-        return Jet1x4((0 + a0 * b0,
-                       0 + a0 * b1 + a1 * b0,
-                       0 + a0 * b2 + a1 * b1 + a2 * b0,
-                       0 + a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
-                       0 + a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0))
-
-    def __truediv__(self, o: "Jet1x4") -> "Jet1x4":
-        a0, a1, a2, a3, a4 = self.c
-        b0, b1, b2, b3, b4 = o.c
-        if _any(b0 == 0.0):
+    def __truediv__(self, o: "Jet") -> "Jet":
+        a, b = self.c, o.c
+        if _any(b[0] == 0.0):
             raise DomainError("division by zero")
-        q0 = a0 / b0
-        q1 = (a1 - (0 + q0 * b1)) / b0
-        q2 = (a2 - (0 + q0 * b2 + q1 * b1)) / b0
-        q3 = (a3 - (0 + q0 * b3 + q1 * b2 + q2 * b1)) / b0
-        q4 = (a4 - (0 + q0 * b4 + q1 * b3 + q2 * b2 + q3 * b1)) / b0
-        return Jet1x4((q0, q1, q2, q3, q4))
+        q = []
+        for k in range(len(a)):
+            acc = 0
+            for i in range(k):
+                acc = acc + q[i] * b[k - i]
+            q.append((a[k] - acc) / b[0])
+        return Jet(tuple(q))
 
-    def compose(self, f: tuple[float, float, float, float, float]) -> "Jet1x4":
-        """Apply outer function with derivatives f = (f, f', f'', f''', f'''')
-        at ``self.value``, via the degree-4 composition formula."""
-        f0, f1, f2, f3, f4 = f
-        _, p1, p2, p3, p4 = self.c
-        return Jet1x4((
-            f0,
-            f1 * p1,
-            f1 * p2 + (f2 / 2.0) * p1 * p1,
-            f1 * p3 + f2 * p1 * p2 + (f3 / 6.0) * libm(pow, p1, 3),
-            f1 * p4 + f2 * (p1 * p3 + p2 * p2 / 2.0)
-            + (f3 / 2.0) * p1 * p1 * p2 + (f4 / 24.0) * libm(pow, p1, 4),
-        ))
-
-
-class _Plain:
-    """Order-0 mode of ``_eval_jet``: values are plain floats or arrays."""
-
-    constant = float
-
-
-# Derivative tables at u, a float or an array on which each libm function
-# runs once.  A failing batch is walked again element by element (see
-# ``_walk``), so the messages below are written for a float u.
-
-def _ln_derivs(u, order: int) -> tuple:
-    if _any(u <= 0.0):
-        raise DomainError(f"ln of non-positive value {u}")
-    d = (libm(math.log, u),)
-    if order:
-        d += (_div(1.0, u), _div(-1.0, libm(pow, u, 2)),
-              _div(2.0, libm(pow, u, 3)), _div(-6.0, libm(pow, u, 4)))
-    return d[: order + 1]
+    def __pow__(self, v: "Jet") -> "Jet":
+        """A constant integer exponent multiplies out (valid for any base),
+        any other takes exp(v * ln u), which requires a positive base.  A
+        batch whose elements differ in branch or exponent is split into one
+        part per branch and exponent, so each element takes its own
+        branch."""
+        e = v.c[0]
+        whole = (np.abs(e) <= 64) & (np.floor(e) == e)
+        for x in v.c[1:]:
+            whole = whole & (x == 0.0)
+        e = np.broadcast_to(e, np.shape(whole))
+        if not whole.any():
+            return _apply_fn("exp", v * _apply_fn("ln", self))
+        if not (whole.all() and (e == e.flat[0]).all()):
+            parts = [~whole] + [whole & (e == n) for n in np.unique(e[whole])]
+            return _merge([(sel, _take(self, sel) ** _take(v, sel))
+                           for sel in parts if sel.any()])
+        n = int(e.flat[0])
+        acc, base, m = None, self, abs(n)
+        while m:
+            if m & 1:
+                acc = base if acc is None else acc * base
+            m >>= 1
+            if m:
+                base = base * base
+        one = _constant(1.0, len(self.c) - 1)
+        return one if acc is None else one / acc if n < 0 else acc
 
 
-def _sqrt_derivs(u, order: int) -> tuple:
-    if _any(u <= 0.0):
-        raise DomainError(f"sqrt of non-positive value {u} (jet needs u > 0)")
-    r = libm(math.sqrt, u)
-    if not order:
-        return (r,)
-    d = (r, _div(0.5, r), _div(-0.25, u * r), _div(0.375, u * u * r),
-         _div(-0.9375, libm(pow, u, 3) * r))
-    return d[: order + 1]
+def _constant(x: float, degree: int) -> Jet:
+    return Jet((x,) + (0.0,) * degree)
 
 
-def _exp_derivs(u, order: int) -> tuple:
+def _take(u: Jet, sel) -> Jet:
+    """The elements ``sel`` of a batch jet."""
+    return Jet(tuple(np.broadcast_to(x, sel.shape)[sel] for x in u.c))
+
+
+def _merge(parts) -> Jet:
+    """The batch jet made of (sel, jet) parts."""
+    out = np.empty((len(parts[0][1].c),) + parts[0][0].shape)
+    for sel, u in parts:
+        for k, x in enumerate(u.c):
+            out[k][sel] = x
+    return Jet(tuple(out))
+
+
+# Functions of a jet u.  The value term is one libm call on u's value, a
+# float or an array; a failing batch is walked again element by element
+# (see ``_walk``), so the messages below are written for a float value.
+# ``du[j]`` is j u_j for j >= 1, the coefficient of s^(j-1) in u'.
+
+def _slopes(u: Jet) -> list:
+    return list(u.c[:2]) + [j * u.c[j] for j in range(2, len(u.c))]
+
+
+def _term(du: list, f: list, k: int, sign: int = 1):
+    """sign times the k-th coefficient of the antiderivative of f u': the
+    sum of j u_j f_(k-j) over j = 1..k, divided by sign k."""
+    acc = du[1] * f[k - 1]
+    for j in range(2, k + 1):
+        acc = acc + du[j] * f[k - j]
+    return acc / (sign * k)
+
+
+def _exp(u: Jet) -> Jet:
     try:
-        ev = libm(math.exp, u)
+        f = [libm(math.exp, u.c[0])]
     except OverflowError:
-        raise DomainError(f"exp overflow at {u}") from None
-    return (ev,) * (order + 1)
+        raise DomainError(f"exp overflow at {u.c[0]}") from None
+    du = _slopes(u)
+    for k in range(1, len(u.c)):
+        f.append(_term(du, f, k))  # f' = f u'
+    return Jet(tuple(f))
 
 
-#: The function of each trig or hyperbolic name and its derivative's mate.
-_TRIG = {"sin": (math.sin, math.cos), "cos": (math.cos, math.sin),
-         "sinh": (math.sinh, math.cosh), "cosh": (math.cosh, math.sinh)}
+def _ln(u: Jet) -> Jet:
+    u0 = u.c[0]
+    if _any(u0 <= 0.0):
+        raise DomainError(f"ln of non-positive value {u0}")
+    du, df = _slopes(u), [None]
+    for k in range(1, len(u.c)):
+        # f' = u' / u, one degree down: df[k] = k f_k
+        df.append((du[k] - sum(u.c[j] * df[k - j] for j in range(1, k)))
+                  / u0)
+    return Jet((libm(math.log, u0),)
+               + tuple(df[k] / k for k in range(1, len(u.c))))
 
 
-def _trig_derivs(fn: str, u, order: int) -> tuple:
-    """Derivative cycle of fn; computes fn alone for a value and only fn's
-    trig or hyperbolic pair for a jet."""
-    own, mate = _TRIG[fn]
+def _sqrt(u: Jet) -> Jet:
+    u0 = u.c[0]
+    if _any(u0 <= 0.0):
+        raise DomainError(f"sqrt of non-positive value {u0} (jet needs u > 0)")
+    f = [libm(math.sqrt, u0)]
+    for k in range(1, len(u.c)):
+        # f f = u
+        f.append((u.c[k] - sum(f[j] * f[k - j] for j in range(1, k)))
+                 / (2.0 * f[0]))
+    return Jet(tuple(f))
+
+
+#: The function of each trig or hyperbolic name, its derivative's mate,
+#: and the signs in f' = +-mate u' and mate' = +-f u'.
+_PAIRS = {"sin": (math.sin, math.cos, 1, -1),
+          "cos": (math.cos, math.sin, -1, 1),
+          "sinh": (math.sinh, math.cosh, 1, 1),
+          "cosh": (math.cosh, math.sinh, 1, 1)}
+
+
+def _pair(fn: str, u: Jet) -> Jet:
+    """fn from its mate one degree lower, so a value computes fn alone."""
+    own, mate, own_sign, mate_sign = _PAIRS[fn]
+    degree = len(u.c) - 1
     try:
-        a = libm(own, u)
-        if not order:
-            return (a,)
-        b = libm(mate, u)
+        f = [libm(own, u.c[0])]
+        g = [libm(mate, u.c[0])] if degree else []
     except (OverflowError, ValueError):
-        raise DomainError(f"{fn} overflow or undefined at {u}") from None
-    if fn == "sin":
-        cycle = (a, b, -a, -b, a)
-    elif fn == "cos":
-        cycle = (a, -b, -a, b, a)
-    else:
-        cycle = (a, b, a, b, a)
-    return cycle[: order + 1]
+        raise DomainError(f"{fn} overflow or undefined at {u.c[0]}") from None
+    du = _slopes(u)
+    for k in range(1, degree + 1):
+        f.append(_term(du, g, k, own_sign))
+        if k < degree:
+            g.append(_term(du, f, k, mate_sign))
+    return Jet(tuple(f))
 
 
-_ORDER = {_Plain: 0, Jet1x4: 4}
-_DERIVS = {"exp": _exp_derivs, "ln": _ln_derivs, "sqrt": _sqrt_derivs,
-           **{fn: partial(_trig_derivs, fn) for fn in _TRIG}}
+_FUNCTIONS = {"exp": _exp, "ln": _ln, "sqrt": _sqrt,
+              **{fn: partial(_pair, fn) for fn in _PAIRS}}
 _RECIPROCALS = {"csc": "sin", "sec": "cos", "csch": "sinh", "sech": "cosh"}
 
 
-def _value(u, jet_cls):
-    return u if jet_cls is _Plain else u.value
-
-
-def _apply_fn(fn: str, u, jet_cls):
-    """Apply a named function to a value or a Jet1x4."""
+def _apply_fn(fn: str, u: Jet) -> Jet:
+    """Apply a named function to a jet."""
     if fn == "tan":
-        return _div(_apply_fn("sin", u, jet_cls), _apply_fn("cos", u, jet_cls))
+        return _apply_fn("sin", u) / _apply_fn("cos", u)
     if fn in _RECIPROCALS:
         # Domain error at the pole comes from the division.
-        return _div(jet_cls.constant(1.0),
-                    _apply_fn(_RECIPROCALS[fn], u, jet_cls))
-    if fn not in _DERIVS:
+        return _constant(1.0, len(u.c) - 1) / _apply_fn(_RECIPROCALS[fn], u)
+    if fn not in _FUNCTIONS:
         raise ExprError(f"unhandled function {fn!r}")
-    d = _DERIVS[fn](_value(u, jet_cls), _ORDER[jet_cls])
-    return d[0] if jet_cls is _Plain else u.compose(d)
+    return _FUNCTIONS[fn](u)
 
 
-def _int_pow(u, n: int, jet_cls):
-    if n == 0:
-        return jet_cls.constant(1.0)
-    if n < 0:
-        return _div(jet_cls.constant(1.0), _int_pow(u, -n, jet_cls))
-    acc = None
-    base = u
-    while n:
-        if n & 1:
-            acc = base if acc is None else acc * base
-        n >>= 1
-        if n:
-            base = base * base
-    return acc
-
-
-def _take(x, sel):
-    """The elements ``sel`` of a batch value: a float (the same value at
-    every element), an array or a jet."""
-    if isinstance(x, Jet1x4):
-        return Jet1x4(tuple(_take(c, sel) for c in x.c))
-    return x[sel] if isinstance(x, np.ndarray) else x
-
-
-def _merge(shape, parts):
-    """The batch value of ``shape`` made of (sel, value) parts."""
-    if isinstance(parts[0][1], Jet1x4):
-        return Jet1x4(tuple(_merge(shape, [(sel, v.c[k]) for sel, v in parts])
-                            for k in range(5)))
-    out = np.empty(shape)
-    for sel, v in parts:
-        out[sel] = v
-    return out
-
-
-def _pow(u, v, jet_cls):
-    """u^v.  A constant integer exponent multiplies out (valid for any
-    base), any other takes exp(v * ln u), which requires a positive base.
-    A batch whose elements differ in branch or exponent is split into one
-    part per branch and exponent, so each element takes its own branch."""
-    e = _value(v, jet_cls)
-    whole = (np.abs(e) <= 64) & (np.floor(e) == e)
-    if jet_cls is not _Plain:
-        for x in v.c[1:]:
-            whole = whole & (x == 0.0)
-    e = np.broadcast_to(e, np.shape(whole))
-    if not whole.any():
-        return _apply_fn("exp", v * _apply_fn("ln", u, jet_cls), jet_cls)
-    if whole.all() and (e == e.flat[0]).all():
-        return _int_pow(u, int(e.flat[0]), jet_cls)
-    parts = [~whole] + [whole & (e == n) for n in np.unique(e[whole])]
-    return _merge(whole.shape, [(sel, _pow(_take(u, sel), _take(v, sel),
-                                           jet_cls)) for sel in parts
-                                if sel.any()])
-
-
-def _eval_jet(expr: Expr, scope: dict, jet_cls):
+def _eval(expr: Expr, scope: dict, degree: int) -> Jet:
     if isinstance(expr, Num):
-        return jet_cls.constant(expr.value)
+        return _constant(expr.value, degree)
     if isinstance(expr, Const):
-        return jet_cls.constant(CONSTANTS[expr.name])
+        return _constant(CONSTANTS[expr.name], degree)
     if isinstance(expr, Var):
         if expr.name not in scope:
             raise VariableScopeError(f"variable {expr.name!r} is not bound")
         return scope[expr.name]
     if isinstance(expr, Neg):
-        return -_eval_jet(expr.arg, scope, jet_cls)
+        return -_eval(expr.arg, scope, degree)
     if isinstance(expr, Call):
-        return _apply_fn(expr.fn, _eval_jet(expr.arg, scope, jet_cls), jet_cls)
+        return _apply_fn(expr.fn, _eval(expr.arg, scope, degree))
     if isinstance(expr, Bin):
-        a = _eval_jet(expr.left, scope, jet_cls)
-        b = _eval_jet(expr.right, scope, jet_cls)
+        a = _eval(expr.left, scope, degree)
+        b = _eval(expr.right, scope, degree)
         if expr.op == "+":
             return a + b
         if expr.op == "-":
@@ -631,52 +585,43 @@ def _eval_jet(expr: Expr, scope: dict, jet_cls):
         if expr.op == "*":
             return a * b
         if expr.op == "/":
-            return _div(a, b)
+            return a / b
         if expr.op == "^":
-            return _pow(a, b, jet_cls)
+            return a ** b
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _run(expr: Expr, values: dict, jet_cls):
-    """One walk over the bound values with every term of the result checked
-    finite; Python's arithmetic errors (a power overflowing) are reported
-    as ``DomainError``."""
-    if jet_cls is _Plain:
-        scope, what = values, "value"
-    else:
-        scope = {name: Jet1x4.variable(x) for name, x in values.items()}
-        what = "jet derivative"
+def _walk(expr: Expr, values: dict, degree: int) -> Jet:
+    """The jet of the given degree in the bound variables, floats or arrays
+    of one shape, walked once, with every derivative checked finite;
+    Python's arithmetic errors (a power overflowing) are reported as
+    ``DomainError``.  A failing batch is walked again one element at a
+    time, so that it raises the error of its first element that fails
+    alone; the error names the point."""
+    scope = {name: Jet(((x, 1.0) + (0.0,) * degree)[:degree + 1])
+             for name, x in values.items()}
     try:
-        out = _eval_jet(expr, scope, jet_cls)
-    except (ZeroDivisionError, OverflowError) as e:
-        raise DomainError(str(e)) from None
-    for x in (out,) if jet_cls is _Plain else out.derivatives():
-        _check_finite(x, what)
-    return out
-
-
-def _walk(expr: Expr, values: dict, jet_cls):
-    """``_run`` over floats or a batch of arrays of one shape.  A failing
-    batch is walked again one element at a time, so that it raises the
-    error of its first element that fails alone; the error names the
-    point."""
-    try:
-        return _run(expr, values, jet_cls)
+        out = _eval(expr, scope, degree)
+        for x in out.derivatives():
+            _check_finite(x, "jet derivative" if degree else "value")
+        return out
     except DomainError as e:
         failure = e
+    except (ZeroDivisionError, OverflowError) as e:
+        failure = DomainError(str(e))
     if not values:
         raise failure
     if not any(isinstance(x, np.ndarray) for x in values.values()):
         where = ", ".join(f"{name}={x!r}" for name, x in values.items())
         raise DomainError(f"{failure} where {where}")
     for i in np.ndindex(np.shape(next(iter(values.values())))):
-        _walk(expr, {name: float(x[i]) for name, x in values.items()},
-              jet_cls)
+        _walk(expr, {name: float(x[i]) for name, x in values.items()}, degree)
     raise failure
 
 
-def eval_s(expr: Expr, s0) -> Jet1x4:
-    """Evaluate an expression in s as a jet with derivatives of orders 1..4.
+def eval_s(expr: Expr, s0) -> Jet:
+    """Evaluate an expression in s as a degree-4 jet: its value and its
+    derivatives of orders 1..4.
 
     ``s0`` is one value or an array of values walked in one pass.  With an
     array every coefficient is an array of its shape, each element holding
@@ -686,12 +631,12 @@ def eval_s(expr: Expr, s0) -> Jet1x4:
     """
     s = np.asarray(s0, dtype=float) if np.ndim(s0) else float(s0)
     if not np.size(s):
-        return Jet1x4((s,) * 5)
+        return Jet((s,) * 5)
     with np.errstate(all="ignore"):
-        out = _walk(expr, {"s": s}, Jet1x4)
+        out = _walk(expr, {"s": s}, 4)
     if np.ndim(s):
-        out = Jet1x4(tuple(x.copy() if isinstance(x, np.ndarray)
-                           else np.full(s.shape, x) for x in out.c))
+        out = Jet(tuple(x.copy() if isinstance(x, np.ndarray)
+                        else np.full(s.shape, x) for x in out.c))
     return out
 
 
@@ -701,20 +646,20 @@ def eval_value(expr: Expr, s=None, t=None, w=None):
     Any of s, t, w may be an array: they broadcast, the expression is
     walked once over the batch and the result is an array of the batch
     shape (also for an expression without variables), each element holding
-    the bits ``eval_value`` gives at that element alone.  Runs the jets'
-    walker in its order-0 mode and so returns their value term, except that
-    a variable exponent with an integer value is multiplied out.  Leaving a
-    domain, dividing by zero or overflowing raises ``DomainError`` naming
-    the point, in a batch exactly when some element alone would, with the
-    error of the first such element.
+    the bits ``eval_value`` gives at that element alone.  Walks degree-0
+    jets, so the result has the bits of the value term of ``eval_s``,
+    except that a variable exponent with an integer value is multiplied
+    out.  Leaving a domain, dividing by zero or overflowing raises
+    ``DomainError`` naming the point, in a batch exactly when some element
+    alone would, with the error of the first such element.
     """
     values = {name: x for name, x in (("s", s), ("t", t), ("w", w))
               if x is not None}
     if not any(np.ndim(x) for x in values.values()):
         return _walk(expr, {name: float(x) for name, x in values.items()},
-                     _Plain)
+                     0).c[0]
     arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                    for x in values.values()))
     with np.errstate(all="ignore"):
-        out = _walk(expr, dict(zip(values, arrays)), _Plain)
+        out = _walk(expr, dict(zip(values, arrays)), 0).c[0]
     return np.array(np.broadcast_to(out, arrays[0].shape))

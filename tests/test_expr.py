@@ -69,7 +69,7 @@ def test_parse_trailing_garbage():
 def test_parse_nesting_limit(nested, value):
     n = ex.MAX_DEPTH
     tree = ex.parse(nested(n))
-    assert ex.eval_s(tree, 0.5).value == value(n)
+    assert ex.eval_s(tree, 0.5).derivatives()[0] == value(n)
     assert ex.parse(ex.to_str(tree)) == tree
     with pytest.raises(ex.ParseError, match=f"deeper than {n} levels"):
         ex.parse(nested(n + 1))
@@ -168,11 +168,26 @@ def test_jet_s_domain_error():
         ex.eval_s(ex.parse("sinh(s)"), 800.0)
     with pytest.raises(ex.DomainError):
         ex.eval_s(ex.parse("cosh(s)"), -800.0)
-    # order-4 derivative terms: u^4 underflows to 0, u^3 overflows
+    # the 4th derivative of ln(s) at 1e-90 is -6e360, which overflows
     with pytest.raises(ex.DomainError):
         ex.eval_s(ex.parse("ln(s)"), 1e-90)
-    with pytest.raises(ex.DomainError):
-        ex.eval_s(ex.parse("sqrt(s)"), 1e200)
+
+
+@pytest.mark.parametrize("text, s0, closed", [
+    ("ln(s)", 1e80, lambda u: (mpmath.log(u), 1 / u, -1 / u ** 2,
+                               2 / u ** 3, -6 / u ** 4)),
+    ("sqrt(s)", 1e200, lambda u: (mpmath.sqrt(u), u ** -0.5 / 2,
+                                  -u ** -1.5 / 4, 3 * u ** -2.5 / 8,
+                                  -15 * u ** -3.5 / 16)),
+])
+def test_jet_s_is_finite_where_every_derivative_is(text, s0, closed):
+    # every derivative is representable, though u^3 or u^4 would overflow;
+    # ln's 4th (-6e-320) is subnormal, sqrt's 3rd and 4th underflow to 0
+    got = ex.eval_s(ex.parse(text), s0).derivatives()
+    want = [float(x) for x in closed(mpmath.mpf(s0))]
+    assert got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert g == pytest.approx(w, rel=1e-15, abs=2e-323), (g, w)
 
 
 def test_jet_s_rejects_other_variables():
@@ -241,7 +256,7 @@ def test_jet_s_matches_finite_differences_on_random_expressions():
         except ex.DomainError:
             continue
         fd = _mp_fd_derivatives(ast, s0, 1e-3)
-        jd = [jet.d1, jet.d2, jet.d3, jet.d4]
+        jd = jet.derivatives()[1:]
         scale = max(1.0, *(abs(x) for x in jd))
         for order in range(4):
             rel = 1e-6 if order < 2 else 1e-4
@@ -294,7 +309,8 @@ def test_eval_value():
     assert ex.eval_value(ex.parse("s+2*t-w"), s=1, t=2, w=3) == 2.0
     # sin/cos never touch sinh/cosh, so they are defined past |u| ~ 710
     assert ex.eval_value(ex.parse("sin(s)"), s=800.0) == math.sin(800.0)
-    assert ex.eval_s(ex.parse("cos(s)"), -800.0).value == math.cos(-800.0)
+    assert ex.eval_s(ex.parse("cos(s)"), -800.0).derivatives()[0] == \
+        math.cos(-800.0)
     with pytest.raises(ex.VariableScopeError):
         ex.eval_value(ex.parse("s"), t=1.0, w=1.0)
     # arrays broadcast, and a constant takes the batch shape
@@ -306,20 +322,25 @@ def test_eval_value():
 
 
 def test_eval_value_is_the_jet_value():
-    # eval_value walks plain floats; its result is the value coefficient
-    # of the s-jet, bit for bit.
+    # eval_value walks degree-0 jets; its result is the value coefficient
+    # of the s-jet, bit for bit, the sign of a zero included.
     rng = random.Random(31)
+    cases = [(ex.parse(text), s0) for text, s0 in (
+        ("-s*2", 0.0), ("s*(0-1)", 0.0), ("-(s*s)*3", -0.0),
+        ("-(2*s)^3", 0.0))]
+    cases += [(random_ast(rng, rng.randint(0, 5)), rng.uniform(-2.0, 2.0))
+              for _ in range(2000)]
     checked = 0
-    for _ in range(2000):
-        ast = random_ast(rng, rng.randint(0, 5))
-        s0 = rng.uniform(-2.0, 2.0)
+    for ast, s0 in cases:
         try:
-            want = ex.eval_s(ast, s0).value
+            want = ex.eval_s(ast, s0).derivatives()[0]
         except ex.DomainError:
             continue
-        assert ex.eval_value(ast, s=s0) == want, (ex.to_str(ast), s0)
+        assert _bits(ex.eval_value(ast, s=s0)) == _bits(want), \
+            (ex.to_str(ast), s0)
         checked += 1
     assert checked >= 1500
+    assert _bits(ex.eval_value(ex.parse("-s*2"), s=0.0)) == _bits(0.0)
 
 
 def test_eval_value_domain_errors():
@@ -333,13 +354,13 @@ def test_general_power_requires_positive_base():
     with pytest.raises(ex.DomainError):
         ex.eval_s(ex.parse("(-2)^(s+1/2)"), 0.0)
     # but integer exponents of negative bases are fine
-    assert ex.eval_s(ex.parse("(-2)^3"), 0.0).value == -8.0
+    assert ex.eval_s(ex.parse("(-2)^3"), 0.0).derivatives()[0] == -8.0
 
 
 def test_fractional_power_jet():
     jet = ex.eval_s(ex.parse("s^(3/2)"), 4.0)
-    assert jet.value == pytest.approx(8.0)
-    assert jet.d1 == pytest.approx(1.5 * math.sqrt(4.0))
+    assert jet.derivatives()[0] == pytest.approx(8.0)
+    assert jet.derivatives()[1] == pytest.approx(1.5 * math.sqrt(4.0))
 
 
 # ---------------------------------------------------------------------------

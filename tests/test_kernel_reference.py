@@ -1,6 +1,6 @@
 """The oracle's cross product, fundamental forms and curvatures, and the
-s-jet's product and quotient, against reference copies of the
-implementations they replaced, bit for bit, sign bits included.
+s-jet's product, quotient and functions, against reference copies of the
+implementations they replaced.
 
 The references stack each row triple into an (N, 3, 4) array, sort it with
 ``np.lexsort`` and assemble g, h and adj(g) as full 3 x 3 matrices.  The
@@ -8,8 +8,17 @@ kernel computes the same products, in the same order, from the distinct
 entries of component-major rows, so every output must keep its bits: on
 the grid-stencil jets of every bundled scene, and on random rows with
 ties, repeated rows, signed zeros and infinities.
+
+The jet functions were a degree-4 derivative table per function composed
+by the Faa di Bruno formula; they are Taylor-mode recurrences now.  The
+value terms keep their bits and the derivatives of orders 1..4 agree to
+rounding, on random expressions over every function and on the curve and
+radius jets of every bundled scene.
 """
 
+import math
+import random
+import re
 import warnings
 
 import numpy as np
@@ -18,7 +27,8 @@ import pytest
 from lmcanal import oracle
 from lmcanal.canal import field_points
 from lmcanal.curves import builtin, derive_frames
-from lmcanal.expr import Jet1x4
+from lmcanal import expr as ex
+from lmcanal.expr import Jet
 from lmcanal.minkowski import inner_rows, triple_cross_rows
 from lmcanal.scene import bundled_scene, bundled_scene_names
 from lmcanal.verify import scene_tables
@@ -130,6 +140,81 @@ def reference_jet_div(a, b):
     return tuple(q)
 
 
+def reference_ln_derivs(u):
+    return (ex.libm(math.log, u), 1.0 / u, -1.0 / ex.libm(pow, u, 2),
+            2.0 / ex.libm(pow, u, 3), -6.0 / ex.libm(pow, u, 4))
+
+
+def reference_sqrt_derivs(u):
+    r = ex.libm(math.sqrt, u)
+    return (r, 0.5 / r, -0.25 / (u * r), 0.375 / (u * u * r),
+            -0.9375 / (ex.libm(pow, u, 3) * r))
+
+
+def reference_exp_derivs(u):
+    return (ex.libm(math.exp, u),) * 5
+
+
+def reference_trig_derivs(fn, u):
+    own, mate = {"sin": (math.sin, math.cos), "cos": (math.cos, math.sin),
+                 "sinh": (math.sinh, math.cosh),
+                 "cosh": (math.cosh, math.sinh)}[fn]
+    a, b = ex.libm(own, u), ex.libm(mate, u)
+    if fn == "sin":
+        return (a, b, -a, -b, a)
+    if fn == "cos":
+        return (a, -b, -a, b, a)
+    return (a, b, a, b, a)
+
+
+REFERENCE_DERIVS = {"exp": reference_exp_derivs, "ln": reference_ln_derivs,
+                    "sqrt": reference_sqrt_derivs,
+                    **{fn: (lambda u, fn=fn: reference_trig_derivs(fn, u))
+                       for fn in ("sin", "cos", "sinh", "cosh")}}
+
+
+def reference_compose(p, f):
+    """The degree-4 Taylor coefficients of f(u) from the derivatives f of
+    the outer function at u's value and u's coefficients p."""
+    f0, f1, f2, f3, f4 = f
+    _, p1, p2, p3, p4 = p
+    return (f0,
+            f1 * p1,
+            f1 * p2 + (f2 / 2.0) * p1 * p1,
+            f1 * p3 + f2 * p1 * p2 + (f3 / 6.0) * ex.libm(pow, p1, 3),
+            f1 * p4 + f2 * (p1 * p3 + p2 * p2 / 2.0)
+            + (f3 / 2.0) * p1 * p1 * p2 + (f4 / 24.0) * ex.libm(pow, p1, 4))
+
+
+def reference_apply(fn, u):
+    if fn == "tan":
+        return reference_apply("sin", u) / reference_apply("cos", u)
+    if fn in ("csc", "sec", "csch", "sech"):
+        mate = {"csc": "sin", "sec": "cos", "csch": "sinh", "sech": "cosh"}
+        return Jet((1.0, 0.0, 0.0, 0.0, 0.0)) / reference_apply(mate[fn], u)
+    return Jet(reference_compose(u.c, REFERENCE_DERIVS[fn](u.c[0])))
+
+
+def reference_eval_s(tree, s):
+    """The degree-4 s-jet with the reference functions; arithmetic and
+    integer powers are ``Jet``'s, whose bits are checked above."""
+    if isinstance(tree, (ex.Num, ex.Const)):
+        value = (tree.value if isinstance(tree, ex.Num)
+                 else ex.CONSTANTS[tree.name])
+        return Jet((value, 0.0, 0.0, 0.0, 0.0))
+    if isinstance(tree, ex.Var):
+        return Jet((s, 1.0, 0.0, 0.0, 0.0))
+    if isinstance(tree, ex.Neg):
+        return -reference_eval_s(tree.arg, s)
+    if isinstance(tree, ex.Call):
+        return reference_apply(tree.fn, reference_eval_s(tree.arg, s))
+    a, b = reference_eval_s(tree.left, s), reference_eval_s(tree.right, s)
+    if tree.op == "^":
+        assert b.c[0] == int(b.c[0]) and not any(b.c[1:]), ex.to_str(tree)
+    return {"+": a.__add__, "-": a.__sub__, "*": a.__mul__,
+            "/": a.__truediv__, "^": a.__pow__}[tree.op](b)
+
+
 # ---------------------------------------------------------------------------
 # Inputs
 
@@ -174,6 +259,37 @@ def random_jet(seed, n=3000):
     rng = np.random.default_rng(seed)
     rows = [random_rows(rng, n) for _ in range(7)]
     return oracle.SurfaceJet(rows[0], *random_triples(seed + 1, n), *rows[1:])
+
+
+def random_tree(rng, depth):
+    """An expression in s over every function, with arguments scaled down
+    and the arguments of ln and sqrt kept positive."""
+    if depth == 0:
+        kind = rng.choice(["num", "var", "var", "const"])
+        if kind == "num":
+            return ex.Num(round(rng.uniform(0, 2), 3))
+        if kind == "const":
+            return ex.Const(rng.choice(["pi", "e"]))
+        return ex.Var("s")
+    kind = rng.choice(["bin", "bin", "neg", "call", "call", "pow"])
+    if kind == "neg":
+        return ex.Neg(random_tree(rng, depth - 1))
+    if kind == "call":
+        fn = rng.choice(ex.FUNCTIONS)
+        arg = ex.Bin("*", ex.Num(round(rng.uniform(0.01, 0.5), 3)),
+                     random_tree(rng, depth - 1))
+        if fn in ("ln", "sqrt"):
+            arg = ex.Bin("+", ex.Num(round(rng.uniform(0.01, 1.0), 3)),
+                         ex.Bin("*", arg, arg))
+        return ex.Call(fn, arg)
+    if kind == "pow":
+        return ex.Bin("^", random_tree(rng, depth - 1),
+                      ex.Num(float(rng.randint(0, 3))))
+    op = rng.choice(["+", "-", "*", "/"])
+    left, right = random_tree(rng, depth - 1), random_tree(rng, depth - 1)
+    if op == "/":
+        right = ex.Bin("+", ex.Num(2.0), ex.Bin("*", right, right))
+    return ex.Bin(op, left, right)
 
 
 def scene_jet(name):
@@ -268,12 +384,60 @@ def test_jet_product_and_quotient_keep_their_bits():
     x, y = (-0.0, 1.5, -0.0, 2.0, 0.0), (2.0, -0.0, 0.5, -1.0, 3.0)
     with np.errstate(all="ignore"):
         for a, b in ((a, b), (x, y), (y, (1.0,) + x[1:])):  # then floats
-            for got, want in (((Jet1x4(a) * Jet1x4(b)).c,
+            for got, want in (((Jet(a) * Jet(b)).c,
                                reference_jet_mul(a, b)),
-                              ((Jet1x4(a) / Jet1x4(b)).c,
+                              ((Jet(a) / Jet(b)).c,
                                reference_jet_div(a, b))):
                 for k in range(5):
                     assert_same_bits(got[k], want[k], k)
+
+
+#: Largest gap |recurrence - table| / max(1, |jet|) allowed in the
+#: derivatives of orders 1..4, where |jet| is the largest derivative of
+#: orders 0..4 at the point.  Measured on 8 seeds of the random
+#: expressions below (32,000 expressions): at most 3.6e-16, 1.4e-15,
+#: 2.0e-14 and 1.7e-11; on every bundled scene the jets are equal.
+JET_FUNCTION_GAP = (1e-15, 5e-15, 1e-13, 1e-10)
+
+
+def assert_jet_matches_reference(tree, s):
+    """Value bits equal, derivatives within ``JET_FUNCTION_GAP``; False
+    where the reference jet is not finite."""
+    got = ex.eval_s(tree, s).derivatives()
+    with np.errstate(all="ignore"):
+        want = np.array([np.broadcast_to(x, s.shape)
+                         for x in reference_eval_s(tree, s).derivatives()])
+    assert_same_bits(got[0], want[0], ex.to_str(tree))
+    if not np.isfinite(want).all():
+        return False
+    scale = np.fmax(1.0, np.abs(want).max(axis=0))
+    for k, bound in enumerate(JET_FUNCTION_GAP, 1):
+        gap = np.max(np.abs(got[k] - want[k]) / scale)
+        assert gap <= bound, (ex.to_str(tree), k, gap)
+    return True
+
+
+@pytest.mark.parametrize("name", bundled_scene_names())
+def test_jet_functions_match_the_reference_on_scene_jets(name):
+    scene = bundled_scene(name)
+    s = scene_tables(scene).field_tables.s
+    for tree in scene.curve.components + (scene.radius.expression,):
+        assert assert_jet_matches_reference(tree, s)
+
+
+def test_jet_functions_match_the_reference_on_random_expressions():
+    rng = random.Random(8)
+    checked, functions = 0, set()
+    for _ in range(4000):
+        tree = random_tree(rng, rng.randint(1, 5))
+        s = np.array([rng.uniform(-1.5, 1.5) for _ in range(8)])
+        try:
+            finite = assert_jet_matches_reference(tree, s)
+        except ex.DomainError:
+            continue
+        checked += finite
+        functions |= set(re.findall(r"([a-z]+)\(", ex.to_str(tree)))
+    assert checked >= 3900 and functions == set(ex.FUNCTIONS)
 
 
 def test_verify_path_rows_are_component_major():
