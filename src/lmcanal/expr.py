@@ -12,10 +12,15 @@ coefficients less one.
   float or to an array (arrays broadcast; one walk per batch).
 
 On arrays numpy applies only ``+ - * /`` (correctly rounded, like Python
-floats) and exact negations, and every function and ``**`` goes through
-``libm`` one column at a time, so an element gets the bits of a walk at
-that element alone.  A batch raises ``DomainError`` exactly when some
-element alone would, with the error of the first such element.
+floats) and exact negations, and every function goes through ``libm`` one
+column at a time, so an element gets the bits of a walk at that element
+alone.  A batch raises ``DomainError`` exactly when some element alone
+would, with the error of the first such element.
+
+A power takes its rule from the exponent's expression, once per walk.  An
+exponent that reads no variable is one float: an integer multiplies out,
+any other takes the Taylor-mode recurrence of ``u f' = a f u'``.  An
+exponent that reads a variable gives ``exp(v ln u)``.
 
 Grammar (documented wire format; scene files embed these strings):
 
@@ -166,7 +171,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             try:
                 value = float(text[i:j])
             except ValueError:
-                raise ParseError(f"bad number literal {text[i:j]!r}", i) from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParseError(f"bad number literal {text[i:j]!r}", i)
             tokens.append(("num", value, i))
             i = j
             continue
@@ -419,51 +426,34 @@ class Jet:
             q.append((a[k] - acc) / b[0])
         return Jet(tuple(q))
 
-    def __pow__(self, v: "Jet") -> "Jet":
-        """A constant integer exponent multiplies out (valid for any base),
-        any other takes exp(v * ln u), which requires a positive base.  A
-        batch whose elements differ in branch or exponent is split into one
-        part per branch and exponent, so each element takes its own
-        branch."""
-        e = v.c[0]
-        whole = (np.abs(e) <= 64) & (np.floor(e) == e)
-        for x in v.c[1:]:
-            whole = whole & (x == 0.0)
-        e = np.broadcast_to(e, np.shape(whole))
-        if not whole.any():
-            return _apply_fn("exp", v * _apply_fn("ln", self))
-        if not (whole.all() and (e == e.flat[0]).all()):
-            parts = [~whole] + [whole & (e == n) for n in np.unique(e[whole])]
-            return _merge([(sel, _take(self, sel) ** _take(v, sel))
-                           for sel in parts if sel.any()])
-        n = int(e.flat[0])
-        acc, base, m = None, self, abs(n)
-        while m:
-            if m & 1:
-                acc = base if acc is None else acc * base
-            m >>= 1
-            if m:
-                base = base * base
-        one = _constant(1.0, len(self.c) - 1)
-        return one if acc is None else one / acc if n < 0 else acc
+    def __pow__(self, a: float) -> "Jet":
+        """u^a for a constant a.  An integer a multiplies out by repeated
+        squaring, valid for any base.  Any other a requires a positive
+        base: the value is exp(a ln u), and coefficient k comes from the
+        lower ones by the recurrence of u f' = a f u'."""
+        if a.is_integer():  # false for inf and nan
+            acc, base, m = None, self, abs(int(a))
+            while m:
+                if m & 1:
+                    acc = base if acc is None else acc * base
+                m >>= 1
+                if m:
+                    base = base * base
+            one = _constant(1.0, len(self.c) - 1)
+            return one if acc is None else one / acc if a < 0 else acc
+        u = self.c
+        ln_u = _ln(Jet(u[:1])).c[0]  # the domain check of a positive base
+        f = [_exp(Jet((a * ln_u,))).c[0]]
+        for k in range(1, len(u)):
+            acc = 0
+            for j in range(1, k + 1):
+                acc = acc + (a * j - (k - j)) * u[j] * f[k - j]
+            f.append(acc / (k * u[0]))
+        return Jet(tuple(f))
 
 
 def _constant(x: float, degree: int) -> Jet:
     return Jet((x,) + (0.0,) * degree)
-
-
-def _take(u: Jet, sel) -> Jet:
-    """The elements ``sel`` of a batch jet."""
-    return Jet(tuple(np.broadcast_to(x, sel.shape)[sel] for x in u.c))
-
-
-def _merge(parts) -> Jet:
-    """The batch jet made of (sel, jet) parts."""
-    out = np.empty((len(parts[0][1].c),) + parts[0][0].shape)
-    for sel, u in parts:
-        for k, x in enumerate(u.c):
-            out[k][sel] = x
-    return Jet(tuple(out))
 
 
 # Functions of a jet u.  The value term is one libm call on u's value, a
@@ -577,6 +567,12 @@ def _eval(expr: Expr, scope: dict, degree: int) -> Jet:
         return _apply_fn(expr.fn, _eval(expr.arg, scope, degree))
     if isinstance(expr, Bin):
         a = _eval(expr.left, scope, degree)
+        if expr.op == "^":
+            # a constant exponent is one float for the whole batch
+            if not variables(expr.right):
+                return a ** _eval(expr.right, {}, 0).c[0]
+            b = _eval(expr.right, scope, degree)
+            return _apply_fn("exp", b * _apply_fn("ln", a))
         b = _eval(expr.right, scope, degree)
         if expr.op == "+":
             return a + b
@@ -586,8 +582,6 @@ def _eval(expr: Expr, scope: dict, degree: int) -> Jet:
             return a * b
         if expr.op == "/":
             return a / b
-        if expr.op == "^":
-            return a ** b
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -647,9 +641,8 @@ def eval_value(expr: Expr, s=None, t=None, w=None):
     walked once over the batch and the result is an array of the batch
     shape (also for an expression without variables), each element holding
     the bits ``eval_value`` gives at that element alone.  Walks degree-0
-    jets, so the result has the bits of the value term of ``eval_s``,
-    except that a variable exponent with an integer value is multiplied
-    out.  Leaving a domain, dividing by zero or overflowing raises
+    jets, so the result has the bits of the value term of ``eval_s``.
+    Leaving a domain, dividing by zero or overflowing raises
     ``DomainError`` naming the point, in a batch exactly when some element
     alone would, with the error of the first such element.
     """

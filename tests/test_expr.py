@@ -10,6 +10,7 @@ stencils, so the stated tolerances measure the jets, not the oracle.
 import math
 import random
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -41,6 +42,12 @@ def test_parse_error_offset():
     with pytest.raises(ex.ParseError) as err:
         ex.parse("sin(")
     assert err.value.offset == 4
+    # an overflowing literal would print as "inf", which does not parse back
+    with pytest.raises(ex.ParseError, match="bad number literal '1e999'") \
+            as err:
+        ex.parse("s+1e999")
+    assert err.value.offset == 2
+    assert ex.parse("1e-999") == ex.Num(0.0)
 
 
 def test_parse_unknown_identifier():
@@ -353,8 +360,14 @@ def test_eval_value_domain_errors():
 def test_general_power_requires_positive_base():
     with pytest.raises(ex.DomainError):
         ex.eval_s(ex.parse("(-2)^(s+1/2)"), 0.0)
-    # but integer exponents of negative bases are fine
+    # but integer exponents of any base and any size multiply out
     assert ex.eval_s(ex.parse("(-2)^3"), 0.0).derivatives()[0] == -8.0
+    assert ex.eval_value(ex.parse("(-1)^100")) == 1.0
+    assert ex.eval_value(ex.parse("(-2)^65")) == -2.0 ** 65
+    jet = ex.eval_s(ex.parse("s^70"), -1.5).derivatives()
+    assert jet == pytest.approx([math.perm(70, k) * (-1.5) ** (70 - k)
+                                 for k in range(5)], rel=1e-13)
+    assert ex.eval_value(ex.parse("0.5^1e300")) == 0.0
 
 
 def test_fractional_power_jet():
@@ -390,18 +403,29 @@ def _one_by_one(ast, values):
     return out
 
 
-def test_jet_s_power_branch_per_element():
-    # at s = 0 the exponent jet of sin(s)^5 is the constant 0, so the
-    # integer branch gives 1; elsewhere exp(v ln u) takes over
-    s = np.linspace(0.0, 0.5, 6)
-    for text, values in (("s^(sin(s)^5)", s),
-                         ("(s+2)^(s-s)", np.array([-2.0, -3.0, 0.5, 1.0]))):
+def test_jet_s_power_rule_per_expression():
+    # an exponent that reads s takes exp(v ln u) at every element, also
+    # where it is an integer: a batch raises exactly when one of its
+    # elements raises alone, with that element's error, and elsewhere
+    # gives the bits of per-element walks
+    for text, values, bad in (
+            ("s^(sin(s)^5)", np.linspace(0.0, 0.5, 6).tolist(), [0.0]),
+            ("(s+2)^(s-s)", [-2.0, -3.0, 0.5, 1.0], [-2.0, -3.0])):
         ast = ex.parse(text)
-        batch = ex.eval_s(ast, values)
-        for i, one in enumerate(_one_by_one(ast, values.tolist())):
-            assert _jet_bits(batch, i) == _jet_bits(one), (text, values[i])
-    assert ex.eval_s(ex.parse("s^(sin(s)^5)"), 0.0).derivatives() == \
-        (1.0, 0.0, 0.0, 0.0, 0.0)
+        ones = _one_by_one(ast, values)
+        assert [x for x, one in zip(values, ones) if one is None] == bad
+        good = [x for x in values if x not in bad]
+        batch = ex.eval_s(ast, np.array(good))
+        for i, x in enumerate(good):
+            assert _jet_bits(batch, i) == _jet_bits(ex.eval_s(ast, x))
+        for x in bad:
+            with pytest.raises(ex.DomainError) as one:
+                ex.eval_s(ast, x)
+            with pytest.raises(ex.DomainError) as batch:
+                ex.eval_s(ast, np.array(good + [x]))
+            assert str(batch.value) == str(one.value), (text, x)
+    with pytest.raises(ex.DomainError, match="ln of non-positive value 0.0"):
+        ex.eval_s(ex.parse("s^(sin(s)^5)"), 0.0)
     # libm gives every element the bits of the scalar call, negative and
     # subnormal bases included, and raises as the scalar call raises
     x = np.array([[-2.5, -1e-310, 5e-324], [-0.0, 3.0, 1e100]])
@@ -410,12 +434,47 @@ def test_jet_s_power_branch_per_element():
     assert _bits(cubes) == _bits([pow(v, 3) for v in x.ravel().tolist()])
     with pytest.raises(OverflowError):
         ex.libm(pow, np.array([1.0, 1e103]), 3)
-    # values pick their branch per element too
+    # values take the same rule
     ast = ex.parse("t^(sin(t)^5)")
-    batch = ex.eval_value(ast, t=np.array([0.0, 0.5]))
+    batch = ex.eval_value(ast, t=np.array([0.25, 0.5]))
     assert _bits(batch) == [_bits(ex.eval_value(ast, t=t0))[0]
-                            for t0 in (0.0, 0.5)]
-    assert batch[0] == 1.0
+                            for t0 in (0.25, 0.5)]
+    with pytest.raises(ex.DomainError) as one:
+        ex.eval_value(ast, t=0.0)
+    with pytest.raises(ex.DomainError) as batch:
+        ex.eval_value(ast, t=np.array([0.5, 0.0]))
+    assert str(batch.value) == str(one.value)
+
+
+def test_constant_real_powers_follow_the_exact_derivatives():
+    # u^a by the recurrence of u f' = a f u': orders 0..4 of s^a within
+    # 1e-12 of a (a-1) ... (a-k+1) s^(a-k) wherever that is a normal float,
+    # bases up to 1e250 included, where exp(a ln s) loses the small
+    # derivatives and their signs
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(3600):
+        a = round(rng.uniform(-3.0, 3.0), 6)
+        s0 = 10.0 ** rng.uniform(-6.0, 250.0)
+        if a.is_integer():
+            continue
+        try:
+            got = ex.eval_s(ex.Bin("^", ex.Var("s"), ex.Num(a)),
+                            s0).derivatives()
+        except ex.DomainError:  # s^a overflows
+            continue
+        for k in range(5):
+            want = float(math.prod(mpmath.mpf(a) - i for i in range(k))
+                         * mpmath.mpf(s0) ** (mpmath.mpf(a) - k))
+            if abs(want) < sys.float_info.min or math.isinf(want):
+                continue
+            assert abs(got[k] - want) <= 1e-12 * abs(want), (a, s0, k)
+            checked += 1
+    assert checked >= 9500
+    # the same derivatives as sqrt(s), the signs of the small ones included
+    got = ex.eval_s(ex.parse("s^0.5"), 1e200).derivatives()
+    want = ex.eval_s(ex.parse("sqrt(s)"), 1e200).derivatives()
+    assert got[2] < 0.0 and got == pytest.approx(want, rel=1e-13)
 
 
 def test_jet_s_batch_raises_iff_an_element_raises():

@@ -10,10 +10,11 @@ the grid-stencil jets of every bundled scene, and on random rows with
 ties, repeated rows, signed zeros and infinities.
 
 The jet functions were a degree-4 derivative table per function composed
-by the Faa di Bruno formula; they are Taylor-mode recurrences now.  The
-value terms keep their bits and the derivatives of orders 1..4 agree to
-rounding, on random expressions over every function and on the curve and
-radius jets of every bundled scene.
+by the Faa di Bruno formula, and a real constant power a was exp(a ln u);
+they are Taylor-mode recurrences now.  The value terms keep their bits and
+the derivatives of orders 1..4 agree to rounding, on random expressions
+over every function and power and on the curve and radius jets of every
+bundled scene.
 """
 
 import math
@@ -197,7 +198,8 @@ def reference_apply(fn, u):
 
 def reference_eval_s(tree, s):
     """The degree-4 s-jet with the reference functions; arithmetic and
-    integer powers are ``Jet``'s, whose bits are checked above."""
+    integer powers are ``Jet``'s, whose bits are checked above, and any
+    other constant power a is exp(a ln u)."""
     if isinstance(tree, (ex.Num, ex.Const)):
         value = (tree.value if isinstance(tree, ex.Num)
                  else ex.CONSTANTS[tree.name])
@@ -210,9 +212,12 @@ def reference_eval_s(tree, s):
         return reference_apply(tree.fn, reference_eval_s(tree.arg, s))
     a, b = reference_eval_s(tree.left, s), reference_eval_s(tree.right, s)
     if tree.op == "^":
-        assert b.c[0] == int(b.c[0]) and not any(b.c[1:]), ex.to_str(tree)
+        assert not any(b.c[1:]), ex.to_str(tree)
+        if b.c[0].is_integer():
+            return a ** b.c[0]
+        return reference_apply("exp", b * reference_apply("ln", a))
     return {"+": a.__add__, "-": a.__sub__, "*": a.__mul__,
-            "/": a.__truediv__, "^": a.__pow__}[tree.op](b)
+            "/": a.__truediv__}[tree.op](b)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +267,9 @@ def random_jet(seed, n=3000):
 
 
 def random_tree(rng, depth):
-    """An expression in s over every function, with arguments scaled down
-    and the arguments of ln and sqrt kept positive."""
+    """An expression in s over every function and over integer and real
+    constant powers, with arguments scaled down and the arguments of ln
+    and sqrt and the bases of real powers kept positive."""
     if depth == 0:
         kind = rng.choice(["num", "var", "var", "const"])
         if kind == "num":
@@ -283,8 +289,12 @@ def random_tree(rng, depth):
                          ex.Bin("*", arg, arg))
         return ex.Call(fn, arg)
     if kind == "pow":
-        return ex.Bin("^", random_tree(rng, depth - 1),
-                      ex.Num(float(rng.randint(0, 3))))
+        base = random_tree(rng, depth - 1)
+        if rng.random() < 0.5:
+            return ex.Bin("^", base, ex.Num(float(rng.randint(0, 3))))
+        base = ex.Bin("+", ex.Num(round(rng.uniform(0.01, 1.0), 3)),
+                      ex.Bin("*", base, base))
+        return ex.Bin("^", base, ex.Num(round(rng.uniform(0.05, 2.95), 2)))
     op = rng.choice(["+", "-", "*", "/"])
     left, right = random_tree(rng, depth - 1), random_tree(rng, depth - 1)
     if op == "/":
@@ -402,11 +412,15 @@ JET_FUNCTION_GAP = (1e-15, 5e-15, 1e-13, 1e-10)
 
 def assert_jet_matches_reference(tree, s):
     """Value bits equal, derivatives within ``JET_FUNCTION_GAP``; False
-    where the reference jet is not finite."""
+    where the reference jet is not finite or overflows (the table of ln
+    takes u^4)."""
     got = ex.eval_s(tree, s).derivatives()
-    with np.errstate(all="ignore"):
-        want = np.array([np.broadcast_to(x, s.shape)
-                         for x in reference_eval_s(tree, s).derivatives()])
+    try:
+        with np.errstate(all="ignore"):
+            want = np.array([np.broadcast_to(x, s.shape) for x in
+                             reference_eval_s(tree, s).derivatives()])
+    except OverflowError:
+        return False
     assert_same_bits(got[0], want[0], ex.to_str(tree))
     if not np.isfinite(want).all():
         return False

@@ -65,6 +65,14 @@ def test_schema_error_paths():
     assert err.value.path == "$.shape.f"
 
     doc = minimal_doc()
+    doc["radius"] = "s/2+0*1e999"  # the literal overflows to inf
+    with pytest.raises(SceneError) as err:
+        parse_scene(doc)
+    assert err.value.path == "$.radius"
+    assert "bad expression 's/2+0*1e999': bad number literal '1e999' " \
+        "(at offset 6)" in str(err.value)
+
+    doc = minimal_doc()
     doc["shape"]["f"] = "s"  # wrong variable for a shape function
     with pytest.raises(SceneError) as err:
         parse_scene(doc)
