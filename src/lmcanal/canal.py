@@ -14,14 +14,15 @@ variant below is one solution family of that constraint; tubular variants
 are the constant-radius specializations.
 
 Closed-form Gaussian/mean curvature pairs exist for the ten pseudo null /
-partially null canal variants and the eight tubular ones: one canal and one
-tubular formula with per-variant terms from one table (see "Closed-form
-curvatures" below); the partially null forms are the pseudo null ones with
-2g replaced by +-1.  Null-center families have none and are covered by the
-oracle only.  The forms hold for branch +1; for branch -1 the radial part
-flips sign, which enters them only through the odd powers of the fiber trig
-value, so the branch sign is folded into that value (checked against the
-oracle on every non-null gate scene in tests/test_closed_vs_oracle.py).
+partially null canal variants and the eight tubular ones: one formula with
+per-variant terms from one table, a tubular variant reading the row of a
+canal one (see "Closed-form curvatures" below); the partially null forms
+are the pseudo null ones with 2g replaced by +-1.  Null-center families
+have none and are covered by the oracle only.  The forms hold for branch
++1; for branch -1 the radial part flips sign, which enters them only
+through the fiber trig value, so the branch sign is folded into that value
+(checked against the oracle on every non-null gate scene in
+tests/test_closed_vs_oracle.py).
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ class Field:
     #: (N,) closed-form curvatures; None for null-center families
     K: np.ndarray | None
     H: np.ndarray | None
-    #: (N,) True where a closed-form denominator vanishes (K, H undefined)
+    #: (N,) True where the shared denominator D vanishes (K, H undefined)
     singular: np.ndarray
 
 
@@ -235,8 +236,6 @@ def _radial_scale(variant: Variant, r, r1):
     """r * sqrt(m) radial factor of a non-null variant at floats or arrays
     r, r' (m from _CLOSED_FORMS), with the variant regime checks."""
     _check_radius(variant, r, r1)
-    if variant.is_tubular:
-        return r
     row = _CLOSED_FORMS[variant]
     m = row.m0 + row.mq * (r1 * r1)
     _regime(m <= 0.0, f"variant {variant.value} requires r'^2 "
@@ -371,9 +370,7 @@ def _fiber_coefficients(tables: FieldTables, s_ix, tw_ix):
     """(a1, a2, a3, a4) of a non-null family at the rows, one at a time."""
     family = tables.family
     r, r1, _ = tables.jet
-    a1 = (np.zeros_like(r) if family.variant.is_tubular
-          else -family.lam * r * r1)
-    yield a1[s_ix]
+    yield (-family.lam * r * r1)[s_ix]
     radial = tables.radial[s_ix]
     for c in _fiber(family, tables.f, tables.g, tables.T):
         yield radial * c[tw_ix]
@@ -491,23 +488,25 @@ def evaluate_point(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
 # of the K-H relation 3H - r^2 K + sigma 2/r, and per center class the
 # fiber's function pair (T, mate).  T is the branch-signed trig value of f
 # (see ``_trig``); sigma lambda is the sign of the forms' normal against
-# the radial direction (``closed_form_gauge``).  Canal variants, where
-# m > 0 is the regime, with a = m - r q2, b = m - 2 r q2 and
-# c = 2m - 3 r q2:
+# the radial direction (``closed_form_gauge``).  Where m > 0 (the regime),
+# with a = m - r q2, c = 2m - 3 r q2, u = r sqrt(m) k1 T and the shared
+# denominator D = a G - u:
 #
-#   K = sigma [-r m k1^2 T^2 + q2 a G^2 + sqrt(m) b k1 G T]
-#       / [r^2 (r sqrt(m) k1 T - a G)^2]
-#   H = sigma [r m sqrt(m) k1 G T + 3 r^2 m k1^2 T^2 - a c G^2]
-#       / [3 (-r^3 m k1^2 T^2 + r a^2 G^2)]
+#   K = sigma (q2 G + sqrt(m) k1 T) / (r^2 D)
+#   H = sigma (3u - c G) / (3 r D)
 #
-# Tubular variants: K = sigma k1 / (r^2 (G/T - r k1)) and
-# H = sigma / (-r + r G / (-2G + 3 r k1 T)).  The forms take broadcastable
-# arrays; ``guard`` divides and marks the points whose denominator vanishes
-# at the scale of the numerator.
+# Multiplied out, K is D (q2 G + sqrt(m) k1 T) / (r^2 D^2) and H is
+# D+ (3u - c G) / (3 r D D+) with D+ = a G + u: the common factors cancel,
+# so only D = 0 is a pole.  T1, T2, T3 and T4 take the rows of C1, C2, C3
+# and C5 (the same G, sigma, lambda and trig pair); at r' = r'' = 0, where
+# m = a = 1, c = 2 and q2 = 0, the formula is the tubular pair
+# K = sigma k1 T / (r^2 (G - r k1 T)), H = sigma (3 r k1 T - 2G) /
+# (3 r (G - r k1 T)).  The forms take broadcastable arrays; ``guard``
+# divides and marks the points where D vanishes at the numerator's scale.
 
-#: Per variant: m = m0 + mq q and q2 = e2 r'' (canal variants only),
-#: G / 2g for pseudo null centers, G for partially null ones, sigma, and
-#: the (T, mate) function pairs for pseudo null and partially null centers.
+#: Per variant: m = m0 + mq q and q2 = e2 r'', G / 2g for pseudo null
+#: centers, G for partially null ones, sigma, and the (T, mate) function
+#: pairs for pseudo null and partially null centers.
 _Row = namedtuple("_Row", "m0 mq e2 pseudo partial sigma pseudo_trig "
                           "partial_trig")
 _SIN, _COS = (math.sin, math.cos), (math.cos, math.sin)
@@ -518,11 +517,10 @@ _CLOSED_FORMS = {
     Variant.C3: _Row(+1.0, -1.0, +1.0, -1.0, +1.0, +1.0, _SINH, _COSH),
     Variant.C4: _Row(-1.0, +1.0, -1.0, +1.0, -1.0, +1.0, _COSH, _SINH),
     Variant.C5: _Row(+1.0, +1.0, -1.0, -1.0, +1.0, -1.0, _COSH, _SINH),
-    Variant.T1: _Row(None, None, None, +1.0, +1.0, +1.0, _SIN, _SIN),
-    Variant.T2: _Row(None, None, None, +1.0, +1.0, -1.0, _COS, _COS),
-    Variant.T3: _Row(None, None, None, -1.0, +1.0, +1.0, _SINH, _COSH),
-    Variant.T4: _Row(None, None, None, -1.0, +1.0, -1.0, _COSH, _SINH),
 }
+_CLOSED_FORMS.update((tube, _CLOSED_FORMS[canal]) for tube, canal in (
+    (Variant.T1, Variant.C1), (Variant.T2, Variant.C2),
+    (Variant.T3, Variant.C3), (Variant.T4, Variant.C5)))
 
 
 def closed_form_gauge(variant: Variant) -> int:
@@ -547,19 +545,14 @@ def _guard_into(bad):
 
 
 def _canal_kh(row, k1, r, r1, r2, T, G):
-    """Numerators and denominators of the canal K and H, before sigma."""
+    """The K factor q2 G + sqrt(m) k1 T, the H factor 3u - c G and the
+    shared denominator D = a G - u, before sigma."""
     m = row.m0 + row.mq * (r1 * r1)
     sm = np.sqrt(m)
     q2 = row.e2 * r2
-    a = m - r * q2
-    b = m - 2.0 * r * q2
-    c = 2.0 * m - 3.0 * r * q2
-    num_k = -r * m * k1 * k1 * T * T + q2 * a * G * G + sm * b * k1 * G * T
-    den_k = r * r * np.square(r * sm * k1 * T - a * G)
-    num_h = (r * m * sm * k1 * G * T + 3.0 * r * r * m * k1 * k1 * T * T
-             - a * c * G * G)
-    den_h = 3.0 * (-r * r * r * m * k1 * k1 * T * T + r * a * a * G * G)
-    return num_k, den_k, num_h, den_h
+    u = r * sm * k1 * T
+    return (q2 * G + sm * k1 * T, 3.0 * u - (2.0 * m - 3.0 * r * q2) * G,
+            (m - r * q2) * G - u)
 
 
 def _closed(family: CanalFamily, k1, r, r1, r2, T, g):
@@ -571,12 +564,8 @@ def _closed(family: CanalFamily, k1, r, r1, r2, T, g):
     with np.errstate(all="ignore"):
         G = (row.pseudo * (2.0 * g)
              if family.curve_class is CurveClass.PSEUDO_NULL else row.partial)
-        if family.variant.is_tubular:
-            K = guard(k1, r * r * (G * guard(1.0, T) - r * k1))
-            H = guard(1.0, -r + guard(r * G, -2.0 * G + 3.0 * r * k1 * T))
-        else:
-            num_k, den_k, num_h, den_h = _canal_kh(row, k1, r, r1, r2, T, G)
-            K, H = guard(num_k, den_k), guard(num_h, den_h)
+        p_k, p_h, D = _canal_kh(row, k1, r, r1, r2, T, G)
+        K, H = guard(p_k, r * r * D), guard(p_h, 3.0 * r * D)
     return row.sigma * K, row.sigma * H, bad
 
 
@@ -586,8 +575,8 @@ def curvature_closed(family: CanalFamily, k1: float, r_jet, f: float,
 
     ``r_jet`` is (r, r', r'') or longer.  Requires only the values of the
     shape functions, not their partials.  Raises UnsupportedFamilyError for
-    null-center families and SingularPointError where a closed-form denominator
-    vanishes.
+    null-center families and SingularPointError where the shared denominator
+    D vanishes.
     """
     if family.variant.is_null_variant:
         raise UnsupportedFamilyError(
@@ -600,7 +589,7 @@ def curvature_closed(family: CanalFamily, k1: float, r_jet, f: float,
     K, H, bad = _closed(family, *one[:4], T, one[5])
     if bad[0]:
         raise SingularPointError(
-            f"a closed-form denominator vanishes at k1={k1}, r={r}, f={f}, "
+            f"the shared denominator D vanishes at k1={k1}, r={r}, f={f}, "
             f"g={g}")
     return CurvaturePair(float(K[0]), float(H[0]))
 
@@ -631,9 +620,9 @@ def _condition_residual(which: int, family: CanalFamily, r_jet, k1: float,
     """Left side of the flatness (``which`` 0) or minimality (1) condition
     of pseudo null C1 or partially null C5.  Straight centers (|k1| <=
     1e-12) have conditions in r alone; on a curved C1 center it is the
-    canal K or H numerator (k1 = 1, T = sin f, G = 2g), which is
-    homogeneous of degree 2 in (T, G), so under g = sin f it is taken at
-    T = 1, G = 2: the numerator over sin^2 f."""
+    K or H factor over the shared denominator (k1 = 1, T = sin f, G = 2g),
+    which is homogeneous of degree 1 in (T, G), so under g = sin f it is
+    taken at T = 1, G = 2: the factor over sin f."""
     noun, adjective = _CONDITIONS[which]
     c1 = (family.curve_class is CurveClass.PSEUDO_NULL
           and family.variant is Variant.C1)
@@ -656,18 +645,17 @@ def _condition_residual(which: int, family: CanalFamily, r_jet, k1: float,
     _radial_scale(Variant.C1, r, r1)  # regime checks on r and r'
     T, G = ((1.0, 2.0) if abs(g - math.sin(f)) <= 1e-9
             else (math.sin(f), 2.0 * g))
-    num_k, _, num_h, _ = _canal_kh(_CLOSED_FORMS[Variant.C1], 1.0, r, r1, r2,
-                                   T, G)
-    return float((num_k, num_h)[which])
+    return float(_canal_kh(_CLOSED_FORMS[Variant.C1], 1.0, r, r1, r2, T,
+                           G)[which])
 
 
 def flat_residual(family: CanalFamily, r_jet, k1: float,
                   f: float | None = None, g: float | None = None) -> float:
     """Left side of the flatness condition governing the family/case.
 
-    Pseudo null C1: r'' for straight centers; for curved ones the canal K
-    numerator, divided by sin^2 f under g = sin f (a degree-2 polynomial
-    in (r, r', r'')).  Partially null C5: r'' for straight centers
+    Pseudo null C1: r'' for straight centers; for curved ones the K factor
+    q2 G + sqrt(m) k1 T of the closed form, divided by sin f under
+    g = sin f.  Partially null C5: r'' for straight centers
     (flatness is impossible for curved ones, reported as unsupported).
     """
     return _condition_residual(0, family, r_jet, k1, f, g)
@@ -678,8 +666,8 @@ def minimal_residual(family: CanalFamily, r_jet, k1: float,
     """Left side of the minimality condition governing the family/case.
 
     Pseudo null C1: 2 - 2r'^2 - 3rr'' for straight centers; for curved ones
-    the canal H numerator, divided by sin^2 f under g = sin f (a polynomial
-    with leading term -8m^2).
+    the H factor 3u - c G of the closed form, divided by sin f under
+    g = sin f.
     Partially null C5: 2 + 2r'^2 + 3rr'' for straight centers.
     """
     return _condition_residual(1, family, r_jet, k1, f, g)

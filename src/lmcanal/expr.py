@@ -429,8 +429,8 @@ class Jet:
     def __pow__(self, a: float) -> "Jet":
         """u^a for a constant a.  An integer a multiplies out by repeated
         squaring, valid for any base.  Any other a requires a positive
-        base: the value is exp(a ln u), and coefficient k comes from the
-        lower ones by the recurrence of u f' = a f u'."""
+        base: the value is libm's pow(u, a), rounded once, and coefficient
+        k comes from the lower ones by the recurrence of u f' = a f u'."""
         if a.is_integer():  # false for inf and nan
             acc, base, m = None, self, abs(int(a))
             while m:
@@ -442,8 +442,9 @@ class Jet:
             one = _constant(1.0, len(self.c) - 1)
             return one if acc is None else one / acc if a < 0 else acc
         u = self.c
-        ln_u = _ln(Jet(u[:1])).c[0]  # the domain check of a positive base
-        f = [_exp(Jet((a * ln_u,))).c[0]]
+        if _any(u[0] <= 0.0):
+            raise DomainError(f"ln of non-positive value {u[0]}")
+        f = [libm(math.pow, u[0], a)]
         for k in range(1, len(u)):
             acc = 0
             for j in range(1, k + 1):

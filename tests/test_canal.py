@@ -315,9 +315,60 @@ def test_curvature_closed_unsupported_for_null():
 
 def test_singular_point_error():
     fam = CanalFamily(CurveClass.PSEUDO_NULL, Variant.T1, 1)
-    # csc pole at sin f = 0
+    # pole D = 2g - r k1 sin f = 0 at r = 1, k1 = 1, f = pi/2, g = 1/2
     with pytest.raises(SingularPointError):
-        curvature_closed(fam, 1.0, (1.0, 0.0, 0.0), 0.0, 1.0)
+        curvature_closed(fam, 1.0, (1.0, 0.0, 0.0), math.pi / 2, 0.5)
+
+
+#: (r', r'') of each canal variant inside its regime; tubular ones have 0.
+CANAL_SLOPES = {"C1": (0.3, 0.2), "C2": (0.4, -0.3), "C3": (0.2, 0.5),
+                "C4": (1.4, 0.3), "C5": (0.6, -0.4)}
+
+
+@pytest.mark.parametrize("cls", [CurveClass.PSEUDO_NULL,
+                                 CurveClass.PARTIALLY_NULL])
+@pytest.mark.parametrize("variant", [v for v in Variant
+                                     if not v.is_null_variant])
+def test_shared_denominator_zero_is_a_pole_of_every_family(variant, cls):
+    # choose k1 so that D = a G - r sqrt(m) k1 T vanishes at (f, g)
+    fam = CanalFamily(cls, variant)
+    row = canal._CLOSED_FORMS[variant]
+    r1, r2 = CANAL_SLOPES.get(variant.value, (0.0, 0.0))
+    r, f, g = 0.7, 0.6, 0.45
+    m = row.m0 + row.mq * r1 * r1
+    G = row.pseudo * 2 * g if cls is CurveClass.PSEUDO_NULL else row.partial
+    T = canal._trig(fam, f)
+    k1 = (m - r * row.e2 * r2) * G / (r * math.sqrt(m) * T)
+    with pytest.raises(SingularPointError, match="shared denominator D"):
+        curvature_closed(fam, k1, (r, r1, r2), f, g)
+    for k in (k1 * (1 - 1e-3), k1 * (1 + 1e-3)):
+        pair = curvature_closed(fam, k, (r, r1, r2), f, g)
+        assert abs(pair.K) > 1e2 and abs(pair.H) > 1e2
+
+
+def test_removable_points_are_finite_and_continuous():
+    # T1 at sin f = 0: the tubular pair's G/T is removable, K = 0 and
+    # H = -2/(3r) there
+    fam = CanalFamily(CurveClass.PSEUDO_NULL, Variant.T1)
+    pair = curvature_closed(fam, 1.0, (0.5, 0.0, 0.0), 0.0, 1.0)
+    assert (pair.K, pair.H) == (0.0, pytest.approx(-4.0 / 3.0, rel=1e-15))
+    for f in (-1e-7, 1e-7):
+        near = curvature_closed(fam, 1.0, (0.5, 0.0, 0.0), f, 1.0)
+        assert near.K == pytest.approx(2.0 * f, rel=1e-6)
+        assert near.H == pytest.approx(pair.H, abs=1e-7)
+    # C1 where D+ = a G + u = 0: a factor of H's expanded numerator and
+    # denominator, not a pole
+    fam = CanalFamily(CurveClass.PSEUDO_NULL, Variant.C1)
+    r, r1, r2, f = 0.5, 0.3, 0.2, 0.8
+    m = 1.0 - r1 * r1
+    g = -r * math.sqrt(m) * math.sin(f) / (2.0 * (m - r * r2))
+    pair = curvature_closed(fam, 1.0, (r, r1, r2), f, g)
+    assert pair.K == pytest.approx(-3.50617, abs=1e-5)
+    assert pair.H == pytest.approx(-1.62551, abs=1e-5)
+    for dg in (-1e-6, 1e-6):
+        near = curvature_closed(fam, 1.0, (r, r1, r2), f, g + dg)
+        assert near.K == pytest.approx(pair.K, abs=1e-4)
+        assert near.H == pytest.approx(pair.H, abs=1e-5)
 
 
 def test_flat_residual_cases():
@@ -326,17 +377,25 @@ def test_flat_residual_cases():
     assert flat_residual(fam, line.jet(0.7), 0.0) == 0.0
     quad = RadiusSpec.from_text("s^2")
     assert flat_residual(fam, quad.jet(1.0), 0.0) == 2.0
-    # curved center with g = sin f and constant radius r0: the condition
-    # polynomial reduces to 2 - r0 at r'=r''=0
+    # curved center with g = sin f and constant radius r0: the K factor
+    # q2 G + sqrt(m) k1 T over sin f is 1 at r'=r''=0
     for r0 in (0.5, 1.0, 1.3):
         jet = (r0, 0.0, 0.0)
         assert flat_residual(fam, jet, 1.0, f=0.8, g=math.sin(0.8)) == \
-            pytest.approx(2.0 - r0, rel=1e-12)
-    # curved center, general shape: the K numerator, at r'=r''=0
-    # sin f (2g - r sin f)
+            pytest.approx(1.0, rel=1e-12)
+    # curved center, general shape: the K factor at r'=r''=0 is sin f
     sf = math.sin(0.8)
     assert flat_residual(fam, (1.3, 0.0, 0.0), 1.0, f=0.8, g=1.1) == \
-        pytest.approx(sf * (2.0 * 1.1 - 1.3 * sf), rel=1e-12)
+        pytest.approx(sf, rel=1e-12)
+    # r0 = 2 is the pole D = sin f (2 - r0) = 0, not a flat point: K is
+    # 2.77 at r0 = 1.9 and -2.27 at r0 = 2.1
+    assert flat_residual(fam, (2.0, 0.0, 0.0), 1.0, f=0.8,
+                         g=math.sin(0.8)) == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(SingularPointError):
+        curvature_closed(fam, 1.0, (2.0, 0.0, 0.0), 0.8, math.sin(0.8))
+    for r0, K in ((1.9, 2.77), (2.1, -2.27)):
+        assert curvature_closed(fam, 1.0, (r0, 0.0, 0.0), 0.8,
+                                math.sin(0.8)).K == pytest.approx(K, abs=5e-3)
     fam5 = CanalFamily(CurveClass.PARTIALLY_NULL, Variant.C5, 1)
     assert flat_residual(fam5, line.jet(0.3), 0.0) == 0.0
     with pytest.raises(UnsupportedFamilyError):
@@ -382,19 +441,25 @@ def test_minimal_residual_cases():
     assert minimal_residual(fam5, const.jet(0.1), 0.0) == 2.0
     with pytest.raises(UnsupportedFamilyError):
         minimal_residual(fam5, const.jet(0.1), 2.0, f=0.5, g=1.0)
-    # curved center, general shape: the H numerator, at r'=r''=0
-    # 2rg sin f + 3r^2 sin^2 f - 8g^2
+    # curved center, general shape: the H factor 3u - c G at r'=r''=0,
+    # 3 r sin f - 4g
     r, sf, g = 1.3, math.sin(0.8), 1.1
     assert minimal_residual(fam, (r, 0.0, 0.0), 1.0, f=0.8, g=g) == \
-        pytest.approx(2 * r * g * sf + 3 * r * r * sf * sf - 8 * g * g,
-                      rel=1e-12)
-    # the g = sin f band divides the same numerator by sin^2 f, so the
-    # sign holds across the edge of the band
+        pytest.approx(3 * r * sf - 4 * g, rel=1e-12)
+    # the g = sin f band divides the same factor by sin f, so with
+    # sin f > 0 the sign holds across the edge of the band
     jet = (1.0, 0.1, 0.2)
     inside = minimal_residual(fam, jet, 1.0, f=0.8, g=sf)
     outside = minimal_residual(fam, jet, 1.0, f=0.8, g=sf + 2e-9)
     assert inside * outside > 0
-    assert inside == pytest.approx(outside / (sf * sf), rel=1e-6)
+    assert inside == pytest.approx(outside / sf, rel=1e-6)
+    # where D+ = a G + u = 0 the expanded H numerator vanishes, but H does
+    # not: the residual reads H's own factor
+    jet, m = (0.5, 0.3, 0.2), 1.0 - 0.3 * 0.3
+    g = -0.5 * math.sqrt(m) * sf / (2.0 * (m - 0.5 * 0.2))
+    H = curvature_closed(fam, 1.0, jet, 0.8, g).H
+    assert H == pytest.approx(-1.6255, abs=1e-4)
+    assert abs(minimal_residual(fam, jet, 1.0, f=0.8, g=g)) > 1.0
 
     # first integral r'^2 = 1 - (a/r)^{4/3} solves 2 - 2r'^2 - 3rr'' = 0
     a = 1.0

@@ -393,15 +393,17 @@ def test_weingarten_matches_per_point_loop(name):
     assert (n_points, n_singular) == (grid.n_s * grid.n_t * grid.n_w, 0)
 
 
-@pytest.mark.parametrize("curve, variant, pole", [
-    ("pseudo-null-example", "T1", math.pi),          # sin f = 0
-    ("partially-null-example", "T2", math.pi / 2),   # cos f = 0
+@pytest.mark.parametrize("curve, variant, g, pole", [
+    # D = 2g - r k1 sin f = (1 - sin f)/2 with k1 = 1
+    ("pseudo-null-example", "T1", "1/4", math.pi / 2),
+    # D = 1 - r k1 cos f = 1 - cos f with k1 = 2
+    ("partially-null-example", "T2", "t", 0.0),
 ])
-def test_weingarten_singular_counts_across_a_pole(curve, variant, pole):
+def test_weingarten_singular_counts_across_a_pole(curve, variant, g, pole):
     scene = parse_scene({
         "version": 1, "curve": {"builtin": curve},
         "family": {"variant": variant}, "radius": "1/2",
-        "shape": {"f": "w", "g": "t"},
+        "shape": {"f": "w", "g": g},
         "grid": {"s": [0.3, 0.9, 4], "t": [0.9, 1.5, 4],
                  "w": [pole - 0.4, pole + 0.4, 5]}})
     h = scene.oracle_step
@@ -513,11 +515,12 @@ def test_check_weingarten_peak_memory_stays_below_the_grid_pass():
 
 
 def test_check_weingarten_fails_when_every_point_is_singular():
-    # f = 0 puts every closed-form evaluation on the csc pole of T1
+    # g = sin(w)/4 puts every closed-form evaluation of T1 on its pole
+    # D = 2g - r k1 sin f = 0 (r = 1/2, k1 = 1, f = w)
     scene = parse_scene({
         "version": 1, "curve": {"builtin": "pseudo-null-example"},
         "family": {"variant": "T1"}, "radius": "1/2",
-        "shape": {"f": "0", "g": "t"},
+        "shape": {"f": "w", "g": "sin(w)/4"},
         "grid": {"s": [0.3, 0.9, 4], "t": [0.9, 1.5, 4], "w": [0.5, 2.5, 4]}})
     report = VerifyReport(scene.name)
     check_weingarten(scene_tables(scene), report)

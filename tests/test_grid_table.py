@@ -7,6 +7,11 @@ grid points, then ``stencil_jets``, ``forms_batch`` and
 ``curvatures_batch`` on the slab.  Since the kernel gives every point the
 same bits in any batch, the one-batch table must equal the concatenated
 slabs byte for byte.
+
+Each gate scene's table digest is pinned in ``tests/data/grid_table.sha256``.
+To regenerate it after an intended change of results:
+
+    PYTHONPATH=src python tests/test_grid_table.py > tests/data/grid_table.sha256
 """
 
 import hashlib
@@ -169,3 +174,9 @@ def test_grid_table_memory_is_bounded_per_row(name):
     assert held <= HELD_BYTES_PER_GRID_POINT * n
     assert all(getattr(table, c).base is None or getattr(table, c).base.size
                <= n for c in COLUMNS)
+
+
+if __name__ == "__main__":
+    for name in GATE_SCENES:
+        table = grid_table(scene_tables(bundled_scene(name)))
+        print(f"{grid_table_sha256(table)}  {name}")

@@ -10,11 +10,16 @@ the grid-stencil jets of every bundled scene, and on random rows with
 ties, repeated rows, signed zeros and infinities.
 
 The jet functions were a degree-4 derivative table per function composed
-by the Faa di Bruno formula, and a real constant power a was exp(a ln u);
-they are Taylor-mode recurrences now.  The value terms keep their bits and
-the derivatives of orders 1..4 agree to rounding, on random expressions
-over every function and power and on the curve and radius jets of every
-bundled scene.
+by the Faa di Bruno formula; they are Taylor-mode recurrences now.  The
+value terms keep their bits (a real constant power's value is libm's pow
+on both sides) and the derivatives of orders 1..4 agree to rounding, on
+random expressions over every function and power and on the curve and
+radius jets of every bundled scene.
+
+The closed-form curvatures were four expanded canal numerators and
+denominators and a separate tubular pair; they are one formula over the
+shared denominator D now.  Away from D = 0 both agree to rounding on
+seeded inputs of all eighteen closed-form families.
 """
 
 import math
@@ -25,9 +30,9 @@ import warnings
 import numpy as np
 import pytest
 
-from lmcanal import oracle
-from lmcanal.canal import field_points
-from lmcanal.curves import builtin, derive_frames
+from lmcanal import canal, oracle
+from lmcanal.canal import CanalFamily, Variant, field_points
+from lmcanal.curves import CurveClass, builtin, derive_frames
 from lmcanal import expr as ex
 from lmcanal.expr import Jet
 from lmcanal.minkowski import inner_rows, triple_cross_rows
@@ -199,7 +204,7 @@ def reference_apply(fn, u):
 def reference_eval_s(tree, s):
     """The degree-4 s-jet with the reference functions; arithmetic and
     integer powers are ``Jet``'s, whose bits are checked above, and any
-    other constant power a is exp(a ln u)."""
+    other constant power a is exp(a ln u) with the value u^a."""
     if isinstance(tree, (ex.Num, ex.Const)):
         value = (tree.value if isinstance(tree, ex.Num)
                  else ex.CONSTANTS[tree.name])
@@ -215,9 +220,33 @@ def reference_eval_s(tree, s):
         assert not any(b.c[1:]), ex.to_str(tree)
         if b.c[0].is_integer():
             return a ** b.c[0]
-        return reference_apply("exp", b * reference_apply("ln", a))
+        # exp's table at a ln u, every derivative being the value u^a
+        v = b * reference_apply("ln", a)
+        return Jet(reference_compose(
+            v.c, (ex.libm(math.pow, a.c[0], b.c[0]),) * 5))
     return {"+": a.__add__, "-": a.__sub__, "*": a.__mul__,
             "/": a.__truediv__}[tree.op](b)
+
+
+def reference_closed(family, k1, r, r1, r2, T, G):
+    """K and H before sigma from the expanded forms: the canal numerators
+    and denominators, and the tubular pair."""
+    if family.variant.is_tubular:
+        return (k1 / (r * r * (G / T - r * k1)),
+                1.0 / (-r + r * G / (-2.0 * G + 3.0 * r * k1 * T)))
+    row = canal._CLOSED_FORMS[family.variant]
+    m = row.m0 + row.mq * (r1 * r1)
+    sm = np.sqrt(m)
+    q2 = row.e2 * r2
+    a = m - r * q2
+    b = m - 2.0 * r * q2
+    c = 2.0 * m - 3.0 * r * q2
+    num_k = -r * m * k1 * k1 * T * T + q2 * a * G * G + sm * b * k1 * G * T
+    den_k = r * r * np.square(r * sm * k1 * T - a * G)
+    num_h = (r * m * sm * k1 * G * T + 3.0 * r * r * m * k1 * k1 * T * T
+             - a * c * G * G)
+    den_h = 3.0 * (-r * r * r * m * k1 * k1 * T * T + r * a * a * G * G)
+    return num_k / den_k, num_h / den_h
 
 
 # ---------------------------------------------------------------------------
@@ -468,3 +497,55 @@ def test_verify_path_rows_are_component_major():
                            np.linspace(0.0, 1.0, 7))
     for rows in (frames.gamma, frames.f1, frames.f2):
         assert rows.shape == (7, 4) and rows.T.flags.c_contiguous
+
+
+#: The range of |r'| of each canal variant inside its regime m > 0.
+CANAL_SLOPES = {"C1": (0.05, 0.8), "C2": (0.05, 0.8), "C3": (0.05, 0.8),
+                "C4": (1.05, 2.2), "C5": (0.05, 2.0)}
+
+
+@pytest.mark.parametrize("cls", [CurveClass.PSEUDO_NULL,
+                                 CurveClass.PARTIALLY_NULL])
+@pytest.mark.parametrize("variant", [v for v in Variant
+                                     if not v.is_null_variant])
+def test_closed_forms_match_the_expanded_forms_away_from_the_pole(cls,
+                                                                  variant):
+    # K and H over the shared denominator D = a G - u against the expanded
+    # forms they reduce, at seeded points with r', r'' != 0 on the canal
+    # variants, wherever |D| >= 1e-3 of |a G| + |u|.  The expanded canal H
+    # also divides by D+ = a G + u, and it is the reference that loses
+    # digits near D+ = 0 (1.6e-12 on partially null C1 at |D+| = 1.2e-5 of
+    # the scale, where the reduced H equals a 50-digit evaluation), so the
+    # canal points keep |D+| >= 1e-3 of the scale too
+    rng = np.random.default_rng(list(Variant).index(variant) + 31 * (
+        cls is CurveClass.PSEUDO_NULL))
+    n = 2000
+    k1 = rng.uniform(-3.0, 3.0, n)
+    r = rng.uniform(0.2, 2.0, n)
+    f = rng.uniform(-2.5, 2.5, n)
+    g = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 2.0, n)
+    if variant.is_tubular:
+        r1 = r2 = np.zeros(n)
+    else:
+        r1 = rng.choice([-1.0, 1.0], n) * rng.uniform(
+            *CANAL_SLOPES[variant.value], n)
+        r2 = rng.uniform(-1.0, 1.0, n)
+    for branch in (1, -1):
+        family = CanalFamily(cls, variant, branch)
+        T = canal._trig(family, f)
+        row = canal._CLOSED_FORMS[variant]
+        G = row.pseudo * (2.0 * g) if cls is CurveClass.PSEUDO_NULL \
+            else np.full(n, row.partial)
+        K, H, singular = canal._closed(family, k1, r, r1, r2, T, g)
+        want = [row.sigma * x for x in
+                reference_closed(family, k1, r, r1, r2, T, G)]
+        m = row.m0 + row.mq * r1 * r1
+        a, u = m - r * row.e2 * r2, r * np.sqrt(m) * k1 * T
+        scale = 1e-3 * (np.abs(a * G) + np.abs(u))
+        far = np.abs(a * G - u) >= scale
+        if not variant.is_tubular:
+            far &= np.abs(a * G + u) >= scale
+        assert far.sum() >= 0.9 * n and not singular[far].any()
+        for got, ref in zip((K, H), want):
+            gap = np.abs(got - ref) / np.fmax(1.0, np.abs(ref))
+            assert np.max(gap[far]) <= 1e-12, (branch, np.max(gap[far]))

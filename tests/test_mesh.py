@@ -1,12 +1,22 @@
-"""Grid sweeps, projection, OBJ/field export and their determinism."""
+"""Grid sweeps, projection, OBJ/field export and their determinism.
 
+The export digests of the figure scenes and the pole sweep are pinned in
+``tests/data/mesh_exports.sha256``.  To regenerate it after an intended
+change of results:
+
+    PYTHONPATH=src python tests/test_mesh.py > tests/data/mesh_exports.sha256
+"""
+
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
 import os
 import pathlib
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -196,17 +206,18 @@ def test_field_csv_format(tmp_path):
 
 
 def pole_t1_doc():
-    """A pseudo null T1 sweep across the sin f = 0 pole at w = pi: those
-    rows keep geometry but carry no curvature."""
+    """A pseudo null T1 sweep across the pole D = 2g - r k1 sin f = 0 at
+    w = pi/2 (g = t = 1/4, r = 1/2, k1 = 1): those rows keep geometry but
+    carry no curvature."""
     return {
         "version": 1,
         "curve": {"builtin": "pseudo-null-example"},
         "family": {"variant": "T1"},
         "radius": "1/2",
         "shape": {"f": "w", "g": "t"},
-        "grid": {"s": [0.2, 1.0, 3], "t": [0.9, 0.95, 3],
-                 "w": [math.pi - 0.4, math.pi + 0.4, 3],
-                 "fixed": {"axis": "t", "value": 0.9}},
+        "grid": {"s": [0.2, 1.0, 3], "t": [0.25, 0.3, 3],
+                 "w": [math.pi / 2 - 0.4, math.pi / 2 + 0.4, 3],
+                 "fixed": {"axis": "t", "value": 0.25}},
     }
 
 
@@ -245,15 +256,16 @@ def test_null_scene_mesh_has_geometry_but_no_curvature():
 
 
 def test_fully_singular_grid_errors():
-    # a pseudo null T1 sweep pinned at w = pi sits on the csc pole everywhere
+    # with g = sin(w)/4 a pseudo null T1 sweep sits on the pole
+    # D = 2g - r k1 sin f = 0 (r = 1/2, k1 = 1, f = w) everywhere
     doc = {
         "version": 1,
         "curve": {"builtin": "pseudo-null-example"},
         "family": {"variant": "T1"},
         "radius": "1/2",
-        "shape": {"f": "w", "g": "t"},
-        "grid": {"s": [0.2, 1.0, 3], "t": [0.8, 1.6, 3], "w": [3.0, 3.3, 2],
-                 "fixed": {"axis": "w", "value": math.pi}},
+        "shape": {"f": "w", "g": "sin(w)/4"},
+        "grid": {"s": [0.2, 1.0, 3], "t": [0.8, 1.6, 3], "w": [1.0, 1.4, 2],
+                 "fixed": {"axis": "w", "value": 1.2}},
     }
     scene = parse_scene(doc)
     with pytest.raises(MeshError):
@@ -301,25 +313,38 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("case", FIGURE_SCENES + ("pole-t1",))
-def test_exports_match_pinned_bytes(case, tmp_path, capsys):
-    pinned = dict(line.split()[::-1] for line in PINNED.read_text().splitlines())
+def export_digests(case, directory) -> list:
+    """(run, file, sha256) of every file three ``lmcanal mesh`` calls
+    write for one pinned case in ``directory``: the OBJ alone, then the
+    OBJ with a CSV and with a JSON field.  Their stdout is dropped."""
     scene = case
     if case == "pole-t1":
-        scene = tmp_path / "pole-t1.json"
+        scene = directory / "pole-t1.json"
         scene.write_text(json.dumps(pole_t1_doc()))
-    runs = {"obj": [], "csv": ["--format", "csv"], "json": ["--format", "json"]}
-    for kind, fmt in runs.items():
-        obj = tmp_path / f"{kind}.obj"
+    digests = []
+    for kind in ("obj", "csv", "json"):
+        obj = directory / f"{kind}.obj"
         argv = ["mesh", "--scene", str(scene), "--out", str(obj)]
-        if fmt:
-            argv += ["--field", str(tmp_path / f"{case}.{kind}")] + fmt
-        assert main(argv) == 0
-        assert _sha256(obj) == pinned[f"{case}.obj"], kind
-        if fmt:
-            assert _sha256(tmp_path / f"{case}.{kind}") == \
-                pinned[f"{case}.{kind}"]
-    capsys.readouterr()
+        if kind != "obj":
+            argv += ["--field", str(directory / f"{case}.{kind}"),
+                     "--format", kind]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        digests.append((kind, f"{case}.obj", _sha256(obj)))
+        if kind != "obj":
+            digests.append((kind, f"{case}.{kind}",
+                            _sha256(directory / f"{case}.{kind}")))
+    return digests
+
+
+PINNED_CASES = FIGURE_SCENES + ("pole-t1",)
+
+
+@pytest.mark.parametrize("case", PINNED_CASES)
+def test_exports_match_pinned_bytes(case, tmp_path):
+    pinned = dict(line.split()[::-1] for line in PINNED.read_text().splitlines())
+    for run, name, digest in export_digests(case, tmp_path):
+        assert digest == pinned[name], (run, name)
 
 
 def signed_zero_mesh() -> ProjectedMesh:
@@ -485,3 +510,13 @@ def test_export_memory_does_not_grow_with_vertex_count(tmp_path, name,
         scene, grid=dataclasses.replace(scene.grid, n_s=n, n_t=n))), tmp_path,
         format) for n in (40, 80))
     assert large <= 1.25 * small
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in PINNED_CASES:
+            digests = {}  # each file once, in the order of its first run
+            for _, name, digest in export_digests(case, pathlib.Path(tmp)):
+                digests.setdefault(name, digest)
+            for name, digest in digests.items():
+                print(f"{digest}  {name}")

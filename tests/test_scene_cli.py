@@ -607,12 +607,13 @@ def test_cli_unreadable_scene_file_exits_1(capsys, tmp_path, kind):
 
 
 def test_cli_curvature_check_needs_a_point(capsys, tmp_path):
-    # f = 0 puts every T1 closed form on its csc pole, so no grid point is
+    # g = sin(w)/4 puts every T1 closed form on its pole
+    # D = 2g - r k1 sin f = 0 (r = 1/2, k1 = 1, f = w), so no grid point is
     # nonsingular; the points guard must not pass over them
     doc = minimal_doc()
     doc["family"]["variant"] = "T1"
     doc["radius"] = "1/2"
-    doc["shape"] = {"f": "0", "g": "t"}
+    doc["shape"] = {"f": "w", "g": "sin(w)/4"}
     path = tmp_path / "poles.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", "--scene", str(path)]) == 2
