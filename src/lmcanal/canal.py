@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +91,13 @@ class Variant(Enum):
         return self in (Variant.NULL_C1, Variant.NULL_C2, Variant.NULL_T1)
 
 
-@dataclass(frozen=True)
-class CanalFamily:
+class _FamilyFields(NamedTuple):
+    curve_class: CurveClass
+    variant: Variant
+    branch: int
+
+
+class CanalFamily(_FamilyFields):
     """Which parametrization: curve class x variant x branch sign.
 
     The branch multiplies the radial part of the offset (the two signs of
@@ -100,28 +105,32 @@ class CanalFamily:
     the angle coefficient instead and take branch +1 only.
     """
 
-    curve_class: CurveClass
-    variant: Variant
-    branch: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.branch not in (1, -1):
+    def __new__(cls, curve_class: CurveClass, variant: Variant,
+                branch: int = 1):
+        if branch not in (1, -1):
             raise ValueError("branch must be +1 or -1")
-        null_class = self.curve_class is CurveClass.NULL
-        if null_class != self.variant.is_null_variant:
+        null_class = curve_class is CurveClass.NULL
+        if null_class != variant.is_null_variant:
             raise ValueError(
-                f"variant {self.variant.value} is not available for "
-                f"{self.curve_class.value} center curves")
-        if null_class and self.branch != 1:
+                f"variant {variant.value} is not available for "
+                f"{curve_class.value} center curves")
+        if null_class and branch != 1:
             raise ValueError("null variants take branch +1 only")
+        return super().__new__(cls, curve_class, variant, branch)
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through ``__new__``, so ``_replace`` validates too."""
+        return cls(*fields)
 
     @property
     def lam(self) -> int:
         return self.variant.lam
 
 
-@dataclass(frozen=True)
-class RadiusSpec:
+class RadiusSpec(NamedTuple):
     """Radius function r(s), read as (r, r', r'', r''') from the
     derivatives of its degree-4 s-jet."""
 
@@ -137,8 +146,7 @@ class RadiusSpec:
         return expr.eval_s(self.expression, s).derivatives()[:4]
 
 
-@dataclass(frozen=True)
-class ShapeSpec:
+class ShapeSpec(NamedTuple):
     """Free shape functions f(t,w), g(t,w) of the fiber parametrization."""
 
     f: object
@@ -155,8 +163,7 @@ class ShapeSpec:
                 expr.eval_value(self.g, t=t, w=w))
 
 
-@dataclass(frozen=True)
-class NullCoefficients:
+class NullCoefficients(NamedTuple):
     """Free data of null-center families: a1(s,t,w) and the angle
     theta(s,t,w) splitting rho into (a2, a4) = rho*(cos theta, sin theta)."""
 
@@ -168,8 +175,7 @@ class NullCoefficients:
         return NullCoefficients(expr.parse(a1_text), expr.parse(theta_text))
 
 
-@dataclass(frozen=True)
-class CurvaturePair:
+class CurvaturePair(NamedTuple):
     """K and H at one point (floats) or at many (arrays of one shape)."""
 
     K: float | np.ndarray
@@ -200,8 +206,7 @@ class CurvaturePair:
 # curvature_closed) are adapters over the same functions.
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(NamedTuple):
     """A family evaluated at N parameter points."""
 
     #: (N, 4) hypersurface points C(s, t, w)
@@ -299,8 +304,7 @@ def _on_pairs(e, t, w):
     return None if "s" in expr.variables(e) else expr.eval_value(e, t=t, w=w)
 
 
-@dataclass(frozen=True)
-class FieldTables:
+class FieldTables(NamedTuple):
     """The table stage of ``field``: a family's inputs at an array of s
     values and at an array of (t, w) pairs."""
 
@@ -684,8 +688,7 @@ def null_constraint_residual(a1: float, a2: float, a4: float, r: float,
 # Weingarten residuals for tubular families
 
 
-@dataclass(frozen=True)
-class WeingartenReport:
+class WeingartenReport(NamedTuple):
     """Max mixed-Jacobian residuals |H_x K_y - H_y K_x| over a grid: the
     result of ``weingarten_residuals``, which stays for the benchmark's
     tracer only."""

@@ -21,8 +21,8 @@ their analytic frames (tests/test_curves.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class UnknownCurveError(CurveError):
     """Builtin curve name is not known."""
 
 
-@dataclass(frozen=True, eq=False)
 class CurveSpec:
     """A center curve: four component expressions in s plus its causal class.
 
@@ -100,13 +99,25 @@ class CurveSpec:
     the free scale of the null binormal direction for partially null curves
     (F3 is parallel-constant because k3 = 0; only its scale is
     conventional).
+
+    Curves are immutable and compare and hash by identity, so hashing never
+    walks the expression trees.
     """
 
-    components: tuple
-    curve_class: CurveClass
-    name: str | None = None
-    f3_gauge: tuple | None = None
-    completion_frame: tuple | None = None
+    __slots__ = ("components", "curve_class", "name", "f3_gauge",
+                 "completion_frame")
+
+    def __init__(self, components: tuple, curve_class: CurveClass,
+                 name: str | None = None, f3_gauge: tuple | None = None,
+                 completion_frame: tuple | None = None):
+        for key, value in zip(self.__slots__, (components, curve_class, name,
+                                               f3_gauge, completion_frame)):
+            object.__setattr__(self, key, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"CurveSpec is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     def point(self, s: float) -> np.ndarray:
         """gamma(s) as a (4,) vector."""
@@ -181,8 +192,7 @@ def builtin_names() -> tuple[str, ...]:
 # power through ``expr.libm``, so a row gets the same bits in any batch.
 
 
-@dataclass(frozen=True)
-class FrameRows:
+class FrameRows(NamedTuple):
     """Curve points and frame vectors F1..F4 at n parameter values as
     (n, 4) rows, views of component-major (4, n) arrays where computed
     from the curve's jets, and the curvatures k1..k3 as (n,) arrays; from

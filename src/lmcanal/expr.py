@@ -43,10 +43,9 @@ is a ``ParseError``.  The tree walker recurses once per AST level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -85,35 +84,29 @@ class VariableScopeError(ExprError):
 # AST
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str  # "s", "t" or "w"
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     name: str  # "pi" or "e"
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(NamedTuple):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     fn: str
     arg: "Expr"
 
@@ -375,7 +368,6 @@ def _any(x) -> bool:
     return bool(x.any()) if isinstance(x, np.ndarray) else bool(x)
 
 
-@dataclass(frozen=True)
 class Jet:
     """Truncated Taylor polynomial in s of degree ``len(c) - 1``: ``c[k]``
     is the k-th Taylor coefficient (k-th derivative over k!).  A degree-0
@@ -386,9 +378,29 @@ class Jet:
     construction, and functions take the Taylor-mode recurrences of
     ``f' = f'(u) u'``, each coefficient from the lower ones (Griewank and
     Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
+
+    Jets are immutable and compare by ``c``.  Not a tuple: numpy would
+    read a tuple operand as a sequence.
     """
 
-    c: tuple
+    __slots__ = ("c",)
+
+    def __init__(self, c: tuple):
+        _set_c(self, c)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Jet is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, o):
+        return self.c == o.c if o.__class__ is Jet else NotImplemented
+
+    def __hash__(self):
+        return hash(self.c)
+
+    def __repr__(self):
+        return f"Jet(c={self.c!r})"
 
     def derivatives(self) -> tuple:
         """The value and the derivatives of orders 1..degree."""
@@ -451,6 +463,9 @@ class Jet:
                 acc = acc + (a * j - (k - j)) * u[j] * f[k - j]
             f.append(acc / (k * u[0]))
         return Jet(tuple(f))
+
+
+_set_c = Jet.c.__set__  # the slot's own setter, past __setattr__
 
 
 def _constant(x: float, degree: int) -> Jet:

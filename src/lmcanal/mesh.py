@@ -29,7 +29,7 @@ import contextlib
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,29 +65,43 @@ def sample_axis(axis: str, lo: float, hi: float, n: int) -> list[float]:
     return values
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Parameter ranges and counts, plus the fixed-axis selector for sweeps."""
-
+class _GridFields(NamedTuple):
     s_range: tuple[float, float]
     t_range: tuple[float, float]
     w_range: tuple[float, float]
     n_s: int
     n_t: int
     n_w: int
-    fixed_axis: str | None = None
-    fixed_value: float | None = None
+    fixed_axis: str | None
+    fixed_value: float | None
 
-    def __post_init__(self):
-        if self.fixed_axis is not None and self.fixed_axis not in AXES:
+
+class GridSpec(_GridFields):
+    """Parameter ranges and counts, plus the fixed-axis selector for sweeps."""
+
+    __slots__ = ()
+
+    def __new__(cls, s_range: tuple[float, float],
+                t_range: tuple[float, float], w_range: tuple[float, float],
+                n_s: int, n_t: int, n_w: int, fixed_axis: str | None = None,
+                fixed_value: float | None = None):
+        self = super().__new__(cls, s_range, t_range, w_range, n_s, n_t, n_w,
+                               fixed_axis, fixed_value)
+        if fixed_axis is not None and fixed_axis not in AXES:
             raise MeshError(f"fixed axis must be one of {AXES}")
-        fixed = (self.fixed_axis, self.fixed_value)
+        fixed = (fixed_axis, fixed_value)
         if fixed != (None, None) and (None in fixed
-                                      or not np.isfinite(self.fixed_value)):
+                                      or not np.isfinite(fixed_value)):
             raise MeshError(f"a fixed axis needs a finite fixed value and a "
                             f"fixed value an axis, got {fixed}")
         for axis in AXES:
             self.values_of(axis)  # sample_axis checks the range and count
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through ``__new__``, so ``_replace`` validates too."""
+        return cls(*fields)
 
     def range_of(self, axis: str) -> tuple[float, float]:
         return {"s": self.s_range, "t": self.t_range, "w": self.w_range}[axis]
@@ -114,22 +128,36 @@ class GridSpec:
         return a, b
 
 
-@dataclass
 class ProjectedMesh:
     """Sweep output: parameters, points and closed-form channels per vertex
-    (row-major over the two swept axes) and the grid quads."""
+    (row-major over the two swept axes) and the grid quads.
 
-    #: (N, 3) parameters (s, t, w) per vertex
-    params: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
-    #: (N, 4) hypersurface points
-    points: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
-    #: (N,) closed-form curvatures; None for families without closed forms
-    K: np.ndarray | None = None
-    H: np.ndarray | None = None
-    #: (N,) True where a closed-form denominator vanishes
-    singular: np.ndarray = field(default_factory=lambda: np.zeros(0, bool))
-    quads: list = field(default_factory=list)          # 0-based index 4-tuples
-    projection: str = "x1x3x4"
+    ``params`` (N, 3) holds (s, t, w) per vertex and ``points`` (N, 4) the
+    hypersurface points; ``K`` and ``H`` (N,) are the closed-form
+    curvatures, None for families without closed forms; ``singular`` (N,)
+    is True where a closed-form denominator vanishes; ``quads`` are 0-based
+    index 4-tuples.  Omitted arrays and lists start empty."""
+
+    __slots__ = ("params", "points", "K", "H", "singular", "quads",
+                 "projection")
+
+    def __init__(self, params: np.ndarray | None = None,
+                 points: np.ndarray | None = None,
+                 K: np.ndarray | None = None, H: np.ndarray | None = None,
+                 singular: np.ndarray | None = None,
+                 quads: list | None = None, projection: str = "x1x3x4"):
+        self.params = np.empty((0, 3)) if params is None else params
+        self.points = np.empty((0, 4)) if points is None else points
+        self.K, self.H = K, H
+        self.singular = np.zeros(0, bool) if singular is None else singular
+        self.quads = [] if quads is None else quads
+        self.projection = projection
+
+    def __eq__(self, other):
+        if other.__class__ is not ProjectedMesh:
+            return NotImplemented
+        return ([getattr(self, k) for k in self.__slots__]
+                == [getattr(other, k) for k in self.__slots__])
 
     @property
     def vertices(self) -> np.ndarray:

@@ -27,7 +27,7 @@ batch of one point and raise at singular points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,7 @@ class SingularMetricError(OracleError):
     """det[g] vanishes; the shape operator is undefined."""
 
 
-@dataclass(frozen=True)
-class SurfaceJet:
+class SurfaceJet(NamedTuple):
     """Points, first and second central-difference partials of the map at
     N points, as (N, 4) arrays."""
 
@@ -88,8 +87,7 @@ class SurfaceJet:
     d_ww: np.ndarray
 
 
-@dataclass(frozen=True)
-class FundamentalForms:
+class FundamentalForms(NamedTuple):
     """First/second fundamental forms (N, 3, 3), their determinants (N,),
     the unit normals (N, 4) and their causal signs eps = sign <N, N> (N,),
     nan where a normal is not finite, at N points."""

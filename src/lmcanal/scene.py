@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from . import expr
 from .canal import (CanalFamily, CurvaturePair, Field, FieldTables,
@@ -55,8 +55,7 @@ class SceneError(Exception):
         self.path = path
 
 
-@dataclass(frozen=True)
-class SceneSpec:
+class SceneSpec(NamedTuple):
     """A fully validated scene."""
 
     name: str

@@ -34,7 +34,6 @@ residual in its row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -75,8 +74,7 @@ def normalized_error(a, b):
                                                             np.abs(b)))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One verification row: a named residual against its tolerance, or a
     pass/fail flag, which has no tolerance (``tol`` None)."""
 
@@ -86,12 +84,24 @@ class Check:
     passed: bool
 
 
-@dataclass
 class VerifyReport:
-    scene: str
-    checks: list = field(default_factory=list)
-    points_checked: int = 0
-    points_singular: int = 0
+    """A scene's check rows, in order, and the grid points its curvature
+    checks covered and skipped as singular."""
+
+    __slots__ = ("scene", "checks", "points_checked", "points_singular")
+
+    def __init__(self, scene: str, checks: list | None = None,
+                 points_checked: int = 0, points_singular: int = 0):
+        self.scene = scene
+        self.checks = [] if checks is None else checks
+        self.points_checked = points_checked
+        self.points_singular = points_singular
+
+    def __eq__(self, other):
+        if other.__class__ is not VerifyReport:
+            return NotImplemented
+        return ([getattr(self, k) for k in self.__slots__]
+                == [getattr(other, k) for k in self.__slots__])
 
     def add(self, name, value, tol):
         self.checks.append(Check(name, value, tol, value <= tol))
@@ -104,8 +114,7 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-@dataclass(frozen=True)
-class GridTable:
+class GridTable(NamedTuple):
     """One row per grid point of a scene, in grid order (s slowest)."""
 
     family: CanalFamily

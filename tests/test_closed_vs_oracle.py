@@ -6,7 +6,6 @@ branch sign folded into the trig value T goes unchecked too.  These tests
 rerun the comparison with a quadratic radius and with branch -1.
 """
 
-import dataclasses
 import random
 
 import numpy as np
@@ -51,7 +50,7 @@ def test_closed_forms_follow_r2(name):
     scene = bundled_scene(name)
     text = ("1.5*s + s^2/8" if scene.family.variant is Variant.C4
             else "s/2 + s^2/8")
-    scene = dataclasses.replace(scene, radius=RadiusSpec.from_text(text))
+    scene = scene._replace(radius=RadiusSpec.from_text(text))
     rng = random.Random(name)
     s, t, w = (np.array([rng.uniform(*scene.grid.range_of(axis))
                          for _ in range(64)]) for axis in ("s", "t", "w"))
@@ -74,10 +73,10 @@ def test_branch_minus_one_matches_oracle(name):
     # partially-null-c4 at branch -1 exceeds it at the scene's step by
     # truncation (h^2) error.
     scene = bundled_scene(name)
-    family = dataclasses.replace(scene.family, branch=-1)
+    family = scene.family._replace(branch=-1)
     report = VerifyReport(name)
-    check_curvatures(grid_table(scene_tables(dataclasses.replace(
-        scene, family=family))), report)
+    check_curvatures(
+        grid_table(scene_tables(scene._replace(family=family))), report)
     rows = [c for c in report.checks
             if c.name.startswith(("K closed vs oracle", "H closed vs oracle"))]
     assert len(rows) == 2

@@ -4,7 +4,7 @@ frame-ODE verification machinery."""
 
 import math
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -207,7 +207,7 @@ def test_scaled_f3_breaks_gram_table():
     good = frame_table(curve, s)
     scale = np.ones((3 * len(s), 1))
     scale[0] = 2.0  # the first frame at s, not its neighbours
-    bad = replace(good, f3=good.f3 * scale)
+    bad = good._replace(f3=good.f3 * scale)
     res, worst = gram_residual(bad, CurveClass.PSEUDO_NULL)
     # <2 F3, 2 F3> = 4 where the table says 1, in the first row only
     assert res[0] == pytest.approx(3.0, abs=1e-9)
@@ -272,9 +272,8 @@ def test_curves_hash_by_identity():
     assert hash(a) == object.__hash__(a)
     assert a == a and a != b
     fa, fb = derive_frame(a, 0.25), derive_frame(b, 0.25)
-    for field in fields(FrameRows):
-        assert np.array_equal(getattr(fa, field.name),
-                              getattr(fb, field.name)), field.name
+    for name in FrameRows._fields:
+        assert np.array_equal(getattr(fa, name), getattr(fb, name)), name
 
 
 # Lorentz boost (cosh, sinh) = (5/4, 3/4) in the x1-x2 plane, then a shift.

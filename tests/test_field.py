@@ -6,7 +6,6 @@ evaluated in, derive each s value of a verify pass once, and reproduce the
 residuals of a per-point loop over ``curvature_closed``.
 """
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -202,7 +201,7 @@ def test_field_walks_each_expression_once_per_call(monkeypatch):
     walks.clear()
     sizes.clear()
     nc = canal.NullCoefficients.from_text("t", "s")
-    grid_table(scene_tables(dataclasses.replace(null_scene, nc=nc)))
+    grid_table(scene_tables(null_scene._replace(nc=nc)))
     assert walks == [nc.a1, nc.theta]
     assert sizes == [(9 * n_tw,), (19, grid.n_s, n_tw)]
 
@@ -218,8 +217,8 @@ NULL_DATA = [("null-c1", "t", "w"), ("null-c2", "-s-t", "w"),
 
 
 def _null_scene(name, a1, theta):
-    return dataclasses.replace(
-        bundled_scene(name), nc=canal.NullCoefficients.from_text(a1, theta))
+    return bundled_scene(name)._replace(
+        nc=canal.NullCoefficients.from_text(a1, theta))
 
 
 @pytest.mark.parametrize("name, a1, theta", NULL_DATA)
@@ -235,7 +234,7 @@ def test_null_points_on_blocks_equal_field_on_raveled_rows(name, a1, theta):
     want = scene.field(tables.s[s_ix], tables.t[tw_ix], tables.w[tw_ix])
     assert got.shape == blocks[0].shape[:2] + blocks[1].shape[2:] + (4,)
     assert got.reshape(-1, 4).tobytes() == want.points.tobytes()
-    fixed = dataclasses.replace(scene, grid=bundled_scene(
+    fixed = scene._replace(grid=bundled_scene(
         "null-c1-figure").grid)
     mesh = mesh_mod.sweep(fixed)
     want = fixed.field(*mesh.params.T)
@@ -312,11 +311,11 @@ def test_verify_scene_makes_one_kernel_call_per_grid_s(monkeypatch, name):
     monkeypatch.setattr(scene_mod, "field", None)  # no per-slab calls
     for n_s in (scene.grid.n_s, 2):
         calls.clear()
-        grid = dataclasses.replace(scene.grid, n_s=n_s)
-        assert verify_scene(dataclasses.replace(scene, grid=grid)).passed
+        grid = scene.grid._replace(n_s=n_s)
+        assert verify_scene(scene._replace(grid=grid)).passed
         n_tw = grid.n_t * grid.n_w
-        grid_points = np.stack(_grid_points(dataclasses.replace(
-            scene, grid=grid)), axis=1).tolist()
+        grid_points = np.stack(_grid_points(scene._replace(grid=grid)),
+                               axis=1).tolist()
         assert calls == [
             ("lmcanal.scene.field_tables", (3 * n_s, 9 * n_tw, 9 * n_tw)),
             ("lmcanal.verify.field_points", ((19, n_s, 1), (19, 1, n_tw))),

@@ -8,7 +8,6 @@ change of results:
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -75,8 +74,7 @@ def test_grid_validation():
 
 def test_obj_contract_2x2(tmp_path):
     scene = bundled_scene("pseudo-null-c1-figure")
-    mesh = sweep(dataclasses.replace(
-        scene, grid=dataclasses.replace(scene.grid, n_s=2, n_t=2)))
+    mesh = sweep(scene._replace(grid=scene.grid._replace(n_s=2, n_t=2)))
     assert len(mesh.vertices) == 4
     assert mesh.quads == [(0, 1, 3, 2)]
     path = tmp_path / "square.obj"
@@ -92,7 +90,7 @@ def test_export_determinism(tmp_path):
                     8, 8, 2, scene.grid.fixed_axis, scene.grid.fixed_value)
     blobs = []
     for run in range(2):
-        mesh = sweep(dataclasses.replace(scene, grid=grid))
+        mesh = sweep(scene._replace(grid=grid))
         obj = tmp_path / f"m{run}.obj"
         csv = tmp_path / f"m{run}.csv"
         jsn = tmp_path / f"m{run}.json"
@@ -109,7 +107,7 @@ def test_obj_cells_are_plain_decimal_floats(tmp_path):
     scene = bundled_scene("partially-null-c5-figure")
     grid = GridSpec(scene.grid.s_range, scene.grid.t_range, scene.grid.w_range,
                     4, 4, 2, scene.grid.fixed_axis, scene.grid.fixed_value)
-    mesh = sweep(dataclasses.replace(scene, grid=grid))
+    mesh = sweep(scene._replace(grid=grid))
     path = tmp_path / "c5.obj"
     export_obj(mesh, path)
     for line in path.read_text().splitlines():
@@ -123,7 +121,7 @@ def test_sweep_counts_and_channels():
     scene = bundled_scene("pseudo-null-c1-figure")
     grid = GridSpec(scene.grid.s_range, scene.grid.t_range, scene.grid.w_range,
                     10, 10, 2, scene.grid.fixed_axis, scene.grid.fixed_value)
-    mesh = sweep(dataclasses.replace(scene, grid=grid))
+    mesh = sweep(scene._replace(grid=grid))
     assert len(mesh.vertices) == 100
     assert len(mesh.quads) == 81
     assert all(len(v) == 3 for v in mesh.vertices)
@@ -144,8 +142,8 @@ def test_sweep_with_each_fixed_axis(monkeypatch, name, axis):
     # parameters
     scene = bundled_scene(name)
     lo, hi = scene.grid.range_of(axis)
-    grid = dataclasses.replace(scene.grid, n_s=7, n_t=6, n_w=5,
-                               fixed_axis=axis, fixed_value=(lo + hi) / 2)
+    grid = scene.grid._replace(n_s=7, n_t=6, n_w=5,
+                              fixed_axis=axis, fixed_value=(lo + hi) / 2)
     sizes, real = [], canal.field_tables
 
     def counted(*args):
@@ -155,7 +153,7 @@ def test_sweep_with_each_fixed_axis(monkeypatch, name, axis):
     # through the scene's tables, or canal.field's on the vertices
     monkeypatch.setattr(scene_mod, "field_tables", counted)
     monkeypatch.setattr(canal, "field_tables", counted)
-    mesh = sweep(dataclasses.replace(scene, grid=grid))
+    mesh = sweep(scene._replace(grid=grid))
     n_tw = {"s": 6 * 5, "t": 5, "w": 6}[axis]
     assert sizes == [(1 if axis == "s" else 7, n_tw, n_tw)]
     # the vertices are the broadcast of grid.axes(fixed=True), which is
@@ -181,7 +179,7 @@ def test_relation_recheck_on_sweep():
     scene = bundled_scene("pseudo-null-c1")
     grid = GridSpec(scene.grid.s_range, scene.grid.t_range, scene.grid.w_range,
                     12, 12, 2, "w", 1.0)
-    mesh = sweep(dataclasses.replace(scene, grid=grid))
+    mesh = sweep(scene._replace(grid=grid))
     ok = ~mesh.singular
     r = scene.radius.jet(mesh.params[ok, 0])[0]
     rel = relation_residual(CurvaturePair(mesh.K[ok], mesh.H[ok]), r,
@@ -194,7 +192,7 @@ def test_field_csv_format(tmp_path):
     scene = bundled_scene("pseudo-null-c1")
     grid = GridSpec(scene.grid.s_range, scene.grid.t_range, scene.grid.w_range,
                     3, 3, 2, "w", 1.2)
-    mesh = sweep(dataclasses.replace(scene, grid=grid))
+    mesh = sweep(scene._replace(grid=grid))
     path = tmp_path / "field.csv"
     export_field(mesh, path, "csv")
     lines = path.read_text().splitlines()
@@ -238,7 +236,7 @@ def test_field_json_round_trips(tmp_path):
     scene = bundled_scene("pseudo-null-c1")
     grid = GridSpec(scene.grid.s_range, scene.grid.t_range, scene.grid.w_range,
                     3, 3, 2, "w", 1.2)
-    mesh = sweep(dataclasses.replace(scene, grid=grid))
+    mesh = sweep(scene._replace(grid=grid))
     path = tmp_path / "field.json"
     export_field(mesh, path, "json")
     records = json.loads(path.read_text())
@@ -250,7 +248,7 @@ def test_null_scene_mesh_has_geometry_but_no_curvature():
     scene = bundled_scene("null-c1-figure")
     grid = GridSpec(scene.grid.s_range, scene.grid.t_range, scene.grid.w_range,
                     4, 4, 2, scene.grid.fixed_axis, scene.grid.fixed_value)
-    mesh = sweep(dataclasses.replace(scene, grid=grid))
+    mesh = sweep(scene._replace(grid=grid))
     assert mesh.K is None and mesh.H is None
     assert mesh.n_singular == 0
 
@@ -282,7 +280,7 @@ def test_export_unwritable_path():
     scene = bundled_scene("pseudo-null-c1")
     grid = GridSpec(scene.grid.s_range, scene.grid.t_range, scene.grid.w_range,
                     3, 3, 2, "w", 1.2)
-    mesh = sweep(dataclasses.replace(scene, grid=grid))
+    mesh = sweep(scene._replace(grid=grid))
     with pytest.raises(OSError):
         export_obj(mesh, "/nonexistent-dir/sub/mesh.obj")
 
@@ -299,8 +297,7 @@ def test_export_to_one_file_twice_fails_before_opening_it(field, tmp_path,
     (tmp_path / "fig.obj").write_text("old\n")
     os.link(tmp_path / "fig.obj", tmp_path / "link.csv")
     scene = bundled_scene("pseudo-null-c1-figure")
-    mesh = sweep(dataclasses.replace(
-        scene, grid=dataclasses.replace(scene.grid, n_s=6, n_t=6)))
+    mesh = sweep(scene._replace(grid=scene.grid._replace(n_s=6, n_t=6)))
     obj = "new.obj" if field == "new.obj" else "fig.obj"
     for fmt in ("csv", "json"):
         with pytest.raises(MeshError, match="same file"):
@@ -506,8 +503,8 @@ def test_export_memory_does_not_grow_with_vertex_count(tmp_path, name,
     # peak grow fourfold from 40x40 to 80x80 (partially-null-c5-figure's K
     # and H depend on s alone, so they repeat along each block)
     scene = bundled_scene(name)
-    small, large = (_export_peak(sweep(dataclasses.replace(
-        scene, grid=dataclasses.replace(scene.grid, n_s=n, n_t=n))), tmp_path,
+    small, large = (_export_peak(sweep(scene._replace(
+        grid=scene.grid._replace(n_s=n, n_t=n))), tmp_path,
         format) for n in (40, 80))
     assert large <= 1.25 * small
 

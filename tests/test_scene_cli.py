@@ -1,6 +1,5 @@
 """Scene schema validation and the CLI exit-code contract."""
 
-import dataclasses
 import json
 import math
 import os
@@ -154,7 +153,7 @@ def test_null_family_refuses_branch_minus_one(capsys, tmp_path, name):
     # branch -1, which it would ignore, is refused at the branch's path
     family = bundled_scene(name).family
     with pytest.raises(ValueError, match="branch"):
-        dataclasses.replace(family, branch=-1)
+        family._replace(branch=-1)
     doc = bundled_doc(name)
     doc["family"]["branch"] = -1
     with pytest.raises(SceneError) as err:
@@ -311,12 +310,12 @@ def test_check_epsilon_only_counts_degenerate_points_as_singular():
     eps = table.eps.copy()
     eps[[0, 5, 9]] = 0
     report = verify_mod.VerifyReport("null-c1")
-    verify_mod.check_epsilon_only(dataclasses.replace(table, eps=eps), report)
+    verify_mod.check_epsilon_only(table._replace(eps=eps), report)
     assert (report.points_checked, report.points_singular) == (573, 3)
     assert report.passed
     eps[:] = 0
     report = verify_mod.VerifyReport("null-c1")
-    verify_mod.check_epsilon_only(dataclasses.replace(table, eps=eps), report)
+    verify_mod.check_epsilon_only(table._replace(eps=eps), report)
     assert (report.points_checked, report.points_singular) == (0, 576)
     assert not report.passed
 
@@ -345,13 +344,15 @@ def test_cli_verify_rows_do_not_pad_each_other(capsys, monkeypatch):
 
     def printed(checks):
         monkeypatch.setattr(cli, "verify_scene", lambda scene: (
-            dataclasses.replace(report, checks=checks)))
+            verify_mod.VerifyReport(report.scene, checks,
+                                    report.points_checked,
+                                    report.points_singular)))
         assert main(["verify", "--scene", "pseudo-null-c1"]) == 0
         return capsys.readouterr().out.splitlines()
 
     before = printed(report.checks)
-    longer = dataclasses.replace(report.checks[0],
-                                 name=report.checks[0].name + " (" * 10)
+    longer = report.checks[0]._replace(
+        name=report.checks[0].name + " (" * 10)
     after = printed([longer, *report.checks[1:]])
     assert after[1] != before[1]
     assert after[:1] + after[2:] == before[:1] + before[2:]
@@ -535,12 +536,17 @@ def test_cli_usage_error_names_its_cause(capsys, tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this lmcanal."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+
 def test_cli_loads_no_argparse_gettext_or_locale(capsys):
     # the CLI reads its argv without argparse, and nothing else it runs
     # imports argparse or the gettext/locale pair argparse pulls in
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    env = _src_env()
     script = ("import sys\n"
               "import lmcanal.cli\n"
               "def loaded():\n"
@@ -561,6 +567,20 @@ def test_cli_loads_no_argparse_gettext_or_locale(capsys):
     assert run.returncode == 0, run.stderr
     assert main(argv) == 0
     assert run.stdout == capsys.readouterr().out
+
+
+def test_cli_loads_no_dataclasses():
+    # the records are NamedTuples and slotted classes: neither importing
+    # the CLI nor a verify call imports dataclasses or generates its code
+    script = ("import sys\n"
+              "import lmcanal.cli\n"
+              "code = lmcanal.cli.main(['verify', '--scene', "
+              "'pseudo-null-t1'])\n"
+              "print(code, 'dataclasses' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("count", [1, 0, -2])

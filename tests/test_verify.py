@@ -2,7 +2,6 @@
 tolerance but for one points guard, the closed-vs-oracle rule that the K
 and H rows report, and NaN residuals failing their rows."""
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -71,8 +70,8 @@ def test_a_nan_residual_fails_its_row():
     membership, k_oracle = table.membership.copy(), table.k_oracle.copy()
     membership[7] = k_oracle[100] = np.nan
     report = verify.VerifyReport("pseudo-null-c1")
-    nan_table = dataclasses.replace(table, membership=membership,
-                                    k_oracle=k_oracle)
+    nan_table = table._replace(membership=membership,
+                               k_oracle=k_oracle)
     verify.check_envelope(nan_table, report)
     verify.check_curvatures(nan_table, report)
     failed = [c.name.split(" ")[0] for c in report.checks if not c.passed]
