@@ -14,10 +14,12 @@ variant below is one solution family of that constraint; tubular variants
 are the constant-radius specializations.
 
 Closed-form Gaussian/mean curvature pairs exist for the ten pseudo null /
-partially null canal variants and the eight tubular ones: one formula with
-per-variant terms from one table, a tubular variant reading the row of a
-canal one (see "Closed-form curvatures" below); the partially null forms
-are the pseudo null ones with 2g replaced by +-1.  Null-center families
+partially null canal variants and the eight tubular ones: one formula for
+K with per-variant terms from one table, a tubular variant reading the row
+of a canal one, and H from K by the K-H relation (see "Closed-form
+curvatures" below); the partially null forms are the pseudo null ones with
+2g replaced by +-1.  The same row gives each family's flatness and
+minimality conditions on a straight center.  Null-center families
 have none and are covered by the oracle only.  The forms hold for branch
 +1; for branch -1 the radial part flips sign, which enters them only
 through the fiber trig value, so the branch sign is folded into that value
@@ -493,20 +495,22 @@ def evaluate_point(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
 # fiber's function pair (T, mate).  T is the branch-signed trig value of f
 # (see ``_trig``); sigma lambda is the sign of the forms' normal against
 # the radial direction (``closed_form_gauge``).  Where m > 0 (the regime),
-# with a = m - r q2, c = 2m - 3 r q2, u = r sqrt(m) k1 T and the shared
-# denominator D = a G - u:
+# with u = r sqrt(m) k1 T and the shared denominator D = (m - r q2) G - u:
 #
 #   K = sigma (q2 G + sqrt(m) k1 T) / (r^2 D)
-#   H = sigma (3u - c G) / (3 r D)
+#   H = (r^2 K - sigma 2/r) / 3
 #
-# Multiplied out, K is D (q2 G + sqrt(m) k1 T) / (r^2 D^2) and H is
-# D+ (3u - c G) / (3 r D D+) with D+ = a G + u: the common factors cancel,
-# so only D = 0 is a pole.  T1, T2, T3 and T4 take the rows of C1, C2, C3
-# and C5 (the same G, sigma, lambda and trig pair); at r' = r'' = 0, where
-# m = a = 1, c = 2 and q2 = 0, the formula is the tubular pair
-# K = sigma k1 T / (r^2 (G - r k1 T)), H = sigma (3 r k1 T - 2G) /
-# (3 r (G - r k1 T)).  The forms take broadcastable arrays; ``guard``
-# divides and marks the points where D vanishes at the numerator's scale.
+# H is the K-H relation of a canal hypersurface solved for H: both follow
+# from the meridian curvature (q2 G + sqrt(m) k1 T)/D and r, so the closed
+# form carries that one quantity.  Multiplied out, K is
+# D (q2 G + sqrt(m) k1 T) / (r^2 D^2): the common factors cancel, so only
+# D = 0 is a pole.  T1, T2, T3 and T4 take the rows of C1, C2, C3 and C5
+# (the same G, sigma, lambda and trig pair); at r' = r'' = 0, where m = 1
+# and q2 = 0, the formula is the tubular K = sigma k1 T / (r^2 (G - r k1 T)).
+# On a straight center (k1 = 0) K vanishes exactly where r'' does, and H
+# where 2m - 3 r q2 does (``flat_residual``, ``minimal_residual``).  The
+# forms take broadcastable arrays; ``_closed`` divides and marks the
+# points where D vanishes at the scale of K's numerator.
 
 #: Per variant: m = m0 + mq q and q2 = e2 r'', G / 2g for pseudo null
 #: centers, G for partially null ones, sigma, and the (T, mate) function
@@ -536,41 +540,33 @@ def closed_form_gauge(variant: Variant) -> int:
             else int(_CLOSED_FORMS[variant].sigma) * variant.lam)
 
 
-def _guard_into(bad):
-    def guard(num, den):
-        # the scale is built in place and dropped before the quotient is
-        # made, so at most two temporaries of the closed forms' size live
-        scale = np.fmax(1.0, np.abs(num))
-        scale *= DENOM_TOL
-        np.logical_or(bad, np.abs(den) <= scale, out=bad)
-        del scale
-        return num / den
-    return guard
-
-
 def _canal_kh(row, k1, r, r1, r2, T, G):
-    """The K factor q2 G + sqrt(m) k1 T, the H factor 3u - c G and the
-    shared denominator D = a G - u, before sigma."""
+    """The K factor P_K = q2 G + sqrt(m) k1 T and the shared denominator
+    D = (m - r q2) G - r sqrt(m) k1 T, before sigma."""
     m = row.m0 + row.mq * (r1 * r1)
     sm = np.sqrt(m)
     q2 = row.e2 * r2
-    u = r * sm * k1 * T
-    return (q2 * G + sm * k1 * T, 3.0 * u - (2.0 * m - 3.0 * r * q2) * G,
-            (m - r * q2) * G - u)
+    return q2 * G + sm * k1 * T, (m - r * q2) * G - r * sm * k1 * T
 
 
 def _closed(family: CanalFamily, k1, r, r1, r2, T, g):
-    """K, H and the singular mask of a non-null family's closed form."""
-    bad = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in
-                                         (k1, r, r1, r2, T, g))), dtype=bool)
-    guard = _guard_into(bad)
+    """K, H and the singular mask (D vanishing at the scale of P_K) of a
+    non-null family's closed form, with H from K by the K-H relation."""
     row = _CLOSED_FORMS[family.variant]
     with np.errstate(all="ignore"):
         G = (row.pseudo * (2.0 * g)
              if family.curve_class is CurveClass.PSEUDO_NULL else row.partial)
-        p_k, p_h, D = _canal_kh(row, k1, r, r1, r2, T, G)
-        K, H = guard(p_k, r * r * D), guard(p_h, 3.0 * r * D)
-    return row.sigma * K, row.sigma * H, bad
+        p_k, D = _canal_kh(row, k1, r, r1, r2, T, G)
+        den = r * r * D
+        # the scale is built in place and dropped before the quotient is
+        # made, so at most two temporaries of the closed forms' size live
+        scale = np.fmax(1.0, np.abs(p_k))
+        scale *= DENOM_TOL
+        bad = np.abs(den) <= scale
+        del scale
+        K = row.sigma * (p_k / den)
+        H = (r * r * K - row.sigma * 2.0 / r) / 3.0
+    return K, H, bad
 
 
 def curvature_closed(family: CanalFamily, k1: float, r_jet, f: float,
@@ -599,14 +595,15 @@ def curvature_closed(family: CanalFamily, k1: float, r_jet, f: float,
 
 
 # ---------------------------------------------------------------------------
-# Algebraic relations and condition residuals
+# Algebraic relations and straight-center conditions
 
 def relation_residual(pair: CurvaturePair, r: float | np.ndarray,
                       family: CanalFamily) -> float | np.ndarray:
     """Left side of the linear K-H relation 3H - r^2 K + sigma 2/r, at one
     point or elementwise at arrays of points, for every family with closed
     forms, canal and tubular alike (a canal hypersurface's K and H both
-    follow from its meridian curvature and r)."""
+    follow from its meridian curvature and r).  The closed forms satisfy
+    it by construction, to rounding; ``verify`` checks it on the oracle."""
     if family.variant.is_null_variant:
         raise UnsupportedFamilyError(
             "K-H relations cover pseudo null and partially null variants "
@@ -615,66 +612,37 @@ def relation_residual(pair: CurvaturePair, r: float | np.ndarray,
     return 3.0 * pair.H - r * r * pair.K + sigma * 2.0 / r
 
 
-#: Names of the flatness (0) and minimality (1) conditions in messages.
-_CONDITIONS = (("flatness", "flat"), ("minimality", "minimal"))
-
-
-def _condition_residual(which: int, family: CanalFamily, r_jet, k1: float,
-                        f: float | None, g: float | None) -> float:
-    """Left side of the flatness (``which`` 0) or minimality (1) condition
-    of pseudo null C1 or partially null C5.  Straight centers (|k1| <=
-    1e-12) have conditions in r alone; on a curved C1 center it is the
-    K or H factor over the shared denominator (k1 = 1, T = sin f, G = 2g),
-    which is homogeneous of degree 1 in (T, G), so under g = sin f it is
-    taken at T = 1, G = 2: the factor over sin f."""
-    noun, adjective = _CONDITIONS[which]
-    c1 = (family.curve_class is CurveClass.PSEUDO_NULL
-          and family.variant is Variant.C1)
-    if not c1 and not (family.curve_class is CurveClass.PARTIALLY_NULL
-                       and family.variant is Variant.C5):
+def _straight_row(family: CanalFamily, k1: float, noun: str):
+    """The variant's row of _CLOSED_FORMS, for a straight center only: on
+    a curved one the K and H factors carry a k1 T term that no condition
+    on the radius removes, so the family is neither flat nor minimal."""
+    if family.variant.is_null_variant or abs(k1) > 1e-12:
         raise UnsupportedFamilyError(
             f"no {noun} condition for {family.curve_class.value} "
-            f"{family.variant.value}")
+            f"{family.variant.value} at k1 = {k1}")
+    return _CLOSED_FORMS[family.variant]
+
+
+def flat_residual(family: CanalFamily, r_jet, k1: float) -> float:
+    """Left side of the flatness condition of a family with closed forms
+    on a straight center (|k1| <= 1e-12): r'', since there K is
+    sigma q2 / (r^2 (m - r q2)).  ``r_jet`` is (r, r', r'') or longer.
+    Raises UnsupportedFamilyError for null-center families and curved
+    centers."""
+    _straight_row(family, k1, "flatness")
+    return r_jet[2]
+
+
+def minimal_residual(family: CanalFamily, r_jet, k1: float) -> float:
+    """Left side of the minimality condition of a family with closed
+    forms on a straight center (|k1| <= 1e-12): 2m - 3 r q2 with the
+    variant's m and q2, since there H is
+    -sigma (2m - 3 r q2) / (3 r (m - r q2)); 2 - 2r'^2 - 3rr'' for C1,
+    2 + 2r'^2 + 3rr'' for C5.  Raises UnsupportedFamilyError for
+    null-center families and curved centers."""
+    row = _straight_row(family, k1, "minimality")
     r, r1, r2 = r_jet[0], r_jet[1], r_jet[2]
-    if abs(k1) <= 1e-12:
-        if which == 0:
-            return r2
-        return (2.0 - 2.0 * r1 * r1 - 3.0 * r * r2 if c1
-                else 2.0 + 2.0 * r1 * r1 + 3.0 * r * r2)
-    if not c1:
-        raise UnsupportedFamilyError(
-            f"partially null C5 cannot be {adjective} for k1 != 0")
-    if f is None or g is None:
-        raise RegimeError(f"curved-center {noun} requires f, g values")
-    _radial_scale(Variant.C1, r, r1)  # regime checks on r and r'
-    T, G = ((1.0, 2.0) if abs(g - math.sin(f)) <= 1e-9
-            else (math.sin(f), 2.0 * g))
-    return float(_canal_kh(_CLOSED_FORMS[Variant.C1], 1.0, r, r1, r2, T,
-                           G)[which])
-
-
-def flat_residual(family: CanalFamily, r_jet, k1: float,
-                  f: float | None = None, g: float | None = None) -> float:
-    """Left side of the flatness condition governing the family/case.
-
-    Pseudo null C1: r'' for straight centers; for curved ones the K factor
-    q2 G + sqrt(m) k1 T of the closed form, divided by sin f under
-    g = sin f.  Partially null C5: r'' for straight centers
-    (flatness is impossible for curved ones, reported as unsupported).
-    """
-    return _condition_residual(0, family, r_jet, k1, f, g)
-
-
-def minimal_residual(family: CanalFamily, r_jet, k1: float,
-                     f: float | None = None, g: float | None = None) -> float:
-    """Left side of the minimality condition governing the family/case.
-
-    Pseudo null C1: 2 - 2r'^2 - 3rr'' for straight centers; for curved ones
-    the H factor 3u - c G of the closed form, divided by sin f under
-    g = sin f.
-    Partially null C5: 2 + 2r'^2 + 3rr'' for straight centers.
-    """
-    return _condition_residual(1, family, r_jet, k1, f, g)
+    return 2.0 * (row.m0 + row.mq * (r1 * r1)) - 3.0 * r * (row.e2 * r2)
 
 
 def null_constraint_residual(a1: float, a2: float, a4: float, r: float,
@@ -713,11 +681,12 @@ def weingarten_residuals(tables: FieldTables, s_ix, tw_ix, step: float
     per axis value.  A grid point is singular when any of its six
     closed-form evaluations is.
 
-    ``verify`` does not call this: with r constant, the K-H relation
-    (``relation_residual``, which covers the tubular variants) makes every
-    mixed Jacobian vanish.  It stays only because the benchmark's tracer
-    (``perfbench/tracer.py``) binds it by name; it goes when the tracer
-    stops doing so (ROADMAP.md).
+    ``verify`` does not call this: the closed forms take H from K by the
+    K-H relation, whose coefficients are constant when r is, so every
+    mixed Jacobian vanishes by construction; ``verify`` checks the
+    relation on the oracle instead.  It stays only because the
+    benchmark's tracer (``perfbench/tracer.py``) binds it by name; it
+    goes when the tracer stops doing so (ROADMAP.md).
     """
     variant = tables.family.variant
     if not variant.is_tubular or variant.is_null_variant:

@@ -161,8 +161,9 @@ def test_criterion_05_linear_kh_relations(reports):
         r_ok, value = _check_named(rep, "K-H relation")
         ok = ok and r_ok
         worst = max(worst, value)
-    _announce(5, ok, f"|3H - r^2 K +/- 2/r| worst {worst:.2e} (<=1e-9) "
-                     f"across the ten canal and eight tubular variants")
+    _announce(5, ok, f"oracle 3H vs r^2 K -/+ 2/r worst {worst:.2f} of its "
+                     f"bound (<=1) across the ten canal and eight tubular "
+                     f"variants")
 
 
 def test_criterion_06_causal_character(reports):
@@ -221,9 +222,9 @@ def test_criterion_08_weingarten(reports):
         w_ok, value = _check_named(rep, "K-H relation")
         ok = ok and w_ok
         worst = max(worst, value)
-    _announce(8, ok, f"linear Weingarten relation |3H - r^2 K +/- 2/r| "
-                     f"worst {worst:.2e} (<=1e-9) over the scene grids, "
-                     f"eight tubular variants")
+    _announce(8, ok, f"linear Weingarten relation, oracle 3H vs "
+                     f"r^2 K -/+ 2/r worst {worst:.2f} of its bound (<=1) "
+                     f"over the scene grids, eight tubular variants")
 
 
 def test_criterion_09_flat_minimal_conditions():

@@ -377,20 +377,8 @@ def test_flat_residual_cases():
     assert flat_residual(fam, line.jet(0.7), 0.0) == 0.0
     quad = RadiusSpec.from_text("s^2")
     assert flat_residual(fam, quad.jet(1.0), 0.0) == 2.0
-    # curved center with g = sin f and constant radius r0: the K factor
-    # q2 G + sqrt(m) k1 T over sin f is 1 at r'=r''=0
-    for r0 in (0.5, 1.0, 1.3):
-        jet = (r0, 0.0, 0.0)
-        assert flat_residual(fam, jet, 1.0, f=0.8, g=math.sin(0.8)) == \
-            pytest.approx(1.0, rel=1e-12)
-    # curved center, general shape: the K factor at r'=r''=0 is sin f
-    sf = math.sin(0.8)
-    assert flat_residual(fam, (1.3, 0.0, 0.0), 1.0, f=0.8, g=1.1) == \
-        pytest.approx(sf, rel=1e-12)
-    # r0 = 2 is the pole D = sin f (2 - r0) = 0, not a flat point: K is
-    # 2.77 at r0 = 1.9 and -2.27 at r0 = 2.1
-    assert flat_residual(fam, (2.0, 0.0, 0.0), 1.0, f=0.8,
-                         g=math.sin(0.8)) == pytest.approx(1.0, rel=1e-12)
+    # r0 = 2 is the pole D = sin f (2 - r0) = 0 of a curved center under
+    # g = sin f: K is 2.77 at r0 = 1.9 and -2.27 at r0 = 2.1
     with pytest.raises(SingularPointError):
         curvature_closed(fam, 1.0, (2.0, 0.0, 0.0), 0.8, math.sin(0.8))
     for r0, K in ((1.9, 2.77), (2.1, -2.27)):
@@ -399,10 +387,58 @@ def test_flat_residual_cases():
     fam5 = CanalFamily(CurveClass.PARTIALLY_NULL, Variant.C5, 1)
     assert flat_residual(fam5, line.jet(0.3), 0.0) == 0.0
     with pytest.raises(UnsupportedFamilyError):
-        flat_residual(fam5, line.jet(0.3), 2.0, f=0.5, g=1.0)
+        flat_residual(fam5, line.jet(0.3), 2.0)
     with pytest.raises(UnsupportedFamilyError):
         flat_residual(CanalFamily(CurveClass.PSEUDO_NULL, Variant.C2),
-                      line.jet(0.3), 1.0, f=0.5, g=1.0)
+                      line.jet(0.3), 1.0)
+
+
+@pytest.mark.parametrize("cls", [CurveClass.PSEUDO_NULL,
+                                 CurveClass.PARTIALLY_NULL])
+@pytest.mark.parametrize("variant", [v for v in Variant
+                                     if not v.is_null_variant])
+def test_straight_center_conditions_match_the_closed_forms(variant, cls):
+    # on a straight center K = sigma q2 / (r^2 (m - r q2)), so K is zero
+    # exactly where the flatness residual r'' is, and
+    # H = -sigma (2m - 3 r q2) / (3 r (m - r q2)), the minimality residual
+    # over the shared denominator's factor
+    rng = random.Random(f"{cls.value} {variant.value}")
+    row = canal._CLOSED_FORMS[variant]
+    # in-regime slopes: m = m0 + mq r'^2 > 0, and r' = 0 on a tube
+    slopes = ((0.0, 0.0) if variant.is_tubular
+              else (1.05, 3.0) if row.m0 < 0 else (0.0, 0.95) if row.mq < 0
+              else (0.0, 3.0))
+    flats = 0
+    for i in range(200):
+        fam = CanalFamily(cls, variant, rng.choice((1, -1)))
+        r, f = rng.uniform(0.2, 3.0), rng.uniform(-3.0, 3.0)
+        g = rng.choice((-1, 1)) * rng.uniform(0.3, 2.0)
+        r1 = rng.choice((-1, 1)) * rng.uniform(*slopes)
+        r2 = 0.0 if i % 4 == 0 else rng.uniform(-2.0, 2.0)
+        a = row.m0 + row.mq * r1 * r1 - r * row.e2 * r2
+        if abs(a) <= 0.01:
+            continue
+        pair = curvature_closed(fam, 0.0, (r, r1, r2), f, g)
+        flat = flat_residual(fam, (r, r1, r2), 0.0)
+        assert (pair.K == 0.0) == (flat == 0.0)
+        flats += flat == 0.0
+        want = -row.sigma * minimal_residual(fam, (r, r1, r2), 0.0) / (
+            3.0 * r * a)
+        assert pair.H == pytest.approx(
+            want, rel=0, abs=1e-13 * (abs(r * r * pair.K) + 2.0 / r))
+    assert flats >= 40
+    fam = CanalFamily(cls, variant)
+    for helper in (flat_residual, minimal_residual):
+        with pytest.raises(UnsupportedFamilyError):
+            helper(fam, (1.0, 0.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("helper", [flat_residual, minimal_residual])
+@pytest.mark.parametrize("variant", [Variant.NULL_C1, Variant.NULL_C2,
+                                     Variant.NULL_T1])
+def test_straight_center_conditions_refuse_null_families(variant, helper):
+    with pytest.raises(UnsupportedFamilyError):
+        helper(CanalFamily(CurveClass.NULL, variant), (1.0, 0.0, 0.0), 0.0)
 
 
 def _rk4_radius(h_of_r, r0, s1, n):
@@ -440,26 +476,7 @@ def test_minimal_residual_cases():
     fam5 = CanalFamily(CurveClass.PARTIALLY_NULL, Variant.C5, 1)
     assert minimal_residual(fam5, const.jet(0.1), 0.0) == 2.0
     with pytest.raises(UnsupportedFamilyError):
-        minimal_residual(fam5, const.jet(0.1), 2.0, f=0.5, g=1.0)
-    # curved center, general shape: the H factor 3u - c G at r'=r''=0,
-    # 3 r sin f - 4g
-    r, sf, g = 1.3, math.sin(0.8), 1.1
-    assert minimal_residual(fam, (r, 0.0, 0.0), 1.0, f=0.8, g=g) == \
-        pytest.approx(3 * r * sf - 4 * g, rel=1e-12)
-    # the g = sin f band divides the same factor by sin f, so with
-    # sin f > 0 the sign holds across the edge of the band
-    jet = (1.0, 0.1, 0.2)
-    inside = minimal_residual(fam, jet, 1.0, f=0.8, g=sf)
-    outside = minimal_residual(fam, jet, 1.0, f=0.8, g=sf + 2e-9)
-    assert inside * outside > 0
-    assert inside == pytest.approx(outside / sf, rel=1e-6)
-    # where D+ = a G + u = 0 the expanded H numerator vanishes, but H does
-    # not: the residual reads H's own factor
-    jet, m = (0.5, 0.3, 0.2), 1.0 - 0.3 * 0.3
-    g = -0.5 * math.sqrt(m) * sf / (2.0 * (m - 0.5 * 0.2))
-    H = curvature_closed(fam, 1.0, jet, 0.8, g).H
-    assert H == pytest.approx(-1.6255, abs=1e-4)
-    assert abs(minimal_residual(fam, jet, 1.0, f=0.8, g=g)) > 1.0
+        minimal_residual(fam5, const.jet(0.1), 2.0)
 
     # first integral r'^2 = 1 - (a/r)^{4/3} solves 2 - 2r'^2 - 3rr'' = 0
     a = 1.0

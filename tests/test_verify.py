@@ -1,6 +1,7 @@
 """The rows of ``verify_scene``: each a worst residual against its
-tolerance but for one points guard, the closed-vs-oracle rule that the K
-and H rows report, and NaN residuals failing their rows."""
+tolerance but for one points guard, the closed-vs-oracle rule that the K,
+H and K-H relation rows report, the relation row reading the oracle, and
+NaN residuals failing their rows."""
 
 
 import numpy as np
@@ -75,6 +76,22 @@ def test_a_nan_residual_fails_its_row():
     verify.check_envelope(nan_table, report)
     verify.check_curvatures(nan_table, report)
     failed = [c.name.split(" ")[0] for c in report.checks if not c.passed]
-    assert failed == ["membership", "K"]
+    assert failed == ["membership", "K", "K-H"]
     assert all(np.isnan(c.value) for c in report.checks if not c.passed)
     assert not report.passed
+
+
+def test_the_relation_row_checks_the_oracle():
+    # the closed forms hold the K-H relation by construction, so the row
+    # must read the oracle: moving one oracle H by 1e-3 relative fails it,
+    # while the K row, which does not read H, still passes
+    table = verify.grid_table(verify.scene_tables(
+        bundled_scene("pseudo-null-c1")))
+    i = int(np.argmax(np.where(table.nonsingular, np.abs(table.h_oracle), 0)))
+    h_oracle = table.h_oracle.copy()
+    h_oracle[i] *= 1.0 + 1e-3
+    report = verify.VerifyReport("pseudo-null-c1")
+    verify.check_curvatures(table._replace(h_oracle=h_oracle), report)
+    rows = {c.name.split(" ")[0]: c for c in report.checks}
+    assert not rows["K-H"].passed and rows["K-H"].value > 1.0
+    assert rows["K"].passed
