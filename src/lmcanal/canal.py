@@ -39,7 +39,7 @@ import numpy as np
 from . import expr
 from .curves import CurveClass, CurveSpec, FrameRows, derive_frames
 from .curves import derive_frame  # noqa: F401  (importable from canal)
-from .expr import libm
+from .expr import libm, refuse
 
 #: Scaled threshold below which a closed-form denominator counts as singular.
 DENOM_TOL = 1e-12
@@ -192,19 +192,22 @@ class CurvaturePair(NamedTuple):
 # null family's a1 and theta where they read no s (where they do, they are
 # walked at the rows).  Callers evaluate on a product of s values and
 # (t, w) pairs that they state: the table stage (``field_tables``)
-# evaluates each s value and each (t, w) pair once, and the row stages
+# evaluates each s value and each (t, w) pair once, a non-null family's
+# closed-form trig value T and fiber columns included, and the row stages
 # (``field_points``, ``field_rows``) read the tables at index arrays that
 # broadcast, typically an (n, 1) block of s indices by a (1, m) block of
-# (t, w) indices, so an s-only or
-# (t, w)-only factor is gathered and computed once per value, and a caller
-# that needs the closed forms at a few rows only (the oracle's stencil
-# centers, see ``verify.grid_table``) pays for those rows only.  One table
-# may hold several callers' axes, each reading its own index blocks (see
-# ``verify.scene_tables``).  Transcendental functions
-# run through Python's math module (``expr.libm``) and numpy only combines
+# (t, w) indices, so an s-only or (t, w)-only factor is gathered once per
+# value, and a caller that needs the closed forms at a few rows only (the
+# oracle's stencil centers, see ``verify.grid_table``) pays for those rows
+# only.  For the closed-form families the row stages only gather and
+# multiply; a null family's expressions that read s are walked there.
+# One table may hold several callers' axes, each reading its own index
+# blocks (see ``verify.scene_tables``).  Transcendental functions run
+# through Python's math module (``expr.libm``) and numpy only combines
 # their values with correctly rounded elementwise operations (+ - * /,
 # square, sqrt), so a point gets the same bits in any batch and from any
-# stage.  ``field`` and the one-point entry points (evaluate_point,
+# stage; a batch refuses at its first failing element (``expr.refuse``).
+# ``field`` and the one-point entry points (evaluate_point,
 # curvature_closed) are adapters over the same functions.
 
 
@@ -224,19 +227,11 @@ class Field(NamedTuple):
     singular: np.ndarray
 
 
-def _regime(bad, message: str, *xs) -> None:
-    """Raise ``RegimeError(message)`` with the first element of each x
-    where ``bad`` holds filled in."""
-    if np.any(bad):
-        raise RegimeError(message.format(*(float(np.asarray(x)[bad][0])
-                                           for x in xs)))
-
-
 def _check_radius(variant: Variant, r, r1) -> None:
-    _regime(r <= 0, "radius must be positive, got r={}", r)
+    refuse(RegimeError, r <= 0, "radius must be positive, got r={}", r)
     if variant.is_tubular:
-        _regime(np.abs(r1) > CONST_RADIUS_TOL,
-                "tubular variant requires a constant radius, got r'={}", r1)
+        refuse(RegimeError, np.abs(r1) > CONST_RADIUS_TOL,
+               "tubular variant requires a constant radius, got r'={}", r1)
 
 
 def _radial_scale(variant: Variant, r, r1):
@@ -245,8 +240,8 @@ def _radial_scale(variant: Variant, r, r1):
     _check_radius(variant, r, r1)
     row = _CLOSED_FORMS[variant]
     m = row.m0 + row.mq * (r1 * r1)
-    _regime(m <= 0.0, f"variant {variant.value} requires r'^2 "
-            f"{'<' if row.mq < 0 else '>'} 1, got r'={{}}", r1)
+    refuse(RegimeError, m <= 0.0, f"variant {variant.value} requires r'^2 "
+           f"{'<' if row.mq < 0 else '>'} 1, got r'={{}}", r1)
     return r * np.sqrt(m)
 
 
@@ -265,36 +260,28 @@ def _frames(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
 
 
 # A non-null fiber is built from the trig pair (sin f, cos f) or
-# (sinh f, cosh f).  The closed forms read one of the two, T, signed by the
-# branch; the fiber reads T unsigned and its mate M.  Per unit radial
-# factor the coefficients of (F2, F3, F4) are (g T, M, +-T/(2g)) for pseudo
-# null centers and (T, g M, +-M/(2g)) for partially null ones, with the
-# minus sign on the hyperbolic pair.
+# (sinh f, cosh f): one of the two, U, and its mate M, the variant's
+# column of _CLOSED_FORMS for the center class.  The closed forms read
+# T = branch * U.  Per unit radial factor the coefficients of (F2, F3, F4)
+# are (g U, M, +-U/(2g)) for pseudo null centers and (U, g M, +-M/(2g))
+# for partially null ones, with the minus sign on the hyperbolic pair.
+# The table stage computes T and the three columns once per (t, w) pair.
 
 
-def _trig_functions(family: CanalFamily):
-    """The functions of f giving T and its mate: the variant's column of
-    _CLOSED_FORMS for the center class."""
+def _fiber(family: CanalFamily, f, g):
+    """The closed forms' branch-signed trig value T and the fiber's
+    coefficient columns of (F2, F3, F4) per unit radial factor, at shape
+    values f, g."""
     row = _CLOSED_FORMS[family.variant]
-    return (row.pseudo_trig if family.curve_class is CurveClass.PSEUDO_NULL
-            else row.partial_trig)
-
-
-def _trig(family: CanalFamily, f):
-    """The closed forms' branch-signed trig value T at shape values f."""
-    return float(family.branch) * libm(_trig_functions(family)[0], f)
-
-
-def _fiber(family: CanalFamily, f, g, T):
-    """Fiber coefficients of (F2, F3, F4) per unit radial factor at shape
-    values f, g, given T = _trig(family, f)."""
-    trig = float(family.branch) * T  # unsigned again, exactly
-    functions = _trig_functions(family)
-    mate = libm(functions[1], f)
+    functions = (row.pseudo_trig if family.curve_class is
+                 CurveClass.PSEUDO_NULL else row.partial_trig)
+    trig, mate = (libm(fn, f) for fn in functions)
     sign = 1.0 if math.sin in functions else -1.0
     if family.curve_class is CurveClass.PSEUDO_NULL:
-        return g * trig, mate, sign * trig / (2.0 * g)
-    return trig, g * mate, sign * mate / (2.0 * g)
+        columns = g * trig, mate, sign * trig / (2.0 * g)
+    else:
+        columns = trig, g * mate, sign * mate / (2.0 * g)
+    return float(family.branch) * trig, columns
 
 
 def _cos_sin(theta):
@@ -320,9 +307,10 @@ class FieldTables(NamedTuple):
     frames: FrameRows
     jet: tuple
     radial: np.ndarray | None
-    #: the shape values f, g and the closed forms' trig value T at the
+    #: the fiber's coefficient columns of (F2, F3, F4) per unit radial
+    #: factor, the shape value g and the closed forms' trig value T at the
     #: (t, w) pairs; None for null families
-    f: np.ndarray | None
+    fiber: tuple | None
     g: np.ndarray | None
     T: np.ndarray | None
     #: a null family's free data, and its a1 and (cos theta, sin theta) at
@@ -338,10 +326,11 @@ def field_tables(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
                  s, t, w) -> FieldTables:
     """The table stage of ``field``: frames, radius jets and radial factors
     at the s values (raveled to 1-D), for non-null families the shape
-    values at the (t, w) pairs (t[j], w[j]), and for null families a1 and
-    theta's cos and sin at the pairs where the expression has no s (one in
-    s is left to the rows).  Each value is evaluated once, in the order
-    given; nothing is deduplicated.
+    value g, the closed forms' T and the fiber columns at the (t, w) pairs
+    (t[j], w[j]), and for null families a1 and theta's cos and sin at the
+    pairs where the expression has no s (one in s is left to the rows).
+    Each value is evaluated once, in the order given; nothing is
+    deduplicated.
 
     Regime violations and domain errors raise naming the first failing
     value in that order.
@@ -366,19 +355,19 @@ def field_tables(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
                                None, nc, a1,
                                None if theta is None else _cos_sin(theta))
         f, g = shape.values(t, w)
-        _regime(g == 0.0, "shape function g vanishes at (t, w) = ({}, {})",
-                t, w)
-    return FieldTables(family, s, t, w, fr, jet, radial, f, g,
-                       _trig(family, f), None)
+        refuse(RegimeError, g == 0.0,
+               "shape function g vanishes at (t, w) = ({}, {})", t, w)
+        T, fiber = _fiber(family, f, g)
+    return FieldTables(family, s, t, w, fr, jet, radial, fiber, g, T, None)
 
 
 def _fiber_coefficients(tables: FieldTables, s_ix, tw_ix):
-    """(a1, a2, a3, a4) of a non-null family at the rows, one at a time."""
-    family = tables.family
+    """(a1, a2, a3, a4) of a non-null family at the rows, one at a time,
+    gathered from the tables and multiplied."""
     r, r1, _ = tables.jet
-    yield (-family.lam * r * r1)[s_ix]
+    yield (-tables.family.lam * r * r1)[s_ix]
     radial = tables.radial[s_ix]
-    for c in _fiber(family, tables.f, tables.g, tables.T):
+    for c in tables.fiber:
         yield radial * c[tw_ix]
 
 
@@ -402,7 +391,8 @@ def _null_coefficients(tables: FieldTables, s_ix, tw_ix):
     a3 = -lam * r * r1
     rho = lam * r * (r + 2.0 * a1 * r1)
     del r, r1
-    _regime(rho < 0, "rho^2 = lambda*r*(r + 2*a1*r') = {} < 0", rho)
+    refuse(RegimeError, rho < 0, "rho^2 = lambda*r*(r + 2*a1*r') = {} < 0",
+           rho)
     np.sqrt(rho, out=rho)
     return [a1, rho * cos, a3, rho * sin]
 
@@ -413,14 +403,16 @@ def field_points(tables: FieldTables, s_ix, tw_ix) -> np.ndarray:
     arrays' broadcast, as an array of that shape with a last axis of 4.
 
     Frame rows and s-only factors are gathered at s_ix and (t, w)-only
-    factors at tw_ix, each at its own index shape, and multiplied under
-    broadcasting, so index blocks of shapes (n, 1) and (1, m) gather n and
-    m values, not n m.  The points are built component-major, one
-    coefficient and one contiguous column at a time, and returned as the
-    (..., 4) view of that array, so no other array of their size is made.
-    A null family's a1, cos theta and sin theta are gathered at tw_ix like
-    the shape factors, and an expression that reads s is walked at the
-    rows before the points are allocated.
+    factors, the fiber columns among them, at tw_ix, each at its own
+    index shape, and multiplied under broadcasting, so index blocks of
+    shapes (n, 1) and (1, m) gather n and m values, not n m; a
+    closed-form family's points need no function evaluation here.  The
+    points are built component-major, one coefficient and one contiguous
+    column at a time, and returned as the (..., 4) view of that array, so
+    no other array of their size is made.  A null family's a1, cos theta
+    and sin theta are gathered at tw_ix like the fiber columns, and an
+    expression that reads s is walked at the rows before the points are
+    allocated.
     """
     fr = tables.frames
     shape = np.broadcast_shapes(np.shape(s_ix), np.shape(tw_ix))
@@ -493,7 +485,7 @@ def evaluate_point(family: CanalFamily, curve: CurveSpec, radius: RadiusSpec,
 # partially null ones), a sign sigma of K and H, which is also the sign
 # of the K-H relation 3H - r^2 K + sigma 2/r, and per center class the
 # fiber's function pair (T, mate).  T is the branch-signed trig value of f
-# (see ``_trig``); sigma lambda is the sign of the forms' normal against
+# (see ``_fiber``); sigma lambda is the sign of the forms' normal against
 # the radial direction (``closed_form_gauge``).  Where m > 0 (the regime),
 # with u = r sqrt(m) k1 T and the shared denominator D = (m - r q2) G - u:
 #
@@ -581,16 +573,13 @@ def curvature_closed(family: CanalFamily, k1: float, r_jet, f: float,
     if family.variant.is_null_variant:
         raise UnsupportedFamilyError(
             "null-center families have no closed-form curvatures")
-    r, r1, r2 = r_jet[0], r_jet[1], r_jet[2]
-    _radial_scale(family.variant, r, r1)  # regime checks on r and r'
-    one = [np.array([x], dtype=float) for x in (k1, r, r1, r2, f, g)]
+    one = [np.array([x], dtype=float) for x in (k1, *r_jet[:3], f, g)]
     with np.errstate(all="ignore"):
-        T = _trig(family, one[4])
+        _radial_scale(family.variant, one[1], one[2])  # regime checks
+        T = _fiber(family, one[4], one[5])[0]
     K, H, bad = _closed(family, *one[:4], T, one[5])
-    if bad[0]:
-        raise SingularPointError(
-            f"the shared denominator D vanishes at k1={k1}, r={r}, f={f}, "
-            f"g={g}")
+    refuse(SingularPointError, bad, "the shared denominator D vanishes at "
+           "k1={}, r={}, f={}, g={}", k1, r_jet[0], f, g)
     return CurvaturePair(float(K[0]), float(H[0]))
 
 

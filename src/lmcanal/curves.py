@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr
-from .expr import libm
+from .expr import libm, refuse
 from .minkowski import inner_rows, triple_cross_rows
 
 #: Band for "this quadratic form should vanish" checks on normalized data.
@@ -219,15 +219,6 @@ def _not_null(q, v):
     return np.abs(q) > NULL_TOL * np.fmax(1.0, libm(pow, _euclid(v), 2))
 
 
-def _refuse(error, bad, s, message, values=None):
-    """Raise ``error`` for the first row where ``bad`` holds, with
-    ``message`` formatted from its s and its entry v of ``values``."""
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise error(message.format(
-            s=float(s[i]), v=None if values is None else values[i]))
-
-
 def _null_mate(a, b, mate, s):
     """Rows x, null, with <x, a> = <x, b> = 0 and <x, mate> = 1.
 
@@ -240,15 +231,15 @@ def _null_mate(a, b, mate, s):
     y = np.concatenate([-mate[:, :1], mate[:, 1:]], axis=1)
     gaa, gab, gbb = inner_rows(a, a), inner_rows(a, b), inner_rows(b, b)
     det = gaa * gbb - gab * gab
-    _refuse(DegenerateCurveError, np.abs(det) < DEGENERATE_TOL, s,
-            "frame vectors are linearly dependent at s={s}")
+    refuse(DegenerateCurveError, np.abs(det) < DEGENERATE_TOL,
+           "frame vectors are linearly dependent at s={}", s)
     ya, yb = inner_rows(y, a), inner_rows(y, b)
     ca, cb = (gbb * ya - gab * yb) / det, (gaa * yb - gab * ya) / det
     y = y - ca[:, None] * a - cb[:, None] * b
     p = inner_rows(y, mate)
-    _refuse(DegenerateCurveError,
-            ~(p > DEGENERATE_TOL * libm(pow, _euclid(mate), 2)), s,
-            "cannot normalize null frame partner at s={s}")
+    refuse(DegenerateCurveError,
+           ~(p > DEGENERATE_TOL * libm(pow, _euclid(mate), 2)),
+           "cannot normalize null frame partner at s={}", s)
     y = y / p[:, None]
     return y - (inner_rows(y, y) / 2.0)[:, None] * mate
 
@@ -262,20 +253,20 @@ def _lex_sign(u):
 
 def _unit_tangent(s, d1):
     q1 = inner_rows(d1, d1)
-    _refuse(ClassMismatchError, np.abs(q1 - 1.0) > UNIT_TOL, s,
-            "tangent is not spacelike unit at s={s}: <g',g'>={v}", q1)
+    refuse(ClassMismatchError, np.abs(q1 - 1.0) > UNIT_TOL,
+           "tangent is not spacelike unit at s={}: <g',g'>={}", s, q1)
 
 
 def _pseudo_null_rows(curve, s, d1, d2, d3, d4):
     _unit_tangent(s, d1)
-    _refuse(DegenerateCurveError, _euclid(d2) < DEGENERATE_TOL, s,
-            "straight line at s={s}: k1=0 branch has no canonical frame")
+    refuse(DegenerateCurveError, _euclid(d2) < DEGENERATE_TOL,
+           "straight line at s={}: k1=0 branch has no canonical frame", s)
     q2 = inner_rows(d2, d2)
-    _refuse(ClassMismatchError, _not_null(q2, d2), s,
-            "principal normal is not null at s={s}: <g'',g''>={v}", q2)
+    refuse(ClassMismatchError, _not_null(q2, d2),
+           "principal normal is not null at s={}: <g'',g''>={}", s, q2)
     q3 = inner_rows(d3, d3)
-    _refuse(DegenerateCurveError, q3 <= DEGENERATE_TOL, s,
-            "vanishing second curvature at s={s}")
+    refuse(DegenerateCurveError, q3 <= DEGENERATE_TOL,
+           "vanishing second curvature at s={}", s)
     k2 = np.sqrt(q3)  # gauge: k2 > 0
     f3 = d3 / k2[:, None]
     f4 = _null_mate(d1, f3, d2, s)
@@ -285,27 +276,27 @@ def _pseudo_null_rows(curve, s, d1, d2, d3, d4):
 def _partially_null_rows(curve, s, d1, d2, d3, d4):
     _unit_tangent(s, d1)
     q2 = inner_rows(d2, d2)
-    _refuse(DegenerateCurveError, _euclid(d2) < DEGENERATE_TOL, s,
-            "straight line at s={s}: supply a completion frame")
-    _refuse(ClassMismatchError, q2 <= 0, s,
-            "principal normal is not spacelike at s={s}: <g'',g''>={v}", q2)
+    refuse(DegenerateCurveError, _euclid(d2) < DEGENERATE_TOL,
+           "straight line at s={}: supply a completion frame", s)
+    refuse(ClassMismatchError, q2 <= 0,
+           "principal normal is not spacelike at s={}: <g'',g''>={}", s, q2)
     k1 = np.sqrt(q2)
     f2 = d2 / k1[:, None]
     # u = F2' + k1*F1 = k2*F3 points along the constant null binormal.
     k1p = inner_rows(d2, d3) / k1
     u = d3 / k1[:, None] - (k1p / (k1 * k1))[:, None] * d2 + k1[:, None] * d1
     nu = _euclid(u)
-    _refuse(DegenerateCurveError, nu < DEGENERATE_TOL, s,
-            "vanishing second curvature at s={s}")
+    refuse(DegenerateCurveError, nu < DEGENERATE_TOL,
+           "vanishing second curvature at s={}", s)
     quu = inner_rows(u, u)
-    _refuse(ClassMismatchError, _not_null(quu, u), s,
-            "binormal direction is not null at s={s}: <u,u>={v}", quu)
+    refuse(ClassMismatchError, _not_null(quu, u),
+           "binormal direction is not null at s={}: <u,u>={}", s, quu)
     if curve.f3_gauge is not None:
         f3 = np.tile(np.array(curve.f3_gauge, dtype=float), (len(s), 1))
         # Euclidean direction cosine of u and the gauge vector
         cos = np.abs(np.sum(u * f3, axis=1)) / (nu * _euclid(f3))
-        _refuse(ClassMismatchError, ~(cos >= 1.0 - 1e-6), s,
-                "f3 gauge vector is not parallel to the binormal at s={s}")
+        refuse(ClassMismatchError, ~(cos >= 1.0 - 1e-6),
+               "f3 gauge vector is not parallel to the binormal at s={}", s)
     else:
         f3 = (_lex_sign(u) / nu)[:, None] * u
     f4 = _null_mate(d1, f2, f3, s)
@@ -315,31 +306,32 @@ def _partially_null_rows(curve, s, d1, d2, d3, d4):
 
 def _null_rows(curve, s, d1, d2, d3, d4):
     q1 = inner_rows(d1, d1)
-    _refuse(ClassMismatchError, _not_null(q1, d1), s,
-            "tangent is not null at s={s}: <g',g'>={v}", q1)
-    _refuse(DegenerateCurveError, _euclid(d2) < DEGENERATE_TOL, s,
-            "straight null line at s={s}: supply a completion frame")
+    refuse(ClassMismatchError, _not_null(q1, d1),
+           "tangent is not null at s={}: <g',g'>={}", s, q1)
+    refuse(DegenerateCurveError, _euclid(d2) < DEGENERATE_TOL,
+           "straight null line at s={}: supply a completion frame", s)
     q2 = inner_rows(d2, d2)
-    _refuse(ClassMismatchError, np.abs(q2 - 1.0) > UNIT_TOL, s,
-            "curve is not arclength parametrized at s={s}: <g'',g''>={v}", q2)
+    refuse(ClassMismatchError, np.abs(q2 - 1.0) > UNIT_TOL,
+           "curve is not arclength parametrized at s={}: <g'',g''>={}", s, q2)
     denom = inner_rows(d1, d3)  # equals -<g'',g''> = -1 for arclength curves
-    _refuse(DegenerateCurveError, np.abs(denom) < DEGENERATE_TOL, s,
-            "degenerate null frame at s={s}")
+    refuse(DegenerateCurveError, np.abs(denom) < DEGENERATE_TOL,
+           "degenerate null frame at s={}", s)
     k2 = inner_rows(d3, d3) / (2.0 * denom)
     f3 = k2[:, None] * d1 - d3
     # Orientation gauge: F4 = -(F1 x F2 x F3), matching the builtin frame.
     f4 = -triple_cross_rows(d1, d2, f3)
     q4 = inner_rows(f4, f4)
-    _refuse(DegenerateCurveError, q4 <= DEGENERATE_TOL, s,
-            "degenerate trinormal at s={s}")
+    refuse(DegenerateCurveError, q4 <= DEGENERATE_TOL,
+           "degenerate trinormal at s={}", s)
     f4 = f4 / np.sqrt(q4)[:, None]
     return d1, d2, f3, f4, np.ones(len(s)), k2, -inner_rows(d4, f4)
 
 
 def _completion_rows(curve, s, d1):
     frame = np.array(curve.completion_frame, dtype=float)
-    _refuse(ClassMismatchError, _euclid(d1 - frame[0]) > 1e-9, s,
-            "completion frame tangent differs from the curve tangent at s={s}")
+    refuse(ClassMismatchError, _euclid(d1 - frame[0]) > 1e-9,
+           "completion frame tangent differs from the curve tangent at s={}",
+           s)
     zero = np.zeros(len(s))
     return (*(np.tile(v, (len(s), 1)) for v in frame), zero, zero, zero)
 
@@ -357,7 +349,8 @@ def derive_frames(curve: CurveSpec, s) -> FrameRows:
     conventions: pseudo null k2 > 0; partially null F3 from ``f3_gauge`` or
     the Euclidean-unit lexicographically-positive null direction; null
     F4 = -(F1 x F2 x F3).  Straight lines require a completion frame.  A
-    batch raises what the construction raises at its first failing s.
+    batch raises what the construction raises at its first failing s
+    (``expr.refuse``).
     """
     s = np.asarray(s, dtype=float).ravel()
     g, d1, d2, d3, d4 = (np.array(d).T for d in

@@ -362,6 +362,17 @@ def libm(fn, x, *args):
     return out.reshape(x.shape)
 
 
+def refuse(error, bad, message: str, *values) -> None:
+    """Raise ``error(message)`` with each of ``values`` formatted in at the
+    first element, in C order, where ``bad`` holds: a batch refuses as
+    its first failing element refuses alone.  Values broadcast to the
+    shape of ``bad`` and are formatted as Python scalars."""
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise error(message.format(*(np.broadcast_to(x, np.shape(bad))
+                                     .flat[i].item() for x in values)))
+
+
 def _any(x) -> bool:
     """A condition on a float or on every element of an array: whether it
     holds anywhere."""

@@ -156,8 +156,10 @@ class ProjectedMesh:
     def __eq__(self, other):
         if other.__class__ is not ProjectedMesh:
             return NotImplemented
-        return ([getattr(self, k) for k in self.__slots__]
-                == [getattr(other, k) for k in self.__slots__])
+        pairs = ((getattr(self, k), getattr(other, k)) for k in self.__slots__)
+        return all(np.array_equal(a, b, equal_nan=True)
+                   if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                   else a == b for a, b in pairs)
 
     @property
     def vertices(self) -> np.ndarray:

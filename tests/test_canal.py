@@ -337,7 +337,7 @@ def test_shared_denominator_zero_is_a_pole_of_every_family(variant, cls):
     r, f, g = 0.7, 0.6, 0.45
     m = row.m0 + row.mq * r1 * r1
     G = row.pseudo * 2 * g if cls is CurveClass.PSEUDO_NULL else row.partial
-    T = canal._trig(fam, f)
+    T = canal._fiber(fam, f, g)[0]
     k1 = (m - r * row.e2 * r2) * G / (r * math.sqrt(m) * T)
     with pytest.raises(SingularPointError, match="shared denominator D"):
         curvature_closed(fam, k1, (r, r1, r2), f, g)

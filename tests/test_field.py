@@ -462,6 +462,26 @@ def test_check_weingarten_builds_no_table_and_no_fiber(monkeypatch):
     assert report.passed
 
 
+@pytest.mark.parametrize("name", GATE_SCENES[:-3])
+def test_row_stages_call_no_function_for_closed_form_families(monkeypatch,
+                                                               name):
+    # the table stage computes T and the fiber columns once per (t, w)
+    # pair, so on the grid blocks the row stages only gather and multiply
+    tables = scene_tables(bundled_scene(name))
+    ft, (s_ix, tw_ix) = tables.field_tables, tables.grid
+    want = (canal.field_points(ft, s_ix, tw_ix),
+            *canal.field_rows(ft, s_ix[0], tw_ix[0]))
+
+    def no_call(*args):
+        raise AssertionError("libm called")
+
+    monkeypatch.setattr(canal, "libm", no_call)
+    got = (canal.field_points(ft, s_ix, tw_ix),
+           *canal.field_rows(ft, s_ix[0], tw_ix[0]))
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
 @pytest.mark.parametrize("name", TUBULAR_SCENES)
 def test_check_weingarten_reads_the_offset_rows_of_the_grid_stencil(
         monkeypatch, name):

@@ -532,7 +532,7 @@ def test_closed_forms_match_the_expanded_forms_away_from_the_pole(cls,
         r2 = rng.uniform(-1.0, 1.0, n)
     for branch in (1, -1):
         family = CanalFamily(cls, variant, branch)
-        T = canal._trig(family, f)
+        T = canal._fiber(family, f, g)[0]
         row = canal._CLOSED_FORMS[variant]
         G = row.pseudo * (2.0 * g) if cls is CurveClass.PSEUDO_NULL \
             else np.full(n, row.partial)

@@ -145,3 +145,19 @@ def test_mutable_records_compare_by_fields():
     assert (a.params.shape, a.points.shape, a.singular.shape) == (
         (0, 3), (0, 4), (0,))
     assert VerifyReport("x").checks is not VerifyReport("x").checks
+
+
+@pytest.mark.parametrize("name", ["pseudo-null-c1-figure",
+                                  "partially-null-c5-figure",
+                                  "null-c1-figure"])
+def test_sweeps_compare_by_array_values(name):
+    # two sweeps of one scene hold equal arrays in distinct objects; one
+    # changed K value (a point coordinate for the null family, which has
+    # no K) makes them differ
+    scene = bundled_scene(name)
+    mesh, again = sweep(scene), sweep(scene)
+    assert mesh.points is not again.points
+    assert mesh == again and not mesh != again
+    changed = again.points if again.K is None else again.K
+    changed.flat[len(changed) // 2] += 1.0
+    assert mesh != again and not mesh == again
