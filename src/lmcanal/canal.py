@@ -532,23 +532,19 @@ def closed_form_gauge(variant: Variant) -> int:
             else int(_CLOSED_FORMS[variant].sigma) * variant.lam)
 
 
-def _canal_kh(row, k1, r, r1, r2, T, G):
-    """The K factor P_K = q2 G + sqrt(m) k1 T and the shared denominator
-    D = (m - r q2) G - r sqrt(m) k1 T, before sigma."""
-    m = row.m0 + row.mq * (r1 * r1)
-    sm = np.sqrt(m)
-    q2 = row.e2 * r2
-    return q2 * G + sm * k1 * T, (m - r * q2) * G - r * sm * k1 * T
-
-
 def _closed(family: CanalFamily, k1, r, r1, r2, T, g):
-    """K, H and the singular mask (D vanishing at the scale of P_K) of a
-    non-null family's closed form, with H from K by the K-H relation."""
+    """K, H and the singular mask (D vanishing at the scale of K's
+    numerator) of a non-null family's closed form, with H from K by the
+    K-H relation."""
     row = _CLOSED_FORMS[family.variant]
     with np.errstate(all="ignore"):
         G = (row.pseudo * (2.0 * g)
              if family.curve_class is CurveClass.PSEUDO_NULL else row.partial)
-        p_k, D = _canal_kh(row, k1, r, r1, r2, T, G)
+        m = row.m0 + row.mq * (r1 * r1)
+        sm = np.sqrt(m)
+        q2 = row.e2 * r2
+        p_k = q2 * G + sm * k1 * T
+        D = (m - r * q2) * G - r * sm * k1 * T
         den = r * r * D
         # the scale is built in place and dropped before the quotient is
         # made, so at most two temporaries of the closed forms' size live
@@ -567,8 +563,9 @@ def curvature_closed(family: CanalFamily, k1: float, r_jet, f: float,
 
     ``r_jet`` is (r, r', r'') or longer.  Requires only the values of the
     shape functions, not their partials.  Raises UnsupportedFamilyError for
-    null-center families and SingularPointError where the shared denominator
-    D vanishes.
+    null-center families, SingularPointError where the shared denominator
+    D vanishes and ``expr.DomainError`` where the fiber's function of f
+    overflows.
     """
     if family.variant.is_null_variant:
         raise UnsupportedFamilyError(

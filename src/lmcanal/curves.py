@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr
-from .expr import libm, refuse
+from .expr import refuse
 from .minkowski import inner_rows, triple_cross_rows
 
 #: Band for "this quadratic form should vanish" checks on normalized data.
@@ -90,7 +90,7 @@ class UnknownCurveError(CurveError):
     """Builtin curve name is not known."""
 
 
-class CurveSpec:
+class CurveSpec(NamedTuple):
     """A center curve: four component expressions in s plus its causal class.
 
     ``completion_frame`` supplies a constant class-compatible frame for
@@ -99,25 +99,13 @@ class CurveSpec:
     the free scale of the null binormal direction for partially null curves
     (F3 is parallel-constant because k3 = 0; only its scale is
     conventional).
-
-    Curves are immutable and compare and hash by identity, so hashing never
-    walks the expression trees.
     """
 
-    __slots__ = ("components", "curve_class", "name", "f3_gauge",
-                 "completion_frame")
-
-    def __init__(self, components: tuple, curve_class: CurveClass,
-                 name: str | None = None, f3_gauge: tuple | None = None,
-                 completion_frame: tuple | None = None):
-        for key, value in zip(self.__slots__, (components, curve_class, name,
-                                               f3_gauge, completion_frame)):
-            object.__setattr__(self, key, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"CurveSpec is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
+    components: tuple
+    curve_class: CurveClass
+    name: str | None = None
+    f3_gauge: tuple | None = None
+    completion_frame: tuple | None = None
 
     def point(self, s: float) -> np.ndarray:
         """gamma(s) as a (4,) vector."""
@@ -188,8 +176,8 @@ def builtin_names() -> tuple[str, ...]:
 
 # ---------------------------------------------------------------------------
 # Frame derivation, on rows: each vector is an (n, 4) array with one s per
-# row, combined by numpy's correctly rounded + - * / and sqrt with every
-# power through ``expr.libm``, so a row gets the same bits in any batch.
+# row, combined by numpy's correctly rounded + - * /, square and sqrt only,
+# so a row gets the same bits in any batch.
 
 
 class FrameRows(NamedTuple):
@@ -210,13 +198,13 @@ class FrameRows(NamedTuple):
 
 def _euclid(v):
     """Euclidean length of each row, the auxiliary norm of gauge fixing."""
-    q = libm(pow, v, 2)
+    q = v * v
     return np.sqrt(q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3])
 
 
 def _not_null(q, v):
     """|<v, v>| = |q| above the null band at the Euclidean scale of v."""
-    return np.abs(q) > NULL_TOL * np.fmax(1.0, libm(pow, _euclid(v), 2))
+    return np.abs(q) > NULL_TOL * np.fmax(1.0, np.square(_euclid(v)))
 
 
 def _null_mate(a, b, mate, s):
@@ -238,7 +226,7 @@ def _null_mate(a, b, mate, s):
     y = y - ca[:, None] * a - cb[:, None] * b
     p = inner_rows(y, mate)
     refuse(DegenerateCurveError,
-           ~(p > DEGENERATE_TOL * libm(pow, _euclid(mate), 2)),
+           ~(p > DEGENERATE_TOL * np.square(_euclid(mate))),
            "cannot normalize null frame partner at s={}", s)
     y = y / p[:, None]
     return y - (inner_rows(y, y) / 2.0)[:, None] * mate
@@ -345,12 +333,12 @@ def derive_frames(curve: CurveSpec, s) -> FrameRows:
     """Frenet frames, curvatures and curve points gamma(s) at the values
     of ``s``, one row each, from one jet walk per curve component.
 
-    Not cached: batched callers pass each distinct s once.  Gauge
-    conventions: pseudo null k2 > 0; partially null F3 from ``f3_gauge`` or
-    the Euclidean-unit lexicographically-positive null direction; null
-    F4 = -(F1 x F2 x F3).  Straight lines require a completion frame.  A
-    batch raises what the construction raises at its first failing s
-    (``expr.refuse``).
+    Each s is derived as given: batched callers pass each distinct s once.
+    Gauge conventions: pseudo null k2 > 0; partially null F3 from
+    ``f3_gauge`` or the Euclidean-unit lexicographically-positive null
+    direction; null F4 = -(F1 x F2 x F3).  Straight lines require a
+    completion frame.  A batch raises what the construction raises at its
+    first failing s (``expr.refuse``).
     """
     s = np.asarray(s, dtype=float).ravel()
     g, d1, d2, d3, d4 = (np.array(d).T for d in

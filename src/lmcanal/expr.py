@@ -43,6 +43,7 @@ is a ``ParseError``.  The tree walker recurses once per AST level.
 from __future__ import annotations
 
 import math
+import operator
 from functools import partial
 from itertools import repeat
 from typing import NamedTuple, Union
@@ -237,14 +238,7 @@ class _Parser:
             self.advance()
             # ^ binds tighter than unary minus: -s^2 == -(s^2).
             return Neg(self.parse_binary(_UNARY_MINUS_PREC + 1))
-        return self.parse_binary_tail(self.parse_atom())
-
-    def parse_binary_tail(self, lhs: Expr) -> Expr:
-        kind, op, _ = self.peek()
-        if kind == "op" and op == "^":
-            self.advance()
-            return Bin("^", lhs, self.parse_binary(_PREC["^"]))
-        return lhs
+        return self.parse_atom()
 
     def parse_atom(self) -> Expr:
         kind, value, offset = self.advance()
@@ -352,13 +346,20 @@ def libm(fn, x, *args):
     A batch element gets the bits of the scalar call: the same libm
     function runs on the same float, mapped over the elements at C level
     with no Python frame per element.  numpy's own transcendental functions
-    and powers can differ from libm in the last ulp.  Python's exceptions
-    are raised as scalar code raises them, by the first element that
-    raises."""
-    if not isinstance(x, np.ndarray):
-        return fn(x, *args)
-    out = np.fromiter(map(fn, x.ravel().tolist(), *map(repeat, args)),
-                      dtype=float, count=x.size)
+    and powers can differ from libm in the last ulp.  An element whose
+    call raises ``OverflowError`` or ``ValueError`` raises ``DomainError``
+    naming the function and the first such element, in C order."""
+    values = x.ravel().tolist() if isinstance(x, np.ndarray) else [x]
+    rest = iter(values)  # the elements after the one being called
+    try:
+        if not isinstance(x, np.ndarray):
+            return fn(next(rest), *args)
+        out = np.fromiter(map(fn, rest, *map(repeat, args)), dtype=float,
+                          count=len(values))
+    except (OverflowError, ValueError):
+        bad = values[len(values) - operator.length_hint(rest) - 1]
+        raise DomainError(f"{fn.__name__} overflow or undefined at "
+                          f"{bad}") from None
     return out.reshape(x.shape)
 
 
@@ -502,10 +503,7 @@ def _term(du: list, f: list, k: int, sign: int = 1):
 
 
 def _exp(u: Jet) -> Jet:
-    try:
-        f = [libm(math.exp, u.c[0])]
-    except OverflowError:
-        raise DomainError(f"exp overflow at {u.c[0]}") from None
+    f = [libm(math.exp, u.c[0])]
     du = _slopes(u)
     for k in range(1, len(u.c)):
         f.append(_term(du, f, k))  # f' = f u'
@@ -549,11 +547,8 @@ def _pair(fn: str, u: Jet) -> Jet:
     """fn from its mate one degree lower, so a value computes fn alone."""
     own, mate, own_sign, mate_sign = _PAIRS[fn]
     degree = len(u.c) - 1
-    try:
-        f = [libm(own, u.c[0])]
-        g = [libm(mate, u.c[0])] if degree else []
-    except (OverflowError, ValueError):
-        raise DomainError(f"{fn} overflow or undefined at {u.c[0]}") from None
+    f = [libm(own, u.c[0])]
+    g = [libm(mate, u.c[0])] if degree else []
     du = _slopes(u)
     for k in range(1, degree + 1):
         f.append(_term(du, g, k, own_sign))
@@ -615,10 +610,10 @@ def _eval(expr: Expr, scope: dict, degree: int) -> Jet:
 def _walk(expr: Expr, values: dict, degree: int) -> Jet:
     """The jet of the given degree in the bound variables, floats or arrays
     of one shape, walked once, with every derivative checked finite;
-    Python's arithmetic errors (a power overflowing) are reported as
-    ``DomainError``.  A failing batch is walked again one element at a
-    time, so that it raises the error of its first element that fails
-    alone; the error names the point."""
+    Python's arithmetic errors are reported as ``DomainError``.  A failing
+    batch is walked again one element at a time, so that it raises the
+    error of its first element that fails alone; the error names the
+    point."""
     scope = {name: Jet(((x, 1.0) + (0.0,) * degree)[:degree + 1])
              for name, x in values.items()}
     try:

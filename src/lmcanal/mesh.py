@@ -56,13 +56,14 @@ def sample_axis(axis: str, lo: float, hi: float, n: int) -> list[float]:
         raise MeshError(f"degenerate {axis} range [{lo}, {hi}]")
     if n < 2:
         raise MeshError(f"axis {axis} needs at least 2 samples")
-    values = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     # a width hi - lo that overflows samples nan, a width near the largest
     # float can sample inf
+    with np.errstate(all="ignore"):
+        values = lo + (hi - lo) * np.arange(n) / (n - 1)
     if not np.all(np.isfinite(values)):
         raise MeshError(f"{axis} range [{lo}, {hi}] is too wide: its samples "
                         f"overflow")
-    return values
+    return values.tolist()
 
 
 class _GridFields(NamedTuple):

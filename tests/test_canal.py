@@ -313,6 +313,17 @@ def test_curvature_closed_unsupported_for_null():
         curvature_closed(famn, 1.0, (0.5, 0.0, 0.0), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("curve_class, fn", [
+    (CurveClass.PSEUDO_NULL, "cosh"), (CurveClass.PARTIALLY_NULL, "sinh")])
+def test_curvature_closed_hyperbolic_overflow_is_a_domain_error(curve_class,
+                                                                fn):
+    # the C5 fiber's cosh and sinh overflow above f = 710 or so
+    fam = CanalFamily(curve_class, Variant.C5, 1)
+    with pytest.raises(expr.DomainError) as err:
+        curvature_closed(fam, 1.0, (0.5, 0.6, -0.4), 1000.0, 1.0)
+    assert str(err.value) == f"{fn} overflow or undefined at 1000.0"
+
+
 def test_singular_point_error():
     fam = CanalFamily(CurveClass.PSEUDO_NULL, Variant.T1, 1)
     # pole D = 2g - r k1 sin f = 0 at r = 1, k1 = 1, f = pi/2, g = 1/2

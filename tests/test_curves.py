@@ -265,12 +265,11 @@ def test_frame_point_is_curve_point():
             assert np.array_equal(fr.gamma, point), (curve.name, s)
 
 
-def test_curves_hash_by_identity():
-    # Curves hash and compare by identity, so hashing never walks the
-    # expression trees; equal-valued copies still give equal frames.
+def test_curves_compare_and_hash_by_value():
+    # Curves are records like the others: two builds of one builtin are
+    # equal, hash equal and give equal frames.
     a, b = builtin("pseudo-null-example"), builtin("pseudo-null-example")
-    assert hash(a) == object.__hash__(a)
-    assert a == a and a != b
+    assert a is not b and a == b and hash(a) == hash(b)
     fa, fb = derive_frame(a, 0.25), derive_frame(b, 0.25)
     for name in FrameRows._fields:
         assert np.array_equal(getattr(fa, name), getattr(fb, name)), name

@@ -1,7 +1,7 @@
 """The program's records: frozen ones refuse assignment, validated ones
 refuse bad arguments with the messages below (directly and through
 ``_replace``), and equality is by value, by node type and fields for
-expression trees (curves compare by identity, see test_curves.py)."""
+expression trees and by field for curves (see test_curves.py)."""
 
 import itertools
 import math
@@ -10,7 +10,7 @@ import pytest
 
 from lmcanal import expr as ex
 from lmcanal.canal import CanalFamily, Variant
-from lmcanal.curves import CurveClass
+from lmcanal.curves import CurveClass, builtin
 from lmcanal.mesh import GridSpec, MeshError, ProjectedMesh, sweep
 from lmcanal.scene import bundled_scene
 from lmcanal.verify import VerifyReport, verify_scene
@@ -25,7 +25,8 @@ GRID = dict(s_range=(0.0, 1.0), t_range=(0.0, 1.0), w_range=(0.0, 1.0),
     (lambda: GridSpec(**GRID), "n_s"),
     (lambda: CanalFamily(PN, Variant.C1), "branch"),
     (lambda: ex.Jet((1.0, 2.0)), "c"),
-], ids=["SceneSpec", "GridSpec", "CanalFamily", "Jet"])
+    (lambda: builtin("null-example"), "name"),
+], ids=["SceneSpec", "GridSpec", "CanalFamily", "Jet", "CurveSpec"])
 def test_frozen_records_refuse_assignment(make, field):
     record = make()
     value = getattr(record, field)

@@ -611,6 +611,69 @@ def test_cli_grid_axis_whose_width_overflows_exits_1(capsys, tmp_path):
                             "too wide: its samples overflow\n")
 
 
+def test_cli_huge_grid_count_names_the_allocation(tmp_path):
+    # 10**12 s samples cannot be allocated; the error says so.  Run under an
+    # address-space cap, so a build that tried to grow the samples would
+    # fail there instead of exhausting the machine
+    doc = minimal_doc()
+    doc["grid"]["s"][2] = 10 ** 12
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from lmcanal.cli import main\n"
+              f"sys.exit(main(['verify', '--scene', {str(path)!r}]))\n")
+    run = subprocess.run([sys.executable, "-c", script],
+                         env=dict(_src_env(), OPENBLAS_NUM_THREADS="1"),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr.startswith("lmcanal: Unable to allocate ")
+    assert run.stderr.count("\n") == 1
+
+
+def _steep_curve(doc):
+    # gamma'' = (0, 0, 2e200, 0) squares past the largest float in the
+    # frame's gauge checks
+    doc["curve"] = {"class": "pseudo-null",
+                    "components": ["0", "s", "1e200*s^2", "0"]}
+    doc["grid"]["s"] = [0, 1e-300, 3]
+
+
+def _steep_curve_grid(doc):
+    _steep_curve(doc)
+    del doc["grid"]["fixed"]
+    doc["oracle_step"] = 1e-305
+
+
+def _fast_fiber(doc):
+    # f = 1000*w overflows the hyperbolic fiber's sinh and cosh
+    doc["shape"]["f"] = "1000*w"
+
+
+@pytest.mark.parametrize("command, name, edit, message", [
+    ("mesh", "pseudo-null-c1-figure", _steep_curve,
+     "vanishing second curvature at s=0.0"),
+    ("verify", "pseudo-null-c1-figure", _steep_curve_grid,
+     "vanishing second curvature at s=0.0"),
+    ("verify", "pseudo-null-c3", _fast_fiber,
+     "sinh overflow or undefined at 728.5714285714287"),
+    ("mesh", "partially-null-c5-figure", _fast_fiber,
+     "sinh overflow or undefined at 1047.1975511965977"),
+], ids=["mesh-steep-curve", "verify-steep-curve", "verify-c3",
+        "mesh-c5-figure"])
+def test_cli_overflowing_scene_exits_1(capsys, tmp_path, command, name, edit,
+                                       message):
+    doc = bundled_doc(name)
+    edit(doc)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "m.obj")] if command == "mesh" else []
+    assert main([command, "--scene", str(path), *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lmcanal: {message}\n"
+
+
 @pytest.mark.parametrize("kind", ["directory", "latin-1", "deeply-nested"])
 def test_cli_unreadable_scene_file_exits_1(capsys, tmp_path, kind):
     path = tmp_path / "scene.json"
