@@ -609,11 +609,15 @@ def _eval(expr: Expr, scope: dict, degree: int) -> Jet:
 
 def _walk(expr: Expr, values: dict, degree: int) -> Jet:
     """The jet of the given degree in the bound variables, floats or arrays
-    of one shape, walked once, with every derivative checked finite;
-    Python's arithmetic errors are reported as ``DomainError``.  A failing
-    batch is walked again one element at a time, so that it raises the
-    error of its first element that fails alone; the error names the
-    point."""
+    of one shape, walked once, with every derivative checked finite.  A
+    failing batch is walked again one element at a time, so that it raises
+    the error of its first element that fails alone; the error names the
+    point.
+
+    Every failure is a ``DomainError``: the jet arithmetic divides only by
+    values it has checked nonzero or positive, and by positive integers;
+    float ``+ - * /`` overflow to inf without raising; exponents are
+    multiplied out or go through ``libm``, which reports its own errors."""
     scope = {name: Jet(((x, 1.0) + (0.0,) * degree)[:degree + 1])
              for name, x in values.items()}
     try:
@@ -623,8 +627,6 @@ def _walk(expr: Expr, values: dict, degree: int) -> Jet:
         return out
     except DomainError as e:
         failure = e
-    except (ZeroDivisionError, OverflowError) as e:
-        failure = DomainError(str(e))
     if not values:
         raise failure
     if not any(isinstance(x, np.ndarray) for x in values.values()):

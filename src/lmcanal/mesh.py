@@ -13,14 +13,17 @@ second swept axis), quads as 1-based index quadruples following grid
 adjacency.
 
 ``export`` writes the OBJ and the field in one pass over the vertices, in
-blocks of ``EXPORT_BLOCK_ROWS`` rows, with one write per block and file.
-A point coordinate is formatted once for both the OBJ ``v`` line and the
-CSV row; the parameters, K and H once per distinct bit pattern in the
+blocks of ``EXPORT_BLOCK_ROWS`` (1024) rows, with one write per block and
+file.  Only the point columns a block writes are formatted: the three
+kept coordinates for the OBJ, all four for a CSV field, which shares them
+with the OBJ ``v`` lines, none for a JSON field alone.  The parameters, K
+and H of a CSV row are formatted once per distinct bit pattern in the
 block.  A JSON field has the bytes of ``json.dump(records, indent=1)``
-but comes from the C encoder, one block at a time.  No string holds more
-than a block, so peak memory does not grow with the vertex count.
-``export_obj`` and ``export_field`` write one of the two files through
-the same writer.
+but comes from the C encoder, one block at a time.  The quads, an (n, 4)
+integer array, become ``f`` lines one block of quads at a time, through
+one ``%`` format per block.  No string holds more than a block, so peak
+memory does not grow with the vertex count.  ``export_obj`` and
+``export_field`` write one of the two files through the same writer.
 """
 
 from __future__ import annotations
@@ -136,8 +139,10 @@ class ProjectedMesh:
     ``params`` (N, 3) holds (s, t, w) per vertex and ``points`` (N, 4) the
     hypersurface points; ``K`` and ``H`` (N,) are the closed-form
     curvatures, None for families without closed forms; ``singular`` (N,)
-    is True where a closed-form denominator vanishes; ``quads`` are 0-based
-    index 4-tuples.  Omitted arrays and lists start empty."""
+    is True where a closed-form denominator vanishes; ``quads`` (n, 4) is
+    an int array of the 0-based corner indices of each grid quad
+    (``export`` also takes any sequence of 4-index rows).  Omitted arrays
+    start empty."""
 
     __slots__ = ("params", "points", "K", "H", "singular", "quads",
                  "projection")
@@ -146,12 +151,14 @@ class ProjectedMesh:
                  points: np.ndarray | None = None,
                  K: np.ndarray | None = None, H: np.ndarray | None = None,
                  singular: np.ndarray | None = None,
-                 quads: list | None = None, projection: str = "x1x3x4"):
+                 quads: np.ndarray | None = None,
+                 projection: str = "x1x3x4"):
         self.params = np.empty((0, 3)) if params is None else params
         self.points = np.empty((0, 4)) if points is None else points
         self.K, self.H = K, H
         self.singular = np.zeros(0, bool) if singular is None else singular
-        self.quads = [] if quads is None else quads
+        self.quads = (np.empty((0, 4), dtype=np.int64) if quads is None
+                      else quads)
         self.projection = projection
 
     def __eq__(self, other):
@@ -181,7 +188,8 @@ def sweep(scene) -> ProjectedMesh:
     fixed axis at its one value, and the kernel's row stages read them at
     a (len(s), 1) block of s indices by a (1, len(t)) block of pair
     indices, as verify reads its grid rows; the vertices are that block
-    raveled, row-major over the two swept axes.  Raises MeshError when the
+    raveled, row-major over the two swept axes, and ``quads`` the (n, 4)
+    int array of each grid cell's corners.  Raises MeshError when the
     grid has no fixed axis or every point is singular.
     """
     if scene.projection not in PROJECTIONS:
@@ -201,14 +209,13 @@ def sweep(scene) -> ProjectedMesh:
     if mesh.n_singular == n_a * n_b:
         raise MeshError("every grid point is singular")
     base = (np.arange(n_a - 1)[:, None] * n_b + np.arange(n_b - 1)).ravel()
-    mesh.quads = list(zip(base.tolist(), (base + 1).tolist(),
-                          (base + n_b + 1).tolist(), (base + n_b).tolist()))
+    mesh.quads = np.stack([base, base + 1, base + n_b + 1, base + n_b], axis=1)
     return mesh
 
 
 #: Rows formatted and written per step of ``export``: peak memory is this
 #: many rows of strings, not the whole file.
-EXPORT_BLOCK_ROWS = 256
+EXPORT_BLOCK_ROWS = 1024
 
 FIELD_COLUMNS = ("s", "t", "w", "x1", "x2", "x3", "x4", "K", "H", "singular")
 
@@ -238,7 +245,9 @@ def _csv_rows(mesh: ProjectedMesh, lo: int, hi: int, x: list, sing) -> str:
         column[i] = ""
     k, h = ([""] * len(sing) if c is None else next(channels)
             for c in (mesh.K, mesh.H))
-    flags = np.where(sing, "true", "false").tolist()
+    flags = ["false"] * len(sing)
+    for i in blank:
+        flags[i] = "true"
     return "\n".join(map(",".join, zip(*cells[:3], *x, k, h, flags))) + "\n"
 
 
@@ -261,24 +270,31 @@ def _json_records(mesh: ProjectedMesh, lo: int, hi: int, sing) -> str:
 def _write_blocks(mesh: ProjectedMesh, obj, fld, format: str) -> None:
     """OBJ ``v`` then ``f`` lines to ``obj`` and field rows (CSV rows or
     JSON records) to ``fld`` (either may be None), one write per block and
-    file; the OBJ and CSV share each formatted point coordinate."""
+    file.  Only the point columns written are formatted: the kept three
+    for the OBJ, all four for a CSV field, which shares them with the
+    OBJ, none for a JSON field alone."""
     kept = PROJECTIONS[mesh.projection]
+    csv = fld is not None and format == "csv"
+    columns = range(4) if csv else kept if obj is not None else ()
     singular = np.asarray(mesh.singular, dtype=bool)
     for lo in range(0, len(mesh.points), EXPORT_BLOCK_ROWS):
         hi = lo + EXPORT_BLOCK_ROWS
-        x = [_reprs(col) for col in mesh.points[lo:hi].T]
+        x = {i: _reprs(mesh.points[lo:hi, i]) for i in columns}
         if obj is not None:
             obj.write("v " + "\nv ".join(map(" ".join, zip(
                 *(x[i] for i in kept)))) + "\n")
-        if fld is not None and format == "json":
+        if csv:
+            fld.write(_csv_rows(mesh, lo, hi, list(x.values()),
+                                singular[lo:hi]))
+        elif fld is not None:
             fld.write(("[\n" if lo == 0 else ",\n")
                       + _json_records(mesh, lo, hi, singular[lo:hi]))
-        elif fld is not None:
-            fld.write(_csv_rows(mesh, lo, hi, x, singular[lo:hi]))
-    quads = mesh.quads if obj is not None else []
+    quads = (np.asarray(mesh.quads, dtype=np.int64).reshape(-1, 4)
+             if obj is not None else ())
     for i in range(0, len(quads), EXPORT_BLOCK_ROWS):
-        obj.write("".join([f"f {a + 1} {b + 1} {c + 1} {d + 1}\n"
-                           for a, b, c, d in quads[i:i + EXPORT_BLOCK_ROWS]]))
+        block = quads[i:i + EXPORT_BLOCK_ROWS] + 1
+        obj.write(("f %d %d %d %d\n" * len(block))
+                  % tuple(block.ravel().tolist()))
 
 
 def _same_file(a, b) -> bool:
@@ -301,9 +317,12 @@ def export(mesh: ProjectedMesh, obj_path, field_path=None,
     opened first, so an unwritable field path fails before the OBJ is
     touched.
 
-    OBJ: `v x y z` lines then 1-based `f i j k l` quads.  CSV columns are
-    fixed (see FIELD_COLUMNS); K and H cells are empty on singular
-    vertices and on families without closed forms.
+    OBJ: `v x y z` lines then 1-based `f i j k l` quads; ``mesh.quads``
+    may be an (n, 4) integer array or any sequence of 4-index rows.  CSV
+    columns are fixed (see FIELD_COLUMNS); K and H cells are empty on
+    singular vertices and on families without closed forms.  The files
+    are ASCII, written through the UTF-8 codec: the same bytes, and
+    unlike ``ascii`` a codec that needs no import on first use.
     """
     if not len(mesh.points):
         raise MeshError("cannot export an empty mesh")
@@ -316,7 +335,7 @@ def export(mesh: ProjectedMesh, obj_path, field_path=None,
     with contextlib.ExitStack() as stack:
         def opened(path):
             return None if path is None else stack.enter_context(
-                open(path, "w", encoding="ascii", newline="\n"))
+                open(path, "w", encoding="utf-8", newline="\n"))
         fld, obj = opened(field_path), opened(obj_path)
         if fld is not None and format == "csv":
             fld.write(",".join(FIELD_COLUMNS) + "\n")

@@ -481,6 +481,28 @@ def test_constant_real_powers_follow_the_exact_derivatives():
     assert got[2] < 0.0 and got == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize("text, s0", [
+    ("1/s", 0.0), ("1/(s*s)", 1e-200), ("s^(-1)", 0.0), ("s^(-2)", 1e-170),
+    ("s^(-1e300)", 0.5), ("s^1e300", 2.0), ("s^2", 1e200), ("s^2.5", 1e300),
+    ("s^(-2.5)", 1e-300), ("s^s", 1e300), ("s^0.5", 0.0), ("1e308*s", 10.0),
+    ("s/1e-308", 1e10), ("exp(s)", 1e3), ("sqrt(s)", 5e-324),
+    ("ln(s)", 5e-324), ("2^(s/0)", 1.0), ("0^(s-2)", 1.0),
+    ("tan(s)", math.pi / 2),
+])
+def test_arithmetic_extremes_raise_only_domain_errors(text, s0):
+    # no division by zero or float overflow escapes as a Python
+    # ZeroDivisionError or OverflowError, in either mode, alone or batched
+    ast = ex.parse(text)
+    tw = ex.parse(re.sub(r"\bs\b", "t", text))
+    for call in (lambda s: ex.eval_s(ast, s),
+                 lambda s: ex.eval_value(tw, t=s, w=0.0)):
+        for s in (s0, np.array([1.5, s0])):
+            try:
+                call(s)
+            except ex.DomainError:
+                pass
+
+
 def test_jet_s_batch_raises_iff_an_element_raises():
     ast = ex.parse("ln(s)")
     with pytest.raises(ex.DomainError):

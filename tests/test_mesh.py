@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from lmcanal import canal
+from lmcanal import mesh as mesh_mod
 from lmcanal import scene as scene_mod
 from lmcanal.canal import CurvaturePair, relation_residual
 from lmcanal.cli import main
@@ -76,7 +77,8 @@ def test_obj_contract_2x2(tmp_path):
     scene = bundled_scene("pseudo-null-c1-figure")
     mesh = sweep(scene._replace(grid=scene.grid._replace(n_s=2, n_t=2)))
     assert len(mesh.vertices) == 4
-    assert mesh.quads == [(0, 1, 3, 2)]
+    assert mesh.quads.dtype.kind == "i"
+    assert mesh.quads.tolist() == [[0, 1, 3, 2]]
     path = tmp_path / "square.obj"
     export_obj(mesh, path)
     lines = path.read_text().splitlines()
@@ -478,6 +480,64 @@ def test_csv_and_obj_match_reference_rows(mesh, tmp_path):
     obj, csv = tmp_path / "mesh.obj", tmp_path / "field.csv"
     export(mesh, obj, csv)
     assert (obj.read_text(), csv.read_text()) == _reference_rows(mesh)
+
+
+def _small_figure_mesh() -> ProjectedMesh:
+    scene = bundled_scene("pseudo-null-c1-figure")
+    return sweep(scene._replace(grid=scene.grid._replace(n_s=30, n_t=25)))
+
+
+def _exported(mesh, tmp_path, format) -> tuple[bytes, bytes]:
+    obj, fld = tmp_path / "m.obj", tmp_path / f"m.{format}"
+    export(mesh, obj, fld, format)
+    return obj.read_bytes(), fld.read_bytes()
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+@pytest.mark.parametrize("make", [_small_figure_mesh, non_finite_mesh],
+                         ids=["figure", "non-finite"])
+def test_export_bytes_do_not_depend_on_blocks_or_quad_type(
+        make, format, tmp_path, monkeypatch):
+    mesh = make()
+    reference = _exported(mesh, tmp_path, format)
+    quads = np.asarray(mesh.quads)
+    for rows, form in itertools.product(
+            (1, 7, 1024, len(mesh.points) + 1), ("array", "tuples")):
+        monkeypatch.setattr(mesh_mod, "EXPORT_BLOCK_ROWS", rows)
+        mesh.quads = quads if form == "array" else [
+            tuple(q) for q in quads.tolist()]
+        assert _exported(mesh, tmp_path, format) == reference, (rows, form)
+
+
+@pytest.mark.parametrize("make", [_small_figure_mesh, non_finite_mesh],
+                         ids=["figure", "non-finite"])
+def test_export_formats_only_the_cells_it_writes(make, tmp_path,
+                                                 monkeypatch):
+    # a point coordinate once for the OBJ and the CSV, only the kept three
+    # for an OBJ without a CSV, none for a JSON field alone; s, t, w, K
+    # and H of a CSV once per distinct bit pattern in a block
+    mesh = make()
+    formatted = []
+
+    def counting(values):
+        formatted.append(len(values))
+        return reprs(values)
+
+    reprs = mesh_mod._reprs
+    monkeypatch.setattr(mesh_mod, "_reprs", counting)
+    n, rows = len(mesh.points), mesh_mod.EXPORT_BLOCK_ROWS
+    keys = np.stack([*mesh.params.T, mesh.K, mesh.H]).view(np.int64)
+    distinct = sum(len(np.unique(keys[:, lo:lo + rows]))
+                   for lo in range(0, n, rows))
+    for obj, fld, format, expected in [
+            ("m.obj", "m.csv", "csv", 4 * n + distinct),
+            ("m.obj", None, "csv", 3 * n),
+            ("m.obj", "m.json", "json", 3 * n),
+            (None, "m.json", "json", 0)]:
+        formatted.clear()
+        export(mesh, tmp_path / obj if obj else None,
+               tmp_path / fld if fld else None, format)
+        assert sum(formatted) == expected, (obj, fld)
 
 
 def _export_peak(mesh, tmp_path, format) -> int:

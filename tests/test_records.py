@@ -140,11 +140,11 @@ def test_mutable_records_compare_by_fields():
               mesh.quads]
     assert ProjectedMesh(*fields, mesh.projection) == mesh
     assert ProjectedMesh(*fields, "x1x2x3") != mesh
-    # omitted arrays and lists start empty, one per record
+    # omitted arrays start empty, one per record
     a, b = ProjectedMesh(), ProjectedMesh()
-    assert a.quads == [] and a.quads is not b.quads
-    assert (a.params.shape, a.points.shape, a.singular.shape) == (
-        (0, 3), (0, 4), (0,))
+    assert a.quads.tolist() == [] and a.quads is not b.quads
+    assert (a.params.shape, a.points.shape, a.singular.shape,
+            a.quads.shape) == ((0, 3), (0, 4), (0,), (0, 4))
     assert VerifyReport("x").checks is not VerifyReport("x").checks
 
 
