@@ -140,9 +140,9 @@ class ProjectedMesh:
     hypersurface points; ``K`` and ``H`` (N,) are the closed-form
     curvatures, None for families without closed forms; ``singular`` (N,)
     is True where a closed-form denominator vanishes; ``quads`` (n, 4) is
-    an int array of the 0-based corner indices of each grid quad
-    (``export`` also takes any sequence of 4-index rows).  Omitted arrays
-    start empty."""
+    the int array of the 0-based corner indices of each grid quad, built
+    from any sequence of 4-index rows (``export`` also takes such a
+    sequence assigned later).  Omitted arrays start empty."""
 
     __slots__ = ("params", "points", "K", "H", "singular", "quads",
                  "projection")
@@ -157,8 +157,8 @@ class ProjectedMesh:
         self.points = np.empty((0, 4)) if points is None else points
         self.K, self.H = K, H
         self.singular = np.zeros(0, bool) if singular is None else singular
-        self.quads = (np.empty((0, 4), dtype=np.int64) if quads is None
-                      else quads)
+        self.quads = np.asarray(() if quads is None else quads,
+                                dtype=np.int64).reshape(-1, 4)
         self.projection = projection
 
     def __eq__(self, other):

@@ -143,6 +143,10 @@ def test_mutable_records_compare_by_fields():
     # omitted arrays start empty, one per record
     a, b = ProjectedMesh(), ProjectedMesh()
     assert a.quads.tolist() == [] and a.quads is not b.quads
+    # quads given as rows are stored as the int array sweep builds
+    assert ProjectedMesh(quads=[]) == a
+    assert ProjectedMesh(*fields[:5], [tuple(q) for q in mesh.quads.tolist()],
+                         mesh.projection) == mesh
     assert (a.params.shape, a.points.shape, a.singular.shape,
             a.quads.shape) == ((0, 3), (0, 4), (0,), (0, 4))
     assert VerifyReport("x").checks is not VerifyReport("x").checks
