@@ -289,8 +289,9 @@ def _write_blocks(mesh: ProjectedMesh, obj, fld, format: str) -> None:
         elif fld is not None:
             fld.write(("[\n" if lo == 0 else ",\n")
                       + _json_records(mesh, lo, hi, singular[lo:hi]))
-    quads = (np.asarray(mesh.quads, dtype=np.int64).reshape(-1, 4)
-             if obj is not None else ())
+    if obj is None:
+        return
+    quads = np.asarray(mesh.quads, dtype=np.int64).reshape(-1, 4)
     for i in range(0, len(quads), EXPORT_BLOCK_ROWS):
         block = quads[i:i + EXPORT_BLOCK_ROWS] + 1
         obj.write(("f %d %d %d %d\n" * len(block))
