@@ -5,8 +5,7 @@ oracle."""
 
 from .canal import (CanalFamily, CurvaturePair, NullCoefficients, RadiusSpec,
                     ShapeSpec, Variant, curvature_closed, evaluate_point,
-                    flat_residual, minimal_residual, null_constraint_residual,
-                    relation_residual, weingarten_residuals)
+                    flat_residual, minimal_residual, weingarten_residuals)
 from .curves import (CurveClass, CurveSpec, FrameRows, builtin, builtin_names,
                      derive_frame, derive_frames, frame_residuals)
 from .expr import Jet, eval_s, eval_value, parse, to_str

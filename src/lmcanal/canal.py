@@ -581,22 +581,7 @@ def curvature_closed(family: CanalFamily, k1: float, r_jet, f: float,
 
 
 # ---------------------------------------------------------------------------
-# Algebraic relations and straight-center conditions
-
-def relation_residual(pair: CurvaturePair, r: float | np.ndarray,
-                      family: CanalFamily) -> float | np.ndarray:
-    """Left side of the linear K-H relation 3H - r^2 K + sigma 2/r, at one
-    point or elementwise at arrays of points, for every family with closed
-    forms, canal and tubular alike (a canal hypersurface's K and H both
-    follow from its meridian curvature and r).  The closed forms satisfy
-    it by construction, to rounding; ``verify`` checks it on the oracle."""
-    if family.variant.is_null_variant:
-        raise UnsupportedFamilyError(
-            "K-H relations cover pseudo null and partially null variants "
-            "only")
-    sigma = _CLOSED_FORMS[family.variant].sigma
-    return 3.0 * pair.H - r * r * pair.K + sigma * 2.0 / r
-
+# Straight-center conditions
 
 def _straight_row(family: CanalFamily, k1: float, noun: str):
     """The variant's row of _CLOSED_FORMS, for a straight center only: on
@@ -629,13 +614,6 @@ def minimal_residual(family: CanalFamily, r_jet, k1: float) -> float:
     row = _straight_row(family, k1, "minimality")
     r, r1, r2 = r_jet[0], r_jet[1], r_jet[2]
     return 2.0 * (row.m0 + row.mq * (r1 * r1)) - 3.0 * r * (row.e2 * r2)
-
-
-def null_constraint_residual(a1: float, a2: float, a4: float, r: float,
-                             r1: float, lam: int) -> float:
-    """a2^2 + a4^2 - lambda*r*(r + 2*a1*r'): zero for coefficients built
-    from NullCoefficients, generally nonzero for raw external data."""
-    return a2 * a2 + a4 * a4 - lam * r * (r + 2.0 * a1 * r1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ adjacency.
 
 ``export`` writes the OBJ and the field in one pass over the vertices, in
 blocks of ``EXPORT_BLOCK_ROWS`` (1024) rows, with one write per block and
-file.  Only the point columns a block writes are formatted: the three
-kept coordinates for the OBJ, all four for a CSV field, which shares them
-with the OBJ ``v`` lines, none for a JSON field alone.  The parameters, K
-and H of a CSV row are formatted once per distinct bit pattern in the
-block.  A JSON field has the bytes of ``json.dump(records, indent=1)``
-but comes from the C encoder, one block at a time.  The quads, an (n, 4)
+file.  Each point coordinate a block writes is formatted once: the three
+kept coordinates for an OBJ alone, all four for a field, which shares them
+with the OBJ ``v`` lines.  Both field formats are spelled from one cell
+table per block, in which the parameters, K and H are formatted once per
+distinct bit pattern.  A CSV row joins a row of cells; a JSON record fills
+a fixed template with them, with nan, inf, -inf, True and False spelled as
+``json`` spells them and a missing K or H as null, so a JSON field has the
+bytes of ``json.dump(records, indent=1)``.  The quads, an (n, 4)
 integer array, become ``f`` lines one block of quads at a time, through
 one ``%`` format per block.  No string holds more than a block, so peak
 memory does not grow with the vertex count.  ``export_obj`` and
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import os
 from typing import NamedTuple
 
@@ -225,11 +226,28 @@ def _reprs(values: np.ndarray) -> list:
     return list(map(repr, values.tolist()))
 
 
-def _csv_rows(mesh: ProjectedMesh, lo: int, hi: int, x: list, sing) -> str:
-    """CSV rows lo:hi given their point cells ``x``.  The float64 cells of
-    s, t, w, K and H are formatted once per distinct bit pattern, keyed on
-    bits, not float equality (0.0 == -0.0 but their reprs differ); K and
-    H are empty on singular rows and for families without the channel."""
+#: Per field format: the header, the text of one row of cells, the
+#: separator between records (also across blocks), the footer, a K or H
+#: cell with no value and the ``repr`` cells the format spells otherwise.
+#: A JSON record is one of ``json.dump(records, indent=1)``.
+_FORMATS = {
+    "csv": (",".join(FIELD_COLUMNS) + "\n", ",".join, "\n", "\n", "", {}),
+    "json": ("[\n", (" {\n" + ",\n".join(f'  "{c}": %s' for c in FIELD_COLUMNS)
+                     + "\n }").__mod__, ",\n", "\n]\n", "null",
+             {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
+              "True": "true", "False": "false"}),
+}
+
+
+def _field_cells(mesh: ProjectedMesh, lo: int, hi: int, x: list, sing,
+                 empty: str, respell: dict) -> list:
+    """The cells of rows lo:hi, one list per FIELD_COLUMNS column, given
+    their four point columns ``x``.  The float64 cells of s, t, w, K and H
+    are formatted once per distinct bit pattern, keyed on bits, not float
+    equality (0.0 == -0.0 but their reprs differ); K and H are ``empty``
+    on singular rows and for families without the channel.  Only the
+    columns holding a non-finite or boolean value are respelled, into new
+    lists: ``x`` stays as the OBJ spells it."""
     columns = [*mesh.params[lo:hi].T,
                *(c[lo:hi] for c in (mesh.K, mesh.H) if c is not None)]
     wide = [c for c in columns if c.dtype == np.float64]  # bit key: float64
@@ -240,42 +258,31 @@ def _csv_rows(mesh: ProjectedMesh, lo: int, hi: int, x: list, sing) -> str:
             inverse.reshape(table.shape)].tolist())
     cells = [next(shared) if c.dtype == np.float64 else _reprs(c)
              for c in columns]
-    blank, channels = np.flatnonzero(sing).tolist(), iter(cells[3:])
-    for column, i in itertools.product(cells[3:], blank):
-        column[i] = ""
-    k, h = ([""] * len(sing) if c is None else next(channels)
+    columns[3:3], cells[3:3] = mesh.points[lo:hi].T, x
+    if respell:
+        cells = [[respell.get(v, v) for v in cell]
+                 if c.dtype == bool or not np.isfinite(c).all() else cell
+                 for c, cell in zip(columns, cells)]
+    blank, channels = np.flatnonzero(sing).tolist(), iter(cells[7:])
+    for column, i in itertools.product(cells[7:], blank):
+        column[i] = empty
+    k, h = ([empty] * len(sing) if c is None else next(channels)
             for c in (mesh.K, mesh.H))
     flags = ["false"] * len(sing)
     for i in blank:
         flags[i] = "true"
-    return "\n".join(map(",".join, zip(*cells[:3], *x, k, h, flags))) + "\n"
-
-
-def _json_records(mesh: ProjectedMesh, lo: int, hi: int, sing) -> str:
-    """Rows lo:hi as ``json.dumps(records, indent=1)`` spells the records
-    inside its list brackets: the ``tolist`` values, K and H None on
-    singular rows and for families without the channel."""
-    channels = (np.where(sing, None, c[lo:hi]).tolist() if c is not None
-                else [None] * len(sing) for c in (mesh.K, mesh.H))
-    rows = zip(*mesh.params[lo:hi].T.tolist(), *mesh.points[lo:hi].T.tolist(),
-               *channels, np.asarray(mesh.singular[lo:hi]).tolist())
-    records = [dict(zip(FIELD_COLUMNS, row)) for row in rows]
-    # the C encoder serves only indent=None; re-indenting its separators is
-    # safe: keys are FIELD_COLUMNS names, values numbers, null or booleans
-    text = (json.dumps(records)[1:-1].replace('}, {"', '\n },\n {\n  "')
-            .replace('{"', ' {\n  "').replace(', "', ',\n  "'))
-    return text[:-1] + "\n }"
+    return [*cells[:7], k, h, flags]
 
 
 def _write_blocks(mesh: ProjectedMesh, obj, fld, format: str) -> None:
-    """OBJ ``v`` then ``f`` lines to ``obj`` and field rows (CSV rows or
-    JSON records) to ``fld`` (either may be None), one write per block and
-    file.  Only the point columns written are formatted: the kept three
-    for the OBJ, all four for a CSV field, which shares them with the
-    OBJ, none for a JSON field alone."""
+    """OBJ ``v`` then ``f`` lines to ``obj`` and the field, CSV rows or
+    JSON records spelled from one cell table, to ``fld`` (either may be
+    None), one write per block and file.  The point columns are formatted
+    once: the kept three for an OBJ alone, all four for a field, which
+    shares them with the OBJ."""
+    header, record, sep, footer, empty, respell = _FORMATS[format]
     kept = PROJECTIONS[mesh.projection]
-    csv = fld is not None and format == "csv"
-    columns = range(4) if csv else kept if obj is not None else ()
+    columns = kept if fld is None else range(4)
     singular = np.asarray(mesh.singular, dtype=bool)
     for lo in range(0, len(mesh.points), EXPORT_BLOCK_ROWS):
         hi = lo + EXPORT_BLOCK_ROWS
@@ -283,12 +290,12 @@ def _write_blocks(mesh: ProjectedMesh, obj, fld, format: str) -> None:
         if obj is not None:
             obj.write("v " + "\nv ".join(map(" ".join, zip(
                 *(x[i] for i in kept)))) + "\n")
-        if csv:
-            fld.write(_csv_rows(mesh, lo, hi, list(x.values()),
-                                singular[lo:hi]))
-        elif fld is not None:
-            fld.write(("[\n" if lo == 0 else ",\n")
-                      + _json_records(mesh, lo, hi, singular[lo:hi]))
+        if fld is not None:  # unnamed, the cells go before the next block
+            fld.write((sep if lo else header) + sep.join(map(record, zip(
+                *_field_cells(mesh, lo, hi, list(x.values()),
+                              singular[lo:hi], empty, respell)))))
+    if fld is not None:
+        fld.write(footer)
     if obj is None:
         return
     quads = np.asarray(mesh.quads, dtype=np.int64).reshape(-1, 4)
@@ -313,22 +320,25 @@ def export(mesh: ProjectedMesh, obj_path, field_path=None,
     """Write the OBJ mesh and, given ``field_path``, the curvature field.
 
     OBJ and field come from one block-wise pass over the vertices (see
-    the module docstring).  Either path may be None; two paths that name
-    one file raise MeshError before either is opened.  The field file is
-    opened first, so an unwritable field path fails before the OBJ is
-    touched.
+    the module docstring).  Either path may be None.  An unknown field
+    format or projection, and two paths that name one file, raise
+    MeshError before either file is opened.  The field file is opened
+    first, so an unwritable field path fails before the OBJ is touched.
 
     OBJ: `v x y z` lines then 1-based `f i j k l` quads; ``mesh.quads``
     may be an (n, 4) integer array or any sequence of 4-index rows.  CSV
-    columns are fixed (see FIELD_COLUMNS); K and H cells are empty on
-    singular vertices and on families without closed forms.  The files
-    are ASCII, written through the UTF-8 codec: the same bytes, and
+    columns and JSON keys are fixed (see FIELD_COLUMNS); K and H cells are
+    empty (CSV) or null (JSON) on singular vertices and on families
+    without closed forms, and the singular flag is true or false.  The
+    files are ASCII, written through the UTF-8 codec: the same bytes, and
     unlike ``ascii`` a codec that needs no import on first use.
     """
     if not len(mesh.points):
         raise MeshError("cannot export an empty mesh")
-    if format not in ("csv", "json"):
+    if format not in _FORMATS:
         raise MeshError(f"unknown field format {format!r}")
+    if mesh.projection not in PROJECTIONS:
+        raise MeshError(f"unknown projection {mesh.projection!r}")
     if (obj_path is not None and field_path is not None
             and _same_file(obj_path, field_path)):
         raise MeshError(f"the OBJ and field paths name the same file "
@@ -338,12 +348,8 @@ def export(mesh: ProjectedMesh, obj_path, field_path=None,
             return None if path is None else stack.enter_context(
                 open(path, "w", encoding="utf-8", newline="\n"))
         fld, obj = opened(field_path), opened(obj_path)
-        if fld is not None and format == "csv":
-            fld.write(",".join(FIELD_COLUMNS) + "\n")
         if obj is not None or fld is not None:
             _write_blocks(mesh, obj, fld, format)
-        if fld is not None and format == "json":
-            fld.write("\n]\n")
 
 
 def export_obj(mesh: ProjectedMesh, path) -> None:

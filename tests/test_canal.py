@@ -12,15 +12,13 @@ import random
 import numpy as np
 import pytest
 
-from lmcanal.canal import (CanalFamily, CurvaturePair, NullCoefficients,
-                           RadiusSpec, RegimeError, ShapeSpec,
+from lmcanal.canal import (CanalFamily, NullCoefficients, RadiusSpec,
+                           RegimeError, ShapeSpec,
                            SingularPointError, UnsupportedFamilyError,
                            Variant, closed_form_gauge, curvature_closed,
                            evaluate_point, field,
                            flat_residual, minimal_residual,
-                           null_constraint_residual,
-                           field_tables, relation_residual,
-                           weingarten_residuals)
+                           field_tables, weingarten_residuals)
 from lmcanal.curves import (CurveClass, CurveSpec, builtin, derive_frame,
                             derive_frames)
 from lmcanal.minkowski import inner_rows
@@ -243,8 +241,11 @@ def test_tubular_constant_curvatures():
 
 
 def test_relation_residuals():
+    # the K-H relation 3H - r^2 K + sigma 2/r = 0 of every family with
+    # closed forms, which the closed forms hold to rounding
     rng = random.Random(9)
     for curve, variant, rtext, sb, tb, wb in ALL_FAMILY_SCENES:
+        sigma = canal._CLOSED_FORMS[variant].sigma
         for branch in (1, -1):
             fam = CanalFamily(curve.curve_class, variant, branch)
             rad = RadiusSpec.from_text(rtext)
@@ -253,7 +254,7 @@ def test_relation_residuals():
             # closed forms at f = w, g = t
             fld = field(fam, curve, rad, SHAPE_WT, None, s, t, w)
             assert not fld.singular.any()
-            res = relation_residual(CurvaturePair(fld.K, fld.H), fld.r, fam)
+            res = 3.0 * fld.H - fld.r * fld.r * fld.K + sigma * 2.0 / fld.r
             assert np.all(np.abs(res) <= 1e-9)
 
 
@@ -264,25 +265,6 @@ def test_closed_form_gauge(variant):
     assert closed_form_gauge(variant) == want
     if not variant.is_null_variant:
         assert want == canal._CLOSED_FORMS[variant].sigma * variant.lam
-
-
-def test_relation_examples():
-    famc1 = CanalFamily(CurveClass.PSEUDO_NULL, Variant.C1, 1)
-    # arbitrary pair at r=1, C1: 3*0 - 0 + 2/1
-    assert relation_residual(CurvaturePair(0.0, 0.0), 1.0, famc1) == 2.0
-    famc5 = CanalFamily(CurveClass.PARTIALLY_NULL, Variant.C5, 1)
-    assert relation_residual(CurvaturePair(0.0, 4.0 / 3.0), 0.5, famc5) == \
-        pytest.approx(0.0, abs=1e-15)
-    # tubular T1 at r = 1: K = 1, H = -1/3 (k1 = 1, g = sin f) and K = 0,
-    # H = -2/3 (a straight center) both satisfy 3H - r^2 K + 2/r = 0
-    famt1 = CanalFamily(CurveClass.PSEUDO_NULL, Variant.T1)
-    assert relation_residual(CurvaturePair(1.0, -1.0 / 3.0), 1.0, famt1) == \
-        pytest.approx(0.0, abs=1e-15)
-    assert relation_residual(CurvaturePair(0.0, -2.0 / 3.0), 1.0, famt1) == \
-        pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(UnsupportedFamilyError):
-        relation_residual(CurvaturePair(0, 0), 1.0,
-                          CanalFamily(CurveClass.NULL, Variant.NULL_T1))
 
 
 def test_regime_errors():
@@ -504,7 +486,8 @@ def test_minimal_residual_cases():
 
 
 def test_null_constraint_residual():
-    # built coefficients satisfy the constraint identically; read them off
+    # built coefficients satisfy the constraint a2^2 + a4^2 =
+    # lambda r (r + 2 a1 r') identically (lambda = 1); read them off
     # field points through the null Gram table (<F1,F3> = 1, F2 and F4
     # unit spacelike): d = C - gamma = a1 F1 + a2 F2 + a3 F3 + a4 F4 gives
     # a1 = <d,F3>, a2 = <d,F2>, a3 = <d,F1>, a4 = <d,F4>.
@@ -519,12 +502,8 @@ def test_null_constraint_residual():
     d = fld.points - fld.center
     a1, a2, a4 = (inner_rows(d, f) for f in (fr.f3, fr.f2, fr.f4))
     r, r1 = rad.jet(s)[:2]
-    for i in range(len(s)):
-        res = null_constraint_residual(a1[i], a2[i], a4[i], r[i], r1[i], 1)
-        assert abs(res) <= 1e-12
-    # raw external data generally violates it: a2 = a4 = r, a1 = 0
-    assert null_constraint_residual(0.0, 1.0, 1.0, 1.0, 0.5, 1) == \
-        pytest.approx(1.0)
+    res = a2 * a2 + a4 * a4 - r * (r + 2.0 * a1 * r1)
+    assert np.all(np.abs(res) <= 1e-12)
 
 
 def test_straight_line_tube_with_completion_frame():

@@ -24,7 +24,6 @@ import pytest
 from lmcanal import canal
 from lmcanal import mesh as mesh_mod
 from lmcanal import scene as scene_mod
-from lmcanal.canal import CurvaturePair, relation_residual
 from lmcanal.cli import main
 from lmcanal.mesh import (AXES, EXPORT_BLOCK_ROWS, FIELD_COLUMNS, GridSpec,
                           MeshError, ProjectedMesh, export, export_field,
@@ -177,19 +176,6 @@ def test_sweep_with_each_fixed_axis(monkeypatch, name, axis):
         assert got.tobytes() == want.tobytes(), column
 
 
-def test_relation_recheck_on_sweep():
-    scene = bundled_scene("pseudo-null-c1")
-    grid = GridSpec(scene.grid.s_range, scene.grid.t_range, scene.grid.w_range,
-                    12, 12, 2, "w", 1.0)
-    mesh = sweep(scene._replace(grid=grid))
-    ok = ~mesh.singular
-    r = scene.radius.jet(mesh.params[ok, 0])[0]
-    rel = relation_residual(CurvaturePair(mesh.K[ok], mesh.H[ok]), r,
-                            scene.family)
-    assert len(rel) > 0
-    assert np.max(np.abs(rel)) <= 1e-9
-
-
 def test_field_csv_format(tmp_path):
     scene = bundled_scene("pseudo-null-c1")
     grid = GridSpec(scene.grid.s_range, scene.grid.t_range, scene.grid.w_range,
@@ -308,6 +294,23 @@ def test_export_to_one_file_twice_fails_before_opening_it(field, tmp_path,
     assert not (tmp_path / "new.obj").exists()
 
 
+@pytest.mark.parametrize("obj, field, fmt", [
+    ("m.obj", "f.csv", "csv"), ("m.obj", "f.json", "json"),
+    ("m.obj", None, "csv"), (None, "f.csv", "csv"), (None, "f.json", "json")])
+def test_export_refuses_an_unknown_projection_before_opening(obj, field, fmt,
+                                                             tmp_path):
+    # refused with the format and same-file checks, so existing files keep
+    # their bytes, also for a field alone, which reads no projection
+    for name in ("m.obj", "f.csv", "f.json"):
+        (tmp_path / name).write_text("old\n")
+    mesh = ProjectedMesh(params=np.zeros((2, 3)), points=np.ones((2, 4)),
+                         projection="x1x2")
+    with pytest.raises(MeshError, match="unknown projection 'x1x2'"):
+        export(mesh, obj and tmp_path / obj, field and tmp_path / field, fmt)
+    for name in ("m.obj", "f.csv", "f.json"):
+        assert (tmp_path / name).read_text() == "old\n", name
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -408,35 +411,6 @@ def non_finite_mesh() -> ProjectedMesh:
     return mesh
 
 
-def _json_dump_reference(mesh) -> str:
-    """The field as ``json.dump`` writes one dict per vertex."""
-    records = [dict(zip(FIELD_COLUMNS, (*p, *x, k, h, sing)))
-               for p, x, k, h, sing in zip(
-                   mesh.params.tolist(), mesh.points.tolist(),
-                   _channel(mesh, mesh.K), _channel(mesh, mesh.H),
-                   mesh.singular.tolist())]
-    return json.dumps(records, indent=1) + "\n"
-
-
-FIELD_MESHES = {
-    "signed-zeros": signed_zero_mesh(),
-    "non-finite": non_finite_mesh(),
-    # integer, boolean and float32 columns, no H channel
-    "integer-bool-float32": ProjectedMesh(
-        params=np.array([[0, 1, 2], [0, -1, 2]]),
-        points=np.array([[True, False, True, True]] * 2),
-        K=np.array([0.5, np.nan], dtype=np.float32), H=None,
-        singular=np.array([0, 1]), quads=[]),
-}
-
-
-@pytest.mark.parametrize("mesh", FIELD_MESHES.values(), ids=FIELD_MESHES)
-def test_json_field_matches_json_dump(mesh, tmp_path):
-    path = tmp_path / "field.json"
-    export_field(mesh, path, "json")
-    assert path.read_text() == _json_dump_reference(mesh)
-
-
 def repeated_channel_mesh() -> ProjectedMesh:
     """More than two blocks of rows whose K and H repeat a few values,
     0.0, -0.0, nan and a value that is also a parameter among them, so
@@ -452,6 +426,37 @@ def repeated_channel_mesh() -> ProjectedMesh:
                          H=repeated[(i // 7) % 5], singular=i % 13 == 4,
                          quads=[(0, 1, 3, 2), (2, 3, 5, 4)],
                          projection="x2x3x4")
+
+
+def _json_dump_reference(mesh) -> str:
+    """The field as ``json.dump`` writes one dict per vertex, with the
+    singular flag a boolean."""
+    records = [dict(zip(FIELD_COLUMNS, (*p, *x, k, h, sing)))
+               for p, x, k, h, sing in zip(
+                   mesh.params.tolist(), mesh.points.tolist(),
+                   _channel(mesh, mesh.K), _channel(mesh, mesh.H),
+                   mesh.singular.astype(bool).tolist())]
+    return json.dumps(records, indent=1) + "\n"
+
+
+FIELD_MESHES = {
+    "signed-zeros": signed_zero_mesh(),
+    "non-finite": non_finite_mesh(),
+    # integer, boolean and float32 columns, no H channel
+    "integer-bool-float32": ProjectedMesh(
+        params=np.array([[0, 1, 2], [0, -1, 2]]),
+        points=np.array([[True, False, True, True]] * 2),
+        K=np.array([0.5, np.nan], dtype=np.float32), H=None,
+        singular=np.array([0, 1]), quads=[]),
+    "repeated-channels": repeated_channel_mesh(),
+}
+
+
+@pytest.mark.parametrize("mesh", FIELD_MESHES.values(), ids=FIELD_MESHES)
+def test_json_field_matches_json_dump(mesh, tmp_path):
+    path = tmp_path / "field.json"
+    export_field(mesh, path, "json")
+    assert path.read_text() == _json_dump_reference(mesh)
 
 
 def _reference_rows(mesh) -> tuple[str, str]:
@@ -473,9 +478,7 @@ def _reference_rows(mesh) -> tuple[str, str]:
     return "".join(line + "\n" for line in obj), "\n".join(rows) + "\n"
 
 
-@pytest.mark.parametrize("mesh", [*FIELD_MESHES.values(),
-                                  repeated_channel_mesh()],
-                         ids=[*FIELD_MESHES, "repeated-channels"])
+@pytest.mark.parametrize("mesh", FIELD_MESHES.values(), ids=FIELD_MESHES)
 def test_csv_and_obj_match_reference_rows(mesh, tmp_path):
     obj, csv = tmp_path / "mesh.obj", tmp_path / "field.csv"
     export(mesh, obj, csv)
@@ -513,9 +516,9 @@ def test_export_bytes_do_not_depend_on_blocks_or_quad_type(
                          ids=["figure", "non-finite"])
 def test_export_formats_only_the_cells_it_writes(make, tmp_path,
                                                  monkeypatch):
-    # a point coordinate once for the OBJ and the CSV, only the kept three
-    # for an OBJ without a CSV, none for a JSON field alone; s, t, w, K
-    # and H of a CSV once per distinct bit pattern in a block
+    # a point coordinate once for the OBJ and the field, only the kept
+    # three for an OBJ alone; s, t, w, K and H of either field format once
+    # per distinct bit pattern in a block
     mesh = make()
     formatted = []
 
@@ -532,8 +535,8 @@ def test_export_formats_only_the_cells_it_writes(make, tmp_path,
     for obj, fld, format, expected in [
             ("m.obj", "m.csv", "csv", 4 * n + distinct),
             ("m.obj", None, "csv", 3 * n),
-            ("m.obj", "m.json", "json", 3 * n),
-            (None, "m.json", "json", 0)]:
+            ("m.obj", "m.json", "json", 4 * n + distinct),
+            (None, "m.json", "json", 4 * n + distinct)]:
         formatted.clear()
         export(mesh, tmp_path / obj if obj else None,
                tmp_path / fld if fld else None, format)
